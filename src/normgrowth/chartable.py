@@ -41,21 +41,16 @@ class ClassMultTensor:
 def class_mult_tensor(group: FiniteGroup, ct: ClassTable) -> ClassMultTensor:
     """Exact class multiplication constants by counting x^-1 * rep products.
 
-    For each pair (i, k) we walk x over C_i, form y = x^-1 * rep(C_k), and
-    increment a[i, class_of(y), k]; then x*y = rep(C_k) by construction.
+    For each class k we walk x over the whole group, form y = x^-1 * rep(C_k),
+    and increment a[class_of(x), class_of(y), k]; then x*y = rep(C_k) by
+    construction.
     """
     k = ct.n_classes
-    n = group.n
     a = np.zeros((k, k, k), dtype=np.int64)
-    inv = group.inverse_of
     for kk in range(k):
-        rep_row = group.perms[ct.reps[kk]]
-        for i in range(k):
-            x_inv = inv[ct.classes[i]]
-            rows = group.perms[x_inv][:, rep_row]
-            y = group.index_of(rows)
-            counts = np.bincount(ct.class_of[y], minlength=k)
-            a[i, :, kk] = counts
+        y = group.mul(group.inverse_of, ct.reps[kk])
+        pairs = ct.class_of * k + ct.class_of[y]
+        a[:, :, kk] = np.bincount(pairs, minlength=k * k).reshape(k, k)
     return ClassMultTensor(a=a)
 
 

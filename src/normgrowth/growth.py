@@ -17,7 +17,7 @@ import numpy as np
 from . import tolerances as tol
 from .chartable import CharacterTable, character_ratio, min_nontrivial_degree, r_extremes
 from .errors import EmptySubset, NotLieType, TrivialSubset
-from .permgroup import ClassTable, FiniteGroup, word_image
+from .permgroup import _CHUNK_ROWS, ClassTable, FiniteGroup, word_image
 from .reports import CheckResult
 from .subsets import (
     NormalSubset,
@@ -30,8 +30,6 @@ from .subsets import (
     subset_mask,
 )
 
-# row budget for one vectorized product block
-_BLOCK = 1 << 20
 # exhaustive union sweeps are allowed while 2^(k-1) stays at or below this
 EXHAUSTIVE_UNION_CAP = 4096
 RANDOM_UNION_SAMPLES = 10_000
@@ -41,19 +39,13 @@ def product_set(group: FiniteGroup, a: SubsetLike, b: SubsetLike) -> Subset:
     """Exact product set A*B by brute force, chunked; stops once full."""
     a_idx = np.flatnonzero(subset_mask(a))
     b_idx = np.flatnonzero(subset_mask(b))
-    n = group.n
-    out = np.zeros(n, dtype=bool)
+    out = np.zeros(group.n, dtype=bool)
     if a_idx.size == 0 or b_idx.size == 0:
         return Subset(out)
-    pb = group.perms[b_idx]
-    chunk = max(1, _BLOCK // b_idx.size)
-    filled = 0
+    chunk = max(1, _CHUNK_ROWS // (group.degree * b_idx.size))
     for lo in range(0, a_idx.size, chunk):
-        part = a_idx[lo : lo + chunk]
-        rows = group.perms[part][:, pb]
-        out[group.index_of(rows.reshape(-1, group.degree))] = True
-        filled = int(out.sum())
-        if filled == n:
+        out[group.mul(a_idx[lo : lo + chunk, None], b_idx)] = True
+        if out.all():
             break
     return Subset(out)
 
@@ -61,13 +53,8 @@ def product_set(group: FiniteGroup, a: SubsetLike, b: SubsetLike) -> Subset:
 def pair_count(group: FiniteGroup, a: SubsetLike, b: SubsetLike, g: int) -> int:
     """#{(x, y) in A x B : x*y = g}, exact."""
     a_idx = np.flatnonzero(subset_mask(a))
-    b_mask = subset_mask(b)
-    if a_idx.size == 0 or not b_mask.any():
-        return 0
     # x*y = g  <=>  y = x^-1 g
-    rows = group.perms[group.inverse_of[a_idx]][:, group.perms[g]]
-    y = group.index_of(rows)
-    return int(b_mask[y].sum())
+    return int(subset_mask(b)[group.mul(group.inverse_of[a_idx], g)].sum())
 
 
 def pab_exact(group: FiniteGroup, a: SubsetLike, b: SubsetLike, g: int) -> Fraction:

@@ -2,8 +2,9 @@
 
 A group is stored as the (n, degree) array of image rows of its elements in
 BFS discovery order, identity first.  All downstream modules address elements
-by their row index; products and inverses resolve indices through a perfect
-key on a small base of points.
+by their row index and form products only through `FiniteGroup.mul`, which
+resolves image rows back to indices through their images on a small base of
+points: a direct-address table when it fits, a sorted key search otherwise.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .errors import (
     CapExceeded,
     EmptyWord,
     NoCharacteristic,
+    NormGrowthError,
     NotBijective,
     ParseError,
 )
@@ -25,8 +27,10 @@ from .errors import (
 DEFAULT_ORDER_CAP = 25_000
 # cap on the number of word evaluations |G|**arity
 DEFAULT_WORD_CAP = 4_000_000
-# target row count per vectorized block
-_CHUNK_ROWS = 1 << 20
+# image-row entries per vectorized block
+_CHUNK_ROWS = 1 << 18
+# entries of the direct-address lookup table (int32, 4 MB)
+_TABLE_ENTRIES = 1 << 20
 
 
 class Permutation:
@@ -115,6 +119,12 @@ class Permutation:
         ) + ")"
 
 
+def _void_keys(cols: np.ndarray) -> np.ndarray:
+    """One opaque byte key per row of base images, for sorting and searching."""
+    cols = np.ascontiguousarray(cols, dtype=np.int32)
+    return cols.view(np.dtype((np.void, cols.itemsize * cols.shape[1]))).ravel()
+
+
 def _order_from_row(row: np.ndarray) -> int:
     """Order of a permutation = lcm of its cycle lengths."""
     n = row.shape[0]
@@ -137,8 +147,8 @@ class FiniteGroup:
     """A fully enumerated permutation group addressed by element index.
 
     Element 0 is always the identity.  `perms[i]` is the image row of element
-    i; products of known elements are resolved back to indices through a key
-    on a base of points whose pointwise stabilizer is trivial.
+    i; products of known elements are resolved back to indices through their
+    images on a base of points whose pointwise stabilizer is trivial.
     """
 
     def __init__(
@@ -173,22 +183,16 @@ class FiniteGroup:
             base.append(pt)
             stab &= self.perms[:, pt] == pt
         self.base = tuple(base)
-        if not base:
-            self._keys = None
+        size = self.degree ** len(base)
+        if size <= _TABLE_ENTRIES:
+            # key = base images read as digits in radix `degree`
+            self._radix = (self.degree ** np.arange(len(base))).astype(np.int32)
+            self._table = np.full(size, -1, dtype=np.int32)
+            self._table[self.perms[:, self.base] @ self._radix] = np.arange(self.n)
             return
-        radix = [1]
-        for _ in range(len(base) - 1):
-            radix.append(radix[-1] * self.degree)
-        if radix[-1] * self.degree >= 2 ** 62:
-            # huge-degree corner: fall back to a python dict on the base columns
-            self._keys = None
-            cols = self.perms[:, list(base)]
-            self._dict = {cols[i].tobytes(): i for i in range(self.n)}
-            self._base_list = list(base)
-            return
-        self._radix = np.asarray(radix, dtype=np.int64)
-        keys = self.perms[:, list(base)].astype(np.int64) @ self._radix
-        self._key_order = np.argsort(keys, kind="stable").astype(np.int64)
+        self._table = None
+        keys = _void_keys(self.perms[:, self.base])
+        self._key_order = np.argsort(keys, kind="stable").astype(np.int32)
         self._keys = keys[self._key_order]
 
     def index_of(self, rows: np.ndarray) -> np.ndarray:
@@ -196,22 +200,17 @@ class FiniteGroup:
         rows = np.asarray(rows)
         if rows.ndim == 1:
             rows = rows[None, :]
-        if self.n == 1:
-            return np.zeros(rows.shape[0], dtype=np.int64)
-        if self._keys is None:
-            base_cols = rows[:, self._base_list].astype(np.int32)
-            return np.fromiter(
-                (self._dict[base_cols[i].tobytes()] for i in range(rows.shape[0])),
-                dtype=np.int64,
-                count=rows.shape[0],
-            )
-        qk = rows[:, list(self.base)].astype(np.int64) @ self._radix
-        pos = np.searchsorted(self._keys, qk)
-        pos = np.clip(pos, 0, self.n - 1)
-        idx = self._key_order[pos]
-        if not (self._keys[pos] == qk).all():
+        cols = rows[:, self.base]
+        if self._table is not None:
+            idx = self._table.take(cols @ self._radix)
+            if (idx < 0).any():
+                raise KeyError("row is not an element of the group")
+            return idx
+        query = _void_keys(cols)
+        pos = np.minimum(np.searchsorted(self._keys, query), self.n - 1)
+        if not (self._keys[pos] == query).all():
             raise KeyError("row is not an element of the group")
-        return idx
+        return self._key_order[pos]
 
     # -- element arithmetic -------------------------------------------------
 
@@ -229,9 +228,29 @@ class FiniteGroup:
             self._inverse = self.index_of(inv_rows)
         return self._inverse
 
-    def mul(self, a: int, b: int) -> int:
-        """Index of the product a*b with (a*b)(x) = a(b(x))."""
-        return int(self.index_of(self.perms[a][self.perms[b]])[0])
+    def mul(self, a: int | np.ndarray, b: int | np.ndarray) -> int | np.ndarray:
+        """Indices of the products a*b, with (a*b)(x) = a(b(x)).
+
+        `a` and `b` are index arrays (or ints) that broadcast together; the
+        result has their broadcast shape, an int for two ints.  Image rows are
+        formed and resolved in blocks of at most _CHUNK_ROWS entries.
+        """
+        it = np.nditer(
+            [a, b, None],
+            flags=["external_loop", "buffered", "zerosize_ok"],
+            op_flags=[["readonly"], ["readonly"], ["writeonly", "allocate"]],
+            op_dtypes=[np.intp, np.intp, np.int32],
+            order="C",
+            buffersize=max(1, _CHUNK_ROWS // self.degree),
+        )
+        flat = self.perms.ravel()
+        with it:
+            for pa, pb, out in it:
+                # rows[i, x] = perms[pa[i], perms[pb[i], x]], read from the flat array
+                starts = pa[:, None] * self.degree
+                out[...] = self.index_of(flat.take(starts + self.perms.take(pb, axis=0)))
+            prod = it.operands[2]
+        return int(prod) if prod.ndim == 0 else prod
 
     def inv(self, a: int) -> int:
         return int(self.inverse_of[a])
@@ -242,48 +261,21 @@ class FiniteGroup:
     def element_order(self, i: int) -> int:
         return _order_from_row(self.perms[i])
 
-    def left_translate(self, g: int, idxs: np.ndarray) -> np.ndarray:
-        """Indices of g*x for x in idxs."""
-        return self.index_of(self.perms[g][self.perms[np.asarray(idxs)]])
-
-    def right_translate(self, idxs: np.ndarray, g: int) -> np.ndarray:
-        """Indices of x*g for x in idxs."""
-        return self.index_of(self.perms[np.asarray(idxs)][:, self.perms[g]])
-
-    def pairwise_product_indices(self, a_idx: np.ndarray, b_idx: np.ndarray) -> np.ndarray:
-        """Indices of all products a*b, shape (len(a_idx), len(b_idx))."""
-        a_idx = np.asarray(a_idx)
-        b_idx = np.asarray(b_idx)
-        pb = self.perms[b_idx]
-        rows = self.perms[a_idx][:, pb]
-        return self.index_of(rows.reshape(-1, self.degree)).reshape(
-            len(a_idx), len(b_idx)
-        )
-
-    def conjugate_indices(self, idxs: np.ndarray, g: int) -> np.ndarray:
-        """Indices of g*x*g^-1 for x in idxs."""
-        ginv = self.inv(g)
-        inner = self.perms[np.asarray(idxs)][:, self.perms[ginv]]
-        return self.index_of(self.perms[g][inner])
-
     def generator_conjugation_maps(self) -> list[np.ndarray]:
         """For each generator g, the full map x -> g*x*g^-1 as an index array."""
         if self._gen_conj is None:
             all_idx = np.arange(self.n)
             self._gen_conj = [
-                self.conjugate_indices(all_idx, g) for g in self.generators
+                self.mul(self.mul(g, all_idx), self.inv(g)) for g in self.generators
             ]
         return self._gen_conj
 
     def division_table(self) -> np.ndarray:
         """dt[g, h] = index of g^-1 * h.  Cached; quadratic memory."""
         if self._division_table is None:
-            inv = self.inverse_of
-            dt = np.empty((self.n, self.n), dtype=np.int32)
-            for g in range(self.n):
-                rows = self.perms[inv[g]][self.perms]
-                dt[g] = self.index_of(rows)
-            self._division_table = dt
+            self._division_table = self.mul(
+                self.inverse_of[:, None], np.arange(self.n)
+            )
         return self._division_table
 
     def __repr__(self) -> str:
@@ -350,7 +342,8 @@ def build_symmetric(m: int) -> FiniteGroup:
     if m > 2:
         gens.append(Permutation.from_cycles([tuple(range(m))], m))
     group = closure(gens, cap=math.factorial(m) + 1, label=f"S{m}")
-    assert group.n == math.factorial(m)
+    if group.n != math.factorial(m):
+        raise NormGrowthError(f"S{m} closure gave {group.n} elements")
     return group
 
 
@@ -378,7 +371,8 @@ def build_alternating(m: int) -> FiniteGroup:
     group = closure(
         gens, cap=math.factorial(m) // 2 + 1, label=f"A{m}", simple=m >= 5
     )
-    assert group.n == math.factorial(m) // 2
+    if group.n != math.factorial(m) // 2:
+        raise NormGrowthError(f"A{m} closure gave {group.n} elements")
     return group
 
 
@@ -446,7 +440,8 @@ def compute_classes(group: FiniteGroup) -> ClassTable:
     inverse_class = class_of[group.inverse_of[reps]]
     is_real = inverse_class == np.arange(len(classes))
     rep_orders = np.array([group.element_order(int(r)) for r in reps], dtype=np.int64)
-    assert sizes[0] == 1 and reps[0] == 0, "identity class must come first"
+    if sizes[0] != 1 or reps[0] != 0:
+        raise NormGrowthError("identity class must come first")
     return ClassTable(
         group=group,
         class_of=class_of,
@@ -562,36 +557,20 @@ def word_image(
     remap = {v: i for i, v in enumerate(variables)}
     letters = [(remap[v], s) for v, s in letters]
     arity = len(variables)
-    n, d = group.n, group.degree
+    n = group.n
     total = n ** arity
     if total > cap:
         raise CapExceeded(
             f"word evaluation needs {total} tuples, cap is {cap}"
         )
     inv = group.inverse_of
+    # one broadcast axis per variable: w[i, j] is the word at (g_i, g_j)
+    args = np.ix_(*[np.arange(n)] * arity)
+    w = group.identity
+    for var, sign in letters:
+        w = group.mul(w, args[var] if sign > 0 else inv[args[var]])
     mask = np.zeros(n, dtype=bool)
-    ident_row = np.arange(d, dtype=np.int32)
-    chunk = max(1, _CHUNK_ROWS // max(d, 1))
-    if arity == 1:
-        idx_all = np.arange(n)
-        for lo in range(0, n, chunk):
-            g1 = idx_all[lo : lo + chunk]
-            rows = np.broadcast_to(ident_row, (len(g1), d)).copy()
-            for var, sign in letters:
-                factor = g1 if sign > 0 else inv[g1]
-                rows = np.take_along_axis(rows, group.perms[factor], axis=1)
-            mask[group.index_of(rows)] = True
-    else:
-        per = max(1, chunk // n)
-        for lo in range(0, n, per):
-            g1 = np.repeat(np.arange(lo, min(lo + per, n)), n)
-            g2 = np.tile(np.arange(n), min(per, n - lo))
-            rows = np.broadcast_to(ident_row, (len(g1), d)).copy()
-            for var, sign in letters:
-                base = g1 if var == 0 else g2
-                factor = base if sign > 0 else inv[base]
-                rows = np.take_along_axis(rows, group.perms[factor], axis=1)
-            mask[group.index_of(rows)] = True
+    mask[w] = True
     return mask
 
 

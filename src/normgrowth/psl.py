@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .errors import CapExceeded, NotPrimePower
+from .errors import CapExceeded, NormGrowthError, NotPrimePower
 from .permgroup import DEFAULT_ORDER_CAP, FiniteGroup, Permutation, closure
 
 # monic irreducibles over GF(p), little-endian coefficient lists (constant first)
@@ -68,7 +68,8 @@ class GF:
         inv = np.zeros(q, dtype=np.int64)
         for a in range(1, q):
             hits = np.flatnonzero(mul[a] == 1)
-            assert hits.size == 1
+            if hits.size != 1:
+                raise NormGrowthError(f"GF({q}): {a} has {hits.size} inverses")
             inv[a] = hits[0]
         self.inv = inv
 
@@ -175,7 +176,8 @@ def build_psl2(q: int, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
         field_order=q,
         simple=True,
     )
-    assert group.n == order, f"PSL(2,{q}) closure gave {group.n}, want {order}"
+    if group.n != order:
+        raise NormGrowthError(f"PSL(2,{q}) closure gave {group.n}, want {order}")
     return group
 
 
@@ -236,5 +238,6 @@ def build_psl3(q: int, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
         field_order=q,
         simple=True,
     )
-    assert group.n == order, f"PSL(3,{q}) closure gave {group.n}, want {order}"
+    if group.n != order:
+        raise NormGrowthError(f"PSL(3,{q}) closure gave {group.n}, want {order}")
     return group

@@ -10,7 +10,7 @@ import numpy as np
 from . import tolerances as tol
 from .errors import EmptySubset, NoConvergence, NotNormal
 from .chartable import CharacterTable
-from .permgroup import ClassTable, FiniteGroup
+from .permgroup import _CHUNK_ROWS, ClassTable, FiniteGroup
 from .subsets import NormalSubset, Subset, SubsetLike, subset_mask
 
 DEFAULT_DENSE_CAP = 2500
@@ -100,14 +100,7 @@ def _lambda_from_spec(spec: CayleySpec, tab: CharacterTable) -> float:
 
 def walk_matrix(spec: CayleySpec) -> np.ndarray:
     """Dense random-walk matrix M[g, h] = 1/d if g^-1 h in S else 0."""
-    group = spec.group
-    n = group.n
-    m = np.zeros((n, n), dtype=np.float64)
-    all_idx = np.arange(n)
-    w = 1.0 / spec.d
-    for s in spec.indices:
-        m[all_idx, group.right_translate(all_idx, int(s))] = w
-    return m
+    return spec.mask[spec.group.division_table()] / spec.d
 
 
 def commutation_defect(spec: CayleySpec) -> float:
@@ -144,16 +137,16 @@ def _power_lambda(
 ) -> float:
     group = spec.group
     n = group.n
-    s_idx = spec.indices
-    inv = group.inverse_of
+    s_idx = spec.indices[:, None]
     all_idx = np.arange(n)
-    right = [group.right_translate(all_idx, int(s)) for s in s_idx]
-    right_inv = [group.right_translate(all_idx, int(inv[s])) for s in s_idx]
+    # row i of each table: x -> x*s_i (right) and x -> x*s_i^-1 (right_inv)
+    right = group.mul(all_idx, s_idx)
+    right_inv = group.mul(all_idx, group.inverse_of[s_idx])
 
-    def mv(vec: np.ndarray, tables: list[np.ndarray]) -> np.ndarray:
+    def mv(vec: np.ndarray, tables: np.ndarray) -> np.ndarray:
         acc = np.zeros_like(vec)
         for t in tables:
-            acc += vec[t]
+            acc += vec.take(t)  # take, unlike [], reads an int32 index without a copy
         return acc / len(tables)
 
     rng = np.random.default_rng(seed)
@@ -189,17 +182,11 @@ def arc_count(spec: CayleySpec, a: SubsetLike, b: SubsetLike) -> int:
     group = spec.group
     a_idx = np.flatnonzero(subset_mask(a))
     b_mask = subset_mask(b)
-    if a_idx.size == 0 or not b_mask.any():
-        return 0
-    total = 0
-    s_rows = group.perms[spec.indices]
-    chunk = max(1, (1 << 20) // max(1, spec.d))
-    for lo in range(0, a_idx.size, chunk):
-        part = a_idx[lo : lo + chunk]
-        rows = group.perms[part][:, s_rows]
-        prods = group.index_of(rows.reshape(-1, group.degree))
-        total += int(b_mask[prods].sum())
-    return total
+    chunk = max(1, _CHUNK_ROWS // (group.degree * spec.d))
+    return sum(
+        int(b_mask[group.mul(a_idx[lo : lo + chunk, None], spec.indices)].sum())
+        for lo in range(0, a_idx.size, chunk)
+    )
 
 
 def check_vertex_expansion(

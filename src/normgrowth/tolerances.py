@@ -23,8 +23,6 @@ LAMBDA_AGREE = 1e-6
 LAMBDA_ONE = 1e-10
 # weighted-walk lambda vs. plain lambda for class-indicator weights
 WLAMBDA_AGREE = 1e-8
-# commutation defect of the walk matrix with its transpose (normal sets)
-COMMUTATION = 1e-10
 
 # generic slack for inequality checks
 SLACK = 1e-9
@@ -32,8 +30,6 @@ SLACK = 1e-9
 STRICT_SLACK = 1e-12
 # relative agreement between the exact and character-formula pair counts
 PAB_RELATIVE = 1e-8
-# save/load round-trip budget per entry
-ROUNDTRIP = 1e-12
 # distribution weights must sum to one within this
 DIST_UNIT = 1e-12
 
@@ -50,11 +46,9 @@ NAMES = {
     "lambda-agree": "LAMBDA_AGREE",
     "lambda-one": "LAMBDA_ONE",
     "wlambda-agree": "WLAMBDA_AGREE",
-    "commutation": "COMMUTATION",
     "slack": "SLACK",
     "strict-slack": "STRICT_SLACK",
     "pab-relative": "PAB_RELATIVE",
-    "roundtrip": "ROUNDTRIP",
     "dist-unit": "DIST_UNIT",
     "power-tol": "POWER_TOL",
 }

@@ -105,8 +105,9 @@ def test_tolerance_override_roundtrip():
         tol.LAMBDA_AGREE = old
 
 
-def test_bad_tolerance_name_exits_2(capsys):
-    code = main(["group", "--group", "A:5", "--tolerance", "no-such=1"])
+@pytest.mark.parametrize("name", ["no-such", "commutation", "roundtrip"])
+def test_bad_tolerance_name_exits_2(capsys, name):
+    code = main(["group", "--group", "A:5", "--tolerance", f"{name}=1"])
     assert code == 2
     assert "unknown tolerance" in capsys.readouterr().err
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from normgrowth import tolerances as tol
 from normgrowth.chartable import min_nontrivial_degree
 from normgrowth.distributions import (
     Distribution,
@@ -15,6 +16,7 @@ from normgrowth.distributions import (
     l2_dist_uniform,
     point_mass,
     random_distribution,
+    sweep_wlambda,
     uniform,
     weighted_cayley_lambda,
 )
@@ -112,7 +114,7 @@ def test_bnp_star_uniform_and_points(a5):
 
 def test_wlambda_extremes(a5):
     g = a5.group
-    assert weighted_cayley_lambda(g, uniform(g.n)) < 1e-6
+    assert weighted_cayley_lambda(g, uniform(g.n)) <= tol.SLACK
     assert weighted_cayley_lambda(g, point_mass(g.n, 0)) == pytest.approx(1.0)
     with pytest.raises(CapExceeded):
         weighted_cayley_lambda(g, uniform(g.n), dense_cap=10)
@@ -124,8 +126,14 @@ def test_wlambda_contraction_bound(a5):
     rng = np.random.default_rng(2)
     for _ in range(10):
         y = random_distribution(g.n, rng)
-        lam = weighted_cayley_lambda(g, y, m=m)
-        assert lam <= math.sqrt(g.n / m) * l2_dist_uniform(y) + 1e-9
+        lam = weighted_cayley_lambda(g, y)
+        assert lam <= math.sqrt(g.n / m) * l2_dist_uniform(y) + tol.SLACK
+
+
+def test_sweep_wlambda_uniform_y_passes(a5):
+    # at seed 1 a sparse Y covers all of A:5: the bound is 0 and lambda must be too
+    rep = sweep_wlambda(a5.group, a5.classes, a5.table, trials=100, seed=1)
+    assert rep.records and not rep.failures
 
 
 def test_wlambda_governs_all_convolutions(a5):

@@ -13,6 +13,7 @@ from normgrowth.errors import (
     ParseError,
 )
 from normgrowth.permgroup import (
+    _TABLE_ENTRIES,
     FiniteGroup,
     Permutation,
     build_alternating,
@@ -139,8 +140,8 @@ def test_index_arithmetic_consistency():
         pa, pb = g.permutation(a), g.permutation(b)
         assert g.permutation(g.mul(a, b)) == pa * pb
         assert g.mul(a, g.inv(a)) == 0
-    # batch products agree with scalar products
-    tab = g.pairwise_product_indices(idx[:5], idx[5:10])
+    # broadcast products agree with scalar products
+    tab = g.mul(idx[:5, None], idx[5:10])
     for i in range(5):
         for j in range(5):
             assert tab[i, j] == g.mul(int(idx[i]), int(idx[5 + j]))
@@ -150,11 +151,45 @@ def test_translations():
     g = build_symmetric(4)
     all_idx = np.arange(g.n)
     for h in (1, 5, 17):
-        left = g.left_translate(h, all_idx)
-        right = g.right_translate(all_idx, h)
+        left = g.mul(h, all_idx)
+        right = g.mul(all_idx, h)
         assert sorted(left) == list(all_idx)
         assert sorted(right) == list(all_idx)
         assert left[0] == h and right[0] == h
+
+
+def a5_on(degree: int) -> FiniteGroup:
+    """A:5 acting on {0..4}, fixing every other point below `degree`."""
+    gens = [
+        Permutation.from_cycles([(0, 1, 2)], degree),
+        Permutation.from_cycles([(0, 1, 2, 3, 4)], degree),
+    ]
+    return closure(gens, cap=100)
+
+
+# at this degree the images of A:5's three base points overflow the lookup table
+PAST_TABLE = int(_TABLE_ENTRIES ** (1 / 3)) + 1
+
+
+@pytest.mark.parametrize("degree", [6, PAST_TABLE], ids=["table", "sorted"])
+def test_index_of_rejects_non_element(degree):
+    g = a5_on(degree)
+    row = np.arange(g.degree)
+    row[[0, -1]] = row[[-1, 0]]  # no element of A:5 moves 0 past point 4
+    with pytest.raises(KeyError):
+        g.index_of(row)
+    assert g.index_of(g.perms[7]).tolist() == [7]
+
+
+def test_sorted_fallback_matches_permutations():
+    g = a5_on(PAST_TABLE)
+    assert g.degree ** len(g.base) > _TABLE_ENTRIES
+    perm = [g.permutation(i) for i in range(g.n)]
+    prods = g.mul(np.arange(g.n)[:, None], np.arange(g.n))
+    for a in range(g.n):
+        assert perm[g.inv(a)] == perm[a].inverse()
+        for b in range(g.n):
+            assert perm[prods[a, b]] == perm[a] * perm[b]
 
 
 def test_division_table():
@@ -208,7 +243,8 @@ def test_class_table_invariants(psl27):
     # conjugation closure under generators
     for k, cls in enumerate(ct.classes):
         for gen in g.generators:
-            assert set(g.conjugate_indices(cls, gen).tolist()) == set(cls.tolist())
+            conj = g.mul(g.mul(gen, cls), g.inv(gen))
+            assert set(conj.tolist()) == set(cls.tolist())
     # inverse_class involution fixing the identity class
     inv = ct.inverse_class
     assert inv[0] == 0
@@ -298,7 +334,7 @@ def test_word_image_normal(a5):
     img = word_image(g, "xx")
     idxs = np.flatnonzero(img)
     for gen in g.generators:
-        assert img[g.conjugate_indices(idxs, gen)].all()
+        assert img[g.mul(g.mul(gen, idxs), g.inv(gen))].all()
 
 
 def test_word_image_cap(a5):

@@ -91,6 +91,10 @@ def test_walk_matrix_stochastic_and_normal(a5):
     m = walk_matrix(spec)
     assert np.allclose(m.sum(axis=1), 1.0)
     assert ((m == 0) | (m == 1 / s.size)).all()
+    perm = [a5.group.permutation(i) for i in range(a5.n)]
+    in_s = {perm[i] for i in s.indices}
+    brute = [[perm[g].inverse() * perm[h] in in_s for h in range(a5.n)] for g in range(a5.n)]
+    assert (m == np.array(brute) / s.size).all()
     assert commutation_defect(spec) <= 1e-10
 
 
