@@ -41,7 +41,6 @@ SPECCHI_GROUPS = ("A:5", "S:5", "PSL2:7", "PSL2:11")
 MIXING_GROUPS = ("A:5", "PSL2:7")
 GLUCK_GROUPS = ("PSL2:5", "PSL2:7", "PSL2:9", "PSL2:11", "PSL2:13", "PSL3:2")
 REAL_PSL2 = ("PSL2:5", "PSL2:7", "PSL2:9", "PSL2:11", "PSL2:13")
-FROBENIUS_ORDER_LIMIT = 700
 SPECCHI_RUNTIME_LIMIT = 300.0
 
 EXPECTED_DEGREES = {
@@ -126,7 +125,7 @@ def criterion_3(profile: str = "quick", seed: int = 0) -> ReportDocument:
     for spec in ("A:5", "PSL2:7"):
         ctx = get_context(spec)
         rep = sweep_2step(ctx.group, ctx.classes, ctx.table, b_per_a=100, seed=seed)
-        doc.results.extend(rep.records)
+        doc.results.extend(rep.results)
     return doc
 
 
@@ -135,12 +134,12 @@ def criterion_4(profile: str = "quick", seed: int = 0) -> ReportDocument:
     doc = _doc("criterion-4 class coverage sweep")
     ctx = get_context("A:5")
     doc.results.extend(
-        sweep_gowers2(ctx.group, ctx.classes, ctx.table, unions=True).records
+        sweep_gowers2(ctx.group, ctx.classes, ctx.table, unions=True).results
     )
     for spec in ("PSL2:7", "PSL2:11"):
         ctx = get_context(spec)
         doc.results.extend(
-            sweep_gowers2(ctx.group, ctx.classes, ctx.table, unions=False).records
+            sweep_gowers2(ctx.group, ctx.classes, ctx.table, unions=False).results
         )
     return doc
 
@@ -149,10 +148,10 @@ def criterion_5(profile: str = "quick", seed: int = 0) -> ReportDocument:
     """Deviation of P_{A,B} from uniform, strict bound."""
     doc = _doc("criterion-5 deviation sweep")
     ctx = get_context("A:5")
-    doc.results.extend(sweep_asymp(ctx.group, ctx.classes, ctx.table).records)
+    doc.results.extend(sweep_asymp(ctx.group, ctx.classes, ctx.table).results)
     ctx = get_context("PSL2:7")
     doc.results.extend(
-        sweep_asymp(ctx.group, ctx.classes, ctx.table, pairs=1000, seed=seed).records
+        sweep_asymp(ctx.group, ctx.classes, ctx.table, pairs=1000, seed=seed).results
     )
     return doc
 
@@ -163,13 +162,9 @@ def criterion_6(profile: str = "quick", seed: int = 0) -> ReportDocument:
     worst = 0.0
     for spec in PROFILES[profile]:
         ctx = get_context(spec)
-        if ctx.n > FROBENIUS_ORDER_LIMIT:
-            continue
-        rep = frobenius_oracle_report(
-            ctx.group, ctx.classes, ctx.table, rel_tol=1e-6
-        )
-        doc.results.extend(rep.records)
-        worst = max(worst, max(1e-6 - r.margin for r in rep.records))
+        rep = frobenius_oracle_report(ctx.group, ctx.classes, ctx.table)
+        doc.results.extend(rep.results)
+        worst = max(worst, max(tol.PAB_RELATIVE - r.margin for r in rep.results))
     doc.meta["max_relative_deviation"] = worst
     return doc
 
@@ -192,9 +187,9 @@ def criterion_7(profile: str = "quick", seed: int = 0) -> ReportDocument:
                 passed=bool(residual <= tol.ORTHOGONALITY),
             )
         )
-        integrality = float(
-            np.abs(ctx.table.degrees - np.rint(ctx.table.degrees)).max()
-        )
+        # the unrounded degrees chi(1); table.degrees is already rounded
+        chi1 = ctx.table.values[:, 0].real
+        integrality = float(np.abs(chi1 - np.rint(chi1)).max())
         doc.results.append(
             CheckResult(
                 check="degree-integrality",
@@ -246,8 +241,8 @@ def criterion_8(profile: str = "quick", seed: int = 0) -> ReportDocument:
     for spec in GLUCK_GROUPS:
         ctx = get_context(spec)
         rep = gluck_report(ctx.group, None, ctx.table)
-        doc.results.extend(rep.records)
-        table[ctx.label] = rep.extra["sqrt_q_r_max"]
+        doc.results.extend(rep.results)
+        table[ctx.label] = rep.meta["sqrt_q_r_max"]
     doc.meta["sqrt_q_r_max"] = table
     return doc
 
@@ -257,7 +252,7 @@ def criterion_9(profile: str = "quick", seed: int = 0) -> ReportDocument:
     doc = _doc("criterion-9 square dichotomy sweep")
     for spec in ("A:5", "PSL2:7"):
         ctx = get_context(spec)
-        doc.results.extend(sweep_dichotomy(ctx.group, ctx.classes, ctx.table).records)
+        doc.results.extend(sweep_dichotomy(ctx.group, ctx.classes, ctx.table).results)
     return doc
 
 
@@ -280,12 +275,12 @@ def criterion_10(profile: str = "quick", seed: int = 0) -> ReportDocument:
             )
         )
         doc.results.extend(
-            sweep_bnp_star(ctx.group, ctx.table, trials=1000, seed=seed).records
+            sweep_bnp_star(ctx.group, ctx.table, trials=1000, seed=seed).results
         )
         doc.results.extend(
             sweep_wlambda(
                 ctx.group, ctx.classes, ctx.table, trials=100, seed=seed
-            ).records
+            ).results
         )
         for k in range(ctx.classes.n_classes):
             s = NormalSubset.from_classes(ctx.classes, [k])
@@ -313,7 +308,7 @@ def criterion_11(profile: str = "quick", seed: int = 0) -> ReportDocument:
     for spec in MIXING_GROUPS:
         ctx = get_context(spec)
         doc.results.extend(
-            sweep_bnp_two_step(ctx.group, ctx.table, pairs=500, seed=seed).records
+            sweep_bnp_two_step(ctx.group, ctx.table, pairs=500, seed=seed).results
         )
     return doc
 
@@ -403,7 +398,7 @@ def criterion_14(profile: str = "quick", seed: int = 0) -> ReportDocument:
     ctx = get_context("A:5")
 
     def body(rep):
-        d = ReportDocument(title="probe", results=rep.records)
+        d = ReportDocument(title="probe", results=rep.results)
         return json.dumps(d.body_dict(), sort_keys=True)
 
     probes = {

@@ -122,8 +122,6 @@ def burnside_dixon_numeric(
     seed: int = 0,
     label: str = "",
     class_orders: Optional[np.ndarray] = None,
-    collision_tol: float = tol.EIGEN_COLLISION,
-    max_retries: int = tol.MAX_RETRIES,
 ) -> CharacterTable:
     """Recover the character table from the class multiplication tensor.
 
@@ -137,18 +135,18 @@ def burnside_dixon_numeric(
     sizes = np.asarray(sizes, dtype=np.int64)
     rng = np.random.default_rng(seed)
     vecs = None
-    for _ in range(max_retries):
+    for _ in range(tol.MAX_RETRIES):
         coeffs = rng.uniform(-1.0, 1.0, size=k)
         t_mat = np.tensordot(coeffs, a, axes=(0, 0)).astype(np.float64)
         eigvals, eigvecs = np.linalg.eig(t_mat)
         sep = np.abs(eigvals[:, None] - eigvals[None, :])
         sep[np.diag_indices(k)] = np.inf
-        if sep.min() > collision_tol:
+        if sep.min() > tol.EIGEN_COLLISION:
             vecs = eigvecs
             break
     if vecs is None:
         raise DegenerateSpectrum(
-            f"no collision-free recombination found in {max_retries} tries"
+            f"no collision-free recombination found in {tol.MAX_RETRIES} tries"
         )
     omega = vecs / vecs[0, :]  # column r: central character values, omega[0] = 1
     weight = (np.abs(omega) ** 2 / sizes[:, None].astype(np.float64)).sum(axis=0)

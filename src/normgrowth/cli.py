@@ -23,7 +23,6 @@ from .context import PROFILES, get_context, parse_group_spec
 from .distributions import sweep_bnp_star, sweep_bnp_two_step, sweep_wlambda
 from .errors import NormGrowthError, ParseError, SchemaError
 from .growth import (
-    GrowthReport,
     gluck_report,
     pyber_report,
     square_growth_survey,
@@ -138,18 +137,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_tolerances(pairs: list[str]) -> None:
+def _apply_tolerances(pairs: list[str]) -> dict[str, float]:
+    """Set each NAME=VALUE on the tolerances module; return the overrides."""
+    applied = {}
     for item in pairs:
         name, sep, value = item.partition("=")
         if not sep:
             raise ParseError(f"--tolerance wants NAME=VALUE, got {item!r}")
-        attr = tol.NAMES.get(name.strip())
+        name = name.strip()
+        attr = tol.NAMES.get(name)
         if attr is None:
             raise ParseError(f"unknown tolerance {name!r}")
         try:
-            setattr(tol, attr, float(value))
+            applied[name] = float(value)
         except ValueError:
             raise ParseError(f"bad tolerance value {value!r}") from None
+        setattr(tol, attr, applied[name])
+    return applied
 
 
 def _out_path(args, default_name: str):
@@ -164,6 +168,8 @@ def _out_path(args, default_name: str):
 def _emit(doc: ReportDocument, args, default_stem: str) -> int:
     doc.meta.setdefault("version", __version__)
     doc.meta.setdefault("seed", args.seed)
+    if args.overrides:
+        doc.meta["tolerances"] = args.overrides
     doc.stamp()
     path = _out_path(args, f"{default_stem}.{args.format}")
     if path:
@@ -177,12 +183,6 @@ def _emit(doc: ReportDocument, args, default_stem: str) -> int:
 def _stem(args, *parts: str) -> str:
     raw = "-".join(p for p in parts if p)
     return raw.replace(":", "").replace("/", "-").lower()
-
-
-def _growth_doc(rep: GrowthReport, title: str) -> ReportDocument:
-    doc = ReportDocument(title=title, results=list(rep.records))
-    doc.meta.update(rep.extra)
-    return doc
 
 
 def cmd_group(args) -> int:
@@ -279,7 +279,7 @@ def cmd_lambda(args) -> int:
         dense_cap=args.dense_cap,
         seed=args.seed,
     )
-    agree = rep.agree(tol.LAMBDA_AGREE)
+    agree = rep.agree()
     print(
         f"{rep.group_label} S={rep.subset_expr} (d={rep.d}, "
         f"{'normal' if rep.normal else 'not normal'}, {rep.method})"
@@ -325,22 +325,21 @@ def cmd_growth(args) -> int:
     g, ct, tab = ctx.group, ctx.classes, ctx.table
     check = args.check
     if check == "2step":
-        rep = sweep_2step(g, ct, tab, b_per_a=args.trials or 100, seed=args.seed)
+        doc = sweep_2step(g, ct, tab, b_per_a=args.trials or 100, seed=args.seed)
     elif check == "gowers2":
-        rep = sweep_gowers2(g, ct, tab, unions=not args.classes_only)
+        doc = sweep_gowers2(g, ct, tab, unions=not args.classes_only)
     elif check == "asymp":
-        rep = sweep_asymp(g, ct, tab, pairs=args.trials, seed=args.seed)
+        doc = sweep_asymp(g, ct, tab, pairs=args.trials, seed=args.seed)
     elif check == "dichotomy":
-        rep = sweep_dichotomy(g, ct, tab)
+        doc = sweep_dichotomy(g, ct, tab)
     elif check == "survey":
-        rep = square_growth_survey(g, ct, tab)
+        doc = square_growth_survey(g, ct, tab)
     elif check == "pyber":
-        rep = pyber_report(g, ct, tab)
+        doc = pyber_report(g, ct, tab)
     elif check == "words":
-        rep = word_growth_report(g, ct, tab, args.words[0], args.words[1])
+        doc = word_growth_report(g, ct, tab, args.words[0], args.words[1])
     else:
-        rep = gluck_report(g, None, tab)
-    doc = _growth_doc(rep, f"growth {check} {g.label}")
+        doc = gluck_report(g, None, tab)
     return _emit(doc, args, _stem(args, "growth", check, args.group))
 
 
@@ -348,15 +347,14 @@ def cmd_dist(args) -> int:
     ctx = get_context(args.group, order_cap=args.order_cap, seed=args.seed)
     g, ct, tab = ctx.group, ctx.classes, ctx.table
     if args.check == "bnp":
-        rep = sweep_bnp_star(g, tab, trials=args.trials or 1000, seed=args.seed)
+        doc = sweep_bnp_star(g, tab, trials=args.trials or 1000, seed=args.seed)
     elif args.check == "bnp2step":
-        rep = sweep_bnp_two_step(g, tab, pairs=args.trials or 500, seed=args.seed)
+        doc = sweep_bnp_two_step(g, tab, pairs=args.trials or 500, seed=args.seed)
     else:
-        rep = sweep_wlambda(
+        doc = sweep_wlambda(
             g, ct, tab, trials=args.trials or 100, seed=args.seed,
             dense_cap=args.dense_cap,
         )
-    doc = _growth_doc(rep, f"dist {args.check} {g.label}")
     return _emit(doc, args, _stem(args, "dist", args.check, args.group))
 
 
@@ -386,8 +384,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
+    # an override lasts for this command only
+    saved = {attr: getattr(tol, attr) for attr in tol.NAMES.values()}
     try:
-        _apply_tolerances(args.tolerance)
+        args.overrides = _apply_tolerances(args.tolerance)
         return COMMANDS[args.command](args)
     except (ParseError, SchemaError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -395,6 +395,9 @@ def main(argv=None) -> int:
     except NormGrowthError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    finally:
+        for attr, value in saved.items():
+            setattr(tol, attr, value)
 
 
 if __name__ == "__main__":

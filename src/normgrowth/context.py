@@ -96,8 +96,3 @@ def get_context(
         _CACHE[key] = ctx
     return ctx
 
-
-def profile_contexts(profile: str, order_cap: int = DEFAULT_ORDER_CAP) -> list[GroupContext]:
-    if profile not in PROFILES:
-        raise ParseError(f"unknown profile {profile!r}")
-    return [get_context(spec, order_cap=order_cap) for spec in PROFILES[profile]]

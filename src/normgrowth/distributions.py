@@ -10,9 +10,9 @@ import numpy as np
 from . import tolerances as tol
 from .chartable import CharacterTable, min_nontrivial_degree
 from .errors import CapExceeded, EmptySubset
-from .growth import GrowthReport, product_set
+from .growth import product_set
 from .permgroup import ClassTable, FiniteGroup
-from .reports import CheckResult
+from .reports import CheckResult, ReportDocument
 from .spectral import DEFAULT_DENSE_CAP
 from .subsets import SubsetLike, random_subset, subset_mask
 
@@ -191,7 +191,7 @@ def sweep_bnp_star(
     tab: CharacterTable,
     trials: int = 1000,
     seed: int = 0,
-) -> GrowthReport:
+) -> ReportDocument:
     """Seeded random (X, Y) pairs, alternating dense and sparse shapes."""
     rng = np.random.default_rng(seed)
     m = min_nontrivial_degree(tab)
@@ -210,9 +210,11 @@ def sweep_bnp_star(
         )
         rec.seed = seed
         records.append(rec)
-    report = GrowthReport(check="bnp", group_label=group.label, records=records)
-    report.extra = {"m": m, "trials": trials, "seed": seed}
-    return report
+    return ReportDocument(
+        title=f"dist bnp {group.label}",
+        results=records,
+        meta={"m": m, "trials": trials, "seed": seed},
+    )
 
 
 def sweep_bnp_two_step(
@@ -220,7 +222,7 @@ def sweep_bnp_two_step(
     tab: CharacterTable,
     pairs: int = 500,
     seed: int = 0,
-) -> GrowthReport:
+) -> ReportDocument:
     rng = np.random.default_rng(seed)
     records = []
     for t in range(pairs):
@@ -235,9 +237,11 @@ def sweep_bnp_two_step(
         )
         rec.seed = seed
         records.append(rec)
-    report = GrowthReport(check="bnp2step", group_label=group.label, records=records)
-    report.extra = {"pairs": pairs, "seed": seed}
-    return report
+    return ReportDocument(
+        title=f"dist bnp2step {group.label}",
+        results=records,
+        meta={"pairs": pairs, "seed": seed},
+    )
 
 
 def sweep_wlambda(
@@ -247,7 +251,7 @@ def sweep_wlambda(
     trials: int = 100,
     seed: int = 0,
     dense_cap: int = DEFAULT_DENSE_CAP,
-) -> GrowthReport:
+) -> ReportDocument:
     """Contraction bound lambda <= sqrt(n/m) ||Y - U|| for seeded random Y."""
     rng = np.random.default_rng(seed)
     m = min_nontrivial_degree(tab)
@@ -273,6 +277,8 @@ def sweep_wlambda(
             seed=seed,
         )
         records.append(rec)
-    report = GrowthReport(check="wlambda", group_label=group.label, records=records)
-    report.extra = {"m": m, "trials": trials, "seed": seed}
-    return report
+    return ReportDocument(
+        title=f"dist wlambda {group.label}",
+        results=records,
+        meta={"m": m, "trials": trials, "seed": seed},
+    )

@@ -8,7 +8,6 @@ independent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -18,7 +17,7 @@ from . import tolerances as tol
 from .chartable import CharacterTable, character_ratio, min_nontrivial_degree, r_extremes
 from .errors import EmptySubset, NotLieType, TrivialSubset
 from .permgroup import _CHUNK_ROWS, ClassTable, FiniteGroup, word_image
-from .reports import CheckResult
+from .reports import CheckResult, ReportDocument
 from .subsets import (
     NormalSubset,
     Subset,
@@ -33,6 +32,10 @@ from .subsets import (
 # exhaustive union sweeps are allowed while 2^(k-1) stays at or below this
 EXHAUSTIVE_UNION_CAP = 4096
 RANDOM_UNION_SAMPLES = 10_000
+
+# the old name of the report type; perfbench/workloads.py still builds an empty
+# sweep report as GrowthReport("wlambda", "")
+GrowthReport = ReportDocument
 
 
 def product_set(group: FiniteGroup, a: SubsetLike, b: SubsetLike) -> Subset:
@@ -95,7 +98,6 @@ def check_2step(
     tab: CharacterTable,
     a: NormalSubset,
     b: SubsetLike,
-    slack: float = tol.SLACK,
     inputs: str = "",
 ) -> CheckResult:
     """Two-step growth: |AB| >= n / (1 + R^2 (n/|B| - 1)) with R = min ratio on A.
@@ -119,7 +121,7 @@ def check_2step(
         lhs=float(ab),
         rhs=float(max(bound, weak)),
         margin=float(margin),
-        passed=bool(ab >= bound - slack and ab >= weak - slack),
+        passed=bool(ab >= bound - tol.SLACK and ab >= weak - tol.SLACK),
     )
 
 
@@ -176,7 +178,6 @@ def check_asymp(
     tab: CharacterTable,
     a: NormalSubset,
     b: NormalSubset,
-    slack: float = tol.STRICT_SLACK,
     inputs: str = "",
 ) -> list[CheckResult]:
     """Deviation bound |P_AB(g) - 1/n| < R(g)/sqrt(|A||B|), every class g.
@@ -198,7 +199,7 @@ def check_asymp(
         p = pab_exact(group, a, b, int(a.ct.reps[k]))
         lhs = abs(float(p) - 1.0 / n)
         rhs = ratios[k] * scale
-        equality = abs(lhs - rhs) <= slack
+        equality = abs(lhs - rhs) <= tol.STRICT_SLACK
         out.append(
             CheckResult(
                 check="asymp",
@@ -208,7 +209,7 @@ def check_asymp(
                 lhs=lhs,
                 rhs=rhs,
                 margin=float(rhs - lhs),
-                passed=bool(lhs < rhs + slack),
+                passed=bool(lhs < rhs + tol.STRICT_SLACK),
                 note="equality hit" if equality else "",
             )
         )
@@ -219,7 +220,6 @@ def dichotomy_check(
     group: FiniteGroup,
     tab: CharacterTable,
     a: NormalSubset,
-    slack: float = tol.SLACK,
     inputs: str = "",
 ) -> CheckResult:
     """Square dichotomy with R = max nontrivial ratio over the whole group.
@@ -257,7 +257,7 @@ def dichotomy_check(
         lhs=float(a2.size),
         rhs=float(bound),
         margin=float(a2.size - bound),
-        passed=bool(a2.size >= bound - slack),
+        passed=bool(a2.size >= bound - tol.SLACK),
         note="growth branch |A| < R n",
     )
 
@@ -265,39 +265,9 @@ def dichotomy_check(
 # -- reports over families ------------------------------------------------------
 
 
-@dataclass
-class GrowthReport:
-    """A batch of check records plus aggregate statistics."""
-
-    check: str
-    group_label: str
-    records: list[CheckResult] = field(default_factory=list)
-    extra: dict = field(default_factory=dict)
-
-    @property
-    def passes(self) -> int:
-        return sum(1 for r in self.records if r.passed and not r.skipped)
-
-    @property
-    def failures(self) -> list[CheckResult]:
-        return [r for r in self.records if not r.passed]
-
-    @property
-    def skips(self) -> int:
-        return sum(1 for r in self.records if r.skipped)
-
-    @property
-    def min_margin(self) -> Optional[float]:
-        margins = [r.margin for r in self.records if not r.skipped]
-        return min(margins) if margins else None
-
-    def all_passed(self) -> bool:
-        return not self.failures
-
-
 def gluck_report(
     group: FiniteGroup, q: Optional[int], tab: CharacterTable
-) -> GrowthReport:
+) -> ReportDocument:
     """Max nontrivial character ratio vs. the 19/20 bound for groups of Lie type.
 
     Reports sqrt(q) * R_max alongside, the scale on which the ratio decays.
@@ -321,19 +291,21 @@ def gluck_report(
         margin=float(19.0 / 20.0 - r_max),
         passed=bool(r_max <= 19.0 / 20.0 + tol.SLACK),
     )
-    report = GrowthReport(check="gluck", group_label=group.label, records=[rec])
-    report.extra = {
-        "q": q,
-        "r_max": float(r_max),
-        "sqrt_q_r_max": float(math.sqrt(q) * r_max),
-        "nineteen_twentieths_ok": rec.passed,
-    }
-    return report
+    return ReportDocument(
+        title=f"growth gluck {group.label}",
+        results=[rec],
+        meta={
+            "q": q,
+            "r_max": float(r_max),
+            "sqrt_q_r_max": float(math.sqrt(q) * r_max),
+            "nineteen_twentieths_ok": rec.passed,
+        },
+    )
 
 
 def square_growth_survey(
     group: FiniteGroup, ct: ClassTable, tab: CharacterTable
-) -> GrowthReport:
+) -> ReportDocument:
     """Census of the squaring exponent over unions of nonidentity classes.
 
     For each nonempty union A of nonidentity classes, records whether A^2
@@ -377,20 +349,23 @@ def square_growth_survey(
                 note=f"eps={eps:.6f}",
             )
         records.append(rec)
-    report = GrowthReport(check="survey", group_label=group.label, records=records)
-    report.extra = {
-        "min_eps_non_covering": min(eps_values) if eps_values else None,
-        "covering_count": sum(1 for r in records if r.note == "covering"),
-        "union_count": len(records),
-    }
+    report = ReportDocument(
+        title=f"growth survey {group.label}",
+        results=records,
+        meta={
+            "min_eps_non_covering": min(eps_values) if eps_values else None,
+            "covering_count": sum(1 for r in records if r.note == "covering"),
+            "union_count": len(records),
+        },
+    )
     if group.field_order is not None:
-        report.extra["log_q_order"] = math.log(group.n) / math.log(group.field_order)
+        report.meta["log_q_order"] = math.log(group.n) / math.log(group.field_order)
     return report
 
 
 def pyber_report(
     group: FiniteGroup, ct: ClassTable, tab: CharacterTable
-) -> GrowthReport:
+) -> ReportDocument:
     """Census: symmetric normal A with |A| > n/log2(n), does A^2 = G?
 
     Report only, no assertion.
@@ -419,13 +394,15 @@ def pyber_report(
                 note="A^2 = G" if full else "A^2 != G",
             )
         )
-    report = GrowthReport(check="pyber", group_label=group.label, records=records)
-    report.extra = {
-        "threshold": threshold,
-        "qualifying": len(records),
-        "square_covers": sum(1 for r in records if r.note == "A^2 = G"),
-    }
-    return report
+    return ReportDocument(
+        title=f"growth pyber {group.label}",
+        results=records,
+        meta={
+            "threshold": threshold,
+            "qualifying": len(records),
+            "square_covers": sum(1 for r in records if r.note == "A^2 = G"),
+        },
+    )
 
 
 def word_growth_report(
@@ -434,7 +411,7 @@ def word_growth_report(
     tab: CharacterTable,
     word1: str,
     word2: str,
-) -> GrowthReport:
+) -> ReportDocument:
     """Deviation bound applied to two word-map images.
 
     Word images are normal subsets containing the identity, so for every
@@ -464,20 +441,20 @@ def word_growth_report(
                 note="equality hit" if equality else "",
             )
         )
-    report = GrowthReport(
-        check="words", group_label=group.label, records=records
+    return ReportDocument(
+        title=f"growth words {group.label}",
+        results=records,
+        meta={
+            "word1": word1,
+            "word2": word2,
+            "image1_size": img1.size,
+            "image2_size": img2.size,
+            "image1_ratio": img1.size / n,
+            "image2_ratio": img2.size / n,
+            "image1_classes": list(img1.class_indices),
+            "image2_classes": list(img2.class_indices),
+        },
     )
-    report.extra = {
-        "word1": word1,
-        "word2": word2,
-        "image1_size": img1.size,
-        "image2_size": img2.size,
-        "image1_ratio": img1.size / n,
-        "image2_ratio": img2.size / n,
-        "image1_classes": list(img1.class_indices),
-        "image2_classes": list(img2.class_indices),
-    }
-    return report
 
 
 # -- sweep harnesses -------------------------------------------------------------
@@ -505,7 +482,7 @@ def sweep_2step(
     tab: CharacterTable,
     b_per_a: int = 100,
     seed: int = 0,
-) -> GrowthReport:
+) -> ReportDocument:
     """Every normal A (exhaustive unions) against seeded random element sets B."""
     rng = np.random.default_rng(seed)
     records = []
@@ -521,7 +498,7 @@ def sweep_2step(
                     inputs=f"A={a.expr()};B=random(seed={seed},trial={trial},|B|={b.size})",
                 )
             )
-    return GrowthReport(check="2step", group_label=group.label, records=records)
+    return ReportDocument(title=f"growth 2step {group.label}", results=records)
 
 
 def sweep_gowers2(
@@ -529,7 +506,7 @@ def sweep_gowers2(
     ct: ClassTable,
     tab: CharacterTable,
     unions: bool = True,
-) -> GrowthReport:
+) -> ReportDocument:
     """All (A, B, k): unions when requested, else single classes."""
     if unions:
         pool = _union_sweep(ct, include_identity_class=True, seed=0)
@@ -542,7 +519,7 @@ def sweep_gowers2(
         for b in pool:
             for k in range(1, ct.n_classes):
                 records.append(check_gowers2(group, tab, a, b, k))
-    return GrowthReport(check="gowers2", group_label=group.label, records=records)
+    return ReportDocument(title=f"growth gowers2 {group.label}", results=records)
 
 
 def sweep_asymp(
@@ -551,7 +528,7 @@ def sweep_asymp(
     tab: CharacterTable,
     pairs: Optional[int] = None,
     seed: int = 0,
-) -> GrowthReport:
+) -> ReportDocument:
     """Deviation bound over exhaustive union pairs, or seeded random pairs."""
     records = []
     if pairs is None:
@@ -569,19 +546,19 @@ def sweep_asymp(
                     tab, a, b, inputs=f"trial={trial};A={a.expr()};B={b.expr()}"
                 )
             )
-    return GrowthReport(check="asymp", group_label=group.label, records=records)
+    return ReportDocument(title=f"growth asymp {group.label}", results=records)
 
 
 def sweep_dichotomy(
     group: FiniteGroup, ct: ClassTable, tab: CharacterTable
-) -> GrowthReport:
+) -> ReportDocument:
     """Dichotomy over every nontrivial normal subset (exhaustive unions)."""
     records = []
     for a in _union_sweep(ct, include_identity_class=True, seed=0):
         if a.is_trivial():
             continue
         records.append(dichotomy_check(group, tab, a))
-    return GrowthReport(check="dichotomy", group_label=group.label, records=records)
+    return ReportDocument(title=f"growth dichotomy {group.label}", results=records)
 
 
 def frobenius_oracle_report(
@@ -590,8 +567,7 @@ def frobenius_oracle_report(
     tab: CharacterTable,
     triples: Optional[int] = None,
     seed: int = 0,
-    rel_tol: float = tol.PAB_RELATIVE,
-) -> GrowthReport:
+) -> ReportDocument:
     """Exact pair counts vs. the character formula over class triples.
 
     Exhaustive when `triples` is None, else seeded random triples.  The
@@ -622,10 +598,10 @@ def frobenius_oracle_report(
                 inputs=f"i={i};j={j};k={kk}",
                 lhs=float(exact),
                 rhs=float(approx),
-                margin=float(rel_tol - rel),
-                passed=bool(rounds and rel <= rel_tol),
+                margin=float(tol.PAB_RELATIVE - rel),
+                passed=bool(rounds and rel <= tol.PAB_RELATIVE),
             )
         )
-    return GrowthReport(
-        check="frobenius-oracle", group_label=group.label, records=records
+    return ReportDocument(
+        title=f"growth frobenius-oracle {group.label}", results=records
     )

@@ -112,8 +112,6 @@ def commutation_defect(spec: CayleySpec) -> float:
 def lambda_direct(
     spec: CayleySpec,
     dense_cap: int = DEFAULT_DENSE_CAP,
-    power_tol: float = tol.POWER_TOL,
-    max_iter: int = tol.POWER_MAX_ITER,
     seed: int = 0,
 ) -> float:
     """sqrt of the second-largest eigenvalue of MM^t.
@@ -129,12 +127,10 @@ def lambda_direct(
         eigs = np.linalg.eigvalsh(m @ m.T)
         lam2 = max(float(eigs[-2]), 0.0)
         return float(np.sqrt(lam2))
-    return _power_lambda(spec, power_tol, max_iter, seed)
+    return _power_lambda(spec, seed)
 
 
-def _power_lambda(
-    spec: CayleySpec, power_tol: float, max_iter: int, seed: int
-) -> float:
+def _power_lambda(spec: CayleySpec, seed: int) -> float:
     group = spec.group
     n = group.n
     s_idx = spec.indices[:, None]
@@ -154,7 +150,7 @@ def _power_lambda(
     v -= v.mean()
     v /= np.linalg.norm(v)
     theta_old = np.inf
-    for _ in range(max_iter):
+    for _ in range(tol.POWER_MAX_ITER):
         w = mv(mv(v, right_inv), right)  # MM^t v: M^t then M
         w -= w.mean()  # deflate the all-ones direction
         theta = float(v @ w)
@@ -162,11 +158,11 @@ def _power_lambda(
         if norm == 0.0:
             return 0.0
         v = w / norm
-        if abs(theta - theta_old) <= power_tol:
+        if abs(theta - theta_old) <= tol.POWER_TOL:
             return float(np.sqrt(max(theta, 0.0)))
         theta_old = theta
     raise NoConvergence(
-        f"power iteration did not settle within {max_iter} iterations"
+        f"power iteration did not settle within {tol.POWER_MAX_ITER} iterations"
     )
 
 
@@ -246,10 +242,10 @@ class SpectralReport:
     char_eigenvalues: Optional[tuple[complex, ...]]
     method: str
 
-    def agree(self, tolerance: float = tol.LAMBDA_AGREE) -> Optional[bool]:
+    def agree(self) -> Optional[bool]:
         if self.lambda_char is None:
             return None
-        return abs(self.lambda_direct - self.lambda_char) <= tolerance
+        return abs(self.lambda_direct - self.lambda_char) <= tol.LAMBDA_AGREE
 
 
 def spectral_report(

@@ -1,7 +1,8 @@
 """Numeric tolerances used across the checks.
 
-Every comparison in the package pulls its default from here so the CLI can
-override a named tolerance without touching call sites.
+Every comparison reads its tolerance from this module when the check runs,
+never as a parameter default bound at import, so a `--tolerance` override
+set by the CLI for one command reaches every check that uses it.
 """
 
 # certification target for freshly computed character tables

@@ -83,26 +83,56 @@ def test_dist_checks(capsys):
     assert main(["dist", "--group", "A:5", "--check", "wlambda", "--trials", "2"]) == 0
 
 
-def test_tolerance_override_roundtrip():
-    old = tol.LAMBDA_AGREE
-    try:
-        assert (
-            main(
-                [
-                    "lambda",
-                    "--group",
-                    "A:5",
-                    "--subset",
-                    "class:1",
-                    "--tolerance",
-                    "lambda-agree=1e-3",
-                ]
-            )
-            == 0
-        )
-        assert tol.LAMBDA_AGREE == 1e-3
-    finally:
-        tol.LAMBDA_AGREE = old
+TOLERANCE_DEFAULTS = {attr: getattr(tol, attr) for attr in tol.NAMES.values()}
+
+
+def _tolerances_now():
+    return {attr: getattr(tol, attr) for attr in tol.NAMES.values()}
+
+
+def test_tolerance_override_roundtrip(tmp_path):
+    out = tmp_path / "lambda.json"
+    argv = ["lambda", "--group", "A:5", "--subset", "class:1", "--out", str(out)]
+    assert main(argv + ["--tolerance", "lambda-agree=1e-3"]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["meta"]["tolerances"] == {"lambda-agree": 1e-3}
+    assert doc["results"][0]["margin"] == pytest.approx(1e-3, abs=1e-12)
+    assert _tolerances_now() == TOLERANCE_DEFAULTS
+    # the next command runs at the defaults and its report says nothing of them
+    assert main(argv) == 0
+    doc = json.loads(out.read_text())
+    assert "tolerances" not in doc["meta"]
+    assert doc["results"][0]["margin"] == pytest.approx(1e-6, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "argv, override",
+    [
+        (["growth", "--check", "dichotomy"], "slack=-1e6"),
+        (["growth", "--check", "2step", "--trials", "1"], "slack=-1e6"),
+        (["growth", "--check", "asymp", "--trials", "2"], "strict-slack=-1e6"),
+        (["lambda", "--subset", "class:1", "--dense-cap", "1"], "power-tol=1e300"),
+        (["chartable", "--verify"], "eigen-collision=1e9"),
+    ],
+    ids=["dichotomy", "2step", "asymp", "lambda-power", "chartable"],
+)
+def test_tolerance_override_reaches_check(tmp_path, capsys, argv, override):
+    out = tmp_path / "report.json"
+    code = main(argv + ["--group", "A:5", "--tolerance", override, "--out", str(out)])
+    assert code == 1
+    assert _tolerances_now() == TOLERANCE_DEFAULTS
+    if out.exists():
+        name, _, value = override.partition("=")
+        assert json.loads(out.read_text())["meta"]["tolerances"] == {name: float(value)}
+    else:
+        # no table, so no report: the recovery gave up on every recombination
+        assert "DegenerateSpectrum" in capsys.readouterr().err
+
+
+def test_tolerance_override_restored_after_usage_error(capsys):
+    argv = ["group", "--group", "A:5", "--tolerance", "slack=5", "--tolerance", "slack=x"]
+    assert main(argv) == 2
+    assert _tolerances_now() == TOLERANCE_DEFAULTS
 
 
 @pytest.mark.parametrize("name", ["no-such", "commutation", "roundtrip"])

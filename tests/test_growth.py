@@ -163,10 +163,10 @@ def test_dichotomy_branches(a5, psl27):
 
 def test_gluck_report(psl27, a5):
     rep = gluck_report(psl27.group, None, psl27.table)
-    assert rep.all_passed()
-    assert rep.extra["q"] == 7
+    assert rep.fail_count == 0
+    assert rep.meta["q"] == 7
     # R_max for this group is sqrt(2)/3
-    assert rep.extra["r_max"] == pytest.approx(math.sqrt(2) / 3, abs=1e-8)
+    assert rep.meta["r_max"] == pytest.approx(math.sqrt(2) / 3, abs=1e-8)
     with pytest.raises(NotLieType):
         gluck_report(a5.group, None, a5.table)
     with pytest.raises(NotLieType):
@@ -175,52 +175,52 @@ def test_gluck_report(psl27, a5):
 
 def test_survey_counts(a5, psl27, s5):
     rep = square_growth_survey(a5.group, a5.classes, a5.table)
-    assert rep.extra["union_count"] == 15
-    assert rep.extra["covering_count"] == 13
-    assert 0.5 < rep.extra["min_eps_non_covering"] < 0.6
+    assert rep.meta["union_count"] == 15
+    assert rep.meta["covering_count"] == 13
+    assert 0.5 < rep.meta["min_eps_non_covering"] < 0.6
     rep = square_growth_survey(psl27.group, psl27.classes, psl27.table)
-    assert rep.extra["union_count"] == 31
+    assert rep.meta["union_count"] == 31
     with pytest.raises(ValueError):
         square_growth_survey(s5.group, s5.classes, s5.table)
 
 
 def test_pyber_census(a5):
     rep = pyber_report(a5.group, a5.classes, a5.table)
-    assert rep.extra["threshold"] == pytest.approx(60 / math.log2(60))
-    assert rep.extra["qualifying"] == len(rep.records) == 30
-    assert rep.extra["square_covers"] == 26
-    for rec in rep.records:
+    assert rep.meta["threshold"] == pytest.approx(60 / math.log2(60))
+    assert rep.meta["qualifying"] == len(rep.results) == 30
+    assert rep.meta["square_covers"] == 26
+    for rec in rep.results:
         assert rec.note == ("A^2 = G" if rec.lhs == rec.n else "A^2 != G")
 
 
 def test_word_growth_squares(a5):
     rep = word_growth_report(a5.group, a5.classes, a5.table, "xx", "xx")
     # squares miss the involutions: 1 + 20 + 12 + 12
-    assert rep.extra["image1_size"] == rep.extra["image2_size"] == 45
-    assert rep.all_passed()
-    assert len(rep.records) == a5.classes.n_classes - 1
+    assert rep.meta["image1_size"] == rep.meta["image2_size"] == 45
+    assert rep.fail_count == 0
+    assert len(rep.results) == a5.classes.n_classes - 1
 
 
 def test_word_growth_identity_word(a5):
     # the word x covers the whole group, so every deviation is exactly zero
     rep = word_growth_report(a5.group, a5.classes, a5.table, "x", "x")
-    assert rep.extra["image1_size"] == a5.group.n
-    for rec in rep.records:
+    assert rep.meta["image1_size"] == a5.group.n
+    for rec in rep.results:
         assert rec.lhs == 0.0 and rec.passed
 
 
 def test_frobenius_oracle_exhaustive(a5):
     rep = frobenius_oracle_report(a5.group, a5.classes, a5.table)
-    assert len(rep.records) == 125
-    assert rep.all_passed()
+    assert len(rep.results) == 125
+    assert rep.fail_count == 0
 
 
 def test_frobenius_oracle_random(psl27):
     rep = frobenius_oracle_report(
         psl27.group, psl27.classes, psl27.table, triples=25, seed=1
     )
-    assert len(rep.records) == 25
-    assert rep.all_passed()
+    assert len(rep.results) == 25
+    assert rep.fail_count == 0
 
 
 def test_product_monotone_and_normal(a5):
@@ -239,15 +239,15 @@ def test_product_monotone_and_normal(a5):
 def test_sweeps_on_small_group(a5):
     g, ct, tab = a5.group, a5.classes, a5.table
     rep = sweep_2step(g, ct, tab, b_per_a=2, seed=0)
-    assert len(rep.records) == 62
-    assert rep.all_passed()
+    assert len(rep.results) == 62
+    assert rep.fail_count == 0
     rep = sweep_gowers2(g, ct, tab, unions=False)
-    assert len(rep.records) == ct.n_classes * ct.n_classes * (ct.n_classes - 1)
-    assert rep.all_passed() and rep.skips > 0
+    assert len(rep.results) == ct.n_classes * ct.n_classes * (ct.n_classes - 1)
+    assert rep.fail_count == 0 and rep.skip_count > 0
     rep = sweep_asymp(g, ct, tab, pairs=3, seed=2)
-    assert len(rep.records) == 3 * ct.n_classes
-    assert rep.all_passed()
+    assert len(rep.results) == 3 * ct.n_classes
+    assert rep.fail_count == 0
     rep = sweep_dichotomy(g, ct, tab)
-    assert len(rep.records) == 30
-    assert rep.all_passed()
-    assert rep.min_margin is not None and rep.min_margin > -1e-9
+    assert len(rep.results) == 30
+    assert rep.fail_count == 0
+    assert min(r.margin for r in rep.results if not r.skipped) > -1e-9

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from normgrowth import tolerances as tol
 from normgrowth.chartable import character_ratio
 from normgrowth.errors import EmptySubset, NoConvergence, NotNormal
 from normgrowth.spectral import (
@@ -78,11 +79,13 @@ def test_power_iteration_matches_dense(psl27):
     assert power == pytest.approx(dense, abs=1e-6)
 
 
-def test_power_iteration_no_convergence(a5):
+def test_power_iteration_no_convergence(a5, monkeypatch):
     s = NormalSubset.from_classes(a5.classes, [1])
     spec = make_cayley(a5.group, s, a5.classes)
+    monkeypatch.setattr(tol, "POWER_MAX_ITER", 2)
+    monkeypatch.setattr(tol, "POWER_TOL", 1e-15)
     with pytest.raises(NoConvergence):
-        lambda_direct(spec, dense_cap=1, max_iter=2, power_tol=1e-15)
+        lambda_direct(spec, dense_cap=1)
 
 
 def test_walk_matrix_stochastic_and_normal(a5):
@@ -161,7 +164,7 @@ def test_spectral_report(psl27):
         psl27.group, psl27.classes, psl27.table, s, "class:1"
     )
     assert rep.normal and rep.method == "dense"
-    assert rep.agree(1e-6)
+    assert rep.agree()
     assert len(rep.char_eigenvalues) == psl27.classes.n_classes
     # non-normal subsets carry no character route
     s2 = Subset.from_indices(psl27.n, [0, 1])
@@ -170,7 +173,7 @@ def test_spectral_report(psl27):
     )
     assert not rep2.normal
     assert rep2.lambda_char is None
-    assert rep2.agree(1e-6) is None
+    assert rep2.agree() is None
 
 
 def test_make_cayley_empty(a5):
