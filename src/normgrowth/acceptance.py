@@ -8,7 +8,6 @@ record failed, so the suite runner and the test suite share one code path.
 from __future__ import annotations
 
 import json
-import math
 import time
 from dataclasses import dataclass
 
@@ -63,30 +62,17 @@ def criterion_1(profile: str = "quick", seed: int = 0) -> ReportDocument:
             s = NormalSubset.from_classes(ctx.classes, [k])
             ld = lambda_direct(make_cayley(ctx.group, s, ctx.classes), seed=seed)
             ln = lambda_normal(ctx.table, s)
-            diff = abs(ld - ln)
             doc.results.append(
-                CheckResult(
-                    check="specchi-eq",
-                    group=ctx.label,
-                    n=ctx.n,
-                    inputs=f"class={k}",
-                    lhs=ld,
-                    rhs=ln,
-                    margin=float(tol.LAMBDA_AGREE - diff),
-                    passed=bool(diff <= tol.LAMBDA_AGREE),
+                CheckResult.bound(
+                    "specchi-eq", ctx.label, ctx.n, f"class={k}", ld, ln,
+                    tol.LAMBDA_AGREE, "==",
                 )
             )
     elapsed = time.monotonic() - start
     doc.results.append(
-        CheckResult(
-            check="specchi-eq-runtime",
-            group="(all)",
-            n=0,
-            inputs="seconds",
-            lhs=elapsed,
-            rhs=SPECCHI_RUNTIME_LIMIT,
-            margin=float(SPECCHI_RUNTIME_LIMIT - elapsed),
-            passed=bool(elapsed <= SPECCHI_RUNTIME_LIMIT),
+        CheckResult.bound(
+            "specchi-eq-runtime", "(all)", 0, "seconds", elapsed,
+            SPECCHI_RUNTIME_LIMIT,
         )
     )
     doc.meta["groups"] = list(SPECCHI_GROUPS)
@@ -104,16 +90,9 @@ def criterion_2(profile: str = "quick", seed: int = 0, unions: int = 200) -> Rep
             ld = lambda_direct(make_cayley(ctx.group, s, ctx.classes), seed=seed)
             _, r_max = r_extremes(ctx.table, s)
             doc.results.append(
-                CheckResult(
-                    check="specchi-ineq",
-                    group=ctx.label,
-                    n=ctx.n,
-                    inputs=f"trial={trial};A={s.expr()}",
-                    lhs=ld,
-                    rhs=float(r_max),
-                    margin=float(r_max + tol.LAMBDA_AGREE - ld),
-                    passed=bool(ld <= r_max + tol.LAMBDA_AGREE),
-                    seed=seed,
+                CheckResult.bound(
+                    "specchi-ineq", ctx.label, ctx.n, f"trial={trial};A={s.expr()}",
+                    ld, r_max, tol.LAMBDA_AGREE, seed=seed,
                 )
             )
     return doc
@@ -175,46 +154,22 @@ def criterion_7(profile: str = "quick", seed: int = 0) -> ReportDocument:
     for spec in PROFILES[profile]:
         ctx = get_context(spec)
         residual = verify_orthogonality(ctx.table)
-        doc.results.append(
-            CheckResult(
-                check="orthogonality",
-                group=ctx.label,
-                n=ctx.n,
-                inputs="",
-                lhs=float(residual),
-                rhs=tol.ORTHOGONALITY,
-                margin=float(tol.ORTHOGONALITY - residual),
-                passed=bool(residual <= tol.ORTHOGONALITY),
-            )
-        )
         # the unrounded degrees chi(1); table.degrees is already rounded
         chi1 = ctx.table.values[:, 0].real
-        integrality = float(np.abs(chi1 - np.rint(chi1)).max())
-        doc.results.append(
-            CheckResult(
-                check="degree-integrality",
-                group=ctx.label,
-                n=ctx.n,
-                inputs="",
-                lhs=integrality,
-                rhs=tol.DEGREE_INTEGRALITY,
-                margin=float(tol.DEGREE_INTEGRALITY - integrality),
-                passed=bool(integrality <= tol.DEGREE_INTEGRALITY),
-            )
-        )
-        sq = int(np.rint(ctx.table.degrees**2).sum())
-        doc.results.append(
-            CheckResult(
-                check="degree-square-sum",
-                group=ctx.label,
-                n=ctx.n,
-                inputs="",
-                lhs=float(sq),
-                rhs=float(ctx.n),
-                margin=float(ctx.n - sq),
-                passed=bool(sq == ctx.n),
-            )
-        )
+        integrality = np.abs(chi1 - np.rint(chi1)).max()
+        sq = np.rint(ctx.table.degrees**2).sum()
+        doc.results += [
+            CheckResult.bound(
+                "orthogonality", ctx.label, ctx.n, "", residual, tol.ORTHOGONALITY
+            ),
+            CheckResult.bound(
+                "degree-integrality", ctx.label, ctx.n, "", integrality,
+                tol.DEGREE_INTEGRALITY,
+            ),
+            CheckResult.bound(
+                "degree-square-sum", ctx.label, ctx.n, "", sq, ctx.n, op="=="
+            ),
+        ]
     for spec, expected in EXPECTED_DEGREES.items():
         ctx = get_context(spec)
         got = tuple(sorted(int(round(d)) for d in ctx.table.degrees))
@@ -263,16 +218,7 @@ def criterion_10(profile: str = "quick", seed: int = 0) -> ReportDocument:
         ctx = get_context(spec)
         m = min_nontrivial_degree(ctx.table)
         doc.results.append(
-            CheckResult(
-                check="min-degree",
-                group=ctx.label,
-                n=ctx.n,
-                inputs="",
-                lhs=float(m),
-                rhs=3.0,
-                margin=0.0,
-                passed=bool(m == 3),
-            )
+            CheckResult.bound("min-degree", ctx.label, ctx.n, "", m, 3, op="==")
         )
         doc.results.extend(
             sweep_bnp_star(ctx.group, ctx.table, trials=1000, seed=seed).results
@@ -286,17 +232,10 @@ def criterion_10(profile: str = "quick", seed: int = 0) -> ReportDocument:
             s = NormalSubset.from_classes(ctx.classes, [k])
             wl = weighted_cayley_lambda(ctx.group, from_subset(s))
             ln = lambda_normal(ctx.table, s)
-            diff = abs(wl - ln)
             doc.results.append(
-                CheckResult(
-                    check="wlambda-indicator",
-                    group=ctx.label,
-                    n=ctx.n,
-                    inputs=f"class={k}",
-                    lhs=wl,
-                    rhs=ln,
-                    margin=float(tol.WLAMBDA_AGREE - diff),
-                    passed=bool(diff <= tol.WLAMBDA_AGREE),
+                CheckResult.bound(
+                    "wlambda-indicator", ctx.label, ctx.n, f"class={k}", wl, ln,
+                    tol.WLAMBDA_AGREE, "==",
                 )
             )
     return doc
@@ -321,15 +260,8 @@ def criterion_12(profile: str = "quick", seed: int = 0) -> ReportDocument:
         census = real_census(ctx.group, ctx.classes, include_coprime_order=True)
         bad = census.non_real_coprime_order_classes
         doc.results.append(
-            CheckResult(
-                check="real-coprime",
-                group=ctx.label,
-                n=ctx.n,
-                inputs="",
-                lhs=float(len(bad)),
-                rhs=0.0,
-                margin=float(-len(bad)),
-                passed=bool(not bad),
+            CheckResult.bound(
+                "real-coprime", ctx.label, ctx.n, "", len(bad), 0,
                 note=f"non_real_coprime={list(bad)}" if bad else "",
             )
         )
@@ -345,15 +277,8 @@ def criterion_12(profile: str = "quick", seed: int = 0) -> ReportDocument:
         if real != bool(ct.is_real[k]):
             mismatches.append(k)
     doc.results.append(
-        CheckResult(
-            check="real-brute-force",
-            group=ctx.label,
-            n=ctx.n,
-            inputs="all classes",
-            lhs=float(len(mismatches)),
-            rhs=0.0,
-            margin=float(-len(mismatches)),
-            passed=bool(not mismatches),
+        CheckResult.bound(
+            "real-brute-force", ctx.label, ctx.n, "all classes", len(mismatches), 0,
             note=f"mismatched={mismatches}" if mismatches else "",
         )
     )
@@ -377,16 +302,9 @@ def criterion_13(profile: str = "quick", seed: int = 0, pairs: int = 500) -> Rep
                 b = random_subset(ctx.n, rng)
                 lhs, rhs = mixing_discrepancy(cay, a, b, ctx.table)
                 doc.results.append(
-                    CheckResult(
-                        check="mixing",
-                        group=ctx.label,
-                        n=ctx.n,
-                        inputs=f"class={k};trial={trial}",
-                        lhs=lhs,
-                        rhs=rhs,
-                        margin=float(rhs + tol.SLACK - lhs),
-                        passed=bool(lhs <= rhs + tol.SLACK),
-                        seed=seed,
+                    CheckResult.bound(
+                        "mixing", ctx.label, ctx.n, f"class={k};trial={trial}",
+                        lhs, rhs, tol.SLACK, seed=seed,
                     )
                 )
     return doc
@@ -486,15 +404,8 @@ def acceptance_document(outcomes: list[CriterionOutcome], profile: str) -> Repor
     doc = ReportDocument(title=f"acceptance ({profile})")
     for oc in outcomes:
         doc.results.append(
-            CheckResult(
-                check=f"criterion-{oc.number}",
-                group="(suite)",
-                n=0,
-                inputs=oc.title,
-                lhs=float(oc.doc.fail_count),
-                rhs=0.0,
-                margin=float(-oc.doc.fail_count),
-                passed=oc.passed,
+            CheckResult.bound(
+                f"criterion-{oc.number}", "(suite)", 0, oc.title, oc.doc.fail_count, 0
             )
         )
     doc.meta["profile"] = profile

@@ -252,16 +252,7 @@ def cmd_chartable(args) -> int:
     doc = ReportDocument(title=f"chartable {tab.label}")
     budget = tol.TABLE_ACCEPT if args.import_path else tol.ORTHOGONALITY
     doc.results = [
-        CheckResult(
-            check="orthogonality",
-            group=tab.label,
-            n=tab.n,
-            inputs="",
-            lhs=float(residual),
-            rhs=float(budget),
-            margin=float(budget - residual),
-            passed=bool(residual <= budget),
-        )
+        CheckResult.bound("orthogonality", tab.label, tab.n, "", residual, budget)
     ]
     doc.meta.update({"group": tab.label, "n": tab.n, "degrees": degrees})
     return _emit(doc, args, _stem(args, "chartable", args.group))
@@ -279,30 +270,18 @@ def cmd_lambda(args) -> int:
         dense_cap=args.dense_cap,
         seed=args.seed,
     )
-    agree = rep.agree()
+    # parse_subset_expr gives a normal subset, so the character route always runs
     print(
         f"{rep.group_label} S={rep.subset_expr} (d={rep.d}, "
         f"{'normal' if rep.normal else 'not normal'}, {rep.method})"
     )
     print(f"lambda_direct = {rep.lambda_direct!r}")
-    if rep.lambda_char is not None:
-        print(f"lambda_char   = {rep.lambda_char!r}  agree={agree}")
+    print(f"lambda_char   = {rep.lambda_char!r}  agree={rep.agree()}")
     doc = ReportDocument(title=f"lambda {rep.group_label} {rep.subset_expr}")
-    diff = (
-        abs(rep.lambda_direct - rep.lambda_char)
-        if rep.lambda_char is not None
-        else 0.0
-    )
     doc.results = [
-        CheckResult(
-            check="lambda",
-            group=rep.group_label,
-            n=rep.n,
-            inputs=f"S={rep.subset_expr};d={rep.d}",
-            lhs=float(rep.lambda_direct),
-            rhs=float(rep.lambda_char if rep.lambda_char is not None else rep.lambda_direct),
-            margin=float(tol.LAMBDA_AGREE - diff),
-            passed=bool(agree),
+        CheckResult.bound(
+            "lambda", rep.group_label, rep.n, f"S={rep.subset_expr};d={rep.d}",
+            rep.lambda_direct, rep.lambda_char, tol.LAMBDA_AGREE, "==",
         )
     ]
     doc.meta.update(

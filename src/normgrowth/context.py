@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Optional
 
+from . import tolerances as tol
 from .chartable import CharacterTable, compute_character_table
 from .errors import ParseError
 from .permgroup import (
@@ -84,8 +84,12 @@ def get_context(
     seed: int = 0,
     cache: bool = True,
 ) -> GroupContext:
-    """Build (or fetch) the full context for a group spec string."""
-    key = (spec, order_cap, seed)
+    """Build (or fetch) the full context for a group spec string.
+
+    The cache key holds every named tolerance, so a table built under one
+    set of tolerances is never served under another.
+    """
+    key = (spec, order_cap, seed, *(getattr(tol, a) for a in tol.NAMES.values()))
     if cache and key in _CACHE:
         return _CACHE[key]
     group = parse_group_spec(spec, order_cap=order_cap)

@@ -106,16 +106,7 @@ def check_bnp_star(
     n = group.n
     lhs = l2_dist_uniform(convolve(group, x, y, dense_cap=dense_cap))
     rhs = math.sqrt(n / m) * l2_dist_uniform(x) * l2_dist_uniform(y)
-    return CheckResult(
-        check="bnp",
-        group=group.label,
-        n=n,
-        inputs=inputs,
-        lhs=lhs,
-        rhs=rhs,
-        margin=float(rhs - lhs),
-        passed=bool(lhs <= rhs + tol.SLACK),
-    )
+    return CheckResult.bound("bnp", group.label, n, inputs, lhs, rhs, tol.SLACK)
 
 
 def weighted_cayley_lambda(
@@ -150,6 +141,8 @@ def check_bnp_two_step(
     """Two-step product bound from the minimal degree, first inequality strict.
 
     |AB| > n / (1 + n^2/(m |A| |B|)) and |AB| >= min(n/2, m |A| |B| / (2n)).
+    With x = m |A| |B| / n^2 the first bound is n x/(1 + x) >= n min(1, x)/2,
+    the second, so one strict comparison against the larger decides both.
     """
     a_size = int(subset_mask(a).sum())
     b_size = int(subset_mask(b).sum())
@@ -160,15 +153,9 @@ def check_bnp_two_step(
     ab = product_set(group, a, b).size
     strict = n / (1.0 + n * n / (m * a_size * b_size))
     weak = min(n / 2.0, m * a_size * b_size / (2.0 * n))
-    return CheckResult(
-        check="bnp2step",
-        group=group.label,
-        n=n,
-        inputs=inputs or f"|A|={a_size};|B|={b_size}",
-        lhs=float(ab),
-        rhs=float(strict),
-        margin=float(min(ab - strict, ab - weak)),
-        passed=bool(ab > strict and ab >= weak - tol.SLACK),
+    return CheckResult.bound(
+        "bnp2step", group.label, n, inputs or f"|A|={a_size};|B|={b_size}",
+        ab, max(strict, weak), op=">",
     )
 
 
@@ -265,18 +252,12 @@ def sweep_wlambda(
         )
         lam = weighted_cayley_lambda(group, y, dense_cap=dense_cap)
         bound = math.sqrt(n / m) * l2_dist_uniform(y)
-        rec = CheckResult(
-            check="wlambda",
-            group=group.label,
-            n=n,
-            inputs=f"trial={t};seed={seed}",
-            lhs=lam,
-            rhs=bound,
-            margin=float(bound - lam),
-            passed=bool(lam <= bound + tol.SLACK),
-            seed=seed,
+        records.append(
+            CheckResult.bound(
+                "wlambda", group.label, n, f"trial={t};seed={seed}", lam, bound,
+                tol.SLACK, seed=seed,
+            )
         )
-        records.append(rec)
     return ReportDocument(
         title=f"dist wlambda {group.label}",
         results=records,

@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from . import tolerances as tol
-from .chartable import CharacterTable, character_ratio, min_nontrivial_degree, r_extremes
-from .errors import EmptySubset, NotLieType, TrivialSubset
+from .chartable import CharacterTable, character_ratio, r_extremes
+from .errors import NotLieType, TrivialSubset
 from .permgroup import _CHUNK_ROWS, ClassTable, FiniteGroup, word_image
 from .reports import CheckResult, ReportDocument
 from .subsets import (
@@ -112,16 +112,9 @@ def check_2step(
     ab = product_set(group, a, b).size
     bound = n / (1.0 + r_min * r_min * (n / b_size - 1.0))
     weak = min(n / 2.0, b_size / (2.0 * r_min * r_min)) if r_min > 0 else n / 2.0
-    margin = min(ab - bound, ab - weak)
-    return CheckResult(
-        check="2step",
-        group=group.label,
-        n=n,
-        inputs=inputs or f"A={a.expr()};|B|={b_size}",
-        lhs=float(ab),
-        rhs=float(max(bound, weak)),
-        margin=float(margin),
-        passed=bool(ab >= bound - tol.SLACK and ab >= weak - tol.SLACK),
+    return CheckResult.bound(
+        "2step", group.label, n, inputs or f"A={a.expr()};|B|={b_size}",
+        ab, max(bound, weak), tol.SLACK, ">=",
     )
 
 
@@ -135,7 +128,8 @@ def check_gowers2(
 ) -> CheckResult:
     """Class coverage: |A||B| >= R(g_k)^2 n^2 forces class k inside A*B.
 
-    SKIPPED (not failed) when the precondition does not hold.
+    SKIPPED (not failed) when the precondition does not hold; the margin is
+    the precondition's room, negative on a skipped record.
     """
     require_nonempty(a, "A")
     require_nonempty(b, "B")
@@ -145,32 +139,23 @@ def check_gowers2(
     r = character_ratio(tab, k)
     pre_lhs = a.size * b.size
     pre_rhs = r * r * n * n
-    name = f"A={a.expr()};B={b.expr()};k={k}"
-    if pre_lhs < pre_rhs:
-        return CheckResult(
-            check="gowers2",
-            group=group.label,
-            n=n,
-            inputs=inputs or name,
-            lhs=float(pre_lhs),
-            rhs=float(pre_rhs),
-            margin=float(pre_lhs - pre_rhs),
-            passed=True,
-            skipped=True,
-            note="precondition |A||B| >= R^2 n^2 not met",
-        )
-    ab = product_set(group, a, b)
-    covered = bool(ab.mask[a.ct.classes[k]].all())
+    skipped = pre_lhs < pre_rhs
+    covered = skipped or bool(product_set(group, a, b).mask[a.ct.classes[k]].all())
+    if skipped:
+        note = "precondition |A||B| >= R^2 n^2 not met"
+    else:
+        note = "" if covered else f"class {k} not inside the product set"
     return CheckResult(
         check="gowers2",
         group=group.label,
         n=n,
-        inputs=inputs or name,
+        inputs=inputs or f"A={a.expr()};B={b.expr()};k={k}",
         lhs=float(pre_lhs),
         rhs=float(pre_rhs),
         margin=float(pre_lhs - pre_rhs),
         passed=covered,
-        note="" if covered else f"class {k} not inside the product set",
+        skipped=skipped,
+        note=note,
     )
 
 
@@ -201,15 +186,9 @@ def check_asymp(
         rhs = ratios[k] * scale
         equality = abs(lhs - rhs) <= tol.STRICT_SLACK
         out.append(
-            CheckResult(
-                check="asymp",
-                group=group.label,
-                n=n,
-                inputs=inputs or f"A={a.expr()};B={b.expr()};k={k}",
-                lhs=lhs,
-                rhs=rhs,
-                margin=float(rhs - lhs),
-                passed=bool(lhs < rhs + tol.STRICT_SLACK),
+            CheckResult.bound(
+                "asymp", group.label, n, inputs or f"A={a.expr()};B={b.expr()};k={k}",
+                lhs, rhs, tol.STRICT_SLACK, "<",
                 note="equality hit" if equality else "",
             )
         )
@@ -248,17 +227,9 @@ def dichotomy_check(
             passed=covered,
             note="covering branch |A| >= R n",
         )
-    bound = a.size / (2.0 * r_max)
-    return CheckResult(
-        check="dichotomy",
-        group=group.label,
-        n=n,
-        inputs=name,
-        lhs=float(a2.size),
-        rhs=float(bound),
-        margin=float(a2.size - bound),
-        passed=bool(a2.size >= bound - tol.SLACK),
-        note="growth branch |A| < R n",
+    return CheckResult.bound(
+        "dichotomy", group.label, n, name, a2.size, a.size / (2.0 * r_max),
+        tol.SLACK, ">=", note="growth branch |A| < R n",
     )
 
 
@@ -281,15 +252,8 @@ def gluck_report(
             f"q={q} does not match the defining field of {group.label}"
         )
     _, r_max = r_extremes(tab, range(1, tab.n_classes))
-    rec = CheckResult(
-        check="gluck",
-        group=group.label,
-        n=group.n,
-        inputs=f"q={q}",
-        lhs=float(r_max),
-        rhs=19.0 / 20.0,
-        margin=float(19.0 / 20.0 - r_max),
-        passed=bool(r_max <= 19.0 / 20.0 + tol.SLACK),
+    rec = CheckResult.bound(
+        "gluck", group.label, group.n, f"q={q}", r_max, 19.0 / 20.0, tol.SLACK
     )
     return ReportDocument(
         title=f"growth gluck {group.label}",
@@ -321,34 +285,25 @@ def square_growth_survey(
         a2 = product_set(group, a, a)
         nonid = a2.mask.copy()
         nonid[0] = True
-        covering = bool(nonid.all())
-        if covering:
-            rec = CheckResult(
-                check="survey",
-                group=group.label,
-                n=group.n,
-                inputs=f"A={a.expr()}",
-                lhs=float(a2.size),
-                rhs=float(group.n - 1),
-                margin=0.0,
-                passed=True,
-                note="covering",
-            )
+        if nonid.all():
+            rhs, note = group.n - 1, "covering"
         else:
             eps = math.log(a2.size) / math.log(a.size) - 1.0
             eps_values.append(eps)
-            rec = CheckResult(
+            rhs, note = a.size, f"eps={eps:.6f}"
+        records.append(
+            CheckResult(
                 check="survey",
                 group=group.label,
                 n=group.n,
                 inputs=f"A={a.expr()}",
                 lhs=float(a2.size),
-                rhs=float(a.size),
-                margin=float(eps),
+                rhs=float(rhs),
+                margin=0.0,
                 passed=True,
-                note=f"eps={eps:.6f}",
+                note=note,
             )
-        records.append(rec)
+        )
     report = ReportDocument(
         title=f"growth survey {group.label}",
         results=records,
@@ -389,7 +344,7 @@ def pyber_report(
                 inputs=f"A={a.expr()}",
                 lhs=float(a2.size),
                 rhs=float(n),
-                margin=float(a2.size - n),
+                margin=0.0,
                 passed=True,
                 note="A^2 = G" if full else "A^2 != G",
             )
@@ -429,15 +384,9 @@ def word_growth_report(
         rhs = character_ratio(tab, k) * scale
         equality = abs(lhs - rhs) <= tol.STRICT_SLACK
         records.append(
-            CheckResult(
-                check="words",
-                group=group.label,
-                n=n,
-                inputs=f"w1={word1};w2={word2};k={k}",
-                lhs=lhs,
-                rhs=rhs,
-                margin=float(rhs - lhs),
-                passed=bool(lhs < rhs + tol.STRICT_SLACK),
+            CheckResult.bound(
+                "words", group.label, n, f"w1={word1};w2={word2};k={k}",
+                lhs, rhs, tol.STRICT_SLACK, "<",
                 note="equality hit" if equality else "",
             )
         )

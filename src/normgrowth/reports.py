@@ -21,8 +21,11 @@ CSV_COLUMNS = ["check", "group", "n", "inputs", "lhs", "rhs", "margin", "pass"]
 class CheckResult:
     """Outcome of one check instance.
 
-    margin is rhs-relative: positive means the inequality held with room.
-    skipped results count as neither pass nor fail in summaries.
+    margin is the room the check had before it would fail, tolerance
+    included: a passing inequality has margin >= 0 (> 0 when strict), and
+    `bound` is the one place that derives it.  Census records, which cannot
+    fail, carry margin 0.  skipped results count as neither pass nor fail
+    in summaries.
     """
 
     check: str
@@ -36,6 +39,37 @@ class CheckResult:
     skipped: bool = False
     seed: Optional[int] = None
     note: str = ""
+
+    @classmethod
+    def bound(
+        cls,
+        check: str,
+        group: str,
+        n: int,
+        inputs: str,
+        lhs: float,
+        rhs: float,
+        tol: float = 0.0,
+        op: str = "<=",
+        **extra,
+    ) -> CheckResult:
+        """The record of `lhs op rhs` up to `tol`, with margin and passed derived.
+
+        For finite doubles `a - b` has the sign of `a` against `b`, so each
+        verdict is exactly the comparison `lhs <= rhs + tol`, `lhs > rhs - tol`,
+        `|lhs - rhs| <= tol`, and so on.
+        """
+        lhs, rhs = float(lhs), float(rhs)
+        if op in ("<=", "<"):
+            margin = rhs + tol - lhs
+        elif op in (">=", ">"):
+            margin = lhs - (rhs - tol)
+        elif op == "==":
+            margin = tol - abs(lhs - rhs)
+        else:
+            raise ValueError(f"unknown comparison {op!r}")
+        passed = margin > 0 if op in ("<", ">") else margin >= 0
+        return cls(check, group, n, inputs, lhs, rhs, margin, bool(passed), **extra)
 
     def row(self) -> dict:
         return {

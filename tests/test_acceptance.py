@@ -35,3 +35,6 @@ def test_criterion(number, title, func, capsys):
         f"criterion {number} ({title}) failed:\n{_failure_detail(doc)}"
     )
     assert doc.pass_count > 0
+    # a record that held had room to spare, tolerance included
+    negative = [r for r in doc.results if not r.skipped and r.margin < 0]
+    assert not negative, f"criterion {number}: passing records with a negative margin"

@@ -129,6 +129,15 @@ def test_tolerance_override_reaches_check(tmp_path, capsys, argv, override):
         assert "DegenerateSpectrum" in capsys.readouterr().err
 
 
+def test_cached_table_honours_table_tolerance_override(tmp_path, capsys):
+    """A table cached by an earlier command is not reused under an override."""
+    argv = ["growth", "--group", "A:5", "--check", "dichotomy", "--out", str(tmp_path / "r.json")]
+    assert main(argv) == 0
+    assert main(argv + ["--tolerance", "eigen-collision=1e9"]) == 1
+    assert "DegenerateSpectrum" in capsys.readouterr().err
+    assert main(argv) == 0
+
+
 def test_tolerance_override_restored_after_usage_error(capsys):
     argv = ["group", "--group", "A:5", "--tolerance", "slack=5", "--tolerance", "slack=x"]
     assert main(argv) == 2

@@ -250,4 +250,4 @@ def test_sweeps_on_small_group(a5):
     rep = sweep_dichotomy(g, ct, tab)
     assert len(rep.results) == 30
     assert rep.fail_count == 0
-    assert min(r.margin for r in rep.results if not r.skipped) > -1e-9
+    assert min(r.margin for r in rep.results if not r.skipped) >= 0

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 
 import pytest
 
@@ -108,3 +109,45 @@ def test_write_report_creates_directories(tmp_path):
     assert csv_target.read_text().startswith("check,group,")
     with pytest.raises(ValueError):
         write_report(doc, str(tmp_path / "x"), fmt="xml")
+
+
+def _bound(lhs, rhs, op):
+    return CheckResult.bound("demo", "A5", 60, "", lhs, rhs, 0.25, op)
+
+
+@pytest.mark.parametrize(
+    "op, edge, at, below, above",
+    [
+        ("<=", 1.25, True, True, False),
+        ("<", 1.25, False, True, False),
+        (">=", 0.75, True, False, True),
+        (">", 0.75, False, False, True),
+        ("==", 1.25, True, True, False),
+        ("==", 0.75, True, False, True),
+    ],
+)
+def test_bound_at_the_edge(op, edge, at, below, above):
+    """lhs op 1.0 up to 0.25: at rhs +- tol, and one ulp either side."""
+    cases = [
+        (edge, at),
+        (math.nextafter(edge, -math.inf), below),
+        (math.nextafter(edge, math.inf), above),
+    ]
+    for lhs, expected in cases:
+        r = _bound(lhs, 1.0, op)
+        assert (r.lhs, r.rhs, r.passed) == (lhs, 1.0, expected), lhs
+        if lhs == edge:
+            assert r.margin == 0.0
+        else:
+            assert (r.margin > 0) == expected
+        if op == "==":
+            mirrored = _bound(1.0, lhs, op)
+            assert (mirrored.margin, mirrored.passed) == (r.margin, r.passed)
+
+
+def test_bound_fields():
+    r = CheckResult.bound("demo", "A5", 60, "k=1", 3, 2, op=">", seed=4, note="x")
+    assert type(r.lhs) is float and type(r.rhs) is float
+    assert (r.margin, r.passed, r.seed, r.note) == (1.0, True, 4, "x")
+    with pytest.raises(ValueError):
+        CheckResult.bound("demo", "A5", 60, "", 1.0, 1.0, op="!=")

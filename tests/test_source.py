@@ -48,3 +48,21 @@ def test_no_tolerance_defaults():
                 )
             ]
     assert not found
+
+
+def test_no_unused_imports():
+    """Every imported name is used; `__init__.py` re-exports, so it is exempt."""
+    found = []
+    for name, tree in TREES.items():
+        if name == "__init__.py":
+            continue
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    local = (alias.asname or alias.name).partition(".")[0]
+                    if local != "annotations":
+                        imported[local] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        found += [f"{name}:{line} {local}" for local, line in imported.items() if local not in used]
+    assert not found
