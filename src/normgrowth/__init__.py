@@ -26,11 +26,9 @@ from .chartable import (
     save_table,
 )
 from .spectral import (
-    CayleySpec,
     eigenvalues_normal,
     lambda_direct,
     lambda_normal,
-    make_cayley,
     mixing_discrepancy,
     spectral_report,
 )
@@ -41,7 +39,6 @@ from .growth import (
     dichotomy_check,
     gluck_report,
     pab_exact,
-    pab_frobenius,
     product_set,
     pyber_report,
     square_growth_survey,
@@ -60,7 +57,6 @@ from .distributions import (
 from .context import GroupContext, get_context, parse_group_spec
 
 __all__ = [
-    "CayleySpec",
     "CharacterTable",
     "ClassTable",
     "Distribution",
@@ -94,11 +90,9 @@ __all__ = [
     "lambda_direct",
     "lambda_normal",
     "load_table",
-    "make_cayley",
     "min_nontrivial_degree",
     "mixing_discrepancy",
     "pab_exact",
-    "pab_frobenius",
     "parse_group_spec",
     "parse_subset_expr",
     "product_set",

@@ -33,7 +33,7 @@ from .growth import (
 )
 from .permgroup import real_census
 from .reports import CheckResult, ReportDocument
-from .spectral import lambda_direct, lambda_normal, make_cayley, mixing_discrepancy
+from .spectral import lambda_direct, lambda_normal, mixing_discrepancy
 from .subsets import NormalSubset, random_normal_subset, random_subset
 
 SPECCHI_GROUPS = ("A:5", "S:5", "PSL2:7", "PSL2:11")
@@ -60,7 +60,7 @@ def criterion_1(profile: str = "quick", seed: int = 0) -> ReportDocument:
         ctx = get_context(spec)
         for k in range(1, ctx.classes.n_classes):
             s = NormalSubset.from_classes(ctx.classes, [k])
-            ld = lambda_direct(make_cayley(ctx.group, s, ctx.classes), seed=seed)
+            ld = lambda_direct(s, seed=seed)
             ln = lambda_normal(ctx.table, s)
             doc.results.append(
                 CheckResult.bound(
@@ -87,7 +87,7 @@ def criterion_2(profile: str = "quick", seed: int = 0, unions: int = 200) -> Rep
         rng = np.random.default_rng(seed)
         for trial in range(unions):
             s = random_normal_subset(ctx.classes, rng)
-            ld = lambda_direct(make_cayley(ctx.group, s, ctx.classes), seed=seed)
+            ld = lambda_direct(s, seed=seed)
             _, r_max = r_extremes(ctx.table, s)
             doc.results.append(
                 CheckResult.bound(
@@ -295,12 +295,11 @@ def criterion_13(profile: str = "quick", seed: int = 0, pairs: int = 500) -> Rep
         ctx = get_context(spec)
         for k in range(ctx.classes.n_classes):
             s = NormalSubset.from_classes(ctx.classes, [k])
-            cay = make_cayley(ctx.group, s, ctx.classes)
             rng = np.random.default_rng(seed)
             for trial in range(pairs):
                 a = random_subset(ctx.n, rng)
                 b = random_subset(ctx.n, rng)
-                lhs, rhs = mixing_discrepancy(cay, a, b, ctx.table)
+                lhs, rhs = mixing_discrepancy(s, a, b, ctx.table)
                 doc.results.append(
                     CheckResult.bound(
                         "mixing", ctx.label, ctx.n, f"class={k};trial={trial}",

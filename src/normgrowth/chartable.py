@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Iterable, Union
 
 import numpy as np
 
@@ -27,23 +27,14 @@ from .errors import (
 from .permgroup import ClassTable, FiniteGroup
 
 
-@dataclass(frozen=True)
-class ClassMultTensor:
-    """a[i, j, k] = #{(x, y) in C_i x C_j : x*y = rep(C_k)}."""
-
-    a: np.ndarray  # (k, k, k) int64
-
-    @property
-    def n_classes(self) -> int:
-        return self.a.shape[0]
-
-
-def class_mult_tensor(group: FiniteGroup, ct: ClassTable) -> ClassMultTensor:
+def class_mult_tensor(group: FiniteGroup, ct: ClassTable) -> np.ndarray:
     """Exact class multiplication constants by counting x^-1 * rep products.
 
-    For each class k we walk x over the whole group, form y = x^-1 * rep(C_k),
-    and increment a[class_of(x), class_of(y), k]; then x*y = rep(C_k) by
-    construction.
+    Returns the (k, k, k) int64 array
+    a[i, j, k] = #{(x, y) in C_i x C_j : x*y = rep(C_k)}.
+    For each class k we walk x over the whole group, form
+    y = x^-1 * rep(C_k), and increment a[class_of(x), class_of(y), k];
+    then x*y = rep(C_k) by construction.
     """
     k = ct.n_classes
     a = np.zeros((k, k, k), dtype=np.int64)
@@ -51,7 +42,7 @@ def class_mult_tensor(group: FiniteGroup, ct: ClassTable) -> ClassMultTensor:
         y = group.mul(group.inverse_of, ct.reps[kk])
         pairs = ct.class_of * k + ct.class_of[y]
         a[:, :, kk] = np.bincount(pairs, minlength=k * k).reshape(k, k)
-    return ClassMultTensor(a=a)
+    return a
 
 
 @dataclass(frozen=True)
@@ -115,13 +106,13 @@ def _sort_rows(chi: np.ndarray, degrees: np.ndarray) -> np.ndarray:
 
 
 def burnside_dixon_numeric(
-    tensor: ClassMultTensor,
+    a: np.ndarray,
     sizes: np.ndarray,
     n: int,
     *,
     seed: int = 0,
     label: str = "",
-    class_orders: Optional[np.ndarray] = None,
+    class_orders: np.ndarray,
 ) -> CharacterTable:
     """Recover the character table from the class multiplication tensor.
 
@@ -130,8 +121,7 @@ def burnside_dixon_numeric(
     at the identity class, are the central character vectors.  Retries with
     fresh coefficients when two eigenvalues collide.
     """
-    a = tensor.a
-    k = tensor.n_classes
+    k = a.shape[0]
     sizes = np.asarray(sizes, dtype=np.int64)
     rng = np.random.default_rng(seed)
     vecs = None
@@ -159,8 +149,6 @@ def burnside_dixon_numeric(
     order = _sort_rows(chi, rounded)
     chi = chi[order]
     deg_sorted = rounded[order].astype(np.int64)
-    if class_orders is None:
-        class_orders = np.zeros(k, dtype=np.int64)
     tab = CharacterTable(
         values=chi,
         degrees=deg_sorted,

@@ -270,11 +270,7 @@ def cmd_lambda(args) -> int:
         dense_cap=args.dense_cap,
         seed=args.seed,
     )
-    # parse_subset_expr gives a normal subset, so the character route always runs
-    print(
-        f"{rep.group_label} S={rep.subset_expr} (d={rep.d}, "
-        f"{'normal' if rep.normal else 'not normal'}, {rep.method})"
-    )
+    print(f"{rep.group_label} S={rep.subset_expr} (d={rep.d}, {rep.method})")
     print(f"lambda_direct = {rep.lambda_direct!r}")
     print(f"lambda_char   = {rep.lambda_char!r}  agree={rep.agree()}")
     doc = ReportDocument(title=f"lambda {rep.group_label} {rep.subset_expr}")
@@ -289,11 +285,8 @@ def cmd_lambda(args) -> int:
             "group": rep.group_label,
             "n": rep.n,
             "subset": rep.subset_expr,
-            "normal": rep.normal,
             "method": rep.method,
-            "char_eigenvalues": [
-                [v.real, v.imag] for v in (rep.char_eigenvalues or [])
-            ],
+            "char_eigenvalues": [[v.real, v.imag] for v in rep.char_eigenvalues],
         }
     )
     return _emit(doc, args, _stem(args, "lambda", args.group, args.subset))

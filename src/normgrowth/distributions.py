@@ -13,7 +13,7 @@ from .errors import CapExceeded, EmptySubset
 from .growth import product_set
 from .permgroup import ClassTable, FiniteGroup
 from .reports import CheckResult, ReportDocument
-from .spectral import DEFAULT_DENSE_CAP
+from .spectral import DEFAULT_DENSE_CAP, deflated_lambda, walk_matrix
 from .subsets import SubsetLike, random_subset, subset_mask
 
 
@@ -75,8 +75,7 @@ def convolve(
     if x.n != n or y.n != n:
         raise ValueError("distribution length does not match the group order")
     if n <= dense_cap:
-        dt = group.division_table()
-        return Distribution(x.weights @ y.weights[dt])
+        return Distribution(x.weights @ walk_matrix(group, y.weights))
     out = np.zeros(n)
     all_idx = np.arange(n)
     # walk whichever support is smaller
@@ -116,19 +115,15 @@ def weighted_cayley_lambda(
 ) -> float:
     """Expansion of the weighted walk M[x, h] = Y(x^-1 h).
 
-    Returns the square root of the second-largest eigenvalue of MM^t, taken
-    as the largest eigenvalue of M0 M0^t with M0 = (Y - U)[x^-1 h] = M - J/n:
-    deflating before squaring keeps a uniform Y at rounding level, not at
-    the square root of it.
+    The square root of the second-largest eigenvalue of MM^t, by
+    `deflated_lambda`.
     """
     n = group.n
     if y.n != n:
         raise ValueError("distribution length does not match the group order")
     if n > dense_cap:
         raise CapExceeded(f"order {n} exceeds the dense eigensolver cap {dense_cap}")
-    mat = (y.weights - 1.0 / n)[group.division_table()]
-    eigs = np.linalg.eigvalsh(mat @ mat.T)
-    return math.sqrt(max(float(eigs[-1]), 0.0))
+    return deflated_lambda(group, y.weights)
 
 
 def check_bnp_two_step(

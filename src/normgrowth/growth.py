@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from . import tolerances as tol
-from .chartable import CharacterTable, character_ratio, r_extremes
+from .chartable import CharacterTable, character_ratio, frobenius_tensor, r_extremes
 from .errors import NotLieType, TrivialSubset
 from .permgroup import _CHUNK_ROWS, ClassTable, FiniteGroup, word_image
 from .reports import CheckResult, ReportDocument
@@ -67,27 +67,6 @@ def pab_exact(group: FiniteGroup, a: SubsetLike, b: SubsetLike, g: int) -> Fract
     require_nonempty(a, "A")
     require_nonempty(b, "B")
     return Fraction(pair_count(group, a, b, g), asize * bsize)
-
-
-def pab_frobenius(
-    tab: CharacterTable, a: NormalSubset, b: NormalSubset, k: int
-) -> float:
-    """P_{A,B}(rep_k) through the character formula, for normal A and B."""
-    require_nonempty(a, "A")
-    require_nonempty(b, "B")
-    ai = list(a.class_indices)
-    bi = list(b.class_indices)
-    sizes = tab.class_sizes.astype(np.float64)
-    vals = tab.values
-    # sum over chi of chi_i chi_j conj(chi_k) / deg, then weight by sizes
-    inner = np.einsum(
-        "ri,rj->ij",
-        vals[:, ai] * (vals[:, [k]].conj() / tab.degrees[:, None]),
-        vals[:, bi],
-    )
-    weighted = (sizes[ai][:, None] * sizes[bi][None, :] * inner).sum() / tab.n
-    total = weighted.real / (a.size * b.size)
-    return float(total)
 
 
 # -- single-instance checks ----------------------------------------------------
@@ -511,31 +490,21 @@ def sweep_dichotomy(
 
 
 def frobenius_oracle_report(
-    group: FiniteGroup,
-    ct: ClassTable,
-    tab: CharacterTable,
-    triples: Optional[int] = None,
-    seed: int = 0,
+    group: FiniteGroup, ct: ClassTable, tab: CharacterTable
 ) -> ReportDocument:
-    """Exact pair counts vs. the character formula over class triples.
+    """Exact pair counts vs. the character formula over every class triple.
 
-    Exhaustive when `triples` is None, else seeded random triples.  The
-    formula times |A||B| must round to the exact integer count.
+    Each constant of `frobenius_tensor` must round to the count of pairs in
+    C_i x C_j with product rep(C_k), which `pair_count` takes from the
+    elements, not from the class tensor the table was computed from.
     """
-    k = ct.n_classes
-    if triples is None:
-        all_triples = [
-            (i, j, kk) for i in range(k) for j in range(k) for kk in range(k)
-        ]
-    else:
-        rng = np.random.default_rng(seed)
-        all_triples = [tuple(rng.integers(0, k, 3)) for _ in range(triples)]
+    formula = frobenius_tensor(tab).real
     records = []
-    for i, j, kk in all_triples:
+    for i, j, kk in np.ndindex(formula.shape):
         a = NormalSubset.from_classes(ct, [i])
         b = NormalSubset.from_classes(ct, [j])
         exact = pair_count(group, a, b, int(ct.reps[kk]))
-        approx = pab_frobenius(tab, a, b, kk) * a.size * b.size
+        approx = formula[i, j, kk]
         dev = abs(approx - exact)
         rel = dev / max(1.0, float(exact))
         rounds = int(round(approx)) == exact

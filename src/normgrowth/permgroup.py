@@ -83,9 +83,6 @@ class Permutation:
     def order(self) -> int:
         return _order_from_row(np.asarray(self.images))
 
-    def is_identity(self) -> bool:
-        return all(i == img for i, img in enumerate(self.images))
-
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles, each starting at its smallest point."""
         out = []
@@ -542,10 +539,6 @@ def parse_word(text: str) -> list[tuple[int, int]]:
     if not letters:
         raise EmptyWord(f"word {text!r} reduces to the empty word")
     return letters
-
-
-def word_arity(text: str) -> int:
-    return len({var for var, _ in parse_word(text)})
 
 
 def word_image(

@@ -1,78 +1,25 @@
-"""Random-walk spectra of Cayley digraphs, by characters and by eigensolve."""
+"""Random-walk spectra of Cayley digraphs Cay(G, S) for a normal subset S.
+
+Arc g -> h iff g^-1 h in S.  The expansion lambda is computed twice: from
+the elements (a dense eigensolve or power iteration) and from the
+characters.
+"""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 import numpy as np
 
 from . import tolerances as tol
 from .errors import EmptySubset, NoConvergence, NotNormal
 from .chartable import CharacterTable
+from .growth import product_set
 from .permgroup import _CHUNK_ROWS, ClassTable, FiniteGroup
-from .subsets import NormalSubset, Subset, SubsetLike, subset_mask
+from .subsets import NormalSubset, SubsetLike, subset_mask
 
 DEFAULT_DENSE_CAP = 2500
-
-
-@dataclass(frozen=True)
-class CayleySpec:
-    """A Cayley digraph Cay(G, S): arc g -> h iff g^-1 h in S."""
-
-    group: FiniteGroup
-    mask: np.ndarray          # connection set S as an element mask
-    d: int                    # valency |S|
-    normal: bool              # S closed under conjugation
-    class_indices: Optional[tuple[int, ...]]  # set when S is a union of classes
-
-    @property
-    def indices(self) -> np.ndarray:
-        return np.flatnonzero(self.mask)
-
-
-def make_cayley(
-    group: FiniteGroup,
-    subset: SubsetLike,
-    ct: Optional[ClassTable] = None,
-) -> CayleySpec:
-    """Wrap a connection set, detecting normality via generator conjugation."""
-    mask = subset_mask(subset)
-    if not mask.any():
-        raise EmptySubset("connection set is empty")
-    if isinstance(subset, NormalSubset):
-        return CayleySpec(
-            group=group,
-            mask=mask,
-            d=int(mask.sum()),
-            normal=True,
-            class_indices=subset.class_indices,
-        )
-    normal = all(
-        (mask[cm] == mask).all() for cm in group.generator_conjugation_maps()
-    )
-    class_indices = None
-    if normal and ct is not None:
-        class_indices = tuple(
-            int(c) for c in np.unique(ct.class_of[mask])
-        )
-    return CayleySpec(
-        group=group, mask=mask, d=int(mask.sum()), normal=normal,
-        class_indices=class_indices,
-    )
-
-
-def _eigenvalues_from_classes(
-    tab: CharacterTable, class_indices: Sequence[int], size: int
-) -> np.ndarray:
-    if not len(class_indices):
-        raise EmptySubset("connection set is empty")
-    idxs = [int(i) for i in class_indices]
-    weights = tab.class_sizes[idxs].astype(np.float64)
-    lam = (tab.values[:, idxs] @ weights) / (tab.degrees * size)
-    if abs(lam[0] - 1.0) > tol.LAMBDA_ONE:
-        raise NotNormal(f"trivial-character eigenvalue is {lam[0]}, expected 1")
-    return lam
 
 
 def eigenvalues_normal(tab: CharacterTable, s: NormalSubset) -> np.ndarray:
@@ -80,7 +27,14 @@ def eigenvalues_normal(tab: CharacterTable, s: NormalSubset) -> np.ndarray:
 
     lambda_chi = (1 / (chi(1) |S|)) * sum over classes j in S of |C_j| chi(g_j).
     """
-    return _eigenvalues_from_classes(tab, s.class_indices, s.size)
+    if s.size == 0:
+        raise EmptySubset("connection set is empty")
+    idxs = list(s.class_indices)
+    weights = tab.class_sizes[idxs].astype(np.float64)
+    lam = (tab.values[:, idxs] @ weights) / (tab.degrees * s.size)
+    if abs(lam[0] - 1.0) > tol.LAMBDA_ONE:
+        raise NotNormal(f"trivial-character eigenvalue is {lam[0]}, expected 1")
+    return lam
 
 
 def lambda_normal(tab: CharacterTable, s: NormalSubset) -> float:
@@ -91,26 +45,28 @@ def lambda_normal(tab: CharacterTable, s: NormalSubset) -> float:
     return float(np.abs(lam[1:]).max())
 
 
-def _lambda_from_spec(spec: CayleySpec, tab: CharacterTable) -> float:
-    lam = _eigenvalues_from_classes(tab, spec.class_indices, spec.d)
-    if lam.shape[0] == 1:
-        return 0.0
-    return float(np.abs(lam[1:]).max())
+def walk_matrix(group: FiniteGroup, weights: np.ndarray) -> np.ndarray:
+    """Dense weighted walk matrix M[g, h] = w(g^-1 h).
+
+    w = 1_S / |S| gives the random walk on Cay(G, S).
+    """
+    return weights[group.division_table()]
 
 
-def walk_matrix(spec: CayleySpec) -> np.ndarray:
-    """Dense random-walk matrix M[g, h] = 1/d if g^-1 h in S else 0."""
-    return spec.mask[spec.group.division_table()] / spec.d
+def deflated_lambda(group: FiniteGroup, weights: np.ndarray) -> float:
+    """Second singular value of the walk with probability weights w.
 
-
-def commutation_defect(spec: CayleySpec) -> float:
-    """max |MM^t - M^tM|; zero for normal connection sets."""
-    m = walk_matrix(spec)
-    return float(np.abs(m @ m.T - m.T @ m).max())
+    Taken as sqrt of the largest eigenvalue of M0 M0^t with
+    M0 = walk_matrix(group, w - 1/n) = M - J/n: deflating before squaring
+    keeps a uniform w at rounding level, not at the square root of it.
+    """
+    m0 = walk_matrix(group, weights - 1.0 / group.n)
+    eigs = np.linalg.eigvalsh(m0 @ m0.T)
+    return math.sqrt(max(float(eigs[-1]), 0.0))
 
 
 def lambda_direct(
-    spec: CayleySpec,
+    s: NormalSubset,
     dense_cap: int = DEFAULT_DENSE_CAP,
     seed: int = 0,
 ) -> float:
@@ -119,21 +75,20 @@ def lambda_direct(
     Dense symmetric eigensolve when n <= dense_cap, else power iteration on
     MM^t restricted to the complement of the all-ones vector.
     """
-    n = spec.group.n
+    if s.size == 0:
+        raise EmptySubset("connection set is empty")
+    n = s.group.n
     if n == 1:
         return 0.0
     if n <= dense_cap:
-        m = walk_matrix(spec)
-        eigs = np.linalg.eigvalsh(m @ m.T)
-        lam2 = max(float(eigs[-2]), 0.0)
-        return float(np.sqrt(lam2))
-    return _power_lambda(spec, seed)
+        return deflated_lambda(s.group, s.mask / s.size)
+    return _power_lambda(s, seed)
 
 
-def _power_lambda(spec: CayleySpec, seed: int) -> float:
-    group = spec.group
+def _power_lambda(s: NormalSubset, seed: int) -> float:
+    group = s.group
     n = group.n
-    s_idx = spec.indices[:, None]
+    s_idx = s.indices[:, None]
     all_idx = np.arange(n)
     # row i of each table: x -> x*s_i (right) and x -> x*s_i^-1 (right_inv)
     right = group.mul(all_idx, s_idx)
@@ -166,64 +121,49 @@ def _power_lambda(spec: CayleySpec, seed: int) -> float:
     )
 
 
-def neighborhood(spec: CayleySpec, b: SubsetLike) -> Subset:
-    """Out-neighborhood N(B) = B*S."""
-    from .growth import product_set  # local import to avoid a cycle
-
-    return product_set(spec.group, b, Subset(spec.mask))
-
-
-def arc_count(spec: CayleySpec, a: SubsetLike, b: SubsetLike) -> int:
+def arc_count(s: NormalSubset, a: SubsetLike, b: SubsetLike) -> int:
     """Number of arcs from A to B, counted by brute force."""
-    group = spec.group
+    group = s.group
     a_idx = np.flatnonzero(subset_mask(a))
     b_mask = subset_mask(b)
-    chunk = max(1, _CHUNK_ROWS // (group.degree * spec.d))
+    chunk = max(1, _CHUNK_ROWS // (group.degree * s.size))
     return sum(
-        int(b_mask[group.mul(a_idx[lo : lo + chunk, None], spec.indices)].sum())
+        int(b_mask[group.mul(a_idx[lo : lo + chunk, None], s.indices)].sum())
         for lo in range(0, a_idx.size, chunk)
     )
 
 
 def check_vertex_expansion(
-    spec: CayleySpec,
+    s: NormalSubset,
     b: SubsetLike,
     tab: CharacterTable,
 ) -> tuple[int, float]:
     """(|N(B)|, guaranteed lower bound |B| / ((1-a) lambda^2 + a)), a = |B|/n.
 
-    The bound uses the character route, so the connection set must be normal.
+    N(B) = B*S is the out-neighborhood; lambda comes from the characters.
     """
-    if not spec.normal or spec.class_indices is None:
-        raise NotNormal("vertex expansion bound needs a normal connection set")
-    group = spec.group
-    b_mask = subset_mask(b)
-    b_size = int(b_mask.sum())
+    b_size = int(subset_mask(b).sum())
     if b_size == 0:
         raise EmptySubset("B is empty")
-    lam = _lambda_from_spec(spec, tab)
-    alpha = b_size / group.n
+    lam = lambda_normal(tab, s)
+    alpha = b_size / s.group.n
     bound = b_size / ((1.0 - alpha) * lam * lam + alpha)
-    nb = neighborhood(spec, Subset(b_mask))
-    return nb.size, bound
+    return product_set(s.group, b, s).size, bound
 
 
 def mixing_discrepancy(
-    spec: CayleySpec,
+    s: NormalSubset,
     a: SubsetLike,
     b: SubsetLike,
     tab: CharacterTable,
 ) -> tuple[float, float]:
     """lhs = |e(A,B)/(dn) - alpha beta|, rhs = lambda sqrt(ab(1-a)(1-b))."""
-    if not spec.normal or spec.class_indices is None:
-        raise NotNormal("mixing bound needs a normal connection set")
-    group = spec.group
-    n = group.n
+    n = s.group.n
     alpha = subset_mask(a).sum() / n
     beta = subset_mask(b).sum() / n
-    lam = _lambda_from_spec(spec, tab)
-    e = arc_count(spec, a, b)
-    lhs = abs(e / (spec.d * n) - alpha * beta)
+    lam = lambda_normal(tab, s)
+    e = arc_count(s, a, b)
+    lhs = abs(e / (s.size * n) - alpha * beta)
     rhs = lam * np.sqrt(alpha * (1 - alpha) * beta * (1 - beta))
     return float(lhs), float(rhs)
 
@@ -236,15 +176,12 @@ class SpectralReport:
     n: int
     subset_expr: str
     d: int
-    normal: bool
     lambda_direct: float
-    lambda_char: Optional[float]
-    char_eigenvalues: Optional[tuple[complex, ...]]
+    lambda_char: float
+    char_eigenvalues: tuple[complex, ...]
     method: str
 
-    def agree(self) -> Optional[bool]:
-        if self.lambda_char is None:
-            return None
+    def agree(self) -> bool:
         return abs(self.lambda_direct - self.lambda_char) <= tol.LAMBDA_AGREE
 
 
@@ -252,31 +189,22 @@ def spectral_report(
     group: FiniteGroup,
     ct: ClassTable,
     tab: CharacterTable,
-    s: SubsetLike,
+    s: NormalSubset,
     expr: str = "",
     dense_cap: int = DEFAULT_DENSE_CAP,
     seed: int = 0,
 ) -> SpectralReport:
-    spec = make_cayley(group, s, ct)
-    lam_dir = lambda_direct(spec, dense_cap=dense_cap, seed=seed)
-    lam_char = None
-    eig = None
-    if spec.normal and spec.class_indices is not None:
-        ns = NormalSubset.from_classes(ct, spec.class_indices)
-        vals = eigenvalues_normal(tab, ns)
-        lam_char = lambda_normal(tab, ns)
-        eig = tuple(complex(v) for v in vals)
-    method = "dense" if group.n <= dense_cap else "power"
+    """lambda by both routes for S, a union of classes of `ct` in `group`."""
+    lam_dir = lambda_direct(s, dense_cap=dense_cap, seed=seed)
     if not 0.0 <= lam_dir <= 1.0 + tol.SLACK:
         raise NoConvergence(f"lambda {lam_dir} outside [0, 1]")
     return SpectralReport(
         group_label=group.label,
         n=group.n,
         subset_expr=expr,
-        d=spec.d,
-        normal=spec.normal,
+        d=s.size,
         lambda_direct=lam_dir,
-        lambda_char=lam_char,
-        char_eigenvalues=eig,
-        method=method,
+        lambda_char=lambda_normal(tab, s),
+        char_eigenvalues=tuple(complex(v) for v in eigenvalues_normal(tab, s)),
+        method="dense" if group.n <= dense_cap else "power",
     )

@@ -149,14 +149,13 @@ def require_nonempty(s: SubsetLike, what: str = "subset") -> None:
 def enumerate_normal_subsets(
     ct: ClassTable,
     include_identity_class: bool = True,
-    nonempty: bool = True,
 ) -> list[NormalSubset]:
-    """All unions of classes, in bitmask order over class indices."""
+    """All nonempty unions of classes, in bitmask order over class indices."""
     pool = list(range(ct.n_classes)) if include_identity_class else list(
         range(1, ct.n_classes)
     )
     out = []
-    for bits in range(0 if not nonempty else 1, 1 << len(pool)):
+    for bits in range(1, 1 << len(pool)):
         idxs = [pool[i] for i in range(len(pool)) if bits >> i & 1]
         out.append(NormalSubset.from_classes(ct, idxs))
     return out

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from normgrowth.chartable import character_ratio, r_extremes
+from normgrowth.chartable import character_ratio, frobenius_tensor, r_extremes
 from normgrowth.errors import NotLieType, TrivialSubset
 from normgrowth.growth import (
     check_2step,
@@ -14,7 +14,6 @@ from normgrowth.growth import (
     frobenius_oracle_report,
     gluck_report,
     pab_exact,
-    pab_frobenius,
     pair_count,
     product_set,
     pyber_report,
@@ -87,17 +86,27 @@ def test_pab_exact_values(a5):
     assert pab_exact(g, a, a, 0) == Fraction(20, 400)
 
 
+def pab_from_tensor(tab, a, b, k):
+    """P_{A,B}(rep_k) from the character-formula class constants."""
+    formula = frobenius_tensor(tab).real
+    pairs = formula[np.ix_(a.class_indices, b.class_indices, [k])].sum()
+    return float(pairs) / (a.size * b.size)
+
+
 def test_pab_frobenius_matches_exact(a5):
     g, ct, tab = a5.group, a5.classes, a5.table
     full = NormalSubset.from_classes(ct, range(ct.n_classes))
     for k in range(ct.n_classes):
-        assert pab_frobenius(tab, full, full, k) == pytest.approx(
+        assert pab_from_tensor(tab, full, full, k) == pytest.approx(
             1 / g.n, abs=1e-10
+        )
+        assert pab_from_tensor(tab, full, full, k) == pytest.approx(
+            float(pab_exact(g, full, full, int(ct.reps[k]))), abs=1e-10
         )
     # a 3-cycle times an involution is never the identity
     a = NormalSubset.from_classes(ct, [class_of_size(ct, 20)])
     b = NormalSubset.from_classes(ct, [class_of_size(ct, 15)])
-    assert pab_frobenius(tab, a, b, 0) == pytest.approx(0.0, abs=1e-10)
+    assert pab_from_tensor(tab, a, b, 0) == pytest.approx(0.0, abs=1e-10)
     assert pair_count(g, a, b, 0) == 0
 
 
@@ -212,14 +221,6 @@ def test_word_growth_identity_word(a5):
 def test_frobenius_oracle_exhaustive(a5):
     rep = frobenius_oracle_report(a5.group, a5.classes, a5.table)
     assert len(rep.results) == 125
-    assert rep.fail_count == 0
-
-
-def test_frobenius_oracle_random(psl27):
-    rep = frobenius_oracle_report(
-        psl27.group, psl27.classes, psl27.table, triples=25, seed=1
-    )
-    assert len(rep.results) == 25
     assert rep.fail_count == 0
 
 

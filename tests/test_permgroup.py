@@ -24,7 +24,6 @@ from normgrowth.permgroup import (
     parse_cycle_line,
     parse_word,
     real_census,
-    word_arity,
     word_image,
 )
 
@@ -288,8 +287,6 @@ def test_real_census_needs_characteristic(a5):
 def test_parse_word():
     assert parse_word("xyXY") == [(0, 1), (1, 1), (0, -1), (1, -1)]
     assert parse_word("xxX") == [(0, 1)]
-    assert word_arity("xx") == 1
-    assert word_arity("xyXY") == 2
     with pytest.raises(EmptyWord):
         parse_word("xX")
     with pytest.raises(EmptyWord):

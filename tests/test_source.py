@@ -66,3 +66,22 @@ def test_no_unused_imports():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         found += [f"{name}:{line} {local}" for local, line in imported.items() if local not in used]
     assert not found
+
+
+def test_all_exports_resolve():
+    """`__all__` names only what exists and every public name `__init__.py` imports.
+
+    `__init__.py` is exempt from the unused-import lint, so a deleted function
+    would otherwise leave a dangling export behind.
+    """
+    missing = [name for name in normgrowth.__all__ if not hasattr(normgrowth, name)]
+    imported = {
+        alias.asname or alias.name
+        for node in ast.walk(TREES["__init__.py"])
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    unlisted = sorted(
+        name for name in imported - set(normgrowth.__all__) if not name.startswith("_")
+    )
+    assert not missing and not unlisted
