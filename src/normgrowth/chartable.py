@@ -45,6 +45,14 @@ def class_mult_tensor(group: FiniteGroup, ct: ClassTable) -> np.ndarray:
     return a
 
 
+def class_tensor(ct: ClassTable) -> np.ndarray:
+    """`class_mult_tensor` of ct, counted on first use and then kept on ct."""
+    if ct.tensor is None:
+        # a function of ct's own fields, so caching it on the frozen table is safe
+        object.__setattr__(ct, "tensor", class_mult_tensor(ct.group, ct))
+    return ct.tensor
+
+
 @dataclass(frozen=True)
 class CharacterTable:
     """Certified complex character table.
@@ -183,9 +191,8 @@ def compute_character_table(
     group: FiniteGroup, ct: ClassTable, seed: int = 0
 ) -> CharacterTable:
     """Tensor + eigenvector recovery + certification for a group."""
-    tensor = class_mult_tensor(group, ct)
     return burnside_dixon_numeric(
-        tensor,
+        class_tensor(ct),
         ct.sizes,
         group.n,
         seed=seed,

@@ -49,6 +49,10 @@ class NotNormal(NormGrowthError):
     """A subset is not a union of conjugacy classes."""
 
 
+class CountMismatch(NormGrowthError):
+    """Class-tensor pair counts disagree with a brute-force count on the elements."""
+
+
 class NoConvergence(NormGrowthError):
     """Power iteration did not converge within the iteration budget."""
 

@@ -1,21 +1,33 @@
 """Product-set growth checks driven by character ratios.
 
-Every check computes its left-hand side by brute force on the group and its
-right-hand side from the certified character table, so the two routes stay
-independent.
+Every check computes its left-hand side by exact counting and its right-hand
+side from the certified character table.  Products of two normal subsets
+are counted on the class multiplication tensor (`class_pair_counts`); every
+check and sweep that does so recounts an evenly spaced sample of at most
+BRUTE_FORCE_SAMPLE of its (A, B) pairs on the elements, with `pair_count` or
+`product_set`, and raises `CountMismatch` on any disagreement.  The table is
+computed from the same tensor, so the sample keeps the two routes
+independent.  Products with arbitrary element sets are counted on the
+elements only.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Optional
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from . import tolerances as tol
-from .chartable import CharacterTable, character_ratio, frobenius_tensor, r_extremes
-from .errors import NotLieType, TrivialSubset
+from .chartable import (
+    CharacterTable,
+    character_ratio,
+    class_tensor,
+    frobenius_tensor,
+    r_extremes,
+)
+from .errors import CountMismatch, NotLieType, TrivialSubset
 from .permgroup import _CHUNK_ROWS, ClassTable, FiniteGroup, word_image
 from .reports import CheckResult, ReportDocument
 from .subsets import (
@@ -32,6 +44,8 @@ from .subsets import (
 # exhaustive union sweeps are allowed while 2^(k-1) stays at or below this
 EXHAUSTIVE_UNION_CAP = 4096
 RANDOM_UNION_SAMPLES = 10_000
+# (A, B) pairs of one tensor-routed check or sweep recounted on the elements
+BRUTE_FORCE_SAMPLE = 8
 
 # the old name of the report type; perfbench/workloads.py still builds an empty
 # sweep report as GrowthReport("wlambda", "")
@@ -67,6 +81,80 @@ def pab_exact(group: FiniteGroup, a: SubsetLike, b: SubsetLike, g: int) -> Fract
     require_nonempty(a, "A")
     require_nonempty(b, "B")
     return Fraction(pair_count(group, a, b, g), asize * bsize)
+
+
+def class_pair_counts(
+    ct: ClassTable, a_block: Sequence[NormalSubset], b_block: Sequence[NormalSubset]
+) -> np.ndarray:
+    """counts[p, q, k] = #{(x, y) in A_p x B_q : x*y = rep(C_k)}, exact int64.
+
+    For normal A and B this is the sum of the class multiplication constants
+    a[i, j, k] over i in A and j in B: an integer contraction of the union
+    indicators with `class_tensor(ct)`.  A_p B_q is a union of classes, so
+    it holds C_k exactly when counts[p, q, k] > 0.  The rows of `a_block` go in
+    blocks that keep every temporary under _CHUNK_ROWS entries.
+    """
+    k = ct.n_classes
+    flat = class_tensor(ct).reshape(k, k * k)
+    left, right = _indicators(k, a_block), _indicators(k, b_block)
+    out = np.empty((len(a_block), len(b_block), k), dtype=np.int64)
+    step = max(1, _CHUNK_ROWS // (k * max(k, len(b_block))))
+    for lo in range(0, len(a_block), step):
+        # partial[p, j, c] = sum over classes i of A_p of a[i, j, c]
+        partial = (left[lo : lo + step] @ flat).reshape(-1, k, k)
+        out[lo : lo + step] = right @ partial
+    return out
+
+
+def _indicators(k: int, block: Sequence[NormalSubset]) -> np.ndarray:
+    ind = np.zeros((len(block), k), dtype=np.int64)
+    for row, s in enumerate(block):
+        ind[row, list(s.class_indices)] = 1
+    return ind
+
+
+def _tensor_counts(
+    ct: ClassTable, pairs: Sequence[tuple], by_product_set: bool
+) -> np.ndarray:
+    """(len(pairs), k) `class_pair_counts` of each (A, B) pair, sample recounted."""
+    out = np.zeros((len(pairs), ct.n_classes), dtype=np.int64)
+    for t, (a, b) in enumerate(pairs):
+        out[t] = class_pair_counts(ct, [a], [b])[0, 0]
+    return _recounted(ct, pairs, out, by_product_set)
+
+
+def _spread(count: int) -> list[int]:
+    """At most BRUTE_FORCE_SAMPLE evenly spaced positions in range(count), ends included."""
+    if count <= BRUTE_FORCE_SAMPLE:
+        return list(range(count))
+    # the spacing (count - 1) / (BRUTE_FORCE_SAMPLE - 1) exceeds 1, so no two coincide
+    return [i * (count - 1) // (BRUTE_FORCE_SAMPLE - 1) for i in range(BRUTE_FORCE_SAMPLE)]
+
+
+def _recounted(
+    ct: ClassTable, pairs: Sequence[tuple], counts: np.ndarray, by_product_set: bool
+) -> np.ndarray:
+    """`counts` of the (A, B) pairs, once a sample of them is recounted on the elements.
+
+    With `by_product_set` the sample's product sets must be the classes with a
+    positive count; otherwise every count must equal `pair_count` at the
+    class representative.
+    """
+    group = ct.group
+    for t in _spread(len(pairs)):
+        a, b = pairs[t]
+        if by_product_set:
+            want = ct.mask_of_classes(np.flatnonzero(counts[t]))
+            same = np.array_equal(product_set(group, a, b).mask, want)
+        else:
+            brute = [pair_count(group, a, b, int(g)) for g in ct.reps]
+            same = brute == counts[t].tolist()
+        if not same:
+            raise CountMismatch(
+                f"{group.label}: class-tensor counts {counts[t].tolist()} for "
+                f"A={a.expr()}, B={b.expr()} disagree with the elements"
+            )
+    return counts
 
 
 # -- single-instance checks ----------------------------------------------------
@@ -114,28 +202,48 @@ def check_gowers2(
     require_nonempty(b, "B")
     if k == 0:
         raise ValueError("k must be a nonidentity class")
+    counts = _tensor_counts(a.ct, [(a, b)], True)[0]
+    return _gowers2_records(group, _class_ratios(tab), a, b, counts, [k], inputs)[0]
+
+
+def _gowers2_records(
+    group: FiniteGroup,
+    ratios: np.ndarray,
+    a: NormalSubset,
+    b: NormalSubset,
+    counts: np.ndarray,
+    classes: Iterable[int],
+    inputs: str = "",
+) -> list[CheckResult]:
+    """The gowers2 records of the given classes, from AB's per-class counts."""
     n = group.n
-    r = character_ratio(tab, k)
     pre_lhs = a.size * b.size
-    pre_rhs = r * r * n * n
-    skipped = pre_lhs < pre_rhs
-    covered = skipped or bool(product_set(group, a, b).mask[a.ct.classes[k]].all())
-    if skipped:
-        note = "precondition |A||B| >= R^2 n^2 not met"
-    else:
-        note = "" if covered else f"class {k} not inside the product set"
-    return CheckResult(
-        check="gowers2",
-        group=group.label,
-        n=n,
-        inputs=inputs or f"A={a.expr()};B={b.expr()};k={k}",
-        lhs=float(pre_lhs),
-        rhs=float(pre_rhs),
-        margin=float(pre_lhs - pre_rhs),
-        passed=covered,
-        skipped=skipped,
-        note=note,
-    )
+    prefix = f"A={a.expr()};B={b.expr()};k="
+    out = []
+    for k in classes:
+        r = float(ratios[k])
+        pre_rhs = r * r * n * n
+        skipped = pre_lhs < pre_rhs
+        covered = skipped or bool(counts[k] > 0)
+        if skipped:
+            note = "precondition |A||B| >= R^2 n^2 not met"
+        else:
+            note = "" if covered else f"class {k} not inside the product set"
+        out.append(
+            CheckResult(
+                check="gowers2",
+                group=group.label,
+                n=n,
+                inputs=inputs or f"{prefix}{k}",
+                lhs=float(pre_lhs),
+                rhs=float(pre_rhs),
+                margin=float(pre_lhs - pre_rhs),
+                passed=covered,
+                skipped=skipped,
+                note=note,
+            )
+        )
+    return out
 
 
 def check_asymp(
@@ -151,22 +259,41 @@ def check_asymp(
     """
     require_nonempty(a, "A")
     require_nonempty(b, "B")
-    group = a.ct.group
-    n = group.n
+    counts = _tensor_counts(a.ct, [(a, b)], False)[0]
+    return _asymp_records(_class_ratios(tab), a, b, counts, inputs)
+
+
+def _class_ratios(tab: CharacterTable) -> np.ndarray:
+    """R(g_k) for every class, with R = 1 at the identity."""
     ratios = np.empty(tab.n_classes)
     ratios[0] = 1.0
     if tab.n_classes > 1:
         ratios[1:] = tab.ratios()[1:]
-    scale = 1.0 / math.sqrt(a.size * b.size)
+    return ratios
+
+
+def _asymp_records(
+    ratios: np.ndarray,
+    a: NormalSubset,
+    b: NormalSubset,
+    counts: np.ndarray,
+    inputs: str = "",
+) -> list[CheckResult]:
+    """The asymp records of every class, from AB's per-class pair counts."""
+    group = a.ct.group
+    n = group.n
+    ab = a.size * b.size
+    scale = 1.0 / math.sqrt(ab)
+    prefix = f"A={a.expr()};B={b.expr()};k="
     out = []
-    for k in range(tab.n_classes):
-        p = pab_exact(group, a, b, int(a.ct.reps[k]))
-        lhs = abs(float(p) - 1.0 / n)
+    for k in range(len(ratios)):
+        # int / int is correctly rounded, as float(Fraction(count, ab)) is
+        lhs = abs(int(counts[k]) / ab - 1.0 / n)
         rhs = ratios[k] * scale
         equality = abs(lhs - rhs) <= tol.STRICT_SLACK
         out.append(
             CheckResult.bound(
-                "asymp", group.label, n, inputs or f"A={a.expr()};B={b.expr()};k={k}",
+                "asymp", group.label, n, inputs or f"{prefix}{k}",
                 lhs, rhs, tol.STRICT_SLACK, "<",
                 note="equality hit" if equality else "",
             )
@@ -187,29 +314,48 @@ def dichotomy_check(
     """
     if a.is_trivial():
         raise TrivialSubset("A must be nonempty and different from {1}")
+    counts = _tensor_counts(a.ct, [(a, a)], True)[0]
+    return _dichotomy_record(group, tab, a, counts, inputs)
+
+
+def _dichotomy_record(
+    group: FiniteGroup,
+    tab: CharacterTable,
+    a: NormalSubset,
+    counts: np.ndarray,
+    inputs: str = "",
+) -> CheckResult:
+    """The dichotomy record of A, from the per-class counts of A^2."""
     n = group.n
     _, r_max = r_extremes(tab, range(1, tab.n_classes))
-    a2 = product_set(group, a, a)
+    a2_size = _covered_size(a.ct, counts)
     name = inputs or f"A={a.expr()}"
     if a.size >= r_max * n:
-        nonid = a2.mask.copy()
-        nonid[0] = True  # the identity is allowed to be missing
-        covered = bool(nonid.all())
         return CheckResult(
             check="dichotomy",
             group=group.label,
             n=n,
             inputs=name,
-            lhs=float(a2.size),
+            lhs=float(a2_size),
             rhs=float(n - 1),
-            margin=float(a2.size - (n - 1)),
-            passed=covered,
+            margin=float(a2_size - (n - 1)),
+            passed=_covers_nonidentity(counts),
             note="covering branch |A| >= R n",
         )
     return CheckResult.bound(
-        "dichotomy", group.label, n, name, a2.size, a.size / (2.0 * r_max),
+        "dichotomy", group.label, n, name, a2_size, a.size / (2.0 * r_max),
         tol.SLACK, ">=", note="growth branch |A| < R n",
     )
+
+
+def _covered_size(ct: ClassTable, counts: np.ndarray) -> int:
+    """|AB| from AB's per-class counts: the sizes of the classes it meets."""
+    return int(ct.sizes[counts > 0].sum())
+
+
+def _covers_nonidentity(counts: np.ndarray) -> bool:
+    """AB holds G minus the identity; the identity may be missing."""
+    return bool((counts[1:] > 0).all())
 
 
 # -- reports over families ------------------------------------------------------
@@ -260,14 +406,12 @@ def square_growth_survey(
     subsets = _union_sweep(ct, include_identity_class=False, seed=0)
     records = []
     eps_values = []
-    for a in subsets:
-        a2 = product_set(group, a, a)
-        nonid = a2.mask.copy()
-        nonid[0] = True
-        if nonid.all():
+    for a, counts in zip(subsets, _tensor_counts(ct, [(a, a) for a in subsets], True)):
+        a2_size = _covered_size(ct, counts)
+        if _covers_nonidentity(counts):
             rhs, note = group.n - 1, "covering"
         else:
-            eps = math.log(a2.size) / math.log(a.size) - 1.0
+            eps = math.log(a2_size) / math.log(a.size) - 1.0
             eps_values.append(eps)
             rhs, note = a.size, f"eps={eps:.6f}"
         records.append(
@@ -276,7 +420,7 @@ def square_growth_survey(
                 group=group.label,
                 n=group.n,
                 inputs=f"A={a.expr()}",
-                lhs=float(a2.size),
+                lhs=float(a2_size),
                 rhs=float(rhs),
                 margin=0.0,
                 passed=True,
@@ -308,20 +452,22 @@ def pyber_report(
         raise ValueError("the square census expects a simple group")
     n = group.n
     threshold = n / math.log2(n)
-    subsets = _union_sweep(ct, include_identity_class=True, seed=0)
+    subsets = [
+        a
+        for a in _union_sweep(ct, include_identity_class=True, seed=0)
+        if a.symmetric and a.size > threshold
+    ]
     records = []
-    for a in subsets:
-        if not a.symmetric or a.size <= threshold:
-            continue
-        a2 = product_set(group, a, a)
-        full = a2.size == n
+    for a, counts in zip(subsets, _tensor_counts(ct, [(a, a) for a in subsets], True)):
+        a2_size = _covered_size(ct, counts)
+        full = a2_size == n
         records.append(
             CheckResult(
                 check="pyber",
                 group=group.label,
                 n=n,
                 inputs=f"A={a.expr()}",
-                lhs=float(a2.size),
+                lhs=float(a2_size),
                 rhs=float(n),
                 margin=0.0,
                 passed=True,
@@ -355,11 +501,13 @@ def word_growth_report(
     img1 = NormalSubset.from_subset(ct, word_image(group, word1))
     img2 = NormalSubset.from_subset(ct, word_image(group, word2))
     n = group.n
-    scale = n / math.sqrt(img1.size * img2.size)
+    ab = img1.size * img2.size
+    scale = n / math.sqrt(ab)
+    counts = _tensor_counts(ct, [(img1, img2)], False)[0]
     records = []
     for k in range(1, ct.n_classes):
-        p = pab_exact(group, img1, img2, int(ct.reps[k]))
-        lhs = abs(float(p * n - 1))
+        # |P(g) n - 1| = |count n - ab| / ab exactly; int / int rounds it correctly
+        lhs = abs(int(counts[k]) * n - ab) / ab
         rhs = character_ratio(tab, k) * scale
         equality = abs(lhs - rhs) <= tol.STRICT_SLACK
         records.append(
@@ -442,11 +590,12 @@ def sweep_gowers2(
         pool = [
             NormalSubset.from_classes(ct, [i]) for i in range(ct.n_classes)
         ]
+    pairs = [(a, b) for a in pool for b in pool]
+    grid = class_pair_counts(ct, pool, pool).reshape(len(pairs), ct.n_classes)
+    ratios = _class_ratios(tab)
     records = []
-    for a in pool:
-        for b in pool:
-            for k in range(1, ct.n_classes):
-                records.append(check_gowers2(group, tab, a, b, k))
+    for (a, b), row in zip(pairs, _recounted(ct, pairs, grid, True)):
+        records.extend(_gowers2_records(group, ratios, a, b, row, range(1, ct.n_classes)))
     return ReportDocument(title=f"growth gowers2 {group.label}", results=records)
 
 
@@ -458,22 +607,27 @@ def sweep_asymp(
     seed: int = 0,
 ) -> ReportDocument:
     """Deviation bound over exhaustive union pairs, or seeded random pairs."""
-    records = []
     if pairs is None:
         pool = _union_sweep(ct, include_identity_class=True, seed=seed)
-        for a in pool:
-            for b in pool:
-                records.extend(check_asymp(tab, a, b))
+        chosen = [(a, b) for a in pool for b in pool]
+        grid = class_pair_counts(ct, pool, pool).reshape(len(chosen), ct.n_classes)
+        counts = _recounted(ct, chosen, grid, False)
+        names = [""] * len(chosen)
     else:
         rng = np.random.default_rng(seed)
-        for trial in range(pairs):
-            a = random_normal_subset(ct, rng)
-            b = random_normal_subset(ct, rng)
-            records.extend(
-                check_asymp(
-                    tab, a, b, inputs=f"trial={trial};A={a.expr()};B={b.expr()}"
-                )
-            )
+        chosen = [
+            (random_normal_subset(ct, rng), random_normal_subset(ct, rng))
+            for _ in range(pairs)
+        ]
+        counts = _tensor_counts(ct, chosen, False)
+        names = [
+            f"trial={trial};A={a.expr()};B={b.expr()}"
+            for trial, (a, b) in enumerate(chosen)
+        ]
+    ratios = _class_ratios(tab)
+    records = []
+    for (a, b), row, name in zip(chosen, counts, names):
+        records.extend(_asymp_records(ratios, a, b, row, name))
     return ReportDocument(title=f"growth asymp {group.label}", results=records)
 
 
@@ -481,11 +635,15 @@ def sweep_dichotomy(
     group: FiniteGroup, ct: ClassTable, tab: CharacterTable
 ) -> ReportDocument:
     """Dichotomy over every nontrivial normal subset (exhaustive unions)."""
-    records = []
-    for a in _union_sweep(ct, include_identity_class=True, seed=0):
-        if a.is_trivial():
-            continue
-        records.append(dichotomy_check(group, tab, a))
+    pool = [
+        a
+        for a in _union_sweep(ct, include_identity_class=True, seed=0)
+        if not a.is_trivial()
+    ]
+    records = [
+        _dichotomy_record(group, tab, a, counts)
+        for a, counts in zip(pool, _tensor_counts(ct, [(a, a) for a in pool], True))
+    ]
     return ReportDocument(title=f"growth dichotomy {group.label}", results=records)
 
 

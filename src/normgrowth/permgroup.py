@@ -10,7 +10,7 @@ points: a direct-address table when it fits, a sorted key search otherwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -388,6 +388,8 @@ class ClassTable:
     inverse_class: np.ndarray     # (k,) class of the inverse
     is_real: np.ndarray           # (k,) class equals its inverse class
     rep_orders: np.ndarray        # (k,) element order of each representative
+    # (k, k, k) class multiplication tensor, kept by chartable.class_tensor
+    tensor: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     @property
     def n_classes(self) -> int:

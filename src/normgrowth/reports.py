@@ -145,10 +145,14 @@ class ReportDocument:
             },
         }
 
-    def to_json(self) -> str:
+    def as_dict(self) -> dict:
+        """The JSON document: the header, then the body."""
         doc = {"header": {"generated": self.timestamp}}
         doc.update(self.body_dict())
-        return json.dumps(doc, indent=1, sort_keys=False) + "\n"
+        return doc
+
+    def to_json(self) -> str:
+        return json.dumps(self.as_dict(), indent=1) + "\n"
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -173,14 +177,16 @@ class ReportDocument:
 
 
 def write_report(doc: ReportDocument, path: str, fmt: str = "json") -> None:
-    if fmt == "json":
-        text = doc.to_json()
-    elif fmt == "csv":
-        text = doc.to_csv()
-    else:
+    """Write the report; JSON is streamed into the file, the same bytes as `to_json`."""
+    if fmt not in ("json", "csv"):
         raise ValueError(f"unknown format {fmt!r}")
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        if fmt == "json":
+            # streamed, so the text of a large report is never in memory whole
+            json.dump(doc.as_dict(), fh, indent=1)
+            fh.write("\n")
+        else:
+            fh.write(doc.to_csv())

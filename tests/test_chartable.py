@@ -7,6 +7,7 @@ import pytest
 from normgrowth.chartable import (
     character_ratio,
     class_mult_tensor,
+    class_tensor,
     compute_character_table,
     frobenius_tensor,
     load_table,
@@ -28,6 +29,7 @@ from normgrowth.permgroup import (
     build_symmetric,
     closure,
     compute_classes,
+    real_census,
 )
 from normgrowth.subsets import NormalSubset
 
@@ -186,10 +188,58 @@ def test_only_trivial():
         min_nontrivial_degree(tt)
 
 
+def test_context_keeps_its_tensor(a5):
+    kept = a5.classes.tensor
+    assert kept is not None and class_tensor(a5.classes) is kept
+    assert np.array_equal(kept, class_mult_tensor(a5.group, a5.classes))
+
+
 def test_frobenius_tensor_consistency(a5):
     a = class_mult_tensor(a5.group, a5.classes)
     approx = frobenius_tensor(a5.table)
     assert np.abs(approx - a).max() < 1e-8
+
+
+CLASS_FUNCTION_GROUPS = ["A:5", "PSL2:7", "PSL2:11"]
+
+
+def fiber_at_reps(ctx, values):
+    """How many of the word values equal each class representative."""
+    return np.bincount(values.ravel(), minlength=ctx.n)[ctx.classes.reps]
+
+
+@pytest.mark.parametrize("spec", CLASS_FUNCTION_GROUPS)
+def test_square_roots_from_frobenius_schur_indicators(spec):
+    """#{x : x^2 = g} = sum over chi of nu(chi) chi(g)."""
+    ctx = get_context(spec)
+    g, ct, tab = ctx.group, ctx.classes, ctx.table
+    x = np.arange(g.n)
+    squares = g.mul(x, x)
+    # nu(chi) = (1/n) sum over x of chi(x^2), one of -1, 0, 1
+    nu = tab.values[:, ct.class_of[squares]].sum(axis=1) / g.n
+    assert np.abs(nu - np.round(nu.real)).max() < 1e-8
+    assert set(np.round(nu.real).tolist()) <= {-1.0, 0.0, 1.0}
+    formula = (np.round(nu.real)[:, None] * tab.values).sum(axis=0)
+    assert np.abs(formula - fiber_at_reps(ctx, squares)).max() < 1e-8
+
+
+@pytest.mark.parametrize("spec", CLASS_FUNCTION_GROUPS)
+def test_commutator_fibers_from_the_table(spec):
+    """#{(x, y) : [x, y] = g} = n sum over chi of chi(g) / chi(1) (Frobenius)."""
+    ctx = get_context(spec)
+    g, tab = ctx.group, ctx.table
+    x, inv = np.arange(g.n), g.inverse_of
+    commutators = g.mul(g.mul(x[:, None], x), g.mul(inv[:, None], inv))
+    formula = g.n * (tab.values / tab.degrees[:, None]).sum(axis=0)
+    assert np.abs(formula - fiber_at_reps(ctx, commutators)).max() < 1e-6
+
+
+@pytest.mark.parametrize("spec", CLASS_FUNCTION_GROUPS)
+def test_real_characters_match_real_classes(spec):
+    """Brauer's permutation lemma: as many real characters as real classes."""
+    ctx = get_context(spec)
+    real_rows = int((np.abs(ctx.table.values.imag).max(axis=1) < 1e-8).sum())
+    assert real_rows == real_census(ctx.group, ctx.classes).real_classes
 
 
 # -- persistence -----------------------------------------------------------------

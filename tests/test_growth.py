@@ -1,15 +1,19 @@
+import dataclasses
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from normgrowth.chartable import character_ratio, frobenius_tensor, r_extremes
-from normgrowth.errors import NotLieType, TrivialSubset
+from normgrowth.chartable import character_ratio, class_tensor, frobenius_tensor, r_extremes
+from normgrowth import growth
+from normgrowth.context import get_context
+from normgrowth.errors import CountMismatch, NotLieType, TrivialSubset
 from normgrowth.growth import (
     check_2step,
     check_asymp,
     check_gowers2,
+    class_pair_counts,
     dichotomy_check,
     frobenius_oracle_report,
     gluck_report,
@@ -24,7 +28,13 @@ from normgrowth.growth import (
     sweep_gowers2,
     word_growth_report,
 )
-from normgrowth.subsets import NormalSubset, Subset, random_subset
+from normgrowth.subsets import (
+    NormalSubset,
+    Subset,
+    enumerate_normal_subsets,
+    random_normal_subset,
+    random_subset,
+)
 
 
 def brute_product(group, a, b):
@@ -252,3 +262,63 @@ def test_sweeps_on_small_group(a5):
     assert len(rep.results) == 30
     assert rep.fail_count == 0
     assert min(r.margin for r in rep.results if not r.skipped) >= 0
+
+
+def brute_counts(group, ct, a, b):
+    return [pair_count(group, a, b, int(g)) for g in ct.reps]
+
+
+def test_class_pair_counts_every_union_pair(a5, monkeypatch):
+    g, ct = a5.group, a5.classes
+    pool = enumerate_normal_subsets(ct)
+    counts = class_pair_counts(ct, pool, pool)
+    assert counts.dtype == np.int64 and counts.shape == (31, 31, ct.n_classes)
+    for p, a in enumerate(pool):
+        for q, b in enumerate(pool):
+            assert counts[p, q].tolist() == brute_counts(g, ct, a, b)
+    # blocks of 1 and of 3 rows of A give the same counts as one block
+    for chunk in (1, 3 * ct.n_classes * len(pool)):
+        monkeypatch.setattr(growth, "_CHUNK_ROWS", chunk)
+        assert np.array_equal(class_pair_counts(ct, pool, pool), counts)
+
+
+@pytest.mark.parametrize("spec", ["PSL2:7", "PSL2:11", "PSL3:2"])
+def test_class_pair_counts_random_unions(spec):
+    ctx = get_context(spec)
+    g, ct = ctx.group, ctx.classes
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        a = random_normal_subset(ct, rng)
+        b = random_normal_subset(ct, rng)
+        assert class_pair_counts(ct, [a], [b])[0, 0].tolist() == brute_counts(g, ct, a, b)
+
+
+def test_class_pair_counts_square_sizes(psl27):
+    g, ct = psl27.group, psl27.classes
+    pool = enumerate_normal_subsets(ct)
+    for a in pool:
+        counts = class_pair_counts(ct, [a], [a])[0, 0]
+        assert int(ct.sizes[counts > 0].sum()) == product_set(g, a, a).size
+
+
+def test_brute_force_sample_catches_a_wrong_tensor(a5):
+    """One wrong tensor entry on a copy of the class table must be caught.
+
+    C_1 C_1 misses the class of involutions in A:5, so a count of 1 there
+    changes both the pair counts and the product set of (C_1, C_1), which
+    every sweep's brute-force sample holds.
+    """
+    g, tab = a5.group, a5.table
+    k15 = class_of_size(a5.classes, 15)
+    bad = class_tensor(a5.classes).copy()
+    assert a5.classes.sizes[1] == 12 and bad[1, 1, k15] == 0
+    bad[1, 1, k15] += 1
+    ct = dataclasses.replace(a5.classes, tensor=bad)
+    with pytest.raises(CountMismatch):
+        sweep_asymp(g, ct, tab)
+    with pytest.raises(CountMismatch):
+        sweep_gowers2(g, ct, tab, unions=False)
+    with pytest.raises(CountMismatch):
+        sweep_dichotomy(g, ct, tab)
+    # the context's own table keeps its own tensor
+    assert sweep_dichotomy(g, a5.classes, tab).fail_count == 0

@@ -111,6 +111,23 @@ def test_write_report_creates_directories(tmp_path):
         write_report(doc, str(tmp_path / "x"), fmt="xml")
 
 
+def test_write_report_streams_the_to_json_bytes(tmp_path):
+    doc = ReportDocument(
+        title="demo",
+        results=[
+            make_result(),
+            make_result(skipped=True, passed=True, margin=-0.5),
+            make_result(seed=3, lhs=0.1 + 0.2, rhs=math.pi),
+            make_result(passed=False, note="equality hit", inputs="A=classes:1,2;k=3"),
+        ],
+        meta={"classes": [1, 2], "ratio": 1 / 3, "nested": {"q": 7, "none": None}},
+    )
+    doc.stamp()
+    target = tmp_path / "out.json"
+    write_report(doc, str(target))
+    assert target.read_bytes() == doc.to_json().encode("utf-8")
+
+
 def _bound(lhs, rhs, op):
     return CheckResult.bound("demo", "A5", 60, "", lhs, rhs, 0.25, op)
 

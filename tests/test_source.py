@@ -85,3 +85,56 @@ def test_all_exports_resolve():
         name for name in imported - set(normgrowth.__all__) if not name.startswith("_")
     )
     assert not missing and not unlisted
+
+
+def _reached_functions(module: str, name: str) -> dict:
+    """Every package function that `module.name` calls, directly or through others.
+
+    Calls are followed by name: to a function defined in the same module, or
+    to one imported from a sibling module.  Returns {(module, name): node}.
+    """
+    defs = {
+        (mod, node.name): node
+        for mod, tree in TREES.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+    }
+    imports = {
+        (mod, alias.asname or alias.name): (f"{node.module}.py", alias.name)
+        for mod, tree in TREES.items()
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+        for alias in node.names
+    }
+    reached, todo = {}, [(module, name)]
+    while todo:
+        key = todo.pop()
+        if key in reached or key not in defs:
+            continue
+        reached[key] = defs[key]
+        for node in ast.walk(defs[key]):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                local = (key[0], node.func.id)
+                todo.append(local if local in defs else imports.get(local, local))
+    return reached
+
+
+def test_frobenius_oracle_counts_on_the_elements():
+    """The oracle checks the class tensor, so it must not count with it."""
+    reached = _reached_functions("growth.py", "frobenius_oracle_report")
+    oracle = reached[("growth.py", "frobenius_oracle_report")]
+    calls = {
+        node.func.id
+        for node in ast.walk(oracle)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    }
+    assert "pair_count" in calls
+    tensor_names = {"class_pair_counts", "class_tensor", "class_mult_tensor", "tensor"}
+    found = [
+        f"{mod}:{name}"
+        for (mod, name), fn in reached.items()
+        for node in ast.walk(fn)
+        if (isinstance(node, ast.Name) and node.id in tensor_names)
+        or (isinstance(node, ast.Attribute) and node.attr in tensor_names)
+    ]
+    assert not found
