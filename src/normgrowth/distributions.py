@@ -115,8 +115,7 @@ def weighted_cayley_lambda(
 ) -> float:
     """Expansion of the weighted walk M[x, h] = Y(x^-1 h).
 
-    The square root of the second-largest eigenvalue of MM^t, by
-    `deflated_lambda`.
+    The second singular value of M, from the blocks of `deflated_lambda`.
     """
     n = group.n
     if y.n != n:

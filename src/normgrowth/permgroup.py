@@ -81,7 +81,7 @@ class Permutation:
         return Permutation(inv)
 
     def order(self) -> int:
-        return _order_from_row(np.asarray(self.images))
+        return int(_orders_of_rows(np.asarray(self.images)[None, :])[0])
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles, each starting at its smallest point."""
@@ -122,22 +122,19 @@ def _void_keys(cols: np.ndarray) -> np.ndarray:
     return cols.view(np.dtype((np.void, cols.itemsize * cols.shape[1]))).ravel()
 
 
-def _order_from_row(row: np.ndarray) -> int:
-    """Order of a permutation = lcm of its cycle lengths."""
-    n = row.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    order = 1
-    for start in range(n):
-        if seen[start]:
-            continue
-        length = 0
-        pt = start
-        while not seen[pt]:
-            seen[pt] = True
-            pt = int(row[pt])
-            length += 1
-        order = order * length // math.gcd(order, length)
-    return order
+def _orders_of_rows(rows: np.ndarray) -> np.ndarray:
+    """Orders of the permutations given by image rows (m, degree).
+
+    The order is the lcm of the cycle lengths; a point's cycle length is the
+    first power of its row that sends it home, found for all rows at once.
+    """
+    points = np.arange(rows.shape[1])
+    lengths = np.zeros(rows.shape, dtype=np.int64)
+    cur = rows
+    for k in range(1, rows.shape[1] + 1):
+        lengths[(cur == points) & (lengths == 0)] = k
+        cur = np.take_along_axis(rows, cur, axis=1)
+    return np.lcm.reduce(lengths, axis=1)
 
 
 class FiniteGroup:
@@ -168,6 +165,8 @@ class FiniteGroup:
         self._inverse: Optional[np.ndarray] = None
         self._gen_conj: Optional[list[np.ndarray]] = None
         self._division_table: Optional[np.ndarray] = None
+        self._cyclic_cosets: Optional[np.ndarray] = None
+        self._coset_quotients: Optional[np.ndarray] = None
 
     # -- index machinery ---------------------------------------------------
 
@@ -255,9 +254,6 @@ class FiniteGroup:
     def permutation(self, i: int) -> Permutation:
         return Permutation(self.perms[i])
 
-    def element_order(self, i: int) -> int:
-        return _order_from_row(self.perms[i])
-
     def generator_conjugation_maps(self) -> list[np.ndarray]:
         """For each generator g, the full map x -> g*x*g^-1 as an index array."""
         if self._gen_conj is None:
@@ -274,6 +270,35 @@ class FiniteGroup:
                 self.inverse_of[:, None], np.arange(self.n)
             )
         return self._division_table
+
+    def cyclic_cosets(self) -> np.ndarray:
+        """idx[r, i] = index of x^i t_r, shape (n/m, m).  Cached.
+
+        x is the first element of the largest order m, and t_r runs over the
+        smallest index of each right coset <x> t, ascending, so row 0 is <x>.
+        """
+        if self._cyclic_cosets is None:
+            orders = _orders_of_rows(self.perms)
+            x = int(np.argmax(orders))
+            powers = [self.identity]
+            for _ in range(int(orders[x]) - 1):
+                powers.append(self.mul(x, powers[-1]))
+            # orbit[i, g] = x^i g: column g lists the coset <x> g
+            orbit = self.mul(np.array(powers)[:, None], np.arange(self.n))
+            firsts = np.flatnonzero(orbit.min(axis=0) == np.arange(self.n))
+            self._cyclic_cosets = np.ascontiguousarray(orbit[:, firsts].T)
+        return self._cyclic_cosets
+
+    def coset_quotients(self) -> np.ndarray:
+        """q[r, s, d] = index of t_r^-1 x^d t_s over `cyclic_cosets`.  Cached.
+
+        The division-table rows of the coset representatives, read in coset
+        order: n^2/m entries, where the table has n^2.
+        """
+        if self._coset_quotients is None:
+            idx = self.cyclic_cosets()
+            self._coset_quotients = self.mul(self.inverse_of[idx[:, 0], None, None], idx)
+        return self._coset_quotients
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.label}, n={self.n}, degree={self.degree})"
@@ -438,7 +463,7 @@ def compute_classes(group: FiniteGroup) -> ClassTable:
     reps = np.array([c[0] for c in classes], dtype=np.int64)
     inverse_class = class_of[group.inverse_of[reps]]
     is_real = inverse_class == np.arange(len(classes))
-    rep_orders = np.array([group.element_order(int(r)) for r in reps], dtype=np.int64)
+    rep_orders = _orders_of_rows(group.perms[reps])
     if sizes[0] != 1 or reps[0] != 0:
         raise NormGrowthError("identity class must come first")
     return ClassTable(

@@ -17,7 +17,7 @@ from typing import Optional
 CSV_COLUMNS = ["check", "group", "n", "inputs", "lhs", "rhs", "margin", "pass"]
 
 
-@dataclass
+@dataclass(slots=True)
 class CheckResult:
     """Outcome of one check instance.
 

@@ -1,8 +1,8 @@
 """Random-walk spectra of Cayley digraphs Cay(G, S) for a normal subset S.
 
 Arc g -> h iff g^-1 h in S.  The expansion lambda is computed twice: from
-the elements (a dense eigensolve or power iteration) and from the
-characters.
+the elements (a dense solve split by a cyclic subgroup, or power iteration)
+and from the characters.
 """
 
 from __future__ import annotations
@@ -56,13 +56,25 @@ def walk_matrix(group: FiniteGroup, weights: np.ndarray) -> np.ndarray:
 def deflated_lambda(group: FiniteGroup, weights: np.ndarray) -> float:
     """Second singular value of the walk with probability weights w.
 
-    Taken as sqrt of the largest eigenvalue of M0 M0^t with
-    M0 = walk_matrix(group, w - 1/n) = M - J/n: deflating before squaring
-    keeps a uniform w at rounding level, not at the square root of it.
+    That is the largest singular value of M0 = M - J/n, the walk matrix of
+    w0 = w - 1/n: deflating before squaring keeps a uniform w at rounding
+    level, not at the square root of it.  M0[xg, xh] = M0[g, h] for any w.
+    So with rows and columns in the order x^i t_r of `cyclic_cosets`,
+    M0[x^i t_r, x^j t_s] = w0(t_r^-1 x^(j-i) t_s) is circulant in (i, j),
+    and `coset_quotients` indexes it.  The DFT over i splits M0 unitarily
+    into the (n/m)-square blocks
+    B_l[r, s] = sum over d of w0(t_r^-1 x^d t_s) omega^(ld), with
+    omega = exp(2 pi i / m), so lambda = max over l of ||B_l||_2.  w0 is
+    real, so B_(m-l) = conj(B_l) has the same norm, and l <= m/2 covers
+    every block.
     """
-    m0 = walk_matrix(group, weights - 1.0 / group.n)
-    eigs = np.linalg.eigvalsh(m0 @ m0.T)
-    return math.sqrt(max(float(eigs[-1]), 0.0))
+    q = group.coset_quotients()
+    m = q.shape[-1]
+    # omega[d, l] = exp(2 pi i l d / m) for l <= m/2
+    omega = np.exp(2j * np.pi / m * np.outer(np.arange(m), np.arange(m // 2 + 1)))
+    blocks = np.moveaxis((weights - 1.0 / group.n)[q] @ omega, -1, 0)
+    eigs = np.linalg.eigvalsh(blocks @ blocks.conj().transpose(0, 2, 1))
+    return math.sqrt(max(float(eigs[:, -1].max()), 0.0))
 
 
 def lambda_direct(
@@ -70,10 +82,11 @@ def lambda_direct(
     dense_cap: int = DEFAULT_DENSE_CAP,
     seed: int = 0,
 ) -> float:
-    """sqrt of the second-largest eigenvalue of MM^t.
+    """Second singular value of the walk matrix M of Cay(G, S).
 
-    Dense symmetric eigensolve when n <= dense_cap, else power iteration on
-    MM^t restricted to the complement of the all-ones vector.
+    When n <= dense_cap, the blocked dense solve of `deflated_lambda`; else
+    power iteration on MM^t restricted to the complement of the all-ones
+    vector.
     """
     if s.size == 0:
         raise EmptySubset("connection set is empty")

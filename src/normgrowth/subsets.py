@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Union
 
 import numpy as np
@@ -69,8 +70,9 @@ class NormalSubset:
             raise NotNormal(f"subset meets classes {partial} only partially")
         return cls.from_classes(ct, hit)
 
-    @property
+    @cached_property
     def size(self) -> int:
+        """Counted once: sweeps read it for every pair."""
         return int(self.mask.sum())
 
     @property

@@ -16,7 +16,7 @@ from normgrowth.chartable import (
     save_table,
     verify_orthogonality,
 )
-from normgrowth.context import get_context
+from normgrowth.context import PROFILES, get_context
 from normgrowth.errors import (
     EmptySubset,
     OnlyTrivial,
@@ -98,6 +98,32 @@ def test_degrees(spec):
     got = sorted(int(round(d)) for d in ctx.table.degrees)
     assert got == KNOWN_DEGREES[spec]
     assert sum(d * d for d in got) == ctx.n
+
+
+def psl2_degrees(q):
+    """Closed-form character degrees of PSL(2, q), by q even, q = 1 or q = 3 mod 4."""
+    if q % 2 == 0:
+        return sorted([1, q] + [q + 1] * ((q - 2) // 2) + [q - 1] * (q // 2))
+    if q % 4 == 1:
+        tail = [q + 1] * ((q - 5) // 4) + [q - 1] * ((q - 1) // 4) + [(q + 1) // 2] * 2
+    else:
+        tail = [q + 1] * ((q - 3) // 4) + [q - 1] * ((q - 3) // 4) + [(q - 1) // 2] * 2
+    return sorted([1, q] + tail)
+
+
+PROFILE_PSL2 = sorted(
+    {spec for specs in PROFILES.values() for spec in specs if spec.startswith("PSL2:")}
+)
+
+
+# q = 4 and 8 cover the even case, which no profile group has
+@pytest.mark.parametrize("spec", PROFILE_PSL2 + ["PSL2:4", "PSL2:8"])
+def test_psl2_degrees_closed_form(spec):
+    ctx = get_context(spec)
+    q = int(spec.partition(":")[2])
+    got = sorted(int(round(d)) for d in ctx.table.degrees)
+    assert got == psl2_degrees(q)
+    assert sum(d * d for d in got) == ctx.n == q * (q * q - 1) // math.gcd(2, q - 1)
 
 
 @pytest.mark.parametrize("spec", sorted(KNOWN_DEGREES))

@@ -199,6 +199,37 @@ def test_division_table():
             assert dt[a, b] == g.mul(g.inv(a), b)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: build_symmetric(4),
+        lambda: build_alternating(5),
+        lambda: build_symmetric(5),
+        lambda: closure([Permutation.from_cycles([(0, 1, 2, 3, 4, 5)], 6)]),
+        lambda: closure([Permutation((0,))], cap=2),
+    ],
+    ids=["S4", "A5", "S5", "C6", "trivial"],
+)
+def test_cyclic_cosets_partition_the_group(make):
+    g = make()
+    idx = g.cyclic_cosets()
+    perm = [g.permutation(i) for i in range(g.n)]
+    m = max(p.order() for p in perm)
+    assert idx.shape == (g.n // m, m)
+    assert sorted(idx.ravel().tolist()) == list(range(g.n))
+    # row 0 is <x> itself, from the identity; every row is x^i t_r
+    x = perm[idx[0, 1 % m]]
+    assert idx[0, 0] == 0 and x.order() == m
+    for r in range(idx.shape[0]):
+        power = perm[idx[r, 0]]
+        for i in range(m):
+            assert perm[idx[r, i]] == power
+            power = x * power
+    assert g.cyclic_cosets() is idx
+    # q[r, s, d] = t_r^-1 x^d t_s, the division-table rows of the representatives
+    assert (g.coset_quotients() == g.division_table()[idx[:, 0]][:, idx]).all()
+
+
 # -- conjugacy classes -----------------------------------------------------------
 
 

@@ -1,6 +1,8 @@
 import ast
 from pathlib import Path
 
+import pytest
+
 import normgrowth
 
 SOURCES = sorted(Path(normgrowth.__file__).parent.glob("*.py"))
@@ -90,8 +92,10 @@ def test_all_exports_resolve():
 def _reached_functions(module: str, name: str) -> dict:
     """Every package function that `module.name` calls, directly or through others.
 
-    Calls are followed by name: to a function defined in the same module, or
-    to one imported from a sibling module.  Returns {(module, name): node}.
+    Calls are followed by name: to a function defined in the same module, to
+    one imported from a sibling module, and from `obj.attr(...)` to every
+    method named `attr` of a package class.  Returns {(module, name): node},
+    with methods named `Class.method`.
     """
     defs = {
         (mod, node.name): node
@@ -99,6 +103,15 @@ def _reached_functions(module: str, name: str) -> dict:
         for node in tree.body
         if isinstance(node, ast.FunctionDef)
     }
+    methods = {}
+    for mod, tree in TREES.items():
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef):
+                for node in cls.body:
+                    if isinstance(node, ast.FunctionDef):
+                        key = (mod, f"{cls.name}.{node.name}")
+                        defs[key] = node
+                        methods.setdefault(node.name, []).append(key)
     imports = {
         (mod, alias.asname or alias.name): (f"{node.module}.py", alias.name)
         for mod, tree in TREES.items()
@@ -116,7 +129,20 @@ def _reached_functions(module: str, name: str) -> dict:
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
                 local = (key[0], node.func.id)
                 todo.append(local if local in defs else imports.get(local, local))
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                todo += methods.get(node.func.attr, [])
     return reached
+
+
+def _naming(reached: dict, names: set) -> list:
+    """`module:function` for each reached function that names one of `names`."""
+    return [
+        f"{mod}:{name}"
+        for (mod, name), fn in reached.items()
+        for node in ast.walk(fn)
+        if (isinstance(node, ast.Name) and node.id in names)
+        or (isinstance(node, ast.Attribute) and node.attr in names)
+    ]
 
 
 def test_frobenius_oracle_counts_on_the_elements():
@@ -130,11 +156,25 @@ def test_frobenius_oracle_counts_on_the_elements():
     }
     assert "pair_count" in calls
     tensor_names = {"class_pair_counts", "class_tensor", "class_mult_tensor", "tensor"}
-    found = [
-        f"{mod}:{name}"
-        for (mod, name), fn in reached.items()
-        for node in ast.walk(fn)
-        if (isinstance(node, ast.Name) and node.id in tensor_names)
-        or (isinstance(node, ast.Attribute) and node.attr in tensor_names)
-    ]
-    assert not found
+    assert not _naming(reached, tensor_names)
+
+
+@pytest.mark.parametrize("name", ["lambda_direct", "deflated_lambda"])
+def test_element_lambda_never_reads_the_characters(name):
+    """The element route to lambda is checked against the character route.
+
+    So nothing it reaches may use the character table or the class tensor;
+    the cyclic-subgroup blocks of `deflated_lambda` need only the elements.
+    """
+    reached = _reached_functions("spectral.py", name)
+    assert ("permgroup.py", "FiniteGroup.cyclic_cosets") in reached
+    character_names = {
+        "lambda_normal",
+        "eigenvalues_normal",
+        "class_tensor",
+        "class_mult_tensor",
+        "frobenius_tensor",
+        "burnside_dixon_numeric",
+        "tensor",
+    }
+    assert not _naming(reached, character_names)

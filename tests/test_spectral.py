@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from normgrowth.errors import EmptySubset, NoConvergence
 from normgrowth.spectral import (
     arc_count,
     check_vertex_expansion,
+    deflated_lambda,
     eigenvalues_normal,
     lambda_direct,
     lambda_normal,
@@ -17,6 +20,7 @@ from normgrowth.spectral import (
 from normgrowth.subsets import (
     NormalSubset,
     parse_subset_expr,
+    random_normal_subset,
     random_subset,
 )
 
@@ -56,6 +60,40 @@ def test_lambda_direct_extremes(a5, s5, psl27, psl211):
         assert lambda_direct(full) <= tol.SLACK
         ident = NormalSubset.from_classes(ct, [0])
         assert lambda_direct(ident) == pytest.approx(1.0, abs=1e-12)
+
+
+def _dense_oracle(group, weights):
+    """sqrt(lambda_max(M0 M0^t)) with M0 the full n x n walk matrix of w - 1/n."""
+    m0 = walk_matrix(group, weights - 1.0 / group.n)
+    return math.sqrt(max(float(np.linalg.eigvalsh(m0 @ m0.T)[-1]), 0.0))
+
+
+@pytest.mark.parametrize("fixture", ["a5", "s5", "psl27", "psl211"])
+def test_blocked_solve_matches_dense_oracle(fixture, request):
+    """The coset-DFT blocks give the same lambda as one n x n eigensolve.
+
+    Every single class, seeded random unions, and seeded arbitrary weights,
+    which are not class functions: the block split holds for every w.  S:5's
+    cyclic subgroup has even order 6, and its transpositions give a
+    bipartite walk whose lambda = 1 comes from the sign character alone, in
+    the Nyquist block l = m/2.
+    """
+    ctx = request.getfixturevalue(fixture)
+    group, ct = ctx.group, ctx.classes
+    rng = np.random.default_rng(17)
+    subsets = [NormalSubset.from_classes(ct, [k]) for k in range(ct.n_classes)]
+    subsets += [random_normal_subset(ct, rng) for _ in range(6)]
+    weights = [s.mask / s.size for s in subsets]
+    for _ in range(6):
+        dense = rng.random(group.n)
+        weights.append(dense / dense.sum())
+        sparse = dense * (rng.random(group.n) < 0.1)
+        sparse[rng.integers(group.n)] = 1.0
+        weights.append(sparse / sparse.sum())
+    for w in weights:
+        assert abs(deflated_lambda(group, w) - _dense_oracle(group, w)) <= 1e-12
+    full = NormalSubset.from_classes(ct, range(ct.n_classes))
+    assert deflated_lambda(group, full.mask / full.size) == 0.0
 
 
 def test_lambda_direct_empty(a5):

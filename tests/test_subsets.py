@@ -146,6 +146,12 @@ def test_enumerate_counts(a5):
     assert len({s.class_indices for s in with_id}) == len(with_id)
 
 
+def test_normal_subset_size_is_the_class_size_sum(psl27):
+    ct = psl27.classes
+    for s in enumerate_normal_subsets(ct):
+        assert s.size == int(ct.sizes[list(s.class_indices)].sum()) == s.indices.size
+
+
 def test_random_normal_subset(a5):
     rng = np.random.default_rng(0)
     for _ in range(50):
