@@ -34,7 +34,7 @@ from .growth import (
 )
 from .permgroup import DEFAULT_ORDER_CAP, compute_classes, real_census
 from .reports import CheckResult, ReportDocument, write_report
-from .spectral import DEFAULT_DENSE_CAP, spectral_report
+from .spectral import spectral_report
 from .subsets import parse_subset_expr
 
 OUT_ENV = "NORMGROWTH_OUT"
@@ -66,12 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=DEFAULT_ORDER_CAP,
         help="refuse to enumerate groups larger than this",
-    )
-    common.add_argument(
-        "--dense-cap",
-        type=int,
-        default=DEFAULT_DENSE_CAP,
-        help="largest order handled by dense eigensolvers",
     )
     common.add_argument(
         "--tolerance",
@@ -267,7 +261,6 @@ def cmd_lambda(args) -> int:
         ctx.table,
         subset,
         args.subset,
-        dense_cap=args.dense_cap,
         seed=args.seed,
     )
     print(f"{rep.group_label} S={rep.subset_expr} (d={rep.d}, {rep.method})")
@@ -323,10 +316,7 @@ def cmd_dist(args) -> int:
     elif args.check == "bnp2step":
         doc = sweep_bnp_two_step(g, tab, pairs=args.trials or 500, seed=args.seed)
     else:
-        doc = sweep_wlambda(
-            g, ct, tab, trials=args.trials or 100, seed=args.seed,
-            dense_cap=args.dense_cap,
-        )
+        doc = sweep_wlambda(g, ct, tab, trials=args.trials or 100, seed=args.seed)
     return _emit(doc, args, _stem(args, "dist", args.check, args.group))
 
 

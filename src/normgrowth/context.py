@@ -31,7 +31,8 @@ def parse_group_spec(
     """Build a group from "S:n", "A:n", "PSL2:q", "PSL3:q", or a generator file.
 
     A generator file holds one permutation per line in cycle notation,
-    whitespace-separated cycles in parentheses.
+    whitespace-separated cycles in parentheses.  Every spec raises
+    CapExceeded for a group of order above `order_cap`.
     """
     head, sep, tail = text.partition(":")
     if sep:
@@ -47,9 +48,7 @@ def parse_group_spec(
                 arg = int(tail)
             except ValueError:
                 raise ParseError(f"bad group parameter in {text!r}") from None
-            if builder in (build_psl2, build_psl3):
-                return builder(arg, cap=order_cap)
-            return builder(arg)
+            return builder(arg, cap=order_cap)
     if os.path.isfile(text):
         with open(text, encoding="utf-8") as fh:
             gens = generators_from_text(fh.read())

@@ -7,13 +7,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import spectral
 from . import tolerances as tol
 from .chartable import CharacterTable, min_nontrivial_degree
 from .errors import CapExceeded, EmptySubset
 from .growth import product_set
 from .permgroup import ClassTable, FiniteGroup
 from .reports import CheckResult, ReportDocument
-from .spectral import DEFAULT_DENSE_CAP, deflated_lambda, walk_matrix
+from .spectral import deflated_lambda, walk_matrix
 from .subsets import SubsetLike, random_subset, subset_mask
 
 
@@ -64,17 +65,12 @@ def from_subset(b: SubsetLike) -> Distribution:
     return Distribution(w)
 
 
-def convolve(
-    group: FiniteGroup,
-    x: Distribution,
-    y: Distribution,
-    dense_cap: int = DEFAULT_DENSE_CAP,
-) -> Distribution:
+def convolve(group: FiniteGroup, x: Distribution, y: Distribution) -> Distribution:
     """(X*Y)(h) = sum over g of X(g) Y(g^-1 h), exact to float accumulation."""
     n = group.n
     if x.n != n or y.n != n:
         raise ValueError("distribution length does not match the group order")
-    if n <= dense_cap:
+    if n <= spectral.DENSE_CAP:
         return Distribution(x.weights @ walk_matrix(group, y.weights))
     out = np.zeros(n)
     all_idx = np.arange(n)
@@ -99,20 +95,15 @@ def check_bnp_star(
     x: Distribution,
     y: Distribution,
     inputs: str = "",
-    dense_cap: int = DEFAULT_DENSE_CAP,
 ) -> CheckResult:
     """Convolution contraction: ||X*Y - U|| <= sqrt(n/m) ||X - U|| ||Y - U||."""
     n = group.n
-    lhs = l2_dist_uniform(convolve(group, x, y, dense_cap=dense_cap))
+    lhs = l2_dist_uniform(convolve(group, x, y))
     rhs = math.sqrt(n / m) * l2_dist_uniform(x) * l2_dist_uniform(y)
     return CheckResult.bound("bnp", group.label, n, inputs, lhs, rhs, tol.SLACK)
 
 
-def weighted_cayley_lambda(
-    group: FiniteGroup,
-    y: Distribution,
-    dense_cap: int = DEFAULT_DENSE_CAP,
-) -> float:
+def weighted_cayley_lambda(group: FiniteGroup, y: Distribution) -> float:
     """Expansion of the weighted walk M[x, h] = Y(x^-1 h).
 
     The second singular value of M, from the blocks of `deflated_lambda`.
@@ -120,8 +111,10 @@ def weighted_cayley_lambda(
     n = group.n
     if y.n != n:
         raise ValueError("distribution length does not match the group order")
-    if n > dense_cap:
-        raise CapExceeded(f"order {n} exceeds the dense eigensolver cap {dense_cap}")
+    if n > spectral.DENSE_CAP:
+        raise CapExceeded(
+            f"order {n} exceeds the dense eigensolver cap {spectral.DENSE_CAP}"
+        )
     return deflated_lambda(group, y.weights)
 
 
@@ -231,7 +224,6 @@ def sweep_wlambda(
     tab: CharacterTable,
     trials: int = 100,
     seed: int = 0,
-    dense_cap: int = DEFAULT_DENSE_CAP,
 ) -> ReportDocument:
     """Contraction bound lambda <= sqrt(n/m) ||Y - U|| for seeded random Y."""
     rng = np.random.default_rng(seed)
@@ -244,7 +236,7 @@ def sweep_wlambda(
             if t % 2 == 0
             else random_sparse_distribution(n, rng)
         )
-        lam = weighted_cayley_lambda(group, y, dense_cap=dense_cap)
+        lam = weighted_cayley_lambda(group, y)
         bound = math.sqrt(n / m) * l2_dist_uniform(y)
         records.append(
             CheckResult.bound(

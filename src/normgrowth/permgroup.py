@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -356,46 +356,51 @@ def closure(
     return group
 
 
-def build_symmetric(m: int) -> FiniteGroup:
-    """The symmetric group on m points, 2 <= m <= 9."""
-    if not 2 <= m <= 9:
-        raise CapExceeded(f"symmetric group size {m} outside supported range 2..9")
-    gens = [Permutation.from_cycles([(0, 1)], m)]
-    if m > 2:
-        gens.append(Permutation.from_cycles([tuple(range(m))], m))
-    group = closure(gens, cap=math.factorial(m) + 1, label=f"S{m}")
-    if group.n != math.factorial(m):
-        raise NormGrowthError(f"S{m} closure gave {group.n} elements")
+def closure_of_order(
+    make_generators: Callable[[], Sequence[Permutation]],
+    order: int, cap: int, label: str, **meta,
+) -> FiniteGroup:
+    """The closure of `make_generators()`, a group known to have `order`.
+
+    An order above `cap` is refused before the generators are made; `meta`
+    goes on to `closure`.
+    """
+    if order > cap:
+        raise CapExceeded(f"{label} has order {order} > cap {cap}")
+    group = closure(make_generators(), cap=order + 1, label=label, **meta)
+    if group.n != order:
+        raise NormGrowthError(f"{label} closure gave {group.n}, want {order}")
     return group
 
 
-def build_alternating(m: int) -> FiniteGroup:
+def build_symmetric(m: int, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
+    """The symmetric group on m points, 2 <= m <= 9."""
+    if not 2 <= m <= 9:
+        raise CapExceeded(f"symmetric group size {m} outside supported range 2..9")
+    cycles = [(0, 1)] + ([tuple(range(m))] if m > 2 else [])
+    return closure_of_order(
+        lambda: [Permutation.from_cycles([c], m) for c in cycles],
+        math.factorial(m), cap, f"S{m}",
+    )
+
+
+def build_alternating(m: int, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     """The alternating group on m points, 2 <= m <= 9."""
     if not 2 <= m <= 9:
         raise CapExceeded(f"alternating group size {m} outside supported range 2..9")
     if m == 2:
-        # trivial group acting on two points
+        # trivial group acting on two points, within any cap
         return FiniteGroup(
             np.arange(2, dtype=np.int32)[None, :], "A2", generator_indices=[]
         )
-    if m == 3:
-        gens = [Permutation.from_cycles([(0, 1, 2)], 3)]
-    elif m % 2 == 1:
-        gens = [
-            Permutation.from_cycles([(0, 1, 2)], m),
-            Permutation.from_cycles([tuple(range(m))], m),
-        ]
-    else:
-        gens = [
-            Permutation.from_cycles([(0, 1, 2)], m),
-            Permutation.from_cycles([tuple(range(1, m))], m),
-        ]
-    group = closure(
-        gens, cap=math.factorial(m) // 2 + 1, label=f"A{m}", simple=m >= 5
+    # (0 1 2) and, past A3, an odd-length cycle: all m points or the m - 1 past 0
+    cycles = [(0, 1, 2)]
+    if m > 3:
+        cycles.append(tuple(range(m)) if m % 2 == 1 else tuple(range(1, m)))
+    return closure_of_order(
+        lambda: [Permutation.from_cycles([c], m) for c in cycles],
+        math.factorial(m) // 2, cap, f"A{m}", simple=m >= 5,
     )
-    if group.n != math.factorial(m) // 2:
-        raise NormGrowthError(f"A{m} closure gave {group.n} elements")
-    return group
 
 
 # -- conjugacy classes -----------------------------------------------------

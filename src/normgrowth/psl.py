@@ -9,12 +9,13 @@ projective image (scalars act trivially).
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 
-from .errors import CapExceeded, NormGrowthError, NotPrimePower
-from .permgroup import DEFAULT_ORDER_CAP, FiniteGroup, Permutation, closure
+from .errors import NormGrowthError, NotPrimePower
+from .permgroup import DEFAULT_ORDER_CAP, FiniteGroup, Permutation, closure_of_order
 
 # monic irreducibles over GF(p), little-endian coefficient lists (constant first)
 _IRREDUCIBLE = {
@@ -119,125 +120,76 @@ class GF:
         return 1  # q == 2
 
 
-def _psl2_order(q: int) -> int:
-    return q * (q * q - 1) // math.gcd(2, q - 1)
+def _projective_points(d: int, q: int) -> list[tuple[int, ...]]:
+    """Points of P^(d-1)(GF(q)) with the last nonzero coordinate 1.
+
+    Grouped by the position of that coordinate, lowest first; within a group
+    the first coordinate varies fastest: [1:0], [x:1] on the line and
+    [1:0:0], [x:1:0], [x:y:1] on the plane.
+    """
+    return [
+        free[::-1] + (1,) + (0,) * (d - 1 - k)
+        for k in range(d)
+        for free in itertools.product(range(q), repeat=k)
+    ]
 
 
-def _psl3_order(q: int) -> int:
-    return q ** 3 * (q ** 3 - 1) * (q ** 2 - 1) // math.gcd(3, q - 1)
-
-
-def _projective_line(gf: GF) -> list[tuple[int, int]]:
-    """Point 0 is [1:0]; point 1+x is [x:1] in field-element order."""
-    return [(1, 0)] + [(x, 1) for x in range(gf.q)]
-
-
-def _mobius_permutation(gf: GF, mat: tuple[int, int, int, int]) -> Permutation:
-    """Permutation of the projective line induced by [[a,b],[c,d]]."""
-    a, b, c, d = mat
-    points = _projective_line(gf)
+def _matrix_permutation(
+    gf: GF, points: list[tuple[int, ...]], mat: list[list[int]]
+) -> Permutation:
+    """Permutation of `points` induced by the matrix, v -> mat v, normalized."""
     lookup = {pt: i for i, pt in enumerate(points)}
     images = []
-    for x, y in points:
-        nx = int(gf.add[gf.mul[a, x], gf.mul[b, y]])
-        ny = int(gf.add[gf.mul[c, x], gf.mul[d, y]])
-        if ny != 0:
-            w = int(gf.inv[ny])
-            images.append(lookup[(int(gf.mul[nx, w]), 1)])
-        else:
-            images.append(lookup[(1, 0)])
+    for pt in points:
+        out = []
+        for row in mat:
+            acc = 0
+            for a, x in zip(row, pt):
+                acc = int(gf.add[acc, gf.mul[a, x]])
+            out.append(acc)
+        w = int(gf.inv[next(v for v in reversed(out) if v)])
+        images.append(lookup[tuple(int(gf.mul[v, w]) for v in out)])
     return Permutation(images)
+
+
+def build_psl(d: int, q: int, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
+    """PSL(d, q) acting on the (q^d - 1)/(q - 1) points of P^(d-1)(GF(q)).
+
+    Generated by the transvections I + alpha E_ij, i != j, with alpha over
+    1, gamma, ..., gamma^(e-1) for a primitive gamma of GF(p^e).
+    """
+    p, e = _factor_prime_power(q)
+    if d == 2 and q < 4:
+        # PSL(2, 2) and PSL(2, 3) are solvable
+        raise NotPrimePower(f"PSL(2, q) needs q >= 4, got {q}")
+    order = q ** (d * (d - 1) // 2) * math.prod(q**i - 1 for i in range(2, d + 1))
+    order //= math.gcd(d, q - 1)
+
+    def transvections() -> list[Permutation]:
+        gf = GF(q)
+        gamma = gf.primitive_element()
+        points = _projective_points(d, q)
+        gens = []
+        for i, j in itertools.permutations(range(d), 2):
+            alpha = 1
+            for _ in range(e):
+                mat = [[int(r == c) for c in range(d)] for r in range(d)]
+                mat[i][j] = alpha
+                gens.append(_matrix_permutation(gf, points, mat))
+                alpha = int(gf.mul[alpha, gamma])
+        return gens
+
+    return closure_of_order(
+        transvections, order, cap, f"PSL({d},{q})",
+        characteristic=p, field_order=q, simple=True,
+    )
 
 
 def build_psl2(q: int, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     """PSL(2, q) acting on the q+1 points of the projective line."""
-    p, e = _factor_prime_power(q)
-    if q < 4:
-        raise NotPrimePower(f"q must be a prime power >= 4, got {q}")
-    order = _psl2_order(q)
-    if order > cap:
-        raise CapExceeded(f"PSL(2,{q}) has order {order} > cap {cap}")
-    gf = GF(q)
-    gamma = gf.primitive_element()
-    gens = []
-    alpha = 1
-    for _ in range(e):
-        gens.append(_mobius_permutation(gf, (1, alpha, 0, 1)))
-        alpha = int(gf.mul[alpha, gamma])
-    alpha = 1
-    for _ in range(e):
-        gens.append(_mobius_permutation(gf, (1, 0, alpha, 1)))
-        alpha = int(gf.mul[alpha, gamma])
-    group = closure(
-        gens,
-        cap=order + 1,
-        label=f"PSL(2,{q})",
-        characteristic=p,
-        field_order=q,
-        simple=True,
-    )
-    if group.n != order:
-        raise NormGrowthError(f"PSL(2,{q}) closure gave {group.n}, want {order}")
-    return group
-
-
-def _projective_plane(gf: GF) -> list[tuple[int, int, int]]:
-    """q^2+q+1 points with the last nonzero coordinate normalized to 1."""
-    pts = [(1, 0, 0)]
-    pts += [(x, 1, 0) for x in range(gf.q)]
-    pts += [(x, y, 1) for y in range(gf.q) for x in range(gf.q)]
-    return pts
-
-
-def _plane_permutation(gf: GF, mat: tuple[tuple[int, ...], ...]) -> Permutation:
-    points = _projective_plane(gf)
-    lookup = {pt: i for i, pt in enumerate(points)}
-    images = []
-    for pt in points:
-        out = [0, 0, 0]
-        for i in range(3):
-            acc = 0
-            for j in range(3):
-                acc = int(gf.add[acc, gf.mul[mat[i][j], pt[j]]])
-            out[i] = acc
-        # normalize the last nonzero coordinate to 1
-        for k in (2, 1, 0):
-            if out[k] != 0:
-                w = int(gf.inv[out[k]])
-                out = [int(gf.mul[v, w]) for v in out]
-                break
-        images.append(lookup[tuple(out)])
-    return Permutation(images)
-
-
-def _elementary(gf: GF, i: int, j: int, alpha: int) -> tuple[tuple[int, ...], ...]:
-    mat = [[1 if r == c else 0 for c in range(3)] for r in range(3)]
-    mat[i][j] = alpha
-    return tuple(tuple(row) for row in mat)
+    return build_psl(2, q, cap)
 
 
 def build_psl3(q: int, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     """PSL(3, q) acting on the q^2+q+1 points of the projective plane."""
-    p, e = _factor_prime_power(q)
-    order = _psl3_order(q)
-    if order > cap:
-        raise CapExceeded(f"PSL(3,{q}) has order {order} > cap {cap}")
-    gf = GF(q)
-    gamma = gf.primitive_element()
-    gens = []
-    for i, j in ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)):
-        alpha = 1
-        for _ in range(e):
-            gens.append(_plane_permutation(gf, _elementary(gf, i, j, alpha)))
-            alpha = int(gf.mul[alpha, gamma])
-    group = closure(
-        gens,
-        cap=order + 1,
-        label=f"PSL(3,{q})",
-        characteristic=p,
-        field_order=q,
-        simple=True,
-    )
-    if group.n != order:
-        raise NormGrowthError(f"PSL(3,{q}) closure gave {group.n}, want {order}")
-    return group
+    return build_psl(3, q, cap)

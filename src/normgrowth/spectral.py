@@ -19,7 +19,8 @@ from .growth import product_set
 from .permgroup import _CHUNK_ROWS, ClassTable, FiniteGroup
 from .subsets import NormalSubset, SubsetLike, subset_mask
 
-DEFAULT_DENSE_CAP = 2500
+# largest order solved densely; above it, power iteration and translates
+DENSE_CAP = 2500
 
 
 def eigenvalues_normal(tab: CharacterTable, s: NormalSubset) -> np.ndarray:
@@ -77,14 +78,10 @@ def deflated_lambda(group: FiniteGroup, weights: np.ndarray) -> float:
     return math.sqrt(max(float(eigs[:, -1].max()), 0.0))
 
 
-def lambda_direct(
-    s: NormalSubset,
-    dense_cap: int = DEFAULT_DENSE_CAP,
-    seed: int = 0,
-) -> float:
+def lambda_direct(s: NormalSubset, seed: int = 0) -> float:
     """Second singular value of the walk matrix M of Cay(G, S).
 
-    When n <= dense_cap, the blocked dense solve of `deflated_lambda`; else
+    When n <= DENSE_CAP, the blocked dense solve of `deflated_lambda`; else
     power iteration on MM^t restricted to the complement of the all-ones
     vector.
     """
@@ -93,7 +90,7 @@ def lambda_direct(
     n = s.group.n
     if n == 1:
         return 0.0
-    if n <= dense_cap:
+    if n <= DENSE_CAP:
         return deflated_lambda(s.group, s.mask / s.size)
     return _power_lambda(s, seed)
 
@@ -204,11 +201,10 @@ def spectral_report(
     tab: CharacterTable,
     s: NormalSubset,
     expr: str = "",
-    dense_cap: int = DEFAULT_DENSE_CAP,
     seed: int = 0,
 ) -> SpectralReport:
     """lambda by both routes for S, a union of classes of `ct` in `group`."""
-    lam_dir = lambda_direct(s, dense_cap=dense_cap, seed=seed)
+    lam_dir = lambda_direct(s, seed=seed)
     if not 0.0 <= lam_dir <= 1.0 + tol.SLACK:
         raise NoConvergence(f"lambda {lam_dir} outside [0, 1]")
     return SpectralReport(
@@ -219,5 +215,5 @@ def spectral_report(
         lambda_direct=lam_dir,
         lambda_char=lambda_normal(tab, s),
         char_eigenvalues=tuple(complex(v) for v in eigenvalues_normal(tab, s)),
-        method="dense" if group.n <= dense_cap else "power",
+        method="dense" if group.n <= DENSE_CAP else "power",
     )

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from normgrowth import permgroup, spectral
 from normgrowth import tolerances as tol
 from normgrowth.cli import main
 from normgrowth.reports import CSV_COLUMNS
@@ -11,6 +12,14 @@ def test_group_summary(capsys):
     assert main(["group", "--group", "A:5"]) == 0
     out = capsys.readouterr().out
     assert "60" in out and "A5" in out
+
+
+def test_group_refuses_order_above_cap(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(permgroup, "closure", lambda *a, **k: calls.append(a))
+    assert main(["group", "--group", "S:8"]) == 1
+    assert "CapExceeded" in capsys.readouterr().err
+    assert calls == []
 
 
 def test_lambda_both_routes(capsys):
@@ -111,12 +120,15 @@ def test_tolerance_override_roundtrip(tmp_path):
         (["growth", "--check", "dichotomy"], "slack=-1e6"),
         (["growth", "--check", "2step", "--trials", "1"], "slack=-1e6"),
         (["growth", "--check", "asymp", "--trials", "2"], "strict-slack=-1e6"),
-        (["lambda", "--subset", "class:1", "--dense-cap", "1"], "power-tol=1e300"),
+        (["lambda", "--subset", "class:1"], "power-tol=1e300"),
         (["chartable", "--verify"], "eigen-collision=1e9"),
     ],
     ids=["dichotomy", "2step", "asymp", "lambda-power", "chartable"],
 )
-def test_tolerance_override_reaches_check(tmp_path, capsys, argv, override):
+def test_tolerance_override_reaches_check(tmp_path, capsys, monkeypatch, argv, override):
+    if argv[0] == "lambda":
+        # force the power-iteration route, whose tolerance is overridden
+        monkeypatch.setattr(spectral, "DENSE_CAP", 1)
     out = tmp_path / "report.json"
     code = main(argv + ["--group", "A:5", "--tolerance", override, "--out", str(out)])
     assert code == 1

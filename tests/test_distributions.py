@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from normgrowth import spectral
 from normgrowth import tolerances as tol
 from normgrowth.chartable import min_nontrivial_degree
 from normgrowth.distributions import (
@@ -82,7 +83,7 @@ def test_convolve_matches_exact_pair_probability(a5):
         )
 
 
-def test_convolve_associative_and_sparse_path(a5):
+def test_convolve_associative_and_sparse_path(a5, monkeypatch):
     g = a5.group
     rng = np.random.default_rng(9)
     x = random_distribution(g.n, rng)
@@ -93,7 +94,8 @@ def test_convolve_associative_and_sparse_path(a5):
     assert np.allclose(left, right, atol=1e-10)
     # forcing the sparse path must not change the result
     dense = convolve(g, x, y).weights
-    sparse = convolve(g, x, y, dense_cap=1).weights
+    monkeypatch.setattr(spectral, "DENSE_CAP", 1)
+    sparse = convolve(g, x, y).weights
     assert np.allclose(dense, sparse, atol=1e-12)
 
 
@@ -112,12 +114,13 @@ def test_bnp_star_uniform_and_points(a5):
         assert check_bnp_star(g, m, x, y).passed
 
 
-def test_wlambda_extremes(a5):
+def test_wlambda_extremes(a5, monkeypatch):
     g = a5.group
     assert weighted_cayley_lambda(g, uniform(g.n)) <= tol.SLACK
     assert weighted_cayley_lambda(g, point_mass(g.n, 0)) == pytest.approx(1.0)
+    monkeypatch.setattr(spectral, "DENSE_CAP", 10)
     with pytest.raises(CapExceeded):
-        weighted_cayley_lambda(g, uniform(g.n), dense_cap=10)
+        weighted_cayley_lambda(g, uniform(g.n))
 
 
 def test_wlambda_contraction_bound(a5):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from normgrowth.context import parse_group_spec
 from normgrowth.errors import (
     CapExceeded,
     EmptyWord,
@@ -14,6 +15,7 @@ from normgrowth.errors import (
 )
 from normgrowth.permgroup import (
     _TABLE_ENTRIES,
+    DEFAULT_ORDER_CAP,
     FiniteGroup,
     Permutation,
     build_alternating,
@@ -129,6 +131,22 @@ def test_builder_caps():
     assert build_alternating(5).simple
     assert not build_alternating(4).simple
     assert not build_symmetric(5).simple
+
+
+@pytest.mark.parametrize(
+    "spec, cap",
+    [("S:5", 100), ("A:6", 100), ("S:8", DEFAULT_ORDER_CAP), ("PSL2:7", 100), ("PSL3:2", 100)],
+)
+def test_parse_group_spec_caps_every_family(spec, cap):
+    with pytest.raises(CapExceeded):
+        parse_group_spec(spec, order_cap=cap)
+
+
+def test_parse_group_spec_caps_generator_file(tmp_path):
+    path = tmp_path / "s5.txt"
+    path.write_text("(0 1)\n(0 1 2 3 4)\n")
+    with pytest.raises(CapExceeded):
+        parse_group_spec(str(path), order_cap=100)
 
 
 def test_index_arithmetic_consistency():

@@ -1,7 +1,10 @@
+import hashlib
 import math
 
+import numpy as np
 import pytest
 
+from normgrowth.context import parse_group_spec
 from normgrowth.errors import CapExceeded, NotPrimePower
 from normgrowth.permgroup import build_alternating, compute_classes
 from normgrowth.psl import GF, build_psl2, build_psl3
@@ -25,12 +28,43 @@ def test_psl2_orders(q):
     assert q % g.characteristic == 0
 
 
-@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("q", [2, 3, 4])
 def test_psl3_orders(q):
     g = build_psl3(q)
     assert g.n == psl3_order(q)
     assert g.degree == q * q + q + 1
     assert g.field_order == q
+
+
+# sha256 of perms.tobytes() and the generator indices: every report body
+# addresses elements by these BFS indices, so a new construction must keep them
+ELEMENT_ORDER = {
+    "S:5": ("4b81e29640714b12ee9bfdc65e00f35b478a374be4b56ff732297140cb1353bf", [1, 2]),
+    "A:7": ("cc74b9f2ed42272fb6dd586c8d298a30f5ec6a4bd1922f579b7e81f1777ae791", [1, 2]),
+    "PSL2:8": ("4401e749a7e36e47cc6855cb927b0a6628c363b23b1dcaa1cb98c154ec5aa5c1", [1, 2, 3, 4, 5, 6]),
+    "PSL2:9": ("928c30ce9429e181e9bb156fac8517b0c1e3ab880dbfcf19a6691f813a1f4722", [1, 2, 3, 4]),
+    "PSL2:11": ("de54d216ac4e2da5ae1ac118250ce4a8b6485b7d6d217de8148405343fb62835", [1, 2]),
+    "PSL3:2": ("e0d23d25fd7af42d1ed598aafed54bd3097c015ccef776e716efbb82d1c1fa19", [1, 2, 3, 4, 5, 6]),
+    "PSL3:3": ("b18fbc890e07f8eabb6c462de231650f6853e9006600a4814590842a095cd4ec", [1, 2, 3, 4, 5, 6]),
+    "PSL3:4": (
+        "525ca9d4c023ceb6fa949a292ff80e460540e3ba650fff5d9bf292a02ecfe019",
+        [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12],
+    ),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(ELEMENT_ORDER))
+def test_element_order_pinned(spec):
+    g = parse_group_spec(spec)
+    digest, gens = ELEMENT_ORDER[spec]
+    assert hashlib.sha256(g.perms.tobytes()).hexdigest() == digest
+    assert list(g.generators) == gens
+    if spec.startswith("PSL"):
+        d, q = int(spec[3]), int(spec[5:])
+        assert g.degree == (q**d - 1) // (q - 1)
+        # a transvection fixes exactly the points of a hyperplane
+        fixed = (g.perms[list(g.generators)] == np.arange(g.degree)).sum(axis=1)
+        assert fixed.tolist() == [(q ** (d - 1) - 1) // (q - 1)] * len(gens)
 
 
 def test_psl2_rejects_bad_q():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from normgrowth import spectral
 from normgrowth import tolerances as tol
 from normgrowth.chartable import character_ratio
 from normgrowth.errors import EmptySubset, NoConvergence
@@ -111,10 +112,11 @@ def test_lambda_routes_agree(fixture, request):
         )
 
 
-def test_power_iteration_matches_dense(psl27):
+def test_power_iteration_matches_dense(psl27, monkeypatch):
     s = NormalSubset.from_classes(psl27.classes, [1])
     dense = lambda_direct(s)
-    power = lambda_direct(s, dense_cap=1)
+    monkeypatch.setattr(spectral, "DENSE_CAP", 1)
+    power = lambda_direct(s)
     assert power == pytest.approx(dense, abs=1e-6)
 
 
@@ -122,8 +124,9 @@ def test_power_iteration_no_convergence(a5, monkeypatch):
     s = NormalSubset.from_classes(a5.classes, [1])
     monkeypatch.setattr(tol, "POWER_MAX_ITER", 2)
     monkeypatch.setattr(tol, "POWER_TOL", 1e-15)
+    monkeypatch.setattr(spectral, "DENSE_CAP", 1)
     with pytest.raises(NoConvergence):
-        lambda_direct(s, dense_cap=1)
+        lambda_direct(s)
 
 
 def test_walk_matrix_stochastic_and_normal(a5):
