@@ -33,7 +33,7 @@ from .growth import (
 )
 from .permgroup import real_census
 from .reports import CheckResult, ReportDocument
-from .spectral import lambda_direct, lambda_normal, mixing_discrepancy
+from .spectral import lambda_direct, lambda_normal, mixing_discrepancies
 from .subsets import NormalSubset, random_normal_subset, random_subset
 
 SPECCHI_GROUPS = ("A:5", "S:5", "PSL2:7", "PSL2:11")
@@ -296,10 +296,12 @@ def criterion_13(profile: str = "quick", seed: int = 0, pairs: int = 500) -> Rep
         for k in range(ctx.classes.n_classes):
             s = NormalSubset.from_classes(ctx.classes, [k])
             rng = np.random.default_rng(seed)
-            for trial in range(pairs):
-                a = random_subset(ctx.n, rng)
-                b = random_subset(ctx.n, rng)
-                lhs, rhs = mixing_discrepancy(s, a, b, ctx.table)
+            chosen = [
+                (random_subset(ctx.n, rng), random_subset(ctx.n, rng))
+                for _ in range(pairs)
+            ]
+            found = mixing_discrepancies(s, chosen, ctx.table)
+            for trial, (lhs, rhs) in enumerate(found):
                 doc.results.append(
                     CheckResult.bound(
                         "mixing", ctx.label, ctx.n, f"class={k};trial={trial}",

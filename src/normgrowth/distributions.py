@@ -11,10 +11,10 @@ from . import spectral
 from . import tolerances as tol
 from .chartable import CharacterTable, min_nontrivial_degree
 from .errors import CapExceeded, EmptySubset
-from .growth import product_set
+from .growth import product_set, product_sizes
 from .permgroup import ClassTable, FiniteGroup
 from .reports import CheckResult, ReportDocument
-from .spectral import deflated_lambda, walk_matrix
+from .spectral import _recounted, convolve_rows, deflated_lambda
 from .subsets import SubsetLike, random_subset, subset_mask
 
 
@@ -70,19 +70,7 @@ def convolve(group: FiniteGroup, x: Distribution, y: Distribution) -> Distributi
     n = group.n
     if x.n != n or y.n != n:
         raise ValueError("distribution length does not match the group order")
-    if n <= spectral.DENSE_CAP:
-        return Distribution(x.weights @ walk_matrix(group, y.weights))
-    out = np.zeros(n)
-    all_idx = np.arange(n)
-    # walk whichever support is smaller
-    if x.support().size <= y.support().size:
-        for g in x.support():
-            # h = g*y sweeps y over the support of Y
-            out[group.mul(g, all_idx)] += x.weights[g] * y.weights
-    else:
-        for g in y.support():
-            out[group.mul(all_idx, g)] += y.weights[g] * x.weights
-    return Distribution(out)
+    return Distribution(convolve_rows(group, x.weights, y.weights))
 
 
 def l2_dist_uniform(x: Distribution) -> float:
@@ -135,14 +123,21 @@ def check_bnp_two_step(
     b_size = int(subset_mask(b).sum())
     if a_size == 0 or b_size == 0:
         raise EmptySubset("A and B must be nonempty")
+    return _bnp2step_record(
+        group, min_nontrivial_degree(tab), a_size, b_size,
+        product_set(group, a, b).size, inputs or f"|A|={a_size};|B|={b_size}",
+    )
+
+
+def _bnp2step_record(
+    group: FiniteGroup, m: int, a_size: int, b_size: int, ab: int, inputs: str
+) -> CheckResult:
+    """The bnp2step record of |AB| against the larger of the two bounds."""
     n = group.n
-    m = min_nontrivial_degree(tab)
-    ab = product_set(group, a, b).size
     strict = n / (1.0 + n * n / (m * a_size * b_size))
     weak = min(n / 2.0, m * a_size * b_size / (2.0 * n))
     return CheckResult.bound(
-        "bnp2step", group.label, n, inputs or f"|A|={a_size};|B|={b_size}",
-        ab, max(strict, weak), op=">",
+        "bnp2step", group.label, n, inputs, ab, max(strict, weak), op=">"
     )
 
 
@@ -198,17 +193,18 @@ def sweep_bnp_two_step(
     seed: int = 0,
 ) -> ReportDocument:
     rng = np.random.default_rng(seed)
+    m = min_nontrivial_degree(tab)
+    chosen = [
+        (random_subset(group.n, rng), random_subset(group.n, rng)) for _ in range(pairs)
+    ]
+    sizes = [int(product_sizes(group, a, b.mask)) for a, b in chosen]
+    _recounted(
+        f"{group.label} kernel", chosen, sizes, lambda a, b: product_set(group, a, b).size
+    )
     records = []
-    for t in range(pairs):
-        a = random_subset(group.n, rng)
-        b = random_subset(group.n, rng)
-        rec = check_bnp_two_step(
-            group,
-            tab,
-            a,
-            b,
-            inputs=f"trial={t};seed={seed};|A|={a.size};|B|={b.size}",
-        )
+    for t, ((a, b), ab) in enumerate(zip(chosen, sizes)):
+        inputs = f"trial={t};seed={seed};|A|={a.size};|B|={b.size}"
+        rec = _bnp2step_record(group, m, a.size, b.size, ab, inputs)
         rec.seed = seed
         records.append(rec)
     return ReportDocument(

@@ -17,6 +17,10 @@ class NotPrimePower(NormGrowthError):
     """A field size is not a supported prime power."""
 
 
+class UnsupportedPrimePower(NotPrimePower):
+    """A field size is a prime power that the builders do not support."""
+
+
 class NoCharacteristic(NormGrowthError):
     """A coprime-order census was requested on a group with no characteristic."""
 

@@ -2,13 +2,15 @@
 
 Every check computes its left-hand side by exact counting and its right-hand
 side from the certified character table.  Products of two normal subsets
-are counted on the class multiplication tensor (`class_pair_counts`); every
-check and sweep that does so recounts an evenly spaced sample of at most
-BRUTE_FORCE_SAMPLE of its (A, B) pairs on the elements, with `pair_count` or
-`product_set`, and raises `CountMismatch` on any disagreement.  The table is
-computed from the same tensor, so the sample keeps the two routes
-independent.  Products with arbitrary element sets are counted on the
-elements only.
+are counted on the class multiplication tensor (`class_pair_counts`).
+Products of many element sets with one fixed set are counted by
+`product_sizes`: one `spectral.convolve_rows` call up to the dense cap, one
+`product_set` per set above it.  Every tensor-routed check or sweep, and
+every sweep through `product_sizes`, recounts an evenly spaced sample of at
+most `spectral.BRUTE_FORCE_SAMPLE` of its (A, B) pairs with `pair_count` or
+`product_set` on the chunked `mul` path, and raises `CountMismatch` on any
+disagreement.  The table is computed from the same tensor, so the sample
+keeps the two routes independent.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from . import spectral
 from . import tolerances as tol
 from .chartable import (
     CharacterTable,
@@ -27,9 +30,10 @@ from .chartable import (
     frobenius_tensor,
     r_extremes,
 )
-from .errors import CountMismatch, NotLieType, TrivialSubset
+from .errors import NotLieType, TrivialSubset
 from .permgroup import _CHUNK_ROWS, ClassTable, FiniteGroup, word_image
 from .reports import CheckResult, ReportDocument
+from .spectral import _recounted, _spread, convolve_rows
 from .subsets import (
     NormalSubset,
     Subset,
@@ -44,8 +48,6 @@ from .subsets import (
 # exhaustive union sweeps are allowed while 2^(k-1) stays at or below this
 EXHAUSTIVE_UNION_CAP = 4096
 RANDOM_UNION_SAMPLES = 10_000
-# (A, B) pairs of one tensor-routed check or sweep recounted on the elements
-BRUTE_FORCE_SAMPLE = 8
 
 # the old name of the report type; perfbench/workloads.py still builds an empty
 # sweep report as GrowthReport("wlambda", "")
@@ -65,6 +67,24 @@ def product_set(group: FiniteGroup, a: SubsetLike, b: SubsetLike) -> Subset:
         if out.all():
             break
     return Subset(out)
+
+
+def product_sizes(group: FiniteGroup, fixed: SubsetLike, rows: np.ndarray) -> np.ndarray:
+    """|F R| for each row R of a stack of set masks (or for one mask), F = `fixed`.
+
+    Up to `spectral.DENSE_CAP`, one `convolve_rows` call: (F R)^-1 =
+    R^-1 F^-1, whose size is the number of positive entries per row of the
+    inverted rows against the inverted F.  Above the cap that call would walk
+    an n-wide translate per element of the smaller support, so each row is
+    `product_set(F, R)` instead, which stops once the product covers G.
+    """
+    rows = np.asarray(rows, dtype=bool)
+    if group.n <= spectral.DENSE_CAP:
+        inv = group.inverse_of
+        counts = convolve_rows(group, rows[..., inv], subset_mask(fixed)[inv])
+        return (counts > 0).sum(axis=-1)
+    sizes = [product_set(group, fixed, r).size for r in rows.reshape(-1, group.n)]
+    return np.array(sizes).reshape(rows.shape[:-1])
 
 
 def pair_count(group: FiniteGroup, a: SubsetLike, b: SubsetLike, g: int) -> int:
@@ -120,40 +140,34 @@ def _tensor_counts(
     out = np.zeros((len(pairs), ct.n_classes), dtype=np.int64)
     for t, (a, b) in enumerate(pairs):
         out[t] = class_pair_counts(ct, [a], [b])[0, 0]
-    return _recounted(ct, pairs, out, by_product_set)
+    return _recounted_classes(ct, pairs, out, by_product_set)
 
 
-def _spread(count: int) -> list[int]:
-    """At most BRUTE_FORCE_SAMPLE evenly spaced positions in range(count), ends included."""
-    if count <= BRUTE_FORCE_SAMPLE:
-        return list(range(count))
-    # the spacing (count - 1) / (BRUTE_FORCE_SAMPLE - 1) exceeds 1, so no two coincide
-    return [i * (count - 1) // (BRUTE_FORCE_SAMPLE - 1) for i in range(BRUTE_FORCE_SAMPLE)]
-
-
-def _recounted(
+def _recounted_classes(
     ct: ClassTable, pairs: Sequence[tuple], counts: np.ndarray, by_product_set: bool
 ) -> np.ndarray:
     """`counts` of the (A, B) pairs, once a sample of them is recounted on the elements.
 
     With `by_product_set` the sample's product sets must be the classes with a
-    positive count; otherwise every count must equal `pair_count` at the
-    class representative.
+    positive count, whole; otherwise every count must equal `pair_count` at
+    the class representative.
     """
     group = ct.group
-    for t in _spread(len(pairs)):
-        a, b = pairs[t]
-        if by_product_set:
-            want = ct.mask_of_classes(np.flatnonzero(counts[t]))
-            same = np.array_equal(product_set(group, a, b).mask, want)
-        else:
-            brute = [pair_count(group, a, b, int(g)) for g in ct.reps]
-            same = brute == counts[t].tolist()
-        if not same:
-            raise CountMismatch(
-                f"{group.label}: class-tensor counts {counts[t].tolist()} for "
-                f"A={a.expr()}, B={b.expr()} disagree with the elements"
-            )
+    label = f"{group.label} class tensor"
+    if by_product_set:
+        # elements of A*B per class: all of a class with a positive count, else
+        # none; formed for the sampled pairs only, as `counts` may be large
+        whole = {t: (counts[t] > 0) * ct.sizes for t in _spread(len(pairs))}
+
+        def per_class(a, b):
+            return np.bincount(ct.class_of[product_set(group, a, b).mask], minlength=ct.n_classes)
+
+        _recounted(label, pairs, whole, per_class)
+    else:
+        def at_reps(a, b):
+            return [pair_count(group, a, b, int(g)) for g in ct.reps]
+
+        _recounted(label, pairs, counts, at_reps)
     return counts
 
 
@@ -173,15 +187,23 @@ def check_2step(
     """
     require_nonempty(a, "A")
     require_nonempty(b, "B")
-    n = group.n
     b_size = int(subset_mask(b).sum())
     r_min, _ = r_extremes(tab, a)
     ab = product_set(group, a, b).size
+    return _2step_record(
+        group, r_min, b_size, ab, inputs or f"A={a.expr()};|B|={b_size}"
+    )
+
+
+def _2step_record(
+    group: FiniteGroup, r_min: float, b_size: int, ab: int, inputs: str
+) -> CheckResult:
+    """The 2step record of |AB| against the bounds from R = min ratio on A."""
+    n = group.n
     bound = n / (1.0 + r_min * r_min * (n / b_size - 1.0))
     weak = min(n / 2.0, b_size / (2.0 * r_min * r_min)) if r_min > 0 else n / 2.0
     return CheckResult.bound(
-        "2step", group.label, n, inputs or f"A={a.expr()};|B|={b_size}",
-        ab, max(bound, weak), tol.SLACK, ">=",
+        "2step", group.label, n, inputs, ab, max(bound, weak), tol.SLACK, ">="
     )
 
 
@@ -559,21 +581,26 @@ def sweep_2step(
     b_per_a: int = 100,
     seed: int = 0,
 ) -> ReportDocument:
-    """Every normal A (exhaustive unions) against seeded random element sets B."""
+    """Every normal A (exhaustive unions) against seeded random element sets B.
+
+    Per A, its B are stacked as rows and counted with one `product_sizes`
+    call.
+    """
     rng = np.random.default_rng(seed)
-    records = []
+    records, pairs, sizes = [], [], []
     for a in _union_sweep(ct, include_identity_class=True, seed=seed):
-        for trial in range(b_per_a):
-            b = random_subset(group.n, rng)
-            records.append(
-                check_2step(
-                    group,
-                    tab,
-                    a,
-                    b,
-                    inputs=f"A={a.expr()};B=random(seed={seed},trial={trial},|B|={b.size})",
-                )
-            )
+        bs = [random_subset(group.n, rng) for _ in range(b_per_a)]
+        rows = np.array([b.mask for b in bs], dtype=bool).reshape(-1, group.n)
+        counts = product_sizes(group, a, rows).tolist()
+        r_min, _ = r_extremes(tab, a)
+        for trial, (b, ab) in enumerate(zip(bs, counts)):
+            inputs = f"A={a.expr()};B=random(seed={seed},trial={trial},|B|={b.size})"
+            records.append(_2step_record(group, r_min, b.size, ab, inputs))
+        pairs += [(a, b) for b in bs]
+        sizes += counts
+    _recounted(
+        f"{group.label} kernel", pairs, sizes, lambda a, b: product_set(group, a, b).size
+    )
     return ReportDocument(title=f"growth 2step {group.label}", results=records)
 
 
@@ -594,7 +621,7 @@ def sweep_gowers2(
     grid = class_pair_counts(ct, pool, pool).reshape(len(pairs), ct.n_classes)
     ratios = _class_ratios(tab)
     records = []
-    for (a, b), row in zip(pairs, _recounted(ct, pairs, grid, True)):
+    for (a, b), row in zip(pairs, _recounted_classes(ct, pairs, grid, True)):
         records.extend(_gowers2_records(group, ratios, a, b, row, range(1, ct.n_classes)))
     return ReportDocument(title=f"growth gowers2 {group.label}", results=records)
 
@@ -611,7 +638,7 @@ def sweep_asymp(
         pool = _union_sweep(ct, include_identity_class=True, seed=seed)
         chosen = [(a, b) for a in pool for b in pool]
         grid = class_pair_counts(ct, pool, pool).reshape(len(chosen), ct.n_classes)
-        counts = _recounted(ct, chosen, grid, False)
+        counts = _recounted_classes(ct, chosen, grid, False)
         names = [""] * len(chosen)
     else:
         rng = np.random.default_rng(seed)

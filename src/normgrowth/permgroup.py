@@ -373,33 +373,45 @@ def closure_of_order(
     return group
 
 
+def _factorial(m: int, cap: int, label: str) -> int:
+    """m!, or CapExceeded on m alone when m > cap.
+
+    The group's order is at least m, and forming m! takes time that grows
+    with m, so a huge m is refused before its factorial is formed.
+    """
+    if m > cap:
+        raise CapExceeded(f"{label} has order at least {m} > cap {cap}")
+    return math.factorial(m)
+
+
 def build_symmetric(m: int, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
-    """The symmetric group on m points, 2 <= m <= 9."""
-    if not 2 <= m <= 9:
-        raise CapExceeded(f"symmetric group size {m} outside supported range 2..9")
+    """The symmetric group on m >= 2 points."""
+    if m < 2:
+        raise ParseError(f"symmetric group needs at least 2 points, got {m}")
+    order = _factorial(m, cap, f"S{m}")
     cycles = [(0, 1)] + ([tuple(range(m))] if m > 2 else [])
     return closure_of_order(
-        lambda: [Permutation.from_cycles([c], m) for c in cycles],
-        math.factorial(m), cap, f"S{m}",
+        lambda: [Permutation.from_cycles([c], m) for c in cycles], order, cap, f"S{m}"
     )
 
 
 def build_alternating(m: int, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
-    """The alternating group on m points, 2 <= m <= 9."""
-    if not 2 <= m <= 9:
-        raise CapExceeded(f"alternating group size {m} outside supported range 2..9")
+    """The alternating group on m >= 2 points."""
+    if m < 2:
+        raise ParseError(f"alternating group needs at least 2 points, got {m}")
     if m == 2:
         # trivial group acting on two points, within any cap
         return FiniteGroup(
             np.arange(2, dtype=np.int32)[None, :], "A2", generator_indices=[]
         )
+    order = _factorial(m, cap, f"A{m}") // 2
     # (0 1 2) and, past A3, an odd-length cycle: all m points or the m - 1 past 0
     cycles = [(0, 1, 2)]
     if m > 3:
         cycles.append(tuple(range(m)) if m % 2 == 1 else tuple(range(1, m)))
     return closure_of_order(
         lambda: [Permutation.from_cycles([c], m) for c in cycles],
-        math.factorial(m) // 2, cap, f"A{m}", simple=m >= 5,
+        order, cap, f"A{m}", simple=m >= 5,
     )
 
 

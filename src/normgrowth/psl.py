@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .errors import NormGrowthError, NotPrimePower
+from .errors import NormGrowthError, NotPrimePower, UnsupportedPrimePower
 from .permgroup import DEFAULT_ORDER_CAP, FiniteGroup, Permutation, closure_of_order
 
 # monic irreducibles over GF(p), little-endian coefficient lists (constant first)
@@ -54,7 +54,7 @@ class GF:
         p, e = _factor_prime_power(q)
         self.q, self.p, self.e = q, p, e
         if e > 1 and q not in _IRREDUCIBLE:
-            raise NotPrimePower(f"GF({q}) has no irreducible on file")
+            raise UnsupportedPrimePower(f"GF({q}) has no irreducible on file")
         add = np.zeros((q, q), dtype=np.int64)
         mul = np.zeros((q, q), dtype=np.int64)
         for a in range(q):
@@ -161,7 +161,7 @@ def build_psl(d: int, q: int, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     p, e = _factor_prime_power(q)
     if d == 2 and q < 4:
         # PSL(2, 2) and PSL(2, 3) are solvable
-        raise NotPrimePower(f"PSL(2, q) needs q >= 4, got {q}")
+        raise UnsupportedPrimePower(f"PSL(2, q) needs q >= 4, got {q}")
     order = q ** (d * (d - 1) // 2) * math.prod(q**i - 1 for i in range(2, d + 1))
     order //= math.gcd(d, q - 1)
 

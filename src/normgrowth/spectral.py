@@ -2,25 +2,29 @@
 
 Arc g -> h iff g^-1 h in S.  The expansion lambda is computed twice: from
 the elements (a dense solve split by a cyclic subgroup, or power iteration)
-and from the characters.
+and from the characters.  `convolve_rows` is the one kernel that counts
+products with a fixed set on the elements: product sets, arc counts and
+convolutions.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import tolerances as tol
-from .errors import EmptySubset, NoConvergence, NotNormal
+from .errors import CountMismatch, EmptySubset, NoConvergence, NotNormal
 from .chartable import CharacterTable
-from .growth import product_set
 from .permgroup import _CHUNK_ROWS, ClassTable, FiniteGroup
 from .subsets import NormalSubset, SubsetLike, subset_mask
 
 # largest order solved densely; above it, power iteration and translates
 DENSE_CAP = 2500
+# records of one batched check or sweep recounted on the chunked `mul` path
+BRUTE_FORCE_SAMPLE = 8
 
 
 def eigenvalues_normal(tab: CharacterTable, s: NormalSubset) -> np.ndarray:
@@ -52,6 +56,70 @@ def walk_matrix(group: FiniteGroup, weights: np.ndarray) -> np.ndarray:
     w = 1_S / |S| gives the random walk on Cay(G, S).
     """
     return weights[group.division_table()]
+
+
+def convolve_rows(group: FiniteGroup, rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """out[t, h] = sum over g of rows[t, g] w(g^-1 h), for one row or a stack.
+
+    With 0/1 rows of sets R_t and w = 1_F, out[t, h] counts the pairs
+    (r, f) in R_t x F with r f = h, so the positive entries of row t are
+    the product set R_t F.  When n <= DENSE_CAP, one matmul against
+    `walk_matrix`.  Above it, translates by whichever support is smaller:
+    one row with no more support than w sums the left translates of w by
+    it; otherwise the rows' right translates by the support of w are
+    summed, rows in blocks that keep every temporary under _CHUNK_ROWS
+    entries.  Every route reads only element products, and float64 holds
+    these counts exactly.
+    """
+    rows = np.asarray(rows, dtype=np.float64)
+    weights = np.asarray(weights, dtype=np.float64)
+    n = group.n
+    if n <= DENSE_CAP:
+        return rows @ walk_matrix(group, weights)
+    all_idx = np.arange(n)
+    support = np.flatnonzero(weights)
+    if rows.ndim == 1 and np.count_nonzero(rows) <= support.size:
+        out = np.zeros(n)
+        for g in np.flatnonzero(rows):
+            # h = g*f sweeps w over the left translate g F
+            out[group.mul(g, all_idx)] += rows[g] * weights
+        return out
+    block = rows.reshape(-1, n)
+    out = np.zeros_like(block)
+    step = max(1, _CHUNK_ROWS // n)
+    for f in support:
+        # g -> g*f moves the rows' weight at g onto g*f
+        right = group.mul(all_idx, f)
+        for lo in range(0, block.shape[0], step):
+            out[lo : lo + step, right] += weights[f] * block[lo : lo + step]
+    return out.reshape(rows.shape)
+
+
+def _spread(count: int) -> list[int]:
+    """At most BRUTE_FORCE_SAMPLE evenly spaced positions in range(count), ends included."""
+    if count <= BRUTE_FORCE_SAMPLE:
+        return list(range(count))
+    # the spacing (count - 1) / (BRUTE_FORCE_SAMPLE - 1) exceeds 1, so no two coincide
+    return [i * (count - 1) // (BRUTE_FORCE_SAMPLE - 1) for i in range(BRUTE_FORCE_SAMPLE)]
+
+
+def _recounted(
+    label: str, pairs: Sequence[tuple], counts: Sequence, brute: Callable
+) -> Sequence:
+    """`counts` of the (A, B) pairs, once an evenly spaced sample is recounted.
+
+    `brute(a, b)` recounts one pair on the chunked `mul` path; a result that
+    differs from its entry of `counts` raises `CountMismatch`.
+    """
+    for t in _spread(len(pairs)):
+        a, b = pairs[t]
+        want = brute(a, b)
+        if not np.array_equal(want, counts[t]):
+            raise CountMismatch(
+                f"{label}: pair {t} counts {np.asarray(counts[t]).tolist()}, "
+                f"the elements {np.asarray(want).tolist()}"
+            )
+    return counts
 
 
 def deflated_lambda(group: FiniteGroup, weights: np.ndarray) -> float:
@@ -150,15 +218,17 @@ def check_vertex_expansion(
 ) -> tuple[int, float]:
     """(|N(B)|, guaranteed lower bound |B| / ((1-a) lambda^2 + a)), a = |B|/n.
 
-    N(B) = B*S is the out-neighborhood; lambda comes from the characters.
+    N(B) = B*S is the out-neighborhood, counted with `convolve_rows`; lambda
+    comes from the characters.
     """
-    b_size = int(subset_mask(b).sum())
+    b_mask = subset_mask(b)
+    b_size = int(b_mask.sum())
     if b_size == 0:
         raise EmptySubset("B is empty")
     lam = lambda_normal(tab, s)
     alpha = b_size / s.group.n
     bound = b_size / ((1.0 - alpha) * lam * lam + alpha)
-    return product_set(s.group, b, s).size, bound
+    return int((convolve_rows(s.group, b_mask, s.mask) > 0).sum()), bound
 
 
 def mixing_discrepancy(
@@ -168,12 +238,44 @@ def mixing_discrepancy(
     tab: CharacterTable,
 ) -> tuple[float, float]:
     """lhs = |e(A,B)/(dn) - alpha beta|, rhs = lambda sqrt(ab(1-a)(1-b))."""
-    n = s.group.n
-    alpha = subset_mask(a).sum() / n
-    beta = subset_mask(b).sum() / n
+    a_size = int(subset_mask(a).sum())
+    b_size = int(subset_mask(b).sum())
     lam = lambda_normal(tab, s)
-    e = arc_count(s, a, b)
-    lhs = abs(e / (s.size * n) - alpha * beta)
+    return _mixing_bound(s.group.n, s.size, lam, a_size, b_size, arc_count(s, a, b))
+
+
+def mixing_discrepancies(
+    s: NormalSubset,
+    pairs: Sequence[tuple[SubsetLike, SubsetLike]],
+    tab: CharacterTable,
+) -> list[tuple[float, float]]:
+    """`mixing_discrepancy` of every (A, B) pair, from one kernel call.
+
+    Stacking the A as rows, e(A, B) is the row sum of
+    convolve_rows(G, A, 1_S) * B.  An evenly spaced sample of at most
+    BRUTE_FORCE_SAMPLE pairs is recounted with `arc_count`, and any
+    disagreement raises `CountMismatch`.
+    """
+    group = s.group
+    n = group.n
+    lam = lambda_normal(tab, s)
+    a_rows = np.array([subset_mask(a) for a, _ in pairs], dtype=bool).reshape(-1, n)
+    b_rows = np.array([subset_mask(b) for _, b in pairs], dtype=bool).reshape(-1, n)
+    arcs = (convolve_rows(group, a_rows, s.mask) * b_rows).sum(axis=1)
+    _recounted(f"{group.label} arcs", pairs, arcs, lambda a, b: arc_count(s, a, b))
+    return [
+        _mixing_bound(n, s.size, lam, int(a.sum()), int(b.sum()), int(e))
+        for a, b, e in zip(a_rows, b_rows, arcs)
+    ]
+
+
+def _mixing_bound(
+    n: int, d: int, lam: float, a_size: int, b_size: int, arcs: int
+) -> tuple[float, float]:
+    """(lhs, rhs) of the mixing bound from |A|, |B| and e(A, B)."""
+    alpha = a_size / n
+    beta = b_size / n
+    lhs = abs(arcs / (d * n) - alpha * beta)
     rhs = lam * np.sqrt(alpha * (1 - alpha) * beta * (1 - beta))
     return float(lhs), float(rhs)
 

@@ -5,9 +5,20 @@ pass/fail line, and fails loudly with the offending records if any
 check inside the criterion failed.
 """
 
+import hashlib
+import json
+
 import pytest
 
 from normgrowth.acceptance import CRITERIA
+
+# sha256 of the seed-0 report bodies of the criteria counted by
+# `spectral.convolve_rows`, as the record-by-record `mul` path gave them
+KERNEL_BODIES = {
+    3: "56bf79683f74b983fdeeb12562bc492c1afd34908365bf1179dc7801297becfc",
+    11: "2c8d5749564e126aeca685d23fd9303f24bd87e67963f6bf167c7e6d583b884a",
+    13: "f1d46a74cc866562e00c2a341e55582847d16a80c1ec14dbefad8a9d35253d12",
+}
 
 
 def _failure_detail(doc):
@@ -38,3 +49,10 @@ def test_criterion(number, title, func, capsys):
     # a record that held had room to spare, tolerance included
     negative = [r for r in doc.results if not r.skipped and r.margin < 0]
     assert not negative, f"criterion {number}: passing records with a negative margin"
+
+
+@pytest.mark.parametrize("number", sorted(KERNEL_BODIES))
+def test_kernel_criteria_bodies_are_pinned(number):
+    func = {num: f for num, _, f in CRITERIA}[number]
+    body = json.dumps(func(profile="quick", seed=0).body_dict(), sort_keys=True)
+    assert hashlib.sha256(body.encode()).hexdigest() == KERNEL_BODIES[number]

@@ -166,6 +166,8 @@ def test_bad_tolerance_name_exits_2(capsys, name):
 def test_bad_group_spec_exits_2(capsys):
     assert main(["group", "--group", "Q:9"]) == 2
     assert main(["group", "--group", "S:x"]) == 2
+    assert main(["group", "--group", "A:1"]) == 2
+    assert main(["group", "--group", "S:0"]) == 2
 
 
 def test_bad_subset_exits_2(capsys):

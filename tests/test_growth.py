@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from normgrowth.chartable import character_ratio, class_tensor, frobenius_tensor, r_extremes
-from normgrowth import growth
+from normgrowth import growth, spectral
 from normgrowth.context import get_context
+from normgrowth.distributions import sweep_bnp_two_step
 from normgrowth.errors import CountMismatch, NotLieType, TrivialSubset
 from normgrowth.growth import (
     check_2step,
@@ -20,6 +21,7 @@ from normgrowth.growth import (
     pab_exact,
     pair_count,
     product_set,
+    product_sizes,
     pyber_report,
     square_growth_survey,
     sweep_2step,
@@ -322,3 +324,61 @@ def test_brute_force_sample_catches_a_wrong_tensor(a5):
         sweep_dichotomy(g, ct, tab)
     # the context's own table keeps its own tensor
     assert sweep_dichotomy(g, a5.classes, tab).fail_count == 0
+
+
+@pytest.mark.parametrize("cap", [None, 59])
+def test_2step_sweep_counts_every_product(a5, cap, monkeypatch):
+    """Each record's |AB| is the size of A*B, drawn in the sweep's rng order.
+
+    With the dense cap below n, `product_sizes` takes its product-set route.
+    """
+    g, ct, tab = a5.group, a5.classes, a5.table
+    if cap is not None:
+        monkeypatch.setattr(spectral, "DENSE_CAP", cap)
+    rep = sweep_2step(g, ct, tab, b_per_a=3, seed=5)
+    rng = np.random.default_rng(5)
+    want = [
+        product_set(g, a, random_subset(g.n, rng)).size
+        for a in enumerate_normal_subsets(ct)
+        for _ in range(3)
+    ]
+    assert [r.lhs for r in rep.results] == want
+
+
+@pytest.mark.parametrize("cap", [None, 59])
+def test_product_sizes_put_the_fixed_set_on_the_left(a5, cap, monkeypatch):
+    """|F R| per row on both routes, for small sets where |F R| and |R F| differ."""
+    g = a5.group
+    if cap is not None:
+        monkeypatch.setattr(spectral, "DENSE_CAP", cap)
+    rng = np.random.default_rng(3)
+    fixed = Subset.from_indices(g.n, rng.choice(g.n, 4, replace=False))
+    rows = np.zeros((12, g.n), dtype=bool)
+    for r in rows:
+        r[rng.choice(g.n, 3, replace=False)] = True
+    left = [product_set(g, fixed, r).size for r in rows]
+    assert left != [product_set(g, r, fixed).size for r in rows]
+    assert product_sizes(g, fixed, rows).tolist() == left
+    assert product_sizes(g, fixed, rows[0]) == left[0]
+
+
+def test_brute_force_sample_catches_a_wrong_kernel(a5, psl27, monkeypatch):
+    """A kernel that loses one entry of its first row must be caught.
+
+    The first record of every sweep is in its sample, and losing the largest
+    count of the first row drops one element from that record's product set.
+    """
+    bad = growth.convolve_rows
+    monkeypatch.setattr(growth, "convolve_rows", lambda *args: _zero_first_max(bad(*args)))
+    for ctx in (a5, psl27):
+        with pytest.raises(CountMismatch):
+            sweep_2step(ctx.group, ctx.classes, ctx.table, b_per_a=4, seed=0)
+        with pytest.raises(CountMismatch):
+            sweep_bnp_two_step(ctx.group, ctx.table, pairs=10, seed=0)
+
+
+def _zero_first_max(out):
+    """A miscount: the largest entry of the first row set to 0."""
+    first = out.reshape(-1, out.shape[-1])[0]
+    first[np.argmax(first)] = 0
+    return out

@@ -1,10 +1,12 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from normgrowth import permgroup
 from normgrowth.context import parse_group_spec
 from normgrowth.errors import (
     CapExceeded,
@@ -126,11 +128,23 @@ def test_alternating_orders(m, order):
 def test_builder_caps():
     with pytest.raises(CapExceeded):
         build_symmetric(10)
-    with pytest.raises(CapExceeded):
+    with pytest.raises(ParseError):
         build_alternating(1)
+    with pytest.raises(ParseError):
+        build_symmetric(1)
     assert build_alternating(5).simple
     assert not build_alternating(4).simple
     assert not build_symmetric(5).simple
+
+
+def test_builders_refuse_a_huge_m_before_its_factorial(monkeypatch):
+    def factorial(m):
+        raise AssertionError(f"formed {m}!")
+
+    monkeypatch.setattr(permgroup, "math", SimpleNamespace(factorial=factorial))
+    for build in (build_symmetric, build_alternating):
+        with pytest.raises(CapExceeded):
+            build(10**6)
 
 
 @pytest.mark.parametrize(

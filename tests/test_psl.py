@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from normgrowth.context import parse_group_spec
-from normgrowth.errors import CapExceeded, NotPrimePower
+from normgrowth.errors import CapExceeded, NotPrimePower, UnsupportedPrimePower
 from normgrowth.permgroup import build_alternating, compute_classes
 from normgrowth.psl import GF, build_psl2, build_psl3
 
@@ -77,6 +77,19 @@ def test_psl2_rejects_bad_q():
         build_psl2(2)
     with pytest.raises(NotPrimePower):
         build_psl2(3)
+
+
+def test_unsupported_prime_powers_are_told_apart():
+    """q = 6 is no prime power; 32, 2 and 3 are, but have no builder."""
+    for build in (GF, build_psl2):
+        with pytest.raises(NotPrimePower) as exc:
+            build(6)
+        assert not isinstance(exc.value, UnsupportedPrimePower)
+    with pytest.raises(UnsupportedPrimePower):
+        GF(32)
+    for q in (2, 3):
+        with pytest.raises(UnsupportedPrimePower):
+            build_psl2(q)
 
 
 def test_psl_caps():

@@ -159,6 +159,17 @@ def test_frobenius_oracle_counts_on_the_elements():
     assert not _naming(reached, tensor_names)
 
 
+CHARACTER_NAMES = {
+    "lambda_normal",
+    "eigenvalues_normal",
+    "class_tensor",
+    "class_mult_tensor",
+    "frobenius_tensor",
+    "burnside_dixon_numeric",
+    "tensor",
+}
+
+
 @pytest.mark.parametrize("name", ["lambda_direct", "deflated_lambda"])
 def test_element_lambda_never_reads_the_characters(name):
     """The element route to lambda is checked against the character route.
@@ -168,13 +179,18 @@ def test_element_lambda_never_reads_the_characters(name):
     """
     reached = _reached_functions("spectral.py", name)
     assert ("permgroup.py", "FiniteGroup.cyclic_cosets") in reached
-    character_names = {
-        "lambda_normal",
-        "eigenvalues_normal",
-        "class_tensor",
-        "class_mult_tensor",
-        "frobenius_tensor",
-        "burnside_dixon_numeric",
-        "tensor",
-    }
-    assert not _naming(reached, character_names)
+    assert not _naming(reached, CHARACTER_NAMES)
+
+
+def test_convolve_rows_never_reads_the_characters():
+    """The kernel counts the products that the character bounds are checked on.
+
+    So nothing it reaches may name the character table, the class tensor or
+    the table recovery; both of its routes need only element products.
+    """
+    reached = _reached_functions("spectral.py", "convolve_rows")
+    assert ("spectral.py", "walk_matrix") in reached
+    assert ("permgroup.py", "FiniteGroup.division_table") in reached
+    assert ("permgroup.py", "FiniteGroup.mul") in reached
+    table_names = CHARACTER_NAMES | {"CharacterTable", "compute_character_table"}
+    assert not _naming(reached, table_names)

@@ -6,20 +6,25 @@ import pytest
 from normgrowth import spectral
 from normgrowth import tolerances as tol
 from normgrowth.chartable import character_ratio
-from normgrowth.errors import EmptySubset, NoConvergence
+from normgrowth.context import get_context
+from normgrowth.errors import CountMismatch, EmptySubset, NoConvergence
+from normgrowth.growth import pair_count, product_set
 from normgrowth.spectral import (
     arc_count,
     check_vertex_expansion,
+    convolve_rows,
     deflated_lambda,
     eigenvalues_normal,
     lambda_direct,
     lambda_normal,
+    mixing_discrepancies,
     mixing_discrepancy,
     spectral_report,
     walk_matrix,
 )
 from normgrowth.subsets import (
     NormalSubset,
+    Subset,
     parse_subset_expr,
     random_normal_subset,
     random_subset,
@@ -190,3 +195,63 @@ def test_spectral_report(psl27):
     assert rep.method == "dense"
     assert rep.agree()
     assert len(rep.char_eigenvalues) == psl27.classes.n_classes
+
+
+def kernel_rows(n, rng):
+    """Seeded 0/1 rows: empty, a singleton, the full group, and random sets."""
+    rows = [np.zeros(n, dtype=bool), Subset.from_indices(n, [n - 1]).mask, np.ones(n, dtype=bool)]
+    rows += [random_subset(n, rng).mask for _ in range(5)]
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("spec", ["A:5", "PSL2:7"])
+@pytest.mark.parametrize("route", ["dense", "translates"])
+def test_convolve_rows_counts_products_and_arcs(spec, route, monkeypatch):
+    """Both routes give the pair counts, the product sets and the arc counts."""
+    ctx = get_context(spec)
+    g, n = ctx.group, ctx.n
+    if route == "translates":
+        monkeypatch.setattr(spectral, "DENSE_CAP", n - 1)
+        # blocks of three rows, so the row blocking is exercised too
+        monkeypatch.setattr(spectral, "_CHUNK_ROWS", 3 * n)
+    rng = np.random.default_rng(17)
+    rows = kernel_rows(n, rng)
+    fixed = random_subset(n, rng)
+    out = convolve_rows(g, rows, fixed.mask)
+    assert out.shape == rows.shape
+    for r, got in zip(rows, out):
+        assert got.tolist() == [pair_count(g, r, fixed, h) for h in range(n)]
+        assert np.array_equal(got > 0, product_set(g, r, fixed).mask)
+    # a single row gives the same row as the stack, whichever support is walked
+    for r, got in zip(rows, out):
+        assert np.array_equal(convolve_rows(g, r, fixed.mask), got)
+    s = NormalSubset.from_classes(ctx.classes, [1])
+    b = random_subset(n, rng)
+    arcs = (convolve_rows(g, rows, s.mask) * b.mask).sum(axis=1)
+    assert arcs.tolist() == [arc_count(s, r, b) for r in rows]
+
+
+def test_mixing_batch_recounts_on_the_elements(a5, monkeypatch):
+    g, tab = a5.group, a5.table
+    s = NormalSubset.from_classes(a5.classes, [2])
+    rng = np.random.default_rng(4)
+    # B of the first pair is the whole group, so a lost arc changes e(A, B)
+    pairs = [(random_subset(g.n, rng), Subset.full(g.n))]
+    pairs += [(random_subset(g.n, rng), random_subset(g.n, rng)) for _ in range(20)]
+    found = mixing_discrepancies(s, pairs, tab)
+    assert found == [mixing_discrepancy(s, a, b, tab) for a, b in pairs]
+    for (a, b), (lhs, _) in zip(pairs, found):
+        alpha, beta = a.size / g.n, b.size / g.n
+        assert lhs == abs(arc_count(s, a, b) / (s.size * g.n) - alpha * beta)
+    monkeypatch.setattr(
+        spectral, "convolve_rows", lambda *args: _zero_first_max(convolve_rows(*args))
+    )
+    with pytest.raises(CountMismatch):
+        mixing_discrepancies(s, pairs, tab)
+
+
+def _zero_first_max(out):
+    """A miscount: the largest entry of the first row set to 0."""
+    first = out.reshape(-1, out.shape[-1])[0]
+    first[np.argmax(first)] = 0
+    return out
