@@ -52,6 +52,15 @@ GROWTH_CHECKS = (
 DIST_CHECKS = ("bnp", "bnp2step", "wlambda")
 
 
+def _int_at_least(low: int):
+    """An argparse type for integers >= low; anything else is a usage error."""
+    def integer(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"want an integer >= {low}, got {text}")
+        return int(text)
+    return integer
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="normgrowth",
@@ -60,10 +69,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="base RNG seed")
+    common.add_argument("--seed", type=_int_at_least(0), default=0, help="base RNG seed")
     common.add_argument(
         "--order-cap",
-        type=int,
+        type=_int_at_least(1),
         default=DEFAULT_ORDER_CAP,
         help="refuse to enumerate groups larger than this",
     )
@@ -107,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("growth", parents=[grouped], help="product-set growth checks")
     p.add_argument("--check", required=True, choices=GROWTH_CHECKS)
-    p.add_argument("--trials", type=int, help="trial count for randomized sweeps")
+    p.add_argument("--trials", type=_int_at_least(1), help="trial count for randomized sweeps")
     p.add_argument(
         "--words",
         nargs=2,
@@ -123,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dist", parents=[grouped], help="distribution convolution checks")
     p.add_argument("--check", required=True, choices=DIST_CHECKS)
-    p.add_argument("--trials", type=int, help="trial count")
+    p.add_argument("--trials", type=_int_at_least(1), help="trial count")
 
     p = sub.add_parser("acceptance", parents=[common], help="run the acceptance suite")
     p.add_argument("--profile", choices=sorted(PROFILES), default="quick")

@@ -81,7 +81,6 @@ def get_context(
     spec: str,
     order_cap: int = DEFAULT_ORDER_CAP,
     seed: int = 0,
-    cache: bool = True,
 ) -> GroupContext:
     """Build (or fetch) the full context for a group spec string.
 
@@ -89,13 +88,12 @@ def get_context(
     set of tolerances is never served under another.
     """
     key = (spec, order_cap, seed, *(getattr(tol, a) for a in tol.NAMES.values()))
-    if cache and key in _CACHE:
+    if key in _CACHE:
         return _CACHE[key]
     group = parse_group_spec(spec, order_cap=order_cap)
     ct = compute_classes(group)
     tab = compute_character_table(group, ct, seed=seed)
     ctx = GroupContext(group=group, classes=ct, table=tab)
-    if cache:
-        _CACHE[key] = ctx
+    _CACHE[key] = ctx
     return ctx
 

@@ -445,39 +445,25 @@ class ClassTable:
 
 
 def compute_classes(group: FiniteGroup) -> ClassTable:
-    """Partition the group into conjugacy classes by generator-orbit BFS."""
+    """Partition the group into conjugacy classes by label propagation.
+
+    Each element starts labelled by its own index.  Each round takes the
+    minimum label over its generator conjugates, then follows every label to
+    its own label.  At the fixed point every element carries the smallest
+    index of its class, its representative.
+    """
     n = group.n
-    conj_maps = group.generator_conjugation_maps()
-    assigned = np.full(n, -1, dtype=np.int64)
-    orbits: list[np.ndarray] = []
-    for start in range(n):
-        if assigned[start] >= 0:
-            continue
-        orbit_mask = np.zeros(n, dtype=bool)
-        orbit_mask[start] = True
-        frontier = np.array([start], dtype=np.int64)
-        while frontier.size:
-            images = (
-                np.concatenate([cm[frontier] for cm in conj_maps])
-                if conj_maps
-                else np.empty(0, dtype=np.int64)
-            )
-            fresh = images[~orbit_mask[images]]
-            if fresh.size == 0:
-                break
-            fresh = np.unique(fresh)
-            orbit_mask[fresh] = True
-            frontier = fresh
-        members = np.flatnonzero(orbit_mask)
-        assigned[members] = len(orbits)
-        orbits.append(members)
-    order = sorted(range(len(orbits)), key=lambda i: (len(orbits[i]), orbits[i][0]))
-    classes = tuple(orbits[i] for i in order)
-    class_of = np.empty(n, dtype=np.int64)
-    for new_idx, members in enumerate(classes):
-        class_of[members] = new_idx
-    sizes = np.array([len(c) for c in classes], dtype=np.int64)
-    reps = np.array([c[0] for c in classes], dtype=np.int64)
+    conj = np.array(group.generator_conjugation_maps(), dtype=np.intp).reshape(-1, n)
+    label, prev = np.arange(n), None
+    while not np.array_equal(label, prev):
+        prev = label
+        label = np.minimum(label, label[conj].min(axis=0, initial=n))
+        label = label[label]
+    reps, inverse, sizes = np.unique(label, return_inverse=True, return_counts=True)
+    order = np.lexsort((reps, sizes))
+    reps, sizes = reps[order], sizes[order]
+    class_of = np.argsort(order)[inverse]
+    classes = tuple(np.split(np.argsort(class_of, kind="stable"), np.cumsum(sizes)[:-1]))
     inverse_class = class_of[group.inverse_of[reps]]
     is_real = inverse_class == np.arange(len(classes))
     rep_orders = _orders_of_rows(group.perms[reps])

@@ -32,81 +32,42 @@ def _factor_prime_power(q: int) -> tuple[int, int]:
     """q = p^e with p prime, else NotPrimePower."""
     if q < 2:
         raise NotPrimePower(f"{q} is not a prime power")
-    for p in range(2, q + 1):
-        if p * p > q:
-            return q, 1  # q itself prime
-        if q % p == 0:
-            e = 0
-            rest = q
-            while rest % p == 0:
-                rest //= p
-                e += 1
-            if rest != 1:
-                raise NotPrimePower(f"{q} is not a prime power")
-            return p, e
-    raise NotPrimePower(f"{q} is not a prime power")
+    # the smallest divisor above 1 is prime; q must be a power of it
+    p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
+    e = next(k for k in itertools.count(1) if p**k >= q)
+    if p**e != q:
+        raise NotPrimePower(f"{q} is not a prime power")
+    return p, e
 
 
 class GF:
-    """Arithmetic tables for GF(q), elements encoded as 0..q-1."""
+    """Arithmetic tables for GF(q), elements encoded as 0..q-1.
+
+    Multiplying by a acts on coefficient vectors as sum_i digit_i(a) C^i mod p,
+    with C the companion matrix of the irreducible on file (of t if e = 1).
+    """
 
     def __init__(self, q: int):
         p, e = _factor_prime_power(q)
         self.q, self.p, self.e = q, p, e
         if e > 1 and q not in _IRREDUCIBLE:
             raise UnsupportedPrimePower(f"GF({q}) has no irreducible on file")
-        add = np.zeros((q, q), dtype=np.int64)
-        mul = np.zeros((q, q), dtype=np.int64)
-        for a in range(q):
-            for b in range(q):
-                add[a, b] = self._encode(self._poly_add(self._digits(a), self._digits(b)))
-                mul[a, b] = self._encode(self._poly_mul(self._digits(a), self._digits(b)))
-        self.add, self.mul = add, mul
-        self.neg = np.array(
-            [self._encode([(-c) % p for c in self._digits(a)]) for a in range(q)],
-            dtype=np.int64,
-        )
+        # C sends t^j to t^(j+1), and t^(e-1) to t^e: minus the irreducible's lower terms
+        companion = np.eye(e, k=-1, dtype=np.int64)
+        companion[:, -1] = -np.array(_IRREDUCIBLE.get(q, [0, 1])[:e]) % p
+        powers = np.array([np.linalg.matrix_power(companion, i) % p for i in range(e)])
+        radix = p ** np.arange(e)
+        digits = np.arange(q)[:, None] // radix % p
+        self.add = (digits[:, None] + digits) % p @ radix
+        self.mul = np.einsum("ai,ijk,bk->abj", digits, powers, digits) % p @ radix
+        self.neg = -digits % p @ radix
         inv = np.zeros(q, dtype=np.int64)
         for a in range(1, q):
-            hits = np.flatnonzero(mul[a] == 1)
+            hits = np.flatnonzero(self.mul[a] == 1)
             if hits.size != 1:
                 raise NormGrowthError(f"GF({q}): {a} has {hits.size} inverses")
             inv[a] = hits[0]
         self.inv = inv
-
-    def _digits(self, a: int) -> list[int]:
-        out = []
-        for _ in range(self.e):
-            out.append(a % self.p)
-            a //= self.p
-        return out
-
-    def _encode(self, coeffs: list[int]) -> int:
-        val = 0
-        for c in reversed(coeffs[: self.e]):
-            val = val * self.p + (c % self.p)
-        return val
-
-    def _poly_add(self, a: list[int], b: list[int]) -> list[int]:
-        return [(x + y) % self.p for x, y in zip(a, b)]
-
-    def _poly_mul(self, a: list[int], b: list[int]) -> list[int]:
-        prod = [0] * (2 * self.e - 1)
-        for i, x in enumerate(a):
-            for j, y in enumerate(b):
-                prod[i + j] = (prod[i + j] + x * y) % self.p
-        if self.e == 1:
-            return prod[:1]
-        red = _IRREDUCIBLE[self.q]
-        # reduce modulo the monic irreducible
-        for top in range(len(prod) - 1, self.e - 1, -1):
-            c = prod[top]
-            if c == 0:
-                continue
-            prod[top] = 0
-            for k in range(self.e):
-                prod[top - self.e + k] = (prod[top - self.e + k] - c * red[k]) % self.p
-        return prod[: self.e]
 
     def primitive_element(self) -> int:
         """Smallest element of multiplicative order q-1."""

@@ -46,8 +46,6 @@ class NormalSubset:
 
     ct: ClassTable
     class_indices: tuple[int, ...]
-    mask: np.ndarray
-    symmetric: bool
 
     @classmethod
     def from_classes(cls, ct: ClassTable, indices: Iterable[int]) -> "NormalSubset":
@@ -55,9 +53,7 @@ class NormalSubset:
         for i in idxs:
             if not 0 <= i < ct.n_classes:
                 raise ParseError(f"class index {i} out of range for {ct.group.label}")
-        mask = ct.mask_of_classes(idxs)
-        sym = set(idxs) == {int(ct.inverse_class[i]) for i in idxs}
-        return cls(ct=ct, class_indices=idxs, mask=mask, symmetric=sym)
+        return cls(ct=ct, class_indices=idxs)
 
     @classmethod
     def from_subset(cls, ct: ClassTable, subset: Union[Subset, np.ndarray]) -> "NormalSubset":
@@ -71,9 +67,19 @@ class NormalSubset:
         return cls.from_classes(ct, hit)
 
     @cached_property
+    def mask(self) -> np.ndarray:
+        """Formed on first use: sweeps on the class tensor never read it."""
+        return self.ct.mask_of_classes(self.class_indices)
+
+    @cached_property
+    def symmetric(self) -> bool:
+        idxs = list(self.class_indices)
+        return sorted(self.ct.inverse_class[idxs]) == idxs
+
+    @cached_property
     def size(self) -> int:
         """Counted once: sweeps read it for every pair."""
-        return int(self.mask.sum())
+        return int(self.ct.sizes[list(self.class_indices)].sum())
 
     @property
     def indices(self) -> np.ndarray:

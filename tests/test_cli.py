@@ -182,6 +182,28 @@ def test_missing_arguments_exit_2(capsys):
     assert main(["--help"]) == 0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["growth", "--check", "asymp", "--trials", "0"],
+        ["growth", "--check", "asymp", "--trials", "-3"],
+        ["growth", "--check", "2step", "--trials", "0"],
+        ["dist", "--check", "bnp", "--trials", "0"],
+        ["dist", "--check", "bnp", "--trials", "-3"],
+        ["group", "--seed", "-1"],
+        ["group", "--order-cap", "-5"],
+        ["group", "--order-cap", "0"],
+        ["group", "--order-cap", "many"],
+    ],
+)
+def test_out_of_range_counts_exit_2(tmp_path, capsys, argv):
+    out = tmp_path / "report.json"
+    assert main(argv + ["--group", "A:5", "--out", str(out)]) == 2
+    option = next(a for a in argv if a.startswith("--") and a != "--check")
+    assert f"argument {option}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_generator_file_group(tmp_path, capsys):
     gens = tmp_path / "k4.txt"
     gens.write_text("(0 1) (2 3)\n(0 2) (1 3)\n")

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from types import SimpleNamespace
 
@@ -317,6 +318,59 @@ def test_trivial_group_classes():
     g = closure([Permutation((0,))], cap=2)
     ct = compute_classes(g)
     assert ct.n_classes == 1
+
+
+# sha256 of class_of, sizes and reps: report bodies name classes by index, so
+# a new partition routine must keep the (size, rep) order and the int64 dtype
+CLASS_TABLES = {
+    "S:5": (
+        "4dd90901daeb0c3c17274b9837c2850665cb863722532c272bc4180a8eb04b8e",
+        "384ff1495c0cd44511c52210a98cb4eb21066ebf6acaa06e6fb19e9ea4fc252e",
+        "4f29f7880c71a90f13fd16ff5f48cde8de4c564d774000f6b9414b9b174a5add",
+    ),
+    "A:7": (
+        "ad392c6dfaead0bbf28c02549010e5802b4134f6ebc47418f424b83348b0e32b",
+        "090869739dfdb78ea68423d034a833cb2e9d9b0594a5674eca6137b5cc3be632",
+        "f0bc9dcab61d71d35a618bc73a3cfca24c834332d78d9613c02fdd7bd2227f4d",
+    ),
+    "PSL2:8": (
+        "60f8d3b3286ac3ffae28211315ca6d4b978119dddb87f44353338e7e5dc28359",
+        "3456e065b1108b55f8e1000718402a8c8a5402b4faed3e1fb42dd3d60158e638",
+        "f9c0a117822027edebdcd74956bd075c22b8dcb5b4a039c2991a792ead31f31c",
+    ),
+    "PSL2:9": (
+        "fb1224db1056c7d25d61750dcd041c941d12bc09c76d7a0f8380e5fe2f4ad864",
+        "2b5c6e2760f866f94233637993229ac0b02fa5696b324e5c131a16a737443a77",
+        "4584fb68c19ff1f979fd2faf1d88a475c1a44cf6a9f68fce533f1d5aa335a43b",
+    ),
+    "PSL2:11": (
+        "87b153e358376b063fbee23d6a2954338a6c25a572091af5bb6810dc6bf45dc9",
+        "7120c04fc1c7922b22b04857c9761e37ed14b3720b64bd4a026e8181b3bb7235",
+        "ce70f62e6cb9789bf602868ec1c97cf92f0f7d84b55b252a880d13c2a1823b11",
+    ),
+    "PSL3:2": (
+        "57b05a5658b5d8d26a0b319013bfce2c0cba6d505b7883b984c756d8c4113daa",
+        "9a0976af988f568d39e87d8751a11998186d655be9797920959df1fb70d3b308",
+        "5a30649e3873820c991059b81dc5531dcf60071fb8b25bd203d251023d6123dc",
+    ),
+    "PSL3:3": (
+        "eda672aa6c86e8a7907f743d71a0faab20f155f3e3460b97d0b2141c91e8dbc4",
+        "9bd84ceb932791336d6358ee262d71e3f4b039c262a4bf92fd73ab5989d9cd7a",
+        "dc1e7e424a86481aafe622262373ba6b64e31beb63e01b25fcc6a2c12f509394",
+    ),
+    "PSL3:4": (
+        "7c9f4b87902d655924f5514c3bd47ce5044508f0f470de116c3f5772498b3893",
+        "a15c7934a41cfcdd349c24d1f7063e4bc20f8af8ba69acee7e1ca855b2ed6990",
+        "ad293047f97787e924c818e26198a9ffe39ba31321480a19d57c403a239592b4",
+    ),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(CLASS_TABLES))
+def test_class_partition_pinned(spec):
+    ct = compute_classes(parse_group_spec(spec))
+    got = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in (ct.class_of, ct.sizes, ct.reps))
+    assert got == CLASS_TABLES[spec]
 
 
 # -- real census -----------------------------------------------------------------

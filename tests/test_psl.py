@@ -142,6 +142,61 @@ def test_field_axioms(q):
                 assert f.mul[f.mul[a, b], c] == f.mul[a, f.mul[b, c]]
 
 
+# sha256 of the add, mul, neg and inv tables: element codes reach every
+# generator of every PSL build, so a new table routine must keep them
+GF_TABLES = {
+    4: (
+        "cd18db5001222f5aa2e67a2e1ec7bedb6c97259bc407ac0536383a96da99ee0d",
+        "474cf06ceecdd9b03e3393a168cc7647d618e70ce2198a12bd3fc725fbf43a97",
+        "a1e03200f1f82ad2c1cec8795c271aaecf98f5aa2d151d2229ec5fa0c177cf77",
+        "92dd7580bfd5a67a2342dddbf0643461a14fd7473f351b80714fbcbdd4ea62b0",
+    ),
+    7: (
+        "4f3ec518c1dfcfa28a7b0ab20620f40ac4afe010cb1afbced380587bab956a28",
+        "9152747bdc6c526df8d068505ea79c2955e9708df163c7fe29d304334a5cbb22",
+        "e01e040f9340fa47df7373e5230433a107e892e49a1ae5e5403a148a5e75f75e",
+        "6d7df7044c16ffaa0cc18c96084c1ed196f82d81d192d70a1439080e8c0addd3",
+    ),
+    8: (
+        "0c36cc322607a32c2601840aee7d820a15923b3392136668df7c8d17e989bd1d",
+        "b4c2ddaec51f537d05ddb97b8c98d34fd459015c2542bd52d75be6cb17333385",
+        "fece8d601cd4c9020e24f9e4a47feedefb2bceff5e9798d8056aea8700052eaa",
+        "66db7a26447e604b22c6d42a76ea33c2ab08557a1ec5532fed723dbad4e0af88",
+    ),
+    9: (
+        "86ac843ff1f14f5e253c6a868c1e724d099bd0dead8bc4ba455b694640caacfa",
+        "83ac40f5f5daec2302ab100cf97fbc4e77215abc12ab8d6ea74968a6f6606a83",
+        "0b567cf282f27d2063788aef2f163ff57c6cd63cc3a7cecb1dc5cec18af6bd58",
+        "e44203fefce824ccc8ad352de45ca9c67a3a7aa1625900df98753f96b930f015",
+    ),
+    16: (
+        "c23e73c80b6902c1670d2df346cd510da5d240bd407974e24df4a5817441102f",
+        "b046715b8028e85995ded1d0c46fda22cb437f4139bac09ae950c835e1cb211b",
+        "f23d672bb9b341f9afa8498423b75deb80e726145969391d4b9392464c2298ee",
+        "a14948678523c4123459126aa2ee8ccb8ca729d253ac4bd66ca3ac988d8bd111",
+    ),
+    25: (
+        "35ca85530c66b2ee7b5fd560bb93d1c67c150f676411d637d0683fd41fa1f3d8",
+        "ec44b919f62706e6af025fc26044484c48bfe60149f0f7dddf7ffe80d61fbedd",
+        "bb18c51471126f25ac7bdc4291b39180c87c764fcd7de012dd5ee1c0296f9d5c",
+        "4a9dcc66f0a0b3bcd0eaa72a666a0af85eb5efe022f08842d852d888a3c87053",
+    ),
+    27: (
+        "8a032eac974c725cbf23aacc99f03c332755dea9bc057d60e3d354e91c1d4011",
+        "a1a7d8805ba20f94455139e4ce0c8eae5129d81e53dc63ad07519f93f453e8d5",
+        "87cc86f3a55d8ee984e71f77dee35a977b3c276dfd27c5bc51a22cd7b4da6ae2",
+        "ce2c2f61ad9e2e4fd259257fd3b441b9172f04d740dfe3e34d88c286cbb31902",
+    ),
+}
+
+
+@pytest.mark.parametrize("q", sorted(GF_TABLES))
+def test_field_tables_pinned(q):
+    f = GF(q)
+    tables = (f.add, f.mul, f.neg, f.inv)
+    assert tuple(hashlib.sha256(t.tobytes()).hexdigest() for t in tables) == GF_TABLES[q]
+
+
 @pytest.mark.parametrize("q", [4, 8, 9, 27])
 def test_primitive_element(q):
     f = GF(q)
