@@ -12,9 +12,13 @@ import json
 import os
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import Optional
+from typing import Optional, TextIO
 
 CSV_COLUMNS = ["check", "group", "n", "inputs", "lhs", "rhs", "margin", "pass"]
+# records per encoder call: the text of a report is never built whole
+RECORD_BLOCK = 4096
+# the one-shot C encoder (it has no indent); the separator indents record keys
+_RECORDS = json.JSONEncoder(separators=(",\n   ", ": "))
 
 
 @dataclass(slots=True)
@@ -131,12 +135,11 @@ class ReportDocument:
     def verdict(self) -> str:
         return "PASS" if self.fail_count == 0 else "FAIL"
 
-    def body_dict(self) -> dict:
-        """Everything except the header; deterministic."""
+    def _body(self, results: list) -> dict:
         return {
             "title": self.title,
             "meta": self.meta,
-            "results": [r.as_dict() for r in self.results],
+            "results": results,
             "summary": {
                 "pass": self.pass_count,
                 "fail": self.fail_count,
@@ -145,21 +148,22 @@ class ReportDocument:
             },
         }
 
+    def body_dict(self) -> dict:
+        """Everything except the header; deterministic."""
+        return self._body([r.as_dict() for r in self.results])
+
     def as_dict(self) -> dict:
         """The JSON document: the header, then the body."""
-        doc = {"header": {"generated": self.timestamp}}
-        doc.update(self.body_dict())
-        return doc
+        return {"header": {"generated": self.timestamp}, **self.body_dict()}
 
     def to_json(self) -> str:
-        return json.dumps(self.as_dict(), indent=1) + "\n"
+        buf = io.StringIO()
+        _write_json(self, buf)
+        return buf.getvalue()
 
     def to_csv(self) -> str:
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, lineterminator="\n")
-        writer.writeheader()
-        for r in self.results:
-            writer.writerow(r.row())
+        _write_csv(self, buf)
         return buf.getvalue()
 
     def summary_lines(self) -> list[str]:
@@ -176,17 +180,51 @@ class ReportDocument:
         return lines
 
 
+def _blocks(results: list[CheckResult]):
+    for start in range(0, len(results), RECORD_BLOCK):
+        yield results[start:start + RECORD_BLOCK]
+
+
+def _write_json(doc: ReportDocument, fh: TextIO) -> None:
+    """Write exactly `json.dumps(doc.as_dict(), indent=1) + "\n"`.
+
+    With an indent the standard library encodes in pure Python, so only the
+    header, meta and summary go that way, around an empty `results`.  The
+    records are encoded a block at a time by the C encoder, whose item
+    separator already carries the indent of a record's keys; one replace
+    then breaks the records apart.  Records are flat and `ensure_ascii`
+    escapes every newline inside a string, so "},\n   {" is only ever the
+    boundary between two records.
+    """
+    head = {"header": {"generated": doc.timestamp}, **doc._body([])}
+    before, _, after = json.dumps(head, indent=1).rpartition('"results": []')
+    fh.write(before + '"results": [')
+    if doc.results:
+        sep = "\n  {\n   "
+        for block in _blocks(doc.results):
+            text = _RECORDS.encode([r.as_dict() for r in block])
+            fh.write(sep)
+            fh.write(text[2:-2].replace("},\n   {", "\n  },\n  {\n   "))
+            fh.write("\n  }")
+            sep = ",\n  {\n   "
+        fh.write("\n ")
+    fh.write("]" + after + "\n")
+
+
+def _write_csv(doc: ReportDocument, fh: TextIO) -> None:
+    """The bytes of `csv.DictWriter` over CSV_COLUMNS, a block of rows at a time."""
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    for block in _blocks(doc.results):
+        writer.writerows([row[c] for c in CSV_COLUMNS] for row in map(CheckResult.row, block))
+
+
 def write_report(doc: ReportDocument, path: str, fmt: str = "json") -> None:
-    """Write the report; JSON is streamed into the file, the same bytes as `to_json`."""
+    """Write the report, streamed: the same bytes as `to_json` or `to_csv`."""
     if fmt not in ("json", "csv"):
         raise ValueError(f"unknown format {fmt!r}")
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
-        if fmt == "json":
-            # streamed, so the text of a large report is never in memory whole
-            json.dump(doc.as_dict(), fh, indent=1)
-            fh.write("\n")
-        else:
-            fh.write(doc.to_csv())
+        (_write_json if fmt == "json" else _write_csv)(doc, fh)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Optional, Union
 
@@ -42,9 +42,13 @@ class Subset:
 
 @dataclass(frozen=True)
 class NormalSubset:
-    """A union of conjugacy classes of a fixed group."""
+    """A union of conjugacy classes of a fixed group.
 
-    ct: ClassTable
+    Equal subsets of the same table hash alike: the hash leaves out the
+    table, whose arrays cannot be hashed.
+    """
+
+    ct: ClassTable = field(hash=False)
     class_indices: tuple[int, ...]
 
     @classmethod
@@ -110,6 +114,8 @@ def subset_mask(s: SubsetLike) -> np.ndarray:
 
 
 def subset_size(s: SubsetLike) -> int:
+    if isinstance(s, (Subset, NormalSubset)):
+        return s.size
     return int(subset_mask(s).sum())
 
 

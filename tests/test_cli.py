@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from normgrowth import permgroup, spectral
+from normgrowth import cli, permgroup, spectral
 from normgrowth import tolerances as tol
 from normgrowth.cli import main
 from normgrowth.reports import CSV_COLUMNS
@@ -245,3 +245,20 @@ def test_report_bodies_deterministic(tmp_path):
     for doc in docs:
         doc.pop("header")
     assert docs[0] == docs[1]
+
+
+def test_written_report_is_the_stdlib_encoding(tmp_path, monkeypatch):
+    out = tmp_path / "asymp.json"
+    written = []
+    inner = cli.write_report
+
+    def capture(doc, path, fmt="json"):
+        inner(doc, path, fmt)
+        written.append(doc)
+
+    monkeypatch.setattr(cli, "write_report", capture)
+    argv = ["growth", "--check", "asymp", "--group", "A:5", "--seed", "0", "--out", str(out)]
+    assert main(argv) == 0
+    (doc,) = written
+    assert len(doc.results) > 1
+    assert out.read_bytes() == (json.dumps(doc.as_dict(), indent=1) + "\n").encode("utf-8")

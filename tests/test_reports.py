@@ -2,11 +2,13 @@ import csv
 import io
 import json
 import math
+import tracemalloc
 
 import pytest
 
 from normgrowth.reports import (
     CSV_COLUMNS,
+    RECORD_BLOCK,
     CheckResult,
     ReportDocument,
     write_report,
@@ -111,6 +113,29 @@ def test_write_report_creates_directories(tmp_path):
         write_report(doc, str(tmp_path / "x"), fmt="xml")
 
 
+def _stdlib_json(doc):
+    """The reference encoding the streamed writer must reproduce byte for byte."""
+    return (json.dumps(doc.as_dict(), indent=1) + "\n").encode("utf-8")
+
+
+def _stdlib_csv(doc):
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, lineterminator="\n")
+    writer.writeheader()
+    for r in doc.results:
+        writer.writerow(r.row())
+    return buf.getvalue().encode("utf-8")
+
+
+def _assert_writes_reference(doc, tmp_path):
+    target = tmp_path / "out.json"
+    write_report(doc, str(target))
+    assert target.read_bytes() == doc.to_json().encode("utf-8") == _stdlib_json(doc)
+    target = tmp_path / "out.csv"
+    write_report(doc, str(target), fmt="csv")
+    assert target.read_bytes() == doc.to_csv().encode("utf-8") == _stdlib_csv(doc)
+
+
 def test_write_report_streams_the_to_json_bytes(tmp_path):
     doc = ReportDocument(
         title="demo",
@@ -123,9 +148,71 @@ def test_write_report_streams_the_to_json_bytes(tmp_path):
         meta={"classes": [1, 2], "ratio": 1 / 3, "nested": {"q": 7, "none": None}},
     )
     doc.stamp()
-    target = tmp_path / "out.json"
-    write_report(doc, str(target))
-    assert target.read_bytes() == doc.to_json().encode("utf-8")
+    _assert_writes_reference(doc, tmp_path)
+
+
+# strings and floats that an encoder or a re-indenting pass could get wrong
+_EDGE_TEXT = ["", 'q"uote', "back\\slash", "},\n   {", "line\nbreak\ttab", "π ünï", "\x00\x1f"]
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, 1e308, math.nan, math.inf, -math.inf, 0.1 + 0.2]
+
+
+def _edge_doc(n):
+    results = []
+    for i in range(n):
+        text = _EDGE_TEXT[i % len(_EDGE_TEXT)]
+        results.append(
+            make_result(
+                check=text,
+                group=_EDGE_TEXT[(i + 1) % len(_EDGE_TEXT)],
+                n=i,
+                inputs=text,
+                lhs=_EDGE_FLOATS[i % len(_EDGE_FLOATS)],
+                rhs=_EDGE_FLOATS[(i + 3) % len(_EDGE_FLOATS)],
+                margin=_EDGE_FLOATS[(i + 5) % len(_EDGE_FLOATS)],
+                passed=i % 3 != 0,
+                skipped=i % 5 == 0,
+                seed=i if i % 2 else None,
+                note=_EDGE_TEXT[(i + 2) % len(_EDGE_TEXT)],
+            )
+        )
+    meta = {
+        "results": [],
+        "text": '"results": []',
+        "nested": {"inf": math.inf, "list": [1, {"x": "},\n   {"}], "empty": {}},
+        "ünï": -0.0,
+    }
+    doc = ReportDocument(title=_EDGE_TEXT[n % len(_EDGE_TEXT)], results=results, meta=meta)
+    doc.stamp()
+    return doc
+
+
+@pytest.mark.parametrize(
+    "n",
+    [0, 1, RECORD_BLOCK - 1, RECORD_BLOCK, RECORD_BLOCK + 1, 2 * RECORD_BLOCK, 3 * RECORD_BLOCK + 7],
+)
+def test_writer_matches_the_stdlib_encoders(tmp_path, n):
+    _assert_writes_reference(_edge_doc(n), tmp_path)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_writer_memory_does_not_grow_with_the_report(tmp_path, fmt):
+    """Only a block of records is ever encoded at once."""
+    target = str(tmp_path / f"out.{fmt}")
+
+    def peak(blocks):
+        doc = ReportDocument(
+            title="demo",
+            results=[make_result(n=i, lhs=i / 7) for i in range(blocks * RECORD_BLOCK)],
+        )
+        tracemalloc.start()
+        try:
+            write_report(doc, target, fmt=fmt)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(2), peak(8)
+    assert large <= 1.25 * small, (small, large)
 
 
 def _bound(lhs, rhs, op):

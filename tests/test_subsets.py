@@ -80,6 +80,22 @@ def test_require_nonempty(a5):
         require_nonempty(np.zeros(60, dtype=bool), "B")
 
 
+def test_require_nonempty_counts_without_the_mask(a5):
+    ns = NormalSubset.from_classes(a5.classes, [1, 2])
+    require_nonempty(ns, "A")
+    assert "mask" not in ns.__dict__
+    assert subset_size(ns) == ns.size == int(ns.mask.sum())
+
+
+def test_normal_subset_hashes_by_its_classes(a5):
+    ct = a5.classes
+    a = NormalSubset.from_classes(ct, [2, 1])
+    b = NormalSubset.from_classes(ct, [1, 2, 1])
+    assert a == b and hash(a) == hash(b)
+    assert a != NormalSubset.from_classes(ct, [1])
+    assert len({a, b, NormalSubset.from_classes(ct, [1])}) == 2
+
+
 # -- expression parsing ----------------------------------------------------------
 
 
