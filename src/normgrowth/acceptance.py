@@ -377,11 +377,11 @@ class CriterionOutcome:
         return self.doc.fail_count == 0
 
     def line(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
+        tally = self.doc.tally()
         return (
-            f"criterion {self.number:2d} [{status}] {self.title}: "
-            f"{self.doc.pass_count} pass, {self.doc.fail_count} fail, "
-            f"{self.doc.skip_count} skip ({self.elapsed:.1f}s)"
+            f"criterion {self.number:2d} [{tally.verdict}] {self.title}: "
+            f"{tally.passed} pass, {tally.failed} fail, "
+            f"{tally.skipped} skip ({self.elapsed:.1f}s)"
         )
 
 

@@ -178,9 +178,10 @@ def _emit(doc: ReportDocument, args, default_stem: str) -> int:
     if path:
         write_report(doc, path, fmt=args.format)
         print(f"wrote {path}")
-    for line in doc.summary_lines():
+    tally = doc.tally()
+    for line in doc.summary_lines(tally):
         print(line)
-    return 0 if doc.fail_count == 0 else 1
+    return tally.exit_code
 
 
 def _stem(args, *parts: str) -> str:

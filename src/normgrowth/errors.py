@@ -13,6 +13,10 @@ class NotBijective(NormGrowthError):
     """A permutation input is not a bijection on its points."""
 
 
+class NotGenerated(NormGrowthError):
+    """The generators of a group do not reach every one of its elements."""
+
+
 class NotPrimePower(NormGrowthError):
     """A field size is not a supported prime power."""
 

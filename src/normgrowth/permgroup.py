@@ -2,16 +2,19 @@
 
 A group is stored as the (n, degree) array of image rows of its elements in
 BFS discovery order, identity first.  All downstream modules address elements
-by their row index and form products only through `FiniteGroup.mul`, which
+by their row index.  Arbitrary products go through `FiniteGroup.mul`, which
 resolves image rows back to indices through their images on a small base of
 points: a direct-address table when it fits, a sorted key search otherwise.
+Whole-group translates go through `left_translates` and `right_translates`,
+which gather along a spanning tree from the generator tables and resolve no
+image row.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -21,6 +24,7 @@ from .errors import (
     NoCharacteristic,
     NormGrowthError,
     NotBijective,
+    NotGenerated,
     ParseError,
 )
 
@@ -137,6 +141,24 @@ def _orders_of_rows(rows: np.ndarray) -> np.ndarray:
     return np.lcm.reduce(lengths, axis=1)
 
 
+class _SpanningTree(NamedTuple):
+    """A BFS spanning tree of x -> x*g over the generators g, from the identity.
+
+    Position t holds an element x_t, position 0 the identity, and
+    x_t = x_parent[t] * g_j for the generator in slot j = offset[t] / n.
+    `bounds` ends each BFS layer after the root's, so a layer's parents
+    all precede it.
+    """
+
+    parent: np.ndarray             # (n,) position of the parent
+    offset: np.ndarray             # (n,) int32: n times the slot of the last step
+    bounds: list[int]              # end position of each layer
+    right: np.ndarray              # (k n,) int32: right[j n + x] = x * g_j
+    left_inv: np.ndarray           # (k n,) int32: left_inv[j n + y] = g_j^-1 * y
+    left_cols: Optional[np.ndarray]  # position of each element; None when it is the index
+    right_cols: np.ndarray         # position of each element's inverse
+
+
 class FiniteGroup:
     """A fully enumerated permutation group addressed by element index.
 
@@ -167,6 +189,7 @@ class FiniteGroup:
         self._division_table: Optional[np.ndarray] = None
         self._cyclic_cosets: Optional[np.ndarray] = None
         self._coset_quotients: Optional[np.ndarray] = None
+        self._tree: Optional[_SpanningTree] = None
 
     # -- index machinery ---------------------------------------------------
 
@@ -263,12 +286,103 @@ class FiniteGroup:
             ]
         return self._gen_conj
 
+    # -- whole-group translates ---------------------------------------------
+
+    def _spanning_tree(self) -> _SpanningTree:
+        """The BFS spanning tree that translates are gathered along.  Cached.
+
+        Its only products are the k generator tables x -> x*g, n k rows
+        through `mul`.  Candidates are taken parent by parent and generator
+        by generator, the order in which `closure` meets them, so a group
+        from `closure` has each element at the position of its index.
+        Raises NotGenerated when the generators miss an element.
+        """
+        if self._tree is None:
+            n = self.n
+            gens = np.array(self.generators, dtype=np.intp)
+            k = gens.size
+            right = self.mul(np.arange(n), gens[:, None]).reshape(k, n)
+            frontier = np.zeros(1, np.intp)
+            order, parent, step = [frontier], [frontier], [frontier]
+            seen = np.zeros(n, dtype=bool)
+            seen[0] = True
+            bounds = [1]
+            while frontier.size:
+                # cand[i k + j] = frontier[i] * g_j; keep the first sighting of each new element
+                cand = right[:, frontier].T.ravel()
+                fresh = np.flatnonzero(~seen[cand])
+                pick = np.sort(fresh[np.unique(cand[fresh], return_index=True)[1]])
+                parent.append(bounds[-1] - frontier.size + pick // k)
+                step.append(pick % k)
+                frontier = cand[pick]
+                seen[frontier] = True
+                order.append(frontier)
+                bounds.append(bounds[-1] + frontier.size)
+            order = np.concatenate(order)
+            if order.size != n:
+                raise NotGenerated(
+                    f"{self.label}: the generators reach {order.size} of {n} elements"
+                )
+            inv = self.inverse_of
+            pos = np.argsort(order)
+            self._tree = _SpanningTree(
+                parent=np.concatenate(parent),
+                offset=(np.concatenate(step) * n).astype(np.int32),
+                bounds=bounds[:-1],
+                right=right.ravel(),
+                # g^-1 y = (y^-1 g)^-1
+                left_inv=inv[right[:, inv]].ravel(),
+                left_cols=None if np.array_equal(order, np.arange(n)) else pos,
+                right_cols=pos[inv],
+            )
+        return self._tree
+
+    def _tree_walk(
+        self, seeds, steps: np.ndarray, cols: Optional[np.ndarray]
+    ) -> np.ndarray:
+        """out[i, x] = w[i, cols[x]] (w[i, x] when cols is None), int32.
+
+        w[i, 0] = seeds[i] and w[i, t] = steps[offset[t] + w[i, parent[t]]]
+        over the tree positions t.  One gather per layer fills a block of
+        rows; blocks keep every temporary under _CHUNK_ROWS entries.
+        """
+        tree = self._spanning_tree()
+        seeds = np.asarray(seeds).ravel()
+        if seeds.size and not (0 <= seeds.min() and seeds.max() < self.n):
+            raise IndexError(f"element index out of range for {self.label}")
+        out = np.empty((seeds.size, self.n), dtype=np.int32)
+        block = max(1, _CHUNK_ROWS // self.n)
+        for top in range(0, seeds.size, block):
+            w = out[top : top + block] if cols is None else np.empty_like(out[top : top + block])
+            w[:, 0] = seeds[top : top + block]
+            for lo, hi in zip(tree.bounds[:-1], tree.bounds[1:]):
+                w[:, lo:hi] = steps.take(tree.offset[lo:hi] + w[:, tree.parent[lo:hi]])
+            if cols is not None:
+                out[top : top + block] = w[:, cols]
+        return out
+
+    def left_translates(self, a) -> np.ndarray:
+        """out[i, x] = index of a_i * x, shape (len(a), n), int32.
+
+        a_i x_t = (a_i x_parent) g, so each layer is one gather from the
+        generator tables; no image row is resolved.
+        """
+        tree = self._spanning_tree()
+        return self._tree_walk(a, tree.right, tree.left_cols)
+
+    def right_translates(self, f) -> np.ndarray:
+        """out[i, x] = index of x * f_i, shape (len(f), n), int32.
+
+        x_t^-1 f_i = g^-1 (x_parent^-1 f_i) fills the tree, and
+        x f_i is read at the position of x^-1; no image row is resolved.
+        """
+        tree = self._spanning_tree()
+        return self._tree_walk(f, tree.left_inv, tree.right_cols)
+
     def division_table(self) -> np.ndarray:
         """dt[g, h] = index of g^-1 * h.  Cached; quadratic memory."""
         if self._division_table is None:
-            self._division_table = self.mul(
-                self.inverse_of[:, None], np.arange(self.n)
-            )
+            self._division_table = self.left_translates(self.inverse_of)
         return self._division_table
 
     def cyclic_cosets(self) -> np.ndarray:
@@ -284,7 +398,7 @@ class FiniteGroup:
             for _ in range(int(orders[x]) - 1):
                 powers.append(self.mul(x, powers[-1]))
             # orbit[i, g] = x^i g: column g lists the coset <x> g
-            orbit = self.mul(np.array(powers)[:, None], np.arange(self.n))
+            orbit = self.left_translates(powers)
             firsts = np.flatnonzero(orbit.min(axis=0) == np.arange(self.n))
             self._cyclic_cosets = np.ascontiguousarray(orbit[:, firsts].T)
         return self._cyclic_cosets
@@ -297,7 +411,7 @@ class FiniteGroup:
         """
         if self._coset_quotients is None:
             idx = self.cyclic_cosets()
-            self._coset_quotients = self.mul(self.inverse_of[idx[:, 0], None, None], idx)
+            self._coset_quotients = self.left_translates(self.inverse_of[idx[:, 0]]).take(idx, axis=1)
         return self._coset_quotients
 
     def __repr__(self) -> str:

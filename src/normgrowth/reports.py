@@ -12,7 +12,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import Optional, TextIO
+from typing import NamedTuple, Optional, TextIO
 
 CSV_COLUMNS = ["check", "group", "n", "inputs", "lhs", "rhs", "margin", "pass"]
 # records per encoder call: the text of a report is never built whole
@@ -107,6 +107,22 @@ class CheckResult:
         return d
 
 
+class Tally(NamedTuple):
+    """Record counts of one report; a skipped record is neither pass nor fail."""
+
+    passed: int
+    failed: int
+    skipped: int
+
+    @property
+    def verdict(self) -> str:
+        return "PASS" if self.failed == 0 else "FAIL"
+
+    @property
+    def exit_code(self) -> int:
+        return 0 if self.failed == 0 else 1
+
+
 @dataclass
 class ReportDocument:
     """A full report: header (may carry a timestamp), body, summary."""
@@ -119,32 +135,45 @@ class ReportDocument:
     def stamp(self) -> None:
         self.timestamp = datetime.now(timezone.utc).isoformat()
 
+    def tally(self) -> Tally:
+        """Pass, fail and skip counts, from one walk over the records."""
+        passed = failed = skipped = 0
+        for r in self.results:
+            if r.skipped:
+                skipped += 1
+            elif r.passed:
+                passed += 1
+            else:
+                failed += 1
+        return Tally(passed, failed, skipped)
+
     @property
     def fail_count(self) -> int:
-        return sum(1 for r in self.results if not r.passed and not r.skipped)
+        return self.tally().failed
 
     @property
     def pass_count(self) -> int:
-        return sum(1 for r in self.results if r.passed and not r.skipped)
+        return self.tally().passed
 
     @property
     def skip_count(self) -> int:
-        return sum(1 for r in self.results if r.skipped)
+        return self.tally().skipped
 
     @property
     def verdict(self) -> str:
-        return "PASS" if self.fail_count == 0 else "FAIL"
+        return self.tally().verdict
 
     def _body(self, results: list) -> dict:
+        tally = self.tally()
         return {
             "title": self.title,
             "meta": self.meta,
             "results": results,
             "summary": {
-                "pass": self.pass_count,
-                "fail": self.fail_count,
-                "skip": self.skip_count,
-                "verdict": self.verdict,
+                "pass": tally.passed,
+                "fail": tally.failed,
+                "skip": tally.skipped,
+                "verdict": tally.verdict,
             },
         }
 
@@ -166,17 +195,23 @@ class ReportDocument:
         _write_csv(self, buf)
         return buf.getvalue()
 
-    def summary_lines(self) -> list[str]:
+    def summary_lines(self, tally: Optional[Tally] = None) -> list[str]:
+        """The summary line, then one line per failed record.
+
+        `tally` is this document's `tally()`, passed by a caller that has it.
+        """
+        if tally is None:
+            tally = self.tally()
         lines = [
-            f"{self.title}: {self.pass_count} pass, "
-            f"{self.fail_count} fail, {self.skip_count} skip -> {self.verdict}"
+            f"{self.title}: {tally.passed} pass, "
+            f"{tally.failed} fail, {tally.skipped} skip -> {tally.verdict}"
         ]
-        for r in self.results:
-            if not r.passed and not r.skipped:
-                lines.append(
-                    f"  FAIL {r.check} {r.group} {r.inputs} "
-                    f"lhs={r.lhs!r} rhs={r.rhs!r}"
-                )
+        if tally.failed:
+            lines += [
+                f"  FAIL {r.check} {r.group} {r.inputs} lhs={r.lhs!r} rhs={r.rhs!r}"
+                for r in self.results
+                if not r.passed and not r.skipped
+            ]
         return lines
 
 

@@ -67,31 +67,35 @@ def convolve_rows(group: FiniteGroup, rows: np.ndarray, weights: np.ndarray) -> 
     `walk_matrix`.  Above it, translates by whichever support is smaller:
     one row with no more support than w sums the left translates of w by
     it; otherwise the rows' right translates by the support of w are
-    summed, rows in blocks that keep every temporary under _CHUNK_ROWS
-    entries.  Every route reads only element products, and float64 holds
-    these counts exactly.
+    summed.  The translates come from the group's spanning-tree kernel, and
+    translates and rows go in blocks that keep every temporary under
+    _CHUNK_ROWS entries.  Every route reads only element products, and
+    float64 holds these counts exactly.
     """
     rows = np.asarray(rows, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
     n = group.n
     if n <= DENSE_CAP:
         return rows @ walk_matrix(group, weights)
-    all_idx = np.arange(n)
     support = np.flatnonzero(weights)
+    step = max(1, _CHUNK_ROWS // n)
     if rows.ndim == 1 and np.count_nonzero(rows) <= support.size:
         out = np.zeros(n)
-        for g in np.flatnonzero(rows):
-            # h = g*f sweeps w over the left translate g F
-            out[group.mul(g, all_idx)] += rows[g] * weights
+        nonzero = np.flatnonzero(rows)
+        for lo in range(0, nonzero.size, step):
+            gs = nonzero[lo : lo + step]
+            for g, left in zip(gs, group.left_translates(gs)):
+                # h = g*f sweeps w over the left translate g F
+                out[left] += rows[g] * weights
         return out
     block = rows.reshape(-1, n)
     out = np.zeros_like(block)
-    step = max(1, _CHUNK_ROWS // n)
-    for f in support:
-        # g -> g*f moves the rows' weight at g onto g*f
-        right = group.mul(all_idx, f)
-        for lo in range(0, block.shape[0], step):
-            out[lo : lo + step, right] += weights[f] * block[lo : lo + step]
+    for lo in range(0, support.size, step):
+        fs = support[lo : lo + step]
+        for f, right in zip(fs, group.right_translates(fs)):
+            # g -> g*f moves the rows' weight at g onto g*f
+            for top in range(0, block.shape[0], step):
+                out[top : top + step, right] += weights[f] * block[top : top + step]
     return out.reshape(rows.shape)
 
 
@@ -166,11 +170,12 @@ def lambda_direct(s: NormalSubset, seed: int = 0) -> float:
 def _power_lambda(s: NormalSubset, seed: int) -> float:
     group = s.group
     n = group.n
-    s_idx = s.indices[:, None]
-    all_idx = np.arange(n)
-    # row i of each table: x -> x*s_i (right) and x -> x*s_i^-1 (right_inv)
-    right = group.mul(all_idx, s_idx)
-    right_inv = group.mul(all_idx, group.inverse_of[s_idx])
+    # row i of each table: x -> x*s_i (right) and its inverse x -> x*s_i^-1 (right_inv)
+    right = group.right_translates(s.indices)
+    right_inv = np.empty_like(right)
+    points = np.arange(n, dtype=right.dtype)
+    for row, inv_row in zip(right, right_inv):
+        inv_row[row] = points
 
     def mv(vec: np.ndarray, tables: np.ndarray) -> np.ndarray:
         acc = np.zeros_like(vec)

@@ -1,11 +1,12 @@
 import json
+from types import SimpleNamespace
 
 import pytest
 
 from normgrowth import cli, permgroup, spectral
 from normgrowth import tolerances as tol
 from normgrowth.cli import main
-from normgrowth.reports import CSV_COLUMNS
+from normgrowth.reports import CSV_COLUMNS, CheckResult, ReportDocument
 
 
 def test_group_summary(capsys):
@@ -261,4 +262,60 @@ def test_written_report_is_the_stdlib_encoding(tmp_path, monkeypatch):
     assert main(argv) == 0
     (doc,) = written
     assert len(doc.results) > 1
+    assert out.read_bytes() == (json.dumps(doc.as_dict(), indent=1) + "\n").encode("utf-8")
+
+
+class _CountedWalks(list):
+    """A record list that counts the walks over it."""
+
+    walks = 0
+
+    def __iter__(self):
+        self.walks += 1
+        return super().__iter__()
+
+
+def _mixed_doc():
+    def rec(inputs, lhs, rhs, **kw):
+        return CheckResult.bound("demo", "A5", 60, inputs, lhs, rhs, **kw)
+
+    results = [
+        rec("a", 1.0, 2.0),
+        rec("b", 3.0, 2.0),
+        rec("c", 0.5, 2.0),
+        CheckResult("demo", "A5", 60, "d", 0.0, 0.0, 0.0, False, skipped=True),
+        rec("e", 2.5, 2.0),
+    ]
+    return ReportDocument(title="demo", results=_CountedWalks(results))
+
+
+@pytest.mark.parametrize("failing", [True, False])
+def test_emit_counts_once(tmp_path, capsys, failing):
+    """Summary line, written summary and exit code of a mixed report, pinned."""
+    doc = _mixed_doc()
+    if not failing:
+        for r in doc.results:
+            r.passed = True
+    out = tmp_path / "mixed.json"
+    args = SimpleNamespace(seed=0, overrides=None, format="json", out=str(out))
+    before = doc.results.walks
+    code = cli._emit(doc, args, "mixed")
+    # one count for the summary line and the exit code, one in the writer, and
+    # a walk over the failed records only when there are some (ten walks before)
+    assert doc.results.walks - before == 2 + failing
+    printed = capsys.readouterr().out.splitlines()
+    summary = json.loads(out.read_text())["summary"]
+    if failing:
+        assert code == 1
+        assert printed == [
+            f"wrote {out}",
+            "demo: 2 pass, 2 fail, 1 skip -> FAIL",
+            "  FAIL demo A5 b lhs=3.0 rhs=2.0",
+            "  FAIL demo A5 e lhs=2.5 rhs=2.0",
+        ]
+        assert summary == {"pass": 2, "fail": 2, "skip": 1, "verdict": "FAIL"}
+    else:
+        assert code == 0
+        assert printed == [f"wrote {out}", "demo: 4 pass, 0 fail, 1 skip -> PASS"]
+        assert summary == {"pass": 4, "fail": 0, "skip": 1, "verdict": "PASS"}
     assert out.read_bytes() == (json.dumps(doc.as_dict(), indent=1) + "\n").encode("utf-8")

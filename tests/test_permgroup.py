@@ -13,7 +13,9 @@ from normgrowth.errors import (
     CapExceeded,
     EmptyWord,
     NoCharacteristic,
+    NormGrowthError,
     NotBijective,
+    NotGenerated,
     ParseError,
 )
 from normgrowth.permgroup import (
@@ -222,6 +224,54 @@ def test_sorted_fallback_matches_permutations():
         assert perm[g.inv(a)] == perm[a].inverse()
         for b in range(g.n):
             assert perm[prods[a, b]] == perm[a] * perm[b]
+
+
+# the groups of test_psl.py::test_element_order_pinned, two small closures,
+# one group on the sorted-key fallback, and S:4 with its elements reordered,
+# so that spanning-tree positions are not element indices
+TRANSLATE_GROUPS = {
+    **{spec: (lambda spec=spec: parse_group_spec(spec))
+       for spec in ("S:5", "A:7", "PSL2:8", "PSL2:9", "PSL2:11", "PSL3:2", "PSL3:3", "PSL3:4")},
+    "trivial": lambda: closure([Permutation((0,))], cap=2),
+    "C6": lambda: closure([Permutation.from_cycles([(0, 1, 2, 3, 4, 5)], 6)]),
+    "sorted": lambda: a5_on(PAST_TABLE),
+    "S4-reordered": lambda: _reordered(build_symmetric(4)),
+}
+
+
+def _reordered(g: FiniteGroup) -> FiniteGroup:
+    """g with its non-identity elements in reverse order."""
+    order = np.concatenate([[0], np.arange(g.n - 1, 0, -1)])
+    where = np.argsort(order)
+    return FiniteGroup(g.perms[order], f"{g.label}-reordered", [where[i] for i in g.generators])
+
+
+@pytest.mark.parametrize("name", sorted(TRANSLATE_GROUPS))
+def test_translates_match_mul(name):
+    g = TRANSLATE_GROUPS[name]()
+    if name == "sorted":
+        assert g._table is None
+    rng = np.random.default_rng(7)
+    idx = rng.integers(0, g.n, size=min(g.n, 20))
+    all_idx = np.arange(g.n)
+    left, right = g.left_translates(idx), g.right_translates(idx)
+    assert left.dtype == right.dtype == np.int32
+    assert np.array_equal(left, g.mul(idx[:, None], all_idx))
+    assert np.array_equal(right, g.mul(all_idx, idx[:, None]))
+    assert g.left_translates(idx[:0]).shape == (0, g.n)
+    with pytest.raises(IndexError):
+        g.left_translates([g.n])
+
+
+def test_translates_refuse_a_group_its_generators_miss():
+    g = build_symmetric(4)
+    # the first generator alone is a transposition: it reaches 2 of the 24 elements
+    part = FiniteGroup(g.perms, "S4-part", generator_indices=g.generators[:1])
+    for _ in range(2):
+        with pytest.raises(NotGenerated, match="reach 2 of 24") as err:
+            part.right_translates([1])
+        assert isinstance(err.value, NormGrowthError)
+    assert part._tree is None
 
 
 def test_division_table():

@@ -175,10 +175,13 @@ def test_element_lambda_never_reads_the_characters(name):
     """The element route to lambda is checked against the character route.
 
     So nothing it reaches may use the character table or the class tensor;
-    the cyclic-subgroup blocks of `deflated_lambda` need only the elements.
+    the cyclic-subgroup blocks of `deflated_lambda` and the translates of
+    power iteration come from the elements' spanning tree.
     """
     reached = _reached_functions("spectral.py", name)
     assert ("permgroup.py", "FiniteGroup.cyclic_cosets") in reached
+    assert ("permgroup.py", "FiniteGroup._spanning_tree") in reached
+    assert ("permgroup.py", "FiniteGroup._tree_walk") in reached
     assert not _naming(reached, CHARACTER_NAMES)
 
 
@@ -186,11 +189,16 @@ def test_convolve_rows_never_reads_the_characters():
     """The kernel counts the products that the character bounds are checked on.
 
     So nothing it reaches may name the character table, the class tensor or
-    the table recovery; both of its routes need only element products.
+    the table recovery; both of its routes need only element products, the
+    translates gathered along a spanning tree whose generator tables come
+    from `mul`.
     """
     reached = _reached_functions("spectral.py", "convolve_rows")
     assert ("spectral.py", "walk_matrix") in reached
     assert ("permgroup.py", "FiniteGroup.division_table") in reached
+    assert ("permgroup.py", "FiniteGroup.left_translates") in reached
+    assert ("permgroup.py", "FiniteGroup.right_translates") in reached
+    assert ("permgroup.py", "FiniteGroup._spanning_tree") in reached
     assert ("permgroup.py", "FiniteGroup.mul") in reached
     table_names = CHARACTER_NAMES | {"CharacterTable", "compute_character_table"}
     assert not _naming(reached, table_names)

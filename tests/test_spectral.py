@@ -6,9 +6,10 @@ import pytest
 from normgrowth import spectral
 from normgrowth import tolerances as tol
 from normgrowth.chartable import character_ratio
-from normgrowth.context import get_context
+from normgrowth.context import get_context, parse_group_spec
 from normgrowth.errors import CountMismatch, EmptySubset, NoConvergence
 from normgrowth.growth import pair_count, product_set
+from normgrowth.permgroup import compute_classes
 from normgrowth.spectral import (
     arc_count,
     check_vertex_expansion,
@@ -255,3 +256,25 @@ def _zero_first_max(out):
     first = out.reshape(-1, out.shape[-1])[0]
     first[np.argmax(first)] = 0
     return out
+
+
+# float.hex of power-iteration lambda at seed 0, recorded when both tables
+# were still formed through `mul`: the spanning-tree translates must give the
+# same integers and the same summation order
+PSL33_POWER_LAMBDA = {1: "0x1.3b13b1267512ep-2", 11: "0x1.5555554a080fbp-4"}
+
+
+def test_power_lambda_pinned_and_resolves_few_rows(monkeypatch):
+    group = parse_group_spec("PSL3:3")
+    ct = compute_classes(group)
+    rows = []
+    inner = group.index_of
+    monkeypatch.setattr(group, "index_of", lambda r: rows.append(len(np.atleast_2d(r))) or inner(r))
+    k, n = len(group.generators), group.n
+    for c, want in PSL33_POWER_LAMBDA.items():
+        s = NormalSubset.from_classes(ct, [c])
+        del rows[:]
+        assert float.hex(lambda_direct(s, seed=0)) == want
+        # the generator tables and at most the inverses; both tables through
+        # `mul` resolved 2 n |S| rows (1 168 128 for class 1)
+        assert sum(rows) <= (k + 1) * n
