@@ -224,9 +224,7 @@ def criterion_10(profile: str = "quick", seed: int = 0) -> ReportDocument:
             sweep_bnp_star(ctx.group, ctx.table, trials=1000, seed=seed).results
         )
         doc.results.extend(
-            sweep_wlambda(
-                ctx.group, ctx.classes, ctx.table, trials=100, seed=seed
-            ).results
+            sweep_wlambda(ctx.group, ctx.table, trials=100, seed=seed).results
         )
         for k in range(ctx.classes.n_classes):
             s = NormalSubset.from_classes(ctx.classes, [k])

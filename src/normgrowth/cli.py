@@ -7,6 +7,7 @@ surfaced, 2 usage or configuration error.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -155,6 +156,9 @@ def _apply_tolerances(pairs: list[str]) -> dict[str, float]:
             applied[name] = float(value)
         except ValueError:
             raise ParseError(f"bad tolerance value {value!r}") from None
+        # nan fails every comparison and inf passes every bound
+        if not math.isfinite(applied[name]):
+            raise ParseError(f"tolerance {name!r} must be finite, got {value!r}")
         setattr(tol, attr, applied[name])
     return applied
 
@@ -184,7 +188,7 @@ def _emit(doc: ReportDocument, args, default_stem: str) -> int:
     return tally.exit_code
 
 
-def _stem(args, *parts: str) -> str:
+def _stem(*parts: str) -> str:
     raw = "-".join(p for p in parts if p)
     return raw.replace(":", "").replace("/", "-").lower()
 
@@ -234,7 +238,7 @@ def cmd_group(args) -> int:
             "real_elements": census.real_elements,
         }
     )
-    return _emit(doc, args, _stem(args, "group", args.group))
+    return _emit(doc, args, _stem("group", args.group))
 
 
 def cmd_chartable(args) -> int:
@@ -259,7 +263,7 @@ def cmd_chartable(args) -> int:
         CheckResult.bound("orthogonality", tab.label, tab.n, "", residual, budget)
     ]
     doc.meta.update({"group": tab.label, "n": tab.n, "degrees": degrees})
-    return _emit(doc, args, _stem(args, "chartable", args.group))
+    return _emit(doc, args, _stem("chartable", args.group))
 
 
 def cmd_lambda(args) -> int:
@@ -292,7 +296,7 @@ def cmd_lambda(args) -> int:
             "char_eigenvalues": [[v.real, v.imag] for v in rep.char_eigenvalues],
         }
     )
-    return _emit(doc, args, _stem(args, "lambda", args.group, args.subset))
+    return _emit(doc, args, _stem("lambda", args.group, args.subset))
 
 
 def cmd_growth(args) -> int:
@@ -308,14 +312,14 @@ def cmd_growth(args) -> int:
     elif check == "dichotomy":
         doc = sweep_dichotomy(g, ct, tab)
     elif check == "survey":
-        doc = square_growth_survey(g, ct, tab)
+        doc = square_growth_survey(g, ct)
     elif check == "pyber":
-        doc = pyber_report(g, ct, tab)
+        doc = pyber_report(g, ct)
     elif check == "words":
         doc = word_growth_report(g, ct, tab, args.words[0], args.words[1])
     else:
         doc = gluck_report(g, None, tab)
-    return _emit(doc, args, _stem(args, "growth", check, args.group))
+    return _emit(doc, args, _stem("growth", check, args.group))
 
 
 def cmd_dist(args) -> int:
@@ -326,8 +330,8 @@ def cmd_dist(args) -> int:
     elif args.check == "bnp2step":
         doc = sweep_bnp_two_step(g, tab, pairs=args.trials or 500, seed=args.seed)
     else:
-        doc = sweep_wlambda(g, ct, tab, trials=args.trials or 100, seed=args.seed)
-    return _emit(doc, args, _stem(args, "dist", args.check, args.group))
+        doc = sweep_wlambda(g, tab, trials=args.trials or 100, seed=args.seed)
+    return _emit(doc, args, _stem("dist", args.check, args.group))
 
 
 def cmd_acceptance(args) -> int:
@@ -335,7 +339,7 @@ def cmd_acceptance(args) -> int:
     for oc in outcomes:
         print(oc.line())
     doc = acceptance_document(outcomes, args.profile)
-    code = _emit(doc, args, _stem(args, "acceptance", args.profile))
+    code = _emit(doc, args, _stem("acceptance", args.profile))
     print(f"acceptance ({args.profile}): {doc.verdict}")
     return code
 

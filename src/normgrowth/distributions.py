@@ -12,7 +12,7 @@ from . import tolerances as tol
 from .chartable import CharacterTable, min_nontrivial_degree
 from .errors import CapExceeded, EmptySubset
 from .growth import product_set, product_sizes
-from .permgroup import ClassTable, FiniteGroup
+from .permgroup import FiniteGroup
 from .reports import CheckResult, ReportDocument
 from .spectral import _recounted, convolve_rows, deflated_lambda
 from .subsets import SubsetLike, random_subset, subset_mask
@@ -216,7 +216,6 @@ def sweep_bnp_two_step(
 
 def sweep_wlambda(
     group: FiniteGroup,
-    ct: ClassTable,
     tab: CharacterTable,
     trials: int = 100,
     seed: int = 0,

@@ -2,15 +2,16 @@
 
 Every check computes its left-hand side by exact counting and its right-hand
 side from the certified character table.  Products of two normal subsets
-are counted on the class multiplication tensor (`class_pair_counts`).
-Products of many element sets with one fixed set are counted by
-`product_sizes`: one `spectral.convolve_rows` call up to the dense cap, one
-`product_set` per set above it.  Every tensor-routed check or sweep, and
-every sweep through `product_sizes`, recounts an evenly spaced sample of at
-most `spectral.BRUTE_FORCE_SAMPLE` of its (A, B) pairs with `pair_count` or
-`product_set` on the chunked `mul` path, and raises `CountMismatch` on any
-disagreement.  The table is computed from the same tensor, so the sample
-keeps the two routes independent.
+are counted on the class multiplication tensor by one call,
+`class_pair_counts(ct, pairs)`, which recounts an evenly spaced sample of
+at most `spectral.BRUTE_FORCE_SAMPLE` of its (A, B) pairs on the chunked
+`mul` path, both the counts (`pair_count`) and the product set
+(`product_set`).  The table is computed from the same tensor, so the sample
+keeps the two routes independent.  Products of many element sets with one
+fixed set are counted by `product_sizes`: one `spectral.convolve_rows` call
+up to the dense cap, one `product_set` per set above it; each sweep through
+it recounts a sample of its products with `product_set`.  A disagreement
+raises `CountMismatch`.
 """
 
 from __future__ import annotations
@@ -103,72 +104,49 @@ def pab_exact(group: FiniteGroup, a: SubsetLike, b: SubsetLike, g: int) -> Fract
     return Fraction(pair_count(group, a, b, g), asize * bsize)
 
 
-def class_pair_counts(
-    ct: ClassTable, a_block: Sequence[NormalSubset], b_block: Sequence[NormalSubset]
-) -> np.ndarray:
-    """counts[p, q, k] = #{(x, y) in A_p x B_q : x*y = rep(C_k)}, exact int64.
+def class_pair_counts(ct: ClassTable, pairs: Sequence[tuple]) -> np.ndarray:
+    """counts[t, c] = #{(x, y) in A_t x B_t : x*y = rep(C_c)} of each (A_t, B_t), int64.
 
     For normal A and B this is the sum of the class multiplication constants
-    a[i, j, k] over i in A and j in B: an integer contraction of the union
-    indicators with `class_tensor(ct)`.  A_p B_q is a union of classes, so
-    it holds C_k exactly when counts[p, q, k] > 0.  The rows of `a_block` go in
-    blocks that keep every temporary under _CHUNK_ROWS entries.
+    a[i, j, c] over i in A and j in B: an integer contraction of the union
+    indicators with `class_tensor(ct)`, in blocks of pairs that keep every
+    temporary under _CHUNK_ROWS entries.  A_t B_t is a union of classes, so
+    it holds C_c exactly when counts[t, c] > 0.
+
+    The character table is computed from the same tensor, so an evenly
+    spaced sample of the pairs is recounted on the elements: each count must
+    equal `pair_count` at the class representative, and the product set must
+    be exactly the classes with a positive count.  A disagreement raises
+    `CountMismatch`.
     """
     k = ct.n_classes
     flat = class_tensor(ct).reshape(k, k * k)
-    left, right = _indicators(k, a_block), _indicators(k, b_block)
-    out = np.empty((len(a_block), len(b_block), k), dtype=np.int64)
-    step = max(1, _CHUNK_ROWS // (k * max(k, len(b_block))))
-    for lo in range(0, len(a_block), step):
-        # partial[p, j, c] = sum over classes i of A_p of a[i, j, c]
-        partial = (left[lo : lo + step] @ flat).reshape(-1, k, k)
-        out[lo : lo + step] = right @ partial
-    return out
-
-
-def _indicators(k: int, block: Sequence[NormalSubset]) -> np.ndarray:
-    ind = np.zeros((len(block), k), dtype=np.int64)
-    for row, s in enumerate(block):
-        ind[row, list(s.class_indices)] = 1
-    return ind
-
-
-def _tensor_counts(
-    ct: ClassTable, pairs: Sequence[tuple], by_product_set: bool
-) -> np.ndarray:
-    """(len(pairs), k) `class_pair_counts` of each (A, B) pair, sample recounted."""
-    out = np.zeros((len(pairs), ct.n_classes), dtype=np.int64)
-    for t, (a, b) in enumerate(pairs):
-        out[t] = class_pair_counts(ct, [a], [b])[0, 0]
-    return _recounted_classes(ct, pairs, out, by_product_set)
-
-
-def _recounted_classes(
-    ct: ClassTable, pairs: Sequence[tuple], counts: np.ndarray, by_product_set: bool
-) -> np.ndarray:
-    """`counts` of the (A, B) pairs, once a sample of them is recounted on the elements.
-
-    With `by_product_set` the sample's product sets must be the classes with a
-    positive count, whole; otherwise every count must equal `pair_count` at
-    the class representative.
-    """
+    # ind[t, 0] and ind[t, 1] indicate the classes of A_t and of B_t; bool
+    # until a block widens it, so the stack grows by 2k bytes per pair
+    sets = [s for pair in pairs for s in pair]
+    ind = np.zeros((len(sets), k), dtype=bool)
+    rows = np.repeat(np.arange(len(sets)), [len(s.class_indices) for s in sets])
+    ind[rows, np.fromiter((i for s in sets for i in s.class_indices), np.intp)] = True
+    ind = ind.reshape(len(pairs), 2, k)
+    out = np.empty((len(pairs), k), dtype=np.int64)
+    step = max(1, _CHUNK_ROWS // (k * k))
+    for lo in range(0, len(pairs), step):
+        block = ind[lo : lo + step].astype(np.int64)
+        # partial[t, j, c] = sum over classes i of A_t of a[i, j, c]
+        partial = (block[:, 0] @ flat).reshape(-1, k, k)
+        out[lo : lo + step] = (block[:, 1, None] @ partial)[:, 0]
     group = ct.group
-    label = f"{group.label} class tensor"
-    if by_product_set:
-        # elements of A*B per class: all of a class with a positive count, else
-        # none; formed for the sampled pairs only, as `counts` may be large
-        whole = {t: (counts[t] > 0) * ct.sizes for t in _spread(len(pairs))}
+    # per sampled pair: the counts at the representatives, then the elements
+    # of A*B per class, which are all of a class with a positive count
+    sample = {t: np.stack([out[t], (out[t] > 0) * ct.sizes]) for t in _spread(len(pairs))}
 
-        def per_class(a, b):
-            return np.bincount(ct.class_of[product_set(group, a, b).mask], minlength=ct.n_classes)
+    def on_elements(a, b):
+        at_reps = [pair_count(group, a, b, int(g)) for g in ct.reps]
+        per_class = np.bincount(ct.class_of[product_set(group, a, b).mask], minlength=k)
+        return np.stack([at_reps, per_class])
 
-        _recounted(label, pairs, whole, per_class)
-    else:
-        def at_reps(a, b):
-            return [pair_count(group, a, b, int(g)) for g in ct.reps]
-
-        _recounted(label, pairs, counts, at_reps)
-    return counts
+    _recounted(f"{group.label} class tensor", pairs, sample, on_elements)
+    return out
 
 
 # -- single-instance checks ----------------------------------------------------
@@ -224,7 +202,7 @@ def check_gowers2(
     require_nonempty(b, "B")
     if k == 0:
         raise ValueError("k must be a nonidentity class")
-    counts = _tensor_counts(a.ct, [(a, b)], True)[0]
+    counts = class_pair_counts(a.ct, [(a, b)])[0]
     return _gowers2_records(group, _class_ratios(tab), a, b, counts, [k], inputs)[0]
 
 
@@ -281,7 +259,7 @@ def check_asymp(
     """
     require_nonempty(a, "A")
     require_nonempty(b, "B")
-    counts = _tensor_counts(a.ct, [(a, b)], False)[0]
+    counts = class_pair_counts(a.ct, [(a, b)])[0]
     return _asymp_records(_class_ratios(tab), a, b, counts, inputs)
 
 
@@ -336,7 +314,7 @@ def dichotomy_check(
     """
     if a.is_trivial():
         raise TrivialSubset("A must be nonempty and different from {1}")
-    counts = _tensor_counts(a.ct, [(a, a)], True)[0]
+    counts = class_pair_counts(a.ct, [(a, a)])[0]
     return _dichotomy_record(group, tab, a, counts, inputs)
 
 
@@ -414,9 +392,7 @@ def gluck_report(
     )
 
 
-def square_growth_survey(
-    group: FiniteGroup, ct: ClassTable, tab: CharacterTable
-) -> ReportDocument:
+def square_growth_survey(group: FiniteGroup, ct: ClassTable) -> ReportDocument:
     """Census of the squaring exponent over unions of nonidentity classes.
 
     For each nonempty union A of nonidentity classes, records whether A^2
@@ -428,7 +404,7 @@ def square_growth_survey(
     subsets = _union_sweep(ct, include_identity_class=False, seed=0)
     records = []
     eps_values = []
-    for a, counts in zip(subsets, _tensor_counts(ct, [(a, a) for a in subsets], True)):
+    for a, counts in zip(subsets, class_pair_counts(ct, [(a, a) for a in subsets])):
         a2_size = _covered_size(ct, counts)
         if _covers_nonidentity(counts):
             rhs, note = group.n - 1, "covering"
@@ -463,9 +439,7 @@ def square_growth_survey(
     return report
 
 
-def pyber_report(
-    group: FiniteGroup, ct: ClassTable, tab: CharacterTable
-) -> ReportDocument:
+def pyber_report(group: FiniteGroup, ct: ClassTable) -> ReportDocument:
     """Census: symmetric normal A with |A| > n/log2(n), does A^2 = G?
 
     Report only, no assertion.
@@ -480,7 +454,7 @@ def pyber_report(
         if a.symmetric and a.size > threshold
     ]
     records = []
-    for a, counts in zip(subsets, _tensor_counts(ct, [(a, a) for a in subsets], True)):
+    for a, counts in zip(subsets, class_pair_counts(ct, [(a, a) for a in subsets])):
         a2_size = _covered_size(ct, counts)
         full = a2_size == n
         records.append(
@@ -525,7 +499,7 @@ def word_growth_report(
     n = group.n
     ab = img1.size * img2.size
     scale = n / math.sqrt(ab)
-    counts = _tensor_counts(ct, [(img1, img2)], False)[0]
+    counts = class_pair_counts(ct, [(img1, img2)])[0]
     records = []
     for k in range(1, ct.n_classes):
         # |P(g) n - 1| = |count n - ab| / ab exactly; int / int rounds it correctly
@@ -618,10 +592,9 @@ def sweep_gowers2(
             NormalSubset.from_classes(ct, [i]) for i in range(ct.n_classes)
         ]
     pairs = [(a, b) for a in pool for b in pool]
-    grid = class_pair_counts(ct, pool, pool).reshape(len(pairs), ct.n_classes)
     ratios = _class_ratios(tab)
     records = []
-    for (a, b), row in zip(pairs, _recounted_classes(ct, pairs, grid, True)):
+    for (a, b), row in zip(pairs, class_pair_counts(ct, pairs)):
         records.extend(_gowers2_records(group, ratios, a, b, row, range(1, ct.n_classes)))
     return ReportDocument(title=f"growth gowers2 {group.label}", results=records)
 
@@ -637,8 +610,6 @@ def sweep_asymp(
     if pairs is None:
         pool = _union_sweep(ct, include_identity_class=True, seed=seed)
         chosen = [(a, b) for a in pool for b in pool]
-        grid = class_pair_counts(ct, pool, pool).reshape(len(chosen), ct.n_classes)
-        counts = _recounted_classes(ct, chosen, grid, False)
         names = [""] * len(chosen)
     else:
         rng = np.random.default_rng(seed)
@@ -646,14 +617,13 @@ def sweep_asymp(
             (random_normal_subset(ct, rng), random_normal_subset(ct, rng))
             for _ in range(pairs)
         ]
-        counts = _tensor_counts(ct, chosen, False)
         names = [
             f"trial={trial};A={a.expr()};B={b.expr()}"
             for trial, (a, b) in enumerate(chosen)
         ]
     ratios = _class_ratios(tab)
     records = []
-    for (a, b), row, name in zip(chosen, counts, names):
+    for (a, b), row, name in zip(chosen, class_pair_counts(ct, chosen), names):
         records.extend(_asymp_records(ratios, a, b, row, name))
     return ReportDocument(title=f"growth asymp {group.label}", results=records)
 
@@ -669,7 +639,7 @@ def sweep_dichotomy(
     ]
     records = [
         _dichotomy_record(group, tab, a, counts)
-        for a, counts in zip(pool, _tensor_counts(ct, [(a, a) for a in pool], True))
+        for a, counts in zip(pool, class_pair_counts(ct, [(a, a) for a in pool]))
     ]
     return ReportDocument(title=f"growth dichotomy {group.label}", results=records)
 

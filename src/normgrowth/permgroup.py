@@ -252,7 +252,8 @@ class FiniteGroup:
 
         `a` and `b` are index arrays (or ints) that broadcast together; the
         result has their broadcast shape, an int for two ints.  Image rows are
-        formed and resolved in blocks of at most _CHUNK_ROWS entries.
+        formed and resolved in blocks of at most _CHUNK_ROWS entries.  An index
+        outside 0..n-1 raises IndexError.
         """
         it = np.nditer(
             [a, b, None],
@@ -265,6 +266,8 @@ class FiniteGroup:
         flat = self.perms.ravel()
         with it:
             for pa, pb, out in it:
+                if min(pa.min(), pb.min()) < 0 or max(pa.max(), pb.max()) >= self.n:
+                    raise IndexError(f"element index out of range for {self.label}")
                 # rows[i, x] = perms[pa[i], perms[pb[i], x]], read from the flat array
                 starts = pa[:, None] * self.degree
                 out[...] = self.index_of(flat.take(starts + self.perms.take(pb, axis=0)))

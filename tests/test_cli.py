@@ -157,6 +157,17 @@ def test_tolerance_override_restored_after_usage_error(capsys):
     assert _tolerances_now() == TOLERANCE_DEFAULTS
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+def test_non_finite_tolerance_exits_2(tmp_path, capsys, value):
+    """nan would fail every record and inf pass every bound: a usage error instead."""
+    out = tmp_path / "report.json"
+    argv = ["growth", "--group", "A:5", "--check", "dichotomy", "--out", str(out)]
+    assert main(argv + ["--tolerance", "slack=5", "--tolerance", f"slack={value}"]) == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
+    assert _tolerances_now() == TOLERANCE_DEFAULTS
+
+
 @pytest.mark.parametrize("name", ["no-such", "commutation", "roundtrip"])
 def test_bad_tolerance_name_exits_2(capsys, name):
     code = main(["group", "--group", "A:5", "--tolerance", f"{name}=1"])

@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import json
 import math
 from fractions import Fraction
 
@@ -195,18 +197,18 @@ def test_gluck_report(psl27, a5):
 
 
 def test_survey_counts(a5, psl27, s5):
-    rep = square_growth_survey(a5.group, a5.classes, a5.table)
+    rep = square_growth_survey(a5.group, a5.classes)
     assert rep.meta["union_count"] == 15
     assert rep.meta["covering_count"] == 13
     assert 0.5 < rep.meta["min_eps_non_covering"] < 0.6
-    rep = square_growth_survey(psl27.group, psl27.classes, psl27.table)
+    rep = square_growth_survey(psl27.group, psl27.classes)
     assert rep.meta["union_count"] == 31
     with pytest.raises(ValueError):
-        square_growth_survey(s5.group, s5.classes, s5.table)
+        square_growth_survey(s5.group, s5.classes)
 
 
 def test_pyber_census(a5):
-    rep = pyber_report(a5.group, a5.classes, a5.table)
+    rep = pyber_report(a5.group, a5.classes)
     assert rep.meta["threshold"] == pytest.approx(60 / math.log2(60))
     assert rep.meta["qualifying"] == len(rep.results) == 30
     assert rep.meta["square_covers"] == 26
@@ -273,15 +275,15 @@ def brute_counts(group, ct, a, b):
 def test_class_pair_counts_every_union_pair(a5, monkeypatch):
     g, ct = a5.group, a5.classes
     pool = enumerate_normal_subsets(ct)
-    counts = class_pair_counts(ct, pool, pool)
-    assert counts.dtype == np.int64 and counts.shape == (31, 31, ct.n_classes)
-    for p, a in enumerate(pool):
-        for q, b in enumerate(pool):
-            assert counts[p, q].tolist() == brute_counts(g, ct, a, b)
-    # blocks of 1 and of 3 rows of A give the same counts as one block
+    pairs = [(a, b) for a in pool for b in pool]
+    counts = class_pair_counts(ct, pairs)
+    assert counts.dtype == np.int64 and counts.shape == (31 * 31, ct.n_classes)
+    for (a, b), row in zip(pairs, counts):
+        assert row.tolist() == brute_counts(g, ct, a, b)
+    # blocks of 1 and of 18 pairs give the same counts as one block
     for chunk in (1, 3 * ct.n_classes * len(pool)):
         monkeypatch.setattr(growth, "_CHUNK_ROWS", chunk)
-        assert np.array_equal(class_pair_counts(ct, pool, pool), counts)
+        assert np.array_equal(class_pair_counts(ct, pairs), counts)
 
 
 @pytest.mark.parametrize("spec", ["PSL2:7", "PSL2:11", "PSL3:2"])
@@ -289,18 +291,84 @@ def test_class_pair_counts_random_unions(spec):
     ctx = get_context(spec)
     g, ct = ctx.group, ctx.classes
     rng = np.random.default_rng(11)
-    for _ in range(50):
-        a = random_normal_subset(ct, rng)
-        b = random_normal_subset(ct, rng)
-        assert class_pair_counts(ct, [a], [b])[0, 0].tolist() == brute_counts(g, ct, a, b)
+    pairs = [(random_normal_subset(ct, rng), random_normal_subset(ct, rng)) for _ in range(50)]
+    for (a, b), row in zip(pairs, class_pair_counts(ct, pairs)):
+        assert row.tolist() == brute_counts(g, ct, a, b)
 
 
 def test_class_pair_counts_square_sizes(psl27):
     g, ct = psl27.group, psl27.classes
     pool = enumerate_normal_subsets(ct)
-    for a in pool:
-        counts = class_pair_counts(ct, [a], [a])[0, 0]
+    for a, counts in zip(pool, class_pair_counts(ct, [(a, a) for a in pool])):
         assert int(ct.sizes[counts > 0].sum()) == product_set(g, a, a).size
+
+
+def test_class_pair_counts_of_no_pairs(a5):
+    counts = class_pair_counts(a5.classes, [])
+    assert counts.dtype == np.int64 and counts.shape == (0, a5.classes.n_classes)
+
+
+# sha256 of the seed-0 report bodies of the reports counted by
+# `class_pair_counts`, as its grid, per-pair and recount-by-hand callers gave them
+TENSOR_BODIES = {
+    ("A:5", "asymp"): "bdbe23a4022a177a8c75004fe9241b6b03132754dc2bb0a1b5b99942193c3581",
+    ("A:5", "asymp-pairs20"): "17db11282e8b21b9a035c6dc674556d76b55440fb0d119f7b03376e94654b39f",
+    ("A:5", "gowers2-unions"): "5b17956da264a8a7961fdd2ba134317ef94e07207f6027eac4856d429051d017",
+    ("A:5", "gowers2-classes"): "654076d681733982a584690e4179313db02e44e645f155eed094d44fbf58e865",
+    ("A:5", "dichotomy"): "8642d798d4532f17e1f638df967031190060eb7d04b3d4e024bafd5059eecdbb",
+    ("A:5", "survey"): "0ead13f31aa1ae7d4ac8a75f11087d2ebafff0382655c3e80bc219cc994d12b6",
+    ("A:5", "pyber"): "3edbffd12f7435755415b36b9023fc17d2b94d194ec8d20359c51dd46760df1c",
+    ("A:5", "words"): "8dd952d3d2762ac4980be6b7f132e3c04c57ac6f266e3c97895b0cc6997d1fc9",
+    ("PSL2:7", "asymp"): "c903ef4c9209f1f41ef2df36285e7b840bc4408b16a54c211748451c41f1fd21",
+    ("PSL2:7", "asymp-pairs20"): "8824c025dee1e15d149bfdf574c6087a12345f1096877394d9192a2564628255",
+    ("PSL2:7", "gowers2-unions"): "7a0630c4de3a6003bd43a1d51d1f1bf4cf22fae878f3e5b540cf83ea38bec899",
+    ("PSL2:7", "gowers2-classes"): "6eab33474a8cda560bec2825e81ceec97537b7f5bcabc436d3d605bf35c1c846",
+    ("PSL2:7", "dichotomy"): "de23fd66070f394095295da91bbc75bdaa2d6c0e5af5a61e92216b8f525ac67b",
+    ("PSL2:7", "survey"): "4af3ad284019b442f51c1b895786219e02699f438b7f364678935ac2c31e019d",
+    ("PSL2:7", "pyber"): "aa86f9c8dd473b2466f5f87b7c2c97c82c7cd0f9221aa870489cf830518b4aab",
+    ("PSL2:7", "words"): "a1a699e1e5fd239632ee89112c662a9fb8ccb279b8aebe20cb4d24fa32f57a67",
+}
+TENSOR_REPORTS = {
+    "asymp": lambda g, ct, tab: sweep_asymp(g, ct, tab),
+    "asymp-pairs20": lambda g, ct, tab: sweep_asymp(g, ct, tab, pairs=20, seed=0),
+    "gowers2-unions": lambda g, ct, tab: sweep_gowers2(g, ct, tab, unions=True),
+    "gowers2-classes": lambda g, ct, tab: sweep_gowers2(g, ct, tab, unions=False),
+    "dichotomy": lambda g, ct, tab: sweep_dichotomy(g, ct, tab),
+    "survey": lambda g, ct, tab: square_growth_survey(g, ct),
+    "pyber": lambda g, ct, tab: pyber_report(g, ct),
+    "words": lambda g, ct, tab: word_growth_report(g, ct, tab, "xx", "xyXY"),
+}
+
+
+@pytest.mark.parametrize(
+    "spec,report", sorted(TENSOR_BODIES), ids=[f"{s}-{r}" for s, r in sorted(TENSOR_BODIES)]
+)
+def test_tensor_routed_bodies_are_pinned(spec, report):
+    ctx = get_context(spec)
+    doc = TENSOR_REPORTS[report](ctx.group, ctx.classes, ctx.table)
+    body = json.dumps(doc.body_dict(), sort_keys=True)
+    assert hashlib.sha256(body.encode()).hexdigest() == TENSOR_BODIES[spec, report]
+
+
+def test_recount_catches_a_raised_count(a5):
+    """A positive tensor entry raised by one must be caught.
+
+    1*1 = 1 is the one product in C_0 x C_0, so a[0, 0, 0] = 2 keeps every
+    product set and changes the identity's count of every pair whose A and
+    B hold the identity; each call's sample holds such a pair.
+    """
+    g, tab = a5.group, a5.table
+    bad = class_tensor(a5.classes).copy()
+    assert bad[0, 0, 0] == 1
+    bad[0, 0, 0] += 1
+    ct = dataclasses.replace(a5.classes, tensor=bad)
+    one = NormalSubset.from_classes(ct, [0])
+    with pytest.raises(CountMismatch):
+        class_pair_counts(ct, [(one, one)])
+    with pytest.raises(CountMismatch):
+        sweep_gowers2(g, ct, tab, unions=False)
+    with pytest.raises(CountMismatch):
+        sweep_dichotomy(g, ct, tab)
 
 
 def test_brute_force_sample_catches_a_wrong_tensor(a5):

@@ -263,6 +263,17 @@ def test_translates_match_mul(name):
         g.left_translates([g.n])
 
 
+@pytest.mark.parametrize("bad", [-1, 24])
+def test_mul_refuses_indices_out_of_range(bad):
+    """An index outside 0..n-1 on either side raises, never wraps around."""
+    g = build_symmetric(4)
+    assert g.n == 24
+    for a, b in [(bad, 0), (0, bad), (np.array([0, bad, 1]), 2), (3, np.array([[5], [bad]]))]:
+        with pytest.raises(IndexError, match="element index out of range for S4"):
+            g.mul(a, b)
+    assert g.mul(23, np.array([0, 23])).tolist() == [23, g.mul(23, 23)]
+
+
 def test_translates_refuse_a_group_its_generators_miss():
     g = build_symmetric(4)
     # the first generator alone is a transposition: it reaches 2 of the 24 elements

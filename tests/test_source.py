@@ -202,3 +202,43 @@ def test_convolve_rows_never_reads_the_characters():
     assert ("permgroup.py", "FiniteGroup.mul") in reached
     table_names = CHARACTER_NAMES | {"CharacterTable", "compute_character_table"}
     assert not _naming(reached, table_names)
+
+
+# every normal x normal product, single check or sweep
+TENSOR_ROUTED = [
+    "check_gowers2",
+    "check_asymp",
+    "dichotomy_check",
+    "sweep_gowers2",
+    "sweep_asymp",
+    "sweep_dichotomy",
+    "square_growth_survey",
+    "pyber_report",
+    "word_growth_report",
+]
+
+
+def test_one_count_on_the_class_tensor():
+    """Only `class_pair_counts` reads the tensor, and it recounts on the elements itself."""
+    functions = {
+        node.name: node for node in ast.walk(TREES["growth.py"]) if isinstance(node, ast.FunctionDef)
+    }
+    naming = [
+        name
+        for name, fn in functions.items()
+        if any(isinstance(sub, ast.Name) and sub.id == "class_tensor" for sub in ast.walk(fn))
+    ]
+    assert naming == ["class_pair_counts"]
+    calls = {
+        node.func.id
+        for node in ast.walk(functions["class_pair_counts"])
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    }
+    assert {"_recounted", "pair_count", "product_set"} <= calls
+
+
+@pytest.mark.parametrize("name", TENSOR_ROUTED)
+def test_tensor_routed_checks_count_through_the_recount(name):
+    reached = _reached_functions("growth.py", name)
+    assert ("growth.py", "class_pair_counts") in reached
+    assert ("spectral.py", "_recounted") in reached
