@@ -32,17 +32,12 @@ from .spectral import (
     lambda_direct,
     lambda_normal,
     mixing_discrepancies,
-    mixing_discrepancy,
     spectral_report,
 )
 from .growth import (
-    check_2step,
-    check_asymp,
-    check_gowers2,
     class_pair_counts,
     dichotomy_check,
     gluck_report,
-    pab_exact,
     product_set,
     pyber_report,
     square_growth_survey,
@@ -51,7 +46,6 @@ from .growth import (
 from .distributions import (
     Distribution,
     check_bnp_star,
-    check_bnp_two_step,
     convolve,
     from_subset,
     l2_dist_uniform,
@@ -75,11 +69,7 @@ __all__ = [
     "build_psl3",
     "build_symmetric",
     "character_ratio",
-    "check_2step",
-    "check_asymp",
     "check_bnp_star",
-    "check_bnp_two_step",
-    "check_gowers2",
     "class_mult_tensor",
     "class_pair_counts",
     "class_tensor",
@@ -99,8 +89,6 @@ __all__ = [
     "load_table",
     "min_nontrivial_degree",
     "mixing_discrepancies",
-    "mixing_discrepancy",
-    "pab_exact",
     "parse_group_spec",
     "parse_subset_expr",
     "product_set",

@@ -40,17 +40,38 @@ from .subsets import parse_subset_expr
 
 OUT_ENV = "NORMGROWTH_OUT"
 
-GROWTH_CHECKS = (
-    "2step",
-    "gowers2",
-    "asymp",
-    "dichotomy",
-    "survey",
-    "pyber",
-    "words",
-    "gluck",
-)
-DIST_CHECKS = ("bnp", "bnp2step", "wlambda")
+# command -> check -> (context, parsed args) -> report; each randomized sweep
+# holds its default trial count, used when --trials is not given
+CHECKS = {
+    "growth": {
+        "2step": lambda c, a: sweep_2step(
+            c.group, c.classes, c.table, b_per_a=a.trials or 100, seed=a.seed
+        ),
+        "gowers2": lambda c, a: sweep_gowers2(
+            c.group, c.classes, c.table, unions=not a.classes_only
+        ),
+        # no --trials: every pair of class unions
+        "asymp": lambda c, a: sweep_asymp(
+            c.group, c.classes, c.table, pairs=a.trials, seed=a.seed
+        ),
+        "dichotomy": lambda c, a: sweep_dichotomy(c.group, c.classes, c.table),
+        "survey": lambda c, a: square_growth_survey(c.group, c.classes),
+        "pyber": lambda c, a: pyber_report(c.group, c.classes),
+        "words": lambda c, a: word_growth_report(c.group, c.classes, c.table, *a.words),
+        "gluck": lambda c, a: gluck_report(c.group, None, c.table),
+    },
+    "dist": {
+        "bnp": lambda c, a: sweep_bnp_star(
+            c.group, c.table, trials=a.trials or 1000, seed=a.seed
+        ),
+        "bnp2step": lambda c, a: sweep_bnp_two_step(
+            c.group, c.table, pairs=a.trials or 500, seed=a.seed
+        ),
+        "wlambda": lambda c, a: sweep_wlambda(
+            c.group, c.table, trials=a.trials or 100, seed=a.seed
+        ),
+    },
+}
 
 
 def _int_at_least(low: int):
@@ -116,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("growth", parents=[grouped], help="product-set growth checks")
-    p.add_argument("--check", required=True, choices=GROWTH_CHECKS)
+    p.add_argument("--check", required=True, choices=list(CHECKS["growth"]))
     p.add_argument("--trials", type=_int_at_least(1), help="trial count for randomized sweeps")
     p.add_argument(
         "--words",
@@ -132,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("dist", parents=[grouped], help="distribution convolution checks")
-    p.add_argument("--check", required=True, choices=DIST_CHECKS)
+    p.add_argument("--check", required=True, choices=list(CHECKS["dist"]))
     p.add_argument("--trials", type=_int_at_least(1), help="trial count")
 
     p = sub.add_parser("acceptance", parents=[common], help="run the acceptance suite")
@@ -299,39 +320,10 @@ def cmd_lambda(args) -> int:
     return _emit(doc, args, _stem("lambda", args.group, args.subset))
 
 
-def cmd_growth(args) -> int:
+def cmd_check(args) -> int:
     ctx = get_context(args.group, order_cap=args.order_cap, seed=args.seed)
-    g, ct, tab = ctx.group, ctx.classes, ctx.table
-    check = args.check
-    if check == "2step":
-        doc = sweep_2step(g, ct, tab, b_per_a=args.trials or 100, seed=args.seed)
-    elif check == "gowers2":
-        doc = sweep_gowers2(g, ct, tab, unions=not args.classes_only)
-    elif check == "asymp":
-        doc = sweep_asymp(g, ct, tab, pairs=args.trials, seed=args.seed)
-    elif check == "dichotomy":
-        doc = sweep_dichotomy(g, ct, tab)
-    elif check == "survey":
-        doc = square_growth_survey(g, ct)
-    elif check == "pyber":
-        doc = pyber_report(g, ct)
-    elif check == "words":
-        doc = word_growth_report(g, ct, tab, args.words[0], args.words[1])
-    else:
-        doc = gluck_report(g, None, tab)
-    return _emit(doc, args, _stem("growth", check, args.group))
-
-
-def cmd_dist(args) -> int:
-    ctx = get_context(args.group, order_cap=args.order_cap, seed=args.seed)
-    g, ct, tab = ctx.group, ctx.classes, ctx.table
-    if args.check == "bnp":
-        doc = sweep_bnp_star(g, tab, trials=args.trials or 1000, seed=args.seed)
-    elif args.check == "bnp2step":
-        doc = sweep_bnp_two_step(g, tab, pairs=args.trials or 500, seed=args.seed)
-    else:
-        doc = sweep_wlambda(g, tab, trials=args.trials or 100, seed=args.seed)
-    return _emit(doc, args, _stem("dist", args.check, args.group))
+    doc = CHECKS[args.command][args.check](ctx, args)
+    return _emit(doc, args, _stem(args.command, args.check, args.group))
 
 
 def cmd_acceptance(args) -> int:
@@ -348,8 +340,8 @@ COMMANDS = {
     "group": cmd_group,
     "chartable": cmd_chartable,
     "lambda": cmd_lambda,
-    "growth": cmd_growth,
-    "dist": cmd_dist,
+    "growth": cmd_check,
+    "dist": cmd_check,
     "acceptance": cmd_acceptance,
 }
 

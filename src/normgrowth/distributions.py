@@ -48,12 +48,6 @@ def uniform(n: int) -> Distribution:
     return Distribution(np.full(n, 1.0 / n))
 
 
-def point_mass(n: int, g: int) -> Distribution:
-    w = np.zeros(n)
-    w[g] = 1.0
-    return Distribution(w)
-
-
 def from_subset(b: SubsetLike) -> Distribution:
     """Uniform on B, zero elsewhere."""
     mask = subset_mask(b)
@@ -106,33 +100,15 @@ def weighted_cayley_lambda(group: FiniteGroup, y: Distribution) -> float:
     return deflated_lambda(group, y.weights)
 
 
-def check_bnp_two_step(
-    group: FiniteGroup,
-    tab: CharacterTable,
-    a: SubsetLike,
-    b: SubsetLike,
-    inputs: str = "",
+def _bnp2step_record(
+    group: FiniteGroup, m: int, a_size: int, b_size: int, ab: int, inputs: str
 ) -> CheckResult:
-    """Two-step product bound from the minimal degree, first inequality strict.
+    """The bnp2step record of |AB|, first inequality strict.
 
     |AB| > n / (1 + n^2/(m |A| |B|)) and |AB| >= min(n/2, m |A| |B| / (2n)).
     With x = m |A| |B| / n^2 the first bound is n x/(1 + x) >= n min(1, x)/2,
     the second, so one strict comparison against the larger decides both.
     """
-    a_size = int(subset_mask(a).sum())
-    b_size = int(subset_mask(b).sum())
-    if a_size == 0 or b_size == 0:
-        raise EmptySubset("A and B must be nonempty")
-    return _bnp2step_record(
-        group, min_nontrivial_degree(tab), a_size, b_size,
-        product_set(group, a, b).size, inputs or f"|A|={a_size};|B|={b_size}",
-    )
-
-
-def _bnp2step_record(
-    group: FiniteGroup, m: int, a_size: int, b_size: int, ab: int, inputs: str
-) -> CheckResult:
-    """The bnp2step record of |AB| against the larger of the two bounds."""
     n = group.n
     strict = n / (1.0 + n * n / (m * a_size * b_size))
     weak = min(n / 2.0, m * a_size * b_size / (2.0 * n))

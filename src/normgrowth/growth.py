@@ -17,8 +17,7 @@ raises `CountMismatch`.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -42,7 +41,6 @@ from .subsets import (
     enumerate_normal_subsets,
     random_normal_subset,
     random_subset,
-    require_nonempty,
     subset_mask,
 )
 
@@ -88,20 +86,19 @@ def product_sizes(group: FiniteGroup, fixed: SubsetLike, rows: np.ndarray) -> np
     return np.array(sizes).reshape(rows.shape[:-1])
 
 
-def pair_count(group: FiniteGroup, a: SubsetLike, b: SubsetLike, g: int) -> int:
-    """#{(x, y) in A x B : x*y = g}, exact."""
-    a_idx = np.flatnonzero(subset_mask(a))
-    # x*y = g  <=>  y = x^-1 g
-    return int(subset_mask(b)[group.mul(group.inverse_of[a_idx], g)].sum())
+def pair_count(
+    group: FiniteGroup, a: SubsetLike, b: SubsetLike, g: int | np.ndarray
+) -> int | np.ndarray:
+    """#{(x, y) in A x B : x*y = g}, exact; one count per target for an array g.
 
-
-def pab_exact(group: FiniteGroup, a: SubsetLike, b: SubsetLike, g: int) -> Fraction:
-    """P_{A,B}(g) = pair_count / (|A| |B|) as an exact rational."""
-    asize = int(subset_mask(a).sum())
-    bsize = int(subset_mask(b).sum())
-    require_nonempty(a, "A")
-    require_nonempty(b, "B")
-    return Fraction(pair_count(group, a, b, g), asize * bsize)
+    x*y = g  <=>  y = x^-1 g, so every target is resolved by one `mul` over
+    the |A| x len(g) grid.
+    """
+    targets = np.asarray(g)
+    a_inv = group.inverse_of[np.flatnonzero(subset_mask(a))]
+    hits = subset_mask(b)[group.mul(a_inv[:, None], targets.ravel())]
+    counts = hits.sum(axis=0)
+    return int(counts[0]) if targets.ndim == 0 else counts.reshape(targets.shape)
 
 
 def class_pair_counts(ct: ClassTable, pairs: Sequence[tuple]) -> np.ndarray:
@@ -141,7 +138,7 @@ def class_pair_counts(ct: ClassTable, pairs: Sequence[tuple]) -> np.ndarray:
     sample = {t: np.stack([out[t], (out[t] > 0) * ct.sizes]) for t in _spread(len(pairs))}
 
     def on_elements(a, b):
-        at_reps = [pair_count(group, a, b, int(g)) for g in ct.reps]
+        at_reps = pair_count(group, a, b, ct.reps)
         per_class = np.bincount(ct.class_of[product_set(group, a, b).mask], minlength=k)
         return np.stack([at_reps, per_class])
 
@@ -149,34 +146,16 @@ def class_pair_counts(ct: ClassTable, pairs: Sequence[tuple]) -> np.ndarray:
     return out
 
 
-# -- single-instance checks ----------------------------------------------------
-
-
-def check_2step(
-    group: FiniteGroup,
-    tab: CharacterTable,
-    a: NormalSubset,
-    b: SubsetLike,
-    inputs: str = "",
-) -> CheckResult:
-    """Two-step growth: |AB| >= n / (1 + R^2 (n/|B| - 1)) with R = min ratio on A.
-
-    Also checks the weaker closed form |AB| >= min(n/2, |B| / (2 R^2)).
-    """
-    require_nonempty(a, "A")
-    require_nonempty(b, "B")
-    b_size = int(subset_mask(b).sum())
-    r_min, _ = r_extremes(tab, a)
-    ab = product_set(group, a, b).size
-    return _2step_record(
-        group, r_min, b_size, ab, inputs or f"A={a.expr()};|B|={b_size}"
-    )
+# -- records from per-pair counts -----------------------------------------------
 
 
 def _2step_record(
     group: FiniteGroup, r_min: float, b_size: int, ab: int, inputs: str
 ) -> CheckResult:
-    """The 2step record of |AB| against the bounds from R = min ratio on A."""
+    """The 2step record: |AB| >= n / (1 + R^2 (n/|B| - 1)) with R = min ratio on A.
+
+    Also checks the weaker closed form |AB| >= min(n/2, |B| / (2 R^2)).
+    """
     n = group.n
     bound = n / (1.0 + r_min * r_min * (n / b_size - 1.0))
     weak = min(n / 2.0, b_size / (2.0 * r_min * r_min)) if r_min > 0 else n / 2.0
@@ -185,42 +164,24 @@ def _2step_record(
     )
 
 
-def check_gowers2(
-    group: FiniteGroup,
-    tab: CharacterTable,
-    a: NormalSubset,
-    b: NormalSubset,
-    k: int,
-    inputs: str = "",
-) -> CheckResult:
-    """Class coverage: |A||B| >= R(g_k)^2 n^2 forces class k inside A*B.
-
-    SKIPPED (not failed) when the precondition does not hold; the margin is
-    the precondition's room, negative on a skipped record.
-    """
-    require_nonempty(a, "A")
-    require_nonempty(b, "B")
-    if k == 0:
-        raise ValueError("k must be a nonidentity class")
-    counts = class_pair_counts(a.ct, [(a, b)])[0]
-    return _gowers2_records(group, _class_ratios(tab), a, b, counts, [k], inputs)[0]
-
-
 def _gowers2_records(
     group: FiniteGroup,
     ratios: np.ndarray,
     a: NormalSubset,
     b: NormalSubset,
     counts: np.ndarray,
-    classes: Iterable[int],
-    inputs: str = "",
 ) -> list[CheckResult]:
-    """The gowers2 records of the given classes, from AB's per-class counts."""
+    """The gowers2 records of every nonidentity class, from AB's per-class counts.
+
+    |A||B| >= R(g_k)^2 n^2 forces class k inside A*B.  A record is SKIPPED
+    (not failed) when that precondition does not hold; the margin is the
+    precondition's room, negative on a skipped record.
+    """
     n = group.n
     pre_lhs = a.size * b.size
     prefix = f"A={a.expr()};B={b.expr()};k="
     out = []
-    for k in classes:
+    for k in range(1, len(ratios)):
         r = float(ratios[k])
         pre_rhs = r * r * n * n
         skipped = pre_lhs < pre_rhs
@@ -234,7 +195,7 @@ def _gowers2_records(
                 check="gowers2",
                 group=group.label,
                 n=n,
-                inputs=inputs or f"{prefix}{k}",
+                inputs=f"{prefix}{k}",
                 lhs=float(pre_lhs),
                 rhs=float(pre_rhs),
                 margin=float(pre_lhs - pre_rhs),
@@ -244,23 +205,6 @@ def _gowers2_records(
             )
         )
     return out
-
-
-def check_asymp(
-    tab: CharacterTable,
-    a: NormalSubset,
-    b: NormalSubset,
-    inputs: str = "",
-) -> list[CheckResult]:
-    """Deviation bound |P_AB(g) - 1/n| < R(g)/sqrt(|A||B|), every class g.
-
-    Strict inequality; exact-equality hits are flagged in the note instead of
-    failing, and the identity class is included (R = 1 there).
-    """
-    require_nonempty(a, "A")
-    require_nonempty(b, "B")
-    counts = class_pair_counts(a.ct, [(a, b)])[0]
-    return _asymp_records(_class_ratios(tab), a, b, counts, inputs)
 
 
 def _class_ratios(tab: CharacterTable) -> np.ndarray:
@@ -279,7 +223,12 @@ def _asymp_records(
     counts: np.ndarray,
     inputs: str = "",
 ) -> list[CheckResult]:
-    """The asymp records of every class, from AB's per-class pair counts."""
+    """The asymp records of every class, from AB's per-class pair counts.
+
+    |P_AB(g) - 1/n| < R(g)/sqrt(|A||B|), strict; exact-equality hits are
+    flagged in the note instead of failing, and the identity class is
+    included (R = 1 there).
+    """
     group = a.ct.group
     n = group.n
     ab = a.size * b.size
@@ -305,7 +254,6 @@ def dichotomy_check(
     group: FiniteGroup,
     tab: CharacterTable,
     a: NormalSubset,
-    inputs: str = "",
 ) -> CheckResult:
     """Square dichotomy with R = max nontrivial ratio over the whole group.
 
@@ -315,7 +263,7 @@ def dichotomy_check(
     if a.is_trivial():
         raise TrivialSubset("A must be nonempty and different from {1}")
     counts = class_pair_counts(a.ct, [(a, a)])[0]
-    return _dichotomy_record(group, tab, a, counts, inputs)
+    return _dichotomy_record(group, tab, a, counts)
 
 
 def _dichotomy_record(
@@ -323,13 +271,12 @@ def _dichotomy_record(
     tab: CharacterTable,
     a: NormalSubset,
     counts: np.ndarray,
-    inputs: str = "",
 ) -> CheckResult:
     """The dichotomy record of A, from the per-class counts of A^2."""
     n = group.n
     _, r_max = r_extremes(tab, range(1, tab.n_classes))
     a2_size = _covered_size(a.ct, counts)
-    name = inputs or f"A={a.expr()}"
+    name = f"A={a.expr()}"
     if a.size >= r_max * n:
         return CheckResult(
             check="dichotomy",
@@ -595,7 +542,7 @@ def sweep_gowers2(
     ratios = _class_ratios(tab)
     records = []
     for (a, b), row in zip(pairs, class_pair_counts(ct, pairs)):
-        records.extend(_gowers2_records(group, ratios, a, b, row, range(1, ct.n_classes)))
+        records.extend(_gowers2_records(group, ratios, a, b, row))
     return ReportDocument(title=f"growth gowers2 {group.label}", results=records)
 
 
@@ -655,26 +602,26 @@ def frobenius_oracle_report(
     """
     formula = frobenius_tensor(tab).real
     records = []
-    for i, j, kk in np.ndindex(formula.shape):
+    for i, j in np.ndindex(formula.shape[:2]):
         a = NormalSubset.from_classes(ct, [i])
         b = NormalSubset.from_classes(ct, [j])
-        exact = pair_count(group, a, b, int(ct.reps[kk]))
-        approx = formula[i, j, kk]
-        dev = abs(approx - exact)
-        rel = dev / max(1.0, float(exact))
-        rounds = int(round(approx)) == exact
-        records.append(
-            CheckResult(
-                check="frobenius-oracle",
-                group=group.label,
-                n=group.n,
-                inputs=f"i={i};j={j};k={kk}",
-                lhs=float(exact),
-                rhs=float(approx),
-                margin=float(tol.PAB_RELATIVE - rel),
-                passed=bool(rounds and rel <= tol.PAB_RELATIVE),
+        for kk, exact in enumerate(pair_count(group, a, b, ct.reps).tolist()):
+            approx = formula[i, j, kk]
+            dev = abs(approx - exact)
+            rel = dev / max(1.0, float(exact))
+            rounds = int(round(approx)) == exact
+            records.append(
+                CheckResult(
+                    check="frobenius-oracle",
+                    group=group.label,
+                    n=group.n,
+                    inputs=f"i={i};j={j};k={kk}",
+                    lhs=float(exact),
+                    rhs=float(approx),
+                    margin=float(tol.PAB_RELATIVE - rel),
+                    passed=bool(rounds and rel <= tol.PAB_RELATIVE),
+                )
             )
-        )
     return ReportDocument(
         title=f"growth frobenius-oracle {group.label}", results=records
     )

@@ -236,29 +236,17 @@ def check_vertex_expansion(
     return int((convolve_rows(s.group, b_mask, s.mask) > 0).sum()), bound
 
 
-def mixing_discrepancy(
-    s: NormalSubset,
-    a: SubsetLike,
-    b: SubsetLike,
-    tab: CharacterTable,
-) -> tuple[float, float]:
-    """lhs = |e(A,B)/(dn) - alpha beta|, rhs = lambda sqrt(ab(1-a)(1-b))."""
-    a_size = int(subset_mask(a).sum())
-    b_size = int(subset_mask(b).sum())
-    lam = lambda_normal(tab, s)
-    return _mixing_bound(s.group.n, s.size, lam, a_size, b_size, arc_count(s, a, b))
-
-
 def mixing_discrepancies(
     s: NormalSubset,
     pairs: Sequence[tuple[SubsetLike, SubsetLike]],
     tab: CharacterTable,
 ) -> list[tuple[float, float]]:
-    """`mixing_discrepancy` of every (A, B) pair, from one kernel call.
+    """(lhs, rhs) of the mixing bound of every (A, B) pair, from one kernel call.
 
-    Stacking the A as rows, e(A, B) is the row sum of
-    convolve_rows(G, A, 1_S) * B.  An evenly spaced sample of at most
-    BRUTE_FORCE_SAMPLE pairs is recounted with `arc_count`, and any
+    lhs = |e(A,B)/(dn) - alpha beta| and rhs = lambda sqrt(ab(1-a)(1-b)),
+    with lambda from the characters.  Stacking the A as rows, e(A, B) is the
+    row sum of convolve_rows(G, A, 1_S) * B.  An evenly spaced sample of at
+    most BRUTE_FORCE_SAMPLE pairs is recounted with `arc_count`, and any
     disagreement raises `CountMismatch`.
     """
     group = s.group

@@ -8,7 +8,7 @@ from typing import Iterable, Optional, Union
 
 import numpy as np
 
-from .errors import EmptySubset, NotNormal, ParseError
+from .errors import NotNormal, ParseError
 from .permgroup import ClassTable, FiniteGroup, word_image
 
 
@@ -113,12 +113,6 @@ def subset_mask(s: SubsetLike) -> np.ndarray:
     return np.asarray(s, dtype=bool)
 
 
-def subset_size(s: SubsetLike) -> int:
-    if isinstance(s, (Subset, NormalSubset)):
-        return s.size
-    return int(subset_mask(s).sum())
-
-
 def parse_subset_expr(
     text: str, group: FiniteGroup, ct: ClassTable
 ) -> NormalSubset:
@@ -153,11 +147,6 @@ def parse_subset_expr(
         img = word_image(group, text[len("word:"):])
         return NormalSubset.from_subset(ct, img)
     raise ParseError(f"unrecognized subset expression {text!r}")
-
-
-def require_nonempty(s: SubsetLike, what: str = "subset") -> None:
-    if subset_size(s) == 0:
-        raise EmptySubset(f"{what} is empty")
 
 
 def enumerate_normal_subsets(

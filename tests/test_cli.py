@@ -3,9 +3,20 @@ from types import SimpleNamespace
 
 import pytest
 
-from normgrowth import cli, permgroup, spectral
+from normgrowth import __version__, cli, permgroup, spectral
 from normgrowth import tolerances as tol
 from normgrowth.cli import main
+from normgrowth.distributions import sweep_bnp_star, sweep_bnp_two_step, sweep_wlambda
+from normgrowth.growth import (
+    gluck_report,
+    pyber_report,
+    square_growth_survey,
+    sweep_2step,
+    sweep_asymp,
+    sweep_dichotomy,
+    sweep_gowers2,
+    word_growth_report,
+)
 from normgrowth.reports import CSV_COLUMNS, CheckResult, ReportDocument
 
 
@@ -91,6 +102,65 @@ def test_growth_words_and_survey(capsys):
 def test_dist_checks(capsys):
     assert main(["dist", "--group", "A:5", "--check", "bnp", "--trials", "3"]) == 0
     assert main(["dist", "--group", "A:5", "--check", "wlambda", "--trials", "2"]) == 0
+
+
+# each check without --trials against its sweep called with the documented default
+CHECK_DEFAULTS = {
+    ("growth", "2step"): lambda c: sweep_2step(c.group, c.classes, c.table, b_per_a=100, seed=0),
+    ("growth", "gowers2"): lambda c: sweep_gowers2(c.group, c.classes, c.table, unions=True),
+    ("growth", "gowers2", "--classes-only"): lambda c: sweep_gowers2(
+        c.group, c.classes, c.table, unions=False
+    ),
+    ("growth", "asymp"): lambda c: sweep_asymp(c.group, c.classes, c.table, pairs=None, seed=0),
+    ("growth", "dichotomy"): lambda c: sweep_dichotomy(c.group, c.classes, c.table),
+    ("growth", "survey"): lambda c: square_growth_survey(c.group, c.classes),
+    ("growth", "pyber"): lambda c: pyber_report(c.group, c.classes),
+    ("growth", "words"): lambda c: word_growth_report(c.group, c.classes, c.table, "xx", "xyXY"),
+    ("dist", "bnp"): lambda c: sweep_bnp_star(c.group, c.table, trials=1000, seed=0),
+    ("dist", "bnp2step"): lambda c: sweep_bnp_two_step(c.group, c.table, pairs=500, seed=0),
+    ("dist", "wlambda"): lambda c: sweep_wlambda(c.group, c.table, trials=100, seed=0),
+}
+
+
+def _written_body(argv, out, want) -> None:
+    """`main(argv)` writes the body of `want` to `out` and exits with its code."""
+    code = main(argv + ["--out", str(out)])
+    want.meta.update(version=__version__, seed=0)
+    assert code == want.tally().exit_code
+    written = json.loads(out.read_text())
+    written.pop("header")
+    body = json.loads(want.to_json())
+    body.pop("header")
+    assert written == body
+
+
+@pytest.mark.parametrize("key", list(CHECK_DEFAULTS), ids=["-".join(p.lstrip("-") for p in k) for k in CHECK_DEFAULTS])
+def test_check_defaults_match_the_sweeps(tmp_path, capsys, a5, key):
+    command, check, *flags = key
+    want = CHECK_DEFAULTS[key](a5)
+    argv = [command, "--check", check, *flags, "--group", "A:5"]
+    _written_body(argv, tmp_path / "report.json", want)
+
+
+def test_gluck_through_the_table(tmp_path, capsys, psl27):
+    want = gluck_report(psl27.group, None, psl27.table)
+    argv = ["growth", "--check", "gluck", "--group", "PSL2:7"]
+    _written_body(argv, tmp_path / "report.json", want)
+
+
+def test_check_names_and_order():
+    assert list(cli.CHECKS["growth"]) == [
+        "2step", "gowers2", "asymp", "dichotomy", "survey", "pyber", "words", "gluck"
+    ]
+    assert list(cli.CHECKS["dist"]) == ["bnp", "bnp2step", "wlambda"]
+
+
+@pytest.mark.parametrize("command", ["growth", "dist"])
+def test_unknown_check_exits_2(tmp_path, capsys, command):
+    out = tmp_path / "report.json"
+    assert main([command, "--check", "no-such", "--group", "A:5", "--out", str(out)]) == 2
+    assert "invalid choice" in capsys.readouterr().err
+    assert not out.exists()
 
 
 TOLERANCE_DEFAULTS = {attr: getattr(tol, attr) for attr in tol.NAMES.values()}

@@ -10,20 +10,24 @@ from normgrowth import tolerances as tol
 from normgrowth.chartable import min_nontrivial_degree
 from normgrowth.distributions import (
     Distribution,
+    _bnp2step_record,
     check_bnp_star,
-    check_bnp_two_step,
     convolve,
     from_subset,
     l2_dist_uniform,
-    point_mass,
     random_distribution,
     sweep_wlambda,
     uniform,
     weighted_cayley_lambda,
 )
 from normgrowth.errors import CapExceeded
-from normgrowth.growth import pab_exact
+from normgrowth.growth import pair_count, product_set
 from normgrowth.subsets import NormalSubset, Subset
+
+
+def point_mass(n, g):
+    """All weight on element g: the uniform distribution on {g}."""
+    return from_subset(Subset.from_indices(n, [g]))
 
 
 def test_distribution_validation():
@@ -77,10 +81,9 @@ def test_convolve_matches_exact_pair_probability(a5):
     a = NormalSubset.from_classes(ct, [1])
     b = NormalSubset.from_classes(ct, [2])
     conv = convolve(g, from_subset(a), from_subset(b))
-    for target in range(0, g.n, 11):
-        assert conv.weights[target] == pytest.approx(
-            float(pab_exact(g, a, b, target)), abs=1e-12
-        )
+    targets = np.arange(0, g.n, 11)
+    pab = pair_count(g, a, b, targets) / (a.size * b.size)
+    assert conv.weights[targets] == pytest.approx(pab, abs=1e-12)
 
 
 def test_convolve_associative_and_sparse_path(a5, monkeypatch):
@@ -157,12 +160,17 @@ def test_wlambda_governs_all_convolutions(a5):
 
 def test_bnp_two_step(a5):
     g, tab = a5.group, a5.table
+    m = min_nontrivial_degree(tab)
+
+    def check_bnp_two_step(a, b):
+        return _bnp2step_record(g, m, a.size, b.size, product_set(g, a, b).size, "")
+
     one = Subset.from_indices(g.n, [0])
-    rec = check_bnp_two_step(g, tab, one, one)
+    rec = check_bnp_two_step(one, one)
     # |AB| = 1 still beats n/(1 + n^2/m) by a hair
     assert rec.passed
     assert rec.lhs == 1.0
     assert rec.rhs == pytest.approx(g.n / (1 + g.n * g.n / 3), abs=1e-12)
     full = Subset.full(g.n)
-    rec = check_bnp_two_step(g, tab, full, full)
+    rec = check_bnp_two_step(full, full)
     assert rec.passed and rec.lhs == g.n

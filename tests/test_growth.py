@@ -13,14 +13,10 @@ from normgrowth.context import get_context
 from normgrowth.distributions import sweep_bnp_two_step
 from normgrowth.errors import CountMismatch, NotLieType, TrivialSubset
 from normgrowth.growth import (
-    check_2step,
-    check_asymp,
-    check_gowers2,
     class_pair_counts,
     dichotomy_check,
     frobenius_oracle_report,
     gluck_report,
-    pab_exact,
     pair_count,
     product_set,
     product_sizes,
@@ -76,12 +72,24 @@ def test_pair_count_matches_brute_force(a5):
             if int(g.mul(int(x), int(y))) == target
         )
         assert pair_count(g, a, b, target) == brute
+    # an array of targets: one count per target, in the targets' shape
+    targets = np.array([[0, 1], [17, 59]])
+    counts = pair_count(g, a, b, targets)
+    assert counts.shape == (2, 2)
+    assert counts.tolist() == [[pair_count(g, a, b, int(t)) for t in row] for row in targets]
+    empty = Subset(np.zeros(g.n, dtype=bool))
+    assert pair_count(g, empty, b, targets).tolist() == [[0, 0], [0, 0]]
 
 
 def test_three_cycle_class_squares_to_everything(a5):
     k = class_of_size(a5.classes, 20)
     a = NormalSubset.from_classes(a5.classes, [k])
     assert product_set(a5.group, a, a).size == a5.group.n
+
+
+def pab_exact(group, a, b, g):
+    """P_{A,B}(g) = pair_count / (|A| |B|) as an exact rational."""
+    return Fraction(pair_count(group, a, b, g), a.size * b.size)
 
 
 def test_pab_exact_values(a5):
@@ -127,30 +135,42 @@ def test_pab_frobenius_matches_exact(a5):
 def test_2step_full_and_singleton_b(a5):
     g, ct, tab = a5.group, a5.classes, a5.table
     a = NormalSubset.from_classes(ct, [1])
-    rec = check_2step(g, tab, a, Subset.full(g.n))
+    r_min, _ = r_extremes(tab, a)
+
+    def record(b):
+        ab = product_set(g, a, b).size
+        return growth._2step_record(g, r_min, b.size, ab, "")
+
+    rec = record(Subset.full(g.n))
     assert rec.passed and rec.lhs == g.n
-    rec = check_2step(g, tab, a, Subset.from_indices(g.n, [0]))
+    rec = record(Subset.from_indices(g.n, [0]))
     assert rec.passed
     assert rec.lhs == a.size
-    r_min, _ = r_extremes(tab, a)
     assert rec.rhs <= g.n / (1.0 + r_min * r_min * (g.n - 1.0)) + 1e-9
 
 
+def gowers2_records(ctx, a, b):
+    counts = class_pair_counts(ctx.classes, [(a, b)])[0]
+    return growth._gowers2_records(ctx.group, growth._class_ratios(ctx.table), a, b, counts)
+
+
 def test_gowers2_full_inputs_cover_every_class(a5):
-    g, ct, tab = a5.group, a5.classes, a5.table
+    ct = a5.classes
     full = NormalSubset.from_classes(ct, range(ct.n_classes))
-    for k in range(1, ct.n_classes):
-        rec = check_gowers2(g, tab, full, full, k)
+    recs = gowers2_records(a5, full, full)
+    # one record per nonidentity class, none for the identity
+    assert [r.inputs.rpartition("k=")[2] for r in recs] == [
+        str(k) for k in range(1, ct.n_classes)
+    ]
+    for rec in recs:
         assert rec.passed and not rec.skipped
-    with pytest.raises(ValueError):
-        check_gowers2(g, tab, full, full, 0)
 
 
 def test_gowers2_small_inputs_skip(a5):
-    g, ct, tab = a5.group, a5.classes, a5.table
-    tiny = NormalSubset.from_classes(ct, [0])
-    k = class_of_size(ct, 12)
-    rec = check_gowers2(g, tab, tiny, tiny, k)
+    tiny = NormalSubset.from_classes(a5.classes, [0])
+    k = class_of_size(a5.classes, 12)
+    rec = gowers2_records(a5, tiny, tiny)[k - 1]
+    assert rec.inputs.endswith(f"k={k}")
     assert rec.skipped and rec.passed
     assert "precondition" in rec.note
 
@@ -158,7 +178,8 @@ def test_gowers2_small_inputs_skip(a5):
 def test_asymp_full_inputs(a5):
     ct, tab = a5.classes, a5.table
     full = NormalSubset.from_classes(ct, range(ct.n_classes))
-    recs = check_asymp(tab, full, full)
+    counts = class_pair_counts(ct, [(full, full)])[0]
+    recs = growth._asymp_records(growth._class_ratios(tab), full, full, counts)
     assert len(recs) == ct.n_classes
     for rec in recs:
         assert rec.passed
@@ -236,6 +257,35 @@ def test_frobenius_oracle_exhaustive(a5):
     rep = frobenius_oracle_report(a5.group, a5.classes, a5.table)
     assert len(rep.results) == 125
     assert rep.fail_count == 0
+
+
+def _counting_pair_count(monkeypatch):
+    """Patch `growth.pair_count` to log its target shapes; return the log."""
+    calls = []
+    inner = growth.pair_count
+
+    def counted(group, a, b, g):
+        calls.append(np.shape(g))
+        return inner(group, a, b, g)
+
+    monkeypatch.setattr(growth, "pair_count", counted)
+    return calls
+
+
+def test_recounts_take_one_pair_count_per_pair(a5, monkeypatch):
+    """Every representative is counted by one call, not one call per class."""
+    ct = a5.classes
+    k = ct.n_classes
+    calls = _counting_pair_count(monkeypatch)
+    rep = frobenius_oracle_report(a5.group, ct, a5.table)
+    assert calls == [(k,)] * (k * k)
+    assert [r.inputs for r in rep.results] == [
+        f"i={i};j={j};k={c}" for i in range(k) for j in range(k) for c in range(k)
+    ]
+    del calls[:]
+    pool = enumerate_normal_subsets(ct)
+    class_pair_counts(ct, [(a, a) for a in pool])
+    assert calls == [(k,)] * spectral.BRUTE_FORCE_SAMPLE
 
 
 def test_product_monotone_and_normal(a5):

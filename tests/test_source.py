@@ -206,8 +206,6 @@ def test_convolve_rows_never_reads_the_characters():
 
 # every normal x normal product, single check or sweep
 TENSOR_ROUTED = [
-    "check_gowers2",
-    "check_asymp",
     "dichotomy_check",
     "sweep_gowers2",
     "sweep_asymp",

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from normgrowth.errors import EmptySubset, EmptyWord, NotNormal, ParseError
+from normgrowth.errors import EmptyWord, NotNormal, ParseError
 from normgrowth.subsets import (
     NormalSubset,
     Subset,
@@ -11,9 +11,7 @@ from normgrowth.subsets import (
     parse_subset_expr,
     random_normal_subset,
     random_subset,
-    require_nonempty,
     subset_mask,
-    subset_size,
 )
 
 
@@ -29,9 +27,9 @@ def test_subset_mask_polymorphism(a5):
     mask = np.zeros(60, dtype=bool)
     mask[5] = True
     assert subset_mask(mask) is mask
-    assert subset_size(Subset(mask)) == 1
+    assert Subset(mask).size == 1
     ns = NormalSubset.from_classes(a5.classes, [1])
-    assert subset_size(ns) == a5.classes.sizes[1]
+    assert ns.size == a5.classes.sizes[1]
     assert (subset_mask(ns) == ns.mask).all()
 
 
@@ -73,18 +71,11 @@ def test_is_trivial(a5):
     assert not NormalSubset.from_classes(ct, [1]).is_trivial()
 
 
-def test_require_nonempty(a5):
-    with pytest.raises(EmptySubset):
-        require_nonempty(NormalSubset.from_classes(a5.classes, []), "A")
-    with pytest.raises(EmptySubset):
-        require_nonempty(np.zeros(60, dtype=bool), "B")
-
-
-def test_require_nonempty_counts_without_the_mask(a5):
+def test_normal_subset_size_counts_without_the_mask(a5):
     ns = NormalSubset.from_classes(a5.classes, [1, 2])
-    require_nonempty(ns, "A")
+    assert ns.size == int(a5.classes.sizes[1] + a5.classes.sizes[2])
     assert "mask" not in ns.__dict__
-    assert subset_size(ns) == ns.size == int(ns.mask.sum())
+    assert ns.size == int(ns.mask.sum())
 
 
 def test_normal_subset_hashes_by_its_classes(a5):
