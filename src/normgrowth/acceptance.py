@@ -103,35 +103,24 @@ def criterion_3(profile: str = "quick", seed: int = 0) -> ReportDocument:
     doc = _doc("criterion-3 two-step growth sweep")
     for spec in ("A:5", "PSL2:7"):
         ctx = get_context(spec)
-        rep = sweep_2step(ctx.group, ctx.classes, ctx.table, b_per_a=100, seed=seed)
-        doc.results.extend(rep.results)
+        doc.results.extend(sweep_2step(ctx, seed=seed).results)
     return doc
 
 
 def criterion_4(profile: str = "quick", seed: int = 0) -> ReportDocument:
     """Class coverage under the degree precondition."""
     doc = _doc("criterion-4 class coverage sweep")
-    ctx = get_context("A:5")
-    doc.results.extend(
-        sweep_gowers2(ctx.group, ctx.classes, ctx.table, unions=True).results
-    )
+    doc.results.extend(sweep_gowers2(get_context("A:5")).results)
     for spec in ("PSL2:7", "PSL2:11"):
-        ctx = get_context(spec)
-        doc.results.extend(
-            sweep_gowers2(ctx.group, ctx.classes, ctx.table, unions=False).results
-        )
+        doc.results.extend(sweep_gowers2(get_context(spec), unions=False).results)
     return doc
 
 
 def criterion_5(profile: str = "quick", seed: int = 0) -> ReportDocument:
     """Deviation of P_{A,B} from uniform, strict bound."""
     doc = _doc("criterion-5 deviation sweep")
-    ctx = get_context("A:5")
-    doc.results.extend(sweep_asymp(ctx.group, ctx.classes, ctx.table).results)
-    ctx = get_context("PSL2:7")
-    doc.results.extend(
-        sweep_asymp(ctx.group, ctx.classes, ctx.table, pairs=1000, seed=seed).results
-    )
+    doc.results.extend(sweep_asymp(get_context("A:5")).results)
+    doc.results.extend(sweep_asymp(get_context("PSL2:7"), trials=1000, seed=seed).results)
     return doc
 
 
@@ -140,8 +129,7 @@ def criterion_6(profile: str = "quick", seed: int = 0) -> ReportDocument:
     doc = _doc("criterion-6 pair-count oracle")
     worst = 0.0
     for spec in PROFILES[profile]:
-        ctx = get_context(spec)
-        rep = frobenius_oracle_report(ctx.group, ctx.classes, ctx.table)
+        rep = frobenius_oracle_report(get_context(spec))
         doc.results.extend(rep.results)
         worst = max(worst, max(tol.PAB_RELATIVE - r.margin for r in rep.results))
     doc.meta["max_relative_deviation"] = worst
@@ -195,7 +183,7 @@ def criterion_8(profile: str = "quick", seed: int = 0) -> ReportDocument:
     table = {}
     for spec in GLUCK_GROUPS:
         ctx = get_context(spec)
-        rep = gluck_report(ctx.group, None, ctx.table)
+        rep = gluck_report(ctx)
         doc.results.extend(rep.results)
         table[ctx.label] = rep.meta["sqrt_q_r_max"]
     doc.meta["sqrt_q_r_max"] = table
@@ -206,8 +194,7 @@ def criterion_9(profile: str = "quick", seed: int = 0) -> ReportDocument:
     """Square dichotomy over every nontrivial normal subset."""
     doc = _doc("criterion-9 square dichotomy sweep")
     for spec in ("A:5", "PSL2:7"):
-        ctx = get_context(spec)
-        doc.results.extend(sweep_dichotomy(ctx.group, ctx.classes, ctx.table).results)
+        doc.results.extend(sweep_dichotomy(get_context(spec)).results)
     return doc
 
 
@@ -220,12 +207,8 @@ def criterion_10(profile: str = "quick", seed: int = 0) -> ReportDocument:
         doc.results.append(
             CheckResult.bound("min-degree", ctx.label, ctx.n, "", m, 3, op="==")
         )
-        doc.results.extend(
-            sweep_bnp_star(ctx.group, ctx.table, trials=1000, seed=seed).results
-        )
-        doc.results.extend(
-            sweep_wlambda(ctx.group, ctx.table, trials=100, seed=seed).results
-        )
+        doc.results.extend(sweep_bnp_star(ctx, seed=seed).results)
+        doc.results.extend(sweep_wlambda(ctx, seed=seed).results)
         for k in range(ctx.classes.n_classes):
             s = NormalSubset.from_classes(ctx.classes, [k])
             wl = weighted_cayley_lambda(ctx.group, from_subset(s))
@@ -243,10 +226,7 @@ def criterion_11(profile: str = "quick", seed: int = 0) -> ReportDocument:
     """Two-step product bound from the minimal degree, random subsets."""
     doc = _doc("criterion-11 minimal-degree product bound")
     for spec in MIXING_GROUPS:
-        ctx = get_context(spec)
-        doc.results.extend(
-            sweep_bnp_two_step(ctx.group, ctx.table, pairs=500, seed=seed).results
-        )
+        doc.results.extend(sweep_bnp_two_step(get_context(spec), seed=seed).results)
     return doc
 
 
@@ -254,12 +234,11 @@ def criterion_12(profile: str = "quick", seed: int = 0) -> ReportDocument:
     """Real-element census: coprime-order classes and the brute-force check."""
     doc = _doc("criterion-12 real census")
     for spec in REAL_PSL2:
-        ctx = get_context(spec)
-        census = real_census(ctx.group, ctx.classes, include_coprime_order=True)
+        census = real_census(get_context(spec).classes)
         bad = census.non_real_coprime_order_classes
         doc.results.append(
             CheckResult.bound(
-                "real-coprime", ctx.label, ctx.n, "", len(bad), 0,
+                "real-coprime", census.label, census.n, "", len(bad), 0,
                 note=f"non_real_coprime={list(bad)}" if bad else "",
             )
         )
@@ -280,7 +259,7 @@ def criterion_12(profile: str = "quick", seed: int = 0) -> ReportDocument:
             note=f"mismatched={mismatches}" if mismatches else "",
         )
     )
-    census = real_census(group, ct)
+    census = real_census(ct)
     doc.meta["psl33_real_classes"] = census.real_classes
     doc.meta["psl33_real_fraction"] = census.real_element_fraction
     return doc
@@ -319,13 +298,9 @@ def criterion_14(profile: str = "quick", seed: int = 0) -> ReportDocument:
         return json.dumps(d.body_dict(), sort_keys=True)
 
     probes = {
-        "2step": lambda: sweep_2step(
-            ctx.group, ctx.classes, ctx.table, b_per_a=5, seed=seed + 42
-        ),
-        "bnp": lambda: sweep_bnp_star(ctx.group, ctx.table, trials=20, seed=seed + 7),
-        "asymp": lambda: sweep_asymp(
-            ctx.group, ctx.classes, ctx.table, pairs=20, seed=seed + 3
-        ),
+        "2step": lambda: sweep_2step(ctx, trials=5, seed=seed + 42),
+        "bnp": lambda: sweep_bnp_star(ctx, trials=20, seed=seed + 7),
+        "asymp": lambda: sweep_asymp(ctx, trials=20, seed=seed + 3),
     }
     for name, run in probes.items():
         first = body(run())

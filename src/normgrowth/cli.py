@@ -40,36 +40,23 @@ from .subsets import parse_subset_expr
 
 OUT_ENV = "NORMGROWTH_OUT"
 
-# command -> check -> (context, parsed args) -> report; each randomized sweep
-# holds its default trial count, used when --trials is not given
+# command -> check -> (context, parsed args) -> report; without --trials,
+# a randomized sweep runs its own default count
 CHECKS = {
     "growth": {
-        "2step": lambda c, a: sweep_2step(
-            c.group, c.classes, c.table, b_per_a=a.trials or 100, seed=a.seed
-        ),
-        "gowers2": lambda c, a: sweep_gowers2(
-            c.group, c.classes, c.table, unions=not a.classes_only
-        ),
-        # no --trials: every pair of class unions
-        "asymp": lambda c, a: sweep_asymp(
-            c.group, c.classes, c.table, pairs=a.trials, seed=a.seed
-        ),
-        "dichotomy": lambda c, a: sweep_dichotomy(c.group, c.classes, c.table),
-        "survey": lambda c, a: square_growth_survey(c.group, c.classes),
-        "pyber": lambda c, a: pyber_report(c.group, c.classes),
-        "words": lambda c, a: word_growth_report(c.group, c.classes, c.table, *a.words),
-        "gluck": lambda c, a: gluck_report(c.group, None, c.table),
+        "2step": lambda c, a: sweep_2step(c, trials=a.trials, seed=a.seed),
+        "gowers2": lambda c, a: sweep_gowers2(c, unions=not a.classes_only),
+        "asymp": lambda c, a: sweep_asymp(c, trials=a.trials, seed=a.seed),
+        "dichotomy": lambda c, a: sweep_dichotomy(c),
+        "survey": lambda c, a: square_growth_survey(c),
+        "pyber": lambda c, a: pyber_report(c),
+        "words": lambda c, a: word_growth_report(c, *a.words),
+        "gluck": lambda c, a: gluck_report(c),
     },
     "dist": {
-        "bnp": lambda c, a: sweep_bnp_star(
-            c.group, c.table, trials=a.trials or 1000, seed=a.seed
-        ),
-        "bnp2step": lambda c, a: sweep_bnp_two_step(
-            c.group, c.table, pairs=a.trials or 500, seed=a.seed
-        ),
-        "wlambda": lambda c, a: sweep_wlambda(
-            c.group, c.table, trials=a.trials or 100, seed=a.seed
-        ),
+        "bnp": lambda c, a: sweep_bnp_star(c, trials=a.trials, seed=a.seed),
+        "bnp2step": lambda c, a: sweep_bnp_two_step(c, trials=a.trials, seed=a.seed),
+        "wlambda": lambda c, a: sweep_wlambda(c, trials=a.trials, seed=a.seed),
     },
 }
 
@@ -217,9 +204,7 @@ def _stem(*parts: str) -> str:
 def cmd_group(args) -> int:
     group = parse_group_spec(args.group, order_cap=args.order_cap)
     ct = compute_classes(group)
-    census = real_census(
-        group, ct, include_coprime_order=group.characteristic is not None
-    )
+    census = real_census(ct)
     print(f"{group.label}: order {group.n}, {ct.n_classes} classes")
     print(f"class sizes: {ct.sizes.tolist()}")
     print(f"class orders: {ct.rep_orders.tolist()}")

@@ -4,17 +4,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from . import spectral
 from . import tolerances as tol
-from .chartable import CharacterTable, min_nontrivial_degree
+from .chartable import min_nontrivial_degree
+from .context import GroupContext
 from .errors import CapExceeded, EmptySubset
-from .growth import product_set, product_sizes
+from .growth import _recounted_sizes, product_sizes
 from .permgroup import FiniteGroup
 from .reports import CheckResult, ReportDocument
-from .spectral import _recounted, convolve_rows, deflated_lambda
+from .spectral import convolve_rows, deflated_lambda
 from .subsets import SubsetLike, random_subset, subset_mask
 
 
@@ -132,14 +134,16 @@ def random_sparse_distribution(n: int, rng: np.random.Generator) -> Distribution
 
 
 def sweep_bnp_star(
-    group: FiniteGroup,
-    tab: CharacterTable,
-    trials: int = 1000,
-    seed: int = 0,
+    ctx: GroupContext, trials: Optional[int] = None, seed: int = 0
 ) -> ReportDocument:
-    """Seeded random (X, Y) pairs, alternating dense and sparse shapes."""
+    """Seeded random (X, Y) pairs, alternating dense and sparse shapes.
+
+    `trials` pairs, 1000 by default.
+    """
+    group = ctx.group
+    trials = 1000 if trials is None else trials
     rng = np.random.default_rng(seed)
-    m = min_nontrivial_degree(tab)
+    m = min_nontrivial_degree(ctx.table)
     records = []
     for t in range(trials):
         if t % 2 == 0:
@@ -163,20 +167,21 @@ def sweep_bnp_star(
 
 
 def sweep_bnp_two_step(
-    group: FiniteGroup,
-    tab: CharacterTable,
-    pairs: int = 500,
-    seed: int = 0,
+    ctx: GroupContext, trials: Optional[int] = None, seed: int = 0
 ) -> ReportDocument:
+    """The bnp2step bound on seeded random pairs of element sets.
+
+    `trials` pairs, 500 by default.
+    """
+    group = ctx.group
+    trials = 500 if trials is None else trials
     rng = np.random.default_rng(seed)
-    m = min_nontrivial_degree(tab)
+    m = min_nontrivial_degree(ctx.table)
     chosen = [
-        (random_subset(group.n, rng), random_subset(group.n, rng)) for _ in range(pairs)
+        (random_subset(group.n, rng), random_subset(group.n, rng)) for _ in range(trials)
     ]
     sizes = [int(product_sizes(group, a, b.mask)) for a, b in chosen]
-    _recounted(
-        f"{group.label} kernel", chosen, sizes, lambda a, b: product_set(group, a, b).size
-    )
+    _recounted_sizes(group, chosen, sizes)
     records = []
     for t, ((a, b), ab) in enumerate(zip(chosen, sizes)):
         inputs = f"trial={t};seed={seed};|A|={a.size};|B|={b.size}"
@@ -186,19 +191,21 @@ def sweep_bnp_two_step(
     return ReportDocument(
         title=f"dist bnp2step {group.label}",
         results=records,
-        meta={"pairs": pairs, "seed": seed},
+        meta={"pairs": trials, "seed": seed},
     )
 
 
 def sweep_wlambda(
-    group: FiniteGroup,
-    tab: CharacterTable,
-    trials: int = 100,
-    seed: int = 0,
+    ctx: GroupContext, trials: Optional[int] = None, seed: int = 0
 ) -> ReportDocument:
-    """Contraction bound lambda <= sqrt(n/m) ||Y - U|| for seeded random Y."""
+    """Contraction bound lambda <= sqrt(n/m) ||Y - U|| for seeded random Y.
+
+    `trials` draws of Y, 100 by default.
+    """
+    group = ctx.group
+    trials = 100 if trials is None else trials
     rng = np.random.default_rng(seed)
-    m = min_nontrivial_degree(tab)
+    m = min_nontrivial_degree(ctx.table)
     n = group.n
     records = []
     for t in range(trials):

@@ -25,10 +25,6 @@ class UnsupportedPrimePower(NotPrimePower):
     """A field size is a prime power that the builders do not support."""
 
 
-class NoCharacteristic(NormGrowthError):
-    """A coprime-order census was requested on a group with no characteristic."""
-
-
 class EmptyWord(NormGrowthError):
     """A group word is empty or freely reduces to the empty word."""
 

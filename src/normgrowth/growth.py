@@ -10,8 +10,11 @@ at most `spectral.BRUTE_FORCE_SAMPLE` of its (A, B) pairs on the chunked
 keeps the two routes independent.  Products of many element sets with one
 fixed set are counted by `product_sizes`: one `spectral.convolve_rows` call
 up to the dense cap, one `product_set` per set above it; each sweep through
-it recounts a sample of its products with `product_set`.  A disagreement
+it recounts a sample of its products on the other route.  A disagreement
 raises `CountMismatch`.
+
+Every check that returns a `ReportDocument` takes one `GroupContext`; a
+randomized sweep given `trials=None` runs its own documented default.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from .chartable import (
     frobenius_tensor,
     r_extremes,
 )
+from .context import GroupContext
 from .errors import NotLieType, TrivialSubset
 from .permgroup import _CHUNK_ROWS, ClassTable, FiniteGroup, word_image
 from .reports import CheckResult, ReportDocument
@@ -84,6 +88,22 @@ def product_sizes(group: FiniteGroup, fixed: SubsetLike, rows: np.ndarray) -> np
         return (counts > 0).sum(axis=-1)
     sizes = [product_set(group, fixed, r).size for r in rows.reshape(-1, group.n)]
     return np.array(sizes).reshape(rows.shape[:-1])
+
+
+def _recounted_sizes(group: FiniteGroup, pairs: Sequence[tuple], sizes: Sequence) -> None:
+    """Recount a sample of the |AB| of `product_sizes` on the route it did not take.
+
+    Up to `spectral.DENSE_CAP` the sizes came from `convolve_rows`, so the
+    sample is recounted with `product_set`; above it, the other way round.
+    A disagreement raises `CountMismatch`.
+    """
+    if group.n <= spectral.DENSE_CAP:
+        def size(a, b):
+            return product_set(group, a, b).size
+    else:
+        def size(a, b):
+            return int((convolve_rows(group, subset_mask(a), subset_mask(b)) > 0).sum())
+    _recounted(f"{group.label} kernel", pairs, sizes, size)
 
 
 def pair_count(
@@ -308,21 +328,16 @@ def _covers_nonidentity(counts: np.ndarray) -> bool:
 # -- reports over families ------------------------------------------------------
 
 
-def gluck_report(
-    group: FiniteGroup, q: Optional[int], tab: CharacterTable
-) -> ReportDocument:
+def gluck_report(ctx: GroupContext) -> ReportDocument:
     """Max nontrivial character ratio vs. the 19/20 bound for groups of Lie type.
 
-    Reports sqrt(q) * R_max alongside, the scale on which the ratio decays.
+    Reports sqrt(q) * R_max alongside, with q the order of the defining
+    field, the scale on which the ratio decays.
     """
-    if group.field_order is None:
-        raise NotLieType(f"{group.label} was not built with a defining field")
+    group, tab = ctx.group, ctx.table
+    q = group.field_order
     if q is None:
-        q = group.field_order
-    if q != group.field_order:
-        raise NotLieType(
-            f"q={q} does not match the defining field of {group.label}"
-        )
+        raise NotLieType(f"{group.label} was not built with a defining field")
     _, r_max = r_extremes(tab, range(1, tab.n_classes))
     rec = CheckResult.bound(
         "gluck", group.label, group.n, f"q={q}", r_max, 19.0 / 20.0, tol.SLACK
@@ -339,13 +354,14 @@ def gluck_report(
     )
 
 
-def square_growth_survey(group: FiniteGroup, ct: ClassTable) -> ReportDocument:
+def square_growth_survey(ctx: GroupContext) -> ReportDocument:
     """Census of the squaring exponent over unions of nonidentity classes.
 
     For each nonempty union A of nonidentity classes, records whether A^2
     covers G minus the identity; otherwise records
     eps(A) = log|A^2| / log|A| - 1.  No assertion, report only.
     """
+    group, ct = ctx.group, ctx.classes
     if not group.simple:
         raise ValueError("square growth survey expects a simple group")
     subsets = _union_sweep(ct, include_identity_class=False, seed=0)
@@ -386,11 +402,12 @@ def square_growth_survey(group: FiniteGroup, ct: ClassTable) -> ReportDocument:
     return report
 
 
-def pyber_report(group: FiniteGroup, ct: ClassTable) -> ReportDocument:
+def pyber_report(ctx: GroupContext) -> ReportDocument:
     """Census: symmetric normal A with |A| > n/log2(n), does A^2 = G?
 
     Report only, no assertion.
     """
+    group, ct = ctx.group, ctx.classes
     if not group.simple:
         raise ValueError("the square census expects a simple group")
     n = group.n
@@ -428,19 +445,14 @@ def pyber_report(group: FiniteGroup, ct: ClassTable) -> ReportDocument:
     )
 
 
-def word_growth_report(
-    group: FiniteGroup,
-    ct: ClassTable,
-    tab: CharacterTable,
-    word1: str,
-    word2: str,
-) -> ReportDocument:
+def word_growth_report(ctx: GroupContext, word1: str, word2: str) -> ReportDocument:
     """Deviation bound applied to two word-map images.
 
     Word images are normal subsets containing the identity, so for every
     nonidentity class g the scaled deviation |P(g) n - 1| must stay under
     n R(g) / sqrt of the image-size product.
     """
+    group, ct, tab = ctx.group, ctx.classes, ctx.table
     img1 = NormalSubset.from_subset(ct, word_image(group, word1))
     img2 = NormalSubset.from_subset(ct, word_image(group, word2))
     n = group.n
@@ -496,42 +508,34 @@ def _union_sweep(
 
 
 def sweep_2step(
-    group: FiniteGroup,
-    ct: ClassTable,
-    tab: CharacterTable,
-    b_per_a: int = 100,
-    seed: int = 0,
+    ctx: GroupContext, trials: Optional[int] = None, seed: int = 0
 ) -> ReportDocument:
     """Every normal A (exhaustive unions) against seeded random element sets B.
 
-    Per A, its B are stacked as rows and counted with one `product_sizes`
-    call.
+    `trials` B per A, 100 by default.  Per A, its B are stacked as rows and
+    counted with one `product_sizes` call.
     """
+    group = ctx.group
+    trials = 100 if trials is None else trials
     rng = np.random.default_rng(seed)
     records, pairs, sizes = [], [], []
-    for a in _union_sweep(ct, include_identity_class=True, seed=seed):
-        bs = [random_subset(group.n, rng) for _ in range(b_per_a)]
+    for a in _union_sweep(ctx.classes, include_identity_class=True, seed=seed):
+        bs = [random_subset(group.n, rng) for _ in range(trials)]
         rows = np.array([b.mask for b in bs], dtype=bool).reshape(-1, group.n)
         counts = product_sizes(group, a, rows).tolist()
-        r_min, _ = r_extremes(tab, a)
+        r_min, _ = r_extremes(ctx.table, a)
         for trial, (b, ab) in enumerate(zip(bs, counts)):
             inputs = f"A={a.expr()};B=random(seed={seed},trial={trial},|B|={b.size})"
             records.append(_2step_record(group, r_min, b.size, ab, inputs))
         pairs += [(a, b) for b in bs]
         sizes += counts
-    _recounted(
-        f"{group.label} kernel", pairs, sizes, lambda a, b: product_set(group, a, b).size
-    )
+    _recounted_sizes(group, pairs, sizes)
     return ReportDocument(title=f"growth 2step {group.label}", results=records)
 
 
-def sweep_gowers2(
-    group: FiniteGroup,
-    ct: ClassTable,
-    tab: CharacterTable,
-    unions: bool = True,
-) -> ReportDocument:
+def sweep_gowers2(ctx: GroupContext, unions: bool = True) -> ReportDocument:
     """All (A, B, k): unions when requested, else single classes."""
+    group, ct = ctx.group, ctx.classes
     if unions:
         pool = _union_sweep(ct, include_identity_class=True, seed=0)
     else:
@@ -539,7 +543,7 @@ def sweep_gowers2(
             NormalSubset.from_classes(ct, [i]) for i in range(ct.n_classes)
         ]
     pairs = [(a, b) for a in pool for b in pool]
-    ratios = _class_ratios(tab)
+    ratios = _class_ratios(ctx.table)
     records = []
     for (a, b), row in zip(pairs, class_pair_counts(ct, pairs)):
         records.extend(_gowers2_records(group, ratios, a, b, row))
@@ -547,14 +551,14 @@ def sweep_gowers2(
 
 
 def sweep_asymp(
-    group: FiniteGroup,
-    ct: ClassTable,
-    tab: CharacterTable,
-    pairs: Optional[int] = None,
-    seed: int = 0,
+    ctx: GroupContext, trials: Optional[int] = None, seed: int = 0
 ) -> ReportDocument:
-    """Deviation bound over exhaustive union pairs, or seeded random pairs."""
-    if pairs is None:
+    """Deviation bound over `trials` seeded random union pairs.
+
+    By default (`trials=None`) over every pair of class unions instead.
+    """
+    ct = ctx.classes
+    if trials is None:
         pool = _union_sweep(ct, include_identity_class=True, seed=seed)
         chosen = [(a, b) for a in pool for b in pool]
         names = [""] * len(chosen)
@@ -562,45 +566,43 @@ def sweep_asymp(
         rng = np.random.default_rng(seed)
         chosen = [
             (random_normal_subset(ct, rng), random_normal_subset(ct, rng))
-            for _ in range(pairs)
+            for _ in range(trials)
         ]
         names = [
             f"trial={trial};A={a.expr()};B={b.expr()}"
             for trial, (a, b) in enumerate(chosen)
         ]
-    ratios = _class_ratios(tab)
+    ratios = _class_ratios(ctx.table)
     records = []
     for (a, b), row, name in zip(chosen, class_pair_counts(ct, chosen), names):
         records.extend(_asymp_records(ratios, a, b, row, name))
-    return ReportDocument(title=f"growth asymp {group.label}", results=records)
+    return ReportDocument(title=f"growth asymp {ctx.label}", results=records)
 
 
-def sweep_dichotomy(
-    group: FiniteGroup, ct: ClassTable, tab: CharacterTable
-) -> ReportDocument:
+def sweep_dichotomy(ctx: GroupContext) -> ReportDocument:
     """Dichotomy over every nontrivial normal subset (exhaustive unions)."""
+    ct = ctx.classes
     pool = [
         a
         for a in _union_sweep(ct, include_identity_class=True, seed=0)
         if not a.is_trivial()
     ]
     records = [
-        _dichotomy_record(group, tab, a, counts)
+        _dichotomy_record(ctx.group, ctx.table, a, counts)
         for a, counts in zip(pool, class_pair_counts(ct, [(a, a) for a in pool]))
     ]
-    return ReportDocument(title=f"growth dichotomy {group.label}", results=records)
+    return ReportDocument(title=f"growth dichotomy {ctx.label}", results=records)
 
 
-def frobenius_oracle_report(
-    group: FiniteGroup, ct: ClassTable, tab: CharacterTable
-) -> ReportDocument:
+def frobenius_oracle_report(ctx: GroupContext) -> ReportDocument:
     """Exact pair counts vs. the character formula over every class triple.
 
     Each constant of `frobenius_tensor` must round to the count of pairs in
     C_i x C_j with product rep(C_k), which `pair_count` takes from the
     elements, not from the class tensor the table was computed from.
     """
-    formula = frobenius_tensor(tab).real
+    group, ct = ctx.group, ctx.classes
+    formula = frobenius_tensor(ctx.table).real
     records = []
     for i, j in np.ndindex(formula.shape[:2]):
         a = NormalSubset.from_classes(ct, [i])

@@ -21,7 +21,6 @@ import numpy as np
 from .errors import (
     CapExceeded,
     EmptyWord,
-    NoCharacteristic,
     NormGrowthError,
     NotBijective,
     NotGenerated,
@@ -625,25 +624,16 @@ class RealReport:
         return self.real_elements / self.n
 
 
-def real_census(
-    group: FiniteGroup,
-    table: ClassTable,
-    include_coprime_order: Optional[bool] = None,
-) -> RealReport:
+def real_census(ct: ClassTable) -> RealReport:
     """Count real classes/elements; filter by coprime order when p is known."""
-    if include_coprime_order is None:
-        include_coprime_order = group.characteristic is not None
-    if include_coprime_order and group.characteristic is None:
-        raise NoCharacteristic(
-            f"group {group.label} has no defining characteristic"
-        )
-    real = table.is_real
+    group = ct.group
+    real = ct.is_real
     non_real = tuple(int(i) for i in np.flatnonzero(~real))
     coprime: Optional[tuple[int, ...]] = None
     non_real_coprime: Optional[tuple[int, ...]] = None
-    if include_coprime_order:
-        p = group.characteristic
-        cop_mask = np.array([o % p != 0 for o in table.rep_orders])
+    p = group.characteristic
+    if p is not None:
+        cop_mask = np.array([o % p != 0 for o in ct.rep_orders])
         coprime = tuple(int(i) for i in np.flatnonzero(cop_mask))
         non_real_coprime = tuple(
             int(i) for i in np.flatnonzero(cop_mask & ~real)
@@ -651,11 +641,11 @@ def real_census(
     return RealReport(
         label=group.label,
         n=group.n,
-        n_classes=table.n_classes,
+        n_classes=ct.n_classes,
         real_classes=int(real.sum()),
-        real_elements=int(table.sizes[real].sum()),
+        real_elements=int(ct.sizes[real].sum()),
         non_real_classes=non_real,
-        characteristic=group.characteristic,
+        characteristic=p,
         coprime_order_classes=coprime,
         non_real_coprime_order_classes=non_real_coprime,
     )

@@ -265,7 +265,7 @@ def test_real_characters_match_real_classes(spec):
     """Brauer's permutation lemma: as many real characters as real classes."""
     ctx = get_context(spec)
     real_rows = int((np.abs(ctx.table.values.imag).max(axis=1) < 1e-8).sum())
-    assert real_rows == real_census(ctx.group, ctx.classes).real_classes
+    assert real_rows == real_census(ctx.classes).real_classes
 
 
 # -- persistence -----------------------------------------------------------------

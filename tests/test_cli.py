@@ -106,19 +106,17 @@ def test_dist_checks(capsys):
 
 # each check without --trials against its sweep called with the documented default
 CHECK_DEFAULTS = {
-    ("growth", "2step"): lambda c: sweep_2step(c.group, c.classes, c.table, b_per_a=100, seed=0),
-    ("growth", "gowers2"): lambda c: sweep_gowers2(c.group, c.classes, c.table, unions=True),
-    ("growth", "gowers2", "--classes-only"): lambda c: sweep_gowers2(
-        c.group, c.classes, c.table, unions=False
-    ),
-    ("growth", "asymp"): lambda c: sweep_asymp(c.group, c.classes, c.table, pairs=None, seed=0),
-    ("growth", "dichotomy"): lambda c: sweep_dichotomy(c.group, c.classes, c.table),
-    ("growth", "survey"): lambda c: square_growth_survey(c.group, c.classes),
-    ("growth", "pyber"): lambda c: pyber_report(c.group, c.classes),
-    ("growth", "words"): lambda c: word_growth_report(c.group, c.classes, c.table, "xx", "xyXY"),
-    ("dist", "bnp"): lambda c: sweep_bnp_star(c.group, c.table, trials=1000, seed=0),
-    ("dist", "bnp2step"): lambda c: sweep_bnp_two_step(c.group, c.table, pairs=500, seed=0),
-    ("dist", "wlambda"): lambda c: sweep_wlambda(c.group, c.table, trials=100, seed=0),
+    ("growth", "2step"): lambda c: sweep_2step(c, trials=100, seed=0),
+    ("growth", "gowers2"): lambda c: sweep_gowers2(c, unions=True),
+    ("growth", "gowers2", "--classes-only"): lambda c: sweep_gowers2(c, unions=False),
+    ("growth", "asymp"): lambda c: sweep_asymp(c, trials=None, seed=0),
+    ("growth", "dichotomy"): lambda c: sweep_dichotomy(c),
+    ("growth", "survey"): lambda c: square_growth_survey(c),
+    ("growth", "pyber"): lambda c: pyber_report(c),
+    ("growth", "words"): lambda c: word_growth_report(c, "xx", "xyXY"),
+    ("dist", "bnp"): lambda c: sweep_bnp_star(c, trials=1000, seed=0),
+    ("dist", "bnp2step"): lambda c: sweep_bnp_two_step(c, trials=500, seed=0),
+    ("dist", "wlambda"): lambda c: sweep_wlambda(c, trials=100, seed=0),
 }
 
 
@@ -143,7 +141,7 @@ def test_check_defaults_match_the_sweeps(tmp_path, capsys, a5, key):
 
 
 def test_gluck_through_the_table(tmp_path, capsys, psl27):
-    want = gluck_report(psl27.group, None, psl27.table)
+    want = gluck_report(psl27)
     argv = ["growth", "--check", "gluck", "--group", "PSL2:7"]
     _written_body(argv, tmp_path / "report.json", want)
 

@@ -10,7 +10,7 @@ import pytest
 from normgrowth.chartable import character_ratio, class_tensor, frobenius_tensor, r_extremes
 from normgrowth import growth, spectral
 from normgrowth.context import get_context
-from normgrowth.distributions import sweep_bnp_two_step
+from normgrowth.distributions import sweep_bnp_star, sweep_bnp_two_step, sweep_wlambda
 from normgrowth.errors import CountMismatch, NotLieType, TrivialSubset
 from normgrowth.growth import (
     class_pair_counts,
@@ -206,30 +206,28 @@ def test_dichotomy_branches(a5, psl27):
 
 
 def test_gluck_report(psl27, a5):
-    rep = gluck_report(psl27.group, None, psl27.table)
+    rep = gluck_report(psl27)
     assert rep.fail_count == 0
     assert rep.meta["q"] == 7
     # R_max for this group is sqrt(2)/3
     assert rep.meta["r_max"] == pytest.approx(math.sqrt(2) / 3, abs=1e-8)
     with pytest.raises(NotLieType):
-        gluck_report(a5.group, None, a5.table)
-    with pytest.raises(NotLieType):
-        gluck_report(psl27.group, 5, psl27.table)
+        gluck_report(a5)
 
 
 def test_survey_counts(a5, psl27, s5):
-    rep = square_growth_survey(a5.group, a5.classes)
+    rep = square_growth_survey(a5)
     assert rep.meta["union_count"] == 15
     assert rep.meta["covering_count"] == 13
     assert 0.5 < rep.meta["min_eps_non_covering"] < 0.6
-    rep = square_growth_survey(psl27.group, psl27.classes)
+    rep = square_growth_survey(psl27)
     assert rep.meta["union_count"] == 31
     with pytest.raises(ValueError):
-        square_growth_survey(s5.group, s5.classes)
+        square_growth_survey(s5)
 
 
 def test_pyber_census(a5):
-    rep = pyber_report(a5.group, a5.classes)
+    rep = pyber_report(a5)
     assert rep.meta["threshold"] == pytest.approx(60 / math.log2(60))
     assert rep.meta["qualifying"] == len(rep.results) == 30
     assert rep.meta["square_covers"] == 26
@@ -238,7 +236,7 @@ def test_pyber_census(a5):
 
 
 def test_word_growth_squares(a5):
-    rep = word_growth_report(a5.group, a5.classes, a5.table, "xx", "xx")
+    rep = word_growth_report(a5, "xx", "xx")
     # squares miss the involutions: 1 + 20 + 12 + 12
     assert rep.meta["image1_size"] == rep.meta["image2_size"] == 45
     assert rep.fail_count == 0
@@ -247,14 +245,14 @@ def test_word_growth_squares(a5):
 
 def test_word_growth_identity_word(a5):
     # the word x covers the whole group, so every deviation is exactly zero
-    rep = word_growth_report(a5.group, a5.classes, a5.table, "x", "x")
+    rep = word_growth_report(a5, "x", "x")
     assert rep.meta["image1_size"] == a5.group.n
     for rec in rep.results:
         assert rec.lhs == 0.0 and rec.passed
 
 
 def test_frobenius_oracle_exhaustive(a5):
-    rep = frobenius_oracle_report(a5.group, a5.classes, a5.table)
+    rep = frobenius_oracle_report(a5)
     assert len(rep.results) == 125
     assert rep.fail_count == 0
 
@@ -277,7 +275,7 @@ def test_recounts_take_one_pair_count_per_pair(a5, monkeypatch):
     ct = a5.classes
     k = ct.n_classes
     calls = _counting_pair_count(monkeypatch)
-    rep = frobenius_oracle_report(a5.group, ct, a5.table)
+    rep = frobenius_oracle_report(a5)
     assert calls == [(k,)] * (k * k)
     assert [r.inputs for r in rep.results] == [
         f"i={i};j={j};k={c}" for i in range(k) for j in range(k) for c in range(k)
@@ -302,17 +300,17 @@ def test_product_monotone_and_normal(a5):
 
 
 def test_sweeps_on_small_group(a5):
-    g, ct, tab = a5.group, a5.classes, a5.table
-    rep = sweep_2step(g, ct, tab, b_per_a=2, seed=0)
+    ct = a5.classes
+    rep = sweep_2step(a5, trials=2, seed=0)
     assert len(rep.results) == 62
     assert rep.fail_count == 0
-    rep = sweep_gowers2(g, ct, tab, unions=False)
+    rep = sweep_gowers2(a5, unions=False)
     assert len(rep.results) == ct.n_classes * ct.n_classes * (ct.n_classes - 1)
     assert rep.fail_count == 0 and rep.skip_count > 0
-    rep = sweep_asymp(g, ct, tab, pairs=3, seed=2)
+    rep = sweep_asymp(a5, trials=3, seed=2)
     assert len(rep.results) == 3 * ct.n_classes
     assert rep.fail_count == 0
-    rep = sweep_dichotomy(g, ct, tab)
+    rep = sweep_dichotomy(a5)
     assert len(rep.results) == 30
     assert rep.fail_count == 0
     assert min(r.margin for r in rep.results if not r.skipped) >= 0
@@ -358,6 +356,10 @@ def test_class_pair_counts_of_no_pairs(a5):
     assert counts.dtype == np.int64 and counts.shape == (0, a5.classes.n_classes)
 
 
+def body_sha256(doc) -> str:
+    return hashlib.sha256(json.dumps(doc.body_dict(), sort_keys=True).encode()).hexdigest()
+
+
 # sha256 of the seed-0 report bodies of the reports counted by
 # `class_pair_counts`, as its grid, per-pair and recount-by-hand callers gave them
 TENSOR_BODIES = {
@@ -379,14 +381,14 @@ TENSOR_BODIES = {
     ("PSL2:7", "words"): "a1a699e1e5fd239632ee89112c662a9fb8ccb279b8aebe20cb4d24fa32f57a67",
 }
 TENSOR_REPORTS = {
-    "asymp": lambda g, ct, tab: sweep_asymp(g, ct, tab),
-    "asymp-pairs20": lambda g, ct, tab: sweep_asymp(g, ct, tab, pairs=20, seed=0),
-    "gowers2-unions": lambda g, ct, tab: sweep_gowers2(g, ct, tab, unions=True),
-    "gowers2-classes": lambda g, ct, tab: sweep_gowers2(g, ct, tab, unions=False),
-    "dichotomy": lambda g, ct, tab: sweep_dichotomy(g, ct, tab),
-    "survey": lambda g, ct, tab: square_growth_survey(g, ct),
-    "pyber": lambda g, ct, tab: pyber_report(g, ct),
-    "words": lambda g, ct, tab: word_growth_report(g, ct, tab, "xx", "xyXY"),
+    "asymp": lambda ctx: sweep_asymp(ctx),
+    "asymp-pairs20": lambda ctx: sweep_asymp(ctx, trials=20, seed=0),
+    "gowers2-unions": lambda ctx: sweep_gowers2(ctx, unions=True),
+    "gowers2-classes": lambda ctx: sweep_gowers2(ctx, unions=False),
+    "dichotomy": lambda ctx: sweep_dichotomy(ctx),
+    "survey": lambda ctx: square_growth_survey(ctx),
+    "pyber": lambda ctx: pyber_report(ctx),
+    "words": lambda ctx: word_growth_report(ctx, "xx", "xyXY"),
 }
 
 
@@ -394,10 +396,53 @@ TENSOR_REPORTS = {
     "spec,report", sorted(TENSOR_BODIES), ids=[f"{s}-{r}" for s, r in sorted(TENSOR_BODIES)]
 )
 def test_tensor_routed_bodies_are_pinned(spec, report):
-    ctx = get_context(spec)
-    doc = TENSOR_REPORTS[report](ctx.group, ctx.classes, ctx.table)
-    body = json.dumps(doc.body_dict(), sort_keys=True)
-    assert hashlib.sha256(body.encode()).hexdigest() == TENSOR_BODIES[spec, report]
+    doc = TENSOR_REPORTS[report](get_context(spec))
+    assert body_sha256(doc) == TENSOR_BODIES[spec, report]
+
+
+# sha256 of the seed-0 report bodies of the checks that do not count on the
+# class tensor.  The sweeps run their default trial counts, except "2step-cap59";
+# "-cap59" sets the dense cap below n, so `product_sizes` counts with
+# `product_set` and the sample is recounted with `convolve_rows`.  A:5 has no
+# defining field, so gluck runs on PSL2:5, which is isomorphic to it.
+CHECK_BODIES = {
+    ("A:5", "2step"): "f0bc5b33a5976b076f201df58537e981d8ebc07954ebb026a6b8aef56b24b5f3",
+    ("A:5", "2step-cap59"): "a076ce725824cc5e1ac873d01a8d51de59b425e92c16901a3ba4730f5ad6a2a9",
+    ("A:5", "bnp"): "647d0f60a532d55c967a767ac48222b6e34cb142ed3812b9c7b8fb911b1243e4",
+    ("A:5", "bnp2step"): "62c971f69b07f84090384352d5a93dd738ad846bb31f3be56b43df5a6c9ef89d",
+    ("A:5", "bnp2step-cap59"): "62c971f69b07f84090384352d5a93dd738ad846bb31f3be56b43df5a6c9ef89d",
+    ("A:5", "wlambda"): "d9bb75983c1d91dbd9a857cfc96e7f8519f73eee8e288880bc62f806b7671a3f",
+    ("A:5", "frobenius-oracle"): "2f71741b433669beda7564e496b8dc6d295975b9f3d630a5715a6d09b32b2f41",
+    ("PSL2:5", "gluck"): "3ee4a155fd4b073ed3a0ed8b8b7e46ba0bd56d88d8b2f64f6dd29c6c8df35a77",
+    ("PSL2:7", "2step"): "77b0b71ba17157ae23d8e5bb614e34406ecb12551bd5a7384d647bfc17a019b5",
+    ("PSL2:7", "2step-cap59"): "1b1de60f5b84a06ec3245cb274f739a069ffe066e3e1b2d5a4a77b50703b2384",
+    ("PSL2:7", "bnp"): "6345c904e1b52f96cfb8dac39743c198d7889d58349e93fe059715720ec1bac4",
+    ("PSL2:7", "bnp2step"): "aa62618e23dd6bbfd3bdfac04b8764c6c16f44d19beda618cb87656eeabd8f78",
+    ("PSL2:7", "bnp2step-cap59"): "aa62618e23dd6bbfd3bdfac04b8764c6c16f44d19beda618cb87656eeabd8f78",
+    ("PSL2:7", "wlambda"): "b44fa1911eb09ae05f107df292a2617e842e3355b032caff670e0180b162b03e",
+    ("PSL2:7", "gluck"): "c97302ef7d78a2b8429ecc4228920144fc1dccff7b31a99ee78bc67b4f28ef08",
+    ("PSL2:7", "frobenius-oracle"): "24b6728283cd90177d56ad41ba773a7ce087197b6d79cb034524801f0d9ccca3",
+}
+CHECK_REPORTS = {
+    "2step": lambda ctx: sweep_2step(ctx),
+    "2step-cap59": lambda ctx: sweep_2step(ctx, trials=10),
+    "bnp": lambda ctx: sweep_bnp_star(ctx),
+    "bnp2step": lambda ctx: sweep_bnp_two_step(ctx),
+    "bnp2step-cap59": lambda ctx: sweep_bnp_two_step(ctx),
+    "wlambda": lambda ctx: sweep_wlambda(ctx),
+    "gluck": lambda ctx: gluck_report(ctx),
+    "frobenius-oracle": lambda ctx: frobenius_oracle_report(ctx),
+}
+
+
+@pytest.mark.parametrize(
+    "spec,report", sorted(CHECK_BODIES), ids=[f"{s}-{r}" for s, r in sorted(CHECK_BODIES)]
+)
+def test_check_bodies_are_pinned(spec, report, monkeypatch):
+    if report.endswith("-cap59"):
+        monkeypatch.setattr(spectral, "DENSE_CAP", 59)
+    doc = CHECK_REPORTS[report](get_context(spec))
+    assert body_sha256(doc) == CHECK_BODIES[spec, report]
 
 
 def test_recount_catches_a_raised_count(a5):
@@ -407,18 +452,18 @@ def test_recount_catches_a_raised_count(a5):
     product set and changes the identity's count of every pair whose A and
     B hold the identity; each call's sample holds such a pair.
     """
-    g, tab = a5.group, a5.table
     bad = class_tensor(a5.classes).copy()
     assert bad[0, 0, 0] == 1
     bad[0, 0, 0] += 1
     ct = dataclasses.replace(a5.classes, tensor=bad)
+    ctx = dataclasses.replace(a5, classes=ct)
     one = NormalSubset.from_classes(ct, [0])
     with pytest.raises(CountMismatch):
         class_pair_counts(ct, [(one, one)])
     with pytest.raises(CountMismatch):
-        sweep_gowers2(g, ct, tab, unions=False)
+        sweep_gowers2(ctx, unions=False)
     with pytest.raises(CountMismatch):
-        sweep_dichotomy(g, ct, tab)
+        sweep_dichotomy(ctx)
 
 
 def test_brute_force_sample_catches_a_wrong_tensor(a5):
@@ -428,20 +473,19 @@ def test_brute_force_sample_catches_a_wrong_tensor(a5):
     changes both the pair counts and the product set of (C_1, C_1), which
     every sweep's brute-force sample holds.
     """
-    g, tab = a5.group, a5.table
     k15 = class_of_size(a5.classes, 15)
     bad = class_tensor(a5.classes).copy()
     assert a5.classes.sizes[1] == 12 and bad[1, 1, k15] == 0
     bad[1, 1, k15] += 1
-    ct = dataclasses.replace(a5.classes, tensor=bad)
+    ctx = dataclasses.replace(a5, classes=dataclasses.replace(a5.classes, tensor=bad))
     with pytest.raises(CountMismatch):
-        sweep_asymp(g, ct, tab)
+        sweep_asymp(ctx)
     with pytest.raises(CountMismatch):
-        sweep_gowers2(g, ct, tab, unions=False)
+        sweep_gowers2(ctx, unions=False)
     with pytest.raises(CountMismatch):
-        sweep_dichotomy(g, ct, tab)
+        sweep_dichotomy(ctx)
     # the context's own table keeps its own tensor
-    assert sweep_dichotomy(g, a5.classes, tab).fail_count == 0
+    assert sweep_dichotomy(a5).fail_count == 0
 
 
 @pytest.mark.parametrize("cap", [None, 59])
@@ -450,10 +494,10 @@ def test_2step_sweep_counts_every_product(a5, cap, monkeypatch):
 
     With the dense cap below n, `product_sizes` takes its product-set route.
     """
-    g, ct, tab = a5.group, a5.classes, a5.table
+    g, ct = a5.group, a5.classes
     if cap is not None:
         monkeypatch.setattr(spectral, "DENSE_CAP", cap)
-    rep = sweep_2step(g, ct, tab, b_per_a=3, seed=5)
+    rep = sweep_2step(a5, trials=3, seed=5)
     rng = np.random.default_rng(5)
     want = [
         product_set(g, a, random_subset(g.n, rng)).size
@@ -490,9 +534,9 @@ def test_brute_force_sample_catches_a_wrong_kernel(a5, psl27, monkeypatch):
     monkeypatch.setattr(growth, "convolve_rows", lambda *args: _zero_first_max(bad(*args)))
     for ctx in (a5, psl27):
         with pytest.raises(CountMismatch):
-            sweep_2step(ctx.group, ctx.classes, ctx.table, b_per_a=4, seed=0)
+            sweep_2step(ctx, trials=4, seed=0)
         with pytest.raises(CountMismatch):
-            sweep_bnp_two_step(ctx.group, ctx.table, pairs=10, seed=0)
+            sweep_bnp_two_step(ctx, trials=10, seed=0)
 
 
 def _zero_first_max(out):
@@ -500,3 +544,25 @@ def _zero_first_max(out):
     first = out.reshape(-1, out.shape[-1])[0]
     first[np.argmax(first)] = 0
     return out
+
+
+def test_recount_above_the_cap_takes_the_other_route(a5, monkeypatch):
+    """Above the dense cap, a product set that loses an element must be caught.
+
+    There `product_sizes` counts with `product_set`, so the sample is
+    recounted with `convolve_rows`; a recount with `product_set` would
+    compare the lost element with itself.
+    """
+    monkeypatch.setattr(spectral, "DENSE_CAP", 59)
+    inner = growth.product_set
+
+    def lossy(group, a, b):
+        mask = inner(group, a, b).mask.copy()
+        mask[np.flatnonzero(mask)[:1]] = False
+        return Subset(mask)
+
+    monkeypatch.setattr(growth, "product_set", lossy)
+    with pytest.raises(CountMismatch):
+        sweep_2step(a5, trials=4, seed=0)
+    with pytest.raises(CountMismatch):
+        sweep_bnp_two_step(a5, trials=10, seed=0)

@@ -12,7 +12,6 @@ from normgrowth.context import parse_group_spec
 from normgrowth.errors import (
     CapExceeded,
     EmptyWord,
-    NoCharacteristic,
     NormGrowthError,
     NotBijective,
     NotGenerated,
@@ -438,25 +437,22 @@ def test_class_partition_pinned(spec):
 
 
 def test_real_census_a5(a5):
-    rep = real_census(a5.group, a5.classes)
+    rep = real_census(a5.classes)
     assert rep.real_classes == 5
     assert rep.real_elements == 60
     assert rep.non_real_classes == ()
+    # A:5 is built with no defining field, so there is no coprime-order census
+    assert rep.coprime_order_classes is None
 
 
 def test_real_census_psl27(psl27):
     ct = psl27.classes
-    rep = real_census(psl27.group, ct, include_coprime_order=True)
+    rep = real_census(ct)
     assert len(rep.non_real_classes) == 2
     for k in rep.non_real_classes:
         assert ct.rep_orders[k] == 7
     # order-7 elements are not coprime to the characteristic 7
     assert rep.non_real_coprime_order_classes == ()
-
-
-def test_real_census_needs_characteristic(a5):
-    with pytest.raises(NoCharacteristic):
-        real_census(a5.group, a5.classes, include_coprime_order=True)
 
 
 # -- words -----------------------------------------------------------------------

@@ -240,3 +240,26 @@ def test_tensor_routed_checks_count_through_the_recount(name):
     reached = _reached_functions("growth.py", name)
     assert ("growth.py", "class_pair_counts") in reached
     assert ("spectral.py", "_recounted") in reached
+
+
+def test_checks_take_one_group_context():
+    """Every public check that returns a report takes one `ctx` first.
+
+    A group, its class table and its character table are only valid
+    together, so no check takes one of them as its own parameter.
+    """
+    checks = {
+        f"{mod}:{node.name}": [a.arg for a in node.args.posonlyargs + node.args.args + node.args.kwonlyargs]
+        for mod in ("growth.py", "distributions.py")
+        for node in TREES[mod].body
+        if isinstance(node, ast.FunctionDef)
+        and not node.name.startswith("_")
+        and node.returns is not None
+        and ast.unparse(node.returns) == "ReportDocument"
+    }
+    bad = [
+        name
+        for name, params in checks.items()
+        if params[:1] != ["ctx"] or {"group", "ct", "tab"} & set(params)
+    ]
+    assert len(checks) == 12 and not bad
