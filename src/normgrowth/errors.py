@@ -58,7 +58,7 @@ class CountMismatch(NormGrowthError):
 
 
 class NoConvergence(NormGrowthError):
-    """Power iteration did not converge within the iteration budget."""
+    """An iterative eigensolve overran its step bound, or lambda left [0, 1]."""
 
 
 class NotLieType(NormGrowthError):

@@ -125,10 +125,12 @@ def class_pair_counts(ct: ClassTable, pairs: Sequence[tuple]) -> np.ndarray:
     """counts[t, c] = #{(x, y) in A_t x B_t : x*y = rep(C_c)} of each (A_t, B_t), int64.
 
     For normal A and B this is the sum of the class multiplication constants
-    a[i, j, c] over i in A and j in B: an integer contraction of the union
-    indicators with `class_tensor(ct)`, in blocks of pairs that keep every
-    temporary under _CHUNK_ROWS entries.  A_t B_t is a union of classes, so
-    it holds C_c exactly when counts[t, c] > 0.
+    a[i, j, c] over i in A and j in B: a contraction of the union indicators
+    with `class_tensor(ct)`, in blocks of pairs that keep every temporary
+    under _CHUNK_ROWS entries.  A_t B_t is a union of classes, so it holds
+    C_c exactly when counts[t, c] > 0.  The contraction runs in float64,
+    through BLAS, and is exact: every partial sum counts pairs of elements,
+    so it is at most n^2, and n^2 < 2^53 under the order cap.
 
     The character table is computed from the same tensor, so an evenly
     spaced sample of the pairs is recounted on the elements: each count must
@@ -137,21 +139,26 @@ def class_pair_counts(ct: ClassTable, pairs: Sequence[tuple]) -> np.ndarray:
     `CountMismatch`.
     """
     k = ct.n_classes
-    flat = class_tensor(ct).reshape(k, k * k)
-    # ind[t, 0] and ind[t, 1] indicate the classes of A_t and of B_t; bool
-    # until a block widens it, so the stack grows by 2k bytes per pair
+    flat = class_tensor(ct).reshape(k, k * k).astype(np.float64)
+    # one bool indicator row per distinct set object (sweeps pair a pool with
+    # itself), and where[t] = (row of A_t, row of B_t); a block widens only
+    # the rows it gathers
     sets = [s for pair in pairs for s in pair]
-    ind = np.zeros((len(sets), k), dtype=bool)
-    rows = np.repeat(np.arange(len(sets)), [len(s.class_indices) for s in sets])
-    ind[rows, np.fromiter((i for s in sets for i in s.class_indices), np.intp)] = True
-    ind = ind.reshape(len(pairs), 2, k)
+    _, first, where = np.unique(
+        np.array([id(s) for s in sets]), return_index=True, return_inverse=True
+    )
+    where = where.reshape(len(pairs), 2)
+    rows = np.zeros((first.size, k), dtype=bool)
+    for r, t in enumerate(first):
+        rows[r, list(sets[t].class_indices)] = True
     out = np.empty((len(pairs), k), dtype=np.int64)
     step = max(1, _CHUNK_ROWS // (k * k))
     for lo in range(0, len(pairs), step):
-        block = ind[lo : lo + step].astype(np.int64)
+        a = rows[where[lo : lo + step, 0]].astype(np.float64)
+        b = rows[where[lo : lo + step, 1]].astype(np.float64)
         # partial[t, j, c] = sum over classes i of A_t of a[i, j, c]
-        partial = (block[:, 0] @ flat).reshape(-1, k, k)
-        out[lo : lo + step] = (block[:, 1, None] @ partial)[:, 0]
+        partial = (a @ flat).reshape(-1, k, k)
+        out[lo : lo + step] = (b[:, None] @ partial)[:, 0]
     group = ct.group
     # per sampled pair: the counts at the representatives, then the elements
     # of A*B per class, which are all of a class with a positive count

@@ -1,10 +1,10 @@
 """Random-walk spectra of Cayley digraphs Cay(G, S) for a normal subset S.
 
 Arc g -> h iff g^-1 h in S.  The expansion lambda is computed twice: from
-the elements (a dense solve split by a cyclic subgroup, or power iteration)
-and from the characters.  `convolve_rows` is the one kernel that counts
-products with a fixed set on the elements: product sets, arc counts and
-convolutions.
+the elements (a dense solve split by a cyclic subgroup, or Lanczos on
+M0 M0^t, which stops within k steps for k classes) and from the
+characters.  `convolve_rows` is the one kernel that counts products with a
+fixed set on the elements: product sets, arc counts and convolutions.
 """
 
 from __future__ import annotations
@@ -21,8 +21,11 @@ from .chartable import CharacterTable
 from .permgroup import _CHUNK_ROWS, ClassTable, FiniteGroup
 from .subsets import NormalSubset, SubsetLike, subset_mask
 
-# largest order solved densely; above it, power iteration and translates
+# largest order solved densely; above it, lambda by Lanczos and products
+# by translates
 DENSE_CAP = 2500
+# one ulp of 1.0, the norm bound of M0 M0^t
+_ULP = float(np.finfo(np.float64).eps)
 # records of one batched check or sweep recounted on the chunked `mul` path
 BRUTE_FORCE_SAMPLE = 8
 
@@ -150,26 +153,50 @@ def deflated_lambda(group: FiniteGroup, weights: np.ndarray) -> float:
     return math.sqrt(max(float(eigs[:, -1].max()), 0.0))
 
 
-def lambda_direct(s: NormalSubset, seed: int = 0) -> float:
+def lambda_direct(s: NormalSubset, seed: int = 0, return_info: bool = False):
     """Second singular value of the walk matrix M of Cay(G, S).
 
     When n <= DENSE_CAP, the blocked dense solve of `deflated_lambda`; else
-    power iteration on MM^t restricted to the complement of the all-ones
-    vector.
+    Lanczos on M0 M0^t, restricted to the complement of the all-ones
+    vector (`_lanczos_lambda`).  With `return_info`, the tuple (lambda,
+    Lanczos steps, final residual), with 0 and 0.0 on the dense route.
     """
     if s.size == 0:
         raise EmptySubset("connection set is empty")
     n = s.group.n
     if n == 1:
-        return 0.0
-    if n <= DENSE_CAP:
-        return deflated_lambda(s.group, s.mask / s.size)
-    return _power_lambda(s, seed)
+        lam, steps, residual = 0.0, 0, 0.0
+    elif n <= DENSE_CAP:
+        lam, steps, residual = deflated_lambda(s.group, s.mask / s.size), 0, 0.0
+    else:
+        lam, steps, residual = _lanczos_lambda(s, seed)
+    return (lam, steps, residual) if return_info else lam
 
 
-def _power_lambda(s: NormalSubset, seed: int) -> float:
+def _mean_take(vec: np.ndarray, tables: np.ndarray) -> np.ndarray:
+    """The mean over the rows t of `tables` of vec[t]: one walk step."""
+    acc = np.zeros_like(vec)
+    for t in tables:
+        acc += vec.take(t)  # take, unlike [], reads an int32 index without a copy
+    return acc / len(tables)
+
+
+def _lanczos_lambda(s: NormalSubset, seed: int) -> tuple[float, int, float]:
+    """(lambda, steps, residual) of Lanczos on M0 M0^t, fully reorthogonalised.
+
+    M is a class function's convolution, so it acts as one scalar on each
+    chi-isotypic component, and so does M0 M0^t; on the complement of the
+    all-ones vector (the trivial component) the Krylov space of any start
+    has dimension at most k - 1, k the number of classes.  Lanczos stops
+    when the top Ritz pair's residual |beta_j y_j[last]| is at most
+    LANCZOS_TOL * theta_max, or when beta_j = 0; taking more than k steps
+    contradicts the bound and raises `NoConvergence`.  ||M0 M0^t|| <= 1, so
+    a theta_max below one ulp of 1 is rounding noise (S = G has no other),
+    and the residual is then measured against that ulp instead.
+    """
     group = s.group
     n = group.n
+    k = s.ct.n_classes
     # row i of each table: x -> x*s_i (right) and its inverse x -> x*s_i^-1 (right_inv)
     right = group.right_translates(s.indices)
     right_inv = np.empty_like(right)
@@ -177,30 +204,32 @@ def _power_lambda(s: NormalSubset, seed: int) -> float:
     for row, inv_row in zip(right, right_inv):
         inv_row[row] = points
 
-    def mv(vec: np.ndarray, tables: np.ndarray) -> np.ndarray:
-        acc = np.zeros_like(vec)
-        for t in tables:
-            acc += vec.take(t)  # take, unlike [], reads an int32 index without a copy
-        return acc / len(tables)
-
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(n)
     v -= v.mean()
     v /= np.linalg.norm(v)
-    theta_old = np.inf
-    for _ in range(tol.POWER_MAX_ITER):
-        w = mv(mv(v, right_inv), right)  # MM^t v: M^t then M
+    basis = np.empty((k, n))
+    alpha = np.empty(k)
+    beta = np.empty(k)
+    for j in range(k):
+        basis[j] = v
+        w = _mean_take(_mean_take(v, right_inv), right)  # M^t then M; deflated, M0 M0^t v
         w -= w.mean()  # deflate the all-ones direction
-        theta = float(v @ w)
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-        if abs(theta - theta_old) <= tol.POWER_TOL:
-            return float(np.sqrt(max(theta, 0.0)))
-        theta_old = theta
+        q = basis[: j + 1]
+        c = q @ w
+        alpha[j] = c[j]
+        # full reorthogonalisation, twice (Parlett ch. 6)
+        w -= c @ q
+        w -= (q @ w) @ q
+        beta[j] = np.linalg.norm(w)
+        tri = np.diag(alpha[: j + 1]) + np.diag(beta[:j], 1) + np.diag(beta[:j], -1)
+        theta, y = np.linalg.eigh(tri)
+        residual = float(beta[j] * abs(y[-1, -1]))
+        if residual <= tol.LANCZOS_TOL * max(theta[-1], _ULP) or beta[j] == 0.0:
+            return float(np.sqrt(max(theta[-1], 0.0))), j + 1, residual
+        v = w / beta[j]
     raise NoConvergence(
-        f"power iteration did not settle within {tol.POWER_MAX_ITER} iterations"
+        f"Lanczos did not stop within k = {k} steps, the Krylov dimension bound"
     )
 
 
@@ -285,6 +314,9 @@ class SpectralReport:
     lambda_char: float
     char_eigenvalues: tuple[complex, ...]
     method: str
+    # Lanczos steps and final residual; 0 and 0.0 on the dense route
+    steps: int = 0
+    residual: float = 0.0
 
     def agree(self) -> bool:
         return abs(self.lambda_direct - self.lambda_char) <= tol.LAMBDA_AGREE
@@ -299,7 +331,7 @@ def spectral_report(
     seed: int = 0,
 ) -> SpectralReport:
     """lambda by both routes for S, a union of classes of `ct` in `group`."""
-    lam_dir = lambda_direct(s, seed=seed)
+    lam_dir, steps, residual = lambda_direct(s, seed=seed, return_info=True)
     if not 0.0 <= lam_dir <= 1.0 + tol.SLACK:
         raise NoConvergence(f"lambda {lam_dir} outside [0, 1]")
     return SpectralReport(
@@ -310,5 +342,7 @@ def spectral_report(
         lambda_direct=lam_dir,
         lambda_char=lambda_normal(tab, s),
         char_eigenvalues=tuple(complex(v) for v in eigenvalues_normal(tab, s)),
-        method="dense" if group.n <= DENSE_CAP else "power",
+        method="dense" if group.n <= DENSE_CAP else "lanczos",
+        steps=steps,
+        residual=residual,
     )

@@ -34,9 +34,9 @@ PAB_RELATIVE = 1e-8
 # distribution weights must sum to one within this
 DIST_UNIT = 1e-12
 
-# power iteration
-POWER_TOL = 1e-9
-POWER_MAX_ITER = 10 ** 5
+# Lanczos above the dense cap stops once the top Ritz residual is at most
+# this times the top Ritz value
+LANCZOS_TOL = 1e-10
 
 NAMES = {
     "orthogonality": "ORTHOGONALITY",
@@ -51,5 +51,5 @@ NAMES = {
     "strict-slack": "STRICT_SLACK",
     "pab-relative": "PAB_RELATIVE",
     "dist-unit": "DIST_UNIT",
-    "power-tol": "POWER_TOL",
+    "lanczos-tol": "LANCZOS_TOL",
 }

@@ -40,6 +40,23 @@ def test_lambda_both_routes(capsys):
     assert "agree" in out.lower() or "lambda" in out.lower()
 
 
+def test_lambda_reports_lanczos_steps_only_on_that_route(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "lambda.json"
+    argv = ["lambda", "--group", "A:5", "--subset", "class:1", "--out", str(out)]
+    assert main(argv) == 0
+    assert "lanczos: " not in capsys.readouterr().out
+    meta = json.loads(out.read_text())["meta"]
+    assert meta["method"] == "dense"
+    assert not any(key.startswith("lanczos") for key in meta)
+    monkeypatch.setattr(spectral, "DENSE_CAP", 1)
+    assert main(argv) == 0
+    assert "lanczos: " in capsys.readouterr().out
+    meta = json.loads(out.read_text())["meta"]
+    assert meta["method"] == "lanczos"
+    assert 1 <= meta["lanczos_steps"] <= 4
+    assert 0.0 <= meta["lanczos_residual"] <= 1e-10
+
+
 def test_chartable_verify_export_import(tmp_path, capsys):
     assert main(["chartable", "--group", "A:5", "--verify"]) == 0
     path = tmp_path / "a5.json"
@@ -189,14 +206,14 @@ def test_tolerance_override_roundtrip(tmp_path):
         (["growth", "--check", "dichotomy"], "slack=-1e6"),
         (["growth", "--check", "2step", "--trials", "1"], "slack=-1e6"),
         (["growth", "--check", "asymp", "--trials", "2"], "strict-slack=-1e6"),
-        (["lambda", "--subset", "class:1"], "power-tol=1e300"),
+        (["lambda", "--subset", "class:1"], "lanczos-tol=1e300"),
         (["chartable", "--verify"], "eigen-collision=1e9"),
     ],
-    ids=["dichotomy", "2step", "asymp", "lambda-power", "chartable"],
+    ids=["dichotomy", "2step", "asymp", "lambda-lanczos", "chartable"],
 )
 def test_tolerance_override_reaches_check(tmp_path, capsys, monkeypatch, argv, override):
     if argv[0] == "lambda":
-        # force the power-iteration route, whose tolerance is overridden
+        # force the Lanczos route: one step gives the Rayleigh quotient, not lambda
         monkeypatch.setattr(spectral, "DENSE_CAP", 1)
     out = tmp_path / "report.json"
     code = main(argv + ["--group", "A:5", "--tolerance", override, "--out", str(out)])

@@ -176,9 +176,11 @@ def test_element_lambda_never_reads_the_characters(name):
 
     So nothing it reaches may use the character table or the class tensor;
     the cyclic-subgroup blocks of `deflated_lambda` and the translates of
-    power iteration come from the elements' spanning tree.
+    Lanczos come from the elements' spanning tree.
     """
     reached = _reached_functions("spectral.py", name)
+    if name == "lambda_direct":
+        assert ("spectral.py", "_lanczos_lambda") in reached
     assert ("permgroup.py", "FiniteGroup.cyclic_cosets") in reached
     assert ("permgroup.py", "FiniteGroup._spanning_tree") in reached
     assert ("permgroup.py", "FiniteGroup._tree_walk") in reached

@@ -59,14 +59,21 @@ def test_eigenvalues_need_nonempty(a5):
         eigenvalues_normal(a5.table, NormalSubset.from_classes(a5.classes, []))
 
 
-def test_lambda_direct_extremes(a5, s5, psl27, psl211):
-    for ctx in (a5, s5, psl27, psl211):
-        ct = ctx.classes
-        # S = G mixes in one step: lambda is 0, not the square root of rounding noise
-        full = NormalSubset.from_classes(ct, range(ct.n_classes))
-        assert lambda_direct(full) <= tol.SLACK
-        ident = NormalSubset.from_classes(ct, [0])
-        assert lambda_direct(ident) == pytest.approx(1.0, abs=1e-12)
+def test_lambda_direct_extremes(a5, s5, psl27, psl211, monkeypatch):
+    # the dense solve, then Lanczos, which settles both in one step
+    for cap, steps in ((spectral.DENSE_CAP, 0), (1, 1)):
+        monkeypatch.setattr(spectral, "DENSE_CAP", cap)
+        for ctx in (a5, s5, psl27, psl211):
+            ct = ctx.classes
+            # S = G mixes in one step: lambda is 0, not the square root of rounding noise
+            full = NormalSubset.from_classes(ct, range(ct.n_classes))
+            lam, took, _ = lambda_direct(full, return_info=True)
+            assert lam <= tol.SLACK
+            assert took == steps
+            ident = NormalSubset.from_classes(ct, [0])
+            lam, took, _ = lambda_direct(ident, return_info=True)
+            assert lam == pytest.approx(1.0, abs=1e-12)
+            assert took == steps
 
 
 def _dense_oracle(group, weights):
@@ -118,21 +125,26 @@ def test_lambda_routes_agree(fixture, request):
         )
 
 
-def test_power_iteration_matches_dense(psl27, monkeypatch):
-    s = NormalSubset.from_classes(psl27.classes, [1])
-    dense = lambda_direct(s)
+def test_lanczos_matches_dense(psl27, monkeypatch):
+    ct = psl27.classes
+    dense = [lambda_direct(NormalSubset.from_classes(ct, [c])) for c in range(1, ct.n_classes)]
     monkeypatch.setattr(spectral, "DENSE_CAP", 1)
-    power = lambda_direct(s)
-    assert power == pytest.approx(dense, abs=1e-6)
+    for c, want in enumerate(dense, start=1):
+        assert abs(lambda_direct(NormalSubset.from_classes(ct, [c])) - want) <= 1e-12
 
 
-def test_power_iteration_no_convergence(a5, monkeypatch):
+def test_lanczos_step_cap_raises(a5, monkeypatch):
+    """A stop rule that never holds runs into the cap: exactly k products, then an error."""
     s = NormalSubset.from_classes(a5.classes, [1])
-    monkeypatch.setattr(tol, "POWER_MAX_ITER", 2)
-    monkeypatch.setattr(tol, "POWER_TOL", 1e-15)
+    monkeypatch.setattr(tol, "LANCZOS_TOL", -1.0)
     monkeypatch.setattr(spectral, "DENSE_CAP", 1)
+    steps = []
+    inner = spectral._mean_take
+    monkeypatch.setattr(spectral, "_mean_take", lambda *a: steps.append(1) or inner(*a))
     with pytest.raises(NoConvergence):
         lambda_direct(s)
+    # two walk steps, M^t then M, per product
+    assert len(steps) == 2 * a5.classes.n_classes
 
 
 def test_walk_matrix_stochastic_and_normal(a5):
@@ -194,14 +206,21 @@ def test_vertex_expansion_bound(a5):
         assert nb <= g.n
 
 
-def test_spectral_report(psl27):
+def test_spectral_report(psl27, monkeypatch):
     s = NormalSubset.from_classes(psl27.classes, [1])
     rep = spectral_report(
         psl27.group, psl27.classes, psl27.table, s, "class:1"
     )
     assert rep.method == "dense"
+    assert (rep.steps, rep.residual) == (0, 0.0)
     assert rep.agree()
     assert len(rep.char_eigenvalues) == psl27.classes.n_classes
+    monkeypatch.setattr(spectral, "DENSE_CAP", 1)
+    rep = spectral_report(psl27.group, psl27.classes, psl27.table, s, "class:1")
+    assert rep.method == "lanczos"
+    assert 1 <= rep.steps <= psl27.classes.n_classes - 1
+    assert 0.0 <= rep.residual <= tol.LANCZOS_TOL * rep.lambda_direct ** 2
+    assert rep.agree()
 
 
 def kernel_rows(n, rng):
@@ -264,23 +283,44 @@ def _zero_first_max(out):
     return out
 
 
-# float.hex of power-iteration lambda at seed 0, recorded when both tables
-# were still formed through `mul`: the spanning-tree translates must give the
-# same integers and the same summation order
+# float.hex of Lanczos lambda at seed 0, and of the power-iteration lambda it
+# replaced, which stopped once successive Rayleigh quotients moved by 1e-9
+PSL33_LANCZOS_LAMBDA = {1: "0x1.3b13b13b13b14p-2", 11: "0x1.5555555555556p-4"}
 PSL33_POWER_LAMBDA = {1: "0x1.3b13b1267512ep-2", 11: "0x1.5555554a080fbp-4"}
 
 
-def test_power_lambda_pinned_and_resolves_few_rows(monkeypatch):
+@pytest.fixture(scope="module")
+def psl33():
+    return get_context("PSL3:3")
+
+
+def test_lanczos_lambda_pinned_and_resolves_few_rows(psl33, monkeypatch):
+    # a fresh group, so the translate tables are built inside the count
     group = parse_group_spec("PSL3:3")
     ct = compute_classes(group)
     rows = []
     inner = group.index_of
     monkeypatch.setattr(group, "index_of", lambda r: rows.append(len(np.atleast_2d(r))) or inner(r))
     k, n = len(group.generators), group.n
-    for c, want in PSL33_POWER_LAMBDA.items():
+    for c, want in PSL33_LANCZOS_LAMBDA.items():
         s = NormalSubset.from_classes(ct, [c])
         del rows[:]
         assert float.hex(lambda_direct(s, seed=0)) == want
+        # no farther from the character route than the power-iteration pin
+        char = lambda_normal(psl33.table, NormalSubset.from_classes(psl33.classes, [c]))
+        old = float.fromhex(PSL33_POWER_LAMBDA[c])
+        assert abs(float.fromhex(want) - char) <= abs(old - char)
         # the generator tables and at most the inverses; both tables through
         # `mul` resolved 2 n |S| rows (1 168 128 for class 1)
         assert sum(rows) <= (k + 1) * n
+
+
+def test_lanczos_agrees_with_characters_above_the_cap(psl33):
+    """Every nonidentity class of PSL3:3, within the Krylov bound of k - 1 steps."""
+    ct = psl33.classes
+    assert ct.group.n > spectral.DENSE_CAP
+    for c in range(1, ct.n_classes):
+        s = NormalSubset.from_classes(ct, [c])
+        lam, steps, _ = lambda_direct(s, seed=0, return_info=True)
+        assert abs(lam - lambda_normal(psl33.table, s)) <= 1e-12
+        assert steps <= ct.n_classes - 1
