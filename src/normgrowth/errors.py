@@ -53,6 +53,10 @@ class NotNormal(NormGrowthError):
     """A subset is not a union of conjugacy classes."""
 
 
+class ClassPartitionError(NormGrowthError):
+    """A class table's blocks are not exactly the conjugacy classes of its group."""
+
+
 class CountMismatch(NormGrowthError):
     """Class-tensor pair counts disagree with a brute-force count on the elements."""
 

@@ -5,9 +5,12 @@ side from the certified character table.  Products of two normal subsets
 are counted on the class multiplication tensor by one call,
 `class_pair_counts(ct, pairs)`, which recounts an evenly spaced sample of
 at most `spectral.BRUTE_FORCE_SAMPLE` of its (A, B) pairs on the chunked
-`mul` path, both the counts (`pair_count`) and the product set
-(`product_set`).  The table is computed from the same tensor, so the sample
-keeps the two routes independent.  Products of many element sets with one
+`mul` path: the counts at the class representatives (`pair_count`), and the
+classes of A*B, read off the classes that r_i*B meets as r_i runs over the
+representatives of A's classes (`_classes_met`).  That second half rests on
+the class partition, which `permgroup.certify_classes` certifies once per
+table.  The table is computed from the same tensor, so the sample keeps the
+two routes independent.  Products of many element sets with one
 fixed set are counted by `product_sizes`: one `spectral.convolve_rows` call
 up to the dense cap, one `product_set` per set above it; each sweep through
 it recounts a sample of its products on the other route.  A disagreement
@@ -35,7 +38,7 @@ from .chartable import (
 )
 from .context import GroupContext
 from .errors import NotLieType, TrivialSubset
-from .permgroup import _CHUNK_ROWS, ClassTable, FiniteGroup, word_image
+from .permgroup import _CHUNK_ROWS, ClassTable, FiniteGroup, certify_classes, word_image
 from .reports import CheckResult, ReportDocument
 from .spectral import _recounted, _spread, convolve_rows
 from .subsets import (
@@ -121,6 +124,21 @@ def pair_count(
     return int(counts[0]) if targets.ndim == 0 else counts.reshape(targets.shape)
 
 
+def _classes_met(ct: ClassTable, a: NormalSubset, b: NormalSubset) -> np.ndarray:
+    """met[c] = C_c lies in A*B, for normal A and B, from |classes of A| * |B| products.
+
+    A*B is the union over A's classes C_i = {g r_i g^-1} of C_i B, and as
+    g^-1 B g = B, g r_i g^-1 B = g (r_i B) g^-1.  So A*B holds the whole
+    class of each product r_i*y with y in B, and nothing else.  This holds
+    only if ct's blocks are the conjugacy classes, which `certify_classes`
+    checks.
+    """
+    reps = ct.reps[list(a.class_indices)]
+    met = np.zeros(ct.n_classes, dtype=bool)
+    met[ct.class_of[ct.group.mul(reps[:, None], np.flatnonzero(b.mask))]] = True
+    return met
+
+
 def class_pair_counts(ct: ClassTable, pairs: Sequence[tuple]) -> np.ndarray:
     """counts[t, c] = #{(x, y) in A_t x B_t : x*y = rep(C_c)} of each (A_t, B_t), int64.
 
@@ -134,10 +152,14 @@ def class_pair_counts(ct: ClassTable, pairs: Sequence[tuple]) -> np.ndarray:
 
     The character table is computed from the same tensor, so an evenly
     spaced sample of the pairs is recounted on the elements: each count must
-    equal `pair_count` at the class representative, and the product set must
-    be exactly the classes with a positive count.  A disagreement raises
-    `CountMismatch`.
+    equal `pair_count` at the class representative, and the classes met by
+    r_i*B, for r_i the representatives of A_t's classes, must be exactly the
+    classes with a positive count (`_classes_met`).  A disagreement raises
+    `CountMismatch`.  That second half needs the class partition to be
+    right, so the first call on a table certifies it (`certify_classes`),
+    and a wrong partition raises `ClassPartitionError` before any count.
     """
+    certify_classes(ct)
     k = ct.n_classes
     flat = class_tensor(ct).reshape(k, k * k).astype(np.float64)
     # one bool indicator row per distinct set object (sweeps pair a pool with
@@ -166,8 +188,7 @@ def class_pair_counts(ct: ClassTable, pairs: Sequence[tuple]) -> np.ndarray:
 
     def on_elements(a, b):
         at_reps = pair_count(group, a, b, ct.reps)
-        per_class = np.bincount(ct.class_of[product_set(group, a, b).mask], minlength=k)
-        return np.stack([at_reps, per_class])
+        return np.stack([at_reps, _classes_met(ct, a, b) * ct.sizes])
 
     _recounted(f"{group.label} class tensor", pairs, sample, on_elements)
     return out

@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import (
     CapExceeded,
+    ClassPartitionError,
     EmptyWord,
     NormGrowthError,
     NotBijective,
@@ -278,6 +279,23 @@ class FiniteGroup:
 
     def permutation(self, i: int) -> Permutation:
         return Permutation(self.perms[i])
+
+    def centralizer_orders(self, elements: Iterable[int]) -> np.ndarray:
+        """|C_G(r)| = #{x : x*r = r*x} for each element index r, int64.
+
+        x*r = r*x exactly when x(r(i)) = r(x(i)) at every point i, so the
+        candidates are filtered on their permutation rows one point at a
+        time.  No image row is resolved, and after the first few points the
+        candidates are already the centralizer.
+        """
+        orders = []
+        for r in elements:
+            row = self.perms[int(r)]
+            cand = np.arange(self.n)
+            for i in range(self.degree):
+                cand = cand[self.perms[cand, row[i]] == row[self.perms[cand, i]]]
+            orders.append(cand.size)
+        return np.array(orders, dtype=np.int64)
 
     def generator_conjugation_maps(self) -> list[np.ndarray]:
         """For each generator g, the full map x -> g*x*g^-1 as an index array."""
@@ -548,6 +566,11 @@ class ClassTable:
     rep_orders: np.ndarray        # (k,) element order of each representative
     # (k, k, k) class multiplication tensor, kept by chartable.class_tensor
     tensor: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    # (k,) centralizer orders of the reps, kept by certify_classes; a copy made
+    # with dataclasses.replace starts without them, so it is certified afresh
+    centralizer_orders: Optional[np.ndarray] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def n_classes(self) -> int:
@@ -595,6 +618,47 @@ def compute_classes(group: FiniteGroup) -> ClassTable:
         is_real=is_real,
         rep_orders=rep_orders,
     )
+
+
+def certify_classes(ct: ClassTable) -> np.ndarray:
+    """The centralizer orders of ct's representatives, once ct's blocks are certified.
+
+    The blocks must be the classes listed in `classes`, with `sizes` and
+    `reps` their sizes and members.  Each block must be closed under
+    conjugation by every generator, so it is a union of classes and holds
+    the class of its representative r_c, and |C_c| |C_G(r_c)| = n must hold,
+    so it is exactly that class (orbit-stabiliser).  Certified on first use
+    and then kept on ct, as `chartable.class_tensor` keeps the tensor; a
+    failure raises ClassPartitionError.
+    """
+    if ct.centralizer_orders is None:
+        group, k = ct.group, ct.n_classes
+        if not (
+            np.array_equal([c.size for c in ct.classes], ct.sizes)
+            and np.array_equal(np.concatenate(ct.classes), np.argsort(ct.class_of, kind="stable"))
+            and np.array_equal(ct.class_of[ct.reps], np.arange(k))
+        ):
+            raise ClassPartitionError(
+                f"{group.label}: classes, sizes and reps do not match class_of"
+            )
+        for cmap in group.generator_conjugation_maps():
+            moved = np.flatnonzero(ct.class_of[cmap] != ct.class_of)
+            if moved.size:
+                raise ClassPartitionError(
+                    f"{group.label}: block {int(ct.class_of[moved[0]])} is not closed "
+                    "under conjugation"
+                )
+        orders = group.centralizer_orders(ct.reps)
+        wrong = np.flatnonzero(ct.sizes * orders != group.n)
+        if wrong.size:
+            c = int(wrong[0])
+            raise ClassPartitionError(
+                f"{group.label}: block {c} has {int(ct.sizes[c])} elements, but its "
+                f"representative's class has n / |C_G(r)| = {group.n} / {int(orders[c])}"
+            )
+        # a function of ct's own fields, so caching it on the frozen table is safe
+        object.__setattr__(ct, "centralizer_orders", orders)
+    return ct.centralizer_orders
 
 
 # -- real / coprime-order census --------------------------------------------

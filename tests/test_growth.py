@@ -11,7 +11,7 @@ from normgrowth.chartable import character_ratio, class_tensor, frobenius_tensor
 from normgrowth import growth, spectral
 from normgrowth.context import get_context
 from normgrowth.distributions import sweep_bnp_star, sweep_bnp_two_step, sweep_wlambda
-from normgrowth.errors import CountMismatch, NotLieType, TrivialSubset
+from normgrowth.errors import ClassPartitionError, CountMismatch, NotLieType, TrivialSubset
 from normgrowth.growth import (
     class_pair_counts,
     dichotomy_check,
@@ -28,6 +28,7 @@ from normgrowth.growth import (
     sweep_gowers2,
     word_growth_report,
 )
+from normgrowth.permgroup import FiniteGroup, certify_classes
 from normgrowth.subsets import (
     NormalSubset,
     Subset,
@@ -486,6 +487,131 @@ def test_brute_force_sample_catches_a_wrong_tensor(a5):
         sweep_dichotomy(ctx)
     # the context's own table keeps its own tensor
     assert sweep_dichotomy(a5).fail_count == 0
+
+
+def test_classes_met_alone_catch_the_missing_involutions(a5, monkeypatch):
+    """The wrong tensor of the test above, with `pair_count` made to agree with it.
+
+    Only the classes met by r_1 * C_1, which miss the involutions, are left
+    to catch it.
+    """
+    k15 = class_of_size(a5.classes, 15)
+    bad = class_tensor(a5.classes).copy()
+    bad[1, 1, k15] += 1
+    ct = dataclasses.replace(a5.classes, tensor=bad)
+    c1 = NormalSubset.from_classes(ct, [1])
+    assert not growth._classes_met(ct, c1, c1)[k15]
+    monkeypatch.setattr(growth, "pair_count", lambda group, a, b, g: bad[1, 1])
+    with pytest.raises(CountMismatch):
+        class_pair_counts(ct, [(c1, c1)])
+
+
+def with_blocks(ct, class_of):
+    """A copy of ct whose blocks are given by `class_of`, each with its smallest element as rep."""
+    classes = tuple(np.flatnonzero(class_of == c) for c in range(class_of.max() + 1))
+    return dataclasses.replace(
+        ct,
+        class_of=class_of,
+        classes=classes,
+        sizes=np.array([c.size for c in classes]),
+        reps=np.array([c[0] for c in classes]),
+        tensor=None,
+    )
+
+
+@pytest.mark.parametrize("change", ["merge", "split", "relabel"])
+def test_wrong_partition_raises_before_any_count(a5, change):
+    """Two classes of 5-cycles merged, or the 3-cycles split in two, must not be counted.
+
+    The merged block is closed under conjugation but twice the size of its
+    representative's class; the split blocks are not closed.  A merge in
+    `class_of` alone leaves it at odds with the classes, sizes and reps.
+    """
+    ct = a5.classes
+    fives = np.flatnonzero(ct.rep_orders == 5)
+    assert fives.size == 2
+    class_of = ct.class_of.copy()
+    if change == "split":
+        threes = ct.classes[class_of_size(ct, 20)]
+        class_of[threes[10:]] = ct.n_classes
+    else:
+        lo, hi = fives.tolist()
+        class_of[class_of == hi] = lo
+        class_of[class_of > hi] -= 1
+    if change == "relabel":
+        bad = dataclasses.replace(ct, class_of=class_of, tensor=None)
+    else:
+        bad = with_blocks(ct, class_of)
+    assert bad.centralizer_orders is None
+    pool = [NormalSubset.from_classes(bad, [i]) for i in range(bad.n_classes)]
+    with pytest.raises(ClassPartitionError):
+        class_pair_counts(bad, [(a, a) for a in pool])
+    with pytest.raises(ClassPartitionError):
+        class_pair_counts(bad, [])
+    assert bad.tensor is None
+
+
+def test_partition_is_certified_once_per_table(a5, monkeypatch):
+    calls = []
+    count = FiniteGroup.centralizer_orders
+
+    def counting(self, elements):
+        calls.append(len(elements))
+        return count(self, elements)
+
+    monkeypatch.setattr(FiniteGroup, "centralizer_orders", counting)
+    # a replaced copy starts uncertified, even of a certified table
+    certify_classes(a5.classes)
+    ct = dataclasses.replace(a5.classes)
+    assert ct.centralizer_orders is None
+    pool = enumerate_normal_subsets(ct)
+    first = class_pair_counts(ct, [(a, a) for a in pool])
+    assert calls == [ct.n_classes]
+    assert np.array_equal(ct.centralizer_orders, a5.group.n // ct.sizes)
+    assert np.array_equal(class_pair_counts(ct, [(a, a) for a in pool]), first)
+    assert calls == [ct.n_classes]
+
+
+@pytest.mark.parametrize("spec", ["A:5", "PSL2:7", "PSL2:11", "PSL3:3"])
+def test_classes_met_by_representatives_match_the_product_set(spec):
+    """The classes met by r_i*B are the classes of A*B, on single classes and unions."""
+    ctx = get_context(spec)
+    g, ct = ctx.group, ctx.classes
+    singles = [NormalSubset.from_classes(ct, [i]) for i in range(ct.n_classes)]
+    rng = np.random.default_rng(26)
+    pairs = [(a, b) for a in singles for b in singles] + [
+        (random_normal_subset(ct, rng), random_normal_subset(ct, rng)) for _ in range(20)
+    ]
+    for a, b in pairs:
+        want = np.zeros(ct.n_classes, dtype=bool)
+        want[ct.class_of[product_set(g, a, b).mask]] = True
+        assert np.array_equal(growth._classes_met(ct, a, b), want)
+
+
+def test_recount_products_stay_within_budget(monkeypatch):
+    """The recount of A^2 makes |classes of A| |A| + |A| k products, not |A|^2.
+
+    `pair_count` makes |A| k of them, at the k representatives, and
+    `_classes_met` one per element of A for each class of A.
+    """
+    ctx = get_context("PSL3:3")
+    ct = ctx.classes
+    k = ct.n_classes
+    class_tensor(ct)
+    certify_classes(ct)
+    made = []
+    mul = FiniteGroup.mul
+
+    def counting(self, a, b):
+        made.append(np.broadcast(np.asarray(a), np.asarray(b)).size)
+        return mul(self, a, b)
+
+    monkeypatch.setattr(FiniteGroup, "mul", counting)
+    for c in range(1, k):
+        a = NormalSubset.from_classes(ct, [c])
+        del made[:]
+        class_pair_counts(ct, [(a, a)])
+        assert 0 < sum(made) <= len(a.class_indices) * a.size + a.size * k
 
 
 @pytest.mark.parametrize("cap", [None, 59])

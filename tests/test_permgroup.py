@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from normgrowth import permgroup
-from normgrowth.context import parse_group_spec
+from normgrowth.context import PROFILE_FULL, parse_group_spec
 from normgrowth.errors import (
     CapExceeded,
     EmptyWord,
@@ -24,6 +24,7 @@ from normgrowth.permgroup import (
     Permutation,
     build_alternating,
     build_symmetric,
+    certify_classes,
     closure,
     compute_classes,
     generators_from_text,
@@ -431,6 +432,25 @@ def test_class_partition_pinned(spec):
     ct = compute_classes(parse_group_spec(spec))
     got = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in (ct.class_of, ct.sizes, ct.reps))
     assert got == CLASS_TABLES[spec]
+
+
+@pytest.mark.parametrize("spec", PROFILE_FULL + ("A:8",))
+def test_centralizer_orders_match_the_class_sizes(spec):
+    """|C_G(r_c)| = n / |C_c| on every class, and it equals a count through `mul`."""
+    g = parse_group_spec(spec)
+    ct = compute_classes(g)
+    orders = certify_classes(ct)
+    assert orders.dtype == np.int64
+    assert np.array_equal(orders, g.n // ct.sizes)
+    all_idx = np.arange(g.n)
+    by_mul = [int((g.mul(all_idx, r) == g.mul(r, all_idx)).sum()) for r in ct.reps.tolist()]
+    assert orders.tolist() == by_mul
+    assert certify_classes(ct) is orders and ct.centralizer_orders is orders
+
+
+def test_trivial_group_certifies():
+    ct = compute_classes(closure([Permutation((0,))], cap=2))
+    assert certify_classes(ct).tolist() == [1]
 
 
 # -- real census -----------------------------------------------------------------

@@ -219,7 +219,13 @@ TENSOR_ROUTED = [
 
 
 def test_one_count_on_the_class_tensor():
-    """Only `class_pair_counts` reads the tensor, and it recounts on the elements itself."""
+    """Only `class_pair_counts` reads the tensor, and it recounts on the elements itself.
+
+    The recount has two halves, `pair_count` at the representatives and the
+    classes met by r_i*B (`_classes_met`).  The second rests on the class
+    partition, so the call certifies it; `product_set`, |A||B| products per
+    pair, stays out of the recount.
+    """
     functions = {
         node.name: node for node in ast.walk(TREES["growth.py"]) if isinstance(node, ast.FunctionDef)
     }
@@ -234,7 +240,9 @@ def test_one_count_on_the_class_tensor():
         for node in ast.walk(functions["class_pair_counts"])
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
     }
-    assert {"_recounted", "pair_count", "product_set"} <= calls
+    assert {"_recounted", "pair_count", "_classes_met", "certify_classes"} <= calls
+    reached = _reached_functions("growth.py", "class_pair_counts")
+    assert ("growth.py", "product_set") not in reached
 
 
 @pytest.mark.parametrize("name", TENSOR_ROUTED)
