@@ -15,7 +15,6 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from . import tolerances as tol
 from .errors import (
     DegenerateSpectrum,
     EmptySubset,
@@ -25,6 +24,10 @@ from .errors import (
     SchemaError,
 )
 from .permgroup import ClassTable, FiniteGroup
+from .tolerances import Tolerances
+
+# random recombinations tried before the recovery gives up
+MAX_RETRIES = 20
 
 
 def class_mult_tensor(group: FiniteGroup, ct: ClassTable) -> np.ndarray:
@@ -121,6 +124,7 @@ def burnside_dixon_numeric(
     seed: int = 0,
     label: str = "",
     class_orders: np.ndarray,
+    tol: Tolerances,
 ) -> CharacterTable:
     """Recover the character table from the class multiplication tensor.
 
@@ -133,26 +137,23 @@ def burnside_dixon_numeric(
     sizes = np.asarray(sizes, dtype=np.int64)
     rng = np.random.default_rng(seed)
     vecs = None
-    for _ in range(tol.MAX_RETRIES):
+    for _ in range(MAX_RETRIES):
         coeffs = rng.uniform(-1.0, 1.0, size=k)
         t_mat = np.tensordot(coeffs, a, axes=(0, 0)).astype(np.float64)
         eigvals, eigvecs = np.linalg.eig(t_mat)
         sep = np.abs(eigvals[:, None] - eigvals[None, :])
         sep[np.diag_indices(k)] = np.inf
-        if sep.min() > tol.EIGEN_COLLISION:
+        if sep.min() > tol.eigen_collision:
             vecs = eigvecs
             break
     if vecs is None:
         raise DegenerateSpectrum(
-            f"no collision-free recombination found in {tol.MAX_RETRIES} tries"
+            f"no collision-free recombination found in {MAX_RETRIES} tries"
         )
     omega = vecs / vecs[0, :]  # column r: central character values, omega[0] = 1
     weight = (np.abs(omega) ** 2 / sizes[:, None].astype(np.float64)).sum(axis=0)
     degrees = np.sqrt(n / weight)
     rounded = np.round(degrees)
-    err = np.abs(degrees - rounded).max()
-    if err > tol.DEGREE_ERROR:
-        raise NonIntegralDegree(f"degree deviates from integer by {err:.3e}")
     chi = (degrees[None, :] * omega / sizes[:, None]).T  # rows = characters
     order = _sort_rows(chi, rounded)
     chi = chi[order]
@@ -166,29 +167,29 @@ def burnside_dixon_numeric(
         label=label,
         residual=_orthogonality_residual(chi, sizes, n),
     )
-    _certify(tab, residual_budget=tol.ORTHOGONALITY)
+    _certify(tab, tol.orthogonality, tol)
     return tab
 
 
-def _certify(tab: CharacterTable, residual_budget: float) -> None:
-    """Orthogonality, degree integrality, and sum-of-squares checks."""
+def _certify(tab: CharacterTable, residual_budget: float, tol: Tolerances) -> None:
+    """Orthogonality (checked first), degree integrality, and sum-of-squares checks."""
     if tab.residual > residual_budget:
         raise OrthogonalityError(
             f"orthogonality residual {tab.residual:.3e} > {residual_budget:.1e}"
         )
     dev = np.abs(tab.values[:, 0].real - tab.degrees).max()
-    if dev > tol.DEGREE_INTEGRALITY or (tab.degrees < 1).any():
+    if dev > tol.degree_integrality or (tab.degrees < 1).any():
         raise NonIntegralDegree(f"degree integrality off by {dev:.3e}")
     if int((tab.degrees ** 2).sum()) != tab.n:
         raise OrthogonalityError(
             f"sum of squared degrees {int((tab.degrees ** 2).sum())} != {tab.n}"
         )
-    if np.abs(tab.values[0] - 1.0).max() > tol.DEGREE_INTEGRALITY:
+    if np.abs(tab.values[0] - 1.0).max() > tol.degree_integrality:
         raise OrthogonalityError("row 0 is not the trivial character")
 
 
 def compute_character_table(
-    group: FiniteGroup, ct: ClassTable, seed: int = 0
+    group: FiniteGroup, ct: ClassTable, tol: Tolerances, seed: int = 0
 ) -> CharacterTable:
     """Tensor + eigenvector recovery + certification for a group."""
     return burnside_dixon_numeric(
@@ -198,6 +199,7 @@ def compute_character_table(
         seed=seed,
         label=group.label,
         class_orders=ct.rep_orders,
+        tol=tol,
     )
 
 
@@ -260,13 +262,15 @@ def save_table(tab: CharacterTable, path: Union[str, os.PathLike]) -> None:
         fh.write("\n")
 
 
-def load_table(path: Union[str, os.PathLike]) -> CharacterTable:
+def load_table(path: Union[str, os.PathLike], tol: Tolerances) -> CharacterTable:
     """Read a table document, validate its schema, and re-certify it."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"not a JSON document: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise SchemaError("a table document must be a JSON object")
     for key in ("group_label", "order", "class_sizes", "class_orders", "characters"):
         if key not in doc:
             raise SchemaError(f"missing field {key!r}")
@@ -284,16 +288,20 @@ def load_table(path: Union[str, os.PathLike]) -> CharacterTable:
     k = len(sizes)
     if sum(sizes) != n:
         raise SchemaError(f"class sizes sum to {sum(sizes)}, order is {n}")
-    if len(orders) != k or not all(isinstance(o, int) and o >= 1 for o in orders):
+    if not isinstance(orders, list) or len(orders) != k or not all(
+        isinstance(o, int) and o >= 1 for o in orders
+    ):
         raise SchemaError("class_orders must be k positive integers")
-    if len(chars) != k or any(len(row) != k for row in chars):
+    if not isinstance(chars, list) or len(chars) != k or any(
+        not isinstance(row, list) or len(row) != k for row in chars
+    ):
         raise SchemaError(f"characters must be a {k}x{k} matrix")
     try:
         values = np.array(
             [[complex(entry[0], entry[1]) for entry in row] for row in chars],
             dtype=np.complex128,
         )
-    except (TypeError, IndexError) as exc:
+    except (TypeError, IndexError, KeyError) as exc:
         raise SchemaError("character entries must be [re, im] pairs") from exc
     degrees = np.round(values[:, 0].real).astype(np.int64)
     size_arr = np.asarray(sizes, dtype=np.int64)
@@ -306,5 +314,5 @@ def load_table(path: Union[str, os.PathLike]) -> CharacterTable:
         label=str(label),
         residual=_orthogonality_residual(values, size_arr, n),
     )
-    _certify(tab, residual_budget=tol.TABLE_ACCEPT)
+    _certify(tab, tol.table_accept, tol)
     return tab

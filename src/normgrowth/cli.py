@@ -7,12 +7,10 @@ surfaced, 2 usage or configuration error.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 
 from . import __version__
-from . import tolerances as tol
 from .acceptance import acceptance_document, run_acceptance
 from .chartable import (
     compute_character_table,
@@ -37,6 +35,7 @@ from .permgroup import DEFAULT_ORDER_CAP, compute_classes, real_census
 from .reports import CheckResult, ReportDocument, write_report
 from .spectral import spectral_report
 from .subsets import parse_subset_expr
+from .tolerances import DEFAULT
 
 OUT_ENV = "NORMGROWTH_OUT"
 
@@ -90,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         default=[],
         metavar="NAME=VALUE",
-        help="override a named tolerance (repeatable)",
+        help="override a named tolerance for this command (repeatable)",
     )
     common.add_argument("--out", help="write the report to this path")
     common.add_argument(
@@ -149,28 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_tolerances(pairs: list[str]) -> dict[str, float]:
-    """Set each NAME=VALUE on the tolerances module; return the overrides."""
-    applied = {}
-    for item in pairs:
-        name, sep, value = item.partition("=")
-        if not sep:
-            raise ParseError(f"--tolerance wants NAME=VALUE, got {item!r}")
-        name = name.strip()
-        attr = tol.NAMES.get(name)
-        if attr is None:
-            raise ParseError(f"unknown tolerance {name!r}")
-        try:
-            applied[name] = float(value)
-        except ValueError:
-            raise ParseError(f"bad tolerance value {value!r}") from None
-        # nan fails every comparison and inf passes every bound
-        if not math.isfinite(applied[name]):
-            raise ParseError(f"tolerance {name!r} must be finite, got {value!r}")
-        setattr(tol, attr, applied[name])
-    return applied
-
-
 def _out_path(args, default_name: str):
     if args.out:
         return args.out
@@ -185,6 +162,7 @@ def _emit(doc: ReportDocument, args, default_stem: str) -> int:
     doc.meta.setdefault("seed", args.seed)
     if args.overrides:
         doc.meta["tolerances"] = args.overrides
+    doc.header["tolerances"] = args.tol.by_name()
     doc.stamp()
     path = _out_path(args, f"{default_stem}.{args.format}")
     if path:
@@ -252,9 +230,9 @@ def cmd_chartable(args) -> int:
     if ctx_needed:
         group = parse_group_spec(args.group, order_cap=args.order_cap)
         ct = compute_classes(group)
-        tab = compute_character_table(group, ct, seed=args.seed)
+        tab = compute_character_table(group, ct, args.tol, seed=args.seed)
     if args.import_path:
-        tab = load_table(args.import_path)
+        tab = load_table(args.import_path, args.tol)
         print(f"loaded table for {tab.label}: order {tab.n}, {tab.n_classes} characters")
     if args.export:
         save_table(tab, args.export)
@@ -264,7 +242,7 @@ def cmd_chartable(args) -> int:
     print(f"{tab.label}: degrees {degrees}")
     print(f"orthogonality residual {residual:.3e}")
     doc = ReportDocument(title=f"chartable {tab.label}")
-    budget = tol.TABLE_ACCEPT if args.import_path else tol.ORTHOGONALITY
+    budget = args.tol.table_accept if args.import_path else args.tol.orthogonality
     doc.results = [
         CheckResult.bound("orthogonality", tab.label, tab.n, "", residual, budget)
     ]
@@ -273,7 +251,7 @@ def cmd_chartable(args) -> int:
 
 
 def cmd_lambda(args) -> int:
-    ctx = get_context(args.group, order_cap=args.order_cap, seed=args.seed)
+    ctx = get_context(args.group, order_cap=args.order_cap, seed=args.seed, tol=args.tol)
     subset = parse_subset_expr(args.subset, ctx.group, ctx.classes)
     rep = spectral_report(
         ctx.group,
@@ -282,6 +260,7 @@ def cmd_lambda(args) -> int:
         subset,
         args.subset,
         seed=args.seed,
+        tol=ctx.tol,
     )
     print(f"{rep.group_label} S={rep.subset_expr} (d={rep.d}, {rep.method})")
     print(f"lambda_direct = {rep.lambda_direct!r}")
@@ -290,7 +269,7 @@ def cmd_lambda(args) -> int:
     doc.results = [
         CheckResult.bound(
             "lambda", rep.group_label, rep.n, f"S={rep.subset_expr};d={rep.d}",
-            rep.lambda_direct, rep.lambda_char, tol.LAMBDA_AGREE, "==",
+            rep.lambda_direct, rep.lambda_char, ctx.tol.lambda_agree, "==",
         )
     ]
     doc.meta.update(
@@ -310,13 +289,13 @@ def cmd_lambda(args) -> int:
 
 
 def cmd_check(args) -> int:
-    ctx = get_context(args.group, order_cap=args.order_cap, seed=args.seed)
+    ctx = get_context(args.group, order_cap=args.order_cap, seed=args.seed, tol=args.tol)
     doc = CHECKS[args.command][args.check](ctx, args)
     return _emit(doc, args, _stem(args.command, args.check, args.group))
 
 
 def cmd_acceptance(args) -> int:
-    outcomes = run_acceptance(profile=args.profile, seed=args.seed)
+    outcomes = run_acceptance(profile=args.profile, seed=args.seed, tol=args.tol)
     for oc in outcomes:
         print(oc.line())
     doc = acceptance_document(outcomes, args.profile)
@@ -341,10 +320,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
-    # an override lasts for this command only
-    saved = {attr: getattr(tol, attr) for attr in tol.NAMES.values()}
     try:
-        args.overrides = _apply_tolerances(args.tolerance)
+        # an override makes a new value for this command only
+        args.tol, args.overrides = DEFAULT.with_overrides(args.tolerance)
         return COMMANDS[args.command](args)
     except (ParseError, SchemaError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -352,9 +330,6 @@ def main(argv=None) -> int:
     except NormGrowthError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    finally:
-        for attr, value in saved.items():
-            setattr(tol, attr, value)
 
 
 if __name__ == "__main__":

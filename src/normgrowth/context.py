@@ -1,11 +1,15 @@
-"""Group construction from spec strings, with cached class and character data."""
+"""Group construction from spec strings, with cached class and character data.
+
+A `GroupContext` bundles a group with its class table, its character table
+and the `Tolerances` that table was certified under; every check reads its
+tolerances from the context it is given.
+"""
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
 
-from . import tolerances as tol
 from .chartable import CharacterTable, compute_character_table
 from .errors import ParseError
 from .permgroup import (
@@ -19,6 +23,7 @@ from .permgroup import (
     generators_from_text,
 )
 from .psl import build_psl2, build_psl3
+from .tolerances import DEFAULT, Tolerances
 
 PROFILE_QUICK = ("A:5", "S:5", "PSL2:7")
 PROFILE_FULL = PROFILE_QUICK + ("PSL2:9", "PSL2:11", "PSL2:13", "PSL3:2", "PSL3:3")
@@ -59,11 +64,12 @@ def parse_group_spec(
 
 @dataclass(frozen=True)
 class GroupContext:
-    """A group bundled with its class data and certified character table."""
+    """A group bundled with its class data, certified character table and tolerances."""
 
     group: FiniteGroup
     classes: ClassTable
     table: CharacterTable
+    tol: Tolerances
 
     @property
     def label(self) -> str:
@@ -81,19 +87,20 @@ def get_context(
     spec: str,
     order_cap: int = DEFAULT_ORDER_CAP,
     seed: int = 0,
+    tol: Tolerances = DEFAULT,
 ) -> GroupContext:
     """Build (or fetch) the full context for a group spec string.
 
-    The cache key holds every named tolerance, so a table built under one
-    set of tolerances is never served under another.
+    The cache key holds the tolerances, which compare by value, so a table
+    certified under one set is never served under another.
     """
-    key = (spec, order_cap, seed, *(getattr(tol, a) for a in tol.NAMES.values()))
+    key = (spec, order_cap, seed, tol)
     if key in _CACHE:
         return _CACHE[key]
     group = parse_group_spec(spec, order_cap=order_cap)
     ct = compute_classes(group)
-    tab = compute_character_table(group, ct, seed=seed)
-    ctx = GroupContext(group=group, classes=ct, table=tab)
+    tab = compute_character_table(group, ct, tol, seed=seed)
+    ctx = GroupContext(group=group, classes=ct, table=tab, tol=tol)
     _CACHE[key] = ctx
     return ctx
 

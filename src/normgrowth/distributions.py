@@ -3,37 +3,38 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import spectral
-from . import tolerances as tol
 from .chartable import min_nontrivial_degree
 from .context import GroupContext
-from .errors import CapExceeded, EmptySubset
+from .errors import CapExceeded, EmptySubset, InvalidWeights
 from .growth import _recounted_sizes, product_sizes
 from .permgroup import FiniteGroup
 from .reports import CheckResult, ReportDocument
 from .spectral import convolve_rows, deflated_lambda
 from .subsets import SubsetLike, random_subset, subset_mask
+from .tolerances import DEFAULT, Tolerances
 
 
 @dataclass(frozen=True)
 class Distribution:
-    """Probability weights indexed by element index."""
+    """Probability weights indexed by element index, summing to 1 within `tol.dist_unit`."""
 
     weights: np.ndarray
+    tol: InitVar[Tolerances] = DEFAULT
 
-    def __post_init__(self):
+    def __post_init__(self, tol: Tolerances):
         w = np.asarray(self.weights, dtype=np.float64)
         if w.ndim != 1 or w.size == 0:
-            raise ValueError("weights must be a nonempty vector")
+            raise InvalidWeights("weights must be a nonempty vector")
         if w.min() < 0.0:
-            raise ValueError("negative weight")
-        if abs(w.sum() - 1.0) > tol.DIST_UNIT:
-            raise ValueError(f"weights sum to {w.sum()!r}, not 1")
+            raise InvalidWeights("negative weight")
+        if abs(w.sum() - 1.0) > tol.dist_unit:
+            raise InvalidWeights(f"weights sum to {w.sum()!r}, not 1")
         object.__setattr__(self, "weights", w)
 
     @property
@@ -50,7 +51,7 @@ def uniform(n: int) -> Distribution:
     return Distribution(np.full(n, 1.0 / n))
 
 
-def from_subset(b: SubsetLike) -> Distribution:
+def from_subset(b: SubsetLike, tol: Tolerances = DEFAULT) -> Distribution:
     """Uniform on B, zero elsewhere."""
     mask = subset_mask(b)
     size = int(mask.sum())
@@ -58,15 +59,15 @@ def from_subset(b: SubsetLike) -> Distribution:
         raise EmptySubset("cannot build a distribution on the empty set")
     w = np.zeros(mask.size)
     w[mask] = 1.0 / size
-    return Distribution(w)
+    return Distribution(w, tol)
 
 
-def convolve(group: FiniteGroup, x: Distribution, y: Distribution) -> Distribution:
+def convolve(group: FiniteGroup, x: Distribution, y: Distribution, tol: Tolerances) -> Distribution:
     """(X*Y)(h) = sum over g of X(g) Y(g^-1 h), exact to float accumulation."""
     n = group.n
     if x.n != n or y.n != n:
         raise ValueError("distribution length does not match the group order")
-    return Distribution(convolve_rows(group, x.weights, y.weights))
+    return Distribution(convolve_rows(group, x.weights, y.weights), tol)
 
 
 def l2_dist_uniform(x: Distribution) -> float:
@@ -79,12 +80,13 @@ def check_bnp_star(
     x: Distribution,
     y: Distribution,
     inputs: str = "",
+    tol: Tolerances = DEFAULT,
 ) -> CheckResult:
     """Convolution contraction: ||X*Y - U|| <= sqrt(n/m) ||X - U|| ||Y - U||."""
     n = group.n
-    lhs = l2_dist_uniform(convolve(group, x, y))
+    lhs = l2_dist_uniform(convolve(group, x, y, tol))
     rhs = math.sqrt(n / m) * l2_dist_uniform(x) * l2_dist_uniform(y)
-    return CheckResult.bound("bnp", group.label, n, inputs, lhs, rhs, tol.SLACK)
+    return CheckResult.bound("bnp", group.label, n, inputs, lhs, rhs, tol.slack)
 
 
 def weighted_cayley_lambda(group: FiniteGroup, y: Distribution) -> float:
@@ -119,15 +121,15 @@ def _bnp2step_record(
     )
 
 
-def random_distribution(n: int, rng: np.random.Generator) -> Distribution:
+def random_distribution(n: int, rng: np.random.Generator, tol: Tolerances) -> Distribution:
     """Normalized i.i.d. uniform weights."""
     w = rng.random(n)
-    return Distribution(w / w.sum())
+    return Distribution(w / w.sum(), tol)
 
 
-def random_sparse_distribution(n: int, rng: np.random.Generator) -> Distribution:
+def random_sparse_distribution(n: int, rng: np.random.Generator, tol: Tolerances) -> Distribution:
     """Uniform on a random nonempty subset."""
-    return from_subset(random_subset(n, rng))
+    return from_subset(random_subset(n, rng), tol)
 
 
 # -- sweeps ---------------------------------------------------------------------
@@ -140,22 +142,22 @@ def sweep_bnp_star(
 
     `trials` pairs, 1000 by default.
     """
-    group = ctx.group
+    group, tol = ctx.group, ctx.tol
     trials = 1000 if trials is None else trials
     rng = np.random.default_rng(seed)
     m = min_nontrivial_degree(ctx.table)
     records = []
     for t in range(trials):
         if t % 2 == 0:
-            x = random_distribution(group.n, rng)
-            y = random_distribution(group.n, rng)
+            x = random_distribution(group.n, rng, tol)
+            y = random_distribution(group.n, rng, tol)
             shape = "dense"
         else:
-            x = random_sparse_distribution(group.n, rng)
-            y = random_sparse_distribution(group.n, rng)
+            x = random_sparse_distribution(group.n, rng, tol)
+            y = random_sparse_distribution(group.n, rng, tol)
             shape = "sparse"
         rec = check_bnp_star(
-            group, m, x, y, inputs=f"trial={t};shape={shape};seed={seed}"
+            group, m, x, y, inputs=f"trial={t};shape={shape};seed={seed}", tol=tol
         )
         rec.seed = seed
         records.append(rec)
@@ -202,7 +204,7 @@ def sweep_wlambda(
 
     `trials` draws of Y, 100 by default.
     """
-    group = ctx.group
+    group, tol = ctx.group, ctx.tol
     trials = 100 if trials is None else trials
     rng = np.random.default_rng(seed)
     m = min_nontrivial_degree(ctx.table)
@@ -210,16 +212,16 @@ def sweep_wlambda(
     records = []
     for t in range(trials):
         y = (
-            random_distribution(n, rng)
+            random_distribution(n, rng, tol)
             if t % 2 == 0
-            else random_sparse_distribution(n, rng)
+            else random_sparse_distribution(n, rng, tol)
         )
         lam = weighted_cayley_lambda(group, y)
         bound = math.sqrt(n / m) * l2_dist_uniform(y)
         records.append(
             CheckResult.bound(
                 "wlambda", group.label, n, f"trial={t};seed={seed}", lam, bound,
-                tol.SLACK, seed=seed,
+                tol.slack, seed=seed,
             )
         )
     return ReportDocument(

@@ -53,6 +53,14 @@ class NotNormal(NormGrowthError):
     """A subset is not a union of conjugacy classes."""
 
 
+class NotSimple(NormGrowthError, ValueError):
+    """A census that assumes a simple group was given one that is not."""
+
+
+class InvalidWeights(NormGrowthError, ValueError):
+    """Distribution weights are not a probability vector within `dist-unit`."""
+
+
 class ClassPartitionError(NormGrowthError):
     """A class table's blocks are not exactly the conjugacy classes of its group."""
 

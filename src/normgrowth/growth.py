@@ -28,7 +28,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import spectral
-from . import tolerances as tol
 from .chartable import (
     CharacterTable,
     character_ratio,
@@ -37,7 +36,7 @@ from .chartable import (
     r_extremes,
 )
 from .context import GroupContext
-from .errors import NotLieType, TrivialSubset
+from .errors import NotLieType, NotSimple, TrivialSubset
 from .permgroup import _CHUNK_ROWS, ClassTable, FiniteGroup, certify_classes, word_image
 from .reports import CheckResult, ReportDocument
 from .spectral import _recounted, _spread, convolve_rows
@@ -50,6 +49,7 @@ from .subsets import (
     random_subset,
     subset_mask,
 )
+from .tolerances import DEFAULT, Tolerances
 
 # exhaustive union sweeps are allowed while 2^(k-1) stays at or below this
 EXHAUSTIVE_UNION_CAP = 4096
@@ -198,7 +198,7 @@ def class_pair_counts(ct: ClassTable, pairs: Sequence[tuple]) -> np.ndarray:
 
 
 def _2step_record(
-    group: FiniteGroup, r_min: float, b_size: int, ab: int, inputs: str
+    group: FiniteGroup, r_min: float, b_size: int, ab: int, inputs: str, tol: Tolerances
 ) -> CheckResult:
     """The 2step record: |AB| >= n / (1 + R^2 (n/|B| - 1)) with R = min ratio on A.
 
@@ -208,7 +208,7 @@ def _2step_record(
     bound = n / (1.0 + r_min * r_min * (n / b_size - 1.0))
     weak = min(n / 2.0, b_size / (2.0 * r_min * r_min)) if r_min > 0 else n / 2.0
     return CheckResult.bound(
-        "2step", group.label, n, inputs, ab, max(bound, weak), tol.SLACK, ">="
+        "2step", group.label, n, inputs, ab, max(bound, weak), tol.slack, ">="
     )
 
 
@@ -269,6 +269,7 @@ def _asymp_records(
     a: NormalSubset,
     b: NormalSubset,
     counts: np.ndarray,
+    tol: Tolerances,
     inputs: str = "",
 ) -> list[CheckResult]:
     """The asymp records of every class, from AB's per-class pair counts.
@@ -287,11 +288,11 @@ def _asymp_records(
         # int / int is correctly rounded, as float(Fraction(count, ab)) is
         lhs = abs(int(counts[k]) / ab - 1.0 / n)
         rhs = ratios[k] * scale
-        equality = abs(lhs - rhs) <= tol.STRICT_SLACK
+        equality = abs(lhs - rhs) <= tol.strict_slack
         out.append(
             CheckResult.bound(
                 "asymp", group.label, n, inputs or f"{prefix}{k}",
-                lhs, rhs, tol.STRICT_SLACK, "<",
+                lhs, rhs, tol.strict_slack, "<",
                 note="equality hit" if equality else "",
             )
         )
@@ -302,6 +303,7 @@ def dichotomy_check(
     group: FiniteGroup,
     tab: CharacterTable,
     a: NormalSubset,
+    tol: Tolerances = DEFAULT,
 ) -> CheckResult:
     """Square dichotomy with R = max nontrivial ratio over the whole group.
 
@@ -311,7 +313,7 @@ def dichotomy_check(
     if a.is_trivial():
         raise TrivialSubset("A must be nonempty and different from {1}")
     counts = class_pair_counts(a.ct, [(a, a)])[0]
-    return _dichotomy_record(group, tab, a, counts)
+    return _dichotomy_record(group, tab, a, counts, tol)
 
 
 def _dichotomy_record(
@@ -319,6 +321,7 @@ def _dichotomy_record(
     tab: CharacterTable,
     a: NormalSubset,
     counts: np.ndarray,
+    tol: Tolerances,
 ) -> CheckResult:
     """The dichotomy record of A, from the per-class counts of A^2."""
     n = group.n
@@ -339,7 +342,7 @@ def _dichotomy_record(
         )
     return CheckResult.bound(
         "dichotomy", group.label, n, name, a2_size, a.size / (2.0 * r_max),
-        tol.SLACK, ">=", note="growth branch |A| < R n",
+        tol.slack, ">=", note="growth branch |A| < R n",
     )
 
 
@@ -368,7 +371,7 @@ def gluck_report(ctx: GroupContext) -> ReportDocument:
         raise NotLieType(f"{group.label} was not built with a defining field")
     _, r_max = r_extremes(tab, range(1, tab.n_classes))
     rec = CheckResult.bound(
-        "gluck", group.label, group.n, f"q={q}", r_max, 19.0 / 20.0, tol.SLACK
+        "gluck", group.label, group.n, f"q={q}", r_max, 19.0 / 20.0, ctx.tol.slack
     )
     return ReportDocument(
         title=f"growth gluck {group.label}",
@@ -391,7 +394,7 @@ def square_growth_survey(ctx: GroupContext) -> ReportDocument:
     """
     group, ct = ctx.group, ctx.classes
     if not group.simple:
-        raise ValueError("square growth survey expects a simple group")
+        raise NotSimple("square growth survey expects a simple group")
     subsets = _union_sweep(ct, include_identity_class=False, seed=0)
     records = []
     eps_values = []
@@ -437,7 +440,7 @@ def pyber_report(ctx: GroupContext) -> ReportDocument:
     """
     group, ct = ctx.group, ctx.classes
     if not group.simple:
-        raise ValueError("the square census expects a simple group")
+        raise NotSimple("the square census expects a simple group")
     n = group.n
     threshold = n / math.log2(n)
     subsets = [
@@ -480,7 +483,7 @@ def word_growth_report(ctx: GroupContext, word1: str, word2: str) -> ReportDocum
     nonidentity class g the scaled deviation |P(g) n - 1| must stay under
     n R(g) / sqrt of the image-size product.
     """
-    group, ct, tab = ctx.group, ctx.classes, ctx.table
+    group, ct, tab, tol = ctx.group, ctx.classes, ctx.table, ctx.tol
     img1 = NormalSubset.from_subset(ct, word_image(group, word1))
     img2 = NormalSubset.from_subset(ct, word_image(group, word2))
     n = group.n
@@ -492,11 +495,11 @@ def word_growth_report(ctx: GroupContext, word1: str, word2: str) -> ReportDocum
         # |P(g) n - 1| = |count n - ab| / ab exactly; int / int rounds it correctly
         lhs = abs(int(counts[k]) * n - ab) / ab
         rhs = character_ratio(tab, k) * scale
-        equality = abs(lhs - rhs) <= tol.STRICT_SLACK
+        equality = abs(lhs - rhs) <= tol.strict_slack
         records.append(
             CheckResult.bound(
                 "words", group.label, n, f"w1={word1};w2={word2};k={k}",
-                lhs, rhs, tol.STRICT_SLACK, "<",
+                lhs, rhs, tol.strict_slack, "<",
                 note="equality hit" if equality else "",
             )
         )
@@ -554,7 +557,7 @@ def sweep_2step(
         r_min, _ = r_extremes(ctx.table, a)
         for trial, (b, ab) in enumerate(zip(bs, counts)):
             inputs = f"A={a.expr()};B=random(seed={seed},trial={trial},|B|={b.size})"
-            records.append(_2step_record(group, r_min, b.size, ab, inputs))
+            records.append(_2step_record(group, r_min, b.size, ab, inputs, ctx.tol))
         pairs += [(a, b) for b in bs]
         sizes += counts
     _recounted_sizes(group, pairs, sizes)
@@ -603,7 +606,7 @@ def sweep_asymp(
     ratios = _class_ratios(ctx.table)
     records = []
     for (a, b), row, name in zip(chosen, class_pair_counts(ct, chosen), names):
-        records.extend(_asymp_records(ratios, a, b, row, name))
+        records.extend(_asymp_records(ratios, a, b, row, ctx.tol, name))
     return ReportDocument(title=f"growth asymp {ctx.label}", results=records)
 
 
@@ -616,7 +619,7 @@ def sweep_dichotomy(ctx: GroupContext) -> ReportDocument:
         if not a.is_trivial()
     ]
     records = [
-        _dichotomy_record(ctx.group, ctx.table, a, counts)
+        _dichotomy_record(ctx.group, ctx.table, a, counts, ctx.tol)
         for a, counts in zip(pool, class_pair_counts(ct, [(a, a) for a in pool]))
     ]
     return ReportDocument(title=f"growth dichotomy {ctx.label}", results=records)
@@ -648,8 +651,8 @@ def frobenius_oracle_report(ctx: GroupContext) -> ReportDocument:
                     inputs=f"i={i};j={j};k={kk}",
                     lhs=float(exact),
                     rhs=float(approx),
-                    margin=float(tol.PAB_RELATIVE - rel),
-                    passed=bool(rounds and rel <= tol.PAB_RELATIVE),
+                    margin=float(ctx.tol.pab_relative - rel),
+                    passed=bool(rounds and rel <= ctx.tol.pab_relative),
                 )
             )
     return ReportDocument(

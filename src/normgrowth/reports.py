@@ -1,7 +1,8 @@
 """Report records and serialization.
 
 Report bodies are deterministic: the same inputs and seeds produce the same
-JSON and CSV bytes.  Timestamps live in the header only.
+JSON and CSV bytes.  Timestamps and the tolerances in effect live in the
+header only.
 """
 
 from __future__ import annotations
@@ -131,6 +132,8 @@ class ReportDocument:
     results: list[CheckResult] = field(default_factory=list)
     meta: dict = field(default_factory=dict)
     timestamp: Optional[str] = None
+    # header entries after the timestamp; outside the body
+    header: dict = field(default_factory=dict)
 
     def stamp(self) -> None:
         self.timestamp = datetime.now(timezone.utc).isoformat()
@@ -181,9 +184,12 @@ class ReportDocument:
         """Everything except the header; deterministic."""
         return self._body([r.as_dict() for r in self.results])
 
+    def header_dict(self) -> dict:
+        return {"generated": self.timestamp, **self.header}
+
     def as_dict(self) -> dict:
         """The JSON document: the header, then the body."""
-        return {"header": {"generated": self.timestamp}, **self.body_dict()}
+        return {"header": self.header_dict(), **self.body_dict()}
 
     def to_json(self) -> str:
         buf = io.StringIO()
@@ -231,7 +237,7 @@ def _write_json(doc: ReportDocument, fh: TextIO) -> None:
     escapes every newline inside a string, so "},\n   {" is only ever the
     boundary between two records.
     """
-    head = {"header": {"generated": doc.timestamp}, **doc._body([])}
+    head = {"header": doc.header_dict(), **doc._body([])}
     before, _, after = json.dumps(head, indent=1).rpartition('"results": []')
     fh.write(before + '"results": [')
     if doc.results:

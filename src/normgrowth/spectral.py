@@ -15,11 +15,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import tolerances as tol
 from .errors import CountMismatch, EmptySubset, NoConvergence, NotNormal
 from .chartable import CharacterTable
 from .permgroup import _CHUNK_ROWS, ClassTable, FiniteGroup
 from .subsets import NormalSubset, SubsetLike, subset_mask
+from .tolerances import DEFAULT, Tolerances
 
 # largest order solved densely; above it, lambda by Lanczos and products
 # by translates
@@ -30,7 +30,7 @@ _ULP = float(np.finfo(np.float64).eps)
 BRUTE_FORCE_SAMPLE = 8
 
 
-def eigenvalues_normal(tab: CharacterTable, s: NormalSubset) -> np.ndarray:
+def eigenvalues_normal(tab: CharacterTable, s: NormalSubset, tol: Tolerances) -> np.ndarray:
     """Walk-matrix eigenvalues, one per character, for a normal connection set.
 
     lambda_chi = (1 / (chi(1) |S|)) * sum over classes j in S of |C_j| chi(g_j).
@@ -40,14 +40,14 @@ def eigenvalues_normal(tab: CharacterTable, s: NormalSubset) -> np.ndarray:
     idxs = list(s.class_indices)
     weights = tab.class_sizes[idxs].astype(np.float64)
     lam = (tab.values[:, idxs] @ weights) / (tab.degrees * s.size)
-    if abs(lam[0] - 1.0) > tol.LAMBDA_ONE:
+    if abs(lam[0] - 1.0) > tol.lambda_one:
         raise NotNormal(f"trivial-character eigenvalue is {lam[0]}, expected 1")
     return lam
 
 
-def lambda_normal(tab: CharacterTable, s: NormalSubset) -> float:
+def lambda_normal(tab: CharacterTable, s: NormalSubset, tol: Tolerances) -> float:
     """max over nontrivial characters of |lambda_chi|."""
-    lam = eigenvalues_normal(tab, s)
+    lam = eigenvalues_normal(tab, s, tol)
     if lam.shape[0] == 1:
         return 0.0
     return float(np.abs(lam[1:]).max())
@@ -153,7 +153,7 @@ def deflated_lambda(group: FiniteGroup, weights: np.ndarray) -> float:
     return math.sqrt(max(float(eigs[:, -1].max()), 0.0))
 
 
-def lambda_direct(s: NormalSubset, seed: int = 0, return_info: bool = False):
+def lambda_direct(s: NormalSubset, tol: Tolerances, seed: int = 0, return_info: bool = False):
     """Second singular value of the walk matrix M of Cay(G, S).
 
     When n <= DENSE_CAP, the blocked dense solve of `deflated_lambda`; else
@@ -169,7 +169,7 @@ def lambda_direct(s: NormalSubset, seed: int = 0, return_info: bool = False):
     elif n <= DENSE_CAP:
         lam, steps, residual = deflated_lambda(s.group, s.mask / s.size), 0, 0.0
     else:
-        lam, steps, residual = _lanczos_lambda(s, seed)
+        lam, steps, residual = _lanczos_lambda(s, seed, tol)
     return (lam, steps, residual) if return_info else lam
 
 
@@ -181,7 +181,7 @@ def _mean_take(vec: np.ndarray, tables: np.ndarray) -> np.ndarray:
     return acc / len(tables)
 
 
-def _lanczos_lambda(s: NormalSubset, seed: int) -> tuple[float, int, float]:
+def _lanczos_lambda(s: NormalSubset, seed: int, tol: Tolerances) -> tuple[float, int, float]:
     """(lambda, steps, residual) of Lanczos on M0 M0^t, fully reorthogonalised.
 
     M is a class function's convolution, so it acts as one scalar on each
@@ -189,7 +189,7 @@ def _lanczos_lambda(s: NormalSubset, seed: int) -> tuple[float, int, float]:
     all-ones vector (the trivial component) the Krylov space of any start
     has dimension at most k - 1, k the number of classes.  Lanczos stops
     when the top Ritz pair's residual |beta_j y_j[last]| is at most
-    LANCZOS_TOL * theta_max, or when beta_j = 0; taking more than k steps
+    tol.lanczos_tol * theta_max, or when beta_j = 0; taking more than k steps
     contradicts the bound and raises `NoConvergence`.  ||M0 M0^t|| <= 1, so
     a theta_max below one ulp of 1 is rounding noise (S = G has no other),
     and the residual is then measured against that ulp instead.
@@ -225,7 +225,7 @@ def _lanczos_lambda(s: NormalSubset, seed: int) -> tuple[float, int, float]:
         tri = np.diag(alpha[: j + 1]) + np.diag(beta[:j], 1) + np.diag(beta[:j], -1)
         theta, y = np.linalg.eigh(tri)
         residual = float(beta[j] * abs(y[-1, -1]))
-        if residual <= tol.LANCZOS_TOL * max(theta[-1], _ULP) or beta[j] == 0.0:
+        if residual <= tol.lanczos_tol * max(theta[-1], _ULP) or beta[j] == 0.0:
             return float(np.sqrt(max(theta[-1], 0.0))), j + 1, residual
         v = w / beta[j]
     raise NoConvergence(
@@ -249,6 +249,7 @@ def check_vertex_expansion(
     s: NormalSubset,
     b: SubsetLike,
     tab: CharacterTable,
+    tol: Tolerances,
 ) -> tuple[int, float]:
     """(|N(B)|, guaranteed lower bound |B| / ((1-a) lambda^2 + a)), a = |B|/n.
 
@@ -259,7 +260,7 @@ def check_vertex_expansion(
     b_size = int(b_mask.sum())
     if b_size == 0:
         raise EmptySubset("B is empty")
-    lam = lambda_normal(tab, s)
+    lam = lambda_normal(tab, s, tol)
     alpha = b_size / s.group.n
     bound = b_size / ((1.0 - alpha) * lam * lam + alpha)
     return int((convolve_rows(s.group, b_mask, s.mask) > 0).sum()), bound
@@ -269,6 +270,7 @@ def mixing_discrepancies(
     s: NormalSubset,
     pairs: Sequence[tuple[SubsetLike, SubsetLike]],
     tab: CharacterTable,
+    tol: Tolerances,
 ) -> list[tuple[float, float]]:
     """(lhs, rhs) of the mixing bound of every (A, B) pair, from one kernel call.
 
@@ -280,7 +282,7 @@ def mixing_discrepancies(
     """
     group = s.group
     n = group.n
-    lam = lambda_normal(tab, s)
+    lam = lambda_normal(tab, s, tol)
     a_rows = np.array([subset_mask(a) for a, _ in pairs], dtype=bool).reshape(-1, n)
     b_rows = np.array([subset_mask(b) for _, b in pairs], dtype=bool).reshape(-1, n)
     arcs = (convolve_rows(group, a_rows, s.mask) * b_rows).sum(axis=1)
@@ -314,12 +316,14 @@ class SpectralReport:
     lambda_char: float
     char_eigenvalues: tuple[complex, ...]
     method: str
+    # the tolerances the report was made under; `agree` reads lambda_agree
+    tol: Tolerances
     # Lanczos steps and final residual; 0 and 0.0 on the dense route
     steps: int = 0
     residual: float = 0.0
 
     def agree(self) -> bool:
-        return abs(self.lambda_direct - self.lambda_char) <= tol.LAMBDA_AGREE
+        return abs(self.lambda_direct - self.lambda_char) <= self.tol.lambda_agree
 
 
 def spectral_report(
@@ -329,10 +333,11 @@ def spectral_report(
     s: NormalSubset,
     expr: str = "",
     seed: int = 0,
+    tol: Tolerances = DEFAULT,
 ) -> SpectralReport:
     """lambda by both routes for S, a union of classes of `ct` in `group`."""
-    lam_dir, steps, residual = lambda_direct(s, seed=seed, return_info=True)
-    if not 0.0 <= lam_dir <= 1.0 + tol.SLACK:
+    lam_dir, steps, residual = lambda_direct(s, tol, seed=seed, return_info=True)
+    if not 0.0 <= lam_dir <= 1.0 + tol.slack:
         raise NoConvergence(f"lambda {lam_dir} outside [0, 1]")
     return SpectralReport(
         group_label=group.label,
@@ -340,9 +345,10 @@ def spectral_report(
         subset_expr=expr,
         d=s.size,
         lambda_direct=lam_dir,
-        lambda_char=lambda_normal(tab, s),
-        char_eigenvalues=tuple(complex(v) for v in eigenvalues_normal(tab, s)),
+        lambda_char=lambda_normal(tab, s, tol),
+        char_eigenvalues=tuple(complex(v) for v in eigenvalues_normal(tab, s, tol)),
         method="dense" if group.n <= DENSE_CAP else "lanczos",
         steps=steps,
         residual=residual,
+        tol=tol,
     )

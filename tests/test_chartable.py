@@ -17,6 +17,7 @@ from normgrowth.chartable import (
     verify_orthogonality,
 )
 from normgrowth.context import PROFILES, get_context
+from normgrowth.tolerances import DEFAULT
 from normgrowth.errors import (
     EmptySubset,
     OnlyTrivial,
@@ -165,7 +166,7 @@ def test_character_second_orthogonality(psl27):
 
 def test_table_deterministic_across_seeds(psl27):
     base = psl27.table
-    again = compute_character_table(psl27.group, psl27.classes, seed=99)
+    again = compute_character_table(psl27.group, psl27.classes, DEFAULT, seed=99)
     assert np.abs(base.values - again.values).max() < 1e-9
 
 
@@ -203,11 +204,11 @@ def test_min_nontrivial_degree():
 def test_only_trivial():
     g = closure([Permutation((1, 0))], cap=4)
     ct = compute_classes(g)
-    tab = compute_character_table(g, ct)
+    tab = compute_character_table(g, ct, DEFAULT)
     # order-2 group is fine, the trivial group is not
     assert tab.n_classes == 2
     t = closure([Permutation((0,))], cap=2)
-    tt = compute_character_table(t, compute_classes(t))
+    tt = compute_character_table(t, compute_classes(t), DEFAULT)
     with pytest.raises(OnlyTrivial):
         tt.ratios()
     with pytest.raises(OnlyTrivial):
@@ -274,13 +275,13 @@ def test_real_characters_match_real_classes(spec):
 def test_save_creates_parent_directories(tmp_path, a5):
     path = tmp_path / "fresh" / "nested" / "a5.json"
     save_table(a5.table, path)
-    assert load_table(path).n == 60
+    assert load_table(path, DEFAULT).n == 60
 
 
 def test_save_load_roundtrip(tmp_path, psl27):
     path = tmp_path / "psl27.json"
     save_table(psl27.table, path)
-    loaded = load_table(path)
+    loaded = load_table(path, DEFAULT)
     assert loaded.label == psl27.table.label
     assert loaded.n == psl27.table.n
     assert np.abs(loaded.values - psl27.table.values).max() <= 1e-12
@@ -294,7 +295,7 @@ def test_load_rejects_tampered_values(tmp_path, a5):
     doc["characters"][2][3][0] += 0.05
     path.write_text(json.dumps(doc))
     with pytest.raises(OrthogonalityError):
-        load_table(path)
+        load_table(path, DEFAULT)
 
 
 def test_load_schema_errors(tmp_path, a5):
@@ -308,35 +309,48 @@ def test_load_schema_errors(tmp_path, a5):
 
     path.write_text("not json")
     with pytest.raises(SchemaError):
-        load_table(path)
+        load_table(path, DEFAULT)
 
     for field in ("group_label", "order", "class_sizes", "characters"):
         doc = dict(good)
         doc.pop(field)
         dump(doc)
         with pytest.raises(SchemaError):
-            load_table(path)
+            load_table(path, DEFAULT)
 
     doc = dict(good)
     doc["order"] = -5
     dump(doc)
     with pytest.raises(SchemaError):
-        load_table(path)
+        load_table(path, DEFAULT)
 
     doc = dict(good)
     doc["class_sizes"] = [1, 2, 3]
     dump(doc)
     with pytest.raises(SchemaError):
-        load_table(path)
+        load_table(path, DEFAULT)
 
     doc = dict(good)
     doc["characters"] = doc["characters"][:2]
     dump(doc)
     with pytest.raises(SchemaError):
-        load_table(path)
+        load_table(path, DEFAULT)
+
+    # wrongly typed JSON is a schema error, not a TypeError from len()
+    dump(5)
+    with pytest.raises(SchemaError):
+        load_table(path, DEFAULT)
+    for field, value in (
+        ("class_orders", 5),
+        ("characters", 5),
+        ("characters", [1, 2, 3, 4, 5]),
+    ):
+        dump({**good, field: value})
+        with pytest.raises(SchemaError):
+            load_table(path, DEFAULT)
 
     doc = dict(good)
     doc["characters"][0][0] = [1.0]
     dump(doc)
     with pytest.raises(SchemaError):
-        load_table(path)
+        load_table(path, DEFAULT)

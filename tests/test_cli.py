@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import pytest
 
 from normgrowth import __version__, cli, permgroup, spectral
-from normgrowth import tolerances as tol
+from normgrowth.chartable import save_table
 from normgrowth.cli import main
 from normgrowth.distributions import sweep_bnp_star, sweep_bnp_two_step, sweep_wlambda
 from normgrowth.growth import (
@@ -18,6 +18,7 @@ from normgrowth.growth import (
     word_growth_report,
 )
 from normgrowth.reports import CSV_COLUMNS, CheckResult, ReportDocument
+from normgrowth.tolerances import DEFAULT, Tolerances
 
 
 def test_group_summary(capsys):
@@ -95,6 +96,19 @@ def test_growth_check_and_csv_output(tmp_path):
 def test_growth_gluck_wrong_group_exits_1(capsys):
     assert main(["growth", "--group", "A:5", "--check", "gluck"]) == 1
     assert "NotLieType" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("check", ["survey", "pyber"])
+def test_census_of_a_non_simple_group_exits_1(capsys, check):
+    assert main(["growth", "--group", "S:5", "--check", check]) == 1
+    assert "NotSimple: " in capsys.readouterr().err
+
+
+def test_import_of_a_wrongly_typed_table_exits_2(tmp_path, capsys):
+    path = tmp_path / "table.json"
+    path.write_text("5")
+    assert main(["chartable", "--group", "A:5", "--import", str(path)]) == 2
+    assert "error: a table document must be a JSON object" in capsys.readouterr().err
 
 
 def test_growth_words_and_survey(capsys):
@@ -178,13 +192,6 @@ def test_unknown_check_exits_2(tmp_path, capsys, command):
     assert not out.exists()
 
 
-TOLERANCE_DEFAULTS = {attr: getattr(tol, attr) for attr in tol.NAMES.values()}
-
-
-def _tolerances_now():
-    return {attr: getattr(tol, attr) for attr in tol.NAMES.values()}
-
-
 def test_tolerance_override_roundtrip(tmp_path):
     out = tmp_path / "lambda.json"
     argv = ["lambda", "--group", "A:5", "--subset", "class:1", "--out", str(out)]
@@ -192,39 +199,76 @@ def test_tolerance_override_roundtrip(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["meta"]["tolerances"] == {"lambda-agree": 1e-3}
     assert doc["results"][0]["margin"] == pytest.approx(1e-3, abs=1e-12)
-    assert _tolerances_now() == TOLERANCE_DEFAULTS
-    # the next command runs at the defaults and its report says nothing of them
+    # the next command runs at the defaults and its body says nothing of them
     assert main(argv) == 0
     doc = json.loads(out.read_text())
     assert "tolerances" not in doc["meta"]
     assert doc["results"][0]["margin"] == pytest.approx(1e-6, abs=1e-12)
 
 
-@pytest.mark.parametrize(
-    "argv, override",
-    [
-        (["growth", "--check", "dichotomy"], "slack=-1e6"),
-        (["growth", "--check", "2step", "--trials", "1"], "slack=-1e6"),
-        (["growth", "--check", "asymp", "--trials", "2"], "strict-slack=-1e6"),
-        (["lambda", "--subset", "class:1"], "lanczos-tol=1e300"),
-        (["chartable", "--verify"], "eigen-collision=1e9"),
-    ],
-    ids=["dichotomy", "2step", "asymp", "lambda-lanczos", "chartable"],
-)
-def test_tolerance_override_reaches_check(tmp_path, capsys, monkeypatch, argv, override):
-    if argv[0] == "lambda":
-        # force the Lanczos route: one step gives the Rayleigh quotient, not lambda
+def test_header_records_the_tolerances_in_effect(tmp_path):
+    """Every name and value in the header; the overrides alone in the body."""
+    out = tmp_path / "lambda.json"
+    argv = ["lambda", "--group", "A:5", "--subset", "class:1", "--out", str(out)]
+    assert main(argv) == 0
+    header = json.loads(out.read_text())["header"]
+    assert header["tolerances"] == DEFAULT.by_name()
+    assert len(header["tolerances"]) == 12
+    assert main(argv + ["--tolerance", "slack=0.5"]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["header"]["tolerances"] == {**DEFAULT.by_name(), "slack": 0.5}
+    assert doc["meta"]["tolerances"] == {"slack": 0.5}
+
+
+# id -> (argv, override, what fails: the failing record checks of the report,
+# or the error printed when no report is written); the first five ids predate
+# the rest
+OVERRIDE_CASES = {
+    "dichotomy": (["growth", "--check", "dichotomy", "--group", "A:5"], "slack=-1e6", {"dichotomy"}),
+    "2step": (["growth", "--check", "2step", "--trials", "1", "--group", "A:5"], "slack=-1e6", {"2step"}),
+    "asymp": (["growth", "--check", "asymp", "--trials", "2", "--group", "A:5"], "strict-slack=-1e6", {"asymp"}),
+    # on the Lanczos route one step gives the Rayleigh quotient, not lambda
+    "lambda-lanczos": (["lambda", "--subset", "class:1", "--group", "A:5"], "lanczos-tol=1e300", {"lambda"}),
+    # the recovery gives up on every recombination, so there is no table
+    "chartable": (["chartable", "--verify", "--group", "A:5"], "eigen-collision=1e9", "DegenerateSpectrum"),
+    "orthogonality": (["chartable", "--verify", "--group", "A:5"], "orthogonality=-1", "OrthogonalityError"),
+    "degree-integrality": (
+        ["chartable", "--verify", "--group", "A:5"], "degree-integrality=-1", "NonIntegralDegree"
+    ),
+    "table-accept": (["chartable", "--import", "{table}", "--group", "A:5"], "table-accept=-1", "OrthogonalityError"),
+    "lambda-agree": (["lambda", "--subset", "class:1", "--group", "A:5"], "lambda-agree=-1", {"lambda"}),
+    "lambda-one": (["lambda", "--subset", "class:1", "--group", "A:5"], "lambda-one=-1", "NotNormal"),
+    "dist-unit": (["dist", "--check", "bnp", "--trials", "1", "--group", "A:5"], "dist-unit=-1", "InvalidWeights"),
+    # read only by the acceptance criteria 10 and 6
+    "wlambda-agree": (["acceptance", "--profile", "quick"], "wlambda-agree=-1", {"criterion-10"}),
+    "pab-relative": (["acceptance", "--profile", "quick"], "pab-relative=-1", {"criterion-6"}),
+}
+
+
+def test_every_tolerance_has_an_override_case():
+    overridden = {override.partition("=")[0] for _, override, _ in OVERRIDE_CASES.values()}
+    assert overridden == set(DEFAULT.by_name())
+
+
+@pytest.mark.parametrize("case", list(OVERRIDE_CASES))
+def test_tolerance_override_reaches_check(tmp_path, capsys, monkeypatch, a5, case):
+    argv, override, fails = OVERRIDE_CASES[case]
+    if override.startswith("lanczos-tol="):
         monkeypatch.setattr(spectral, "DENSE_CAP", 1)
+    table = tmp_path / "a5-table.json"
+    save_table(a5.table, table)
+    argv = [str(table) if a == "{table}" else a for a in argv]
     out = tmp_path / "report.json"
-    code = main(argv + ["--group", "A:5", "--tolerance", override, "--out", str(out)])
-    assert code == 1
-    assert _tolerances_now() == TOLERANCE_DEFAULTS
-    if out.exists():
-        name, _, value = override.partition("=")
-        assert json.loads(out.read_text())["meta"]["tolerances"] == {name: float(value)}
-    else:
-        # no table, so no report: the recovery gave up on every recombination
-        assert "DegenerateSpectrum" in capsys.readouterr().err
+    assert main(argv + ["--tolerance", override, "--out", str(out)]) == 1
+    name, _, value = override.partition("=")
+    if isinstance(fails, str):
+        assert not out.exists()
+        assert f"{fails}: " in capsys.readouterr().err
+        return
+    doc = json.loads(out.read_text())
+    assert {r["check"] for r in doc["results"] if not r["pass"]} == fails
+    assert doc["meta"]["tolerances"] == {name: float(value)}
+    assert doc["header"]["tolerances"][name] == float(value)
 
 
 def test_cached_table_honours_table_tolerance_override(tmp_path, capsys):
@@ -236,10 +280,14 @@ def test_cached_table_honours_table_tolerance_override(tmp_path, capsys):
     assert main(argv) == 0
 
 
-def test_tolerance_override_restored_after_usage_error(capsys):
+def test_tolerance_override_restored_after_usage_error(tmp_path, capsys):
+    """An override is a value for one command, so a failed parse leaves nothing behind."""
     argv = ["group", "--group", "A:5", "--tolerance", "slack=5", "--tolerance", "slack=x"]
     assert main(argv) == 2
-    assert _tolerances_now() == TOLERANCE_DEFAULTS
+    assert DEFAULT == Tolerances()
+    out = tmp_path / "group.json"
+    assert main(["group", "--group", "A:5", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["header"]["tolerances"] == DEFAULT.by_name()
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
@@ -250,10 +298,11 @@ def test_non_finite_tolerance_exits_2(tmp_path, capsys, value):
     assert main(argv + ["--tolerance", "slack=5", "--tolerance", f"slack={value}"]) == 2
     assert "must be finite" in capsys.readouterr().err
     assert not out.exists()
-    assert _tolerances_now() == TOLERANCE_DEFAULTS
 
 
-@pytest.mark.parametrize("name", ["no-such", "commutation", "roundtrip"])
+@pytest.mark.parametrize(
+    "name", ["no-such", "commutation", "roundtrip", "degree-error", "lambda_agree"]
+)
 def test_bad_tolerance_name_exits_2(capsys, name):
     code = main(["group", "--group", "A:5", "--tolerance", f"{name}=1"])
     assert code == 2
@@ -393,7 +442,7 @@ def test_emit_counts_once(tmp_path, capsys, failing):
         for r in doc.results:
             r.passed = True
     out = tmp_path / "mixed.json"
-    args = SimpleNamespace(seed=0, overrides=None, format="json", out=str(out))
+    args = SimpleNamespace(seed=0, tol=DEFAULT, overrides=None, format="json", out=str(out))
     before = doc.results.walks
     code = cli._emit(doc, args, "mixed")
     # one count for the summary line and the exit code, one in the writer, and

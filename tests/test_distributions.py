@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from normgrowth import spectral
-from normgrowth import tolerances as tol
 from normgrowth.chartable import min_nontrivial_degree
 from normgrowth.distributions import (
     Distribution,
@@ -20,9 +19,10 @@ from normgrowth.distributions import (
     uniform,
     weighted_cayley_lambda,
 )
-from normgrowth.errors import CapExceeded
+from normgrowth.errors import CapExceeded, InvalidWeights
 from normgrowth.growth import pair_count, product_set
 from normgrowth.subsets import NormalSubset, Subset
+from normgrowth.tolerances import DEFAULT, Tolerances
 
 
 def point_mass(n, g):
@@ -31,12 +31,15 @@ def point_mass(n, g):
 
 
 def test_distribution_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidWeights):
         Distribution(np.array([0.5, -0.5, 1.0]))
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidWeights):
         Distribution(np.array([0.3, 0.3]))
     d = Distribution(np.array([0.25, 0.75]))
     assert d.n == 2
+    # the sum is checked against the tolerance the constructor is given
+    with pytest.raises(InvalidWeights):
+        Distribution(np.array([0.25, 0.75]), Tolerances(dist_unit=-1.0))
 
 
 @given(st.lists(st.integers(0, 100), min_size=1, max_size=12).filter(sum))
@@ -68,11 +71,11 @@ def test_convolve_identities(a5):
     n = g.n
     u = uniform(n)
     rng = np.random.default_rng(4)
-    x = random_distribution(n, rng)
-    assert np.allclose(convolve(g, u, x).weights, u.weights, atol=1e-14)
-    assert np.allclose(convolve(g, x, u).weights, u.weights, atol=1e-14)
+    x = random_distribution(n, rng, DEFAULT)
+    assert np.allclose(convolve(g, u, x, DEFAULT).weights, u.weights, atol=1e-14)
+    assert np.allclose(convolve(g, x, u, DEFAULT).weights, u.weights, atol=1e-14)
     a, b = 13, 29
-    pp = convolve(g, point_mass(n, a), point_mass(n, b))
+    pp = convolve(g, point_mass(n, a), point_mass(n, b), DEFAULT)
     assert pp.weights[g.mul(a, b)] == pytest.approx(1.0)
 
 
@@ -80,7 +83,7 @@ def test_convolve_matches_exact_pair_probability(a5):
     g, ct = a5.group, a5.classes
     a = NormalSubset.from_classes(ct, [1])
     b = NormalSubset.from_classes(ct, [2])
-    conv = convolve(g, from_subset(a), from_subset(b))
+    conv = convolve(g, from_subset(a), from_subset(b), DEFAULT)
     targets = np.arange(0, g.n, 11)
     pab = pair_count(g, a, b, targets) / (a.size * b.size)
     assert conv.weights[targets] == pytest.approx(pab, abs=1e-12)
@@ -89,16 +92,16 @@ def test_convolve_matches_exact_pair_probability(a5):
 def test_convolve_associative_and_sparse_path(a5, monkeypatch):
     g = a5.group
     rng = np.random.default_rng(9)
-    x = random_distribution(g.n, rng)
-    y = random_distribution(g.n, rng)
-    z = random_distribution(g.n, rng)
-    left = convolve(g, convolve(g, x, y), z).weights
-    right = convolve(g, x, convolve(g, y, z)).weights
+    x = random_distribution(g.n, rng, DEFAULT)
+    y = random_distribution(g.n, rng, DEFAULT)
+    z = random_distribution(g.n, rng, DEFAULT)
+    left = convolve(g, convolve(g, x, y, DEFAULT), z, DEFAULT).weights
+    right = convolve(g, x, convolve(g, y, z, DEFAULT), DEFAULT).weights
     assert np.allclose(left, right, atol=1e-10)
     # forcing the sparse path must not change the result
-    dense = convolve(g, x, y).weights
+    dense = convolve(g, x, y, DEFAULT).weights
     monkeypatch.setattr(spectral, "DENSE_CAP", 1)
-    sparse = convolve(g, x, y).weights
+    sparse = convolve(g, x, y, DEFAULT).weights
     assert np.allclose(dense, sparse, atol=1e-12)
 
 
@@ -112,14 +115,14 @@ def test_bnp_star_uniform_and_points(a5):
     assert rec.rhs == pytest.approx(0.0, abs=1e-14)
     rng = np.random.default_rng(1)
     for _ in range(20):
-        x = random_distribution(g.n, rng)
-        y = random_distribution(g.n, rng)
+        x = random_distribution(g.n, rng, DEFAULT)
+        y = random_distribution(g.n, rng, DEFAULT)
         assert check_bnp_star(g, m, x, y).passed
 
 
 def test_wlambda_extremes(a5, monkeypatch):
     g = a5.group
-    assert weighted_cayley_lambda(g, uniform(g.n)) <= tol.SLACK
+    assert weighted_cayley_lambda(g, uniform(g.n)) <= DEFAULT.slack
     assert weighted_cayley_lambda(g, point_mass(g.n, 0)) == pytest.approx(1.0)
     monkeypatch.setattr(spectral, "DENSE_CAP", 10)
     with pytest.raises(CapExceeded):
@@ -131,9 +134,9 @@ def test_wlambda_contraction_bound(a5):
     m = min_nontrivial_degree(tab)
     rng = np.random.default_rng(2)
     for _ in range(10):
-        y = random_distribution(g.n, rng)
+        y = random_distribution(g.n, rng, DEFAULT)
         lam = weighted_cayley_lambda(g, y)
-        assert lam <= math.sqrt(g.n / m) * l2_dist_uniform(y) + tol.SLACK
+        assert lam <= math.sqrt(g.n / m) * l2_dist_uniform(y) + DEFAULT.slack
 
 
 def test_sweep_wlambda_uniform_y_passes(a5):
@@ -146,15 +149,15 @@ def test_wlambda_governs_all_convolutions(a5):
     """lambda is the operator norm: no X can contract worse than it."""
     g = a5.group
     rng = np.random.default_rng(3)
-    y = random_distribution(g.n, rng)
+    y = random_distribution(g.n, rng, DEFAULT)
     lam = weighted_cayley_lambda(g, y)
     worst = 0.0
     for _ in range(30):
-        x = random_distribution(g.n, rng)
+        x = random_distribution(g.n, rng, DEFAULT)
         base = l2_dist_uniform(x)
         if base == 0.0:
             continue
-        worst = max(worst, l2_dist_uniform(convolve(g, x, y)) / base)
+        worst = max(worst, l2_dist_uniform(convolve(g, x, y, DEFAULT)) / base)
     assert worst <= lam + 1e-6
 
 

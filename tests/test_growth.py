@@ -11,7 +11,13 @@ from normgrowth.chartable import character_ratio, class_tensor, frobenius_tensor
 from normgrowth import growth, spectral
 from normgrowth.context import get_context
 from normgrowth.distributions import sweep_bnp_star, sweep_bnp_two_step, sweep_wlambda
-from normgrowth.errors import ClassPartitionError, CountMismatch, NotLieType, TrivialSubset
+from normgrowth.errors import (
+    ClassPartitionError,
+    CountMismatch,
+    NotLieType,
+    NotSimple,
+    TrivialSubset,
+)
 from normgrowth.growth import (
     class_pair_counts,
     dichotomy_check,
@@ -36,6 +42,7 @@ from normgrowth.subsets import (
     random_normal_subset,
     random_subset,
 )
+from normgrowth.tolerances import DEFAULT
 
 
 def brute_product(group, a, b):
@@ -140,7 +147,7 @@ def test_2step_full_and_singleton_b(a5):
 
     def record(b):
         ab = product_set(g, a, b).size
-        return growth._2step_record(g, r_min, b.size, ab, "")
+        return growth._2step_record(g, r_min, b.size, ab, "", DEFAULT)
 
     rec = record(Subset.full(g.n))
     assert rec.passed and rec.lhs == g.n
@@ -180,7 +187,7 @@ def test_asymp_full_inputs(a5):
     ct, tab = a5.classes, a5.table
     full = NormalSubset.from_classes(ct, range(ct.n_classes))
     counts = class_pair_counts(ct, [(full, full)])[0]
-    recs = growth._asymp_records(growth._class_ratios(tab), full, full, counts)
+    recs = growth._asymp_records(growth._class_ratios(tab), full, full, counts, DEFAULT)
     assert len(recs) == ct.n_classes
     for rec in recs:
         assert rec.passed
@@ -223,7 +230,7 @@ def test_survey_counts(a5, psl27, s5):
     assert 0.5 < rep.meta["min_eps_non_covering"] < 0.6
     rep = square_growth_survey(psl27)
     assert rep.meta["union_count"] == 31
-    with pytest.raises(ValueError):
+    with pytest.raises(NotSimple):
         square_growth_survey(s5)
 
 

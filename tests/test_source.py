@@ -20,36 +20,34 @@ def test_no_assert_statements():
     assert SOURCES and not found
 
 
-def _tolerance_aliases(tree):
-    """Local names bound to the tolerances module or to a value from it."""
-    names = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom):
-            module = (node.module or "").rpartition(".")[2]
-            for alias in node.names:
-                if module == "tolerances" or alias.name == "tolerances":
-                    names.add(alias.asname or alias.name)
-    return names
+def test_tolerances_imported_by_name():
+    """Tolerances travel as one frozen `Tolerances` value, never as module state.
 
-
-def test_no_tolerance_defaults():
-    """A default is bound at def time, so a --tolerance override never reaches it."""
+    No module imports the tolerances module itself, or any name from it but
+    `DEFAULT` and `Tolerances`, so none can read or write a tolerance as a
+    module attribute; and no module calls `setattr`, which could.
+    """
     found = []
     for name, tree in TREES.items():
-        aliases = _tolerance_aliases(tree)
         for node in ast.walk(tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                continue
-            defaults = node.args.defaults + [d for d in node.args.kw_defaults if d]
-            found += [
-                f"{name}:{d.lineno}"
-                for d in defaults
-                if any(
-                    isinstance(sub, ast.Name) and sub.id in aliases
-                    for sub in ast.walk(d)
-                )
-            ]
-    assert not found
+            if isinstance(node, ast.Import):
+                found += [
+                    f"{name}:{node.lineno}"
+                    for alias in node.names
+                    if alias.name.rpartition(".")[2] == "tolerances"
+                ]
+            elif isinstance(node, ast.ImportFrom):
+                module = (node.module or "").rpartition(".")[2]
+                found += [
+                    f"{name}:{node.lineno}"
+                    for alias in node.names
+                    if alias.name == "tolerances"
+                    or (module == "tolerances" and alias.name not in {"DEFAULT", "Tolerances"})
+                ]
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                if node.func.id == "setattr":
+                    found.append(f"{name}:{node.lineno}")
+    assert SOURCES and not found
 
 
 def test_no_unused_imports():

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from normgrowth import spectral
-from normgrowth import tolerances as tol
 from normgrowth.chartable import character_ratio
 from normgrowth.context import get_context, parse_group_spec
 from normgrowth.errors import CountMismatch, EmptySubset, NoConvergence
@@ -30,33 +29,34 @@ from normgrowth.subsets import (
     random_normal_subset,
     random_subset,
 )
+from normgrowth.tolerances import DEFAULT, Tolerances
 
 
 def test_eigenvalues_all_nonidentity(a5):
     s = parse_subset_expr("all-nonid", a5.group, a5.classes)
-    ev = eigenvalues_normal(a5.table, s)
+    ev = eigenvalues_normal(a5.table, s, DEFAULT)
     assert ev[0] == pytest.approx(1.0, abs=1e-12)
     # each nontrivial eigenvalue is -deg/(deg*59) = -1/59
     assert np.allclose(ev[1:], -1 / 59, atol=1e-10)
-    assert lambda_normal(a5.table, s) == pytest.approx(1 / 59, abs=1e-12)
+    assert lambda_normal(a5.table, s, DEFAULT) == pytest.approx(1 / 59, abs=1e-12)
 
 
 def test_single_class_eigenvalues(psl27):
     ct, tab = psl27.classes, psl27.table
     for k in range(1, ct.n_classes):
         s = NormalSubset.from_classes(ct, [k])
-        ev = eigenvalues_normal(tab, s)
+        ev = eigenvalues_normal(tab, s, DEFAULT)
         # lambda_chi = chi(g) / chi(1) on a single class
         want = tab.values[:, k] / tab.degrees
         assert np.allclose(ev, want, atol=1e-10)
-        assert lambda_normal(tab, s) == pytest.approx(
+        assert lambda_normal(tab, s, DEFAULT) == pytest.approx(
             character_ratio(tab, k), abs=1e-10
         )
 
 
 def test_eigenvalues_need_nonempty(a5):
     with pytest.raises(EmptySubset):
-        eigenvalues_normal(a5.table, NormalSubset.from_classes(a5.classes, []))
+        eigenvalues_normal(a5.table, NormalSubset.from_classes(a5.classes, []), DEFAULT)
 
 
 def test_lambda_direct_extremes(a5, s5, psl27, psl211, monkeypatch):
@@ -67,11 +67,11 @@ def test_lambda_direct_extremes(a5, s5, psl27, psl211, monkeypatch):
             ct = ctx.classes
             # S = G mixes in one step: lambda is 0, not the square root of rounding noise
             full = NormalSubset.from_classes(ct, range(ct.n_classes))
-            lam, took, _ = lambda_direct(full, return_info=True)
-            assert lam <= tol.SLACK
+            lam, took, _ = lambda_direct(full, DEFAULT, return_info=True)
+            assert lam <= DEFAULT.slack
             assert took == steps
             ident = NormalSubset.from_classes(ct, [0])
-            lam, took, _ = lambda_direct(ident, return_info=True)
+            lam, took, _ = lambda_direct(ident, DEFAULT, return_info=True)
             assert lam == pytest.approx(1.0, abs=1e-12)
             assert took == steps
 
@@ -112,7 +112,7 @@ def test_blocked_solve_matches_dense_oracle(fixture, request):
 
 def test_lambda_direct_empty(a5):
     with pytest.raises(EmptySubset):
-        lambda_direct(NormalSubset.from_classes(a5.classes, []))
+        lambda_direct(NormalSubset.from_classes(a5.classes, []), DEFAULT)
 
 
 @pytest.mark.parametrize("fixture", ["a5", "psl27"])
@@ -120,29 +120,29 @@ def test_lambda_routes_agree(fixture, request):
     ctx = request.getfixturevalue(fixture)
     for k in range(1, ctx.classes.n_classes):
         s = NormalSubset.from_classes(ctx.classes, [k])
-        assert lambda_direct(s) == pytest.approx(
-            lambda_normal(ctx.table, s), abs=1e-6
+        assert lambda_direct(s, DEFAULT) == pytest.approx(
+            lambda_normal(ctx.table, s, DEFAULT), abs=1e-6
         )
 
 
 def test_lanczos_matches_dense(psl27, monkeypatch):
     ct = psl27.classes
-    dense = [lambda_direct(NormalSubset.from_classes(ct, [c])) for c in range(1, ct.n_classes)]
+    subsets = [NormalSubset.from_classes(ct, [c]) for c in range(1, ct.n_classes)]
+    dense = [lambda_direct(s, DEFAULT) for s in subsets]
     monkeypatch.setattr(spectral, "DENSE_CAP", 1)
-    for c, want in enumerate(dense, start=1):
-        assert abs(lambda_direct(NormalSubset.from_classes(ct, [c])) - want) <= 1e-12
+    for s, want in zip(subsets, dense):
+        assert abs(lambda_direct(s, DEFAULT) - want) <= 1e-12
 
 
 def test_lanczos_step_cap_raises(a5, monkeypatch):
     """A stop rule that never holds runs into the cap: exactly k products, then an error."""
     s = NormalSubset.from_classes(a5.classes, [1])
-    monkeypatch.setattr(tol, "LANCZOS_TOL", -1.0)
     monkeypatch.setattr(spectral, "DENSE_CAP", 1)
     steps = []
     inner = spectral._mean_take
     monkeypatch.setattr(spectral, "_mean_take", lambda *a: steps.append(1) or inner(*a))
     with pytest.raises(NoConvergence):
-        lambda_direct(s)
+        lambda_direct(s, Tolerances(lanczos_tol=-1.0))
     # two walk steps, M^t then M, per product
     assert len(steps) == 2 * a5.classes.n_classes
 
@@ -172,14 +172,14 @@ def test_arc_count_and_neighborhood(a5):
                 brute += 1
     assert arc_count(s, a, b) == brute
     # the vertex-expansion check measures the out-neighborhood N(A) = A*S
-    nb, _ = check_vertex_expansion(s, a, a5.table)
+    nb, _ = check_vertex_expansion(s, a, a5.table, DEFAULT)
     want = {int(g.mul(int(x), int(sel))) for x in a.indices for sel in s.indices}
     assert nb == len(want)
 
 
 def mixing_discrepancy(s, a, b, tab):
     """(lhs, rhs) of the mixing bound for one pair, its arcs counted by `arc_count`."""
-    lam = lambda_normal(tab, s)
+    lam = lambda_normal(tab, s, DEFAULT)
     return _mixing_bound(s.group.n, s.size, lam, a.size, b.size, arc_count(s, a, b))
 
 
@@ -201,7 +201,7 @@ def test_vertex_expansion_bound(a5):
     s = NormalSubset.from_classes(ct, [4])
     for _ in range(25):
         b = random_subset(g.n, rng)
-        nb, bound = check_vertex_expansion(s, b, tab)
+        nb, bound = check_vertex_expansion(s, b, tab, DEFAULT)
         assert nb >= bound - 1e-9
         assert nb <= g.n
 
@@ -219,7 +219,7 @@ def test_spectral_report(psl27, monkeypatch):
     rep = spectral_report(psl27.group, psl27.classes, psl27.table, s, "class:1")
     assert rep.method == "lanczos"
     assert 1 <= rep.steps <= psl27.classes.n_classes - 1
-    assert 0.0 <= rep.residual <= tol.LANCZOS_TOL * rep.lambda_direct ** 2
+    assert 0.0 <= rep.residual <= DEFAULT.lanczos_tol * rep.lambda_direct ** 2
     assert rep.agree()
 
 
@@ -264,7 +264,7 @@ def test_mixing_batch_recounts_on_the_elements(a5, monkeypatch):
     # B of the first pair is the whole group, so a lost arc changes e(A, B)
     pairs = [(random_subset(g.n, rng), Subset.full(g.n))]
     pairs += [(random_subset(g.n, rng), random_subset(g.n, rng)) for _ in range(20)]
-    found = mixing_discrepancies(s, pairs, tab)
+    found = mixing_discrepancies(s, pairs, tab, DEFAULT)
     assert found == [mixing_discrepancy(s, a, b, tab) for a, b in pairs]
     for (a, b), (lhs, _) in zip(pairs, found):
         alpha, beta = a.size / g.n, b.size / g.n
@@ -273,7 +273,7 @@ def test_mixing_batch_recounts_on_the_elements(a5, monkeypatch):
         spectral, "convolve_rows", lambda *args: _zero_first_max(convolve_rows(*args))
     )
     with pytest.raises(CountMismatch):
-        mixing_discrepancies(s, pairs, tab)
+        mixing_discrepancies(s, pairs, tab, DEFAULT)
 
 
 def _zero_first_max(out):
@@ -305,9 +305,11 @@ def test_lanczos_lambda_pinned_and_resolves_few_rows(psl33, monkeypatch):
     for c, want in PSL33_LANCZOS_LAMBDA.items():
         s = NormalSubset.from_classes(ct, [c])
         del rows[:]
-        assert float.hex(lambda_direct(s, seed=0)) == want
+        assert float.hex(lambda_direct(s, DEFAULT, seed=0)) == want
         # no farther from the character route than the power-iteration pin
-        char = lambda_normal(psl33.table, NormalSubset.from_classes(psl33.classes, [c]))
+        char = lambda_normal(
+            psl33.table, NormalSubset.from_classes(psl33.classes, [c]), DEFAULT
+        )
         old = float.fromhex(PSL33_POWER_LAMBDA[c])
         assert abs(float.fromhex(want) - char) <= abs(old - char)
         # the generator tables and at most the inverses; both tables through
@@ -321,6 +323,6 @@ def test_lanczos_agrees_with_characters_above_the_cap(psl33):
     assert ct.group.n > spectral.DENSE_CAP
     for c in range(1, ct.n_classes):
         s = NormalSubset.from_classes(ct, [c])
-        lam, steps, _ = lambda_direct(s, seed=0, return_info=True)
-        assert abs(lam - lambda_normal(psl33.table, s)) <= 1e-12
+        lam, steps, _ = lambda_direct(s, DEFAULT, seed=0, return_info=True)
+        assert abs(lam - lambda_normal(psl33.table, s, DEFAULT)) <= 1e-12
         assert steps <= ct.n_classes - 1
