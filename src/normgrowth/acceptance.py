@@ -56,20 +56,22 @@ def criterion_1(profile="quick", seed=0, tol=DEFAULT) -> ReportDocument:
     """Both lambda routes agree on every nonidentity class."""
     doc = _doc("criterion-1 lambda equality per class")
     start = time.monotonic()
+    rows = []
     for spec in SPECCHI_GROUPS:
         ctx = get_context(spec, tol=tol)
         for k in range(1, ctx.classes.n_classes):
             s = NormalSubset.from_classes(ctx.classes, [k])
             ld = lambda_direct(s, tol, seed=seed)
             ln = lambda_normal(ctx.table, s, tol)
-            doc.results.append(
+            rows.append(
                 CheckResult.bound(
                     "specchi-eq", ctx.label, ctx.n, f"class={k}", ld, ln,
                     tol.lambda_agree, "==",
                 )
             )
     elapsed = time.monotonic() - start
-    doc.results.append(
+    doc.add(rows)
+    doc.add(
         CheckResult.bound(
             "specchi-eq-runtime", "(all)", 0, "seconds", elapsed,
             SPECCHI_RUNTIME_LIMIT,
@@ -82,6 +84,7 @@ def criterion_1(profile="quick", seed=0, tol=DEFAULT) -> ReportDocument:
 def criterion_2(profile="quick", seed=0, unions=200, tol=DEFAULT) -> ReportDocument:
     """lambda_direct never beats the worst character ratio on the set."""
     doc = _doc("criterion-2 lambda upper bound on random unions")
+    rows = []
     for spec in SPECCHI_GROUPS:
         ctx = get_context(spec, tol=tol)
         rng = np.random.default_rng(seed)
@@ -89,12 +92,13 @@ def criterion_2(profile="quick", seed=0, unions=200, tol=DEFAULT) -> ReportDocum
             s = random_normal_subset(ctx.classes, rng)
             ld = lambda_direct(s, tol, seed=seed)
             _, r_max = r_extremes(ctx.table, s)
-            doc.results.append(
+            rows.append(
                 CheckResult.bound(
                     "specchi-ineq", ctx.label, ctx.n, f"trial={trial};A={s.expr()}",
                     ld, r_max, tol.lambda_agree, seed=seed,
                 )
             )
+    doc.add(rows)
     return doc
 
 
@@ -103,24 +107,24 @@ def criterion_3(profile="quick", seed=0, tol=DEFAULT) -> ReportDocument:
     doc = _doc("criterion-3 two-step growth sweep")
     for spec in ("A:5", "PSL2:7"):
         ctx = get_context(spec, tol=tol)
-        doc.results.extend(sweep_2step(ctx, seed=seed).results)
+        doc.add(sweep_2step(ctx, seed=seed))
     return doc
 
 
 def criterion_4(profile="quick", seed=0, tol=DEFAULT) -> ReportDocument:
     """Class coverage under the degree precondition."""
     doc = _doc("criterion-4 class coverage sweep")
-    doc.results.extend(sweep_gowers2(get_context("A:5", tol=tol)).results)
+    doc.add(sweep_gowers2(get_context("A:5", tol=tol)))
     for spec in ("PSL2:7", "PSL2:11"):
-        doc.results.extend(sweep_gowers2(get_context(spec, tol=tol), unions=False).results)
+        doc.add(sweep_gowers2(get_context(spec, tol=tol), unions=False))
     return doc
 
 
 def criterion_5(profile="quick", seed=0, tol=DEFAULT) -> ReportDocument:
     """Deviation of P_{A,B} from uniform, strict bound."""
     doc = _doc("criterion-5 deviation sweep")
-    doc.results.extend(sweep_asymp(get_context("A:5", tol=tol)).results)
-    doc.results.extend(sweep_asymp(get_context("PSL2:7", tol=tol), trials=1000, seed=seed).results)
+    doc.add(sweep_asymp(get_context("A:5", tol=tol)))
+    doc.add(sweep_asymp(get_context("PSL2:7", tol=tol), trials=1000, seed=seed))
     return doc
 
 
@@ -130,7 +134,7 @@ def criterion_6(profile="quick", seed=0, tol=DEFAULT) -> ReportDocument:
     worst = 0.0
     for spec in PROFILES[profile]:
         rep = frobenius_oracle_report(get_context(spec, tol=tol))
-        doc.results.extend(rep.results)
+        doc.add(rep)
         worst = max(worst, max(tol.pab_relative - r.margin for r in rep.results))
     doc.meta["max_relative_deviation"] = worst
     return doc
@@ -139,6 +143,7 @@ def criterion_6(profile="quick", seed=0, tol=DEFAULT) -> ReportDocument:
 def criterion_7(profile="quick", seed=0, tol=DEFAULT) -> ReportDocument:
     """Certification of every profile character table."""
     doc = _doc("criterion-7 character-table certification")
+    rows = []
     for spec in PROFILES[profile]:
         ctx = get_context(spec, tol=tol)
         residual = verify_orthogonality(ctx.table)
@@ -146,7 +151,7 @@ def criterion_7(profile="quick", seed=0, tol=DEFAULT) -> ReportDocument:
         chi1 = ctx.table.values[:, 0].real
         integrality = np.abs(chi1 - np.rint(chi1)).max()
         sq = np.rint(ctx.table.degrees**2).sum()
-        doc.results += [
+        rows += [
             CheckResult.bound(
                 "orthogonality", ctx.label, ctx.n, "", residual, tol.orthogonality
             ),
@@ -161,7 +166,7 @@ def criterion_7(profile="quick", seed=0, tol=DEFAULT) -> ReportDocument:
     for spec, expected in EXPECTED_DEGREES.items():
         ctx = get_context(spec, tol=tol)
         got = tuple(sorted(int(round(d)) for d in ctx.table.degrees))
-        doc.results.append(
+        rows.append(
             CheckResult(
                 check="degree-multiset",
                 group=ctx.label,
@@ -174,6 +179,7 @@ def criterion_7(profile="quick", seed=0, tol=DEFAULT) -> ReportDocument:
                 note=f"got={got}",
             )
         )
+    doc.add(rows)
     return doc
 
 
@@ -184,7 +190,7 @@ def criterion_8(profile="quick", seed=0, tol=DEFAULT) -> ReportDocument:
     for spec in GLUCK_GROUPS:
         ctx = get_context(spec, tol=tol)
         rep = gluck_report(ctx)
-        doc.results.extend(rep.results)
+        doc.add(rep)
         table[ctx.label] = rep.meta["sqrt_q_r_max"]
     doc.meta["sqrt_q_r_max"] = table
     return doc
@@ -194,7 +200,7 @@ def criterion_9(profile="quick", seed=0, tol=DEFAULT) -> ReportDocument:
     """Square dichotomy over every nontrivial normal subset."""
     doc = _doc("criterion-9 square dichotomy sweep")
     for spec in ("A:5", "PSL2:7"):
-        doc.results.extend(sweep_dichotomy(get_context(spec, tol=tol)).results)
+        doc.add(sweep_dichotomy(get_context(spec, tol=tol)))
     return doc
 
 
@@ -204,21 +210,21 @@ def criterion_10(profile="quick", seed=0, tol=DEFAULT) -> ReportDocument:
     for spec in MIXING_GROUPS:
         ctx = get_context(spec, tol=tol)
         m = min_nontrivial_degree(ctx.table)
-        doc.results.append(
-            CheckResult.bound("min-degree", ctx.label, ctx.n, "", m, 3, op="==")
-        )
-        doc.results.extend(sweep_bnp_star(ctx, seed=seed).results)
-        doc.results.extend(sweep_wlambda(ctx, seed=seed).results)
+        doc.add(CheckResult.bound("min-degree", ctx.label, ctx.n, "", m, 3, op="=="))
+        doc.add(sweep_bnp_star(ctx, seed=seed))
+        doc.add(sweep_wlambda(ctx, seed=seed))
+        rows = []
         for k in range(ctx.classes.n_classes):
             s = NormalSubset.from_classes(ctx.classes, [k])
             wl = weighted_cayley_lambda(ctx.group, from_subset(s, tol))
             ln = lambda_normal(ctx.table, s, tol)
-            doc.results.append(
+            rows.append(
                 CheckResult.bound(
                     "wlambda-indicator", ctx.label, ctx.n, f"class={k}", wl, ln,
                     tol.wlambda_agree, "==",
                 )
             )
+        doc.add(rows)
     return doc
 
 
@@ -226,7 +232,7 @@ def criterion_11(profile="quick", seed=0, tol=DEFAULT) -> ReportDocument:
     """Two-step product bound from the minimal degree, random subsets."""
     doc = _doc("criterion-11 minimal-degree product bound")
     for spec in MIXING_GROUPS:
-        doc.results.extend(sweep_bnp_two_step(get_context(spec, tol=tol), seed=seed).results)
+        doc.add(sweep_bnp_two_step(get_context(spec, tol=tol), seed=seed))
     return doc
 
 
@@ -236,7 +242,7 @@ def criterion_12(profile="quick", seed=0, tol=DEFAULT) -> ReportDocument:
     for spec in REAL_PSL2:
         census = real_census(get_context(spec, tol=tol).classes)
         bad = census.non_real_coprime_order_classes
-        doc.results.append(
+        doc.add(
             CheckResult.bound(
                 "real-coprime", census.label, census.n, "", len(bad), 0,
                 note=f"non_real_coprime={list(bad)}" if bad else "",
@@ -253,7 +259,7 @@ def criterion_12(profile="quick", seed=0, tol=DEFAULT) -> ReportDocument:
         real = bool(np.isin(group.inverse_of[r], orbit))
         if real != bool(ct.is_real[k]):
             mismatches.append(k)
-    doc.results.append(
+    doc.add(
         CheckResult.bound(
             "real-brute-force", ctx.label, ctx.n, "all classes", len(mismatches), 0,
             note=f"mismatched={mismatches}" if mismatches else "",
@@ -268,6 +274,7 @@ def criterion_12(profile="quick", seed=0, tol=DEFAULT) -> ReportDocument:
 def criterion_13(profile="quick", seed=0, pairs=500, tol=DEFAULT) -> ReportDocument:
     """Edge-count discrepancy against the spectral bound, per class."""
     doc = _doc("criterion-13 mixing discrepancy")
+    rows = []
     for spec in MIXING_GROUPS:
         ctx = get_context(spec, tol=tol)
         for k in range(ctx.classes.n_classes):
@@ -278,13 +285,14 @@ def criterion_13(profile="quick", seed=0, pairs=500, tol=DEFAULT) -> ReportDocum
                 for _ in range(pairs)
             ]
             found = mixing_discrepancies(s, chosen, ctx.table, tol)
-            for trial, (lhs, rhs) in enumerate(found):
-                doc.results.append(
-                    CheckResult.bound(
-                        "mixing", ctx.label, ctx.n, f"class={k};trial={trial}",
-                        lhs, rhs, tol.slack, seed=seed,
-                    )
+            rows += [
+                CheckResult.bound(
+                    "mixing", ctx.label, ctx.n, f"class={k};trial={trial}",
+                    lhs, rhs, tol.slack, seed=seed,
                 )
+                for trial, (lhs, rhs) in enumerate(found)
+            ]
+    doc.add(rows)
     return doc
 
 
@@ -294,7 +302,7 @@ def criterion_14(profile="quick", seed=0, tol=DEFAULT) -> ReportDocument:
     ctx = get_context("A:5", tol=tol)
 
     def body(rep):
-        d = ReportDocument(title="probe", results=rep.results)
+        d = ReportDocument(title="probe", results=rep)
         return json.dumps(d.body_dict(), sort_keys=True)
 
     probes = {
@@ -305,7 +313,7 @@ def criterion_14(profile="quick", seed=0, tol=DEFAULT) -> ReportDocument:
     for name, run in probes.items():
         first = body(run())
         second = body(run())
-        doc.results.append(
+        doc.add(
             CheckResult(
                 check="determinism",
                 group=ctx.label,
@@ -377,7 +385,7 @@ def run_acceptance(profile="quick", seed=0, tol=DEFAULT) -> list[CriterionOutcom
 def acceptance_document(outcomes: list[CriterionOutcome], profile: str) -> ReportDocument:
     doc = ReportDocument(title=f"acceptance ({profile})")
     for oc in outcomes:
-        doc.results.append(
+        doc.add(
             CheckResult.bound(
                 f"criterion-{oc.number}", "(suite)", 0, oc.title, oc.doc.fail_count, 0
             )

@@ -31,6 +31,9 @@ class Distribution:
         w = np.asarray(self.weights, dtype=np.float64)
         if w.ndim != 1 or w.size == 0:
             raise InvalidWeights("weights must be a nonempty vector")
+        # NaN compares False both ways, so it would pass the two checks below
+        if not np.isfinite(w).all():
+            raise InvalidWeights("non-finite weight")
         if w.min() < 0.0:
             raise InvalidWeights("negative weight")
         if abs(w.sum() - 1.0) > tol.dist_unit:

@@ -38,7 +38,7 @@ from .chartable import (
 from .context import GroupContext
 from .errors import NotLieType, NotSimple, TrivialSubset
 from .permgroup import _CHUNK_ROWS, ClassTable, FiniteGroup, certify_classes, word_image
-from .reports import CheckResult, ReportDocument
+from .reports import CheckResult, Records, ReportDocument, bound_margin
 from .spectral import _recounted, _spread, convolve_rows
 from .subsets import (
     NormalSubset,
@@ -212,47 +212,41 @@ def _2step_record(
     )
 
 
-def _gowers2_records(
-    group: FiniteGroup,
+def _gowers2_block(
+    ctx: GroupContext,
     ratios: np.ndarray,
-    a: NormalSubset,
-    b: NormalSubset,
+    pairs: Sequence[tuple],
     counts: np.ndarray,
-) -> list[CheckResult]:
-    """The gowers2 records of every nonidentity class, from AB's per-class counts.
+    prefixes: list[str],
+) -> Records:
+    """The gowers2 records of every pair and nonidentity class, from the per-class counts.
 
     |A||B| >= R(g_k)^2 n^2 forces class k inside A*B.  A record is SKIPPED
     (not failed) when that precondition does not hold; the margin is the
-    precondition's room, negative on a skipped record.
+    precondition's room, negative on a skipped record.  |A||B| <= n^2 <
+    2^53, so the int64 sizes convert to float64 exactly and the int-versus-
+    float test has the bits of an exact comparison.
     """
-    n = group.n
-    pre_lhs = a.size * b.size
-    prefix = f"A={a.expr()};B={b.expr()};k="
-    out = []
-    for k in range(1, len(ratios)):
-        r = float(ratios[k])
-        pre_rhs = r * r * n * n
-        skipped = pre_lhs < pre_rhs
-        covered = skipped or bool(counts[k] > 0)
-        if skipped:
-            note = "precondition |A||B| >= R^2 n^2 not met"
-        else:
-            note = "" if covered else f"class {k} not inside the product set"
-        out.append(
-            CheckResult(
-                check="gowers2",
-                group=group.label,
-                n=n,
-                inputs=f"{prefix}{k}",
-                lhs=float(pre_lhs),
-                rhs=float(pre_rhs),
-                margin=float(pre_lhs - pre_rhs),
-                passed=covered,
-                skipped=skipped,
-                note=note,
-            )
-        )
-    return out
+    n, k = ctx.n, len(ratios)
+    pre_lhs = np.array([a.size * b.size for a, b in pairs], dtype=np.int64)[:, None]
+    pre_rhs = ratios[1:] * ratios[1:] * n * n
+    skipped = pre_lhs < pre_rhs
+    met = counts[:, 1:] > 0
+    shape = skipped.shape
+    # note codes: 0 none, 1 the precondition, 1 + c class c not covered
+    notes = ("", "precondition |A||B| >= R^2 n^2 not met") + tuple(
+        f"class {c} not inside the product set" for c in range(1, k)
+    )
+    return Records(
+        "gowers2", ctx.label, n, prefixes, [str(c) for c in range(1, k)],
+        np.broadcast_to(pre_lhs.astype(np.float64), shape),
+        np.broadcast_to(pre_rhs, shape),
+        pre_lhs - pre_rhs,
+        skipped | met,
+        skipped,
+        np.where(skipped, 1, np.where(met, 0, np.arange(2, k + 1))),
+        notes,
+    )
 
 
 def _class_ratios(tab: CharacterTable) -> np.ndarray:
@@ -264,39 +258,32 @@ def _class_ratios(tab: CharacterTable) -> np.ndarray:
     return ratios
 
 
-def _asymp_records(
+def _asymp_block(
+    ctx: GroupContext,
     ratios: np.ndarray,
-    a: NormalSubset,
-    b: NormalSubset,
+    pairs: Sequence[tuple],
     counts: np.ndarray,
-    tol: Tolerances,
-    inputs: str = "",
-) -> list[CheckResult]:
-    """The asymp records of every class, from AB's per-class pair counts.
+    prefixes: list[str],
+    suffixes: list[str],
+) -> Records:
+    """The asymp records of every pair and class, from the per-class pair counts.
 
     |P_AB(g) - 1/n| < R(g)/sqrt(|A||B|), strict; exact-equality hits are
     flagged in the note instead of failing, and the identity class is
     included (R = 1 there).
     """
-    group = a.ct.group
-    n = group.n
-    ab = a.size * b.size
-    scale = 1.0 / math.sqrt(ab)
-    prefix = f"A={a.expr()};B={b.expr()};k="
-    out = []
-    for k in range(len(ratios)):
-        # int / int is correctly rounded, as float(Fraction(count, ab)) is
-        lhs = abs(int(counts[k]) / ab - 1.0 / n)
-        rhs = ratios[k] * scale
-        equality = abs(lhs - rhs) <= tol.strict_slack
-        out.append(
-            CheckResult.bound(
-                "asymp", group.label, n, inputs or f"{prefix}{k}",
-                lhs, rhs, tol.strict_slack, "<",
-                note="equality hit" if equality else "",
-            )
-        )
-    return out
+    tol = ctx.tol.strict_slack
+    ab = np.array([a.size * b.size for a, b in pairs], dtype=np.int64)[:, None]
+    # counts and |A||B| are below 2^53, so count / ab is correctly rounded,
+    # as float(Fraction(count, ab)) is
+    lhs = np.abs(counts / ab - 1.0 / ctx.n)
+    rhs = ratios * (1.0 / np.sqrt(ab))
+    margin, passed = bound_margin(lhs, rhs, tol, "<")
+    equality = np.abs(lhs - rhs) <= tol
+    return Records(
+        "asymp", ctx.label, ctx.n, prefixes, suffixes, lhs, rhs, margin, passed,
+        note=equality, notes=("", "equality hit"),
+    )
 
 
 def dichotomy_check(
@@ -538,6 +525,13 @@ def _union_sweep(
     ]
 
 
+def _pool_pairs(pool: list[NormalSubset]) -> tuple[list[tuple], list[str]]:
+    """Every (A, B) of a pool, and the inputs prefix "A=...;B=...;k=" of each."""
+    names = [a.expr() for a in pool]
+    pairs = [(a, b) for a in pool for b in pool]
+    return pairs, [f"A={x};B={y};k=" for x in names for y in names]
+
+
 def sweep_2step(
     ctx: GroupContext, trials: Optional[int] = None, seed: int = 0
 ) -> ReportDocument:
@@ -573,12 +567,10 @@ def sweep_gowers2(ctx: GroupContext, unions: bool = True) -> ReportDocument:
         pool = [
             NormalSubset.from_classes(ct, [i]) for i in range(ct.n_classes)
         ]
-    pairs = [(a, b) for a in pool for b in pool]
-    ratios = _class_ratios(ctx.table)
-    records = []
-    for (a, b), row in zip(pairs, class_pair_counts(ct, pairs)):
-        records.extend(_gowers2_records(group, ratios, a, b, row))
-    return ReportDocument(title=f"growth gowers2 {group.label}", results=records)
+    pairs, prefixes = _pool_pairs(pool)
+    counts = class_pair_counts(ct, pairs)
+    block = _gowers2_block(ctx, _class_ratios(ctx.table), pairs, counts, prefixes)
+    return ReportDocument(title=f"growth gowers2 {group.label}", results=block)
 
 
 def sweep_asymp(
@@ -591,23 +583,22 @@ def sweep_asymp(
     ct = ctx.classes
     if trials is None:
         pool = _union_sweep(ct, include_identity_class=True, seed=seed)
-        chosen = [(a, b) for a in pool for b in pool]
-        names = [""] * len(chosen)
+        chosen, prefixes = _pool_pairs(pool)
+        suffixes = [str(k) for k in range(ct.n_classes)]
     else:
         rng = np.random.default_rng(seed)
         chosen = [
             (random_normal_subset(ct, rng), random_normal_subset(ct, rng))
             for _ in range(trials)
         ]
-        names = [
+        prefixes = [
             f"trial={trial};A={a.expr()};B={b.expr()}"
             for trial, (a, b) in enumerate(chosen)
         ]
-    ratios = _class_ratios(ctx.table)
-    records = []
-    for (a, b), row, name in zip(chosen, class_pair_counts(ct, chosen), names):
-        records.extend(_asymp_records(ratios, a, b, row, ctx.tol, name))
-    return ReportDocument(title=f"growth asymp {ctx.label}", results=records)
+        suffixes = [""] * ct.n_classes
+    counts = class_pair_counts(ct, chosen)
+    block = _asymp_block(ctx, _class_ratios(ctx.table), chosen, counts, prefixes, suffixes)
+    return ReportDocument(title=f"growth asymp {ctx.label}", results=block)
 
 
 def sweep_dichotomy(ctx: GroupContext) -> ReportDocument:

@@ -1,5 +1,12 @@
 """Report records and serialization.
 
+A report holds its records in blocks of columns (`Records`): one check on
+one group, with float64 `lhs`, `rhs` and `margin`, bool `passed` and
+`skipped`, and coded notes.  Sweeps build blocks directly; a list of
+`CheckResult` rows becomes blocks when it is added to a document, so there
+is one storage form and one writer path.  `ReportDocument.results` reads
+the blocks back as rows.
+
 Report bodies are deterministic: the same inputs and seeds produce the same
 JSON and CSV bytes.  Timestamps and the tolerances in effect live in the
 header only.
@@ -9,17 +16,49 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import os
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
+from json.encoder import encode_basestring_ascii
 from typing import NamedTuple, Optional, TextIO
 
+import numpy as np
+
 CSV_COLUMNS = ["check", "group", "n", "inputs", "lhs", "rhs", "margin", "pass"]
-# records per encoder call: the text of a report is never built whole
+# records per formatted chunk: the text of a report is never built whole
 RECORD_BLOCK = 4096
-# the one-shot C encoder (it has no indent); the separator indents record keys
-_RECORDS = json.JSONEncoder(separators=(",\n   ", ": "))
+# the JSON of one value, as `json.dumps` writes it
+_SCALAR = json.JSONEncoder().encode
+# per-record columns of a block; a row view may write them
+_COLUMNS = ("lhs", "rhs", "margin", "passed", "skipped")
+_SHARED = ("check", "group", "n", "seed")
+# the pass cell, indexed by passed + 2 * skipped
+_CSV_PASS = ("False", "True", "skip", "skip")
+# indexed by passed, and by skipped
+_JSON_PASS = ("false", "true")
+_JSON_SKIPPED = ("", ',\n   "skipped": true')
+
+
+def bound_margin(lhs, rhs, tol=0.0, op: str = "<="):
+    """(margin, passed) of `lhs op rhs` up to `tol`, on floats or float64 arrays alike.
+
+    For finite doubles `a - b` has the sign of `a` against `b`, so each
+    verdict is exactly the comparison `lhs <= rhs + tol`, `lhs > rhs - tol`,
+    `|lhs - rhs| <= tol`, and so on.  Arrays take the same IEEE operations
+    in the same order, so a margin has the same bits either way.
+    """
+    if op in ("<=", "<"):
+        margin = rhs + tol - lhs
+    elif op in (">=", ">"):
+        margin = lhs - (rhs - tol)
+    elif op == "==":
+        margin = tol - abs(lhs - rhs)
+    else:
+        raise ValueError(f"unknown comparison {op!r}")
+    return margin, (margin > 0 if op in ("<", ">") else margin >= 0)
 
 
 @dataclass(slots=True)
@@ -28,9 +67,9 @@ class CheckResult:
 
     margin is the room the check had before it would fail, tolerance
     included: a passing inequality has margin >= 0 (> 0 when strict), and
-    `bound` is the one place that derives it.  Census records, which cannot
-    fail, carry margin 0.  skipped results count as neither pass nor fail
-    in summaries.
+    `bound_margin` is the one place that derives it.  Census records, which
+    cannot fail, carry margin 0.  skipped results count as neither pass nor
+    fail in summaries.
     """
 
     check: str
@@ -58,22 +97,9 @@ class CheckResult:
         op: str = "<=",
         **extra,
     ) -> CheckResult:
-        """The record of `lhs op rhs` up to `tol`, with margin and passed derived.
-
-        For finite doubles `a - b` has the sign of `a` against `b`, so each
-        verdict is exactly the comparison `lhs <= rhs + tol`, `lhs > rhs - tol`,
-        `|lhs - rhs| <= tol`, and so on.
-        """
+        """The record of `lhs op rhs` up to `tol`, with margin and passed derived."""
         lhs, rhs = float(lhs), float(rhs)
-        if op in ("<=", "<"):
-            margin = rhs + tol - lhs
-        elif op in (">=", ">"):
-            margin = lhs - (rhs - tol)
-        elif op == "==":
-            margin = tol - abs(lhs - rhs)
-        else:
-            raise ValueError(f"unknown comparison {op!r}")
-        passed = margin > 0 if op in ("<", ">") else margin >= 0
+        margin, passed = bound_margin(lhs, rhs, tol, op)
         return cls(check, group, n, inputs, lhs, rhs, margin, bool(passed), **extra)
 
     def row(self) -> dict:
@@ -108,6 +134,9 @@ class CheckResult:
         return d
 
 
+_FIELDS = tuple(f.name for f in fields(CheckResult))
+
+
 class Tally(NamedTuple):
     """Record counts of one report; a skipped record is neither pass nor fail."""
 
@@ -124,30 +153,274 @@ class Tally(NamedTuple):
         return 0 if self.failed == 0 else 1
 
 
-@dataclass
-class ReportDocument:
-    """A full report: header (may carry a timestamp), body, summary."""
+@dataclass(eq=False)
+class Records:
+    """A block of records of one check on one group, held as columns.
 
-    title: str
-    results: list[CheckResult] = field(default_factory=list)
-    meta: dict = field(default_factory=dict)
-    timestamp: Optional[str] = None
-    # header entries after the timestamp; outside the body
-    header: dict = field(default_factory=dict)
+    `check`, `group`, `n` and `seed` are shared by the block.  With m =
+    len(suffixes), record i has inputs `prefixes[i // m] + suffixes[i % m]`:
+    a sweep gives one prefix per pair and one suffix per class, a list of
+    rows one prefix per row and the suffix "".  `lhs`, `rhs` and `margin`
+    are float64; a block made from rows whose values are not all Python
+    floats (an int lhs) holds them as objects instead, so they are written
+    as before.  `note` holds codes into `notes`.
+    """
+
+    check: str
+    group: str
+    n: int
+    prefixes: Sequence
+    suffixes: Sequence
+    lhs: np.ndarray
+    rhs: np.ndarray
+    margin: np.ndarray
+    passed: np.ndarray
+    skipped: Optional[np.ndarray] = None
+    note: Optional[np.ndarray] = None
+    notes: tuple = ("",)
+    seed: Optional[int] = None
+
+    def __post_init__(self):
+        size = len(self.prefixes) * len(self.suffixes)
+        if self.skipped is None:
+            self.skipped = np.zeros(size, dtype=bool)
+        if self.note is None:
+            self.note = np.zeros(size, dtype=np.intp)
+        self.lhs, self.rhs, self.margin = (np.ravel(c) for c in (self.lhs, self.rhs, self.margin))
+        self.passed = np.ravel(np.asarray(self.passed, dtype=bool))
+        self.skipped = np.ravel(np.asarray(self.skipped, dtype=bool))
+        self.note = np.ravel(np.asarray(self.note, dtype=np.intp))
+        if any(getattr(self, c).size != size for c in (*_COLUMNS, "note")):
+            raise ValueError(f"a {self.check} block of {size} records has a column of another length")
+
+    @classmethod
+    def from_rows(cls, rows) -> list[Records]:
+        """Rows as blocks, one per run of rows that share check, group, n and seed."""
+
+        def shared(r):
+            return r.check, r.group, r.n, type(r.n), r.seed, type(r.seed)
+
+        blocks = []
+        for _, run in itertools.groupby(rows, key=shared):
+            run = list(run)
+            codes: dict = {}
+            note = [codes.setdefault(r.note, len(codes)) for r in run]
+            first = run[0]
+            blocks.append(
+                cls(
+                    first.check, first.group, first.n, [r.inputs for r in run], ("",),
+                    *(_column([getattr(r, c) for r in run]) for c in ("lhs", "rhs", "margin")),
+                    [bool(r.passed) for r in run], [bool(r.skipped) for r in run],
+                    note, tuple(codes), first.seed,
+                )
+            )
+        return blocks
+
+    def __len__(self) -> int:
+        return self.lhs.size
+
+    def tally(self) -> Tally:
+        skipped = int(np.count_nonzero(self.skipped))
+        passed = int(np.count_nonzero(self.passed & ~self.skipped))
+        return Tally(passed, len(self) - passed - skipped, skipped)
+
+    def value(self, name: str, i: int):
+        """Field `name` of record i, as a `CheckResult` holds it."""
+        if name in _COLUMNS:
+            return getattr(self, name)[i : i + 1].tolist()[0]
+        if name == "inputs":
+            m = len(self.suffixes)
+            return self.prefixes[i // m] + self.suffixes[i % m]
+        if name == "note":
+            return self.notes[self.note[i]]
+        if name in _SHARED:
+            return getattr(self, name)
+        raise AttributeError(name)
+
+    def row(self, i: int) -> CheckResult:
+        return CheckResult(*(self.value(f, i) for f in _FIELDS))
+
+    def rows(self):
+        """Every record as a `CheckResult`, in order."""
+        inputs = (p + s for p in self.prefixes for s in self.suffixes)
+        columns = (getattr(self, c).tolist() for c in _COLUMNS)
+        notes = map(self.notes.__getitem__, self.note.tolist())
+        for text, lhs, rhs, margin, passed, skipped, note in zip(inputs, *columns, notes):
+            yield CheckResult(
+                self.check, self.group, self.n, text, lhs, rhs, margin, passed, skipped, self.seed, note
+            )
+
+    def _chunks(self):
+        """(lo, hi, prefixes, at) per RECORD_BLOCK records [lo, hi).
+
+        Record lo + j has prefix `prefixes[at[j] // m]` and suffix
+        `suffixes[at[j] % m]`, with m = len(suffixes).
+        """
+        m = len(self.suffixes)
+        for lo in range(0, len(self), RECORD_BLOCK):
+            hi = min(lo + RECORD_BLOCK, len(self))
+            first = lo // m
+            yield lo, hi, self.prefixes[first : -(-hi // m)], range(lo - first * m, hi - first * m)
+
+    def json_chunks(self):
+        """The records' JSON text, RECORD_BLOCK records at a time.
+
+        Each chunk holds its records as `json.dumps(..., indent=1)` writes
+        them in a report's `results`, joined by ",\n  ".
+        """
+        head = (
+            f'{{\n   "check": {_SCALAR(self.check)},\n   "group": {_SCALAR(self.group)},'
+            f'\n   "n": {_SCALAR(self.n)},\n   "inputs": '
+        )
+        seed = "" if self.seed is None else f',\n   "seed": {_SCALAR(self.seed)}'
+        template = (
+            head.replace("%", "%%")
+            + '%s%s,\n   "lhs": %s,\n   "rhs": %s,\n   "margin": %s,\n   "pass": %s%s'
+            + seed.replace("%", "%%")
+            + "%s\n  }"
+        )
+        m = len(self.suffixes)
+        # JSON escapes per character, so a quoted string is its prefix's quoted
+        # text without the closing quote, then its suffix's without the opening one
+        suffixes = [encode_basestring_ascii(s)[1:] for s in self.suffixes]
+        notes = [f',\n   "note": {_SCALAR(s)}' if s else "" for s in self.notes]
+        for lo, hi, prefixes, at in self._chunks():
+            quoted = [encode_basestring_ascii(p)[:-1] for p in prefixes]
+            cols = zip(
+                [quoted[a // m] for a in at],
+                [suffixes[a % m] for a in at],
+                *(_json_floats(getattr(self, c)[lo:hi]) for c in ("lhs", "rhs", "margin")),
+                map(_JSON_PASS.__getitem__, self.passed[lo:hi].tolist()),
+                map(_JSON_SKIPPED.__getitem__, self.skipped[lo:hi].tolist()),
+                map(notes.__getitem__, self.note[lo:hi].tolist()),
+            )
+            yield ",\n  ".join(map(template.__mod__, cols))
+
+    def csv_chunks(self):
+        """The records' CSV rows, RECORD_BLOCK at a time, as `CheckResult.row` gives them."""
+        m = len(self.suffixes)
+        for lo, hi, prefixes, at in self._chunks():
+            passes = self.passed[lo:hi].view(np.int8) + 2 * self.skipped[lo:hi].view(np.int8)
+            yield zip(
+                itertools.repeat(self.check),
+                itertools.repeat(self.group),
+                itertools.repeat(self.n),
+                [prefixes[a // m] + self.suffixes[a % m] for a in at],
+                *(_reprs(getattr(self, c)[lo:hi]) for c in ("lhs", "rhs", "margin")),
+                map(_CSV_PASS.__getitem__, passes.tolist()),
+            )
+
+
+def _column(values: list) -> np.ndarray:
+    """float64 when every value is a Python float, else the values as objects."""
+    exact = all(type(v) is float for v in values)
+    return np.array(values, dtype=np.float64 if exact else object)
+
+
+def _json_floats(col: np.ndarray) -> list[str]:
+    """The JSON of each value: `float.__repr__`, or NaN and Infinity as `json` spells them."""
+    if col.dtype == np.float64 and np.isfinite(col).all():
+        return list(map(float.__repr__, col.tolist()))
+    return list(map(_SCALAR, col.tolist()))
+
+
+def _reprs(col: np.ndarray) -> list[str]:
+    return list(map(float.__repr__ if col.dtype == np.float64 else repr, col.tolist()))
+
+
+class RecordView:
+    """Record `i` of a block as a row: fields read from the columns.
+
+    Writing lhs, rhs, margin, passed or skipped writes the column; the
+    other fields are shared by the block or coded, so they are read only.
+    """
+
+    __slots__ = ("block", "i")
+
+    def __init__(self, block: Records, i: int):
+        object.__setattr__(self, "block", block)
+        object.__setattr__(self, "i", i)
+
+    def __getattr__(self, name: str):
+        return self.block.value(name, self.i)
+
+    def __setattr__(self, name: str, value) -> None:
+        if name not in _COLUMNS:
+            raise AttributeError(f"{name} is not a per-record column")
+        getattr(self.block, name)[self.i] = value
+
+    def row(self) -> dict:
+        return self.block.row(self.i).row()
+
+    def as_dict(self) -> dict:
+        return self.block.row(self.i).as_dict()
+
+
+class RecordRows(Sequence):
+    """The records of a list of blocks as a sequence of `RecordView` rows."""
+
+    def __init__(self, blocks: list[Records]):
+        self.blocks = blocks
+
+    def __len__(self) -> int:
+        return sum(map(len, self.blocks))
+
+    def __getitem__(self, i: int) -> RecordView:
+        if i < 0:
+            i += len(self)
+        for block in self.blocks:
+            if 0 <= i < len(block):
+                return RecordView(block, i)
+            i -= len(block)
+        raise IndexError("record index out of range")
+
+    def __iter__(self):
+        for block in self.blocks:
+            for i in range(len(block)):
+                yield RecordView(block, i)
+
+
+class ReportDocument:
+    """A full report: header (may carry a timestamp), body, summary.
+
+    The body's records are `blocks`; `results` reads them as rows.
+    `results` given here is anything `add` takes.
+    """
+
+    def __init__(self, title: str, results=(), meta: Optional[dict] = None):
+        self.title = title
+        self.blocks: list[Records] = []
+        self.meta = {} if meta is None else meta
+        self.timestamp: Optional[str] = None
+        # header entries after the timestamp; outside the body
+        self.header: dict = {}
+        self.add(results)
+
+    @property
+    def results(self) -> RecordRows:
+        return RecordRows(self.blocks)
+
+    def add(self, records) -> None:
+        """Append a block, another document's blocks, or rows (one or an iterable)."""
+        if isinstance(records, ReportDocument):
+            self.blocks += records.blocks
+        elif isinstance(records, Records):
+            self.blocks.append(records)
+        else:
+            rows = [records] if isinstance(records, CheckResult) else records
+            self.blocks += Records.from_rows(rows)
 
     def stamp(self) -> None:
         self.timestamp = datetime.now(timezone.utc).isoformat()
 
     def tally(self) -> Tally:
-        """Pass, fail and skip counts, from one walk over the records."""
+        """Pass, fail and skip counts, from the columns of each block."""
         passed = failed = skipped = 0
-        for r in self.results:
-            if r.skipped:
-                skipped += 1
-            elif r.passed:
-                passed += 1
-            else:
-                failed += 1
+        for block in self.blocks:
+            counts = block.tally()
+            passed += counts.passed
+            failed += counts.failed
+            skipped += counts.skipped
         return Tally(passed, failed, skipped)
 
     @property
@@ -182,7 +455,7 @@ class ReportDocument:
 
     def body_dict(self) -> dict:
         """Everything except the header; deterministic."""
-        return self._body([r.as_dict() for r in self.results])
+        return self._body([r.as_dict() for b in self.blocks for r in b.rows()])
 
     def header_dict(self) -> dict:
         return {"generated": self.timestamp, **self.header}
@@ -213,17 +486,13 @@ class ReportDocument:
             f"{tally.failed} fail, {tally.skipped} skip -> {tally.verdict}"
         ]
         if tally.failed:
+            failed = (
+                b.row(i) for b in self.blocks for i in np.flatnonzero(~b.passed & ~b.skipped).tolist()
+            )
             lines += [
-                f"  FAIL {r.check} {r.group} {r.inputs} lhs={r.lhs!r} rhs={r.rhs!r}"
-                for r in self.results
-                if not r.passed and not r.skipped
+                f"  FAIL {r.check} {r.group} {r.inputs} lhs={r.lhs!r} rhs={r.rhs!r}" for r in failed
             ]
         return lines
-
-
-def _blocks(results: list[CheckResult]):
-    for start in range(0, len(results), RECORD_BLOCK):
-        yield results[start:start + RECORD_BLOCK]
 
 
 def _write_json(doc: ReportDocument, fh: TextIO) -> None:
@@ -231,33 +500,30 @@ def _write_json(doc: ReportDocument, fh: TextIO) -> None:
 
     With an indent the standard library encodes in pure Python, so only the
     header, meta and summary go that way, around an empty `results`.  The
-    records are encoded a block at a time by the C encoder, whose item
-    separator already carries the indent of a record's keys; one replace
-    then breaks the records apart.  Records are flat and `ensure_ascii`
-    escapes every newline inside a string, so "},\n   {" is only ever the
-    boundary between two records.
+    records are formatted from the columns, a chunk at a time, by one
+    template per block (`Records.json_chunks`).
     """
     head = {"header": doc.header_dict(), **doc._body([])}
     before, _, after = json.dumps(head, indent=1).rpartition('"results": []')
     fh.write(before + '"results": [')
-    if doc.results:
-        sep = "\n  {\n   "
-        for block in _blocks(doc.results):
-            text = _RECORDS.encode([r.as_dict() for r in block])
+    sep = "\n  "
+    for block in doc.blocks:
+        for text in block.json_chunks():
             fh.write(sep)
-            fh.write(text[2:-2].replace("},\n   {", "\n  },\n  {\n   "))
-            fh.write("\n  }")
-            sep = ",\n  {\n   "
+            fh.write(text)
+            sep = ",\n  "
+    if sep != "\n  ":
         fh.write("\n ")
     fh.write("]" + after + "\n")
 
 
 def _write_csv(doc: ReportDocument, fh: TextIO) -> None:
-    """The bytes of `csv.DictWriter` over CSV_COLUMNS, a block of rows at a time."""
+    """The bytes of `csv.DictWriter` over CSV_COLUMNS, a chunk of rows at a time."""
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for block in _blocks(doc.results):
-        writer.writerows([row[c] for c in CSV_COLUMNS] for row in map(CheckResult.row, block))
+    for block in doc.blocks:
+        for rows in block.csv_chunks():
+            writer.writerows(rows)
 
 
 def write_report(doc: ReportDocument, path: str, fmt: str = "json") -> None:

@@ -42,6 +42,15 @@ def test_distribution_validation():
         Distribution(np.array([0.25, 0.75]), Tolerances(dist_unit=-1.0))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_weights_are_rejected(bad):
+    """NaN passes both the sign and the sum test, so it needs its own."""
+    with pytest.raises(InvalidWeights, match="non-finite"):
+        Distribution(np.array([bad, 1.0]))
+    with pytest.raises(InvalidWeights, match="non-finite"):
+        Distribution(np.array([0.5, 0.5, bad]), Tolerances(dist_unit=math.inf))
+
+
 @given(st.lists(st.integers(0, 100), min_size=1, max_size=12).filter(sum))
 def test_distribution_normalized_weights(raw):
     w = np.array(raw, dtype=np.float64)

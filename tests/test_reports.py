@@ -4,13 +4,16 @@ import json
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from normgrowth.reports import (
     CSV_COLUMNS,
     RECORD_BLOCK,
     CheckResult,
+    Records,
     ReportDocument,
+    bound_margin,
     write_report,
 )
 
@@ -255,3 +258,94 @@ def test_bound_fields():
     assert (r.margin, r.passed, r.seed, r.note) == (1.0, True, 4, "x")
     with pytest.raises(ValueError):
         CheckResult.bound("demo", "A5", 60, "", 1.0, 1.0, op="!=")
+
+
+def test_bound_margin_on_arrays_has_the_scalar_bits():
+    """One rule for rows and columns: every margin and verdict equal, -0.0 included."""
+    edges = [0.0, -0.0, 0.75, 1.0, 1.25, 5e-324, 1e16, 0.1 + 0.2, -3.5]
+    edges += [math.nextafter(x, math.inf) for x in edges]
+    lhs, rhs = (g.ravel() for g in np.meshgrid(edges, edges))
+    for op in ("<=", "<", ">=", ">", "=="):
+        margin, passed = bound_margin(lhs, rhs, 0.25, op)
+        for i, (x, y) in enumerate(zip(lhs.tolist(), rhs.tolist())):
+            r = CheckResult.bound("demo", "A5", 60, "", x, y, 0.25, op)
+            assert repr(margin[i].item()) == repr(r.margin) and bool(passed[i]) is r.passed
+
+
+_TEXT = ["", 'q"uote', "back\\slash", "line\nbreak\ttab", "π ünï", "%s %d", "},\n   {", "\x00\x1f"]
+_FLOATS = [-0.0, 5e-324, 1e16, math.nan, math.inf, -math.inf, 0.1 + 0.2, 1.0, 0.0]
+
+
+def _block(pairs, m, seed, check="demo"):
+    """A built block and the rows it must read back as."""
+    prefixes = [f"{_TEXT[p % len(_TEXT)]};p={p};k=" for p in range(pairs)]
+    suffixes = [f"{s}{_TEXT[(s + 3) % len(_TEXT)]}" for s in range(m)]
+    size = pairs * m
+    cols = [np.array([_FLOATS[(i + shift) % len(_FLOATS)] for i in range(size)]) for shift in (0, 2, 5)]
+    passed = np.arange(size) % 3 != 0
+    skipped = np.arange(size) % 5 == 0
+    notes = ("", "equality hit", 'n"ote\\ π')
+    note = np.arange(size) % 4 % 3
+    block = Records(check, "π", 60, prefixes, suffixes, *cols, passed, skipped, note, notes, seed)
+    rows = [
+        CheckResult(
+            check, "π", 60, prefixes[i // m] + suffixes[i % m],
+            *(float(c[i]) for c in cols), bool(passed[i]), bool(skipped[i]), seed, notes[note[i]],
+        )
+        for i in range(size)
+    ]
+    return block, rows
+
+
+def _text_of(rows):
+    return json.dumps([r.as_dict() for r in rows])
+
+
+def test_writers_on_columns_match_the_stdlib_encoders(tmp_path):
+    """Built blocks and rows from a list, in one document, write the stdlib bytes.
+
+    Chunks of RECORD_BLOCK records start inside a pair's run of classes, an
+    empty block and a block without classes write nothing, and a row's int
+    lhs stays an int.
+    """
+    straddling, straddling_rows = _block(RECORD_BLOCK // 7 + 30, 7, seed=None)
+    seeded, seeded_rows = _block(40, 3, seed=4, check='c"heck')
+    empty, _ = _block(0, 5, seed=None)
+    classless, _ = _block(6, 0, seed=2)
+    listed = [
+        make_result(lhs=5, inputs='i"n\\put\n π'),
+        make_result(lhs=math.nan, rhs=math.inf, margin=-math.inf, seed=7, note="x"),
+        make_result(lhs=-0.0, rhs=5e-324, margin=1e16, skipped=True, passed=False),
+        make_result(n=61, lhs=np.float64(0.5)),
+    ]
+    doc = ReportDocument(title="mixed", results=straddling, meta={"ünï": [1, -0.0]})
+    doc.add(listed[:2])
+    for block in (empty, seeded, classless):
+        doc.add(block)
+    doc.add(listed[2:])
+    doc.stamp()
+    assert _text_of(straddling.rows()) == _text_of(straddling_rows)
+    assert _text_of(seeded.rows()) == _text_of(seeded_rows)
+    assert len(doc.results) == len(straddling_rows) + len(seeded_rows) + len(listed)
+    assert _text_of(doc.results) == _text_of(straddling_rows + listed[:2] + seeded_rows + listed[2:])
+    _assert_writes_reference(doc, tmp_path)
+    text = doc.to_json()
+    assert '"lhs": 5,' in text and '"lhs": NaN,' in text and '"rhs": Infinity,' in text
+    assert ",5,1.0,1.0,True\n" in doc.to_csv()
+
+
+def test_row_view_writes_the_columns():
+    block, _ = _block(3, 2, seed=None)
+    doc = ReportDocument(title="demo", results=block)
+    before = doc.tally()
+    row = doc.results[-2]
+    assert (row.inputs, row.passed, row.skipped) == ("back\\slash;p=2;k=0line\nbreak\ttab", True, False)
+    row.passed = False
+    assert not block.passed[4]
+    assert doc.tally().failed == before.failed + 1
+    with pytest.raises(AttributeError):
+        row.inputs = "x"
+    with pytest.raises(IndexError):
+        doc.results[6]
+    with pytest.raises(ValueError):
+        Records("demo", "A5", 60, ["a", "b"], [""], [1.0], [1.0], [0.0], [True])

@@ -271,3 +271,16 @@ def test_checks_take_one_group_context():
         if params[:1] != ["ctx"] or {"group", "ct", "tab"} & set(params)
     ]
     assert len(checks) == 12 and not bad
+
+
+@pytest.mark.parametrize("name, builder", [("sweep_asymp", "_asymp_block"), ("sweep_gowers2", "_gowers2_block")])
+def test_union_sweeps_build_no_record_objects(name, builder):
+    """The pair x class sweeps build their records as columns of one block.
+
+    Nothing they reach names `CheckResult`, so a per-record object, whose
+    cost once outweighed the counting, cannot come back unseen.
+    """
+    reached = _reached_functions("growth.py", name)
+    assert ("growth.py", "class_pair_counts") in reached
+    assert ("growth.py", builder) in reached
+    assert not _naming(reached, {"CheckResult"})
