@@ -353,10 +353,6 @@ class CriterionOutcome:
     doc: ReportDocument
     elapsed: float
 
-    @property
-    def passed(self) -> bool:
-        return self.doc.fail_count == 0
-
     def line(self) -> str:
         tally = self.doc.tally()
         return (
@@ -387,7 +383,7 @@ def acceptance_document(outcomes: list[CriterionOutcome], profile: str) -> Repor
     for oc in outcomes:
         doc.add(
             CheckResult.bound(
-                f"criterion-{oc.number}", "(suite)", 0, oc.title, oc.doc.fail_count, 0
+                f"criterion-{oc.number}", "(suite)", 0, oc.title, oc.doc.tally().failed, 0
             )
         )
     doc.meta["profile"] = profile

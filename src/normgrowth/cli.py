@@ -264,7 +264,7 @@ def cmd_chartable(args) -> int:
 
 def cmd_lambda(args) -> int:
     ctx = get_context(args.group, order_cap=args.order_cap, seed=args.seed, tol=args.tol)
-    subset = parse_subset_expr(args.subset, ctx.group, ctx.classes)
+    subset = parse_subset_expr(args.subset, ctx.classes)
     rep = spectral_report(
         ctx.group,
         ctx.classes,
@@ -312,7 +312,7 @@ def cmd_acceptance(args) -> int:
         print(oc.line())
     doc = acceptance_document(outcomes, args.profile)
     code = _emit(doc, args, _stem("acceptance", args.profile))
-    print(f"acceptance ({args.profile}): {doc.verdict}")
+    print(f"acceptance ({args.profile}): {doc.tally().verdict}")
     return code
 
 

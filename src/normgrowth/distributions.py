@@ -84,12 +84,13 @@ def check_bnp_star(
     y: Distribution,
     inputs: str = "",
     tol: Tolerances = DEFAULT,
+    seed: Optional[int] = None,
 ) -> CheckResult:
     """Convolution contraction: ||X*Y - U|| <= sqrt(n/m) ||X - U|| ||Y - U||."""
     n = group.n
     lhs = l2_dist_uniform(convolve(group, x, y, tol))
     rhs = math.sqrt(n / m) * l2_dist_uniform(x) * l2_dist_uniform(y)
-    return CheckResult.bound("bnp", group.label, n, inputs, lhs, rhs, tol.slack)
+    return CheckResult.bound("bnp", group.label, n, inputs, lhs, rhs, tol.slack, seed=seed)
 
 
 def weighted_cayley_lambda(group: FiniteGroup, y: Distribution) -> float:
@@ -108,7 +109,13 @@ def weighted_cayley_lambda(group: FiniteGroup, y: Distribution) -> float:
 
 
 def _bnp2step_record(
-    group: FiniteGroup, m: int, a_size: int, b_size: int, ab: int, inputs: str
+    group: FiniteGroup,
+    m: int,
+    a_size: int,
+    b_size: int,
+    ab: int,
+    inputs: str,
+    seed: Optional[int] = None,
 ) -> CheckResult:
     """The bnp2step record of |AB|, first inequality strict.
 
@@ -120,7 +127,7 @@ def _bnp2step_record(
     strict = n / (1.0 + n * n / (m * a_size * b_size))
     weak = min(n / 2.0, m * a_size * b_size / (2.0 * n))
     return CheckResult.bound(
-        "bnp2step", group.label, n, inputs, ab, max(strict, weak), op=">"
+        "bnp2step", group.label, n, inputs, ab, max(strict, weak), op=">", seed=seed
     )
 
 
@@ -159,11 +166,11 @@ def sweep_bnp_star(
             x = random_sparse_distribution(group.n, rng, tol)
             y = random_sparse_distribution(group.n, rng, tol)
             shape = "sparse"
-        rec = check_bnp_star(
-            group, m, x, y, inputs=f"trial={t};shape={shape};seed={seed}", tol=tol
+        records.append(
+            check_bnp_star(
+                group, m, x, y, inputs=f"trial={t};shape={shape};seed={seed}", tol=tol, seed=seed
+            )
         )
-        rec.seed = seed
-        records.append(rec)
     return ReportDocument(
         title=f"dist bnp {group.label}",
         results=records,
@@ -190,9 +197,7 @@ def sweep_bnp_two_step(
     records = []
     for t, ((a, b), ab) in enumerate(zip(chosen, sizes)):
         inputs = f"trial={t};seed={seed};|A|={a.size};|B|={b.size}"
-        rec = _bnp2step_record(group, m, a.size, b.size, ab, inputs)
-        rec.seed = seed
-        records.append(rec)
+        records.append(_bnp2step_record(group, m, a.size, b.size, ab, inputs, seed))
     return ReportDocument(
         title=f"dist bnp2step {group.label}",
         results=records,

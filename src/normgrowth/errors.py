@@ -25,10 +25,6 @@ class UnsupportedPrimePower(NotPrimePower):
     """A field size is a prime power that the builders do not support."""
 
 
-class EmptyWord(NormGrowthError):
-    """A group word is empty or freely reduces to the empty word."""
-
-
 class DegenerateSpectrum(NormGrowthError):
     """Every random combination of class matrices had colliding eigenvalues."""
 
@@ -87,3 +83,7 @@ class OrthogonalityError(NormGrowthError):
 
 class ParseError(NormGrowthError):
     """A group spec, subset expression, or word string cannot be parsed."""
+
+
+class EmptyWord(ParseError):
+    """A group word is empty or freely reduces to the empty word."""

@@ -471,8 +471,8 @@ def word_growth_report(ctx: GroupContext, word1: str, word2: str) -> ReportDocum
     n R(g) / sqrt of the image-size product.
     """
     group, ct, tab, tol = ctx.group, ctx.classes, ctx.table, ctx.tol
-    img1 = NormalSubset.from_subset(ct, word_image(group, word1))
-    img2 = NormalSubset.from_subset(ct, word_image(group, word2))
+    img1 = NormalSubset.from_subset(ct, word_image(ct, word1))
+    img2 = NormalSubset.from_subset(ct, word_image(ct, word2))
     n = group.n
     ab = img1.size * img2.size
     scale = n / math.sqrt(ab)

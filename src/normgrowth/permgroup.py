@@ -29,8 +29,6 @@ from .errors import (
 )
 
 DEFAULT_ORDER_CAP = 25_000
-# cap on the number of word evaluations |G|**arity
-DEFAULT_WORD_CAP = 4_000_000
 # image-row entries per vectorized block
 _CHUNK_ROWS = 1 << 18
 # entries of the direct-address lookup table (int32, 4 MB)
@@ -742,30 +740,30 @@ def parse_word(text: str) -> list[tuple[int, int]]:
     return letters
 
 
-def word_image(
-    group: FiniteGroup, word: str, cap: int = DEFAULT_WORD_CAP
-) -> np.ndarray:
-    """Boolean mask of the image of the word map over all argument tuples."""
+def word_image(ct: ClassTable, word: str) -> np.ndarray:
+    """Boolean mask of the image of the word map w(x, y) over G x G.
+
+    g w(x, y) g^-1 = w(g x g^-1, g y g^-1), so the image is a union of
+    classes, and each (x, y) is conjugate to a pair whose x is a class
+    representative.  So x runs over `ct.reps` and y over G, k n evaluations
+    (k for a word in one variable), and the image is the union of the
+    classes met.  That rests on the class partition, so `ct` is certified
+    first.
+    """
+    certify_classes(ct)
+    group = ct.group
     letters = parse_word(word)
-    variables = sorted({var for var, _ in letters})
-    remap = {v: i for i, v in enumerate(variables)}
-    letters = [(remap[v], s) for v, s in letters]
-    arity = len(variables)
-    n = group.n
-    total = n ** arity
-    if total > cap:
-        raise CapExceeded(
-            f"word evaluation needs {total} tuples, cap is {cap}"
-        )
+    # the first variable of the word on the representatives, the second on G
+    remap = {v: i for i, v in enumerate(sorted({var for var, _ in letters}))}
+    args = (ct.reps[:, None], np.arange(group.n))
     inv = group.inverse_of
-    # one broadcast axis per variable: w[i, j] is the word at (g_i, g_j)
-    args = np.ix_(*[np.arange(n)] * arity)
     w = group.identity
     for var, sign in letters:
-        w = group.mul(w, args[var] if sign > 0 else inv[args[var]])
-    mask = np.zeros(n, dtype=bool)
-    mask[w] = True
-    return mask
+        x = args[remap[var]]
+        w = group.mul(w, x if sign > 0 else inv[x])
+    met = np.zeros(ct.n_classes, dtype=bool)
+    met[ct.class_of[w]] = True
+    return met[ct.class_of]
 
 
 # -- cycle-notation parsing (generator files) --------------------------------

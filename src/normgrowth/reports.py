@@ -5,7 +5,8 @@ one group, with float64 `lhs`, `rhs` and `margin`, bool `passed` and
 `skipped`, and coded notes.  Sweeps build blocks directly; a list of
 `CheckResult` rows becomes blocks when it is added to a document, so there
 is one storage form and one writer path.  `ReportDocument.results` reads
-the blocks back as rows.
+the blocks back as immutable `CheckResult` rows, and `ReportDocument.tally`
+counts them from the columns.
 
 Report bodies are deterministic: the same inputs and seeds produce the same
 JSON and CSV bytes.  Timestamps and the tolerances in effect live in the
@@ -20,7 +21,7 @@ import itertools
 import json
 import os
 from collections.abc import Sequence
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple, Optional, TextIO
@@ -32,9 +33,8 @@ CSV_COLUMNS = ["check", "group", "n", "inputs", "lhs", "rhs", "margin", "pass"]
 RECORD_BLOCK = 4096
 # the JSON of one value, as `json.dumps` writes it
 _SCALAR = json.JSONEncoder().encode
-# per-record columns of a block; a row view may write them
+# per-record columns of a block, in `CheckResult` order
 _COLUMNS = ("lhs", "rhs", "margin", "passed", "skipped")
-_SHARED = ("check", "group", "n", "seed")
 # the pass cell, indexed by passed + 2 * skipped
 _CSV_PASS = ("False", "True", "skip", "skip")
 # indexed by passed, and by skipped
@@ -61,9 +61,8 @@ def bound_margin(lhs, rhs, tol=0.0, op: str = "<="):
     return margin, (margin > 0 if op in ("<", ">") else margin >= 0)
 
 
-@dataclass(slots=True)
-class CheckResult:
-    """Outcome of one check instance.
+class CheckResult(NamedTuple):
+    """Outcome of one check instance, immutable.
 
     margin is the room the check had before it would fail, tolerance
     included: a passing inequality has margin >= 0 (> 0 when strict), and
@@ -134,9 +133,6 @@ class CheckResult:
         return d
 
 
-_FIELDS = tuple(f.name for f in fields(CheckResult))
-
-
 class Tally(NamedTuple):
     """Record counts of one report; a skipped record is neither pass nor fail."""
 
@@ -161,9 +157,8 @@ class Records:
     len(suffixes), record i has inputs `prefixes[i // m] + suffixes[i % m]`:
     a sweep gives one prefix per pair and one suffix per class, a list of
     rows one prefix per row and the suffix "".  `lhs`, `rhs` and `margin`
-    are float64; a block made from rows whose values are not all Python
-    floats (an int lhs) holds them as objects instead, so they are written
-    as before.  `note` holds codes into `notes`.
+    are float64, whatever number type a row gave them.  `note` holds codes
+    into `notes`.
     """
 
     check: str
@@ -186,7 +181,9 @@ class Records:
             self.skipped = np.zeros(size, dtype=bool)
         if self.note is None:
             self.note = np.zeros(size, dtype=np.intp)
-        self.lhs, self.rhs, self.margin = (np.ravel(c) for c in (self.lhs, self.rhs, self.margin))
+        self.lhs, self.rhs, self.margin = (
+            np.ravel(np.asarray(c, dtype=np.float64)) for c in (self.lhs, self.rhs, self.margin)
+        )
         self.passed = np.ravel(np.asarray(self.passed, dtype=bool))
         self.skipped = np.ravel(np.asarray(self.skipped, dtype=bool))
         self.note = np.ravel(np.asarray(self.note, dtype=np.intp))
@@ -209,7 +206,7 @@ class Records:
             blocks.append(
                 cls(
                     first.check, first.group, first.n, [r.inputs for r in run], ("",),
-                    *(_column([getattr(r, c) for r in run]) for c in ("lhs", "rhs", "margin")),
+                    *([getattr(r, c) for r in run] for c in ("lhs", "rhs", "margin")),
                     [bool(r.passed) for r in run], [bool(r.skipped) for r in run],
                     note, tuple(codes), first.seed,
                 )
@@ -224,30 +221,26 @@ class Records:
         passed = int(np.count_nonzero(self.passed & ~self.skipped))
         return Tally(passed, len(self) - passed - skipped, skipped)
 
-    def value(self, name: str, i: int):
-        """Field `name` of record i, as a `CheckResult` holds it."""
-        if name in _COLUMNS:
-            return getattr(self, name)[i : i + 1].tolist()[0]
-        if name == "inputs":
-            m = len(self.suffixes)
-            return self.prefixes[i // m] + self.suffixes[i % m]
-        if name == "note":
-            return self.notes[self.note[i]]
-        if name in _SHARED:
-            return getattr(self, name)
-        raise AttributeError(name)
-
     def row(self, i: int) -> CheckResult:
-        return CheckResult(*(self.value(f, i) for f in _FIELDS))
+        """Record i as a `CheckResult`."""
+        m = len(self.suffixes)
+        columns = (getattr(self, c)[i].item() for c in _COLUMNS)
+        return CheckResult(
+            self.check, self.group, self.n, self.prefixes[i // m] + self.suffixes[i % m],
+            *columns, self.seed, self.notes[self.note[i]],
+        )
 
     def rows(self):
-        """Every record as a `CheckResult`, in order."""
-        inputs = (p + s for p in self.prefixes for s in self.suffixes)
-        columns = (getattr(self, c).tolist() for c in _COLUMNS)
-        notes = map(self.notes.__getitem__, self.note.tolist())
-        for text, lhs, rhs, margin, passed, skipped, note in zip(inputs, *columns, notes):
-            yield CheckResult(
-                self.check, self.group, self.n, text, lhs, rhs, margin, passed, skipped, self.seed, note
+        """Every record as a `CheckResult`, in order, built RECORD_BLOCK at a time."""
+        m = len(self.suffixes)
+        for lo, hi, prefixes, at in self._chunks():
+            yield from map(
+                CheckResult,
+                *(itertools.repeat(v) for v in (self.check, self.group, self.n)),
+                [prefixes[a // m] + self.suffixes[a % m] for a in at],
+                *(getattr(self, c)[lo:hi].tolist() for c in _COLUMNS),
+                itertools.repeat(self.seed),
+                map(self.notes.__getitem__, self.note[lo:hi].tolist()),
             )
 
     def _chunks(self):
@@ -306,58 +299,25 @@ class Records:
                 itertools.repeat(self.group),
                 itertools.repeat(self.n),
                 [prefixes[a // m] + self.suffixes[a % m] for a in at],
-                *(_reprs(getattr(self, c)[lo:hi]) for c in ("lhs", "rhs", "margin")),
+                *(
+                    map(float.__repr__, getattr(self, c)[lo:hi].tolist())
+                    for c in ("lhs", "rhs", "margin")
+                ),
                 map(_CSV_PASS.__getitem__, passes.tolist()),
             )
 
 
-def _column(values: list) -> np.ndarray:
-    """float64 when every value is a Python float, else the values as objects."""
-    exact = all(type(v) is float for v in values)
-    return np.array(values, dtype=np.float64 if exact else object)
-
-
 def _json_floats(col: np.ndarray) -> list[str]:
     """The JSON of each value: `float.__repr__`, or NaN and Infinity as `json` spells them."""
-    if col.dtype == np.float64 and np.isfinite(col).all():
-        return list(map(float.__repr__, col.tolist()))
-    return list(map(_SCALAR, col.tolist()))
-
-
-def _reprs(col: np.ndarray) -> list[str]:
-    return list(map(float.__repr__ if col.dtype == np.float64 else repr, col.tolist()))
-
-
-class RecordView:
-    """Record `i` of a block as a row: fields read from the columns.
-
-    Writing lhs, rhs, margin, passed or skipped writes the column; the
-    other fields are shared by the block or coded, so they are read only.
-    """
-
-    __slots__ = ("block", "i")
-
-    def __init__(self, block: Records, i: int):
-        object.__setattr__(self, "block", block)
-        object.__setattr__(self, "i", i)
-
-    def __getattr__(self, name: str):
-        return self.block.value(name, self.i)
-
-    def __setattr__(self, name: str, value) -> None:
-        if name not in _COLUMNS:
-            raise AttributeError(f"{name} is not a per-record column")
-        getattr(self.block, name)[self.i] = value
-
-    def row(self) -> dict:
-        return self.block.row(self.i).row()
-
-    def as_dict(self) -> dict:
-        return self.block.row(self.i).as_dict()
+    return list(map(float.__repr__ if np.isfinite(col).all() else _SCALAR, col.tolist()))
 
 
 class RecordRows(Sequence):
-    """The records of a list of blocks as a sequence of `RecordView` rows."""
+    """The records of a list of blocks as a sequence of `CheckResult` rows.
+
+    Rows are built from the columns as they are read, a chunk at a time
+    when iterated; assigning to a field of one raises.
+    """
 
     def __init__(self, blocks: list[Records]):
         self.blocks = blocks
@@ -365,19 +325,18 @@ class RecordRows(Sequence):
     def __len__(self) -> int:
         return sum(map(len, self.blocks))
 
-    def __getitem__(self, i: int) -> RecordView:
+    def __getitem__(self, i: int) -> CheckResult:
         if i < 0:
             i += len(self)
         for block in self.blocks:
             if 0 <= i < len(block):
-                return RecordView(block, i)
+                return block.row(i)
             i -= len(block)
         raise IndexError("record index out of range")
 
     def __iter__(self):
         for block in self.blocks:
-            for i in range(len(block)):
-                yield RecordView(block, i)
+            yield from block.rows()
 
 
 class ReportDocument:
@@ -423,22 +382,6 @@ class ReportDocument:
             skipped += counts.skipped
         return Tally(passed, failed, skipped)
 
-    @property
-    def fail_count(self) -> int:
-        return self.tally().failed
-
-    @property
-    def pass_count(self) -> int:
-        return self.tally().passed
-
-    @property
-    def skip_count(self) -> int:
-        return self.tally().skipped
-
-    @property
-    def verdict(self) -> str:
-        return self.tally().verdict
-
     def _body(self, results: list) -> dict:
         tally = self.tally()
         return {
@@ -455,7 +398,7 @@ class ReportDocument:
 
     def body_dict(self) -> dict:
         """Everything except the header; deterministic."""
-        return self._body([r.as_dict() for b in self.blocks for r in b.rows()])
+        return self._body([r.as_dict() for r in self.results])
 
     def header_dict(self) -> dict:
         return {"generated": self.timestamp, **self.header}

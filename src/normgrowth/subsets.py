@@ -113,9 +113,7 @@ def subset_mask(s: SubsetLike) -> np.ndarray:
     return np.asarray(s, dtype=bool)
 
 
-def parse_subset_expr(
-    text: str, group: FiniteGroup, ct: ClassTable
-) -> NormalSubset:
+def parse_subset_expr(text: str, ct: ClassTable) -> NormalSubset:
     """Parse a subset expression into a union of classes.
 
     Forms: "class:i", "classes:i,j,...", "all-nonid", "complement-real",
@@ -144,7 +142,7 @@ def parse_subset_expr(
             raise ParseError(f"empty class list in {text!r}")
         return NormalSubset.from_classes(ct, idxs)
     if text.startswith("word:"):
-        img = word_image(group, text[len("word:"):])
+        img = word_image(ct, text[len("word:"):])
         return NormalSubset.from_subset(ct, img)
     raise ParseError(f"unrecognized subset expression {text!r}")
 

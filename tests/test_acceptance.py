@@ -36,16 +36,16 @@ def _failure_detail(doc):
 )
 def test_criterion(number, title, func, capsys):
     doc = func(profile="quick", seed=0)
-    verdict = doc.verdict
+    tally = doc.tally()
     with capsys.disabled():
         print(
-            f"criterion {number:02d} [{verdict}] {title}: "
-            f"{doc.pass_count} pass, {doc.fail_count} fail, {doc.skip_count} skip"
+            f"criterion {number:02d} [{tally.verdict}] {title}: "
+            f"{tally.passed} pass, {tally.failed} fail, {tally.skipped} skip"
         )
-    assert doc.fail_count == 0, (
+    assert tally.failed == 0, (
         f"criterion {number} ({title}) failed:\n{_failure_detail(doc)}"
     )
-    assert doc.pass_count > 0
+    assert tally.passed > 0
     # a record that held had room to spare, tolerance included
     negative = [r for r in doc.results if not r.skipped and r.margin < 0]
     assert not negative, f"criterion {number}: passing records with a negative margin"

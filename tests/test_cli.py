@@ -321,7 +321,9 @@ def test_bad_group_spec_exits_2(capsys):
 
 
 def test_bad_subset_exits_2(capsys):
-    assert main(["lambda", "--group", "A:5", "--subset", "word:"]) == 1
+    assert main(["lambda", "--group", "A:5", "--subset", "word:"]) == 2
+    assert main(["lambda", "--group", "A:5", "--subset", "word:xq"]) == 2
+    assert main(["growth", "--check", "words", "--group", "A:5", "--words", "xX", "xx"]) == 2
     assert main(["lambda", "--group", "A:5", "--subset", "classes:0,99"]) == 2
 
 
@@ -426,8 +428,7 @@ def _mixed_doc(failing):
         rec("e", 2.5, 2.0),
     ]
     if not failing:
-        for r in results:
-            r.passed = True
+        results = [r._replace(passed=True) for r in results]
     return ReportDocument(title="demo", results=results)
 
 
@@ -435,7 +436,7 @@ def _mixed_doc(failing):
 def test_emit_counts_once(tmp_path, capsys, monkeypatch, failing):
     """Summary line, written summary and exit code of a mixed report, from column counts.
 
-    No Python walk over the rows: the row view is never iterated or indexed.
+    No Python walk over the rows: `results` is never iterated or indexed.
     Each block is counted once for the summary line and the exit code and
     once in the writer, and only the failed records are read back as rows,
     for their lines.

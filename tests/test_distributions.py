@@ -151,7 +151,7 @@ def test_wlambda_contraction_bound(a5):
 def test_sweep_wlambda_uniform_y_passes(a5):
     # at seed 1 a sparse Y covers all of A:5: the bound is 0 and lambda must be too
     rep = sweep_wlambda(a5, trials=100, seed=1)
-    assert rep.results and rep.fail_count == 0
+    assert rep.results and rep.tally().failed == 0
 
 
 def test_wlambda_governs_all_convolutions(a5):

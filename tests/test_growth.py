@@ -220,7 +220,7 @@ def test_dichotomy_branches(a5, psl27):
 
 def test_gluck_report(psl27, a5):
     rep = gluck_report(psl27)
-    assert rep.fail_count == 0
+    assert rep.tally().failed == 0
     assert rep.meta["q"] == 7
     # R_max for this group is sqrt(2)/3
     assert rep.meta["r_max"] == pytest.approx(math.sqrt(2) / 3, abs=1e-8)
@@ -252,7 +252,7 @@ def test_word_growth_squares(a5):
     rep = word_growth_report(a5, "xx", "xx")
     # squares miss the involutions: 1 + 20 + 12 + 12
     assert rep.meta["image1_size"] == rep.meta["image2_size"] == 45
-    assert rep.fail_count == 0
+    assert rep.tally().failed == 0
     assert len(rep.results) == a5.classes.n_classes - 1
 
 
@@ -267,7 +267,7 @@ def test_word_growth_identity_word(a5):
 def test_frobenius_oracle_exhaustive(a5):
     rep = frobenius_oracle_report(a5)
     assert len(rep.results) == 125
-    assert rep.fail_count == 0
+    assert rep.tally().failed == 0
 
 
 def _counting_pair_count(monkeypatch):
@@ -316,16 +316,17 @@ def test_sweeps_on_small_group(a5):
     ct = a5.classes
     rep = sweep_2step(a5, trials=2, seed=0)
     assert len(rep.results) == 62
-    assert rep.fail_count == 0
+    assert rep.tally().failed == 0
     rep = sweep_gowers2(a5, unions=False)
     assert len(rep.results) == ct.n_classes * ct.n_classes * (ct.n_classes - 1)
-    assert rep.fail_count == 0 and rep.skip_count > 0
+    tally = rep.tally()
+    assert tally.failed == 0 and tally.skipped > 0
     rep = sweep_asymp(a5, trials=3, seed=2)
     assert len(rep.results) == 3 * ct.n_classes
-    assert rep.fail_count == 0
+    assert rep.tally().failed == 0
     rep = sweep_dichotomy(a5)
     assert len(rep.results) == 30
-    assert rep.fail_count == 0
+    assert rep.tally().failed == 0
     assert min(r.margin for r in rep.results if not r.skipped) >= 0
 
 
@@ -498,7 +499,7 @@ def test_brute_force_sample_catches_a_wrong_tensor(a5):
     with pytest.raises(CountMismatch):
         sweep_dichotomy(ctx)
     # the context's own table keeps its own tensor
-    assert sweep_dichotomy(a5).fail_count == 0
+    assert sweep_dichotomy(a5).tally().failed == 0
 
 
 def test_classes_met_alone_catch_the_missing_involutions(a5, monkeypatch):

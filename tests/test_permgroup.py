@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import math
 from types import SimpleNamespace
@@ -490,12 +491,12 @@ def test_parse_word():
 
 
 def test_word_image_identity_word(a5):
-    img = word_image(a5.group, "x")
+    img = word_image(a5.classes, "x")
     assert img.sum() == 60
 
 
 def test_word_image_squares(a5):
-    img = word_image(a5.group, "xx")
+    img = word_image(a5.classes, "xx")
     assert img.sum() == 45
     assert img[0]
     # independent brute force
@@ -505,32 +506,40 @@ def test_word_image_squares(a5):
 
 
 def test_word_image_commutators(psl27):
-    img = word_image(psl27.group, "xyXY")
+    img = word_image(psl27.classes, "xyXY")
     assert img.sum() == 168
 
 
-def test_word_image_two_letter_brute():
-    g = build_symmetric(4)
-    img = word_image(g, "xxyy")
-    brute = {
-        int(g.mul(g.mul(i, i), g.mul(j, j)))
-        for i in range(g.n)
-        for j in range(g.n)
-    }
-    assert set(np.flatnonzero(img).tolist()) == brute
+@functools.cache
+def _classes(spec):
+    return compute_classes(parse_group_spec(spec))
+
+
+def _brute_image(g, word):
+    """Elements w(x, y) over all n^2 pairs, the word's letters taken unreduced."""
+    x, y = np.arange(g.n)[:, None], np.arange(g.n)[None, :]
+    values = {"x": x, "X": g.inverse_of[x], "y": y, "Y": g.inverse_of[y]}
+    w = g.identity
+    for letter in word:
+        w = g.mul(w, values[letter])
+    return set(np.unique(w).tolist())
+
+
+@pytest.mark.parametrize("word", ["x", "xx", "yyy", "xyXY", "xxyy", "xyyX", "xyxY", "xxYxy"])
+@pytest.mark.parametrize("spec", ["A:5", "S:5", "PSL2:7", "PSL2:11", "PSL3:2"])
+def test_word_image_two_letter_brute(spec, word):
+    """The image from class representatives is the image over all of G x G."""
+    ct = _classes(spec)
+    img = word_image(ct, word)
+    assert set(np.flatnonzero(img).tolist()) == _brute_image(ct.group, word)
 
 
 def test_word_image_normal(a5):
     g = a5.group
-    img = word_image(g, "xx")
+    img = word_image(a5.classes, "xx")
     idxs = np.flatnonzero(img)
     for gen in g.generators:
         assert img[g.mul(g.mul(gen, idxs), g.inv(gen))].all()
-
-
-def test_word_image_cap(a5):
-    with pytest.raises(CapExceeded):
-        word_image(a5.group, "xyXY", cap=100)
 
 
 # -- cycle-notation parsing ------------------------------------------------------

@@ -55,11 +55,10 @@ def test_counts_and_verdict():
             make_result(skipped=True),
         ],
     )
-    assert (doc.pass_count, doc.fail_count, doc.skip_count) == (1, 1, 1)
-    assert doc.verdict == "FAIL"
-    doc.results[1].passed = True
-    assert doc.verdict == "PASS"
-    assert (doc.fail_count == 0) == (doc.verdict == "PASS")
+    tally = doc.tally()
+    assert tally == (1, 1, 1) and (tally.verdict, tally.exit_code) == ("FAIL", 1)
+    tally = ReportDocument(title="demo", results=[make_result(), make_result(skipped=True)]).tally()
+    assert tally == (1, 0, 1) and (tally.verdict, tally.exit_code) == ("PASS", 0)
 
 
 def test_csv_columns_exact():
@@ -197,19 +196,27 @@ def test_writer_matches_the_stdlib_encoders(tmp_path, n):
     _assert_writes_reference(_edge_doc(n), tmp_path)
 
 
-@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("fmt", ["json", "csv", "rows"])
 def test_writer_memory_does_not_grow_with_the_report(tmp_path, fmt):
-    """Only a block of records is ever encoded at once."""
+    """Only a block of records is ever encoded, or read back as rows, at once."""
     target = str(tmp_path / f"out.{fmt}")
 
     def peak(blocks):
+        # rows that share n make one block, whose reading back must be chunked
         doc = ReportDocument(
             title="demo",
-            results=[make_result(n=i, lhs=i / 7) for i in range(blocks * RECORD_BLOCK)],
+            results=[
+                make_result(n=60 if fmt == "rows" else i, lhs=i / 7)
+                for i in range(blocks * RECORD_BLOCK)
+            ],
         )
         tracemalloc.start()
         try:
-            write_report(doc, target, fmt=fmt)
+            if fmt == "rows":
+                for _ in doc.results:
+                    pass
+            else:
+                write_report(doc, target, fmt=fmt)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -306,7 +313,7 @@ def test_writers_on_columns_match_the_stdlib_encoders(tmp_path):
 
     Chunks of RECORD_BLOCK records start inside a pair's run of classes, an
     empty block and a block without classes write nothing, and a row's int
-    lhs stays an int.
+    or numpy lhs is written as a float.
     """
     straddling, straddling_rows = _block(RECORD_BLOCK // 7 + 30, 7, seed=None)
     seeded, seeded_rows = _block(40, 3, seed=4, check='c"heck')
@@ -327,25 +334,37 @@ def test_writers_on_columns_match_the_stdlib_encoders(tmp_path):
     assert _text_of(straddling.rows()) == _text_of(straddling_rows)
     assert _text_of(seeded.rows()) == _text_of(seeded_rows)
     assert len(doc.results) == len(straddling_rows) + len(seeded_rows) + len(listed)
-    assert _text_of(doc.results) == _text_of(straddling_rows + listed[:2] + seeded_rows + listed[2:])
+    # every lhs reads back as a float
+    read = [r._replace(lhs=float(r.lhs)) for r in listed]
+    assert _text_of(doc.results) == _text_of(straddling_rows + read[:2] + seeded_rows + read[2:])
     _assert_writes_reference(doc, tmp_path)
     text = doc.to_json()
-    assert '"lhs": 5,' in text and '"lhs": NaN,' in text and '"rhs": Infinity,' in text
-    assert ",5,1.0,1.0,True\n" in doc.to_csv()
+    assert '"lhs": 5.0,' in text and '"lhs": NaN,' in text and '"rhs": Infinity,' in text
+    assert ",5.0,1.0,1.0,True\n" in doc.to_csv() and ",61,A=class:1,0.5,1.0,1.0,True\n" in doc.to_csv()
 
 
-def test_row_view_writes_the_columns():
-    block, _ = _block(3, 2, seed=None)
+def test_rows_read_back_are_the_rows_added():
+    """Indexing and iterating `results` give immutable `CheckResult`s, equal to the rows added."""
+    block, rows = _block(3, 2, seed=None)
+    listed = [make_result(lhs=0.5, seed=1, note="x"), make_result(passed=False, skipped=True)]
     doc = ReportDocument(title="demo", results=block)
-    before = doc.tally()
-    row = doc.results[-2]
+    doc.add(listed)
+    added = rows + listed
+    assert all(type(r) is CheckResult for r in doc.results)
+    # rows holding NaN are unequal to themselves, so compare their text
+    assert _text_of(doc.results) == _text_of(added)
+    indexed = [doc.results[i] for i in range(-len(added), len(added))]
+    assert all(type(r) is CheckResult for r in indexed)
+    assert _text_of(indexed) == _text_of(added * 2)
+    assert list(doc.results)[-2:] == [doc.results[-2], doc.results[-1]] == listed
+    row = doc.results[-4]
     assert (row.inputs, row.passed, row.skipped) == ("back\\slash;p=2;k=0line\nbreak\ttab", True, False)
-    row.passed = False
-    assert not block.passed[4]
-    assert doc.tally().failed == before.failed + 1
-    with pytest.raises(AttributeError):
-        row.inputs = "x"
+    before = doc.tally()
+    for name, value in (("passed", False), ("inputs", "x"), ("seed", 3)):
+        with pytest.raises(AttributeError):
+            setattr(row, name, value)
+    assert doc.tally() == before and doc.results[-4] == row
     with pytest.raises(IndexError):
-        doc.results[6]
+        doc.results[8]
     with pytest.raises(ValueError):
         Records("demo", "A5", 60, ["a", "b"], [""], [1.0], [1.0], [0.0], [True])

@@ -204,6 +204,20 @@ def test_convolve_rows_never_reads_the_characters():
     assert not _naming(reached, table_names)
 
 
+def test_word_image_never_reads_the_characters():
+    """The `words` check holds word images against character bounds.
+
+    So the images come from element products alone: `word_image` evaluates
+    the word with `mul` at the class representatives, on a certified class
+    partition, and nothing it reaches names the character table or the
+    class tensor.
+    """
+    reached = _reached_functions("permgroup.py", "word_image")
+    assert ("permgroup.py", "certify_classes") in reached
+    assert ("permgroup.py", "FiniteGroup.mul") in reached
+    assert not _naming(reached, CHARACTER_NAMES)
+
+
 # every normal x normal product, single check or sweep
 TENSOR_ROUTED = [
     "dichotomy_check",

@@ -33,7 +33,7 @@ from normgrowth.tolerances import DEFAULT, Tolerances
 
 
 def test_eigenvalues_all_nonidentity(a5):
-    s = parse_subset_expr("all-nonid", a5.group, a5.classes)
+    s = parse_subset_expr("all-nonid", a5.classes)
     ev = eigenvalues_normal(a5.table, s, DEFAULT)
     assert ev[0] == pytest.approx(1.0, abs=1e-12)
     # each nontrivial eigenvalue is -deg/(deg*59) = -1/59

@@ -91,19 +91,19 @@ def test_normal_subset_hashes_by_its_classes(a5):
 
 
 def test_parse_class_exprs(a5):
-    g, ct = a5.group, a5.classes
-    one = parse_subset_expr("class:2", g, ct)
+    ct = a5.classes
+    one = parse_subset_expr("class:2", ct)
     assert one.class_indices == (2,)
-    many = parse_subset_expr("classes:0,2,3", g, ct)
+    many = parse_subset_expr("classes:0,2,3", ct)
     assert many.class_indices == (0, 2, 3)
-    nonid = parse_subset_expr("all-nonid", g, ct)
+    nonid = parse_subset_expr("all-nonid", ct)
     assert nonid.class_indices == tuple(range(1, ct.n_classes))
     assert nonid.size == 59
 
 
 def test_parse_complement_real(psl27):
-    g, ct = psl27.group, psl27.classes
-    s = parse_subset_expr("complement-real", g, ct)
+    ct = psl27.classes
+    s = parse_subset_expr("complement-real", ct)
     # exactly the two non-real classes of order 7
     assert len(s.class_indices) == 2
     for k in s.class_indices:
@@ -111,21 +111,21 @@ def test_parse_complement_real(psl27):
 
 
 def test_parse_word_expr(a5):
-    g, ct = a5.group, a5.classes
-    s = parse_subset_expr("word:xx", g, ct)
+    ct = a5.classes
+    s = parse_subset_expr("word:xx", ct)
     assert s.size == 45
     assert 0 in s.as_subset()
 
 
 def test_parse_errors(a5):
-    g, ct = a5.group, a5.classes
+    ct = a5.classes
     for bad in ("", "class:", "class:99", "classes:", "nope", "class:x"):
         with pytest.raises(ParseError):
-            parse_subset_expr(bad, g, ct)
+            parse_subset_expr(bad, ct)
     with pytest.raises(EmptyWord):
-        parse_subset_expr("word:", g, ct)
+        parse_subset_expr("word:", ct)
     with pytest.raises(EmptyWord):
-        parse_subset_expr("word:xX", g, ct)
+        parse_subset_expr("word:xX", ct)
 
 
 @settings(max_examples=40)
@@ -135,7 +135,7 @@ def test_expr_roundtrip(idxs):
 
     ctx = get_context("A:5")
     ns = NormalSubset.from_classes(ctx.classes, sorted(idxs))
-    back = parse_subset_expr(ns.expr(), ctx.group, ctx.classes)
+    back = parse_subset_expr(ns.expr(), ctx.classes)
     assert back.class_indices == ns.class_indices
 
 
