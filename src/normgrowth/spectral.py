@@ -1,8 +1,8 @@
 """Random-walk spectra of Cayley digraphs Cay(G, S) for a normal subset S.
 
 Arc g -> h iff g^-1 h in S.  The expansion lambda is computed twice: from
-the elements (a dense solve split by a cyclic subgroup, or Lanczos on
-M0 M0^t, which stops within k steps for k classes) and from the
+the elements (a dense solve split by a cyclic subgroup, or Arnoldi on
+M0 = M - J/n, which stops within k steps for k classes) and from the
 characters.  `convolve_rows` is the one kernel that counts products with a
 fixed set on the elements: product sets, arc counts and convolutions.
 """
@@ -21,10 +21,10 @@ from .permgroup import _CHUNK_ROWS, ClassTable, FiniteGroup
 from .subsets import NormalSubset, SubsetLike, subset_mask
 from .tolerances import DEFAULT, Tolerances
 
-# largest order solved densely; above it, lambda by Lanczos and products
+# largest order solved densely; above it, lambda by Arnoldi and products
 # by translates
 DENSE_CAP = 2500
-# one ulp of 1.0, the norm bound of M0 M0^t
+# one ulp of 1.0; |S| of them bound the rounding of one walk of a unit vector
 _ULP = float(np.finfo(np.float64).eps)
 # records of one batched check or sweep recounted on the chunked `mul` path
 BRUTE_FORCE_SAMPLE = 8
@@ -157,9 +157,11 @@ def lambda_direct(s: NormalSubset, tol: Tolerances, seed: int = 0, return_info: 
     """Second singular value of the walk matrix M of Cay(G, S).
 
     When n <= DENSE_CAP, the blocked dense solve of `deflated_lambda`; else
-    Lanczos on M0 M0^t, restricted to the complement of the all-ones
-    vector (`_lanczos_lambda`).  With `return_info`, the tuple (lambda,
-    Lanczos steps, final residual), with 0 and 0.0 on the dense route.
+    Arnoldi on M0 (`_lanczos_lambda`), on the complement G-S, again a union
+    of classes, when |S| > n/2: |S| M(S) + |G-S| M(G-S) = J, so off the
+    all-ones vector M0(S) = -(|G-S| / |S|) M0(G-S), and S = G gives 0.  With
+    `return_info`, the tuple (lambda, Krylov steps, final residual), with 0
+    and 0.0 on the dense route.
     """
     if s.size == 0:
         raise EmptySubset("connection set is empty")
@@ -168,8 +170,13 @@ def lambda_direct(s: NormalSubset, tol: Tolerances, seed: int = 0, return_info: 
         lam, steps, residual = 0.0, 0, 0.0
     elif n <= DENSE_CAP:
         lam, steps, residual = deflated_lambda(s.group, s.mask / s.size), 0, 0.0
-    else:
+    elif 2 * s.size <= n:
         lam, steps, residual = _lanczos_lambda(s, seed, tol)
+    else:
+        rest = NormalSubset.from_classes(s.ct, set(range(s.ct.n_classes)) - set(s.class_indices))
+        lam, steps, residual = _lanczos_lambda(rest, seed, tol) if rest.size else (0.0, 0, 0.0)
+        ratio = rest.size / s.size
+        lam, residual = ratio * lam, ratio * residual
     return (lam, steps, residual) if return_info else lam
 
 
@@ -182,55 +189,54 @@ def _mean_take(vec: np.ndarray, tables: np.ndarray) -> np.ndarray:
 
 
 def _lanczos_lambda(s: NormalSubset, seed: int, tol: Tolerances) -> tuple[float, int, float]:
-    """(lambda, steps, residual) of Lanczos on M0 M0^t, fully reorthogonalised.
+    """(lambda, steps, residual) of Arnoldi on M0, fully reorthogonalised.
 
-    M is a class function's convolution, so it acts as one scalar on each
-    chi-isotypic component, and so does M0 M0^t; on the complement of the
-    all-ones vector (the trivial component) the Krylov space of any start
-    has dimension at most k - 1, k the number of classes.  Lanczos stops
-    when the top Ritz pair's residual |beta_j y_j[last]| is at most
-    tol.lanczos_tol * theta_max, or when beta_j = 0; taking more than k steps
-    contradicts the bound and raises `NoConvergence`.  ||M0 M0^t|| <= 1, so
-    a theta_max below one ulp of 1 is rounding noise (S = G has no other),
-    and the residual is then measured against that ulp instead.
+    S is a union of classes, so M is central in the group algebra: M0 is
+    normal and acts as one scalar chi(S) / (chi(1) |S|) on each
+    chi-isotypic component.  Its singular values are the moduli of its
+    eigenvalues, and off the all-ones vector the Krylov space of any start
+    has dimension at most k - 1 for k classes.  Each step is one walk over
+    the table x -> x*s of `right_translates`; for S = S^-1 this is Lanczos
+    on M0.  lambda is max |theta| over the Ritz values, with no square root.
+    The top Ritz residual |h_(j+1,j) y[last]|, on M0's own scale, bounds
+    theta's distance to an eigenvalue (Bauer-Fike, condition 1 for normal
+    M0).  Stop once it is at most max(tol.lanczos_tol |theta|, |S| ulp), or
+    at h_(j+1,j) = 0: M is doubly stochastic, so one walk of a unit vector
+    errs by about |S| ulp in norm.  More than k steps contradicts the
+    Krylov bound and raises `NoConvergence`.
     """
     group = s.group
     n = group.n
     k = s.ct.n_classes
-    # row i of each table: x -> x*s_i (right) and its inverse x -> x*s_i^-1 (right_inv)
+    # row i: x -> x*s_i, so the mean of v[row] over the rows is M v
     right = group.right_translates(s.indices)
-    right_inv = np.empty_like(right)
-    points = np.arange(n, dtype=right.dtype)
-    for row, inv_row in zip(right, right_inv):
-        inv_row[row] = points
+    floor = s.size * _ULP
 
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(n)
     v -= v.mean()
     v /= np.linalg.norm(v)
     basis = np.empty((k, n))
-    alpha = np.empty(k)
-    beta = np.empty(k)
+    hess = np.zeros((k + 1, k))
     for j in range(k):
         basis[j] = v
-        w = _mean_take(_mean_take(v, right_inv), right)  # M^t then M; deflated, M0 M0^t v
+        w = _mean_take(v, right)
         w -= w.mean()  # deflate the all-ones direction
         q = basis[: j + 1]
-        c = q @ w
-        alpha[j] = c[j]
         # full reorthogonalisation, twice (Parlett ch. 6)
-        w -= c @ q
-        w -= (q @ w) @ q
-        beta[j] = np.linalg.norm(w)
-        tri = np.diag(alpha[: j + 1]) + np.diag(beta[:j], 1) + np.diag(beta[:j], -1)
-        theta, y = np.linalg.eigh(tri)
-        residual = float(beta[j] * abs(y[-1, -1]))
-        if residual <= tol.lanczos_tol * max(theta[-1], _ULP) or beta[j] == 0.0:
-            return float(np.sqrt(max(theta[-1], 0.0))), j + 1, residual
-        v = w / beta[j]
-    raise NoConvergence(
-        f"Lanczos did not stop within k = {k} steps, the Krylov dimension bound"
-    )
+        for _ in range(2):
+            c = q @ w
+            hess[: j + 1, j] += c
+            w -= c @ q
+        hess[j + 1, j] = beta = np.linalg.norm(w)
+        theta, y = np.linalg.eig(hess[: j + 1, : j + 1])
+        top = int(np.argmax(np.abs(theta)))
+        lam = float(abs(theta[top]))
+        residual = float(beta * abs(y[-1, top]))
+        if residual <= max(tol.lanczos_tol * lam, floor) or beta == 0.0:
+            return lam, j + 1, residual
+        v = w / beta
+    raise NoConvergence(f"Arnoldi did not stop within k = {k} steps, the Krylov dimension bound")
 
 
 def arc_count(s: NormalSubset, a: SubsetLike, b: SubsetLike) -> int:

@@ -45,8 +45,9 @@ class Tolerances:
     # distribution weights must sum to one within this
     dist_unit: float = 1e-12
 
-    # Lanczos above the dense cap stops once the top Ritz residual is at most
-    # this times the top Ritz value
+    # the Krylov solve above the dense cap (Arnoldi on M0) stops once the top
+    # Ritz residual is at most this times |top Ritz value|, or at most the
+    # |S| ulp rounding floor of one walk
     lanczos_tol: float = 1e-10
 
     def by_name(self) -> dict[str, float]:

@@ -25,6 +25,7 @@ from normgrowth.spectral import (
 from normgrowth.subsets import (
     NormalSubset,
     Subset,
+    enumerate_normal_subsets,
     parse_subset_expr,
     random_normal_subset,
     random_subset,
@@ -60,8 +61,9 @@ def test_eigenvalues_need_nonempty(a5):
 
 
 def test_lambda_direct_extremes(a5, s5, psl27, psl211, monkeypatch):
-    # the dense solve, then Lanczos, which settles both in one step
-    for cap, steps in ((spectral.DENSE_CAP, 0), (1, 1)):
+    # the dense solve, then the Krylov route: S = G is its empty complement,
+    # no walk at all, and S = {1} settles in one step
+    for cap, ident_steps in ((spectral.DENSE_CAP, 0), (1, 1)):
         monkeypatch.setattr(spectral, "DENSE_CAP", cap)
         for ctx in (a5, s5, psl27, psl211):
             ct = ctx.classes
@@ -69,11 +71,16 @@ def test_lambda_direct_extremes(a5, s5, psl27, psl211, monkeypatch):
             full = NormalSubset.from_classes(ct, range(ct.n_classes))
             lam, took, _ = lambda_direct(full, DEFAULT, return_info=True)
             assert lam <= DEFAULT.slack
-            assert took == steps
+            assert took == 0
+            if cap == 1:
+                # walked itself, S = G leaves only rounding noise, below the |S| ulp floor
+                lam, took, _ = spectral._lanczos_lambda(full, 0, DEFAULT)
+                assert lam <= DEFAULT.slack
+                assert took == 1
             ident = NormalSubset.from_classes(ct, [0])
             lam, took, _ = lambda_direct(ident, DEFAULT, return_info=True)
             assert lam == pytest.approx(1.0, abs=1e-12)
-            assert took == steps
+            assert took == ident_steps
 
 
 def _dense_oracle(group, weights):
@@ -134,17 +141,50 @@ def test_lanczos_matches_dense(psl27, monkeypatch):
         assert abs(lambda_direct(s, DEFAULT) - want) <= 1e-12
 
 
+@pytest.mark.parametrize("fixture", ["a5", "psl27"])
+def test_krylov_route_agrees_with_characters_on_every_union(fixture, request, monkeypatch):
+    """Unions of more than n/2 elements go through their complement."""
+    ctx = request.getfixturevalue(fixture)
+    monkeypatch.setattr(spectral, "DENSE_CAP", 1)
+    for s in enumerate_normal_subsets(ctx.classes):
+        lam, steps, _ = lambda_direct(s, DEFAULT, return_info=True)
+        assert abs(lam - lambda_normal(ctx.table, s, DEFAULT)) <= 1e-12
+        assert steps <= ctx.classes.n_classes - 1
+
+
+def test_large_unions_walk_the_smaller_complement(monkeypatch):
+    """On A:8 no translate table has more than n/2 rows; S = G builds none."""
+    ctx = get_context("A:8")
+    ct, n = ctx.classes, ctx.n
+    asked = []
+    build = ctx.group.right_translates
+    monkeypatch.setattr(ctx.group, "right_translates", lambda f: asked.append(len(f)) or build(f))
+    # the commutator word's image is all of A8
+    full = parse_subset_expr("word:xyXY", ct)
+    assert full.size == n
+    assert lambda_direct(full, DEFAULT, return_info=True) == (0.0, 0, 0.0)
+    assert asked == []
+    every = set(range(ct.n_classes))
+    for drop in ((0,), (1,), (0, 2), (13,)):
+        s = NormalSubset.from_classes(ct, every - set(drop))
+        assert 2 * s.size > n
+        assert abs(lambda_direct(s, DEFAULT) - lambda_normal(ctx.table, s, DEFAULT)) <= 1e-12
+    assert asked and max(asked) <= n // 2
+
+
 def test_lanczos_step_cap_raises(a5, monkeypatch):
-    """A stop rule that never holds runs into the cap: exactly k products, then an error."""
+    """A stop rule that never holds runs into the cap: exactly k walks, then an error."""
     s = NormalSubset.from_classes(a5.classes, [1])
     monkeypatch.setattr(spectral, "DENSE_CAP", 1)
+    # a negative tolerance and a negative rounding floor: no residual is small enough
+    monkeypatch.setattr(spectral, "_ULP", -1.0)
     steps = []
     inner = spectral._mean_take
     monkeypatch.setattr(spectral, "_mean_take", lambda *a: steps.append(1) or inner(*a))
     with pytest.raises(NoConvergence):
         lambda_direct(s, Tolerances(lanczos_tol=-1.0))
-    # two walk steps, M^t then M, per product
-    assert len(steps) == 2 * a5.classes.n_classes
+    # one walk, M v, per Krylov step
+    assert len(steps) == a5.classes.n_classes
 
 
 def test_walk_matrix_stochastic_and_normal(a5):
@@ -219,7 +259,7 @@ def test_spectral_report(psl27, monkeypatch):
     rep = spectral_report(psl27.group, psl27.classes, psl27.table, s, "class:1")
     assert rep.method == "lanczos"
     assert 1 <= rep.steps <= psl27.classes.n_classes - 1
-    assert 0.0 <= rep.residual <= DEFAULT.lanczos_tol * rep.lambda_direct ** 2
+    assert 0.0 <= rep.residual <= max(DEFAULT.lanczos_tol * rep.lambda_direct, s.size * spectral._ULP)
     assert rep.agree()
 
 
@@ -283,9 +323,10 @@ def _zero_first_max(out):
     return out
 
 
-# float.hex of Lanczos lambda at seed 0, and of the power-iteration lambda it
-# replaced, which stopped once successive Rayleigh quotients moved by 1e-9
-PSL33_LANCZOS_LAMBDA = {1: "0x1.3b13b13b13b14p-2", 11: "0x1.5555555555556p-4"}
+# float.hex of the Krylov-route lambda (Arnoldi on M0) at seed 0, and of the
+# power-iteration lambda that route replaced, which stopped once successive
+# Rayleigh quotients moved by 1e-9
+PSL33_LANCZOS_LAMBDA = {1: "0x1.3b13b13b13b12p-2", 11: "0x1.5555555555550p-4"}
 PSL33_POWER_LAMBDA = {1: "0x1.3b13b1267512ep-2", 11: "0x1.5555554a080fbp-4"}
 
 
@@ -301,11 +342,20 @@ def test_lanczos_lambda_pinned_and_resolves_few_rows(psl33, monkeypatch):
     rows = []
     inner = group.index_of
     monkeypatch.setattr(group, "index_of", lambda r: rows.append(len(np.atleast_2d(r))) or inner(r))
+    tables, walked = [], set()
+    build = group.right_translates
+    monkeypatch.setattr(group, "right_translates", lambda f: tables.append(build(f)) or tables[-1])
+    walk = spectral._mean_take
+    monkeypatch.setattr(spectral, "_mean_take", lambda v, t: walked.add(id(t)) or walk(v, t))
     k, n = len(group.generators), group.n
     for c, want in PSL33_LANCZOS_LAMBDA.items():
         s = NormalSubset.from_classes(ct, [c])
-        del rows[:]
+        del rows[:], tables[:]
+        walked.clear()
         assert float.hex(lambda_direct(s, DEFAULT, seed=0)) == want
+        # one |S| x n translate table, and every walk reads it: no inverse table
+        assert [t.shape for t in tables] == [(s.size, n)]
+        assert walked == {id(tables[0])}
         # no farther from the character route than the power-iteration pin
         char = lambda_normal(
             psl33.table, NormalSubset.from_classes(psl33.classes, [c]), DEFAULT
@@ -318,11 +368,16 @@ def test_lanczos_lambda_pinned_and_resolves_few_rows(psl33, monkeypatch):
 
 
 def test_lanczos_agrees_with_characters_above_the_cap(psl33):
-    """Every nonidentity class of PSL3:3, within the Krylov bound of k - 1 steps."""
-    ct = psl33.classes
-    assert ct.group.n > spectral.DENSE_CAP
-    for c in range(1, ct.n_classes):
-        s = NormalSubset.from_classes(ct, [c])
-        lam, steps, _ = lambda_direct(s, DEFAULT, seed=0, return_info=True)
-        assert abs(lam - lambda_normal(psl33.table, s, DEFAULT)) <= 1e-12
-        assert steps <= ct.n_classes - 1
+    """Every nonidentity class of PSL3:3 and A:8, within the Krylov bound of k - 1 steps.
+
+    Both groups have non-real classes, whose Ritz values are complex.
+    """
+    for ctx in (psl33, get_context("A:8")):
+        ct = ctx.classes
+        assert ct.group.n > spectral.DENSE_CAP
+        assert not ct.is_real.all()
+        for c in range(1, ct.n_classes):
+            s = NormalSubset.from_classes(ct, [c])
+            lam, steps, _ = lambda_direct(s, DEFAULT, seed=0, return_info=True)
+            assert abs(lam - lambda_normal(ctx.table, s, DEFAULT)) <= 1e-12
+            assert steps <= ct.n_classes - 1
