@@ -186,6 +186,7 @@ class FiniteGroup:
         self._gen_conj: Optional[list[np.ndarray]] = None
         self._division_table: Optional[np.ndarray] = None
         self._cyclic_cosets: Optional[np.ndarray] = None
+        self._coset_positions: Optional[np.ndarray] = None
         self._coset_quotients: Optional[np.ndarray] = None
         self._tree: Optional[_SpanningTree] = None
 
@@ -420,6 +421,17 @@ class FiniteGroup:
             firsts = np.flatnonzero(orbit.min(axis=0) == np.arange(self.n))
             self._cyclic_cosets = np.ascontiguousarray(orbit[:, firsts].T)
         return self._cyclic_cosets
+
+    def coset_positions(self) -> np.ndarray:
+        """pos[g] = r m + i when g = x^i t_r over `cyclic_cosets`, int32.  Cached.
+
+        The inverse of `cyclic_cosets` read row by row: n entries.
+        """
+        if self._coset_positions is None:
+            pos = np.empty(self.n, dtype=np.int32)
+            pos[self.cyclic_cosets().ravel()] = np.arange(self.n, dtype=np.int32)
+            self._coset_positions = pos
+        return self._coset_positions
 
     def coset_quotients(self) -> np.ndarray:
         """q[r, s, d] = index of t_r^-1 x^d t_s over `cyclic_cosets`.  Cached.

@@ -1,9 +1,12 @@
 """Random-walk spectra of Cayley digraphs Cay(G, S) for a normal subset S.
 
 Arc g -> h iff g^-1 h in S.  The expansion lambda is computed twice: from
-the elements (a dense solve split by a cyclic subgroup, or Arnoldi on
-M0 = M - J/n, which stops within k steps for k classes) and from the
-characters.  `convolve_rows` is the one kernel that counts products with a
+the elements and from the characters.  The element route splits
+M0 = M - J/n over the right cosets of a cyclic subgroup <x> into blocks of
+size n/m, one per root of unity of Z/m; below DENSE_CAP each block is
+solved densely, above it Arnoldi walks all blocks at once over one
+|S| x (n/m) table of coset positions, and stops within k steps for k
+classes.  `convolve_rows` is the one kernel that counts products with a
 fixed set on the elements: product sets, arc counts and convolutions.
 """
 
@@ -129,6 +132,15 @@ def _recounted(
     return counts
 
 
+def _phases(m: int) -> np.ndarray:
+    """omega[d, l] = exp(2 pi i l d / m) for d < m and l <= m/2, shape (m, m//2 + 1).
+
+    The DFT of Z/m that splits a walk over the cosets x^i t_r into blocks;
+    blocks l and m - l are complex conjugates, so l <= m/2 covers them all.
+    """
+    return np.exp(2j * np.pi / m * np.outer(np.arange(m), np.arange(m // 2 + 1)))
+
+
 def deflated_lambda(group: FiniteGroup, weights: np.ndarray) -> float:
     """Second singular value of the walk with probability weights w.
 
@@ -145,10 +157,7 @@ def deflated_lambda(group: FiniteGroup, weights: np.ndarray) -> float:
     every block.
     """
     q = group.coset_quotients()
-    m = q.shape[-1]
-    # omega[d, l] = exp(2 pi i l d / m) for l <= m/2
-    omega = np.exp(2j * np.pi / m * np.outer(np.arange(m), np.arange(m // 2 + 1)))
-    blocks = np.moveaxis((weights - 1.0 / group.n)[q] @ omega, -1, 0)
+    blocks = np.moveaxis((weights - 1.0 / group.n)[q] @ _phases(q.shape[-1]), -1, 0)
     eigs = np.linalg.eigvalsh(blocks @ blocks.conj().transpose(0, 2, 1))
     return math.sqrt(max(float(eigs[:, -1].max()), 0.0))
 
@@ -157,9 +166,11 @@ def lambda_direct(s: NormalSubset, tol: Tolerances, seed: int = 0, return_info: 
     """Second singular value of the walk matrix M of Cay(G, S).
 
     When n <= DENSE_CAP, the blocked dense solve of `deflated_lambda`; else
-    Arnoldi on M0 (`_lanczos_lambda`), on the complement G-S, again a union
-    of classes, when |S| > n/2: |S| M(S) + |G-S| M(G-S) = J, so off the
-    all-ones vector M0(S) = -(|G-S| / |S|) M0(G-S), and S = G gives 0.  With
+    Arnoldi on the coset blocks of M0 (`_lanczos_lambda`), on the
+    complement G-S, again a union of classes, when |S| > n/2:
+    |S| M(S) + |G-S| M(G-S) = J, so off the all-ones vector
+    M0(S) = -(|G-S| / |S|) M0(G-S), and S = G gives 0 with no table.  Both
+    routes read only element products and the roots of unity of Z/m.  With
     `return_info`, the tuple (lambda, Krylov steps, final residual), with 0
     and 0.0 on the dense route.
     """
@@ -180,54 +191,74 @@ def lambda_direct(s: NormalSubset, tol: Tolerances, seed: int = 0, return_info: 
     return (lam, steps, residual) if return_info else lam
 
 
-def _mean_take(vec: np.ndarray, tables: np.ndarray) -> np.ndarray:
-    """The mean over the rows t of `tables` of vec[t]: one walk step."""
-    acc = np.zeros_like(vec)
-    for t in tables:
-        acc += vec.take(t)  # take, unlike [], reads an int32 index without a copy
-    return acc / len(tables)
+def _coset_table(s: NormalSubset) -> np.ndarray:
+    """T[s, r] = pos[t_r s] over `coset_positions`, shape (|S|, n/m), int32.
+
+    t_r s = x^d t_r' sits at r' m + d.  One blocked `mul` of the n/m coset
+    representatives against S.
+    """
+    group = s.group
+    reps = group.cyclic_cosets()[:, 0]
+    return group.coset_positions().take(group.mul(reps, s.indices[:, None]))
+
+
+def _coset_walk(u: np.ndarray, table: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """One walk step on every block l <= m/2 at once, u of shape (n/m, m//2 + 1).
+
+    With v(x^i t_r) = omega^(li) u[r, l], (Mv)(x^i t_r) = omega^(li) (B_l u)[r],
+    where (B_l u)[r] = mean over s of omega^(ld) u[r', l] and t_r s = x^d t_r'.
+    So P[r' m + d, l] = u[r', l] omega^(ld), and each s adds the rows T[s] of P.
+    """
+    p = (u[:, None, :] * phases).reshape(-1, u.shape[1])
+    acc = np.zeros_like(u)
+    for t in table:
+        acc += p.take(t, axis=0)  # per-row take beats one fancy index or a scatter
+    return acc / len(table)
 
 
 def _lanczos_lambda(s: NormalSubset, seed: int, tol: Tolerances) -> tuple[float, int, float]:
-    """(lambda, steps, residual) of Arnoldi on M0, fully reorthogonalised.
+    """(lambda, steps, residual) of Arnoldi on the coset blocks of M0, fully reorthogonalised.
 
-    S is a union of classes, so M is central in the group algebra: M0 is
-    normal and acts as one scalar chi(S) / (chi(1) |S|) on each
-    chi-isotypic component.  Its singular values are the moduli of its
-    eigenvalues, and off the all-ones vector the Krylov space of any start
-    has dimension at most k - 1 for k classes.  Each step is one walk over
-    the table x -> x*s of `right_translates`; for S = S^-1 this is Lanczos
-    on M0.  lambda is max |theta| over the Ritz values, with no square root.
-    The top Ritz residual |h_(j+1,j) y[last]|, on M0's own scale, bounds
-    theta's distance to an eigenvalue (Bauer-Fike, condition 1 for normal
-    M0).  Stop once it is at most max(tol.lanczos_tol |theta|, |S| ulp), or
-    at h_(j+1,j) = 0: M is doubly stochastic, so one walk of a unit vector
-    errs by about |S| ulp in norm.  More than k steps contradicts the
-    Krylov bound and raises `NoConvergence`.
+    The DFT over the cosets x^i t_r of <x> splits M0 unitarily into blocks
+    B_l, l < m, with B_(m-l) = conj(B_l); the walk is on their direct sum
+    for l <= m/2 (`_coset_walk`), with the all-ones vector, the constant of
+    block 0, deflated.  S is a union of classes, so M is central in the
+    group algebra: M0 is normal and acts as one scalar chi(S) / (chi(1) |S|)
+    on each chi-isotypic component.  So is the direct sum, whose
+    eigenvalues are among those of M0 and which has every modulus of them.
+    Its singular values are the moduli of its eigenvalues, and off the
+    all-ones vector the Krylov space of any start has dimension at most
+    k - 1 for k classes.  lambda is max |theta| over the Ritz values of the
+    complex Hessenberg matrix, with no square root.  The top Ritz residual
+    |h_(j+1,j) y[last]| bounds theta's distance to an eigenvalue
+    (Bauer-Fike, condition 1 for a normal operator).  Stop once it is at
+    most max(tol.lanczos_tol |theta|, |S| ulp), or at h_(j+1,j) = 0: M is
+    doubly stochastic, so one walk of a unit vector errs by about |S| ulp
+    in norm.  More than k steps contradicts the Krylov bound and raises
+    `NoConvergence`.
     """
-    group = s.group
-    n = group.n
     k = s.ct.n_classes
-    # row i: x -> x*s_i, so the mean of v[row] over the rows is M v
-    right = group.right_translates(s.indices)
+    table = _coset_table(s)
+    phases = _phases(s.group.cyclic_cosets().shape[1])
     floor = s.size * _ULP
 
     rng = np.random.default_rng(seed)
-    v = rng.standard_normal(n)
-    v -= v.mean()
+    shape = (table.shape[1], phases.shape[1])
+    v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    v[:, 0] -= v[:, 0].mean()
     v /= np.linalg.norm(v)
-    basis = np.empty((k, n))
-    hess = np.zeros((k + 1, k))
+    basis = np.empty((k,) + shape, dtype=complex)
+    hess = np.zeros((k + 1, k), dtype=complex)
     for j in range(k):
         basis[j] = v
-        w = _mean_take(v, right)
-        w -= w.mean()  # deflate the all-ones direction
+        w = _coset_walk(v, table, phases)
+        w[:, 0] -= w[:, 0].mean()  # deflate the all-ones direction
         q = basis[: j + 1]
         # full reorthogonalisation, twice (Parlett ch. 6)
         for _ in range(2):
-            c = q @ w
+            c = np.tensordot(q.conj(), w, axes=2)
             hess[: j + 1, j] += c
-            w -= c @ q
+            w -= np.tensordot(c, q, axes=1)
         hess[j + 1, j] = beta = np.linalg.norm(w)
         theta, y = np.linalg.eig(hess[: j + 1, : j + 1])
         top = int(np.argmax(np.abs(theta)))

@@ -323,6 +323,11 @@ def test_cyclic_cosets_partition_the_group(make):
     assert g.cyclic_cosets() is idx
     # q[r, s, d] = t_r^-1 x^d t_s, the division-table rows of the representatives
     assert (g.coset_quotients() == g.division_table()[idx[:, 0]][:, idx]).all()
+    # pos[x^i t_r] = r m + i, the inverse of the coset order
+    pos = g.coset_positions()
+    assert pos.dtype == np.int32
+    assert (pos[idx] == np.arange(g.n).reshape(idx.shape)).all()
+    assert g.coset_positions() is pos
 
 
 # -- conjugacy classes -----------------------------------------------------------

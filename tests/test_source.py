@@ -172,13 +172,16 @@ CHARACTER_NAMES = {
 def test_element_lambda_never_reads_the_characters(name):
     """The element route to lambda is checked against the character route.
 
-    So nothing it reaches may use the character table or the class tensor;
-    the cyclic-subgroup blocks of `deflated_lambda` and the translates of
-    Lanczos come from the elements' spanning tree.
+    So nothing it reaches may use the character table or the class tensor.
+    The cyclic-subgroup blocks of both routes come from the elements'
+    spanning tree, and Arnoldi's coset table from `mul`, with no translate
+    table.
     """
     reached = _reached_functions("spectral.py", name)
     if name == "lambda_direct":
         assert ("spectral.py", "_lanczos_lambda") in reached
+        assert ("permgroup.py", "FiniteGroup.mul") in reached
+        assert ("permgroup.py", "FiniteGroup.right_translates") not in reached
     assert ("permgroup.py", "FiniteGroup.cyclic_cosets") in reached
     assert ("permgroup.py", "FiniteGroup._spanning_tree") in reached
     assert ("permgroup.py", "FiniteGroup._tree_walk") in reached

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -132,19 +133,28 @@ def test_lambda_routes_agree(fixture, request):
         )
 
 
-def test_lanczos_matches_dense(psl27, monkeypatch):
-    ct = psl27.classes
-    subsets = [NormalSubset.from_classes(ct, [c]) for c in range(1, ct.n_classes)]
+def test_lanczos_matches_dense(psl27, s5, monkeypatch):
+    """S:5's x has even order 6, so the Krylov route walks the real block l = m/2."""
+    subsets = [
+        NormalSubset.from_classes(ctx.classes, [c])
+        for ctx in (psl27, s5)
+        for c in range(1, ctx.classes.n_classes)
+    ]
     dense = [lambda_direct(s, DEFAULT) for s in subsets]
     monkeypatch.setattr(spectral, "DENSE_CAP", 1)
     for s, want in zip(subsets, dense):
         assert abs(lambda_direct(s, DEFAULT) - want) <= 1e-12
 
 
-@pytest.mark.parametrize("fixture", ["a5", "psl27"])
+@pytest.mark.parametrize("fixture", ["a5", "psl27", "s5"])
 def test_krylov_route_agrees_with_characters_on_every_union(fixture, request, monkeypatch):
-    """Unions of more than n/2 elements go through their complement."""
+    """Unions of more than n/2 elements go through their complement.
+
+    A:5 and PSL2:7 have an odd largest element order m; S:5's m = 6 adds
+    the block l = m/2, where the sign character of S:5 lives.
+    """
     ctx = request.getfixturevalue(fixture)
+    assert ctx.group.cyclic_cosets().shape[1] % 2 == (fixture != "s5")
     monkeypatch.setattr(spectral, "DENSE_CAP", 1)
     for s in enumerate_normal_subsets(ctx.classes):
         lam, steps, _ = lambda_direct(s, DEFAULT, return_info=True)
@@ -152,13 +162,18 @@ def test_krylov_route_agrees_with_characters_on_every_union(fixture, request, mo
         assert steps <= ctx.classes.n_classes - 1
 
 
+def _no_translates(*_):
+    raise AssertionError("the Krylov route built a translate table")
+
+
 def test_large_unions_walk_the_smaller_complement(monkeypatch):
-    """On A:8 no translate table has more than n/2 rows; S = G builds none."""
+    """On A:8 no coset table has more than n/2 rows of S; S = G builds none."""
     ctx = get_context("A:8")
     ct, n = ctx.classes, ctx.n
     asked = []
-    build = ctx.group.right_translates
-    monkeypatch.setattr(ctx.group, "right_translates", lambda f: asked.append(len(f)) or build(f))
+    build = spectral._coset_table
+    monkeypatch.setattr(spectral, "_coset_table", lambda s: asked.append(s.size) or build(s))
+    monkeypatch.setattr(ctx.group, "right_translates", _no_translates)
     # the commutator word's image is all of A8
     full = parse_subset_expr("word:xyXY", ct)
     assert full.size == n
@@ -179,8 +194,8 @@ def test_lanczos_step_cap_raises(a5, monkeypatch):
     # a negative tolerance and a negative rounding floor: no residual is small enough
     monkeypatch.setattr(spectral, "_ULP", -1.0)
     steps = []
-    inner = spectral._mean_take
-    monkeypatch.setattr(spectral, "_mean_take", lambda *a: steps.append(1) or inner(*a))
+    inner = spectral._coset_walk
+    monkeypatch.setattr(spectral, "_coset_walk", lambda *a: steps.append(1) or inner(*a))
     with pytest.raises(NoConvergence):
         lambda_direct(s, Tolerances(lanczos_tol=-1.0))
     # one walk, M v, per Krylov step
@@ -323,10 +338,13 @@ def _zero_first_max(out):
     return out
 
 
-# float.hex of the Krylov-route lambda (Arnoldi on M0) at seed 0, and of the
-# power-iteration lambda that route replaced, which stopped once successive
-# Rayleigh quotients moved by 1e-9
-PSL33_LANCZOS_LAMBDA = {1: "0x1.3b13b13b13b12p-2", 11: "0x1.5555555555550p-4"}
+# float.hex of the Krylov-route lambda (Arnoldi on the coset blocks of M0) at
+# seed 0, and of the power-iteration lambda that an earlier route gave, which
+# stopped once successive Rayleigh quotients moved by 1e-9.  The Arnoldi
+# route on the |S| x n translate table gave 0x1.3b13b13b13b12p-2 for class 1
+# and 0x1.5555555555550p-4 for class 11; the character values are
+# 0x1.3b13b13b13b16p-2 (4/13) and 0x1.555555555554dp-4 (1/12).
+PSL33_LANCZOS_LAMBDA = {1: "0x1.3b13b13b13b10p-2", 11: "0x1.5555555555559p-4"}
 PSL33_POWER_LAMBDA = {1: "0x1.3b13b1267512ep-2", 11: "0x1.5555554a080fbp-4"}
 
 
@@ -336,25 +354,27 @@ def psl33():
 
 
 def test_lanczos_lambda_pinned_and_resolves_few_rows(psl33, monkeypatch):
-    # a fresh group, so the translate tables are built inside the count
+    # a fresh group, so the spanning tree and the cosets are built inside the count
     group = parse_group_spec("PSL3:3")
     ct = compute_classes(group)
     rows = []
     inner = group.index_of
     monkeypatch.setattr(group, "index_of", lambda r: rows.append(len(np.atleast_2d(r))) or inner(r))
+    monkeypatch.setattr(group, "right_translates", _no_translates)
     tables, walked = [], set()
-    build = group.right_translates
-    monkeypatch.setattr(group, "right_translates", lambda f: tables.append(build(f)) or tables[-1])
-    walk = spectral._mean_take
-    monkeypatch.setattr(spectral, "_mean_take", lambda v, t: walked.add(id(t)) or walk(v, t))
+    build = spectral._coset_table
+    monkeypatch.setattr(spectral, "_coset_table", lambda s: tables.append(build(s)) or tables[-1])
+    walk = spectral._coset_walk
+    monkeypatch.setattr(spectral, "_coset_walk", lambda u, t, p: walked.add(id(t)) or walk(u, t, p))
     k, n = len(group.generators), group.n
     for c, want in PSL33_LANCZOS_LAMBDA.items():
         s = NormalSubset.from_classes(ct, [c])
         del rows[:], tables[:]
         walked.clear()
         assert float.hex(lambda_direct(s, DEFAULT, seed=0)) == want
-        # one |S| x n translate table, and every walk reads it: no inverse table
-        assert [t.shape for t in tables] == [(s.size, n)]
+        # one |S| x (n/m) coset table, and every walk reads it: no |S| x n table
+        m = group.cyclic_cosets().shape[1]
+        assert [t.shape for t in tables] == [(s.size, n // m)]
         assert walked == {id(tables[0])}
         # no farther from the character route than the power-iteration pin
         char = lambda_normal(
@@ -362,9 +382,10 @@ def test_lanczos_lambda_pinned_and_resolves_few_rows(psl33, monkeypatch):
         )
         old = float.fromhex(PSL33_POWER_LAMBDA[c])
         assert abs(float.fromhex(want) - char) <= abs(old - char)
-        # the generator tables and at most the inverses; both tables through
-        # `mul` resolved 2 n |S| rows (1 168 128 for class 1)
-        assert sum(rows) <= (k + 1) * n
+        # the generator tables, the inverses, the m powers of x and the
+        # coset table's |S| n/m products (44 928 for class 1, where one
+        # |S| x n table through `mul` would resolve 584 064)
+        assert sum(rows) <= (k + 1) * n + m + s.size * (n // m)
 
 
 def test_lanczos_agrees_with_characters_above_the_cap(psl33):
@@ -381,3 +402,24 @@ def test_lanczos_agrees_with_characters_above_the_cap(psl33):
             lam, steps, _ = lambda_direct(s, DEFAULT, seed=0, return_info=True)
             assert abs(lam - lambda_normal(ctx.table, s, DEFAULT)) <= 1e-12
             assert steps <= ct.n_classes - 1
+
+
+def test_lanczos_memory_stays_at_the_coset_table():
+    """lambda of A:8's class of 3 360 peaks well under one |S| x n table.
+
+    The coset table is |S| x n/m = 3 360 x 1 344 int32, 18 MB, and the walk
+    holds n x (m//2 + 1) complex entries, 2.6 MB.  Under `tracemalloc` the
+    coset route peaks at 70 MB; Arnoldi over the |S| x n table of
+    `right_translates`, which it replaced, peaked at 262 MB.
+    """
+    ctx = get_context("A:8")
+    s = NormalSubset.from_classes(ctx.classes, [13])
+    assert s.size == 3360
+    tracemalloc.start()
+    try:
+        lam = lambda_direct(s, DEFAULT)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(lam - lambda_normal(ctx.table, s, DEFAULT)) <= 1e-12
+    assert peak <= 128 * 2**20
