@@ -13,6 +13,10 @@ class NotBijective(NormGrowthError):
     """A permutation input is not a bijection on its points."""
 
 
+class KeyCollision(NormGrowthError):
+    """A closure's row keys collided, so some element times a generator is no enumerated row."""
+
+
 class NotGenerated(NormGrowthError):
     """The generators of a group do not reach every one of its elements."""
 

@@ -222,16 +222,19 @@ def _gowers2_block(
     """The gowers2 records of every pair and nonidentity class, from the per-class counts.
 
     |A||B| >= R(g_k)^2 n^2 forces class k inside A*B.  A record is SKIPPED
-    (not failed) when that precondition does not hold; the margin is the
-    precondition's room, negative on a skipped record.  |A||B| <= n^2 <
-    2^53, so the int64 sizes convert to float64 exactly and the int-versus-
-    float test has the bits of an exact comparison.
+    (not failed) when that precondition does not hold.  The margin is the
+    precondition's room, negative on a skipped record, except on a failed
+    record: there it is -|C_k|, the size of the class the product set
+    missed.  |A||B| <= n^2 < 2^53, so the int64 sizes convert to float64
+    exactly and the int-versus-float test has the bits of an exact
+    comparison.
     """
     n, k = ctx.n, len(ratios)
     pre_lhs = np.array([a.size * b.size for a, b in pairs], dtype=np.int64)[:, None]
     pre_rhs = ratios[1:] * ratios[1:] * n * n
     skipped = pre_lhs < pre_rhs
     met = counts[:, 1:] > 0
+    missed = -ctx.classes.sizes[1:].astype(np.float64)
     shape = skipped.shape
     # note codes: 0 none, 1 the precondition, 1 + c class c not covered
     notes = ("", "precondition |A||B| >= R^2 n^2 not met") + tuple(
@@ -241,7 +244,7 @@ def _gowers2_block(
         "gowers2", ctx.label, n, prefixes, [str(c) for c in range(1, k)],
         np.broadcast_to(pre_lhs.astype(np.float64), shape),
         np.broadcast_to(pre_rhs, shape),
-        pre_lhs - pre_rhs,
+        np.where(skipped | met, pre_lhs - pre_rhs, missed),
         skipped | met,
         skipped,
         np.where(skipped, 1, np.where(met, 0, np.arange(2, k + 1))),

@@ -22,6 +22,7 @@ from .errors import (
     CapExceeded,
     ClassPartitionError,
     EmptyWord,
+    KeyCollision,
     NormGrowthError,
     NotBijective,
     NotGenerated,
@@ -448,6 +449,21 @@ class FiniteGroup:
         return f"FiniteGroup({self.label}, n={self.n}, degree={self.degree})"
 
 
+def _key_constants(degree: int) -> np.ndarray:
+    """One odd 64-bit constant per point: splitmix64 outputs from state 0, low bit set.
+
+    A row's key is its dot product with these, mod 2^64.  Pure Python, so
+    building a group imports no `numpy.random`.
+    """
+    mask, state, out = (1 << 64) - 1, 0, []
+    for _ in range(degree):
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        out.append(z ^ (z >> 31) | 1)
+    return np.array(out, dtype=np.uint64)
+
+
 def closure(
     generators: Sequence[Permutation],
     cap: int = DEFAULT_ORDER_CAP,
@@ -461,6 +477,18 @@ def closure(
     Elements are discovered in breadth-first order, identity first, with the
     generators applied in the given order; this fixes the canonical element
     indexing for everything downstream.
+
+    The BFS goes one layer at a time.  Each row has a 64-bit key, its dot
+    product with `_key_constants` mod 2^64, and the key of x*g is x's row
+    dotted with the constants permuted by g^-1, so the frontier's products
+    are keyed in blocks of _CHUNK_ROWS entries without forming them.  The
+    next layer is the first occurrence, frontier-major and generator-minor,
+    of each key not seen before; only those rows are formed.  Keys can
+    collide, so before returning, every element times every generator is
+    looked up by key and compared in full with the row found.  Distinct keys
+    mean distinct rows, and a set that holds the identity and is closed under
+    the generators is the whole group; a product that matches no row raises
+    KeyCollision.  A group of order above `cap` raises CapExceeded.
     """
     if not generators:
         generators = []
@@ -470,34 +498,56 @@ def closure(
         for g in generators:
             if g.degree != degree:
                 raise NotBijective("generators must share one degree")
-    gen_rows = [np.asarray(g.images, dtype=np.int32) for g in generators]
-    ident = np.arange(degree, dtype=np.int32)
-    rows: list[np.ndarray] = [ident]
-    index = {ident.tobytes(): 0}
-    head = 0
-    while head < len(rows):
-        current = rows[head]
-        head += 1
-        for grow in gen_rows:
-            new = current[grow]
-            key = new.tobytes()
-            if key not in index:
-                if len(rows) >= cap:
-                    raise CapExceeded(
-                        f"closure exceeded cap of {cap} elements"
-                    )
-                index[key] = len(rows)
-                rows.append(new)
-    perms = np.vstack(rows) if rows else ident[None, :]
-    group = FiniteGroup(
+    k = len(generators)
+    gens = np.array([g.images for g in generators], dtype=np.int32).reshape(k, degree)
+    consts = _key_constants(degree)
+    # step[y, j] = consts[g_j^-1(y)]: key(x * g_j) = sum_y x(y) step[y, j]
+    step = consts[np.argsort(gens, axis=1)].T
+    block = max(1, _CHUNK_ROWS // max(1, k * degree))
+
+    frontier = np.arange(degree, dtype=np.int32)[None, :]
+    layers, layer_keys = [frontier], [frontier.astype(np.uint64) @ consts]
+    seen = layer_keys[0]
+    total = 1
+    while len(frontier):
+        key_parts, pos_parts = [], []
+        for start in range(0, len(frontier), block):
+            keys = (frontier[start:start + block].astype(np.uint64) @ step).ravel()
+            keys, first = np.unique(keys, return_index=True)
+            fresh = seen[np.minimum(np.searchsorted(seen, keys), len(seen) - 1)] != keys
+            key_parts.append(keys[fresh])
+            pos_parts.append(first[fresh] + start * k)
+        # blocks run in frontier order, so a key's first entry is its first product
+        new_keys, first = np.unique(np.concatenate(key_parts), return_index=True)
+        if total + len(new_keys) > cap:
+            raise CapExceeded(f"closure exceeded cap of {cap} elements")
+        pos = np.concatenate(pos_parts)[first]
+        order = np.argsort(pos)
+        pos = pos[order]
+        frontier = np.take_along_axis(frontier[pos // k], gens[pos % k], axis=1)
+        layers.append(frontier)
+        layer_keys.append(new_keys[order])
+        seen = np.insert(seen, np.searchsorted(seen, new_keys), new_keys)
+        total += len(pos)
+
+    perms = np.concatenate(layers)
+    keys = np.concatenate(layer_keys)
+    key_order = np.argsort(keys)
+    for start in range(0, total, block):
+        rows = perms[start:start + block]
+        found = key_order[np.minimum(np.searchsorted(seen, rows.astype(np.uint64) @ step), total - 1)]
+        if not (perms[found] == rows[:, gens]).all():
+            raise KeyCollision(f"{label}: a product matches no enumerated row")
+        if start == 0:
+            generator_indices = found[0]  # identity * g_j = g_j
+    return FiniteGroup(
         perms,
         label=label,
-        generator_indices=[index[r.tobytes()] for r in gen_rows],
+        generator_indices=generator_indices,
         characteristic=characteristic,
         field_order=field_order,
         simple=simple,
     )
-    return group
 
 
 def closure_of_order(

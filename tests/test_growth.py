@@ -711,7 +711,10 @@ def test_recount_above_the_cap_takes_the_other_route(a5, monkeypatch):
 
 
 def _gowers2_reference(group, ratios, a, b, counts):
-    """The gowers2 records of one pair, one at a time, as the sweep built them before columns."""
+    """The gowers2 records of one pair, one at a time, as the sweep built them before columns.
+
+    A failed record's margin is minus the size of the class it missed.
+    """
     n = group.n
     pre_lhs = a.size * b.size
     prefix = f"A={a.expr()};B={b.expr()};k="
@@ -725,10 +728,11 @@ def _gowers2_reference(group, ratios, a, b, counts):
             note = "precondition |A||B| >= R^2 n^2 not met"
         else:
             note = "" if covered else f"class {k} not inside the product set"
+        margin = float(pre_lhs - pre_rhs) if covered else -float(a.ct.sizes[k])
         out.append(
             CheckResult(
                 "gowers2", group.label, n, f"{prefix}{k}", float(pre_lhs), float(pre_rhs),
-                float(pre_lhs - pre_rhs), covered, skipped, note=note,
+                margin, covered, skipped, note=note,
             )
         )
     return out
@@ -804,6 +808,23 @@ def test_builders_match_the_scalar_records_on_failing_counts(a5):
     suffixes = [str(k) for k in range(ct.n_classes)]
     rep = ReportDocument("asymp", growth._asymp_block(a5, ratios, pairs, counts, prefixes, suffixes))
     _assert_same_records(rep, want)
+
+
+def test_gowers2_failed_records_have_a_negative_margin(a5):
+    """A zeroed class count fails its record with margin -|C_k|; no other record goes negative unskipped."""
+    ct = a5.classes
+    ratios = growth._class_ratios(a5.table)
+    pool = growth._union_sweep(ct, include_identity_class=True, seed=0)
+    pairs, prefixes = growth._pool_pairs(pool)
+    counts = class_pair_counts(ct, pairs)
+    counts[:, 3] = 0
+    block = growth._gowers2_block(a5, ratios, pairs, counts, prefixes)
+    rows = list(block.rows())
+    failed = [not r.passed for r in rows]
+    assert sum(failed) > 0
+    assert [r.margin < 0 and not r.skipped for r in rows] == failed
+    assert {r.margin for r in rows if not r.passed} == {-float(ct.sizes[3])}
+    assert all(r.inputs.endswith("k=3") for r in rows if not r.passed)
 
 
 def test_asymp_trials_match_the_scalar_records(psl27):

@@ -1,6 +1,9 @@
 import functools
 import hashlib
 import math
+import os
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,11 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import normgrowth
 from normgrowth import permgroup
 from normgrowth.context import PROFILE_FULL, parse_group_spec
 from normgrowth.errors import (
     CapExceeded,
     EmptyWord,
+    KeyCollision,
     NormGrowthError,
     NotBijective,
     NotGenerated,
@@ -110,6 +115,51 @@ def test_closure_cap():
     ]
     with pytest.raises(CapExceeded):
         closure(gens, cap=59)
+
+
+def _reference_closure(generators, cap=DEFAULT_ORDER_CAP):
+    """The per-element BFS that `closure` replaced: (perms, generator indices).
+
+    One numpy row and one `bytes` key per product, in discovery order; the
+    oracle for `closure`'s element order and generator indices.
+    """
+    degree = generators[0].degree if generators else 1
+    gen_rows = [np.asarray(g.images, dtype=np.int32) for g in generators]
+    ident = np.arange(degree, dtype=np.int32)
+    rows, index = [ident], {ident.tobytes(): 0}
+    head = 0
+    while head < len(rows):
+        current = rows[head]
+        head += 1
+        for grow in gen_rows:
+            new = current[grow]
+            key = new.tobytes()
+            if key not in index:
+                if len(rows) >= cap:
+                    raise CapExceeded(f"closure exceeded cap of {cap} elements")
+                index[key] = len(rows)
+                rows.append(new)
+    return np.vstack(rows), [index[r.tobytes()] for r in gen_rows]
+
+
+def _closure_matching_reference(gens, cap=DEFAULT_ORDER_CAP):
+    """closure(gens), after checking its perms bytes and generators against the reference."""
+    perms, gen_idx = _reference_closure(gens, cap)
+    g = closure(gens, cap=cap)
+    assert g.perms.shape == perms.shape and g.perms.tobytes() == perms.tobytes()
+    assert list(g.generators) == gen_idx
+    return g
+
+
+def test_closure_matches_the_reference_on_repeats_identities_and_trivial_lists():
+    a = Permutation.from_cycles([(0, 1, 2)], 5)
+    b = Permutation.from_cycles([(0, 1, 2, 3, 4)], 5)
+    e = Permutation.identity(5)
+    point = Permutation((0,))
+    for gens in ([a, a, b], [e, a, e, b, a], [b, a, b]):
+        assert _closure_matching_reference(gens).n == 60
+    for gens in ([e], [e, e], [], [point], [point, point]):
+        assert _closure_matching_reference(gens).n == 1
 
 
 def test_closure_identity_first_and_unique():
@@ -232,7 +282,8 @@ def test_sorted_fallback_matches_permutations():
 # so that spanning-tree positions are not element indices
 TRANSLATE_GROUPS = {
     **{spec: (lambda spec=spec: parse_group_spec(spec))
-       for spec in ("S:5", "A:7", "PSL2:8", "PSL2:9", "PSL2:11", "PSL3:2", "PSL3:3", "PSL3:4")},
+       for spec in ("S:5", "A:7", "A:8", "PSL2:8", "PSL2:9", "PSL2:11", "PSL2:16", "PSL2:31",
+                    "PSL3:2", "PSL3:3", "PSL3:4")},
     "trivial": lambda: closure([Permutation((0,))], cap=2),
     "C6": lambda: closure([Permutation.from_cycles([(0, 1, 2, 3, 4, 5)], 6)]),
     "sorted": lambda: a5_on(PAST_TABLE),
@@ -262,6 +313,92 @@ def test_translates_match_mul(name):
     assert g.left_translates(idx[:0]).shape == (0, g.n)
     with pytest.raises(IndexError):
         g.left_translates([g.n])
+
+
+@pytest.mark.parametrize("name", sorted(TRANSLATE_GROUPS))
+def test_closure_matches_the_reference(name):
+    """The layered BFS gives the per-element BFS's element order, and stops at the cap."""
+    g = TRANSLATE_GROUPS[name]()
+    gens = [g.permutation(i) for i in g.generators]
+    h = _closure_matching_reference(gens)
+    if not name.endswith("reordered"):
+        assert h.perms.tobytes() == g.perms.tobytes()
+    assert closure(gens, cap=h.n).n == h.n
+    if h.n > 1:
+        with pytest.raises(CapExceeded):
+            closure(gens, cap=h.n - 1)
+
+
+# key constants that collide: with either one, the keys of the permutations of
+# degree d take fewer values than each named group has elements, so the BFS
+# must drop an element
+_STEP = 0x9E3779B97F4A7C15
+COLLIDING_KEYS = {
+    "one-constant": lambda degree: np.full(degree, _STEP, dtype=np.uint64),
+    "progression": lambda degree: np.arange(1, degree + 1, dtype=np.uint64) * np.uint64(_STEP),
+}
+
+
+@pytest.mark.parametrize("keys", sorted(COLLIDING_KEYS))
+@pytest.mark.parametrize("spec", sorted(name for name in TRANSLATE_GROUPS if ":" in name))
+def test_colliding_keys_never_return_a_group(monkeypatch, keys, spec):
+    """Keys that collide drop elements from the BFS; the row-by-row certificate catches it."""
+    monkeypatch.setattr(permgroup, "_key_constants", COLLIDING_KEYS[keys])
+    with pytest.raises(KeyCollision):
+        parse_group_spec(spec)
+
+
+def _run_child(script: str, *flags: str) -> str:
+    """Run `script` in a fresh interpreter on this checkout's package; return its stdout."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(normgrowth.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, *flags, "-c", script], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert run.returncode == 0, run.stderr
+    return run.stdout
+
+
+def test_colliding_keys_raise_under_python_O():
+    """The certificate is a typed error, not an assert that -O strips."""
+    script = (
+        "import numpy as np\n"
+        "from normgrowth import permgroup\n"
+        "from normgrowth.context import parse_group_spec\n"
+        "from normgrowth.errors import KeyCollision\n"
+        f"permgroup._key_constants = lambda d: np.full(d, {_STEP}, dtype=np.uint64)\n"
+        "try:\n"
+        "    print('returned', parse_group_spec('PSL3:2').n)\n"
+        "except KeyCollision:\n"
+        "    print('KeyCollision', __debug__)\n"
+    )
+    assert _run_child(script, "-O").split() == ["KeyCollision", "False"]
+
+
+# peak RSS of a child building PSL3:4 (n = 20 160, degree 21, 12 generators):
+# 38.7 MB with layered keys, 42.9 MB for the per-element BFS, 69.8 MB for a BFS
+# that formed whole layers of product rows
+PSL34_BUILD_PEAK_MB = 48
+
+
+def test_closure_memory_stays_bounded():
+    """parse_group_spec("PSL3:4") in a child process: a stated peak RSS, and no numpy.random.
+
+    The peak is VmHWM, the high-water mark of the child's own address space;
+    ru_maxrss would also count the forking parent's resident set.
+    """
+    script = (
+        "import sys\n"
+        "from normgrowth.context import parse_group_spec\n"
+        "g = parse_group_spec('PSL3:4')\n"
+        "with open('/proc/self/status') as fh:\n"
+        "    peak = next(line.split()[1] for line in fh if line.startswith('VmHWM:'))\n"
+        "print(g.n, 'numpy.random' in sys.modules, peak)\n"
+    )
+    n, random_loaded, peak_kb = _run_child(script).split()
+    assert n == "20160" and random_loaded == "False"
+    assert int(peak_kb) / 1024 < PSL34_BUILD_PEAK_MB
 
 
 @pytest.mark.parametrize("bad", [-1, 24])
@@ -567,7 +704,7 @@ def test_generators_from_text_builds_group():
 @given(st.lists(perm_images, min_size=1, max_size=3))
 def test_closure_always_a_group(gen_images):
     gens = [Permutation(im) for im in gen_images]
-    g = closure(gens, cap=720)
+    g = _closure_matching_reference(gens, cap=720)
     # closed under products and inverses
     rng = np.random.default_rng(1)
     idx = rng.integers(0, g.n, size=min(10, g.n))

@@ -50,6 +50,10 @@ ELEMENT_ORDER = {
         "525ca9d4c023ceb6fa949a292ff80e460540e3ba650fff5d9bf292a02ecfe019",
         [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12],
     ),
+    "A:8": ("d7174d7a85cbc9256e6107875c7430f5b62802bf2471d183924af704fbbc397d", [1, 2]),
+    "PSL2:16": ("9c821728376d266c1c438eb1230e98e7869eed2e52dbff1d2c4bc86dba246af7", [1, 2, 3, 4, 5, 6, 7, 8]),
+    # degree 32, the largest degree the builders reach under the order cap
+    "PSL2:31": ("5573b90ef034587ac3e84c151ffc1ce231366da7457d6887fcb66a40c0cbcbcc", [1, 2]),
 }
 
 
