@@ -17,10 +17,6 @@ class KeyCollision(NormGrowthError):
     """A closure's row keys collided, so some element times a generator is no enumerated row."""
 
 
-class NotGenerated(NormGrowthError):
-    """The generators of a group do not reach every one of its elements."""
-
-
 class NotPrimePower(NormGrowthError):
     """A field size is not a supported prime power."""
 

@@ -6,8 +6,8 @@ by their row index.  Arbitrary products go through `FiniteGroup.mul`, which
 resolves image rows back to indices through their images on a small base of
 points: a direct-address table when it fits, a sorted key search otherwise.
 Whole-group translates go through `left_translates` and `right_translates`,
-which gather along a spanning tree from the generator tables and resolve no
-image row.
+which gather along the BFS spanning tree that `closure` records, from the
+generator tables its certificate looked up, and resolve no image row.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .errors import (
     KeyCollision,
     NormGrowthError,
     NotBijective,
-    NotGenerated,
     ParseError,
 )
 
@@ -141,21 +140,18 @@ def _orders_of_rows(rows: np.ndarray) -> np.ndarray:
 
 
 class _SpanningTree(NamedTuple):
-    """A BFS spanning tree of x -> x*g over the generators g, from the identity.
+    """The BFS spanning tree of x -> x*g over the generators g that `closure` walked.
 
-    Position t holds an element x_t, position 0 the identity, and
+    Tree positions are element indices: element 0 is the identity, and
     x_t = x_parent[t] * g_j for the generator in slot j = offset[t] / n.
     `bounds` ends each BFS layer after the root's, so a layer's parents
-    all precede it.
+    all precede it.  `right` is the certificate's table of every x * g_j.
     """
 
-    parent: np.ndarray             # (n,) position of the parent
+    parent: np.ndarray             # (n,) int32: index of the parent
     offset: np.ndarray             # (n,) int32: n times the slot of the last step
-    bounds: list[int]              # end position of each layer
+    bounds: list[int]              # end index of each layer
     right: np.ndarray              # (k n,) int32: right[j n + x] = x * g_j
-    left_inv: np.ndarray           # (k n,) int32: left_inv[j n + y] = g_j^-1 * y
-    left_cols: Optional[np.ndarray]  # position of each element; None when it is the index
-    right_cols: np.ndarray         # position of each element's inverse
 
 
 class FiniteGroup:
@@ -163,14 +159,16 @@ class FiniteGroup:
 
     Element 0 is always the identity.  `perms[i]` is the image row of element
     i; products of known elements are resolved back to indices through their
-    images on a base of points whose pointwise stabilizer is trivial.
+    images on a base of points whose pointwise stabilizer is trivial.  Built
+    by `closure` alone, which hands over the spanning tree it certified; the
+    generators are read off the identity's row of its right table.
     """
 
     def __init__(
         self,
         perms: np.ndarray,
         label: str,
-        generator_indices: Sequence[int],
+        tree: _SpanningTree,
         characteristic: Optional[int] = None,
         field_order: Optional[int] = None,
         simple: bool = False,
@@ -178,7 +176,9 @@ class FiniteGroup:
         self.perms = np.ascontiguousarray(perms, dtype=np.int32)
         self.n, self.degree = self.perms.shape
         self.label = label
-        self.generators = tuple(int(i) for i in generator_indices)
+        self._tree = tree
+        # right[j n + 0] = identity * g_j = g_j
+        self.generators = tuple(tree.right[:: self.n].tolist())
         self.characteristic = characteristic
         self.field_order = field_order
         self.simple = simple
@@ -189,7 +189,7 @@ class FiniteGroup:
         self._cyclic_cosets: Optional[np.ndarray] = None
         self._coset_positions: Optional[np.ndarray] = None
         self._coset_quotients: Optional[np.ndarray] = None
-        self._tree: Optional[_SpanningTree] = None
+        self._left_inv: Optional[np.ndarray] = None
 
     # -- index machinery ---------------------------------------------------
 
@@ -308,65 +308,16 @@ class FiniteGroup:
 
     # -- whole-group translates ---------------------------------------------
 
-    def _spanning_tree(self) -> _SpanningTree:
-        """The BFS spanning tree that translates are gathered along.  Cached.
-
-        Its only products are the k generator tables x -> x*g, n k rows
-        through `mul`.  Candidates are taken parent by parent and generator
-        by generator, the order in which `closure` meets them, so a group
-        from `closure` has each element at the position of its index.
-        Raises NotGenerated when the generators miss an element.
-        """
-        if self._tree is None:
-            n = self.n
-            gens = np.array(self.generators, dtype=np.intp)
-            k = gens.size
-            right = self.mul(np.arange(n), gens[:, None]).reshape(k, n)
-            frontier = np.zeros(1, np.intp)
-            order, parent, step = [frontier], [frontier], [frontier]
-            seen = np.zeros(n, dtype=bool)
-            seen[0] = True
-            bounds = [1]
-            while frontier.size:
-                # cand[i k + j] = frontier[i] * g_j; keep the first sighting of each new element
-                cand = right[:, frontier].T.ravel()
-                fresh = np.flatnonzero(~seen[cand])
-                pick = np.sort(fresh[np.unique(cand[fresh], return_index=True)[1]])
-                parent.append(bounds[-1] - frontier.size + pick // k)
-                step.append(pick % k)
-                frontier = cand[pick]
-                seen[frontier] = True
-                order.append(frontier)
-                bounds.append(bounds[-1] + frontier.size)
-            order = np.concatenate(order)
-            if order.size != n:
-                raise NotGenerated(
-                    f"{self.label}: the generators reach {order.size} of {n} elements"
-                )
-            inv = self.inverse_of
-            pos = np.argsort(order)
-            self._tree = _SpanningTree(
-                parent=np.concatenate(parent),
-                offset=(np.concatenate(step) * n).astype(np.int32),
-                bounds=bounds[:-1],
-                right=right.ravel(),
-                # g^-1 y = (y^-1 g)^-1
-                left_inv=inv[right[:, inv]].ravel(),
-                left_cols=None if np.array_equal(order, np.arange(n)) else pos,
-                right_cols=pos[inv],
-            )
-        return self._tree
-
     def _tree_walk(
         self, seeds, steps: np.ndarray, cols: Optional[np.ndarray]
     ) -> np.ndarray:
         """out[i, x] = w[i, cols[x]] (w[i, x] when cols is None), int32.
 
         w[i, 0] = seeds[i] and w[i, t] = steps[offset[t] + w[i, parent[t]]]
-        over the tree positions t.  One gather per layer fills a block of
-        rows; blocks keep every temporary under _CHUNK_ROWS entries.
+        over the elements t, layer by layer.  One gather per layer fills a
+        block of rows; blocks keep every temporary under _CHUNK_ROWS entries.
         """
-        tree = self._spanning_tree()
+        tree = self._tree
         seeds = np.asarray(seeds).ravel()
         if seeds.size and not (0 <= seeds.min() and seeds.max() < self.n):
             raise IndexError(f"element index out of range for {self.label}")
@@ -387,17 +338,19 @@ class FiniteGroup:
         a_i x_t = (a_i x_parent) g, so each layer is one gather from the
         generator tables; no image row is resolved.
         """
-        tree = self._spanning_tree()
-        return self._tree_walk(a, tree.right, tree.left_cols)
+        return self._tree_walk(a, self._tree.right, None)
 
     def right_translates(self, f) -> np.ndarray:
         """out[i, x] = index of x * f_i, shape (len(f), n), int32.
 
         x_t^-1 f_i = g^-1 (x_parent^-1 f_i) fills the tree, and
-        x f_i is read at the position of x^-1; no image row is resolved.
+        x f_i is read at x^-1; no image row is resolved.  The table of
+        g^-1 y = (y^-1 g)^-1 is formed from `right` on first use and cached.
         """
-        tree = self._spanning_tree()
-        return self._tree_walk(f, tree.left_inv, tree.right_cols)
+        inv = self.inverse_of
+        if self._left_inv is None:
+            self._left_inv = inv[self._tree.right.reshape(-1, self.n)[:, inv]].ravel()
+        return self._tree_walk(f, self._left_inv, inv)
 
     def division_table(self) -> np.ndarray:
         """dt[g, h] = index of g^-1 * h.  Cached; quadratic memory."""
@@ -489,6 +442,11 @@ def closure(
     mean distinct rows, and a set that holds the identity and is closed under
     the generators is the whole group; a product that matches no row raises
     KeyCollision.  A group of order above `cap` raises CapExceeded.
+
+    The BFS records each element's parent and generator slot as it meets
+    it, and the certificate's lookups are the table of every x * g_j, so
+    the group gets its spanning tree (`_SpanningTree`) without a second
+    search.
     """
     if not generators:
         generators = []
@@ -507,6 +465,8 @@ def closure(
 
     frontier = np.arange(degree, dtype=np.int32)[None, :]
     layers, layer_keys = [frontier], [frontier.astype(np.uint64) @ consts]
+    # x_t = x_parent[t] * g_slot[t]; the root is its own parent
+    parents, slots, bounds = [np.zeros(1, np.intp)], [np.zeros(1, np.intp)], [1]
     seen = layer_keys[0]
     total = 1
     while len(frontier):
@@ -523,27 +483,36 @@ def closure(
             raise CapExceeded(f"closure exceeded cap of {cap} elements")
         pos = np.concatenate(pos_parts)[first]
         order = np.argsort(pos)
-        pos = pos[order]
-        frontier = np.take_along_axis(frontier[pos // k], gens[pos % k], axis=1)
+        row, slot = np.divmod(pos[order], k)
+        parents.append(total - len(frontier) + row)
+        slots.append(slot)
+        frontier = np.take_along_axis(frontier[row], gens[slot], axis=1)
         layers.append(frontier)
         layer_keys.append(new_keys[order])
         seen = np.insert(seen, np.searchsorted(seen, new_keys), new_keys)
-        total += len(pos)
+        total += len(row)
+        bounds.append(total)
 
     perms = np.concatenate(layers)
     keys = np.concatenate(layer_keys)
     key_order = np.argsort(keys)
+    right = np.empty((total, k), dtype=np.int32)
     for start in range(0, total, block):
         rows = perms[start:start + block]
         found = key_order[np.minimum(np.searchsorted(seen, rows.astype(np.uint64) @ step), total - 1)]
         if not (perms[found] == rows[:, gens]).all():
             raise KeyCollision(f"{label}: a product matches no enumerated row")
-        if start == 0:
-            generator_indices = found[0]  # identity * g_j = g_j
+        right[start:start + block] = found
+    tree = _SpanningTree(
+        parent=np.concatenate(parents).astype(np.int32),
+        offset=(np.concatenate(slots) * total).astype(np.int32),
+        bounds=bounds[:-1],  # the last layer is empty
+        right=right.T.ravel(),
+    )
     return FiniteGroup(
         perms,
         label=label,
-        generator_indices=generator_indices,
+        tree=tree,
         characteristic=characteristic,
         field_order=field_order,
         simple=simple,
@@ -594,15 +563,14 @@ def build_alternating(m: int, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     if m < 2:
         raise ParseError(f"alternating group needs at least 2 points, got {m}")
     if m == 2:
-        # trivial group acting on two points, within any cap
-        return FiniteGroup(
-            np.arange(2, dtype=np.int32)[None, :], "A2", generator_indices=[]
-        )
-    order = _factorial(m, cap, f"A{m}") // 2
-    # (0 1 2) and, past A3, an odd-length cycle: all m points or the m - 1 past 0
-    cycles = [(0, 1, 2)]
-    if m > 3:
-        cycles.append(tuple(range(m)) if m % 2 == 1 else tuple(range(1, m)))
+        # the trivial group, generated by the identity on two points
+        order, cycles = 1, [()]
+    else:
+        order = _factorial(m, cap, f"A{m}") // 2
+        # (0 1 2) and, past A3, an odd-length cycle: all m points or the m - 1 past 0
+        cycles = [(0, 1, 2)]
+        if m > 3:
+            cycles.append(tuple(range(m)) if m % 2 == 1 else tuple(range(1, m)))
     return closure_of_order(
         lambda: [Permutation.from_cycles([c], m) for c in cycles],
         order, cap, f"A{m}", simple=m >= 5,

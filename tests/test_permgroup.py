@@ -1,9 +1,6 @@
 import functools
 import hashlib
 import math
-import os
-import subprocess
-import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,16 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import normgrowth
+from conftest import PRINT_PEAK_KB, run_child
+
 from normgrowth import permgroup
 from normgrowth.context import PROFILE_FULL, parse_group_spec
 from normgrowth.errors import (
     CapExceeded,
     EmptyWord,
     KeyCollision,
-    NormGrowthError,
     NotBijective,
-    NotGenerated,
     ParseError,
 )
 from normgrowth.permgroup import (
@@ -278,8 +274,7 @@ def test_sorted_fallback_matches_permutations():
 
 
 # the groups of test_psl.py::test_element_order_pinned, two small closures,
-# one group on the sorted-key fallback, and S:4 with its elements reordered,
-# so that spanning-tree positions are not element indices
+# and one group on the sorted-key fallback
 TRANSLATE_GROUPS = {
     **{spec: (lambda spec=spec: parse_group_spec(spec))
        for spec in ("S:5", "A:7", "A:8", "PSL2:8", "PSL2:9", "PSL2:11", "PSL2:16", "PSL2:31",
@@ -287,15 +282,7 @@ TRANSLATE_GROUPS = {
     "trivial": lambda: closure([Permutation((0,))], cap=2),
     "C6": lambda: closure([Permutation.from_cycles([(0, 1, 2, 3, 4, 5)], 6)]),
     "sorted": lambda: a5_on(PAST_TABLE),
-    "S4-reordered": lambda: _reordered(build_symmetric(4)),
 }
-
-
-def _reordered(g: FiniteGroup) -> FiniteGroup:
-    """g with its non-identity elements in reverse order."""
-    order = np.concatenate([[0], np.arange(g.n - 1, 0, -1)])
-    where = np.argsort(order)
-    return FiniteGroup(g.perms[order], f"{g.label}-reordered", [where[i] for i in g.generators])
 
 
 @pytest.mark.parametrize("name", sorted(TRANSLATE_GROUPS))
@@ -321,12 +308,35 @@ def test_closure_matches_the_reference(name):
     g = TRANSLATE_GROUPS[name]()
     gens = [g.permutation(i) for i in g.generators]
     h = _closure_matching_reference(gens)
-    if not name.endswith("reordered"):
-        assert h.perms.tobytes() == g.perms.tobytes()
+    assert h.perms.tobytes() == g.perms.tobytes()
     assert closure(gens, cap=h.n).n == h.n
     if h.n > 1:
         with pytest.raises(CapExceeded):
             closure(gens, cap=h.n - 1)
+
+
+@pytest.mark.parametrize("name", sorted(TRANSLATE_GROUPS))
+def test_closure_returns_its_spanning_tree(name):
+    """The tree and right table that closure's BFS and certificate recorded.
+
+    Element t is its parent times the generator in its slot, every layer's
+    parents come before it, the right table is x * g_j through `mul`, and
+    the generators are the identity's row of that table.
+    """
+    g = TRANSLATE_GROUPS[name]()
+    tree, gens = g._tree, np.array(g.generators, dtype=np.intp)
+    assert tree.parent.dtype == tree.offset.dtype == tree.right.dtype == np.int32
+    t = np.arange(1, g.n)
+    slot = tree.offset[t] // g.n
+    assert np.array_equal(
+        g.perms[t], np.take_along_axis(g.perms[tree.parent[t]], g.perms[gens[slot]], axis=1)
+    )
+    assert tree.bounds[0] == 1 and tree.bounds[-1] == g.n
+    for lo, hi in zip(tree.bounds[:-1], tree.bounds[1:]):
+        assert lo < hi and tree.parent[lo:hi].max() < lo
+    right = tree.right.reshape(gens.size, g.n)
+    assert np.array_equal(right, g.mul(np.arange(g.n), gens[:, None]))
+    assert g.generators == tuple(right[:, 0].tolist())
 
 
 # key constants that collide: with either one, the keys of the permutations of
@@ -348,18 +358,6 @@ def test_colliding_keys_never_return_a_group(monkeypatch, keys, spec):
         parse_group_spec(spec)
 
 
-def _run_child(script: str, *flags: str) -> str:
-    """Run `script` in a fresh interpreter on this checkout's package; return its stdout."""
-    env = dict(os.environ)
-    src = os.path.dirname(os.path.dirname(normgrowth.__file__))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    run = subprocess.run(
-        [sys.executable, *flags, "-c", script], env=env, capture_output=True, text=True, timeout=300
-    )
-    assert run.returncode == 0, run.stderr
-    return run.stdout
-
-
 def test_colliding_keys_raise_under_python_O():
     """The certificate is a typed error, not an assert that -O strips."""
     script = (
@@ -373,30 +371,25 @@ def test_colliding_keys_raise_under_python_O():
         "except KeyCollision:\n"
         "    print('KeyCollision', __debug__)\n"
     )
-    assert _run_child(script, "-O").split() == ["KeyCollision", "False"]
+    assert run_child(script, "-O").split() == ["KeyCollision", "False"]
 
 
 # peak RSS of a child building PSL3:4 (n = 20 160, degree 21, 12 generators):
-# 38.7 MB with layered keys, 42.9 MB for the per-element BFS, 69.8 MB for a BFS
-# that formed whole layers of product rows
+# 39.9 MB with layered keys and the generator tables kept (38.4 MB without
+# them), 42.9 MB for the per-element BFS, 69.8 MB for a BFS that formed whole
+# layers of product rows
 PSL34_BUILD_PEAK_MB = 48
 
 
 def test_closure_memory_stays_bounded():
-    """parse_group_spec("PSL3:4") in a child process: a stated peak RSS, and no numpy.random.
-
-    The peak is VmHWM, the high-water mark of the child's own address space;
-    ru_maxrss would also count the forking parent's resident set.
-    """
+    """parse_group_spec("PSL3:4") in a child process: a stated peak RSS, and no numpy.random."""
     script = (
         "import sys\n"
         "from normgrowth.context import parse_group_spec\n"
         "g = parse_group_spec('PSL3:4')\n"
-        "with open('/proc/self/status') as fh:\n"
-        "    peak = next(line.split()[1] for line in fh if line.startswith('VmHWM:'))\n"
-        "print(g.n, 'numpy.random' in sys.modules, peak)\n"
-    )
-    n, random_loaded, peak_kb = _run_child(script).split()
+        "print(g.n, 'numpy.random' in sys.modules)\n"
+    ) + PRINT_PEAK_KB
+    n, random_loaded, peak_kb = run_child(script).split()
     assert n == "20160" and random_loaded == "False"
     assert int(peak_kb) / 1024 < PSL34_BUILD_PEAK_MB
 
@@ -412,15 +405,13 @@ def test_mul_refuses_indices_out_of_range(bad):
     assert g.mul(23, np.array([0, 23])).tolist() == [23, g.mul(23, 23)]
 
 
-def test_translates_refuse_a_group_its_generators_miss():
-    g = build_symmetric(4)
-    # the first generator alone is a transposition: it reaches 2 of the 24 elements
-    part = FiniteGroup(g.perms, "S4-part", generator_indices=g.generators[:1])
-    for _ in range(2):
-        with pytest.raises(NotGenerated, match="reach 2 of 24") as err:
-            part.right_translates([1])
-        assert isinstance(err.value, NormGrowthError)
-    assert part._tree is None
+def test_alternating_2_is_a_closure():
+    """A:2, the trivial group on two points, comes from closure like every named group."""
+    g = build_alternating(2)
+    assert (g.n, g.degree, g.label, g.generators) == (1, 2, "A2", (0,))
+    assert g.perms.tolist() == [[0, 1]]
+    assert g.left_translates([0]).tolist() == g.right_translates([0]).tolist() == [[0]]
+    assert g.division_table().tolist() == [[0]]
 
 
 def test_division_table():

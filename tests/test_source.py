@@ -173,9 +173,9 @@ def test_element_lambda_never_reads_the_characters(name):
     """The element route to lambda is checked against the character route.
 
     So nothing it reaches may use the character table or the class tensor.
-    The cyclic-subgroup blocks of both routes come from the elements'
-    spanning tree, and Arnoldi's coset table from `mul`, with no translate
-    table.
+    The cyclic-subgroup blocks of both routes come from left translates
+    along the elements' spanning tree, and Arnoldi's coset table from `mul`,
+    with no right translate table.
     """
     reached = _reached_functions("spectral.py", name)
     if name == "lambda_direct":
@@ -183,7 +183,7 @@ def test_element_lambda_never_reads_the_characters(name):
         assert ("permgroup.py", "FiniteGroup.mul") in reached
         assert ("permgroup.py", "FiniteGroup.right_translates") not in reached
     assert ("permgroup.py", "FiniteGroup.cyclic_cosets") in reached
-    assert ("permgroup.py", "FiniteGroup._spanning_tree") in reached
+    assert ("permgroup.py", "FiniteGroup.left_translates") in reached
     assert ("permgroup.py", "FiniteGroup._tree_walk") in reached
     assert not _naming(reached, CHARACTER_NAMES)
 
@@ -193,18 +193,43 @@ def test_convolve_rows_never_reads_the_characters():
 
     So nothing it reaches may name the character table, the class tensor or
     the table recovery; both of its routes need only element products, the
-    translates gathered along a spanning tree whose generator tables come
-    from `mul`.
+    translates gathered along the spanning tree and generator tables that
+    `closure` certified.  Translates resolve no image row, so `mul` is not
+    reached.
     """
     reached = _reached_functions("spectral.py", "convolve_rows")
     assert ("spectral.py", "walk_matrix") in reached
     assert ("permgroup.py", "FiniteGroup.division_table") in reached
     assert ("permgroup.py", "FiniteGroup.left_translates") in reached
     assert ("permgroup.py", "FiniteGroup.right_translates") in reached
-    assert ("permgroup.py", "FiniteGroup._spanning_tree") in reached
-    assert ("permgroup.py", "FiniteGroup.mul") in reached
+    assert ("permgroup.py", "FiniteGroup._tree_walk") in reached
+    assert ("permgroup.py", "FiniteGroup.mul") not in reached
     table_names = CHARACTER_NAMES | {"CharacterTable", "compute_character_table"}
     assert not _naming(reached, table_names)
+
+
+def test_only_closure_builds_a_group():
+    """`FiniteGroup(...)` is called only inside `permgroup.closure`.
+
+    So every group's spanning tree and generator tables are the ones that
+    closure's BFS recorded and its certificate checked.
+    """
+
+    def lines_calling(node):
+        return {
+            sub.lineno
+            for sub in ast.walk(node)
+            if isinstance(sub, ast.Call)
+            and "FiniteGroup" in (getattr(sub.func, "id", None), getattr(sub.func, "attr", None))
+        }
+
+    calls = {(mod, line) for mod, tree in TREES.items() for line in lines_calling(tree)}
+    closure = next(
+        node
+        for node in TREES["permgroup.py"].body
+        if isinstance(node, ast.FunctionDef) and node.name == "closure"
+    )
+    assert calls and calls == {("permgroup.py", line) for line in lines_calling(closure)}
 
 
 def test_word_image_never_reads_the_characters():
