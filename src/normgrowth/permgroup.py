@@ -298,12 +298,17 @@ class FiniteGroup:
         return np.array(orders, dtype=np.int64)
 
     def generator_conjugation_maps(self) -> list[np.ndarray]:
-        """For each generator g, the full map x -> g*x*g^-1 as an index array."""
+        """For each generator g, the full map x -> g*x*g^-1 as an index array.
+
+        g x is row j of `left_translates(gens)`, and (g x) g^-1 is row j of
+        `right_translates` of the inverses read there; no image row is
+        resolved.
+        """
         if self._gen_conj is None:
-            all_idx = np.arange(self.n)
-            self._gen_conj = [
-                self.mul(self.mul(g, all_idx), self.inv(g)) for g in self.generators
-            ]
+            gens = np.array(self.generators)
+            left = self.left_translates(gens)
+            right = self.right_translates(self.inverse_of[gens])
+            self._gen_conj = [r.take(x) for r, x in zip(right, left)]
         return self._gen_conj
 
     # -- whole-group translates ---------------------------------------------

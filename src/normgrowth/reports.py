@@ -24,7 +24,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii
-from typing import NamedTuple, Optional, TextIO
+from typing import NamedTuple, Optional, TextIO, Union
 
 import numpy as np
 
@@ -40,6 +40,11 @@ _CSV_PASS = ("False", "True", "skip", "skip")
 # indexed by passed, and by skipped
 _JSON_PASS = ("false", "true")
 _JSON_SKIPPED = ("", ',\n   "skipped": true')
+# between two records of `results`
+_JSON_SEP = ",\n  "
+# a block of at most this many records formats each value in turn: finding
+# its distinct values would cost more than it saves
+_FEW_RECORDS = 64
 
 
 def bound_margin(lhs, rhs, tol=0.0, op: str = "<="):
@@ -153,17 +158,18 @@ class Tally(NamedTuple):
 class Records:
     """A block of records of one check on one group, held as columns.
 
-    `check`, `group`, `n` and `seed` are shared by the block.  With m =
-    len(suffixes), record i has inputs `prefixes[i // m] + suffixes[i % m]`:
-    a sweep gives one prefix per pair and one suffix per class, a list of
-    rows one prefix per row and the suffix "".  `lhs`, `rhs` and `margin`
-    are float64, whatever number type a row gave them.  `note` holds codes
-    into `notes`.
+    `check` and `group` are shared by the block.  `n` and `seed` are shared
+    values, or lists with one value per record when they differ within the
+    block.  With m = len(suffixes), record i has inputs
+    `prefixes[i // m] + suffixes[i % m]`: a sweep gives one prefix per pair
+    and one suffix per class, a list of rows one prefix per row and the
+    suffix "".  `lhs`, `rhs` and `margin` are float64, whatever number type
+    a row gave them.  `note` holds codes into `notes`.
     """
 
     check: str
     group: str
-    n: int
+    n: Union[int, list]
     prefixes: Sequence
     suffixes: Sequence
     lhs: np.ndarray
@@ -173,7 +179,7 @@ class Records:
     skipped: Optional[np.ndarray] = None
     note: Optional[np.ndarray] = None
     notes: tuple = ("",)
-    seed: Optional[int] = None
+    seed: Union[None, int, list] = None
 
     def __post_init__(self):
         size = len(self.prefixes) * len(self.suffixes)
@@ -187,28 +193,29 @@ class Records:
         self.passed = np.ravel(np.asarray(self.passed, dtype=bool))
         self.skipped = np.ravel(np.asarray(self.skipped, dtype=bool))
         self.note = np.ravel(np.asarray(self.note, dtype=np.intp))
-        if any(getattr(self, c).size != size for c in (*_COLUMNS, "note")):
+        lengths = [getattr(self, c).size for c in (*_COLUMNS, "note")]
+        lengths += [len(v) for v in (self.n, self.seed) if isinstance(v, list)]
+        if any(length != size for length in lengths):
             raise ValueError(f"a {self.check} block of {size} records has a column of another length")
 
     @classmethod
     def from_rows(cls, rows) -> list[Records]:
-        """Rows as blocks, one per run of rows that share check, group, n and seed."""
+        """Rows as blocks, one per run of rows that share check and group.
 
-        def shared(r):
-            return r.check, r.group, r.n, type(r.n), r.seed, type(r.seed)
-
+        A run's `n` is shared when every row has the same value of the same
+        type, and the list of the rows' values otherwise; so is its `seed`.
+        """
         blocks = []
-        for _, run in itertools.groupby(rows, key=shared):
+        for (check, group), run in itertools.groupby(rows, key=lambda r: (r.check, r.group)):
             run = list(run)
             codes: dict = {}
             note = [codes.setdefault(r.note, len(codes)) for r in run]
-            first = run[0]
             blocks.append(
                 cls(
-                    first.check, first.group, first.n, [r.inputs for r in run], ("",),
+                    check, group, _shared([r.n for r in run]), [r.inputs for r in run], ("",),
                     *([getattr(r, c) for r in run] for c in ("lhs", "rhs", "margin")),
                     [bool(r.passed) for r in run], [bool(r.skipped) for r in run],
-                    note, tuple(codes), first.seed,
+                    note, tuple(codes), _shared([r.seed for r in run]),
                 )
             )
         return blocks
@@ -224,10 +231,11 @@ class Records:
     def row(self, i: int) -> CheckResult:
         """Record i as a `CheckResult`."""
         m = len(self.suffixes)
+        n, seed = (v[i] if isinstance(v, list) else v for v in (self.n, self.seed))
         columns = (getattr(self, c)[i].item() for c in _COLUMNS)
         return CheckResult(
-            self.check, self.group, self.n, self.prefixes[i // m] + self.suffixes[i % m],
-            *columns, self.seed, self.notes[self.note[i]],
+            self.check, self.group, n, self.prefixes[i // m] + self.suffixes[i % m],
+            *columns, seed, self.notes[self.note[i]],
         )
 
     def rows(self):
@@ -236,10 +244,12 @@ class Records:
         for lo, hi, prefixes, at in self._chunks():
             yield from map(
                 CheckResult,
-                *(itertools.repeat(v) for v in (self.check, self.group, self.n)),
+                itertools.repeat(self.check),
+                itertools.repeat(self.group),
+                _per_record(self.n, lo, hi),
                 [prefixes[a // m] + self.suffixes[a % m] for a in at],
                 *(getattr(self, c)[lo:hi].tolist() for c in _COLUMNS),
-                itertools.repeat(self.seed),
+                _per_record(self.seed, lo, hi),
                 map(self.notes.__getitem__, self.note[lo:hi].tolist()),
             )
 
@@ -259,57 +269,135 @@ class Records:
         """The records' JSON text, RECORD_BLOCK records at a time.
 
         Each chunk holds its records as `json.dumps(..., indent=1)` writes
-        them in a report's `results`, joined by ",\n  ".
+        them in a report's `results`, joined by ",\n  ".  A record is the
+        join of a few pieces, each read from a table of distinct texts: its
+        quoted prefix and suffix, its float members (`_float_texts`), and
+        the members after them, one text per passed + 2 skipped + 4 note.
+        Only an `n` or `seed` that differs within the block is formatted
+        record by record.
         """
-        head = (
-            f'{{\n   "check": {_SCALAR(self.check)},\n   "group": {_SCALAR(self.group)},'
-            f'\n   "n": {_SCALAR(self.n)},\n   "inputs": '
-        )
-        seed = "" if self.seed is None else f',\n   "seed": {_SCALAR(self.seed)}'
-        template = (
-            head.replace("%", "%%")
-            + '%s%s,\n   "lhs": %s,\n   "rhs": %s,\n   "margin": %s,\n   "pass": %s%s'
-            + seed.replace("%", "%%")
-            + "%s\n  }"
-        )
         m = len(self.suffixes)
+        head = f'{{\n   "check": {_SCALAR(self.check)},\n   "group": {_SCALAR(self.group)},\n   "n": '
+        inputs = ',\n   "inputs": '
+        lead = inputs if isinstance(self.n, list) else head + _SCALAR(self.n) + inputs
         # JSON escapes per character, so a quoted string is its prefix's quoted
         # text without the closing quote, then its suffix's without the opening one
-        suffixes = [encode_basestring_ascii(s)[1:] for s in self.suffixes]
-        notes = [f',\n   "note": {_SCALAR(s)}' if s else "" for s in self.notes]
-        for lo, hi, prefixes, at in self._chunks():
-            quoted = [encode_basestring_ascii(p)[:-1] for p in prefixes]
-            cols = zip(
-                [quoted[a // m] for a in at],
-                [suffixes[a % m] for a in at],
-                *(_json_floats(getattr(self, c)[lo:hi]) for c in ("lhs", "rhs", "margin")),
-                map(_JSON_PASS.__getitem__, self.passed[lo:hi].tolist()),
-                map(_JSON_SKIPPED.__getitem__, self.skipped[lo:hi].tolist()),
-                map(notes.__getitem__, self.note[lo:hi].tolist()),
-            )
-            yield ",\n  ".join(map(template.__mod__, cols))
+        suffixes = _objects(encode_basestring_ascii(s)[1:] for s in self.suffixes)
+        # indexed by passed + 2 skipped, and by note
+        passes = [f',\n   "pass": {p}{s}' for s in _JSON_SKIPPED for p in _JSON_PASS]
+        closes = [(f',\n   "note": {_SCALAR(s)}' if s else "") + "\n  }" + _JSON_SEP for s in self.notes]
+        if not isinstance(self.seed, list):
+            seed = _seed_member(self.seed)
+            tails = _objects(p + seed + c for c in closes for p in passes)
+        floats = (_float_texts(getattr(self, c), f',\n   "{c}": ') for c in ("lhs", "rhs", "margin"))
+        for (lo, hi, prefixes, at), *members in zip(self._chunks(), *floats):
+            pair, cls = np.divmod(np.arange(at.start, at.stop), m)
+            quoted = _objects(lead + encode_basestring_ascii(p)[:-1] for p in prefixes)
+            code = self.passed[lo:hi].view(np.int8) + 2 * self.skipped[lo:hi].view(np.int8)
+            if isinstance(self.seed, list):
+                tail = [
+                    passes[c] + _seed_member(s) + closes[t]
+                    for c, s, t in zip(code.tolist(), self.seed[lo:hi], self.note[lo:hi].tolist())
+                ]
+            else:
+                tail = tails[code + 4 * self.note[lo:hi]]
+            pieces = [quoted[pair], suffixes[cls], *members, tail]
+            if isinstance(self.n, list):
+                pieces.insert(0, [head + _SCALAR(v) for v in self.n[lo:hi]])
+            parts = _interleave(pieces)
+            parts[-1] = parts[-1][: -len(_JSON_SEP)]
+            yield "".join(parts)
 
     def csv_chunks(self):
         """The records' CSV rows, RECORD_BLOCK at a time, as `CheckResult.row` gives them."""
         m = len(self.suffixes)
-        for lo, hi, prefixes, at in self._chunks():
+        floats = (_float_texts(getattr(self, c)) for c in ("lhs", "rhs", "margin"))
+        for (lo, hi, prefixes, at), *cells in zip(self._chunks(), *floats):
             passes = self.passed[lo:hi].view(np.int8) + 2 * self.skipped[lo:hi].view(np.int8)
             yield zip(
                 itertools.repeat(self.check),
                 itertools.repeat(self.group),
-                itertools.repeat(self.n),
+                _per_record(self.n, lo, hi),
                 [prefixes[a // m] + self.suffixes[a % m] for a in at],
-                *(
-                    map(float.__repr__, getattr(self, c)[lo:hi].tolist())
-                    for c in ("lhs", "rhs", "margin")
-                ),
+                *cells,
                 map(_CSV_PASS.__getitem__, passes.tolist()),
             )
 
 
-def _json_floats(col: np.ndarray) -> list[str]:
-    """The JSON of each value: `float.__repr__`, or NaN and Infinity as `json` spells them."""
-    return list(map(float.__repr__ if np.isfinite(col).all() else _SCALAR, col.tolist()))
+def _shared(values: list):
+    """The one value in `values`, or `values` itself when two differ in value or type."""
+    first = values[0]
+    return first if all(type(v) is type(first) and v == first for v in values) else values
+
+
+def _per_record(value, lo: int, hi: int):
+    """Records [lo, hi) of a per-record list, or a shared value repeated."""
+    return value[lo:hi] if isinstance(value, list) else itertools.repeat(value, hi - lo)
+
+
+def _seed_member(seed) -> str:
+    """A record's JSON `seed` member with its leading comma, or "" for no seed."""
+    return "" if seed is None else f',\n   "seed": {_SCALAR(seed)}'
+
+
+def _objects(texts) -> np.ndarray:
+    """A 1-d object array of the given strings, for gathering by index."""
+    return np.array(list(texts), dtype=object)
+
+
+def _interleave(columns) -> list:
+    """Record 0's piece from every column, then record 1's, and so on."""
+    width = len(columns)
+    pieces = [None] * (width * len(columns[0]))
+    for j, col in enumerate(columns):
+        pieces[j::width] = col.tolist() if isinstance(col, np.ndarray) else col
+    return pieces
+
+
+def _float_texts(col: np.ndarray, label: str = ""):
+    """The text of every value of `col`, as one list per RECORD_BLOCK chunk.
+
+    With a label, a text is a JSON member: the label, then the value as
+    `json` writes it.  Without one it is a CSV cell, `float.__repr__`.
+    Values are told apart by their bits, so -0.0 and 0.0 stay apart and NaN
+    stays NaN.  Each distinct value is formatted once, on the first chunk
+    that holds it.  A value that occurs more than once keeps its text until
+    the chunk that holds its last occurrence, found by counting its
+    occurrences down.  Between chunks this holds the bits and the count of
+    each value that recurs, and the texts still to be reused: nothing per
+    record.
+    """
+    spell = _SCALAR if label and not np.isfinite(col).all() else float.__repr__
+    if col.size <= _FEW_RECORDS:
+        yield [label + spell(v) for v in col.tolist()]
+        return
+    bits = col.view(np.uint64)
+    values, counts = np.unique(bits, return_counts=True)
+    # the values that recur, their occurrences still to be written, and their texts
+    twice, left = values[counts > 1], counts[counts > 1]
+    del values, counts
+    table = np.empty(twice.size, dtype=object)
+    for lo in range(0, bits.size, RECORD_BLOCK):
+        used, at, seen = np.unique(bits[lo : lo + RECORD_BLOCK], return_inverse=True, return_counts=True)
+        pos, again = _positions(twice, used)
+        recur = pos[again]
+        texts = np.empty(used.size, dtype=object)
+        texts[again] = table[recur]
+        # a text is never empty, so only the entries still None are false
+        fresh = np.flatnonzero(~texts.astype(bool))
+        texts[fresh] = [label + spell(v) for v in used[fresh].view(np.float64).tolist()]
+        yield texts[at].tolist()
+        left[recur] -= seen[again]
+        table[recur] = np.where(left[recur] > 0, texts[again], None)
+
+
+def _positions(table: np.ndarray, keys: np.ndarray):
+    """Where each key sits in the sorted `table`, and whether it is there."""
+    pos = np.searchsorted(table, keys)
+    found = np.zeros(keys.size, dtype=bool)
+    inside = np.flatnonzero(pos < table.size)
+    found[inside] = table[pos[inside]] == keys[inside]
+    return pos, found
 
 
 class RecordRows(Sequence):
@@ -443,8 +531,8 @@ def _write_json(doc: ReportDocument, fh: TextIO) -> None:
 
     With an indent the standard library encodes in pure Python, so only the
     header, meta and summary go that way, around an empty `results`.  The
-    records are formatted from the columns, a chunk at a time, by one
-    template per block (`Records.json_chunks`).
+    records are formatted from the columns, a chunk at a time, from each
+    block's tables of distinct texts (`Records.json_chunks`).
     """
     head = {"header": doc.header_dict(), **doc._body([])}
     before, _, after = json.dumps(head, indent=1).rpartition('"results": []')
@@ -454,7 +542,7 @@ def _write_json(doc: ReportDocument, fh: TextIO) -> None:
         for text in block.json_chunks():
             fh.write(sep)
             fh.write(text)
-            sep = ",\n  "
+            sep = _JSON_SEP
     if sep != "\n  ":
         fh.write("\n ")
     fh.write("]" + after + "\n")

@@ -303,6 +303,18 @@ def test_translates_match_mul(name):
 
 
 @pytest.mark.parametrize("name", sorted(TRANSLATE_GROUPS))
+def test_conjugation_maps_match_mul(name):
+    """Each map x -> g x g^-1, read from the translates, is the `mul` form."""
+    g = TRANSLATE_GROUPS[name]()
+    all_idx = np.arange(g.n)
+    maps = g.generator_conjugation_maps()
+    assert len(maps) == len(g.generators)
+    for gen, cmap in zip(g.generators, maps):
+        assert cmap.dtype == np.int32
+        assert np.array_equal(cmap, g.mul(g.mul(gen, all_idx), g.inv(gen)))
+
+
+@pytest.mark.parametrize("name", sorted(TRANSLATE_GROUPS))
 def test_closure_matches_the_reference(name):
     """The layered BFS gives the per-element BFS's element order, and stops at the cap."""
     g = TRANSLATE_GROUPS[name]()

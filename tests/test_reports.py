@@ -2,11 +2,13 @@ import csv
 import io
 import json
 import math
+import struct
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from normgrowth import reports
 from normgrowth.reports import (
     CSV_COLUMNS,
     RECORD_BLOCK,
@@ -196,20 +198,32 @@ def test_writer_matches_the_stdlib_encoders(tmp_path, n):
     _assert_writes_reference(_edge_doc(n), tmp_path)
 
 
+# lhs, rhs and margin of records i: all distinct, or recurring in every chunk
+_MEMORY_VALUES = {
+    "distinct": lambda i: (i / 7, i / 3, -i / 11),
+    "repeating": lambda i: ((i % 1000) / 7, (i * 7919 % 3001) / 3, (i % 2000) / 11),
+}
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv", "rows"])
 def test_writer_memory_does_not_grow_with_the_report(tmp_path, fmt):
-    """Only a block of records is ever encoded, or read back as rows, at once."""
+    """Only a chunk of records is ever encoded, or read back as rows, at once.
+
+    The block's n differs from record to record, as `Records.from_rows`
+    keeps it for rows that differ in n.  Beyond a chunk, the writer keeps a
+    few integers per value that recurs and nothing for one that does not,
+    so a block whose every value differs stays within the bound, as does
+    one whose values recur.
+    """
     target = str(tmp_path / f"out.{fmt}")
 
-    def peak(blocks):
-        # rows that share n make one block, whose reading back must be chunked
-        doc = ReportDocument(
-            title="demo",
-            results=[
-                make_result(n=60 if fmt == "rows" else i, lhs=i / 7)
-                for i in range(blocks * RECORD_BLOCK)
-            ],
+    def peak(blocks, values):
+        i = np.arange(blocks * RECORD_BLOCK)
+        block = Records(
+            "demo", "A5", i.tolist(), ["A=class:1"] * i.size, ("",),
+            *_MEMORY_VALUES[values](i), np.ones(i.size, dtype=bool),
         )
+        doc = ReportDocument(title="demo", results=block)
         tracemalloc.start()
         try:
             if fmt == "rows":
@@ -221,8 +235,90 @@ def test_writer_memory_does_not_grow_with_the_report(tmp_path, fmt):
         finally:
             tracemalloc.stop()
 
-    small, large = peak(2), peak(8)
-    assert large <= 1.25 * small, (small, large)
+    for values in _MEMORY_VALUES:
+        small, large = peak(2, values), peak(8, values)
+        assert large <= 1.25 * small, (values, small, large)
+
+
+def _nan(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+def _recurring_block():
+    """One sweep block of four chunks whose float values recur across chunk boundaries.
+
+    Edge values sit among them: -0.0 next to 0.0, NaNs with other bits,
+    infinities, the least subnormal, 1e16 and integer-valued floats.  The
+    lhs 1234.5 occurs in the first chunk and next in the last.
+    """
+    m = 7
+    pairs = (3 * RECORD_BLOCK + 700) // m
+    i = np.arange(pairs * m)
+    edges = [-0.0, 0.0, math.nan, _nan(0x7FF8000000000001), _nan(0xFFF8000000000000),
+             math.inf, -math.inf, 5e-324, 1e16, 3.0, 2.0**53, -7.0]
+    lhs = (i % 1009) / 7
+    lhs[i % 61 == 0] = [edges[k % len(edges)] for k in range(np.count_nonzero(i % 61 == 0))]
+    lhs[[3, i.size - 5]] = 1234.5
+    # finite, so written by `float.__repr__` in both formats
+    rhs = np.where(i % 5 == 0, (i % 50).astype(np.float64), (i * 7919 % 3001) / 3)
+    rhs[[10, 11, 4200, 4201]] = [-0.0, 0.0, 0.0, -0.0]
+    margin = np.where(i % 3 == 0, np.array([-0.0, 0.0, 5e-324, 1e16, 4.0])[i % 5], (i % 2000) / 11)
+    margin[i % 997 == 1] = -math.inf
+    notes = ("", "equality hit", 'n"ote')
+    return Records(
+        "demo", "A5", 60, [f"p={p};k=" for p in range(pairs)], [str(c) for c in range(m)],
+        lhs, rhs, margin, i % 3 != 0, i % 5 == 0, i % 4 % 3, notes, seed=5,
+    )
+
+
+def test_writer_tables_reuse_texts_across_chunks(tmp_path, monkeypatch):
+    """A block's texts come from tables of distinct values, and equal the stdlib's bytes.
+
+    Values recur across chunks, one is next used three chunks after its
+    first use, and values with the same text but other bits (-0.0 and 0.0,
+    NaNs) stay apart.  The JSON writer formats each distinct value of a
+    column once: lhs and margin, which hold non-finite values, go through
+    `json`'s encoder, whose float arguments are recorded.
+    """
+    block = _recurring_block()
+    first, last = np.flatnonzero(block.lhs == 1234.5)
+    assert len(block) > 2 * RECORD_BLOCK and last // RECORD_BLOCK - first // RECORD_BLOCK == 3
+    doc = ReportDocument(title="recurring", results=block)
+    doc.stamp()
+    _assert_writes_reference(doc, tmp_path)
+    spelled = []
+    encode = reports._SCALAR
+
+    def recording(value):
+        if type(value) is float:
+            spelled.append(value)
+        return encode(value)
+
+    monkeypatch.setattr(reports, "_SCALAR", recording)
+    doc.to_json()
+    want = np.concatenate([np.unique(block.lhs.view(np.uint64)), np.unique(block.margin.view(np.uint64))])
+    assert np.array_equal(np.sort(np.array(spelled).view(np.uint64)), np.sort(want))
+
+
+def test_rows_that_differ_in_n_or_seed_share_a_block(tmp_path):
+    """A run of rows with one check and group is one block; n and seed keep each row's value and type."""
+    ns, seeds = [60, 60.0, 60, 61, True], [3, 3.0, 3, None, False]
+    varying = [
+        make_result(n=ns[i % 5], seed=seeds[i % 5], lhs=i / 3, note="x" if i % 4 else "")
+        for i in range(200)
+    ]
+    shared = [make_result(check="other", seed=4, lhs=i / 5) for i in range(100)]
+    rows = varying + shared + varying[:3]
+    doc = ReportDocument(title="demo", results=rows)
+    assert [len(b) for b in doc.blocks] == [200, 100, 3]
+    assert doc.blocks[0].n == [r.n for r in varying] and doc.blocks[0].seed == [r.seed for r in varying]
+    assert (doc.blocks[1].n, doc.blocks[1].seed) == (60, 4)
+    # equal values of another type differ
+    assert doc.blocks[2].n == [60, 60.0, 60] and doc.blocks[2].seed == [3, 3.0, 3]
+    assert _text_of(doc.results) == _text_of(rows)
+    assert [(type(r.n), type(r.seed)) for r in doc.results] == [(type(r.n), type(r.seed)) for r in rows]
+    doc.stamp()
+    _assert_writes_reference(doc, tmp_path)
 
 
 def _bound(lhs, rhs, op):

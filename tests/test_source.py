@@ -326,3 +326,30 @@ def test_union_sweeps_build_no_record_objects(name, builder):
     assert ("growth.py", "class_pair_counts") in reached
     assert ("growth.py", builder) in reached
     assert not _naming(reached, {"CheckResult"})
+
+
+def test_report_floats_are_formatted_in_one_place():
+    """In `reports.py`, `float.__repr__` appears only inside `_float_texts`.
+
+    So neither writer formats a float on its own path: both take their
+    float texts from the one helper, which formats each distinct value of a
+    block once.  The per-column formatter it replaced is gone.
+    """
+
+    def float_reprs(node):
+        return {
+            sub.lineno
+            for sub in ast.walk(node)
+            if isinstance(sub, ast.Attribute)
+            and sub.attr == "__repr__"
+            and getattr(sub.value, "id", None) == "float"
+        }
+
+    tree = TREES["reports.py"]
+    helper = next(
+        node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_float_texts"
+    )
+    assert float_reprs(tree) and float_reprs(tree) == float_reprs(helper)
+    names = {getattr(node, "name", None) for node in ast.walk(tree)}
+    names |= {getattr(node, "id", None) for node in ast.walk(tree)}
+    assert "_json_floats" not in names
