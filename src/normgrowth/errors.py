@@ -66,7 +66,7 @@ class CountMismatch(NormGrowthError):
 
 
 class NoConvergence(NormGrowthError):
-    """An iterative eigensolve overran its step bound, or lambda left [0, 1]."""
+    """An eigensolve overran its step bound or failed its certificate, or lambda left [0, 1]."""
 
 
 class NotLieType(NormGrowthError):

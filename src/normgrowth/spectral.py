@@ -3,9 +3,13 @@
 Arc g -> h iff g^-1 h in S.  The expansion lambda is computed twice: from
 the elements and from the characters.  The element route splits
 M0 = M - J/n over the right cosets of a cyclic subgroup <x> into blocks of
-size n/m, one per root of unity of Z/m; below DENSE_CAP each block is
-solved densely, above it Arnoldi walks all blocks at once over one
-|S| x (n/m) table of coset positions, and stops within k steps for k
+size n/m, one per root of unity of Z/m.  Below DENSE_CAP, while its cost
+model stays under CENTRAL_BUDGET, one unitary per block diagonalises the
+blocks of every class at once (`central_spectrum`, certified class by
+class), and lambda of any union is a sum of k-vectors; past the budget, and
+for weighted walks, each set's blocks are solved densely
+(`deflated_lambda`).  Above the cap Arnoldi walks all blocks at once over
+one |S| x (n/m) table of coset positions, and stops within k steps for k
 classes.  `convolve_rows` is the one kernel that counts products with a
 fixed set on the elements: product sets, arc counts and convolutions.
 """
@@ -29,6 +33,16 @@ from .tolerances import DEFAULT, Tolerances
 DENSE_CAP = 2500
 # one ulp of 1.0; |S| of them bound the rounding of one walk of a unit vector
 _ULP = float(np.finfo(np.float64).eps)
+# largest cost k (m//2 + 1) (n/m)^3 of `central_spectrum`, in complex
+# multiply-adds for k classes: one eigh and k products of (n/m)-square
+# matrices per block.  PSL2:17 costs 3.0e8 and builds in 0.2-0.3 s.  Past
+# it, `lambda_direct` solves each set's blocks alone
+CENTRAL_BUDGET = 5e8
+# generic elements of the centre tried, seeds 0, 1, ..., before
+# `central_spectrum` raises NoConvergence
+CENTRAL_TRIES = 4
+# the certificate allows ||B_c U - U diag(d_c)||_max up to this many (n/m) |C_c| ulp
+CENTRAL_ULPS = 64
 # records of one batched check or sweep recounted on the chunked `mul` path
 BRUTE_FORCE_SAMPLE = 8
 
@@ -162,24 +176,110 @@ def deflated_lambda(group: FiniteGroup, weights: np.ndarray) -> float:
     return math.sqrt(max(float(eigs[:, -1].max()), 0.0))
 
 
+def central_spectrum(ct: ClassTable) -> tuple[np.ndarray, float]:
+    """(d, residual): the eigenvalues of every deflated class block.  Cached on ct.
+
+    B_l(C) is the block l of `deflated_lambda` for w = 1_C, so
+    B_l(S) = sum over classes c in S of B_l(C_c) / |S|.  The class sums are
+    central in the group algebra, so for each l the blocks of all classes
+    are normal and commute, and one unitary U_l diagonalises them all.  It
+    is the eigenbasis of one generic Hermitian element
+    H_l = A + A^H, A = sum over c of theta_c B_l(C_c), and
+    d[c, l, i] = (U_l^H B_l(C_c) U_l)[i, i].  Each class is certified:
+    ||B_c U - U diag(d_c)||_max <= CENTRAL_ULPS (n/m) |C_c| ulp, where
+    |C_c| bounds each row's absolute sum and n/m the length of each inner
+    product.  Then every block is within (n/m) times that of
+    U diag(d_c) U^H in 2-norm, so by Weyl lambda(S) = max over l, i of
+    |sum over c in S of d[c, l, i]| / |S| errs by at most (n/m) times the
+    bounds of S's classes over |S|.  `residual` is the largest entry
+    that the certificate measured.  Deflation sends the trivial eigenvalue
+    to 0, and B_(m-l) = conj(B_l), so l <= m/2 covers every block.
+
+    The build reads element products, the class partition and the roots of
+    unity of Z/m: no character and no class tensor.  theta comes from seed
+    0, then 1, ..., so the cached d never depends on a caller's seed.  A
+    theta that separates too few joint eigenspaces fails the certificate,
+    and so does a partition whose blocks are not all normal and commuting,
+    such as half of A:5's 5-cycles in place of their class: that half is
+    not closed under inverses, and its block is not normal.  After
+    CENTRAL_TRIES seeds that raises NoConvergence and nothing is cached.
+    Blocks are formed one l at a time, k (n/m)^2 entries each.
+    """
+    if ct.spectrum is None:
+        object.__setattr__(ct, "spectrum", _diagonalise_class_blocks(ct))
+    return ct.spectrum
+
+
+def _diagonalise_class_blocks(ct: ClassTable) -> tuple[np.ndarray, float]:
+    """`central_spectrum` of ct, built and certified."""
+    q = ct.group.coset_quotients()
+    r, m = q.shape[1], q.shape[2]
+    k = ct.n_classes
+    phases = _phases(m)
+    # q[i, j, d] in class c adds omega^(ld) to entry (i, j) of block c
+    cells = (ct.class_of[q] * (r * r) + np.arange(r * r).reshape(r, r, 1)).ravel()
+    bound = CENTRAL_ULPS * r * _ULP * ct.sizes
+    for seed in range(CENTRAL_TRIES):
+        rng = np.random.default_rng(seed)
+        theta = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+        d = np.empty((k, m // 2 + 1, r), dtype=complex)
+        residual = 0.0
+        for l in range(m // 2 + 1):
+            w = np.tile(phases[:, l], r * r)
+            size = k * r * r
+            blocks = np.bincount(cells, w.real, size) + 1j * np.bincount(cells, w.imag, size)
+            blocks = blocks.reshape(k, r, r)
+            if l == 0:
+                blocks -= (ct.sizes / r)[:, None, None]  # w0 = 1_C - |C|/n
+            a = np.tensordot(theta, blocks, axes=1)
+            u = np.linalg.eigh(a + a.conj().T)[1]
+            bu = blocks @ u
+            d[:, l] = (u.conj() * bu).sum(axis=1)
+            err = np.abs(bu - u * d[:, l, None, :]).max(axis=(1, 2))
+            residual = max(residual, float(err.max()))
+            if (err > bound).any():
+                break
+        else:
+            return d, residual
+    raise NoConvergence(
+        f"{ct.group.label}: no generic element of {CENTRAL_TRIES} diagonalised every class "
+        f"block; the last left {residual:.3e}, over the bound {CENTRAL_ULPS} (n/m) |C| ulp"
+    )
+
+
+def lambda_route(s: NormalSubset) -> str:
+    """The route of `lambda_direct` for S: "central", "dense" or "lanczos"."""
+    if s.group.n > DENSE_CAP:
+        return "lanczos"
+    r, m = s.group.cyclic_cosets().shape
+    cost = s.ct.n_classes * (m // 2 + 1) * r**3
+    return "central" if cost <= CENTRAL_BUDGET else "dense"
+
+
 def lambda_direct(s: NormalSubset, tol: Tolerances, seed: int = 0, return_info: bool = False):
     """Second singular value of the walk matrix M of Cay(G, S).
 
-    When n <= DENSE_CAP, the blocked dense solve of `deflated_lambda`; else
-    Arnoldi on the coset blocks of M0 (`_lanczos_lambda`), on the
-    complement G-S, again a union of classes, when |S| > n/2:
-    |S| M(S) + |G-S| M(G-S) = J, so off the all-ones vector
-    M0(S) = -(|G-S| / |S|) M0(G-S), and S = G gives 0 with no table.  Both
-    routes read only element products and the roots of unity of Z/m.  With
-    `return_info`, the tuple (lambda, Krylov steps, final residual), with 0
-    and 0.0 on the dense route.
+    When n <= DENSE_CAP, the class blocks' joint eigenvalues
+    (`central_spectrum`) while their cost stays under CENTRAL_BUDGET, else
+    the blocked dense solve of `deflated_lambda`.  Above the cap, Arnoldi on
+    the coset blocks of M0 (`_lanczos_lambda`), on the complement G-S,
+    again a union of classes, when |S| > n/2: |S| M(S) + |G-S| M(G-S) = J,
+    so off the all-ones vector M0(S) = -(|G-S| / |S|) M0(G-S), and S = G
+    gives 0 with no table.  Every route reads only element products, the
+    roots of unity of Z/m and, on the central route, the class partition.
+    With `return_info`, the tuple (lambda, Krylov steps, residual): the
+    final Ritz residual on the Krylov route, the largest certificate entry
+    of `central_spectrum` on the central one (0 steps), and 0, 0.0 on the
+    dense solve.
     """
     if s.size == 0:
         raise EmptySubset("connection set is empty")
     n = s.group.n
-    if n == 1:
-        lam, steps, residual = 0.0, 0, 0.0
-    elif n <= DENSE_CAP:
+    route = lambda_route(s)
+    if route == "central":
+        d, residual = central_spectrum(s.ct)
+        lam, steps = float(np.abs(d[list(s.class_indices)].sum(axis=0)).max()) / s.size, 0
+    elif route == "dense":
         lam, steps, residual = deflated_lambda(s.group, s.mask / s.size), 0, 0.0
     elif 2 * s.size <= n:
         lam, steps, residual = _lanczos_lambda(s, seed, tol)
@@ -352,10 +452,12 @@ class SpectralReport:
     lambda_direct: float
     lambda_char: float
     char_eigenvalues: tuple[complex, ...]
+    # the route of `lambda_direct`: "central", "dense" or "lanczos"
     method: str
     # the tolerances the report was made under; `agree` reads lambda_agree
     tol: Tolerances
-    # Lanczos steps and final residual; 0 and 0.0 on the dense route
+    # Lanczos steps and final Ritz residual; on the central route 0 and the
+    # certificate residual, on the dense solve 0 and 0.0
     steps: int = 0
     residual: float = 0.0
 
@@ -384,7 +486,7 @@ def spectral_report(
         lambda_direct=lam_dir,
         lambda_char=lambda_normal(tab, s, tol),
         char_eigenvalues=tuple(complex(v) for v in eigenvalues_normal(tab, s, tol)),
-        method="dense" if group.n <= DENSE_CAP else "lanczos",
+        method=lambda_route(s),
         steps=steps,
         residual=residual,
         tol=tol,

@@ -49,13 +49,15 @@ def test_lambda_reports_lanczos_steps_only_on_that_route(tmp_path, capsys, monke
     assert main(argv) == 0
     assert "lanczos: " not in capsys.readouterr().out
     meta = json.loads(out.read_text())["meta"]
-    assert meta["method"] == "dense"
+    assert meta["method"] == "central"
     assert not any(key.startswith("lanczos") for key in meta)
+    assert 0.0 <= meta["central_residual"] <= 1e-12
     monkeypatch.setattr(spectral, "DENSE_CAP", 1)
     assert main(argv) == 0
     assert "lanczos: " in capsys.readouterr().out
     meta = json.loads(out.read_text())["meta"]
     assert meta["method"] == "lanczos"
+    assert "central_residual" not in meta
     assert 1 <= meta["lanczos_steps"] <= 4
     assert 0.0 <= meta["lanczos_residual"] <= 1e-10
 

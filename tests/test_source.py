@@ -168,17 +168,20 @@ CHARACTER_NAMES = {
 }
 
 
-@pytest.mark.parametrize("name", ["lambda_direct", "deflated_lambda"])
+@pytest.mark.parametrize("name", ["lambda_direct", "deflated_lambda", "central_spectrum"])
 def test_element_lambda_never_reads_the_characters(name):
     """The element route to lambda is checked against the character route.
 
-    So nothing it reaches may use the character table or the class tensor.
-    The cyclic-subgroup blocks of both routes come from left translates
-    along the elements' spanning tree, and Arnoldi's coset table from `mul`,
-    with no right translate table.
+    So nothing it reaches may use the character table or the class tensor;
+    the central route's one class-side input is the partition.  The
+    cyclic-subgroup blocks of every route come from left translates along
+    the elements' spanning tree, and Arnoldi's coset table from `mul`, with
+    no right translate table.
     """
     reached = _reached_functions("spectral.py", name)
     if name == "lambda_direct":
+        assert ("spectral.py", "central_spectrum") in reached
+        assert ("spectral.py", "deflated_lambda") in reached
         assert ("spectral.py", "_lanczos_lambda") in reached
         assert ("permgroup.py", "FiniteGroup.mul") in reached
         assert ("permgroup.py", "FiniteGroup.right_translates") not in reached

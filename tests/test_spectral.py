@@ -1,15 +1,19 @@
+import dataclasses
+import functools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from conftest import run_child
+
 from normgrowth import spectral
-from normgrowth.chartable import character_ratio
+from normgrowth.chartable import character_ratio, compute_character_table
 from normgrowth.context import get_context, parse_group_spec
 from normgrowth.errors import CountMismatch, EmptySubset, NoConvergence
 from normgrowth.growth import pair_count, product_set
-from normgrowth.permgroup import compute_classes
+from normgrowth.permgroup import Permutation, closure, compute_classes
 from normgrowth.spectral import (
     arc_count,
     check_vertex_expansion,
@@ -129,8 +133,185 @@ def test_lambda_routes_agree(fixture, request):
     for k in range(1, ctx.classes.n_classes):
         s = NormalSubset.from_classes(ctx.classes, [k])
         assert lambda_direct(s, DEFAULT) == pytest.approx(
-            lambda_normal(ctx.table, s, DEFAULT), abs=1e-6
+            lambda_normal(ctx.table, s, DEFAULT), abs=1e-12
         )
+
+
+# every group of the central route's agreement and table tests, two closures
+# without a spec string among them
+CENTRAL_GROUPS = {
+    **{spec: (lambda spec=spec: parse_group_spec(spec))
+       for spec in ("A:5", "S:5", "PSL2:7", "PSL2:11", "PSL3:2", "PSL2:13")},
+    "C6": lambda: closure([Permutation.from_cycles([(0, 1, 2, 3, 4, 5)], 6)]),
+    "trivial": lambda: closure([Permutation((0,))], cap=2),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def central_tables(name):
+    """(group, class table, certified character table) of a CENTRAL_GROUPS entry."""
+    group = CENTRAL_GROUPS[name]()
+    ct = compute_classes(group)
+    return group, ct, compute_character_table(group, ct, DEFAULT)
+
+
+@pytest.mark.parametrize("name", list(CENTRAL_GROUPS))
+def test_central_route_agrees_on_every_union(name):
+    """The joint eigenvalues give the blocked solve's and the characters' lambda.
+
+    Every union of classes, to 1e-12.  S:5's largest element order is 6, so
+    its transpositions' walk is bipartite: lambda = 1 from the sign
+    character alone, in the Nyquist block l = m/2.
+    """
+    group, ct, tab = central_tables(name)
+    for s in enumerate_normal_subsets(ct):
+        lam, steps, residual = lambda_direct(s, DEFAULT, return_info=True)
+        assert spectral.lambda_route(s) == "central" and steps == 0
+        assert residual == ct.spectrum[1]
+        assert abs(lam - deflated_lambda(group, s.mask / s.size)) <= 1e-12
+        assert abs(lam - lambda_normal(tab, s, DEFAULT)) <= 1e-12
+    full = NormalSubset.from_classes(ct, range(ct.n_classes))
+    assert lambda_direct(full, DEFAULT) <= DEFAULT.slack
+    if group.n > 1:
+        ident = NormalSubset.from_classes(ct, [0])
+        assert lambda_direct(ident, DEFAULT) == pytest.approx(1.0, abs=1e-12)
+    if name == "S:5":
+        m = group.cyclic_cosets().shape[1]
+        (swaps,) = [c for c in range(ct.n_classes) if ct.sizes[c] == 10 and ct.rep_orders[c] == 2]
+        lam = lambda_direct(NormalSubset.from_classes(ct, [swaps]), DEFAULT)
+        assert lam == pytest.approx(1.0, abs=1e-12)
+        # |d| reaches |C| only in block m/2; the degree-4 characters give |C|/2
+        top = np.abs(ct.spectrum[0][swaps]).max(axis=1)
+        assert m == 6 and top[m // 2] == pytest.approx(10.0, abs=1e-12)
+        assert top[: m // 2].max() <= 5.0 + 1e-12
+
+
+@pytest.mark.parametrize("name", list(CENTRAL_GROUPS))
+def test_central_spectrum_is_the_character_table(name):
+    """The element side's joint eigenvalues are the central characters, with multiplicity chi(1)^2.
+
+    A column d[:, l, i] must be |C_c| chi(g_c) / chi(1), less |C_c| for the
+    deflated trivial character.  Block m - l is conj(B_l), where each
+    column becomes that of the complex conjugate character, so counting
+    every column of 0 < l < m/2 once more, conjugated, covers all m blocks.
+    """
+    group, ct, tab = central_tables(name)
+    d, _ = spectral.central_spectrum(ct)
+    m = group.cyclic_cosets().shape[1]
+    omega = ct.sizes * tab.values / tab.degrees[:, None]
+    omega[0] -= ct.sizes
+    counts = np.zeros(tab.n_classes, dtype=int)
+    for l in range(m // 2 + 1):
+        cols = d[:, l].T
+        if 0 < l < m - l:
+            cols = np.concatenate([cols, cols.conj()])
+        dist = np.abs(cols[:, None, :] - omega[None]).max(axis=2)
+        near = dist.argmin(axis=1)
+        assert dist[np.arange(len(cols)), near].max() <= 1e-9
+        np.add.at(counts, near, 1)
+    assert np.array_equal(counts, np.rint(tab.degrees).astype(int) ** 2)
+
+
+def _split_class(ct, c):
+    """A copy of ct with class c cut in two by element index: a partition into non-central sets."""
+    members = ct.classes[c]
+    cut = members.size // 2
+    class_of = ct.class_of.copy()
+    class_of[members[:cut]] = ct.n_classes
+    classes = ct.classes[:c] + (members[cut:],) + ct.classes[c + 1 :] + (members[:cut],)
+    sizes = np.array([part.size for part in classes])
+    return dataclasses.replace(ct, class_of=class_of, classes=classes, sizes=sizes)
+
+
+def test_split_class_fails_the_certificate(a5):
+    """Half of A:5's 12 five-cycles is not closed under inverses.
+
+    Its block is not normal, so no unitary diagonalises it and the
+    certificate raises on every seed; nothing is cached.  Half of the 15
+    involutions is its own inverse and commutes with every class sum and
+    with the other half, so the blocks stay normal and commuting: the
+    certificate holds, and so does lambda of every union of the cut
+    partition.
+    """
+    ct = a5.classes
+    spectral.central_spectrum(ct)
+    assert ct.sizes[1] == 12 and ct.rep_orders[1] == 5
+    bad = _split_class(ct, 1)
+    # the copy does not inherit the original's cached spectrum
+    assert ct.spectrum is not None and bad.spectrum is None
+    with pytest.raises(NoConvergence):
+        spectral.central_spectrum(bad)
+    assert bad.spectrum is None
+    with pytest.raises(NoConvergence):
+        lambda_direct(NormalSubset.from_classes(bad, [2]), DEFAULT)
+    assert ct.sizes[3] == 15 and ct.rep_orders[3] == 2
+    halves = _split_class(ct, 3)
+    for s in enumerate_normal_subsets(halves):
+        assert abs(lambda_direct(s, DEFAULT) - deflated_lambda(a5.group, s.mask / s.size)) <= 1e-12
+
+
+def test_split_class_raises_under_python_O():
+    """The certificate is a typed error, not an assert that -O strips."""
+    script = (
+        "import dataclasses\n"
+        "import numpy as np\n"
+        "from normgrowth import spectral\n"
+        "from normgrowth.context import parse_group_spec\n"
+        "from normgrowth.errors import NoConvergence\n"
+        "from normgrowth.permgroup import compute_classes\n"
+        "ct = compute_classes(parse_group_spec('A:5'))\n"
+        "five = ct.classes[1]\n"
+        "class_of = ct.class_of.copy()\n"
+        "class_of[five[:6]] = ct.n_classes\n"
+        "classes = (ct.classes[0], five[6:]) + ct.classes[2:] + (five[:6],)\n"
+        "sizes = np.array([part.size for part in classes])\n"
+        "bad = dataclasses.replace(ct, class_of=class_of, classes=classes, sizes=sizes)\n"
+        "try:\n"
+        "    print('returned', spectral.central_spectrum(bad)[1])\n"
+        "except NoConvergence:\n"
+        "    print('NoConvergence', __debug__, bad.spectrum is None)\n"
+    )
+    assert run_child(script, "-O").split() == ["NoConvergence", "False", "True"]
+
+
+def test_central_route_yields_to_the_blocked_solve_past_its_budget(psl27, s5, monkeypatch):
+    """With no budget, lambda_direct solves each set's blocks and builds no joint eigenvalues."""
+    cases = [(ctx, s) for ctx in (psl27, s5) for s in enumerate_normal_subsets(ctx.classes)]
+    central = [lambda_direct(s, DEFAULT) for _, s in cases]
+    monkeypatch.setattr(spectral, "CENTRAL_BUDGET", 0)
+    monkeypatch.setattr(spectral, "central_spectrum", _no_central)
+    for (ctx, s), want in zip(cases, central):
+        assert spectral.lambda_route(s) == "dense"
+        assert lambda_direct(s, DEFAULT, return_info=True)[1:] == (0, 0.0)
+        assert abs(lambda_direct(s, DEFAULT) - want) <= 1e-12
+
+
+def _no_central(*_):
+    raise AssertionError("the central route ran past its budget")
+
+
+def test_central_spectrum_ignores_the_callers_seed(monkeypatch):
+    """Two fresh class tables of one group, asked with seeds 0 then 3 and 3 then 0.
+
+    Each builds once, and both cache the same bits.
+    """
+    group = parse_group_spec("PSL2:11")
+    built = []
+    build = spectral._diagonalise_class_blocks
+    monkeypatch.setattr(
+        spectral, "_diagonalise_class_blocks", lambda ct: built.append(1) or build(ct)
+    )
+    kept = []
+    for seeds in ((0, 3), (3, 0)):
+        ct = compute_classes(group)
+        assert ct.spectrum is None
+        s = NormalSubset.from_classes(ct, [2, 5])
+        lams = [lambda_direct(s, DEFAULT, seed=seed) for seed in seeds]
+        assert lams[0] == lams[1]
+        kept.append(ct.spectrum)
+    assert len(built) == 2
+    (d0, r0), (d3, r3) = kept
+    assert d0.tobytes() == d3.tobytes() and r0 == r3
 
 
 def test_lanczos_matches_dense(psl27, s5, monkeypatch):
@@ -266,10 +447,18 @@ def test_spectral_report(psl27, monkeypatch):
     rep = spectral_report(
         psl27.group, psl27.classes, psl27.table, s, "class:1"
     )
+    assert rep.method == "central"
+    assert rep.steps == 0
+    # n/m = 24 on PSL2:7
+    bound = spectral.CENTRAL_ULPS * 24 * spectral._ULP * max(psl27.classes.sizes)
+    assert 0.0 <= rep.residual <= bound
+    assert rep.agree()
+    assert len(rep.char_eigenvalues) == psl27.classes.n_classes
+    monkeypatch.setattr(spectral, "CENTRAL_BUDGET", 0)
+    rep = spectral_report(psl27.group, psl27.classes, psl27.table, s, "class:1")
     assert rep.method == "dense"
     assert (rep.steps, rep.residual) == (0, 0.0)
     assert rep.agree()
-    assert len(rep.char_eigenvalues) == psl27.classes.n_classes
     monkeypatch.setattr(spectral, "DENSE_CAP", 1)
     rep = spectral_report(psl27.group, psl27.classes, psl27.table, s, "class:1")
     assert rep.method == "lanczos"
