@@ -1,20 +1,20 @@
 """Product-set growth checks driven by character ratios.
 
 Every check computes its left-hand side by exact counting and its right-hand
-side from the certified character table.  Products of two normal subsets
-are counted on the class multiplication tensor by one call,
-`class_pair_counts(ct, pairs)`, which recounts an evenly spaced sample of
-at most `spectral.BRUTE_FORCE_SAMPLE` of its (A, B) pairs on the chunked
-`mul` path: the counts at the class representatives (`pair_count`), and the
+side from the certified character table.  Products of two normal subsets are
+counted on the class multiplication tensor by one call,
+`class_pair_counts(ct, rows, where)`, which recounts an evenly spaced sample
+of at most `spectral.BRUTE_FORCE_SAMPLE` of its pairs on the chunked `mul`
+path: the counts at the class representatives (`pair_count`), and the
 classes of A*B, read off the classes that r_i*B meets as r_i runs over the
 representatives of A's classes (`_classes_met`).  That second half rests on
 the class partition, which `permgroup.certify_classes` certifies once per
 table.  The table is computed from the same tensor, so the sample keeps the
-two routes independent.  Products of many element sets with one
-fixed set are counted by `product_sizes`: one `spectral.convolve_rows` call
-up to the dense cap, one `product_set` per set above it; each sweep through
-it recounts a sample of its products on the other route.  A disagreement
-raises `CountMismatch`.
+two routes independent.  Products of many element sets with one fixed set
+are counted by `product_sizes`: one `spectral.convolve_rows` call up to the
+dense cap, one `product_set` per set above it; each sweep through it
+recounts a sample of its products on the other route.  A disagreement raises
+`CountMismatch`.
 
 Every check that returns a `ReportDocument` takes one `GroupContext`; a
 randomized sweep given `trials=None` runs its own documented default.
@@ -54,6 +54,8 @@ from .tolerances import DEFAULT, Tolerances
 # exhaustive union sweeps are allowed while 2^(k-1) stays at or below this
 EXHAUSTIVE_UNION_CAP = 4096
 RANDOM_UNION_SAMPLES = 10_000
+# a pool x pool sweep of more pairs than this draws this many seeded pairs instead
+PAIR_CAP = 1 << 20
 
 # the old name of the report type; perfbench/workloads.py still builds an empty
 # sweep report as GrowthReport("wlambda", "")
@@ -139,16 +141,17 @@ def _classes_met(ct: ClassTable, a: NormalSubset, b: NormalSubset) -> np.ndarray
     return met
 
 
-def class_pair_counts(ct: ClassTable, pairs: Sequence[tuple]) -> np.ndarray:
-    """counts[t, c] = #{(x, y) in A_t x B_t : x*y = rep(C_c)} of each (A_t, B_t), int64.
+def class_pair_counts(ct: ClassTable, rows: np.ndarray, where: np.ndarray) -> np.ndarray:
+    """counts[t, c] = #{(x, y) in A_t x B_t : x*y = rep(C_c)} of each pair t, int64.
 
+    Pair t is (A_t, B_t) = rows[where[t]], of (u, k) bool union indicators.
     For normal A and B this is the sum of the class multiplication constants
-    a[i, j, c] over i in A and j in B: a contraction of the union indicators
-    with `class_tensor(ct)`, in blocks of pairs that keep every temporary
-    under _CHUNK_ROWS entries.  A_t B_t is a union of classes, so it holds
-    C_c exactly when counts[t, c] > 0.  The contraction runs in float64,
-    through BLAS, and is exact: every partial sum counts pairs of elements,
-    so it is at most n^2, and n^2 < 2^53 under the order cap.
+    a[i, j, c] over i in A and j in B: a contraction of the indicators with
+    `class_tensor(ct)`, in blocks of pairs that keep every temporary under
+    _CHUNK_ROWS entries.  A_t B_t is a union of classes, so it holds C_c
+    exactly when counts[t, c] > 0.  The contraction runs in float64, through
+    BLAS, and is exact: every partial sum counts pairs of elements, so it is
+    at most n^2, and n^2 < 2^53 under the order cap.
 
     The character table is computed from the same tensor, so an evenly
     spaced sample of the pairs is recounted on the elements: each count must
@@ -162,36 +165,37 @@ def class_pair_counts(ct: ClassTable, pairs: Sequence[tuple]) -> np.ndarray:
     certify_classes(ct)
     k = ct.n_classes
     flat = class_tensor(ct).reshape(k, k * k).astype(np.float64)
-    # one bool indicator row per distinct set object (sweeps pair a pool with
-    # itself), and where[t] = (row of A_t, row of B_t); a block widens only
-    # the rows it gathers
-    sets = [s for pair in pairs for s in pair]
-    _, first, where = np.unique(
-        np.array([id(s) for s in sets]), return_index=True, return_inverse=True
-    )
-    where = where.reshape(len(pairs), 2)
-    rows = np.zeros((first.size, k), dtype=bool)
-    for r, t in enumerate(first):
-        rows[r, list(sets[t].class_indices)] = True
-    out = np.empty((len(pairs), k), dtype=np.int64)
+    out = np.empty((len(where), k), dtype=np.int64)
     step = max(1, _CHUNK_ROWS // (k * k))
-    for lo in range(0, len(pairs), step):
+    for lo in range(0, len(where), step):
         a = rows[where[lo : lo + step, 0]].astype(np.float64)
         b = rows[where[lo : lo + step, 1]].astype(np.float64)
         # partial[t, j, c] = sum over classes i of A_t of a[i, j, c]
         partial = (a @ flat).reshape(-1, k, k)
         out[lo : lo + step] = (b[:, None] @ partial)[:, 0]
-    group = ct.group
     # per sampled pair: the counts at the representatives, then the elements
     # of A*B per class, which are all of a class with a positive count
-    sample = {t: np.stack([out[t], (out[t] > 0) * ct.sizes]) for t in _spread(len(pairs))}
+    sample = {t: np.stack([out[t], (out[t] > 0) * ct.sizes]) for t in _spread(len(where))}
 
-    def on_elements(a, b):
-        at_reps = pair_count(group, a, b, ct.reps)
-        return np.stack([at_reps, _classes_met(ct, a, b) * ct.sizes])
+    def on_elements(i, j):
+        a, b = (NormalSubset.from_classes(ct, np.flatnonzero(rows[r])) for r in (i, j))
+        return np.stack([pair_count(ct.group, a, b, ct.reps), _classes_met(ct, a, b) * ct.sizes])
 
-    _recounted(f"{group.label} class tensor", pairs, sample, on_elements)
+    _recounted(f"{ct.group.label} class tensor", where, sample, on_elements)
     return out
+
+
+def _indicators(ct: ClassTable, sets: list[NormalSubset]) -> np.ndarray:
+    """The (len(sets), k) bool class indicators of normal sets."""
+    rows = np.zeros((len(sets), ct.n_classes), dtype=bool)
+    for r, s in enumerate(sets):
+        rows[r, list(s.class_indices)] = True
+    return rows
+
+
+def _square_counts(ct: ClassTable, pool: list[NormalSubset]) -> np.ndarray:
+    """`class_pair_counts` of (A, A) for each A of `pool`: the diagonal `where`."""
+    return class_pair_counts(ct, _indicators(ct, pool), np.stack([np.arange(len(pool))] * 2, 1))
 
 
 # -- records from per-pair counts -----------------------------------------------
@@ -215,11 +219,11 @@ def _2step_record(
 def _gowers2_block(
     ctx: GroupContext,
     ratios: np.ndarray,
-    pairs: Sequence[tuple],
+    ab: np.ndarray,
     counts: np.ndarray,
-    prefixes: list[str],
+    inputs: tuple,
 ) -> Records:
-    """The gowers2 records of every pair and nonidentity class, from the per-class counts.
+    """The gowers2 records of every pair and nonidentity class; `inputs` = (prefixes, suffixes).
 
     |A||B| >= R(g_k)^2 n^2 forces class k inside A*B.  A record is SKIPPED
     (not failed) when that precondition does not hold.  The margin is the
@@ -230,7 +234,7 @@ def _gowers2_block(
     comparison.
     """
     n, k = ctx.n, len(ratios)
-    pre_lhs = np.array([a.size * b.size for a, b in pairs], dtype=np.int64)[:, None]
+    pre_lhs = ab[:, None]
     pre_rhs = ratios[1:] * ratios[1:] * n * n
     skipped = pre_lhs < pre_rhs
     met = counts[:, 1:] > 0
@@ -241,7 +245,7 @@ def _gowers2_block(
         f"class {c} not inside the product set" for c in range(1, k)
     )
     return Records(
-        "gowers2", ctx.label, n, prefixes, [str(c) for c in range(1, k)],
+        "gowers2", ctx.label, n, *inputs,
         np.broadcast_to(pre_lhs.astype(np.float64), shape),
         np.broadcast_to(pre_rhs, shape),
         np.where(skipped | met, pre_lhs - pre_rhs, missed),
@@ -264,27 +268,25 @@ def _class_ratios(tab: CharacterTable) -> np.ndarray:
 def _asymp_block(
     ctx: GroupContext,
     ratios: np.ndarray,
-    pairs: Sequence[tuple],
+    ab: np.ndarray,
     counts: np.ndarray,
-    prefixes: list[str],
-    suffixes: list[str],
+    inputs: tuple,
 ) -> Records:
-    """The asymp records of every pair and class, from the per-class pair counts.
+    """The asymp records of every pair and class; `inputs` = (prefixes, suffixes) of `Records`.
 
     |P_AB(g) - 1/n| < R(g)/sqrt(|A||B|), strict; exact-equality hits are
     flagged in the note instead of failing, and the identity class is
     included (R = 1 there).
     """
     tol = ctx.tol.strict_slack
-    ab = np.array([a.size * b.size for a, b in pairs], dtype=np.int64)[:, None]
     # counts and |A||B| are below 2^53, so count / ab is correctly rounded,
     # as float(Fraction(count, ab)) is
-    lhs = np.abs(counts / ab - 1.0 / ctx.n)
-    rhs = ratios * (1.0 / np.sqrt(ab))
+    lhs = np.abs(counts / ab[:, None] - 1.0 / ctx.n)
+    rhs = ratios * (1.0 / np.sqrt(ab[:, None]))
     margin, passed = bound_margin(lhs, rhs, tol, "<")
     equality = np.abs(lhs - rhs) <= tol
     return Records(
-        "asymp", ctx.label, ctx.n, prefixes, suffixes, lhs, rhs, margin, passed,
+        "asymp", ctx.label, ctx.n, *inputs, lhs, rhs, margin, passed,
         note=equality, notes=("", "equality hit"),
     )
 
@@ -302,7 +304,7 @@ def dichotomy_check(
     """
     if a.is_trivial():
         raise TrivialSubset("A must be nonempty and different from {1}")
-    counts = class_pair_counts(a.ct, [(a, a)])[0]
+    counts = _square_counts(a.ct, [a])[0]
     return _dichotomy_record(group, tab, a, counts, tol)
 
 
@@ -388,7 +390,7 @@ def square_growth_survey(ctx: GroupContext) -> ReportDocument:
     subsets = _union_sweep(ct, include_identity_class=False, seed=0)
     records = []
     eps_values = []
-    for a, counts in zip(subsets, class_pair_counts(ct, [(a, a) for a in subsets])):
+    for a, counts in zip(subsets, _square_counts(ct, subsets)):
         a2_size = _covered_size(ct, counts)
         if _covers_nonidentity(counts):
             rhs, note = group.n - 1, "covering"
@@ -439,7 +441,7 @@ def pyber_report(ctx: GroupContext) -> ReportDocument:
         if a.symmetric and a.size > threshold
     ]
     records = []
-    for a, counts in zip(subsets, class_pair_counts(ct, [(a, a) for a in subsets])):
+    for a, counts in zip(subsets, _square_counts(ct, subsets)):
         a2_size = _covered_size(ct, counts)
         full = a2_size == n
         records.append(
@@ -479,7 +481,7 @@ def word_growth_report(ctx: GroupContext, word1: str, word2: str) -> ReportDocum
     n = group.n
     ab = img1.size * img2.size
     scale = n / math.sqrt(ab)
-    counts = class_pair_counts(ct, [(img1, img2)])[0]
+    counts = class_pair_counts(ct, _indicators(ct, [img1, img2]), np.array([[0, 1]]))[0]
     records = []
     for k in range(1, ct.n_classes):
         # |P(g) n - 1| = |count n - ab| / ab exactly; int / int rounds it correctly
@@ -528,11 +530,23 @@ def _union_sweep(
     ]
 
 
-def _pool_pairs(pool: list[NormalSubset]) -> tuple[list[tuple], list[str]]:
-    """Every (A, B) of a pool, and the inputs prefix "A=...;B=...;k=" of each."""
+def _pool_grid(ct: ClassTable, pool: list[NormalSubset], classes: range, seed: int) -> tuple:
+    """rows, where, inputs and meta of pool x pool, A-major: prefix "A=...;", suffix "B=...;k=c".
+
+    Past PAIR_CAP pairs, PAIR_CAP distinct pairs drawn with `seed`, in pool
+    order, each with its prefix "A=...;B=...;k=", and meta states the cap.
+    """
+    u = len(pool)
     names = [a.expr() for a in pool]
-    pairs = [(a, b) for a in pool for b in pool]
-    return pairs, [f"A={x};B={y};k=" for x in names for y in names]
+    if u * u <= PAIR_CAP:
+        where = np.indices((u, u)).reshape(2, -1).T
+        suffixes = [f"B={y};k={c}" for y in names for c in classes]
+        return _indicators(ct, pool), where, ([f"A={x};" for x in names], suffixes), {}
+    drawn = np.random.default_rng(seed).choice(u * u, PAIR_CAP, replace=False, shuffle=False)
+    where = np.stack(np.divmod(np.sort(drawn), u), axis=1)
+    prefixes = [f"A={names[a]};B={names[b]};k=" for a, b in where.tolist()]
+    meta = {"pair_cap": PAIR_CAP, "pool_pairs": u * u}
+    return _indicators(ct, pool), where, (prefixes, [str(c) for c in classes]), meta
 
 
 def sweep_2step(
@@ -562,7 +576,7 @@ def sweep_2step(
 
 
 def sweep_gowers2(ctx: GroupContext, unions: bool = True) -> ReportDocument:
-    """All (A, B, k): unions when requested, else single classes."""
+    """All (A, B, k), or PAIR_CAP seeded (A, B): unions when requested, else single classes."""
     group, ct = ctx.group, ctx.classes
     if unions:
         pool = _union_sweep(ct, include_identity_class=True, seed=0)
@@ -570,10 +584,11 @@ def sweep_gowers2(ctx: GroupContext, unions: bool = True) -> ReportDocument:
         pool = [
             NormalSubset.from_classes(ct, [i]) for i in range(ct.n_classes)
         ]
-    pairs, prefixes = _pool_pairs(pool)
-    counts = class_pair_counts(ct, pairs)
-    block = _gowers2_block(ctx, _class_ratios(ctx.table), pairs, counts, prefixes)
-    return ReportDocument(title=f"growth gowers2 {group.label}", results=block)
+    rows, where, inputs, meta = _pool_grid(ct, pool, range(1, ct.n_classes), seed=0)
+    counts = class_pair_counts(ct, rows, where)
+    ab = (rows @ ct.sizes)[where].prod(axis=1)
+    block = _gowers2_block(ctx, _class_ratios(ctx.table), ab, counts, inputs)
+    return ReportDocument(title=f"growth gowers2 {group.label}", results=block, meta=meta)
 
 
 def sweep_asymp(
@@ -581,27 +596,24 @@ def sweep_asymp(
 ) -> ReportDocument:
     """Deviation bound over `trials` seeded random union pairs.
 
-    By default (`trials=None`) over every pair of class unions instead.
+    By default (`trials=None`) over every pair of class unions instead, or
+    over PAIR_CAP pairs drawn with `seed` when there are more.
     """
     ct = ctx.classes
     if trials is None:
         pool = _union_sweep(ct, include_identity_class=True, seed=seed)
-        chosen, prefixes = _pool_pairs(pool)
-        suffixes = [str(k) for k in range(ct.n_classes)]
+        rows, where, inputs, meta = _pool_grid(ct, pool, range(ct.n_classes), seed)
     else:
         rng = np.random.default_rng(seed)
-        chosen = [
-            (random_normal_subset(ct, rng), random_normal_subset(ct, rng))
-            for _ in range(trials)
-        ]
-        prefixes = [
-            f"trial={trial};A={a.expr()};B={b.expr()}"
-            for trial, (a, b) in enumerate(chosen)
-        ]
-        suffixes = [""] * ct.n_classes
-    counts = class_pair_counts(ct, chosen)
-    block = _asymp_block(ctx, _class_ratios(ctx.table), chosen, counts, prefixes, suffixes)
-    return ReportDocument(title=f"growth asymp {ctx.label}", results=block)
+        drawn = [random_normal_subset(ct, rng) for _ in range(2 * trials)]
+        rows, where = _indicators(ct, drawn), np.arange(2 * trials).reshape(-1, 2)
+        names = [a.expr() for a in drawn]
+        prefixes = [f"trial={t};A={names[2 * t]};B={names[2 * t + 1]}" for t in range(trials)]
+        inputs, meta = (prefixes, [""] * ct.n_classes), {}
+    counts = class_pair_counts(ct, rows, where)
+    ab = (rows @ ct.sizes)[where].prod(axis=1)
+    block = _asymp_block(ctx, _class_ratios(ctx.table), ab, counts, inputs)
+    return ReportDocument(title=f"growth asymp {ctx.label}", results=block, meta=meta)
 
 
 def sweep_dichotomy(ctx: GroupContext) -> ReportDocument:
@@ -614,7 +626,7 @@ def sweep_dichotomy(ctx: GroupContext) -> ReportDocument:
     ]
     records = [
         _dichotomy_record(ctx.group, ctx.table, a, counts, ctx.tol)
-        for a, counts in zip(pool, class_pair_counts(ct, [(a, a) for a in pool]))
+        for a, counts in zip(pool, _square_counts(ct, pool))
     ]
     return ReportDocument(title=f"growth dichotomy {ctx.label}", results=records)
 

@@ -127,16 +127,21 @@ def _void_keys(cols: np.ndarray) -> np.ndarray:
 def _orders_of_rows(rows: np.ndarray) -> np.ndarray:
     """Orders of the permutations given by image rows (m, degree).
 
-    The order is the lcm of the cycle lengths; a point's cycle length is the
-    first power of its row that sends it home, found for all rows at once.
+    The order is the lcm of the cycle lengths.  Pointer jumping labels every
+    point with the least point of its cycle: after r rounds, label[i] is the
+    least of i and its next 2^r - 1 images and cur is the 2^r-th power of
+    the row, so ceil(log2 degree) rounds, of one gather each, cover every
+    cycle.  A point's cycle length is the count of its label in its row.
     """
-    points = np.arange(rows.shape[1])
-    lengths = np.zeros(rows.shape, dtype=np.int64)
-    cur = rows
-    for k in range(1, rows.shape[1] + 1):
-        lengths[(cur == points) & (lengths == 0)] = k
-        cur = np.take_along_axis(rows, cur, axis=1)
-    return np.lcm.reduce(lengths, axis=1)
+    m, degree = rows.shape
+    label, cur = np.broadcast_to(np.arange(degree, dtype=rows.dtype), rows.shape), rows
+    for _ in range((degree - 1).bit_length()):
+        # label[cur] and cur[cur] by one gather
+        ahead, cur = np.take_along_axis(np.stack([label, cur]), cur[None], axis=2)
+        label = np.minimum(label, ahead)
+    keys = label + degree * np.arange(m)[:, None]
+    counts = np.bincount(keys.ravel(), minlength=m * degree).reshape(m, degree)
+    return np.lcm.reduce(np.take_along_axis(counts, label, axis=1), axis=1)
 
 
 class _SpanningTree(NamedTuple):

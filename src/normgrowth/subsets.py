@@ -82,7 +82,6 @@ class NormalSubset:
 
     @cached_property
     def size(self) -> int:
-        """Counted once: sweeps read it for every pair."""
         return int(self.ct.sizes[list(self.class_indices)].sum())
 
     @property

@@ -1,4 +1,5 @@
 import json
+import re
 from types import SimpleNamespace
 
 import pytest
@@ -486,8 +487,16 @@ def test_emit_counts_once(tmp_path, capsys, monkeypatch, failing):
 
 # peak RSS in MB of `growth --check asymp --group PSL2:11` with no report
 # written: 520 200 records, 77 MB as columns against 215 MB as one object each.
-# The child's own VmHWM reads 78.8 MB.
+# The child's own VmHWM read 78.8 MB, and 67 MB since pairs are row indices.
 ASYMP_PSL211_PEAK_MB = 120
+# peak RSS in MB of `growth --check gowers2` with no report written.  PSL3:4
+# has 1 023 unions, 1 046 529 pairs and 9 418 761 records: its child reads
+# 473 MB with pairs as row indices and one inputs string per union and
+# class, against 637 MB with a list of (A, B) tuples and a string per pair.
+# PSL3:3 has 4 095 unions, 16.8 M pairs, past `growth.PAIR_CAP`, so it draws
+# 2^20 pairs (11 534 336 records) and reads 671 MB; with every pair it died
+# of MemoryError at 3.6 GB.
+GOWERS2_PEAK_MB = {"PSL3:4": 560, "PSL3:3": 800}
 
 
 def test_asymp_sweep_memory_stays_bounded():
@@ -501,6 +510,22 @@ def test_asymp_sweep_memory_stays_bounded():
     code, peak_kb = run_child(script).split()[-2:]
     assert code == "0"
     assert int(peak_kb) / 1024 < ASYMP_PSL211_PEAK_MB
+
+
+@pytest.mark.parametrize("spec, records", [("PSL3:4", 1_046_529 * 9), ("PSL3:3", (1 << 20) * 11)])
+def test_gowers2_union_sweep_memory_stays_bounded(spec, records):
+    """`growth --check gowers2` on the unions of PSL3:4 and PSL3:3, in a child under a stated peak RSS."""
+    script = (
+        "import os\n"
+        "from normgrowth.cli import main\n"
+        f"os.environ.pop({cli.OUT_ENV!r}, None)\n"
+        f"print(main(['growth', '--check', 'gowers2', '--group', {spec!r}]))\n"
+    ) + PRINT_PEAK_KB
+    *printed, code, peak_kb = run_child(script).split("\n")[:-1]
+    assert code == "0"
+    tally = re.search(r"(\d+) pass, (\d+) fail, (\d+) skip", printed[-1])
+    assert sum(map(int, tally.groups())) == records
+    assert int(peak_kb) / 1024 < GOWERS2_PEAK_MB[spec]
 
 
 @pytest.mark.parametrize("command, check, cost", [("growth", "2step", "4 ms a record"), ("dist", "bnp", "n translates")])

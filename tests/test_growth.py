@@ -58,6 +58,16 @@ def class_of_size(ct, size):
     return int(np.flatnonzero(ct.sizes == size)[0])
 
 
+def grid(u):
+    """The `where` of every pair of u rows, A-major."""
+    return np.indices((u, u)).reshape(2, -1).T
+
+
+def one_pair(ct, a, b):
+    """`class_pair_counts` of the one pair (A, B), as rows 0 and 1."""
+    return class_pair_counts(ct, growth._indicators(ct, [a, b]), np.array([[0, 1]]))
+
+
 def test_product_set_matches_brute_force(a5):
     g = a5.group
     rng = np.random.default_rng(7)
@@ -159,9 +169,10 @@ def test_2step_full_and_singleton_b(a5):
 
 
 def gowers2_records(ctx, a, b):
-    counts = class_pair_counts(ctx.classes, [(a, b)])
+    counts = one_pair(ctx.classes, a, b)
     ratios = growth._class_ratios(ctx.table)
-    block = growth._gowers2_block(ctx, ratios, [(a, b)], counts, [f"A={a.expr()};B={b.expr()};k="])
+    prefixes, suffixes = [f"A={a.expr()};B={b.expr()};k="], [str(c) for c in range(1, len(ratios))]
+    block = growth._gowers2_block(ctx, ratios, np.array([a.size * b.size]), counts, (prefixes, suffixes))
     return list(block.rows())
 
 
@@ -189,9 +200,10 @@ def test_gowers2_small_inputs_skip(a5):
 def test_asymp_full_inputs(a5):
     ct, tab = a5.classes, a5.table
     full = NormalSubset.from_classes(ct, range(ct.n_classes))
-    counts = class_pair_counts(ct, [(full, full)])
+    counts = one_pair(ct, full, full)
     suffixes = [str(k) for k in range(ct.n_classes)]
-    block = growth._asymp_block(a5, growth._class_ratios(tab), [(full, full)], counts, ["k="], suffixes)
+    ab = np.array([full.size**2])
+    block = growth._asymp_block(a5, growth._class_ratios(tab), ab, counts, (["k="], suffixes))
     recs = list(block.rows())
     assert len(recs) == ct.n_classes
     for rec in recs:
@@ -295,7 +307,7 @@ def test_recounts_take_one_pair_count_per_pair(a5, monkeypatch):
     ]
     del calls[:]
     pool = enumerate_normal_subsets(ct)
-    class_pair_counts(ct, [(a, a) for a in pool])
+    growth._square_counts(ct, pool)
     assert calls == [(k,)] * spectral.BRUTE_FORCE_SAMPLE
 
 
@@ -337,15 +349,15 @@ def brute_counts(group, ct, a, b):
 def test_class_pair_counts_every_union_pair(a5, monkeypatch):
     g, ct = a5.group, a5.classes
     pool = enumerate_normal_subsets(ct)
-    pairs = [(a, b) for a in pool for b in pool]
-    counts = class_pair_counts(ct, pairs)
+    rows, where = growth._indicators(ct, pool), grid(len(pool))
+    counts = class_pair_counts(ct, rows, where)
     assert counts.dtype == np.int64 and counts.shape == (31 * 31, ct.n_classes)
-    for (a, b), row in zip(pairs, counts):
-        assert row.tolist() == brute_counts(g, ct, a, b)
+    for (i, j), row in zip(where.tolist(), counts):
+        assert row.tolist() == brute_counts(g, ct, pool[i], pool[j])
     # blocks of 1 and of 18 pairs give the same counts as one block
     for chunk in (1, 3 * ct.n_classes * len(pool)):
         monkeypatch.setattr(growth, "_CHUNK_ROWS", chunk)
-        assert np.array_equal(class_pair_counts(ct, pairs), counts)
+        assert np.array_equal(class_pair_counts(ct, rows, where), counts)
 
 
 @pytest.mark.parametrize("spec", ["PSL2:7", "PSL2:11", "PSL3:2"])
@@ -353,25 +365,85 @@ def test_class_pair_counts_random_unions(spec):
     ctx = get_context(spec)
     g, ct = ctx.group, ctx.classes
     rng = np.random.default_rng(11)
-    pairs = [(random_normal_subset(ct, rng), random_normal_subset(ct, rng)) for _ in range(50)]
-    for (a, b), row in zip(pairs, class_pair_counts(ct, pairs)):
-        assert row.tolist() == brute_counts(g, ct, a, b)
+    drawn = [random_normal_subset(ct, rng) for _ in range(100)]
+    where = np.arange(100).reshape(-1, 2)
+    for (i, j), row in zip(where.tolist(), class_pair_counts(ct, growth._indicators(ct, drawn), where)):
+        assert row.tolist() == brute_counts(g, ct, drawn[i], drawn[j])
+
+
+def test_class_pair_counts_reuse_rows(psl27):
+    """A row paired with itself, and rows that recur in `where`, in any order."""
+    g, ct = psl27.group, psl27.classes
+    sets = [NormalSubset.from_classes(ct, c) for c in ([1], [0, 2], [3, 4, 5])]
+    rows = growth._indicators(ct, sets)
+    assert rows.tolist() == [[c in s.class_indices for c in range(ct.n_classes)] for s in sets]
+    where = np.array([[0, 0], [1, 1], [0, 1], [1, 0], [2, 2], [0, 0], [2, 0], [2, 0], [1, 2]])
+    counts = class_pair_counts(ct, rows, where)
+    for (i, j), row in zip(where.tolist(), counts):
+        assert row.tolist() == brute_counts(g, ct, sets[i], sets[j])
+    assert np.array_equal(counts[0], counts[5]) and np.array_equal(counts[6], counts[7])
+    # one row alone, against itself
+    (alone,) = class_pair_counts(ct, rows[2:], np.array([[0, 0]]))
+    assert alone.tolist() == brute_counts(g, ct, sets[2], sets[2])
 
 
 def test_class_pair_counts_square_sizes(psl27):
     g, ct = psl27.group, psl27.classes
     pool = enumerate_normal_subsets(ct)
-    for a, counts in zip(pool, class_pair_counts(ct, [(a, a) for a in pool])):
+    for a, counts in zip(pool, growth._square_counts(ct, pool)):
         assert int(ct.sizes[counts > 0].sum()) == product_set(g, a, a).size
 
 
 def test_class_pair_counts_of_no_pairs(a5):
-    counts = class_pair_counts(a5.classes, [])
-    assert counts.dtype == np.int64 and counts.shape == (0, a5.classes.n_classes)
+    """A `where` of shape (0, 2), on no rows and on a pool's rows."""
+    ct = a5.classes
+    for sets in ([], enumerate_normal_subsets(ct)):
+        counts = class_pair_counts(ct, growth._indicators(ct, sets), np.empty((0, 2), dtype=np.intp))
+        assert counts.dtype == np.int64 and counts.shape == (0, ct.n_classes)
 
 
 def body_sha256(doc) -> str:
     return hashlib.sha256(json.dumps(doc.body_dict(), sort_keys=True).encode()).hexdigest()
+
+
+def test_union_sweeps_draw_seeded_pairs_past_the_pair_cap(a5, monkeypatch):
+    """Past PAIR_CAP pairs a pool x pool sweep draws exactly PAIR_CAP distinct pairs.
+
+    A:5 has 31 unions, so 961 pairs against a cap set to 100.  The pairs
+    are drawn with the seed of the pool (0 for gowers2, the sweep's seed for
+    asymp), run in pool order, and are counted as the scalar references
+    count them; meta states the cap only when it is hit.
+    """
+    g, ct, k = a5.group, a5.classes, a5.classes.n_classes
+    assert sweep_gowers2(a5).meta == {} and sweep_asymp(a5, seed=3).meta == {}
+    monkeypatch.setattr(growth, "PAIR_CAP", 100)
+    pool = {a.expr(): a for a in growth._union_sweep(ct, include_identity_class=True, seed=0)}
+    order = list(pool)
+    ratios = growth._class_ratios(a5.table)
+    drawn = {}
+    for name, sweep, width in [
+        ("gowers2", lambda: sweep_gowers2(a5), k - 1),
+        ("asymp-0", lambda: sweep_asymp(a5, seed=0), k),
+        ("asymp-3", lambda: sweep_asymp(a5, seed=3), k),
+    ]:
+        rep = sweep()
+        assert rep.meta == {"pair_cap": 100, "pool_pairs": 961}
+        assert len(rep.results) == 100 * width
+        assert body_sha256(sweep()) == body_sha256(rep)
+        heads = [r.inputs.rpartition(";k=")[0] for r in list(rep.results)[::width]]
+        pairs = [tuple(pool[h.split(";")[i][2:]] for i in (0, 1)) for h in heads]
+        at = [order.index(a.expr()) * 31 + order.index(b.expr()) for a, b in pairs]
+        assert at == sorted(set(at)) and len(at) == 100
+        drawn[name] = at
+        want = []
+        for a, b in pairs:
+            row = np.array(brute_counts(g, ct, a, b))
+            if name == "gowers2":
+                want += _gowers2_reference(g, ratios, a, b, row)
+            else:
+                want += _asymp_reference(ratios, a, b, row, a5.tol)
+        _assert_same_records(rep, want)
+    assert drawn["gowers2"] == drawn["asymp-0"] != drawn["asymp-3"]
 
 
 # sha256 of the seed-0 report bodies of the reports counted by
@@ -473,7 +545,7 @@ def test_recount_catches_a_raised_count(a5):
     ctx = dataclasses.replace(a5, classes=ct)
     one = NormalSubset.from_classes(ct, [0])
     with pytest.raises(CountMismatch):
-        class_pair_counts(ct, [(one, one)])
+        one_pair(ct, one, one)
     with pytest.raises(CountMismatch):
         sweep_gowers2(ctx, unions=False)
     with pytest.raises(CountMismatch):
@@ -516,7 +588,7 @@ def test_classes_met_alone_catch_the_missing_involutions(a5, monkeypatch):
     assert not growth._classes_met(ct, c1, c1)[k15]
     monkeypatch.setattr(growth, "pair_count", lambda group, a, b, g: bad[1, 1])
     with pytest.raises(CountMismatch):
-        class_pair_counts(ct, [(c1, c1)])
+        one_pair(ct, c1, c1)
 
 
 def with_blocks(ct, class_of):
@@ -558,9 +630,9 @@ def test_wrong_partition_raises_before_any_count(a5, change):
     assert bad.centralizer_orders is None
     pool = [NormalSubset.from_classes(bad, [i]) for i in range(bad.n_classes)]
     with pytest.raises(ClassPartitionError):
-        class_pair_counts(bad, [(a, a) for a in pool])
+        growth._square_counts(bad, pool)
     with pytest.raises(ClassPartitionError):
-        class_pair_counts(bad, [])
+        class_pair_counts(bad, growth._indicators(bad, []), np.empty((0, 2), dtype=np.intp))
     assert bad.tensor is None
 
 
@@ -578,10 +650,10 @@ def test_partition_is_certified_once_per_table(a5, monkeypatch):
     ct = dataclasses.replace(a5.classes)
     assert ct.centralizer_orders is None
     pool = enumerate_normal_subsets(ct)
-    first = class_pair_counts(ct, [(a, a) for a in pool])
+    first = growth._square_counts(ct, pool)
     assert calls == [ct.n_classes]
     assert np.array_equal(ct.centralizer_orders, a5.group.n // ct.sizes)
-    assert np.array_equal(class_pair_counts(ct, [(a, a) for a in pool]), first)
+    assert np.array_equal(growth._square_counts(ct, pool), first)
     assert calls == [ct.n_classes]
 
 
@@ -623,7 +695,7 @@ def test_recount_products_stay_within_budget(monkeypatch):
     for c in range(1, k):
         a = NormalSubset.from_classes(ct, [c])
         del made[:]
-        class_pair_counts(ct, [(a, a)])
+        one_pair(ct, a, a)
         assert 0 < sum(made) <= len(a.class_indices) * a.size + a.size * k
 
 
@@ -779,8 +851,9 @@ def test_union_sweeps_match_the_scalar_records(spec):
     ct = ctx.classes
     ratios = growth._class_ratios(ctx.table)
     pool = growth._union_sweep(ct, include_identity_class=True, seed=0)
-    pairs = [(a, b) for a in pool for b in pool]
-    counts = class_pair_counts(ct, pairs)
+    where = grid(len(pool))
+    pairs = [(pool[i], pool[j]) for i, j in where.tolist()]
+    counts = class_pair_counts(ct, growth._indicators(ct, pool), where)
     want = [
         r for (a, b), row in zip(pairs, counts) for r in _asymp_reference(ratios, a, b, row, ctx.tol)
     ]
@@ -796,17 +869,20 @@ def test_builders_match_the_scalar_records_on_failing_counts(a5):
     ct, tol = a5.classes, a5.tol
     ratios = growth._class_ratios(a5.table)
     pool = growth._union_sweep(ct, include_identity_class=True, seed=0)
-    pairs, prefixes = growth._pool_pairs(pool)
-    counts = class_pair_counts(ct, pairs)
+    rows, where, inputs, meta = growth._pool_grid(ct, pool, range(1, ct.n_classes), 0)
+    assert meta == {}
+    pairs = [(pool[i], pool[j]) for i, j in where.tolist()]
+    ab = np.array([a.size * b.size for a, b in pairs])
+    counts = class_pair_counts(ct, rows, where)
     counts[np.random.default_rng(1).random(counts.shape) < 0.3] = 0
     want = [r for (a, b), row in zip(pairs, counts) for r in _gowers2_reference(a5.group, ratios, a, b, row)]
     assert sum(not r.passed for r in want) > 100
-    rep = ReportDocument("gowers2", growth._gowers2_block(a5, ratios, pairs, counts, prefixes))
+    rep = ReportDocument("gowers2", growth._gowers2_block(a5, ratios, ab, counts, inputs))
     _assert_same_records(rep, want)
     want = [r for (a, b), row in zip(pairs, counts) for r in _asymp_reference(ratios, a, b, row, tol)]
     assert sum(not r.passed for r in want) > 100
-    suffixes = [str(k) for k in range(ct.n_classes)]
-    rep = ReportDocument("asymp", growth._asymp_block(a5, ratios, pairs, counts, prefixes, suffixes))
+    _, _, inputs, _ = growth._pool_grid(ct, pool, range(ct.n_classes), 0)
+    rep = ReportDocument("asymp", growth._asymp_block(a5, ratios, ab, counts, inputs))
     _assert_same_records(rep, want)
 
 
@@ -815,10 +891,11 @@ def test_gowers2_failed_records_have_a_negative_margin(a5):
     ct = a5.classes
     ratios = growth._class_ratios(a5.table)
     pool = growth._union_sweep(ct, include_identity_class=True, seed=0)
-    pairs, prefixes = growth._pool_pairs(pool)
-    counts = class_pair_counts(ct, pairs)
+    rows, where, inputs, _ = growth._pool_grid(ct, pool, range(1, ct.n_classes), 0)
+    counts = class_pair_counts(ct, rows, where)
     counts[:, 3] = 0
-    block = growth._gowers2_block(a5, ratios, pairs, counts, prefixes)
+    ab = (rows @ ct.sizes)[where].prod(axis=1)
+    block = growth._gowers2_block(a5, ratios, ab, counts, inputs)
     rows = list(block.rows())
     failed = [not r.passed for r in rows]
     assert sum(failed) > 0
@@ -832,9 +909,11 @@ def test_asymp_trials_match_the_scalar_records(psl27):
     ct, seed = psl27.classes, 5
     rng = np.random.default_rng(seed)
     pairs = [(random_normal_subset(ct, rng), random_normal_subset(ct, rng)) for _ in range(1000)]
+    rows = growth._indicators(ct, [s for pair in pairs for s in pair])
+    counts = class_pair_counts(ct, rows, np.arange(2000).reshape(-1, 2))
     ratios = growth._class_ratios(psl27.table)
     want = []
-    for trial, ((a, b), row) in enumerate(zip(pairs, class_pair_counts(ct, pairs))):
+    for trial, ((a, b), row) in enumerate(zip(pairs, counts)):
         name = f"trial={trial};A={a.expr()};B={b.expr()}"
         want += _asymp_reference(ratios, a, b, row, psl27.tol, name)
     _assert_same_records(sweep_asymp(psl27, trials=1000, seed=seed), want)
@@ -851,11 +930,12 @@ def test_gowers2_matches_the_scalar_records_at_the_precondition_edge(seed):
     ct = ctx.classes
     ratios = growth._class_ratios(ctx.table)
     pool = growth._union_sweep(ct, include_identity_class=True, seed=0)
-    pairs = [(a, b) for a in pool for b in pool]
+    where = grid(len(pool))
+    counts = class_pair_counts(ct, growth._indicators(ct, pool), where)
     want = [
         r
-        for (a, b), row in zip(pairs, class_pair_counts(ct, pairs))
-        for r in _gowers2_reference(ctx.group, ratios, a, b, row)
+        for (i, j), row in zip(where.tolist(), counts)
+        for r in _gowers2_reference(ctx.group, ratios, pool[i], pool[j], row)
     ]
     edge = [r for r in want if abs(r.margin) < 1e-6]
     assert edge and any(r.skipped for r in edge) and not all(r.skipped for r in edge)

@@ -434,6 +434,61 @@ def test_division_table():
             assert dt[a, b] == g.mul(g.inv(a), b)
 
 
+def _orders_by_powers(rows):
+    """Orders by `degree` powers of every row: a point's cycle length is the first power that sends it home."""
+    points = np.arange(rows.shape[1])
+    lengths = np.zeros(rows.shape, dtype=np.int64)
+    cur = rows
+    for k in range(1, rows.shape[1] + 1):
+        lengths[(cur == points) & (lengths == 0)] = k
+        cur = np.take_along_axis(rows, cur, axis=1)
+    return np.lcm.reduce(lengths, axis=1)
+
+
+def _cycle_group(m):
+    """The cyclic group of order m as the powers of one m-cycle."""
+    return closure([Permutation.from_cycles([tuple(range(m))], m)], cap=m)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: parse_group_spec("PSL3:3"),
+        lambda: parse_group_spec("A:8"),
+        lambda: parse_group_spec("PSL3:4"),
+        lambda: parse_group_spec("PSL2:31"),
+        lambda: _cycle_group(1024),
+        lambda: closure([Permutation((0,))], cap=2),
+    ],
+    ids=["PSL3:3", "A:8", "PSL3:4", "PSL2:31", "C1024", "trivial"],
+)
+def test_orders_of_rows_by_pointer_jumping(make, monkeypatch):
+    """The orders of every element, in at most ceil(log2 degree) + 1 gathers.
+
+    The reference walks `degree` powers, so on the 1 024-cycle it runs on
+    every 16th row; there the orders are also counted: phi(d) elements of
+    each order d dividing 1 024.
+    """
+    g = make()
+    calls = []
+    take = np.take_along_axis
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return take(*args, **kwargs)
+
+    monkeypatch.setattr(np, "take_along_axis", counting)
+    orders = permgroup._orders_of_rows(g.perms)
+    monkeypatch.undo()
+    assert orders.dtype == np.int64 and orders.shape == (g.n,)
+    assert len(calls) <= math.ceil(math.log2(g.degree)) + 1
+    step = 16 if g.n == 1024 else 1
+    assert np.array_equal(orders[::step], _orders_by_powers(g.perms[::step]))
+    if g.n == 1024:
+        found = dict(zip(*np.unique(orders, return_counts=True)))
+        assert found == {1 << j: (1 << j) // 2 or 1 for j in range(11)}
+
+
 @pytest.mark.parametrize(
     "make",
     [

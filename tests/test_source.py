@@ -323,12 +323,15 @@ def test_union_sweeps_build_no_record_objects(name, builder):
     """The pair x class sweeps build their records as columns of one block.
 
     Nothing they reach names `CheckResult`, so a per-record object, whose
-    cost once outweighed the counting, cannot come back unseen.
+    cost once outweighed the counting, cannot come back unseen.  Nor does
+    anything name `id`: a pair is two row indices into the pool's
+    indicators, never two set objects told apart by identity.
     """
     reached = _reached_functions("growth.py", name)
     assert ("growth.py", "class_pair_counts") in reached
     assert ("growth.py", builder) in reached
     assert not _naming(reached, {"CheckResult"})
+    assert not _naming(reached, {"id"})
 
 
 def test_report_floats_are_formatted_in_one_place():
