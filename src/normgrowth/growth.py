@@ -51,8 +51,7 @@ from .subsets import (
 )
 from .tolerances import DEFAULT, Tolerances
 
-# exhaustive union sweeps are allowed while 2^(k-1) stays at or below this
-EXHAUSTIVE_UNION_CAP = 4096
+# a union sweep enumerates a pool of at most this many unions, else draws this many
 RANDOM_UNION_SAMPLES = 10_000
 # a pool x pool sweep of more pairs than this draws this many seeded pairs instead
 PAIR_CAP = 1 << 20
@@ -517,17 +516,19 @@ def word_growth_report(ctx: GroupContext, word1: str, word2: str) -> ReportDocum
 def _union_sweep(
     ct: ClassTable, include_identity_class: bool, seed: int
 ) -> list[NormalSubset]:
-    """Exhaustive class unions when feasible, else seeded random unions."""
-    k = ct.n_classes
-    if 2 ** (k - 1) <= EXHAUSTIVE_UNION_CAP:
-        return enumerate_normal_subsets(
-            ct, include_identity_class=include_identity_class
-        )
+    """Every class union when there are at most RANDOM_UNION_SAMPLES, else that many distinct ones.
+
+    Draws that repeat a union are skipped, so the pool holds each union once,
+    in the order of its first draw.
+    """
+    if (1 << ct.n_classes - (not include_identity_class)) - 1 <= RANDOM_UNION_SAMPLES:
+        return enumerate_normal_subsets(ct, include_identity_class=include_identity_class)
     rng = np.random.default_rng(seed)
-    return [
-        random_normal_subset(ct, rng, include_identity_class=include_identity_class)
-        for _ in range(RANDOM_UNION_SAMPLES)
-    ]
+    pool: dict = {}
+    while len(pool) < RANDOM_UNION_SAMPLES:
+        a = random_normal_subset(ct, rng, include_identity_class=include_identity_class)
+        pool.setdefault(a.class_indices, a)
+    return list(pool.values())
 
 
 def _pool_grid(ct: ClassTable, pool: list[NormalSubset], classes: range, seed: int) -> tuple:

@@ -1,12 +1,17 @@
 """Report records and serialization.
 
 A report holds its records in blocks of columns (`Records`): one check on
-one group, with float64 `lhs`, `rhs` and `margin`, bool `passed` and
-`skipped`, and coded notes.  Sweeps build blocks directly; a list of
-`CheckResult` rows becomes blocks when it is added to a document, so there
-is one storage form and one writer path.  `ReportDocument.results` reads
-the blocks back as immutable `CheckResult` rows, and `ReportDocument.tally`
-counts them from the columns.
+one group at one `n` and one `seed`, with float64 `lhs`, `rhs` and
+`margin`, bool `passed` and `skipped`, and coded notes.  Sweeps build
+blocks directly; a list of `CheckResult` rows becomes blocks when it is
+added to a document, so there is one storage form.
+`ReportDocument.results` reads the blocks back as immutable `CheckResult`
+rows, and `ReportDocument.tally` counts them from the columns.
+
+JSON and CSV share one writer path: `_record_texts` walks a document's
+records RECORD_BLOCK at a time, across blocks, and joins each chunk from
+tables of distinct texts.  The two formats differ only in those tables
+(`_JSON`, `_CSV`).
 
 Report bodies are deterministic: the same inputs and seeds produce the same
 JSON and CSV bytes.  Timestamps and the tolerances in effect live in the
@@ -15,7 +20,7 @@ header only.
 
 from __future__ import annotations
 
-import csv
+import bisect
 import io
 import itertools
 import json
@@ -24,7 +29,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii
-from typing import NamedTuple, Optional, TextIO, Union
+from typing import NamedTuple, Optional, TextIO
 
 import numpy as np
 
@@ -35,16 +40,6 @@ RECORD_BLOCK = 4096
 _SCALAR = json.JSONEncoder().encode
 # per-record columns of a block, in `CheckResult` order
 _COLUMNS = ("lhs", "rhs", "margin", "passed", "skipped")
-# the pass cell, indexed by passed + 2 * skipped
-_CSV_PASS = ("False", "True", "skip", "skip")
-# indexed by passed, and by skipped
-_JSON_PASS = ("false", "true")
-_JSON_SKIPPED = ("", ',\n   "skipped": true')
-# between two records of `results`
-_JSON_SEP = ",\n  "
-# a block of at most this many records formats each value in turn: finding
-# its distinct values would cost more than it saves
-_FEW_RECORDS = 64
 
 
 def bound_margin(lhs, rhs, tol=0.0, op: str = "<="):
@@ -158,18 +153,17 @@ class Tally(NamedTuple):
 class Records:
     """A block of records of one check on one group, held as columns.
 
-    `check` and `group` are shared by the block.  `n` and `seed` are shared
-    values, or lists with one value per record when they differ within the
-    block.  With m = len(suffixes), record i has inputs
-    `prefixes[i // m] + suffixes[i % m]`: a sweep gives one prefix per pair
-    and one suffix per class, a list of rows one prefix per row and the
-    suffix "".  `lhs`, `rhs` and `margin` are float64, whatever number type
-    a row gave them.  `note` holds codes into `notes`.
+    `check`, `group`, `n` and `seed` are shared by the block.  With
+    m = len(suffixes), record i has inputs `prefixes[i // m] + suffixes[i % m]`:
+    a sweep gives one prefix per pair and one suffix per class, a list of
+    rows one prefix per row and the suffix "".  `lhs`, `rhs` and `margin`
+    are float64, whatever number type a row gave them.  `note` holds codes
+    into `notes`.
     """
 
     check: str
     group: str
-    n: Union[int, list]
+    n: int
     prefixes: Sequence
     suffixes: Sequence
     lhs: np.ndarray
@@ -179,7 +173,7 @@ class Records:
     skipped: Optional[np.ndarray] = None
     note: Optional[np.ndarray] = None
     notes: tuple = ("",)
-    seed: Union[None, int, list] = None
+    seed: Optional[int] = None
 
     def __post_init__(self):
         size = len(self.prefixes) * len(self.suffixes)
@@ -193,29 +187,30 @@ class Records:
         self.passed = np.ravel(np.asarray(self.passed, dtype=bool))
         self.skipped = np.ravel(np.asarray(self.skipped, dtype=bool))
         self.note = np.ravel(np.asarray(self.note, dtype=np.intp))
-        lengths = [getattr(self, c).size for c in (*_COLUMNS, "note")]
-        lengths += [len(v) for v in (self.n, self.seed) if isinstance(v, list)]
-        if any(length != size for length in lengths):
+        if any(getattr(self, c).size != size for c in (*_COLUMNS, "note")):
             raise ValueError(f"a {self.check} block of {size} records has a column of another length")
 
     @classmethod
     def from_rows(cls, rows) -> list[Records]:
-        """Rows as blocks, one per run of rows that share check and group.
+        """Rows as blocks, one per run of rows that share check, group, n and seed.
 
-        A run's `n` is shared when every row has the same value of the same
-        type, and the list of the rows' values otherwise; so is its `seed`.
+        Equal values of two types differ (60 and 60.0, 1 and True), so a
+        block's `n` and `seed` are each of its rows' own values.
         """
         blocks = []
-        for (check, group), run in itertools.groupby(rows, key=lambda r: (r.check, r.group)):
+        runs = itertools.groupby(
+            rows, key=lambda r: (r.check, r.group, r.n, r.seed, type(r.n), type(r.seed))
+        )
+        for (check, group, n, seed, *_), run in runs:
             run = list(run)
             codes: dict = {}
             note = [codes.setdefault(r.note, len(codes)) for r in run]
             blocks.append(
                 cls(
-                    check, group, _shared([r.n for r in run]), [r.inputs for r in run], ("",),
+                    check, group, n, [r.inputs for r in run], ("",),
                     *([getattr(r, c) for r in run] for c in ("lhs", "rhs", "margin")),
                     [bool(r.passed) for r in run], [bool(r.skipped) for r in run],
-                    note, tuple(codes), _shared([r.seed for r in run]),
+                    note, tuple(codes), seed,
                 )
             )
         return blocks
@@ -231,118 +226,128 @@ class Records:
     def row(self, i: int) -> CheckResult:
         """Record i as a `CheckResult`."""
         m = len(self.suffixes)
-        n, seed = (v[i] if isinstance(v, list) else v for v in (self.n, self.seed))
         columns = (getattr(self, c)[i].item() for c in _COLUMNS)
         return CheckResult(
-            self.check, self.group, n, self.prefixes[i // m] + self.suffixes[i % m],
-            *columns, seed, self.notes[self.note[i]],
+            self.check, self.group, self.n, self.prefixes[i // m] + self.suffixes[i % m],
+            *columns, self.seed, self.notes[self.note[i]],
         )
 
     def rows(self):
         """Every record as a `CheckResult`, in order, built RECORD_BLOCK at a time."""
         m = len(self.suffixes)
-        for lo, hi, prefixes, at in self._chunks():
+        for lo in range(0, len(self), RECORD_BLOCK):
+            hi = min(lo + RECORD_BLOCK, len(self))
             yield from map(
                 CheckResult,
-                itertools.repeat(self.check),
-                itertools.repeat(self.group),
-                _per_record(self.n, lo, hi),
-                [prefixes[a // m] + self.suffixes[a % m] for a in at],
+                *map(itertools.repeat, (self.check, self.group, self.n)),
+                [self.prefixes[i // m] + self.suffixes[i % m] for i in range(lo, hi)],
                 *(getattr(self, c)[lo:hi].tolist() for c in _COLUMNS),
-                _per_record(self.seed, lo, hi),
+                itertools.repeat(self.seed),
                 map(self.notes.__getitem__, self.note[lo:hi].tolist()),
             )
 
-    def _chunks(self):
-        """(lo, hi, prefixes, at) per RECORD_BLOCK records [lo, hi).
 
-        Record lo + j has prefix `prefixes[at[j] // m]` and suffix
-        `suffixes[at[j] % m]`, with m = len(suffixes).
-        """
-        m = len(self.suffixes)
-        for lo in range(0, len(self), RECORD_BLOCK):
-            hi = min(lo + RECORD_BLOCK, len(self))
-            first = lo // m
-            yield lo, hi, self.prefixes[first : -(-hi // m)], range(lo - first * m, hi - first * m)
+def _json_block(b: Records) -> tuple:
+    """A block's JSON lead, up to its inputs, and tails, indexed by passed + 2 skipped + 4 note.
 
-    def json_chunks(self):
-        """The records' JSON text, RECORD_BLOCK records at a time.
-
-        Each chunk holds its records as `json.dumps(..., indent=1)` writes
-        them in a report's `results`, joined by ",\n  ".  A record is the
-        join of a few pieces, each read from a table of distinct texts: its
-        quoted prefix and suffix, its float members (`_float_texts`), and
-        the members after them, one text per passed + 2 skipped + 4 note.
-        Only an `n` or `seed` that differs within the block is formatted
-        record by record.
-        """
-        m = len(self.suffixes)
-        head = f'{{\n   "check": {_SCALAR(self.check)},\n   "group": {_SCALAR(self.group)},\n   "n": '
-        inputs = ',\n   "inputs": '
-        lead = inputs if isinstance(self.n, list) else head + _SCALAR(self.n) + inputs
-        # JSON escapes per character, so a quoted string is its prefix's quoted
-        # text without the closing quote, then its suffix's without the opening one
-        suffixes = _objects(encode_basestring_ascii(s)[1:] for s in self.suffixes)
-        # indexed by passed + 2 skipped, and by note
-        passes = [f',\n   "pass": {p}{s}' for s in _JSON_SKIPPED for p in _JSON_PASS]
-        closes = [(f',\n   "note": {_SCALAR(s)}' if s else "") + "\n  }" + _JSON_SEP for s in self.notes]
-        if not isinstance(self.seed, list):
-            seed = _seed_member(self.seed)
-            tails = _objects(p + seed + c for c in closes for p in passes)
-        floats = (_float_texts(getattr(self, c), f',\n   "{c}": ') for c in ("lhs", "rhs", "margin"))
-        for (lo, hi, prefixes, at), *members in zip(self._chunks(), *floats):
-            pair, cls = np.divmod(np.arange(at.start, at.stop), m)
-            quoted = _objects(lead + encode_basestring_ascii(p)[:-1] for p in prefixes)
-            code = self.passed[lo:hi].view(np.int8) + 2 * self.skipped[lo:hi].view(np.int8)
-            if isinstance(self.seed, list):
-                tail = [
-                    passes[c] + _seed_member(s) + closes[t]
-                    for c, s, t in zip(code.tolist(), self.seed[lo:hi], self.note[lo:hi].tolist())
-                ]
-            else:
-                tail = tails[code + 4 * self.note[lo:hi]]
-            pieces = [quoted[pair], suffixes[cls], *members, tail]
-            if isinstance(self.n, list):
-                pieces.insert(0, [head + _SCALAR(v) for v in self.n[lo:hi]])
-            parts = _interleave(pieces)
-            parts[-1] = parts[-1][: -len(_JSON_SEP)]
-            yield "".join(parts)
-
-    def csv_chunks(self):
-        """The records' CSV rows, RECORD_BLOCK at a time, as `CheckResult.row` gives them."""
-        m = len(self.suffixes)
-        floats = (_float_texts(getattr(self, c)) for c in ("lhs", "rhs", "margin"))
-        for (lo, hi, prefixes, at), *cells in zip(self._chunks(), *floats):
-            passes = self.passed[lo:hi].view(np.int8) + 2 * self.skipped[lo:hi].view(np.int8)
-            yield zip(
-                itertools.repeat(self.check),
-                itertools.repeat(self.group),
-                _per_record(self.n, lo, hi),
-                [prefixes[a // m] + self.suffixes[a % m] for a in at],
-                *cells,
-                map(_CSV_PASS.__getitem__, passes.tolist()),
-            )
+    Every record opens with the comma that parts it from the record before.
+    """
+    head = f',\n  {{\n   "check": {_SCALAR(b.check)},\n   "group": {_SCALAR(b.group)},\n   "n": '
+    seed = "" if b.seed is None else f',\n   "seed": {_SCALAR(b.seed)}'
+    notes = [f',\n   "note": {_SCALAR(s)}' if s else "" for s in b.notes]
+    skips = ("", ',\n   "skipped": true')
+    return f'{head}{_SCALAR(b.n)},\n   "inputs": ', [
+        f',\n   "pass": {p}{s}{seed}{t}\n  }}' for t in notes for s in skips for p in ("false", "true")
+    ]
 
 
-def _shared(values: list):
-    """The one value in `values`, or `values` itself when two differ in value or type."""
-    first = values[0]
-    return first if all(type(v) is type(first) and v == first for v in values) else values
+def _csv_block(b: Records) -> tuple:
+    """A block's CSV lead and tails, as `_json_block` gives them."""
+    cells = (_csv_field(str(v)) for v in (b.check, b.group, b.n))
+    lead = "".join(f'"{t}",' if quoted else t + "," for t, quoted in cells)
+    return lead, [",False\n", ",True\n", ",skip\n", ",skip\n"] * len(b.notes)
 
 
-def _per_record(value, lo: int, hi: int):
-    """Records [lo, hi) of a per-record list, or a shared value repeated."""
-    return value[lo:hi] if isinstance(value, list) else itertools.repeat(value, hi - lo)
+def _csv_field(s: str) -> tuple:
+    """A string's text in a CSV field, and whether the field is quoted.
+
+    As `csv.writer(lineterminator="\n")` has it: quoted when it holds a comma,
+    a quote or a newline, with its quotes doubled; a bare \r stays.
+    """
+    return s.replace('"', '""'), "," in s or '"' in s or "\n" in s
 
 
-def _seed_member(seed) -> str:
-    """A record's JSON `seed` member with its leading comma, or "" for no seed."""
-    return "" if seed is None else f',\n   "seed": {_SCALAR(seed)}'
+# What JSON and CSV records differ in: a block's lead and tails; a string's
+# text in the inputs field and whether it makes the field quoted; the labels
+# before lhs, rhs and margin; and whether non-finite floats are spelled as
+# `json` spells them (NaN, Infinity) rather than by `float.__repr__`.
+_JSON = (
+    _json_block,
+    lambda s: (encode_basestring_ascii(s)[1:-1], True),
+    tuple(f',\n   "{c}": ' for c in _COLUMNS[:3]),
+    True,
+)
+_CSV = (_csv_block, _csv_field, (",",) * 3, False)
 
 
-def _objects(texts) -> np.ndarray:
-    """A 1-d object array of the given strings, for gathering by index."""
-    return np.array(list(texts), dtype=object)
+def _record_texts(blocks: list[Records], fmt: tuple):
+    """The text of every record of `blocks`, RECORD_BLOCK records at a time, across blocks.
+
+    A chunk is one `"".join` of six pieces per record, gathered from tables
+    of distinct texts: the block's lead with the inputs' prefix, the inputs'
+    suffix, the float texts of each document column and the tail.  A field
+    whose prefix or suffix asks for quotes takes both quoted texts: the
+    quote opens on the prefix and closes on the suffix.  Columns are copied
+    only to join the blocks of a document of more than one.
+    """
+    blocks = [b for b in blocks if len(b)]
+    if not blocks:
+        return
+    block_texts, field, labels, named = fmt
+    starts = list(itertools.accumulate(map(len, blocks), initial=0))
+    widths = [len(b.suffixes) for b in blocks]
+    texts, suffix_quoted = zip(*map(field, [s for b in blocks for s in b.suffixes]))
+    suffixes = np.array([*texts, *(t + '"' for t in texts)], dtype=object)
+    suffix_quoted = np.array(suffix_quoted)
+    leads, tails = zip(*map(block_texts, blocks))
+    # where each block's records, suffixes and tails start
+    record_at = np.array(starts)
+    suffix_at, tail_at = (np.cumsum([0, *sizes[:-1]]) for sizes in (widths, list(map(len, tails))))
+    tails = np.array([t for block_tails in tails for t in block_tails], dtype=object)
+    columns = [
+        getattr(blocks[0], c) if len(blocks) == 1 else np.concatenate([getattr(b, c) for b in blocks])
+        for c in (*_COLUMNS, "note")
+    ]
+    floats = (_float_texts(col, label, named) for col, label in zip(columns, labels))
+    for lo, *float_texts in zip(range(0, starts[-1], RECORD_BLOCK), *floats):
+        hi = min(lo + RECORD_BLOCK, starts[-1])
+        first, last = bisect.bisect_right(starts, lo) - 1, bisect.bisect_left(starts, hi)
+        # the chunk's prefixes, each after its block's lead; block j's first is at offsets[j - first]
+        prefixes, heads, offsets, counts = [], [], [], []
+        for j in range(first, last):
+            a, z, m = max(lo, starts[j]) - starts[j], min(hi, starts[j + 1]) - starts[j], widths[j]
+            offsets.append(len(prefixes) - a // m)
+            part = blocks[j].prefixes[a // m : -(-z // m)]
+            prefixes += part
+            heads += [leads[j]] * len(part)
+            counts.append(z - a)
+        # each record's block; one number when the chunk lies in one block
+        block = first if last - first == 1 else np.repeat(np.arange(first, last), counts)
+        pair, cls = np.divmod(np.arange(lo, hi) - record_at[block], np.take(widths, block))
+        pair += np.take(offsets, block - first)
+        cls += suffix_at[block]
+        texts, quoted = zip(*map(field, prefixes))
+        quoted = np.array(quoted)[pair] | suffix_quoted[cls]
+        unquoted = [h + t for h, t in zip(heads, texts)]
+        prefix_texts = np.array(unquoted + [h + '"' + t for h, t in zip(heads, texts)], dtype=object)
+        passed, skipped, note = (col[lo:hi] for col in columns[3:])
+        pieces = [
+            prefix_texts[pair + len(prefixes) * quoted],
+            suffixes[cls + len(suffix_quoted) * quoted],
+            *float_texts,
+            tails[tail_at[block] + 4 * note + 2 * skipped + passed],
+        ]
+        yield "".join(_interleave(pieces))
 
 
 def _interleave(columns) -> list:
@@ -354,23 +359,19 @@ def _interleave(columns) -> list:
     return pieces
 
 
-def _float_texts(col: np.ndarray, label: str = ""):
-    """The text of every value of `col`, as one list per RECORD_BLOCK chunk.
+def _float_texts(col: np.ndarray, label: str, named: bool):
+    """The text of every value of `col` after `label`, as one list per RECORD_BLOCK chunk.
 
-    With a label, a text is a JSON member: the label, then the value as
-    `json` writes it.  Without one it is a CSV cell, `float.__repr__`.
-    Values are told apart by their bits, so -0.0 and 0.0 stay apart and NaN
-    stays NaN.  Each distinct value is formatted once, on the first chunk
-    that holds it.  A value that occurs more than once keeps its text until
-    the chunk that holds its last occurrence, found by counting its
-    occurrences down.  Between chunks this holds the bits and the count of
-    each value that recurs, and the texts still to be reused: nothing per
-    record.
+    A value is written as `float.__repr__` writes it, or, when `named`, as
+    `json` does (NaN, Infinity).  Values are told apart by their bits, so
+    -0.0 and 0.0 stay apart and NaN stays NaN.  Each distinct value is
+    formatted once, on the first chunk that holds it.  A value that occurs
+    more than once keeps its text until the chunk that holds its last
+    occurrence, found by counting its occurrences down.  Between chunks
+    this holds the bits and the count of each value that recurs, and the
+    texts still to be reused: nothing per record.
     """
-    spell = _SCALAR if label and not np.isfinite(col).all() else float.__repr__
-    if col.size <= _FEW_RECORDS:
-        yield [label + spell(v) for v in col.tolist()]
-        return
+    spell = _SCALAR if named and not np.isfinite(col).all() else float.__repr__
     bits = col.view(np.uint64)
     values, counts = np.unique(bits, return_counts=True)
     # the values that recur, their occurrences still to be written, and their texts
@@ -531,30 +532,23 @@ def _write_json(doc: ReportDocument, fh: TextIO) -> None:
 
     With an indent the standard library encodes in pure Python, so only the
     header, meta and summary go that way, around an empty `results`.  The
-    records are formatted from the columns, a chunk at a time, from each
-    block's tables of distinct texts (`Records.json_chunks`).
+    records come from `_record_texts`.
     """
     head = {"header": doc.header_dict(), **doc._body([])}
     before, _, after = json.dumps(head, indent=1).rpartition('"results": []')
     fh.write(before + '"results": [')
-    sep = "\n  "
-    for block in doc.blocks:
-        for text in block.json_chunks():
-            fh.write(sep)
-            fh.write(text)
-            sep = _JSON_SEP
-    if sep != "\n  ":
-        fh.write("\n ")
-    fh.write("]" + after + "\n")
+    end = ""
+    for text in _record_texts(doc.blocks, _JSON):
+        # the first record has no record before it to part from
+        fh.write(text if end else text[1:])
+        end = "\n "
+    fh.write(end + "]" + after + "\n")
 
 
 def _write_csv(doc: ReportDocument, fh: TextIO) -> None:
-    """The bytes of `csv.DictWriter` over CSV_COLUMNS, a chunk of rows at a time."""
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for block in doc.blocks:
-        for rows in block.csv_chunks():
-            writer.writerows(rows)
+    """The bytes of `csv.DictWriter` over CSV_COLUMNS and `CheckResult.row`."""
+    fh.write(",".join(CSV_COLUMNS) + "\n")
+    fh.writelines(_record_texts(doc.blocks, _CSV))
 
 
 def write_report(doc: ReportDocument, path: str, fmt: str = "json") -> None:

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import re
 from types import SimpleNamespace
@@ -9,6 +11,7 @@ from conftest import PRINT_PEAK_KB, run_child
 from normgrowth import __version__, cli, permgroup, reports, spectral
 from normgrowth.chartable import save_table
 from normgrowth.cli import main
+from normgrowth.context import get_context
 from normgrowth.distributions import sweep_bnp_star, sweep_bnp_two_step, sweep_wlambda
 from normgrowth.growth import (
     gluck_report,
@@ -96,6 +99,14 @@ def test_growth_check_and_csv_output(tmp_path):
     assert code == 0
     header = out.read_text().splitlines()[0]
     assert header == ",".join(CSV_COLUMNS)
+    # the whole file is what `csv.DictWriter` writes for the same sweep's rows
+    doc = sweep_2step(get_context("A:5"), trials=2, seed=0)
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, lineterminator="\n")
+    writer.writeheader()
+    writer.writerows([r.row() for r in doc.results])
+    assert out.read_bytes() == buf.getvalue().encode("utf-8")
+    assert any(r.inputs != r.inputs.replace(",", "") for r in doc.results)
 
 
 def test_growth_gluck_wrong_group_exits_1(capsys):

@@ -251,6 +251,35 @@ def test_survey_counts(a5, psl27, s5):
         square_growth_survey(s5)
 
 
+def test_union_pools_hold_each_union_once():
+    """A pool of at most RANDOM_UNION_SAMPLES unions is all of them; past that, as many distinct.
+
+    A:8 has 14 classes, so 16 383 unions with the identity class: the pool
+    draws 10 000 distinct ones, the same for the same seed, and starts with
+    the unions that draws with repeats give, in the order of their first
+    draw.  Without the identity class there are 8 191 unions, all of them
+    enumerated, and `survey` writes one record each.
+    """
+    ctx = get_context("A:8")
+    ct = ctx.classes
+    pools = {}
+    for seed in (0, 3):
+        pool = [a.class_indices for a in growth._union_sweep(ct, include_identity_class=True, seed=seed)]
+        assert len(pool) == len(set(pool)) == growth.RANDOM_UNION_SAMPLES
+        assert pool == [a.class_indices for a in growth._union_sweep(ct, True, seed)]
+        rng = np.random.default_rng(seed)
+        repeating = [random_normal_subset(ct, rng).class_indices for _ in range(growth.RANDOM_UNION_SAMPLES)]
+        first = list(dict.fromkeys(repeating))
+        assert len(first) < len(repeating) and pool[: len(first)] == first
+        pools[seed] = pool
+    assert pools[0] != pools[3]
+    unions = growth._union_sweep(ct, include_identity_class=False, seed=0)
+    assert [a.class_indices for a in unions] == [a.class_indices for a in enumerate_normal_subsets(ct, False)]
+    assert len(unions) == 2 ** (ct.n_classes - 1) - 1 == 8191
+    rep = square_growth_survey(ctx)
+    assert len(rep.results) == rep.meta["union_count"] == 8191
+
+
 def test_pyber_census(a5):
     rep = pyber_report(a5)
     assert rep.meta["threshold"] == pytest.approx(60 / math.log2(60))

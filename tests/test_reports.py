@@ -156,7 +156,7 @@ def test_write_report_streams_the_to_json_bytes(tmp_path):
 
 
 # strings and floats that an encoder or a re-indenting pass could get wrong
-_EDGE_TEXT = ["", 'q"uote', "back\\slash", "},\n   {", "line\nbreak\ttab", "π ünï", "\x00\x1f"]
+_EDGE_TEXT = ["", 'q"uote', "back\\slash", "},\n   {", "line\nbreak\ttab", "π ünï", "\x00\x1f", "a,b", "cr\rlf"]
 _EDGE_FLOATS = [0.0, -0.0, 5e-324, 1e308, math.nan, math.inf, -math.inf, 0.1 + 0.2]
 
 
@@ -209,18 +209,17 @@ _MEMORY_VALUES = {
 def test_writer_memory_does_not_grow_with_the_report(tmp_path, fmt):
     """Only a chunk of records is ever encoded, or read back as rows, at once.
 
-    The block's n differs from record to record, as `Records.from_rows`
-    keeps it for rows that differ in n.  Beyond a chunk, the writer keeps a
-    few integers per value that recurs and nothing for one that does not,
-    so a block whose every value differs stays within the bound, as does
-    one whose values recur.
+    The document is one block, so its columns are not copied.  Beyond a
+    chunk, the writer keeps a few integers per value that recurs and
+    nothing for one that does not, so a block whose every value differs
+    stays within the bound, as does one whose values recur.
     """
     target = str(tmp_path / f"out.{fmt}")
 
     def peak(blocks, values):
         i = np.arange(blocks * RECORD_BLOCK)
         block = Records(
-            "demo", "A5", i.tolist(), ["A=class:1"] * i.size, ("",),
+            "demo", "A5", 60, ["A=class:1"] * i.size, ("",),
             *_MEMORY_VALUES[values](i), np.ones(i.size, dtype=bool),
         )
         doc = ReportDocument(title="demo", results=block)
@@ -300,21 +299,26 @@ def test_writer_tables_reuse_texts_across_chunks(tmp_path, monkeypatch):
     assert np.array_equal(np.sort(np.array(spelled).view(np.uint64)), np.sort(want))
 
 
-def test_rows_that_differ_in_n_or_seed_share_a_block(tmp_path):
-    """A run of rows with one check and group is one block; n and seed keep each row's value and type."""
-    ns, seeds = [60, 60.0, 60, 61, True], [3, 3.0, 3, None, False]
+def test_rows_that_differ_in_n_or_seed_start_a_block(tmp_path):
+    """Each change of check, group, n or seed, in value or in type, starts a block.
+
+    So every block shares one n and one seed, and each row keeps its own.
+    """
+    ns, seeds = [60, 60.0, 60, 61, True, 1], [3, 3.0, 3, None, False, 0]
     varying = [
-        make_result(n=ns[i % 5], seed=seeds[i % 5], lhs=i / 3, note="x" if i % 4 else "")
+        make_result(n=ns[i % 6], seed=seeds[i % 6], lhs=i / 3, note="x" if i % 4 else "")
         for i in range(200)
     ]
     shared = [make_result(check="other", seed=4, lhs=i / 5) for i in range(100)]
     rows = varying + shared + varying[:3]
     doc = ReportDocument(title="demo", results=rows)
-    assert [len(b) for b in doc.blocks] == [200, 100, 3]
-    assert doc.blocks[0].n == [r.n for r in varying] and doc.blocks[0].seed == [r.seed for r in varying]
-    assert (doc.blocks[1].n, doc.blocks[1].seed) == (60, 4)
-    # equal values of another type differ
-    assert doc.blocks[2].n == [60, 60.0, 60] and doc.blocks[2].seed == [3, 3.0, 3]
+    assert [len(b) for b in doc.blocks] == [1] * 200 + [100, 1, 1, 1]
+    for block, r in zip(doc.blocks, varying + shared[:1] + varying[:3]):
+        assert (block.check, block.group) == (r.check, r.group)
+        assert (block.n, type(block.n), block.seed, type(block.seed)) == (r.n, type(r.n), r.seed, type(r.seed))
+    # equal runs of rows stay one block
+    again = ReportDocument(title="demo", results=shared + shared[:7] + [make_result(check="other", seed=4.0)])
+    assert [len(b) for b in again.blocks] == [107, 1]
     assert _text_of(doc.results) == _text_of(rows)
     assert [(type(r.n), type(r.seed)) for r in doc.results] == [(type(r.n), type(r.seed)) for r in rows]
     doc.stamp()

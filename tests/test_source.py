@@ -339,7 +339,10 @@ def test_report_floats_are_formatted_in_one_place():
 
     So neither writer formats a float on its own path: both take their
     float texts from the one helper, which formats each distinct value of a
-    block once.  The per-column formatter it replaced is gone.
+    document column once.  The per-column formatter it replaced is gone,
+    and so are the CSV writer's own path (`csv_chunks`, a `writerows`
+    loop), the small-block fork (`_FEW_RECORDS`) and the per-record n and
+    seed lists (`_shared`, `_per_record`).
     """
 
     def float_reprs(node):
@@ -356,6 +359,5 @@ def test_report_floats_are_formatted_in_one_place():
         node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_float_texts"
     )
     assert float_reprs(tree) and float_reprs(tree) == float_reprs(helper)
-    names = {getattr(node, "name", None) for node in ast.walk(tree)}
-    names |= {getattr(node, "id", None) for node in ast.walk(tree)}
-    assert "_json_floats" not in names
+    names = {getattr(node, field, None) for node in ast.walk(tree) for field in ("name", "id", "attr")}
+    assert not names & {"_json_floats", "csv_chunks", "writerows", "_FEW_RECORDS", "_shared", "_per_record"}
