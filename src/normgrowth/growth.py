@@ -16,6 +16,11 @@ dense cap, one `product_set` per set above it; each sweep through it
 recounts a sample of its products on the other route.  A disagreement raises
 `CountMismatch`.
 
+A union pool is a (u, k) bool array of class indicator rows from the moment
+`_union_pool` makes it, and each sweep over one writes a single `Records`
+block: names, |A|, symmetry and triviality are read off the rows, A^2 off
+one diagonal `class_pair_counts` call.
+
 Every check that returns a `ReportDocument` takes one `GroupContext`; a
 randomized sweep given `trials=None` runs its own documented default.
 """
@@ -44,10 +49,11 @@ from .subsets import (
     NormalSubset,
     Subset,
     SubsetLike,
-    enumerate_normal_subsets,
     random_normal_subset,
     random_subset,
     subset_mask,
+    union_exprs,
+    union_rows,
 )
 from .tolerances import DEFAULT, Tolerances
 
@@ -184,35 +190,29 @@ def class_pair_counts(ct: ClassTable, rows: np.ndarray, where: np.ndarray) -> np
     return out
 
 
-def _indicators(ct: ClassTable, sets: list[NormalSubset]) -> np.ndarray:
-    """The (len(sets), k) bool class indicators of normal sets."""
-    rows = np.zeros((len(sets), ct.n_classes), dtype=bool)
-    for r, s in enumerate(sets):
-        rows[r, list(s.class_indices)] = True
-    return rows
+def _squares_met(ct: ClassTable, rows: np.ndarray) -> np.ndarray:
+    """met[u, c] = class c lies in A_u^2, for the union rows: one diagonal `class_pair_counts`."""
+    return class_pair_counts(ct, rows, np.arange(len(rows)).repeat(2).reshape(-1, 2)) > 0
 
 
-def _square_counts(ct: ClassTable, pool: list[NormalSubset]) -> np.ndarray:
-    """`class_pair_counts` of (A, A) for each A of `pool`: the diagonal `where`."""
-    return class_pair_counts(ct, _indicators(ct, pool), np.stack([np.arange(len(pool))] * 2, 1))
+# -- record blocks from per-pair counts -------------------------------------------
 
 
-# -- records from per-pair counts -----------------------------------------------
+def _2step_block(
+    ctx: GroupContext, r_min: np.ndarray, b_size: np.ndarray, ab: np.ndarray, inputs: list
+) -> Records:
+    """The 2step records: |AB| >= n / (1 + R^2 (n/|B| - 1)) with R = min ratio on A.
 
-
-def _2step_record(
-    group: FiniteGroup, r_min: float, b_size: int, ab: int, inputs: str, tol: Tolerances
-) -> CheckResult:
-    """The 2step record: |AB| >= n / (1 + R^2 (n/|B| - 1)) with R = min ratio on A.
-
-    Also checks the weaker closed form |AB| >= min(n/2, |B| / (2 R^2)).
+    Also checks the weaker closed form |AB| >= min(n/2, |B| / (2 R^2)),
+    which is n/2 when R = 0.
     """
-    n = group.n
+    n = ctx.n
     bound = n / (1.0 + r_min * r_min * (n / b_size - 1.0))
-    weak = min(n / 2.0, b_size / (2.0 * r_min * r_min)) if r_min > 0 else n / 2.0
-    return CheckResult.bound(
-        "2step", group.label, n, inputs, ab, max(bound, weak), tol.slack, ">="
-    )
+    with np.errstate(divide="ignore"):
+        weak = np.minimum(n / 2.0, b_size / (2.0 * r_min * r_min))
+    rhs = np.maximum(bound, weak)
+    margin, passed = bound_margin(ab, rhs, ctx.tol.slack, ">=")
+    return Records("2step", ctx.label, n, inputs, ("",), ab, rhs, margin, passed)
 
 
 def _gowers2_block(
@@ -303,48 +303,31 @@ def dichotomy_check(
     """
     if a.is_trivial():
         raise TrivialSubset("A must be nonempty and different from {1}")
-    counts = _square_counts(a.ct, [a])[0]
-    return _dichotomy_record(group, tab, a, counts, tol)
+    return _dichotomy_block(GroupContext(group, a.ct, tab, tol), a.indicator[None]).row(0)
 
 
-def _dichotomy_record(
-    group: FiniteGroup,
-    tab: CharacterTable,
-    a: NormalSubset,
-    counts: np.ndarray,
-    tol: Tolerances,
-) -> CheckResult:
-    """The dichotomy record of A, from the per-class counts of A^2."""
-    n = group.n
-    _, r_max = r_extremes(tab, range(1, tab.n_classes))
-    a2_size = _covered_size(a.ct, counts)
-    name = f"A={a.expr()}"
-    if a.size >= r_max * n:
-        return CheckResult(
-            check="dichotomy",
-            group=group.label,
-            n=n,
-            inputs=name,
-            lhs=float(a2_size),
-            rhs=float(n - 1),
-            margin=float(a2_size - (n - 1)),
-            passed=_covers_nonidentity(counts),
-            note="covering branch |A| >= R n",
-        )
-    return CheckResult.bound(
-        "dichotomy", group.label, n, name, a2_size, a.size / (2.0 * r_max),
-        tol.slack, ">=", note="growth branch |A| < R n",
+def _dichotomy_block(ctx: GroupContext, rows: np.ndarray) -> Records:
+    """The dichotomy records of the unions `rows`, from the classes of each A^2.
+
+    In the covering branch lhs is |A^2|, rhs n - 1 and margin their
+    difference, and the record passes when A^2 holds G minus the identity.
+    """
+    ct, n = ctx.classes, ctx.n
+    _, r_max = r_extremes(ctx.table, range(1, ctx.table.n_classes))
+    met = _squares_met(ct, rows)
+    a2, size = met @ ct.sizes, rows @ ct.sizes
+    covering = size >= r_max * n
+    growth_rhs = size / (2.0 * r_max)
+    margin, passed = bound_margin(a2, growth_rhs, ctx.tol.slack, ">=")
+    return Records(
+        "dichotomy", ctx.label, n, [f"A={x}" for x in union_exprs(rows)], ("",),
+        a2,
+        np.where(covering, n - 1.0, growth_rhs),
+        np.where(covering, a2 - (n - 1), margin),
+        np.where(covering, met[:, 1:].all(axis=1), passed),
+        note=~covering,
+        notes=("covering branch |A| >= R n", "growth branch |A| < R n"),
     )
-
-
-def _covered_size(ct: ClassTable, counts: np.ndarray) -> int:
-    """|AB| from AB's per-class counts: the sizes of the classes it meets."""
-    return int(ct.sizes[counts > 0].sum())
-
-
-def _covers_nonidentity(counts: np.ndarray) -> bool:
-    """AB holds G minus the identity; the identity may be missing."""
-    return bool((counts[1:] > 0).all())
 
 
 # -- reports over families ------------------------------------------------------
@@ -377,46 +360,40 @@ def gluck_report(ctx: GroupContext) -> ReportDocument:
 
 
 def square_growth_survey(ctx: GroupContext) -> ReportDocument:
-    """Census of the squaring exponent over unions of nonidentity classes.
+    """Census of the squaring exponent over unions A of nonidentity classes.
 
-    For each nonempty union A of nonidentity classes, records whether A^2
-    covers G minus the identity; otherwise records
-    eps(A) = log|A^2| / log|A| - 1.  No assertion, report only.
+    Every union when there are at most RANDOM_UNION_SAMPLES, else that many
+    drawn.  For each, records whether A^2 covers G minus the identity;
+    otherwise records eps(A) = log|A^2| / log|A| - 1.  No assertion, report
+    only.
     """
     group, ct = ctx.group, ctx.classes
     if not group.simple:
         raise NotSimple("square growth survey expects a simple group")
-    subsets = _union_sweep(ct, include_identity_class=False, seed=0)
-    records = []
-    eps_values = []
-    for a, counts in zip(subsets, _square_counts(ct, subsets)):
-        a2_size = _covered_size(ct, counts)
-        if _covers_nonidentity(counts):
-            rhs, note = group.n - 1, "covering"
-        else:
-            eps = math.log(a2_size) / math.log(a.size) - 1.0
-            eps_values.append(eps)
-            rhs, note = a.size, f"eps={eps:.6f}"
-        records.append(
-            CheckResult(
-                check="survey",
-                group=group.label,
-                n=group.n,
-                inputs=f"A={a.expr()}",
-                lhs=float(a2_size),
-                rhs=float(rhs),
-                margin=0.0,
-                passed=True,
-                note=note,
-            )
-        )
+    rows = _union_pool(ct, include_identity_class=False, seed=0)
+    met = _squares_met(ct, rows)
+    a2, size = met @ ct.sizes, rows @ ct.sizes
+    covering = met[:, 1:].all(axis=1)
+    growing = np.flatnonzero(~covering)
+    # math.log, as `min_eps_non_covering` in meta keeps every bit of it
+    eps = [
+        math.log(x) / math.log(y) - 1.0 for x, y in zip(a2[growing].tolist(), size[growing].tolist())
+    ]
+    # note 0 is "covering", note i the eps of the i-th union that does not cover
+    note = np.zeros(len(rows), dtype=np.intp)
+    note[growing] = np.arange(1, growing.size + 1)
+    block = Records(
+        "survey", group.label, group.n, [f"A={x}" for x in union_exprs(rows)], ("",),
+        a2, np.where(covering, group.n - 1, size), np.zeros(len(rows)), np.ones(len(rows), bool),
+        note=note, notes=("covering", *(f"eps={e:.6f}" for e in eps)),
+    )
     report = ReportDocument(
         title=f"growth survey {group.label}",
-        results=records,
+        results=block,
         meta={
-            "min_eps_non_covering": min(eps_values) if eps_values else None,
-            "covering_count": sum(1 for r in records if r.note == "covering"),
-            "union_count": len(records),
+            "min_eps_non_covering": min(eps) if eps else None,
+            "covering_count": int(covering.sum()),
+            "union_count": len(rows),
         },
     )
     if group.field_order is not None:
@@ -427,42 +404,31 @@ def square_growth_survey(ctx: GroupContext) -> ReportDocument:
 def pyber_report(ctx: GroupContext) -> ReportDocument:
     """Census: symmetric normal A with |A| > n/log2(n), does A^2 = G?
 
-    Report only, no assertion.
+    Over every class union when there are at most RANDOM_UNION_SAMPLES, else
+    that many drawn.  Report only, no assertion.
     """
     group, ct = ctx.group, ctx.classes
     if not group.simple:
         raise NotSimple("the square census expects a simple group")
     n = group.n
     threshold = n / math.log2(n)
-    subsets = [
-        a
-        for a in _union_sweep(ct, include_identity_class=True, seed=0)
-        if a.symmetric and a.size > threshold
-    ]
-    records = []
-    for a, counts in zip(subsets, _square_counts(ct, subsets)):
-        a2_size = _covered_size(ct, counts)
-        full = a2_size == n
-        records.append(
-            CheckResult(
-                check="pyber",
-                group=group.label,
-                n=n,
-                inputs=f"A={a.expr()}",
-                lhs=float(a2_size),
-                rhs=float(n),
-                margin=0.0,
-                passed=True,
-                note="A^2 = G" if full else "A^2 != G",
-            )
-        )
+    rows = _union_pool(ct, include_identity_class=True, seed=0)
+    symmetric = (rows == rows[:, ct.inverse_class]).all(axis=1)
+    rows = rows[symmetric & (rows @ ct.sizes > threshold)]
+    a2 = _squares_met(ct, rows) @ ct.sizes
+    short = a2 != n
+    block = Records(
+        "pyber", group.label, n, [f"A={x}" for x in union_exprs(rows)], ("",),
+        a2, np.full(len(rows), n), np.zeros(len(rows)), np.ones(len(rows), bool),
+        note=short, notes=("A^2 = G", "A^2 != G"),
+    )
     return ReportDocument(
         title=f"growth pyber {group.label}",
-        results=records,
+        results=block,
         meta={
             "threshold": threshold,
-            "qualifying": len(records),
-            "square_covers": sum(1 for r in records if r.note == "A^2 = G"),
+            "qualifying": len(rows),
+            "square_covers": int(len(rows) - short.sum()),
         },
     )
 
@@ -480,7 +446,8 @@ def word_growth_report(ctx: GroupContext, word1: str, word2: str) -> ReportDocum
     n = group.n
     ab = img1.size * img2.size
     scale = n / math.sqrt(ab)
-    counts = class_pair_counts(ct, _indicators(ct, [img1, img2]), np.array([[0, 1]]))[0]
+    rows = np.stack([img1.indicator, img2.indicator])
+    counts = class_pair_counts(ct, rows, np.array([[0, 1]]))[0]
     records = []
     for k in range(1, ct.n_classes):
         # |P(g) n - 1| = |count n - ab| / ab exactly; int / int rounds it correctly
@@ -513,79 +480,84 @@ def word_growth_report(ctx: GroupContext, word1: str, word2: str) -> ReportDocum
 # -- sweep harnesses -------------------------------------------------------------
 
 
-def _union_sweep(
-    ct: ClassTable, include_identity_class: bool, seed: int
-) -> list[NormalSubset]:
-    """Every class union when there are at most RANDOM_UNION_SAMPLES, else that many distinct ones.
+def _union_pool(ct: ClassTable, include_identity_class: bool, seed: int) -> np.ndarray:
+    """The (u, k) bool indicator rows of a sweep's pool of class unions.
 
-    Draws that repeat a union are skipped, so the pool holds each union once,
-    in the order of its first draw.
+    Every union, in the bitmask order of `union_rows`, when there are at
+    most RANDOM_UNION_SAMPLES; else that many drawn with
+    `random_normal_subset` from `default_rng(seed)`.  Draws that repeat a
+    union are skipped, so the pool holds each union once, in the order of
+    its first draw.
     """
     if (1 << ct.n_classes - (not include_identity_class)) - 1 <= RANDOM_UNION_SAMPLES:
-        return enumerate_normal_subsets(ct, include_identity_class=include_identity_class)
+        return union_rows(ct, include_identity_class)
     rng = np.random.default_rng(seed)
     pool: dict = {}
     while len(pool) < RANDOM_UNION_SAMPLES:
         a = random_normal_subset(ct, rng, include_identity_class=include_identity_class)
-        pool.setdefault(a.class_indices, a)
-    return list(pool.values())
+        pool.setdefault(a.class_indices, a.indicator)
+    return np.array(list(pool.values()))
 
 
-def _pool_grid(ct: ClassTable, pool: list[NormalSubset], classes: range, seed: int) -> tuple:
-    """rows, where, inputs and meta of pool x pool, A-major: prefix "A=...;", suffix "B=...;k=c".
+def _pool_grid(rows: np.ndarray, classes: range, seed: int) -> tuple:
+    """where, inputs and meta of pool x pool, A-major: prefix "A=...;", suffix "B=...;k=c".
 
     Past PAIR_CAP pairs, PAIR_CAP distinct pairs drawn with `seed`, in pool
     order, each with its prefix "A=...;B=...;k=", and meta states the cap.
     """
-    u = len(pool)
-    names = [a.expr() for a in pool]
+    u = len(rows)
+    names = union_exprs(rows)
     if u * u <= PAIR_CAP:
         where = np.indices((u, u)).reshape(2, -1).T
         suffixes = [f"B={y};k={c}" for y in names for c in classes]
-        return _indicators(ct, pool), where, ([f"A={x};" for x in names], suffixes), {}
+        return where, ([f"A={x};" for x in names], suffixes), {}
     drawn = np.random.default_rng(seed).choice(u * u, PAIR_CAP, replace=False, shuffle=False)
     where = np.stack(np.divmod(np.sort(drawn), u), axis=1)
     prefixes = [f"A={names[a]};B={names[b]};k=" for a, b in where.tolist()]
     meta = {"pair_cap": PAIR_CAP, "pool_pairs": u * u}
-    return _indicators(ct, pool), where, (prefixes, [str(c) for c in classes]), meta
+    return where, (prefixes, [str(c) for c in classes]), meta
 
 
 def sweep_2step(
     ctx: GroupContext, trials: Optional[int] = None, seed: int = 0
 ) -> ReportDocument:
-    """Every normal A (exhaustive unions) against seeded random element sets B.
+    """Normal A against seeded random element sets B.
 
-    `trials` B per A, 100 by default.  Per A, its B are stacked as rows and
-    counted with one `product_sizes` call.
+    A runs over every class union when there are at most
+    RANDOM_UNION_SAMPLES, else over that many drawn with `seed`.  `trials`
+    B per A, 100 by default.  Per A, its B are stacked as rows and counted
+    with one `product_sizes` call.
     """
-    group = ctx.group
+    group, ct, n = ctx.group, ctx.classes, ctx.n
     trials = 100 if trials is None else trials
     rng = np.random.default_rng(seed)
-    records, pairs, sizes = [], [], []
-    for a in _union_sweep(ctx.classes, include_identity_class=True, seed=seed):
-        bs = [random_subset(group.n, rng) for _ in range(trials)]
-        rows = np.array([b.mask for b in bs], dtype=bool).reshape(-1, group.n)
-        counts = product_sizes(group, a, rows).tolist()
-        r_min, _ = r_extremes(ctx.table, a)
-        for trial, (b, ab) in enumerate(zip(bs, counts)):
-            inputs = f"A={a.expr()};B=random(seed={seed},trial={trial},|B|={b.size})"
-            records.append(_2step_record(group, r_min, b.size, ab, inputs, ctx.tol))
+    rows = _union_pool(ct, include_identity_class=True, seed=seed)
+    pairs, b_size, ab = [], [], []
+    for row in rows:
+        a = row[ct.class_of]
+        bs = np.array([random_subset(n, rng).mask for _ in range(trials)], dtype=bool).reshape(-1, n)
+        b_size += bs.sum(axis=1).tolist()
+        ab += product_sizes(group, a, bs).tolist()
         pairs += [(a, b) for b in bs]
-        sizes += counts
-    _recounted_sizes(group, pairs, sizes)
-    return ReportDocument(title=f"growth 2step {group.label}", results=records)
+    _recounted_sizes(group, pairs, ab)
+    names = union_exprs(rows)
+    inputs = [
+        f"A={names[i // trials]};B=random(seed={seed},trial={i % trials},|B|={size})"
+        for i, size in enumerate(b_size)
+    ]
+    r_min = np.where(rows, ctx.table.ratios(), np.inf).min(axis=1).repeat(trials)
+    block = _2step_block(ctx, r_min, np.array(b_size), np.array(ab), inputs)
+    return ReportDocument(title=f"growth 2step {group.label}", results=block)
 
 
 def sweep_gowers2(ctx: GroupContext, unions: bool = True) -> ReportDocument:
     """All (A, B, k), or PAIR_CAP seeded (A, B): unions when requested, else single classes."""
     group, ct = ctx.group, ctx.classes
     if unions:
-        pool = _union_sweep(ct, include_identity_class=True, seed=0)
+        rows = _union_pool(ct, include_identity_class=True, seed=0)
     else:
-        pool = [
-            NormalSubset.from_classes(ct, [i]) for i in range(ct.n_classes)
-        ]
-    rows, where, inputs, meta = _pool_grid(ct, pool, range(1, ct.n_classes), seed=0)
+        rows = np.eye(ct.n_classes, dtype=bool)
+    where, inputs, meta = _pool_grid(rows, range(1, ct.n_classes), seed=0)
     counts = class_pair_counts(ct, rows, where)
     ab = (rows @ ct.sizes)[where].prod(axis=1)
     block = _gowers2_block(ctx, _class_ratios(ctx.table), ab, counts, inputs)
@@ -602,13 +574,14 @@ def sweep_asymp(
     """
     ct = ctx.classes
     if trials is None:
-        pool = _union_sweep(ct, include_identity_class=True, seed=seed)
-        rows, where, inputs, meta = _pool_grid(ct, pool, range(ct.n_classes), seed)
+        rows = _union_pool(ct, include_identity_class=True, seed=seed)
+        where, inputs, meta = _pool_grid(rows, range(ct.n_classes), seed)
     else:
         rng = np.random.default_rng(seed)
-        drawn = [random_normal_subset(ct, rng) for _ in range(2 * trials)]
-        rows, where = _indicators(ct, drawn), np.arange(2 * trials).reshape(-1, 2)
-        names = [a.expr() for a in drawn]
+        drawn = [random_normal_subset(ct, rng).indicator for _ in range(2 * trials)]
+        rows = np.array(drawn, dtype=bool).reshape(-1, ct.n_classes)
+        where = np.arange(2 * trials).reshape(-1, 2)
+        names = union_exprs(rows)
         prefixes = [f"trial={t};A={names[2 * t]};B={names[2 * t + 1]}" for t in range(trials)]
         inputs, meta = (prefixes, [""] * ct.n_classes), {}
     counts = class_pair_counts(ct, rows, where)
@@ -618,18 +591,12 @@ def sweep_asymp(
 
 
 def sweep_dichotomy(ctx: GroupContext) -> ReportDocument:
-    """Dichotomy over every nontrivial normal subset (exhaustive unions)."""
-    ct = ctx.classes
-    pool = [
-        a
-        for a in _union_sweep(ct, include_identity_class=True, seed=0)
-        if not a.is_trivial()
-    ]
-    records = [
-        _dichotomy_record(ctx.group, ctx.table, a, counts, ctx.tol)
-        for a, counts in zip(pool, _square_counts(ct, pool))
-    ]
-    return ReportDocument(title=f"growth dichotomy {ctx.label}", results=records)
+    """Dichotomy over every nontrivial class union, or RANDOM_UNION_SAMPLES drawn past that many."""
+    rows = _union_pool(ctx.classes, include_identity_class=True, seed=0)
+    rows = rows[rows[:, 1:].any(axis=1)]
+    # a one-class group has no nontrivial union, and no nontrivial ratio for R
+    block = _dichotomy_block(ctx, rows) if len(rows) else ()
+    return ReportDocument(title=f"growth dichotomy {ctx.label}", results=block)
 
 
 def frobenius_oracle_report(ctx: GroupContext) -> ReportDocument:

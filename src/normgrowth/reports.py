@@ -405,23 +405,29 @@ class RecordRows(Sequence):
     """The records of a list of blocks as a sequence of `CheckResult` rows.
 
     Rows are built from the columns as they are read, a chunk at a time
-    when iterated; assigning to a field of one raises.
+    when iterated; assigning to a field of one raises.  The view is live:
+    it keeps where each block starts, extended when blocks are appended, so
+    record i is found by bisection.
     """
 
     def __init__(self, blocks: list[Records]):
         self.blocks = blocks
+        self.starts = [0]
 
     def __len__(self) -> int:
-        return sum(map(len, self.blocks))
+        # blocks are only appended, so the starts already found stay right
+        for block in self.blocks[len(self.starts) - 1 :]:
+            self.starts.append(self.starts[-1] + len(block))
+        return self.starts[-1]
 
     def __getitem__(self, i: int) -> CheckResult:
         if i < 0:
             i += len(self)
-        for block in self.blocks:
-            if 0 <= i < len(block):
-                return block.row(i)
-            i -= len(block)
-        raise IndexError("record index out of range")
+        if not 0 <= i < len(self):
+            raise IndexError("record index out of range")
+        # the last block starting at or before i; an empty block starts where the next does
+        j = bisect.bisect_right(self.starts, i) - 1
+        return self.blocks[j].row(i - self.starts[j])
 
     def __iter__(self):
         for block in self.blocks:
@@ -442,11 +448,15 @@ class ReportDocument:
         self.timestamp: Optional[str] = None
         # header entries after the timestamp; outside the body
         self.header: dict = {}
+        self._rows = RecordRows(self.blocks)
         self.add(results)
 
     @property
     def results(self) -> RecordRows:
-        return RecordRows(self.blocks)
+        # one view per block list, so its block starts are found once
+        if self._rows.blocks is not self.blocks:
+            self._rows = RecordRows(self.blocks)
+        return self._rows
 
     def add(self, records) -> None:
         """Append a block, another document's blocks, or rows (one or an iterable)."""

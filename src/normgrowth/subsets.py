@@ -8,7 +8,7 @@ from typing import Iterable, Optional, Union
 
 import numpy as np
 
-from .errors import NotNormal, ParseError
+from .errors import EmptySubset, NotNormal, ParseError
 from .permgroup import ClassTable, FiniteGroup, word_image
 
 
@@ -75,6 +75,13 @@ class NormalSubset:
         """Formed on first use: sweeps on the class tensor never read it."""
         return self.ct.mask_of_classes(self.class_indices)
 
+    @property
+    def indicator(self) -> np.ndarray:
+        """The (k,) bool class indicator: entry c is set when class c is in the union."""
+        row = np.zeros(self.ct.n_classes, dtype=bool)
+        row[list(self.class_indices)] = True
+        return row
+
     @cached_property
     def symmetric(self) -> bool:
         idxs = list(self.class_indices)
@@ -100,7 +107,7 @@ class NormalSubset:
         return self.class_indices in ((), (0,))
 
     def expr(self) -> str:
-        return "classes:" + ",".join(str(i) for i in self.class_indices)
+        return union_exprs([self.indicator])[0]
 
 
 SubsetLike = Union[Subset, NormalSubset, np.ndarray]
@@ -110,6 +117,11 @@ def subset_mask(s: SubsetLike) -> np.ndarray:
     if isinstance(s, (Subset, NormalSubset)):
         return s.mask
     return np.asarray(s, dtype=bool)
+
+
+def union_exprs(rows: Iterable[np.ndarray]) -> list[str]:
+    """The expression "classes:i,j,..." of each class indicator row; `parse_subset_expr` reads it."""
+    return ["classes:" + ",".join(map(str, np.flatnonzero(r).tolist())) for r in rows]
 
 
 def parse_subset_expr(text: str, ct: ClassTable) -> NormalSubset:
@@ -146,28 +158,37 @@ def parse_subset_expr(text: str, ct: ClassTable) -> NormalSubset:
     raise ParseError(f"unrecognized subset expression {text!r}")
 
 
+def union_rows(ct: ClassTable, include_identity_class: bool = True) -> np.ndarray:
+    """The (2^p - 1, k) bool indicators of every nonempty union of the p classes in play.
+
+    Row r - 1 holds the classes at the set bits of r, bit i standing for the
+    i-th class in play: bitmask order over class indices.
+    """
+    pool = np.arange(0 if include_identity_class else 1, ct.n_classes)
+    bits = np.arange(1, 1 << pool.size)
+    rows = np.zeros((bits.size, ct.n_classes), dtype=bool)
+    rows[:, pool] = bits[:, None] >> np.arange(pool.size) & 1
+    return rows
+
+
 def enumerate_normal_subsets(
     ct: ClassTable,
     include_identity_class: bool = True,
 ) -> list[NormalSubset]:
-    """All nonempty unions of classes, in bitmask order over class indices."""
-    pool = list(range(ct.n_classes)) if include_identity_class else list(
-        range(1, ct.n_classes)
-    )
-    out = []
-    for bits in range(1, 1 << len(pool)):
-        idxs = [pool[i] for i in range(len(pool)) if bits >> i & 1]
-        out.append(NormalSubset.from_classes(ct, idxs))
-    return out
+    """All nonempty unions of classes, in the bitmask order of `union_rows`."""
+    rows = union_rows(ct, include_identity_class)
+    return [NormalSubset.from_classes(ct, np.flatnonzero(r)) for r in rows]
 
 
 def random_normal_subset(
     ct: ClassTable, rng: np.random.Generator, include_identity_class: bool = True
 ) -> NormalSubset:
-    """A uniformly random nonempty union of classes."""
+    """A uniformly random nonempty union of classes; EmptySubset when no class is in play."""
     pool = list(range(ct.n_classes)) if include_identity_class else list(
         range(1, ct.n_classes)
     )
+    if not pool:
+        raise EmptySubset(f"{ct.group.label} has no nonidentity class to draw")
     while True:
         pick = [i for i in pool if rng.integers(2)]
         if pick:
@@ -177,7 +198,13 @@ def random_normal_subset(
 def random_subset(
     n: int, rng: np.random.Generator, density: Optional[float] = None
 ) -> Subset:
-    """A random nonempty element set; density drawn uniformly when not given."""
+    """A random nonempty element set; density drawn uniformly when not given.
+
+    EmptySubset when no draw could be nonempty: n < 1, or a density that
+    is not positive.
+    """
+    if n < 1 or (density is not None and not density > 0):
+        raise EmptySubset(f"no nonempty set of {n} elements at density {density}")
     while True:
         d = rng.uniform(0.0, 1.0) if density is None else density
         mask = rng.random(n) < d

@@ -41,9 +41,9 @@ from normgrowth.subsets import (
     enumerate_normal_subsets,
     random_normal_subset,
     random_subset,
+    union_rows,
 )
 from normgrowth.reports import CheckResult, ReportDocument
-from normgrowth.tolerances import DEFAULT
 
 
 def brute_product(group, a, b):
@@ -65,7 +65,13 @@ def grid(u):
 
 def one_pair(ct, a, b):
     """`class_pair_counts` of the one pair (A, B), as rows 0 and 1."""
-    return class_pair_counts(ct, growth._indicators(ct, [a, b]), np.array([[0, 1]]))
+    return class_pair_counts(ct, np.stack([a.indicator, b.indicator]), np.array([[0, 1]]))
+
+
+def union_pool(ct, seed=0):
+    """The union pool of the sweeps, as rows and as the `NormalSubset`s of those rows."""
+    rows = growth._union_pool(ct, include_identity_class=True, seed=seed)
+    return rows, [NormalSubset.from_classes(ct, np.flatnonzero(r)) for r in rows]
 
 
 def test_product_set_matches_brute_force(a5):
@@ -158,7 +164,8 @@ def test_2step_full_and_singleton_b(a5):
 
     def record(b):
         ab = product_set(g, a, b).size
-        return growth._2step_record(g, r_min, b.size, ab, "", DEFAULT)
+        columns = (np.array([x]) for x in (r_min, b.size, ab))
+        return growth._2step_block(a5, *columns, [""]).row(0)
 
     rec = record(Subset.full(g.n))
     assert rec.passed and rec.lhs == g.n
@@ -166,6 +173,30 @@ def test_2step_full_and_singleton_b(a5):
     assert rec.passed
     assert rec.lhs == a.size
     assert rec.rhs <= g.n / (1.0 + r_min * r_min * (g.n - 1.0)) + 1e-9
+
+
+def _2step_reference(n, r_min, b_size, ab, tol):
+    """The 2step record's rhs and margin, one at a time, with the R = 0 branch spelled out."""
+    bound = n / (1.0 + r_min * r_min * (n / b_size - 1.0))
+    weak = min(n / 2.0, b_size / (2.0 * r_min * r_min)) if r_min > 0 else n / 2.0
+    rhs = max(bound, weak)
+    return rhs, float(ab) - (rhs - tol.slack)
+
+
+def test_2step_block_needs_no_branch_at_a_zero_ratio(a5):
+    """R = 0 makes |B| / (2R^2) infinite, and the minimum with n/2 is the weak bound n/2.
+
+    The other rows keep the bits of the scalar record.
+    """
+    r_min = np.array([0.0, 0.01, 0.25, 0.5, 1.0])
+    b_size = np.array([1, 7, 30, 59, 60])
+    ab = np.array([30, 31, 45, 60, 60])
+    block = growth._2step_block(a5, r_min, b_size, ab, ["r"] * 5)
+    for i, (r, b, x) in enumerate(zip(r_min.tolist(), b_size.tolist(), ab.tolist())):
+        rhs, margin = _2step_reference(60, r, b, x, a5.tol)
+        row = block.row(i)
+        assert (row.lhs, row.rhs, row.margin, row.passed) == (float(x), rhs, margin, margin >= 0)
+    assert block.rhs[0] == 60.0
 
 
 def gowers2_records(ctx, a, b):
@@ -264,17 +295,19 @@ def test_union_pools_hold_each_union_once():
     ct = ctx.classes
     pools = {}
     for seed in (0, 3):
-        pool = [a.class_indices for a in growth._union_sweep(ct, include_identity_class=True, seed=seed)]
+        rows = growth._union_pool(ct, include_identity_class=True, seed=seed)
+        assert rows.dtype == bool and rows.shape == (growth.RANDOM_UNION_SAMPLES, ct.n_classes)
+        pool = [tuple(np.flatnonzero(r).tolist()) for r in rows]
         assert len(pool) == len(set(pool)) == growth.RANDOM_UNION_SAMPLES
-        assert pool == [a.class_indices for a in growth._union_sweep(ct, True, seed)]
+        assert np.array_equal(growth._union_pool(ct, True, seed), rows)
         rng = np.random.default_rng(seed)
         repeating = [random_normal_subset(ct, rng).class_indices for _ in range(growth.RANDOM_UNION_SAMPLES)]
         first = list(dict.fromkeys(repeating))
         assert len(first) < len(repeating) and pool[: len(first)] == first
         pools[seed] = pool
     assert pools[0] != pools[3]
-    unions = growth._union_sweep(ct, include_identity_class=False, seed=0)
-    assert [a.class_indices for a in unions] == [a.class_indices for a in enumerate_normal_subsets(ct, False)]
+    unions = growth._union_pool(ct, include_identity_class=False, seed=0)
+    assert np.array_equal(unions, union_rows(ct, False))
     assert len(unions) == 2 ** (ct.n_classes - 1) - 1 == 8191
     rep = square_growth_survey(ctx)
     assert len(rep.results) == rep.meta["union_count"] == 8191
@@ -335,8 +368,7 @@ def test_recounts_take_one_pair_count_per_pair(a5, monkeypatch):
         f"i={i};j={j};k={c}" for i in range(k) for j in range(k) for c in range(k)
     ]
     del calls[:]
-    pool = enumerate_normal_subsets(ct)
-    growth._square_counts(ct, pool)
+    growth._squares_met(ct, union_rows(ct))
     assert calls == [(k,)] * spectral.BRUTE_FORCE_SAMPLE
 
 
@@ -378,7 +410,7 @@ def brute_counts(group, ct, a, b):
 def test_class_pair_counts_every_union_pair(a5, monkeypatch):
     g, ct = a5.group, a5.classes
     pool = enumerate_normal_subsets(ct)
-    rows, where = growth._indicators(ct, pool), grid(len(pool))
+    rows, where = union_rows(ct), grid(len(pool))
     counts = class_pair_counts(ct, rows, where)
     assert counts.dtype == np.int64 and counts.shape == (31 * 31, ct.n_classes)
     for (i, j), row in zip(where.tolist(), counts):
@@ -396,7 +428,8 @@ def test_class_pair_counts_random_unions(spec):
     rng = np.random.default_rng(11)
     drawn = [random_normal_subset(ct, rng) for _ in range(100)]
     where = np.arange(100).reshape(-1, 2)
-    for (i, j), row in zip(where.tolist(), class_pair_counts(ct, growth._indicators(ct, drawn), where)):
+    rows = np.stack([a.indicator for a in drawn])
+    for (i, j), row in zip(where.tolist(), class_pair_counts(ct, rows, where)):
         assert row.tolist() == brute_counts(g, ct, drawn[i], drawn[j])
 
 
@@ -404,7 +437,7 @@ def test_class_pair_counts_reuse_rows(psl27):
     """A row paired with itself, and rows that recur in `where`, in any order."""
     g, ct = psl27.group, psl27.classes
     sets = [NormalSubset.from_classes(ct, c) for c in ([1], [0, 2], [3, 4, 5])]
-    rows = growth._indicators(ct, sets)
+    rows = np.stack([s.indicator for s in sets])
     assert rows.tolist() == [[c in s.class_indices for c in range(ct.n_classes)] for s in sets]
     where = np.array([[0, 0], [1, 1], [0, 1], [1, 0], [2, 2], [0, 0], [2, 0], [2, 0], [1, 2]])
     counts = class_pair_counts(ct, rows, where)
@@ -419,15 +452,15 @@ def test_class_pair_counts_reuse_rows(psl27):
 def test_class_pair_counts_square_sizes(psl27):
     g, ct = psl27.group, psl27.classes
     pool = enumerate_normal_subsets(ct)
-    for a, counts in zip(pool, growth._square_counts(ct, pool)):
-        assert int(ct.sizes[counts > 0].sum()) == product_set(g, a, a).size
+    for a, a2 in zip(pool, growth._squares_met(ct, union_rows(ct))):
+        assert int(ct.sizes[a2].sum()) == product_set(g, a, a).size
 
 
 def test_class_pair_counts_of_no_pairs(a5):
     """A `where` of shape (0, 2), on no rows and on a pool's rows."""
     ct = a5.classes
-    for sets in ([], enumerate_normal_subsets(ct)):
-        counts = class_pair_counts(ct, growth._indicators(ct, sets), np.empty((0, 2), dtype=np.intp))
+    for rows in (np.zeros((0, ct.n_classes), dtype=bool), union_rows(ct)):
+        counts = class_pair_counts(ct, rows, np.empty((0, 2), dtype=np.intp))
         assert counts.dtype == np.int64 and counts.shape == (0, ct.n_classes)
 
 
@@ -446,7 +479,7 @@ def test_union_sweeps_draw_seeded_pairs_past_the_pair_cap(a5, monkeypatch):
     g, ct, k = a5.group, a5.classes, a5.classes.n_classes
     assert sweep_gowers2(a5).meta == {} and sweep_asymp(a5, seed=3).meta == {}
     monkeypatch.setattr(growth, "PAIR_CAP", 100)
-    pool = {a.expr(): a for a in growth._union_sweep(ct, include_identity_class=True, seed=0)}
+    pool = {a.expr(): a for a in union_pool(ct)[1]}
     order = list(pool)
     ratios = growth._class_ratios(a5.table)
     drawn = {}
@@ -513,6 +546,41 @@ TENSOR_REPORTS = {
 def test_tensor_routed_bodies_are_pinned(spec, report):
     doc = TENSOR_REPORTS[report](get_context(spec))
     assert body_sha256(doc) == TENSOR_BODIES[spec, report]
+
+
+# sha256 of the seed-0 report bodies of A:8, whose 14 classes give 16 383
+# unions with the identity class: dichotomy and pyber sweep the 10 000 distinct
+# unions drawn with seed 0, survey enumerates the 8 191 without it
+DRAWN_POOL_BODIES = {
+    "dichotomy": "78392c07687a66797016c4f175de7c32220eaa2fab39377b47d84a913c563c91",
+    "pyber": "40a672aa6097834e88eec24f3a4dfd4433454569b457d0a8632ed075c7fca923",
+    "survey": "f77322a16b81b953ef10b9b04f95159b4ad648c9559ebaa04efb39aedef3d050",
+}
+
+
+@pytest.mark.parametrize("report", sorted(DRAWN_POOL_BODIES))
+def test_drawn_pool_bodies_are_pinned(report):
+    doc = TENSOR_REPORTS[report](get_context("A:8"))
+    assert body_sha256(doc) == DRAWN_POOL_BODIES[report]
+
+
+@pytest.mark.parametrize("spec", ["A:5", "PSL2:7"])
+def test_dichotomy_check_is_the_sweep_record(spec):
+    """`dichotomy_check` on one union gives the record the sweep writes for it."""
+    ctx = get_context(spec)
+    _, pool = union_pool(ctx.classes)
+    pool = [a for a in pool if not a.is_trivial()]
+    rep = sweep_dichotomy(ctx)
+    assert len(rep.results) == len(pool)
+    for a, row in zip(pool, rep.results):
+        assert dichotomy_check(ctx.group, ctx.table, a, ctx.tol) == row
+        assert row.inputs == f"A={a.expr()}"
+
+
+def test_dichotomy_on_a_one_class_group_writes_no_record():
+    """A:2 has no nontrivial union, so the sweep writes nothing and takes no ratio."""
+    rep = sweep_dichotomy(get_context("A:2"))
+    assert len(rep.results) == 0 and rep.body_dict()["results"] == []
 
 
 # sha256 of the seed-0 report bodies of the checks that do not count on the
@@ -657,11 +725,10 @@ def test_wrong_partition_raises_before_any_count(a5, change):
     else:
         bad = with_blocks(ct, class_of)
     assert bad.centralizer_orders is None
-    pool = [NormalSubset.from_classes(bad, [i]) for i in range(bad.n_classes)]
     with pytest.raises(ClassPartitionError):
-        growth._square_counts(bad, pool)
+        growth._squares_met(bad, np.eye(bad.n_classes, dtype=bool))
     with pytest.raises(ClassPartitionError):
-        class_pair_counts(bad, growth._indicators(bad, []), np.empty((0, 2), dtype=np.intp))
+        class_pair_counts(bad, np.zeros((0, bad.n_classes), dtype=bool), np.empty((0, 2), dtype=np.intp))
     assert bad.tensor is None
 
 
@@ -678,11 +745,11 @@ def test_partition_is_certified_once_per_table(a5, monkeypatch):
     certify_classes(a5.classes)
     ct = dataclasses.replace(a5.classes)
     assert ct.centralizer_orders is None
-    pool = enumerate_normal_subsets(ct)
-    first = growth._square_counts(ct, pool)
+    rows = union_rows(ct)
+    first = growth._squares_met(ct, rows)
     assert calls == [ct.n_classes]
     assert np.array_equal(ct.centralizer_orders, a5.group.n // ct.sizes)
-    assert np.array_equal(growth._square_counts(ct, pool), first)
+    assert np.array_equal(growth._squares_met(ct, rows), first)
     assert calls == [ct.n_classes]
 
 
@@ -879,10 +946,10 @@ def test_union_sweeps_match_the_scalar_records(spec):
     ctx = get_context(spec)
     ct = ctx.classes
     ratios = growth._class_ratios(ctx.table)
-    pool = growth._union_sweep(ct, include_identity_class=True, seed=0)
+    rows, pool = union_pool(ct)
     where = grid(len(pool))
     pairs = [(pool[i], pool[j]) for i, j in where.tolist()]
-    counts = class_pair_counts(ct, growth._indicators(ct, pool), where)
+    counts = class_pair_counts(ct, rows, where)
     want = [
         r for (a, b), row in zip(pairs, counts) for r in _asymp_reference(ratios, a, b, row, ctx.tol)
     ]
@@ -897,8 +964,8 @@ def test_builders_match_the_scalar_records_on_failing_counts(a5):
     """Counts with classes knocked out, so records fail and carry their notes."""
     ct, tol = a5.classes, a5.tol
     ratios = growth._class_ratios(a5.table)
-    pool = growth._union_sweep(ct, include_identity_class=True, seed=0)
-    rows, where, inputs, meta = growth._pool_grid(ct, pool, range(1, ct.n_classes), 0)
+    rows, pool = union_pool(ct)
+    where, inputs, meta = growth._pool_grid(rows, range(1, ct.n_classes), 0)
     assert meta == {}
     pairs = [(pool[i], pool[j]) for i, j in where.tolist()]
     ab = np.array([a.size * b.size for a, b in pairs])
@@ -910,7 +977,7 @@ def test_builders_match_the_scalar_records_on_failing_counts(a5):
     _assert_same_records(rep, want)
     want = [r for (a, b), row in zip(pairs, counts) for r in _asymp_reference(ratios, a, b, row, tol)]
     assert sum(not r.passed for r in want) > 100
-    _, _, inputs, _ = growth._pool_grid(ct, pool, range(ct.n_classes), 0)
+    _, inputs, _ = growth._pool_grid(rows, range(ct.n_classes), 0)
     rep = ReportDocument("asymp", growth._asymp_block(a5, ratios, ab, counts, inputs))
     _assert_same_records(rep, want)
 
@@ -919,8 +986,8 @@ def test_gowers2_failed_records_have_a_negative_margin(a5):
     """A zeroed class count fails its record with margin -|C_k|; no other record goes negative unskipped."""
     ct = a5.classes
     ratios = growth._class_ratios(a5.table)
-    pool = growth._union_sweep(ct, include_identity_class=True, seed=0)
-    rows, where, inputs, _ = growth._pool_grid(ct, pool, range(1, ct.n_classes), 0)
+    rows = growth._union_pool(ct, include_identity_class=True, seed=0)
+    where, inputs, _ = growth._pool_grid(rows, range(1, ct.n_classes), 0)
     counts = class_pair_counts(ct, rows, where)
     counts[:, 3] = 0
     ab = (rows @ ct.sizes)[where].prod(axis=1)
@@ -938,7 +1005,7 @@ def test_asymp_trials_match_the_scalar_records(psl27):
     ct, seed = psl27.classes, 5
     rng = np.random.default_rng(seed)
     pairs = [(random_normal_subset(ct, rng), random_normal_subset(ct, rng)) for _ in range(1000)]
-    rows = growth._indicators(ct, [s for pair in pairs for s in pair])
+    rows = np.stack([s.indicator for pair in pairs for s in pair])
     counts = class_pair_counts(ct, rows, np.arange(2000).reshape(-1, 2))
     ratios = growth._class_ratios(psl27.table)
     want = []
@@ -958,9 +1025,9 @@ def test_gowers2_matches_the_scalar_records_at_the_precondition_edge(seed):
     ctx = get_context("PSL3:2", seed=seed)
     ct = ctx.classes
     ratios = growth._class_ratios(ctx.table)
-    pool = growth._union_sweep(ct, include_identity_class=True, seed=0)
+    rows, pool = union_pool(ct)
     where = grid(len(pool))
-    counts = class_pair_counts(ct, growth._indicators(ct, pool), where)
+    counts = class_pair_counts(ct, rows, where)
     want = [
         r
         for (i, j), row in zip(where.tolist(), counts)

@@ -468,3 +468,25 @@ def test_rows_read_back_are_the_rows_added():
         doc.results[8]
     with pytest.raises(ValueError):
         Records("demo", "A5", 60, ["a", "b"], [""], [1.0], [1.0], [0.0], [True])
+
+
+@pytest.mark.parametrize("sizes", [[1] * 300, [0, 3, 0, 0, 1, RECORD_BLOCK + 5, 2, 0], [7]])
+def test_rows_index_as_they_iterate(sizes):
+    """Every index, negative ones included, reads the record iteration reads, across blocks of any size.
+
+    Empty blocks sit between and at the ends; one past either end raises.
+    """
+    doc = ReportDocument(title="demo")
+    for i, size in enumerate(sizes):
+        doc.add(_block(size, 1, seed=i)[0])
+    rows = doc.results
+    assert len(rows) == sum(sizes)
+    want = list(rows)
+    assert _text_of([rows[i] for i in range(-len(rows), len(rows))]) == _text_of(want * 2)
+    for i in (len(rows), -len(rows) - 1):
+        with pytest.raises(IndexError):
+            rows[i]
+    # the view is live: a block added later is read through the view held
+    doc.add(_block(2, 1, seed=len(sizes))[0])
+    assert len(rows) == sum(sizes) + 2 and rows is doc.results
+    assert _text_of([rows[-2], rows[-1]]) == _text_of(list(doc.blocks[-1].rows()))

@@ -318,20 +318,41 @@ def test_checks_take_one_group_context():
     assert len(checks) == 12 and not bad
 
 
-@pytest.mark.parametrize("name, builder", [("sweep_asymp", "_asymp_block"), ("sweep_gowers2", "_gowers2_block")])
-def test_union_sweeps_build_no_record_objects(name, builder):
-    """The pair x class sweeps build their records as columns of one block.
+# (sweep, the function that builds its records, whether it counts A x B
+# through the class tensor); 2step counts element sets B, not unions
+UNION_SWEEPS = [
+    ("sweep_2step", "_2step_block", False),
+    ("sweep_gowers2", "_gowers2_block", True),
+    ("sweep_asymp", "_asymp_block", True),
+    ("sweep_dichotomy", "_dichotomy_block", True),
+    ("square_growth_survey", "_squares_met", True),
+    ("pyber_report", "_squares_met", True),
+]
 
-    Nothing they reach names `CheckResult`, so a per-record object, whose
-    cost once outweighed the counting, cannot come back unseen.  Nor does
-    anything name `id`: a pair is two row indices into the pool's
-    indicators, never two set objects told apart by identity.
+
+@pytest.mark.parametrize("name, builder, tensor", UNION_SWEEPS, ids=[f"{n}-{b}" for n, b, _ in UNION_SWEEPS])
+def test_union_sweeps_build_no_record_objects(name, builder, tensor):
+    """The sweeps over union pools build their records as columns of one block.
+
+    A pool is (u, k) bool indicator rows from the moment it is made, and
+    nothing a sweep reaches names `CheckResult` or `NormalSubset.expr`, so a
+    per-record or per-union object, whose cost once outweighed the counting,
+    cannot come back unseen.  Nor does anything name `id`: a pair is two row
+    indices into the pool, never two set objects told apart by identity.
+    The helpers of the object pools are gone.
     """
     reached = _reached_functions("growth.py", name)
-    assert ("growth.py", "class_pair_counts") in reached
+    assert ("growth.py", "_union_pool") in reached
     assert ("growth.py", builder) in reached
-    assert not _naming(reached, {"CheckResult"})
+    assert (("growth.py", "class_pair_counts") in reached) == tensor
+    assert not _naming(reached, {"CheckResult", "expr"})
     assert not _naming(reached, {"id"})
+    deleted = {
+        "_indicators", "_square_counts", "_union_sweep", "_dichotomy_record",
+        "_2step_record", "_covered_size", "_covers_nonidentity",
+    }
+    names = {getattr(node, field, None) for node in ast.walk(TREES["growth.py"]) for field in ("name", "id", "attr")}
+    assert not names & deleted
 
 
 def test_report_floats_are_formatted_in_one_place():

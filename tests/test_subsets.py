@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from normgrowth.errors import EmptyWord, NotNormal, ParseError
+from normgrowth.errors import EmptySubset, EmptyWord, NotNormal, ParseError
 from normgrowth.subsets import (
     NormalSubset,
     Subset,
@@ -12,6 +12,7 @@ from normgrowth.subsets import (
     random_normal_subset,
     random_subset,
     subset_mask,
+    union_rows,
 )
 
 
@@ -153,6 +154,25 @@ def test_enumerate_counts(a5):
     assert len({s.class_indices for s in with_id}) == len(with_id)
 
 
+@pytest.mark.parametrize("spec", ["A:5", "PSL3:2"])
+@pytest.mark.parametrize("identity", [True, False])
+def test_enumeration_and_union_rows_share_the_bitmask_order(spec, identity):
+    """Row r - 1 and subset r - 1 hold the classes at the set bits of r, bit i the i-th class in play."""
+    from normgrowth.context import get_context
+
+    ct = get_context(spec).classes
+    play = list(range(0 if identity else 1, ct.n_classes))
+    want = [
+        tuple(c for i, c in enumerate(play) if bits >> i & 1) for bits in range(1, 1 << len(play))
+    ]
+    rows = union_rows(ct, identity)
+    assert rows.dtype == bool and rows.shape == (len(want), ct.n_classes)
+    assert [tuple(np.flatnonzero(r).tolist()) for r in rows] == want
+    subsets = enumerate_normal_subsets(ct, include_identity_class=identity)
+    assert [s.class_indices for s in subsets] == want
+    assert all(np.array_equal(s.indicator, r) for s, r in zip(subsets, rows))
+
+
 def test_normal_subset_size_is_the_class_size_sum(psl27):
     ct = psl27.classes
     for s in enumerate_normal_subsets(ct):
@@ -177,3 +197,29 @@ def test_random_subset_reproducible():
     rng = np.random.default_rng(7)
     b = random_subset(100, rng)
     assert (a.mask == b.mask).all()
+
+
+def test_random_normal_subset_without_a_class_to_draw_raises():
+    """A one-class table has no nonidentity class: EmptySubset before any draw, not a loop."""
+    from normgrowth.context import parse_group_spec
+    from normgrowth.permgroup import compute_classes
+
+    ct = compute_classes(parse_group_spec("A:2"))
+    assert ct.n_classes == 1
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(EmptySubset):
+        random_normal_subset(ct, rng, include_identity_class=False)
+    assert rng.bit_generator.state == state
+    assert random_normal_subset(ct, rng).class_indices == (0,)
+
+
+@pytest.mark.parametrize("n, density", [(0, None), (-1, None), (0, 0.5), (5, 0.0), (5, -0.5), (5, float("nan"))])
+def test_random_subset_that_cannot_be_nonempty_raises(n, density):
+    """No element, or a density that is not positive: EmptySubset before any draw, not a loop."""
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(EmptySubset):
+        random_subset(n, rng, density=density)
+    assert rng.bit_generator.state == state
+    assert random_subset(1, rng, density=1.0).mask.tolist() == [True]
