@@ -277,13 +277,11 @@ def criterion_13(profile="quick", seed=0, pairs=500, tol=DEFAULT) -> ReportDocum
     rows = []
     for spec in MIXING_GROUPS:
         ctx = get_context(spec, tol=tol)
+        # every class is tried on the same seeded pairs
+        rng = np.random.default_rng(seed)
+        chosen = [(random_subset(ctx.n, rng), random_subset(ctx.n, rng)) for _ in range(pairs)]
         for k in range(ctx.classes.n_classes):
             s = NormalSubset.from_classes(ctx.classes, [k])
-            rng = np.random.default_rng(seed)
-            chosen = [
-                (random_subset(ctx.n, rng), random_subset(ctx.n, rng))
-                for _ in range(pairs)
-            ]
             found = mixing_discrepancies(s, chosen, ctx.table, tol)
             rows += [
                 CheckResult.bound(

@@ -293,12 +293,8 @@ def cmd_lambda(args) -> int:
             "char_eigenvalues": [[v.real, v.imag] for v in rep.char_eigenvalues],
         }
     )
-    if rep.method == "lanczos":
-        print(f"lanczos: {rep.steps} steps, residual {rep.residual:.3e}")
-        doc.meta.update({"lanczos_steps": rep.steps, "lanczos_residual": rep.residual})
-    elif rep.method == "central":
-        print(f"central: certificate residual {rep.residual:.3e}")
-        doc.meta["central_residual"] = rep.residual
+    print(f"central: certificate residual {rep.residual:.3e}")
+    doc.meta["central_residual"] = rep.residual
     return _emit(doc, args, _stem("lambda", args.group, args.subset))
 
 

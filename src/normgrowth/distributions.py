@@ -15,7 +15,7 @@ from .errors import CapExceeded, EmptySubset, InvalidWeights
 from .growth import _recounted_sizes, product_sizes
 from .permgroup import FiniteGroup
 from .reports import CheckResult, ReportDocument
-from .spectral import convolve_rows, deflated_lambda
+from .spectral import _spread, convolve_rows, deflated_lambda
 from .subsets import SubsetLike, random_subset, subset_mask
 from .tolerances import DEFAULT, Tolerances
 
@@ -193,7 +193,7 @@ def sweep_bnp_two_step(
         (random_subset(group.n, rng), random_subset(group.n, rng)) for _ in range(trials)
     ]
     sizes = [int(product_sizes(group, a, b.mask)) for a, b in chosen]
-    _recounted_sizes(group, chosen, sizes)
+    _recounted_sizes(group, {t: chosen[t] for t in _spread(len(chosen))}, sizes)
     records = []
     for t, ((a, b), ab) in enumerate(zip(chosen, sizes)):
         inputs = f"trial={t};seed={seed};|A|={a.size};|B|={b.size}"

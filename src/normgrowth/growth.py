@@ -28,7 +28,7 @@ randomized sweep given `trials=None` runs its own documented default.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -100,9 +100,10 @@ def product_sizes(group: FiniteGroup, fixed: SubsetLike, rows: np.ndarray) -> np
     return np.array(sizes).reshape(rows.shape[:-1])
 
 
-def _recounted_sizes(group: FiniteGroup, pairs: Sequence[tuple], sizes: Sequence) -> None:
-    """Recount a sample of the |AB| of `product_sizes` on the route it did not take.
+def _recounted_sizes(group: FiniteGroup, sample: Mapping[int, tuple], sizes: Sequence) -> None:
+    """Recount the sampled |AB| of `product_sizes` on the route it did not take.
 
+    `sample` maps the positions of `_spread` over the pairs to their (A, B).
     Up to `spectral.DENSE_CAP` the sizes came from `convolve_rows`, so the
     sample is recounted with `product_set`; above it, the other way round.
     A disagreement raises `CountMismatch`.
@@ -113,7 +114,7 @@ def _recounted_sizes(group: FiniteGroup, pairs: Sequence[tuple], sizes: Sequence
     else:
         def size(a, b):
             return int((convolve_rows(group, subset_mask(a), subset_mask(b)) > 0).sum())
-    _recounted(f"{group.label} kernel", pairs, sizes, size)
+    _recounted(f"{group.label} kernel", sample, sizes, size)
 
 
 def pair_count(
@@ -186,7 +187,7 @@ def class_pair_counts(ct: ClassTable, rows: np.ndarray, where: np.ndarray) -> np
         a, b = (NormalSubset.from_classes(ct, np.flatnonzero(rows[r])) for r in (i, j))
         return np.stack([pair_count(ct.group, a, b, ct.reps), _classes_met(ct, a, b) * ct.sizes])
 
-    _recounted(f"{ct.group.label} class tensor", where, sample, on_elements)
+    _recounted(f"{ct.group.label} class tensor", {t: where[t] for t in sample}, sample, on_elements)
     return out
 
 
@@ -526,20 +527,23 @@ def sweep_2step(
     A runs over every class union when there are at most
     RANDOM_UNION_SAMPLES, else over that many drawn with `seed`.  `trials`
     B per A, 100 by default.  Per A, its B are stacked as rows and counted
-    with one `product_sizes` call.
+    with one `product_sizes` call.  Only the pairs that `_recounted_sizes`
+    samples are kept, at positions known before any draw.
     """
     group, ct, n = ctx.group, ctx.classes, ctx.n
     trials = 100 if trials is None else trials
     rng = np.random.default_rng(seed)
     rows = _union_pool(ct, include_identity_class=True, seed=seed)
-    pairs, b_size, ab = [], [], []
-    for row in rows:
+    sample = dict.fromkeys(_spread(len(rows) * trials))
+    b_size, ab = [], []
+    for i, row in enumerate(rows):
         a = row[ct.class_of]
         bs = np.array([random_subset(n, rng).mask for _ in range(trials)], dtype=bool).reshape(-1, n)
         b_size += bs.sum(axis=1).tolist()
         ab += product_sizes(group, a, bs).tolist()
-        pairs += [(a, b) for b in bs]
-    _recounted_sizes(group, pairs, ab)
+        # a copy, so a kept B holds no other row of its stack alive
+        sample.update({t: (a, bs[t % trials].copy()) for t in sample if t // trials == i})
+    _recounted_sizes(group, sample, ab)
     names = union_exprs(rows)
     inputs = [
         f"A={names[i // trials]};B=random(seed={seed},trial={i % trials},|B|={size})"

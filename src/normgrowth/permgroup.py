@@ -609,8 +609,8 @@ class ClassTable:
     centralizer_orders: Optional[np.ndarray] = field(
         default=None, init=False, repr=False, compare=False
     )
-    # (d, residual) of spectral.central_spectrum, kept on first use; a copy made
-    # with dataclasses.replace starts without it, so its blocks are diagonalised afresh
+    # spectral.class_characters, kept on first use; a copy made with
+    # dataclasses.replace starts without it, so its characters are built afresh
     spectrum: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     @property

@@ -3,22 +3,21 @@
 Arc g -> h iff g^-1 h in S.  The expansion lambda is computed twice: from
 the elements and from the characters.  The element route splits
 M0 = M - J/n over the right cosets of a cyclic subgroup <x> into blocks of
-size n/m, one per root of unity of Z/m.  Below DENSE_CAP, while its cost
-model stays under CENTRAL_BUDGET, one unitary per block diagonalises the
-blocks of every class at once (`central_spectrum`, certified class by
-class), and lambda of any union is a sum of k-vectors; past the budget, and
-for weighted walks, each set's blocks are solved densely
-(`deflated_lambda`).  Above the cap Arnoldi walks all blocks at once over
-one |S| x (n/m) table of coset positions, and stops within k steps for k
-classes.  `convolve_rows` is the one kernel that counts products with a
-fixed set on the elements: product sets, arc counts and convolutions.
+size n/m, one per root of unity of Z/m.  For a normal S, the central
+characters of every class are read off two walks of the class sums over
+those blocks (`class_characters`, built once per class table at every
+order up to the cap and certified without a character), and lambda of any
+union is a sum of k-vectors.  Weighted walks solve their blocks densely
+(`deflated_lambda`).  `convolve_rows` is the one kernel that counts
+products with a fixed set on the elements: product sets, arc counts and
+convolutions.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -28,21 +27,19 @@ from .permgroup import _CHUNK_ROWS, ClassTable, FiniteGroup
 from .subsets import NormalSubset, SubsetLike, subset_mask
 from .tolerances import DEFAULT, Tolerances
 
-# largest order solved densely; above it, lambda by Arnoldi and products
-# by translates
+# largest order of a dense walk matrix; above it, products by translates
 DENSE_CAP = 2500
-# one ulp of 1.0; |S| of them bound the rounding of one walk of a unit vector
-_ULP = float(np.finfo(np.float64).eps)
-# largest cost k (m//2 + 1) (n/m)^3 of `central_spectrum`, in complex
-# multiply-adds for k classes: one eigh and k products of (n/m)-square
-# matrices per block.  PSL2:17 costs 3.0e8 and builds in 0.2-0.3 s.  Past
-# it, `lambda_direct` solves each set's blocks alone
-CENTRAL_BUDGET = 5e8
-# generic elements of the centre tried, seeds 0, 1, ..., before
-# `central_spectrum` raises NoConvergence
-CENTRAL_TRIES = 4
-# the certificate allows ||B_c U - U diag(d_c)||_max up to this many (n/m) |C_c| ulp
-CENTRAL_ULPS = 64
+# seeds 0, 1, ... of v and theta tried before `class_characters` raises NoConvergence
+CHARACTER_SEEDS = 4
+# the largest relative deviation the certificate of `class_characters` allows
+CHARACTER_CERTIFY = 1e-9
+# eigenvalues of the unit-diagonal Gram matrix of the W_c below this times
+# the largest lie in its null space: the trivial character, deflated, and
+# characters seen only through their conjugate
+RANK_CUT = 1e-10
+# entries of each array of one block of `_class_walks`: its translates and
+# their positions (int32), and one gather of them (complex, 1 MB)
+WALK_BLOCK = 1 << 16
 # records of one batched check or sweep recounted on the chunked `mul` path
 BRUTE_FORCE_SAMPLE = 8
 
@@ -128,15 +125,16 @@ def _spread(count: int) -> list[int]:
 
 
 def _recounted(
-    label: str, pairs: Sequence[tuple], counts: Sequence, brute: Callable
+    label: str, sample: Mapping[int, tuple], counts: Sequence, brute: Callable
 ) -> Sequence:
     """`counts` of the (A, B) pairs, once an evenly spaced sample is recounted.
 
-    `brute(a, b)` recounts one pair on the chunked `mul` path; a result that
-    differs from its entry of `counts` raises `CountMismatch`.
+    `sample` maps the positions of `_spread` over the pairs to their (A, B),
+    so a sweep need keep no other pair.  `brute(a, b)` recounts one pair on
+    the chunked `mul` path; a result that differs from its entry of
+    `counts` raises `CountMismatch`.
     """
-    for t in _spread(len(pairs)):
-        a, b = pairs[t]
+    for t, (a, b) in sample.items():
         want = brute(a, b)
         if not np.array_equal(want, counts[t]):
             raise CountMismatch(
@@ -176,198 +174,165 @@ def deflated_lambda(group: FiniteGroup, weights: np.ndarray) -> float:
     return math.sqrt(max(float(eigs[:, -1].max()), 0.0))
 
 
-def central_spectrum(ct: ClassTable) -> tuple[np.ndarray, float]:
-    """(d, residual): the eigenvalues of every deflated class block.  Cached on ct.
+class ClassCharacters(NamedTuple):
+    """The central characters of a class partition, read off the elements by `class_characters`."""
 
-    B_l(C) is the block l of `deflated_lambda` for w = 1_C, so
-    B_l(S) = sum over classes c in S of B_l(C_c) / |S|.  The class sums are
-    central in the group algebra, so for each l the blocks of all classes
-    are normal and commute, and one unitary U_l diagonalises them all.  It
-    is the eigenbasis of one generic Hermitian element
-    H_l = A + A^H, A = sum over c of theta_c B_l(C_c), and
-    d[c, l, i] = (U_l^H B_l(C_c) U_l)[i, i].  Each class is certified:
-    ||B_c U - U diag(d_c)||_max <= CENTRAL_ULPS (n/m) |C_c| ulp, where
-    |C_c| bounds each row's absolute sum and n/m the length of each inner
-    product.  Then every block is within (n/m) times that of
-    U diag(d_c) U^H in 2-norm, so by Weyl lambda(S) = max over l, i of
-    |sum over c in S of d[c, l, i]| / |S| errs by at most (n/m) times the
-    bounds of S's classes over |S|.  `residual` is the largest entry
-    that the certificate measured.  Deflation sends the trivial eigenvalue
-    to 0, and B_(m-l) = conj(B_l), so l <= m/2 covers every block.
+    # omega[chi, c] = |C_c| chi(g_c) / chi(1), row 0 the trivial character
+    omega: np.ndarray
+    # chi(1), from n / sum over c of |omega[chi, c]|^2 / |C_c|, rounded
+    degrees: np.ndarray
+    # the largest deviation the certificate measured, relative to its scale
+    residual: float
+
+
+def class_characters(ct: ClassTable) -> ClassCharacters:
+    """The central characters of every class, from two walks of the class sums.  Cached on ct.
+
+    B_l(C) is the block l of the walk of the class sum, split as in
+    `deflated_lambda` but not deflated, and B(C) its action on the direct
+    sum of the blocks l <= m/2.  The
+    class sums are central, so B(C) acts on the chi-isotypic part as the
+    scalar omega_chi(C) = |C| chi(g_C) / chi(1).  From one random v with the
+    all-ones direction deflated, v = sum over chi of p_chi (Burnside's
+    method on the regular representation; Dixon 1967):
+    - the first walk gives W_c = B(C_c) v = sum over chi of omega_chi(C_c) p_chi;
+    - the second gives Z_c = B(C_c) u = H W_c for u = sum over c of
+      theta_c W_c, H = sum over c of theta_c B(C_c) generic and central,
+      reduced into W^H Z as it is formed.
+    The isotypic parts are orthogonal, so with Q whitening the Gram matrix
+    W^H W on its range, Q^H W^H Z Q is normal, and its eigenvectors y give
+    p_chi up to scale as W Q y.  omega_chi(C_c) is the coefficient of W_c
+    on p_chi over that of v = W_0 (class 0 is the identity's), and
+    chi(1)^2 = n / sum over c of |omega_chi(C_c)|^2 / |C_c| (row
+    orthogonality).  A chi whose isotypic part lies in the blocks l > m/2
+    only is the conjugate of one seen, and gets the conjugate row.
 
     The build reads element products, the class partition and the roots of
-    unity of Z/m: no character and no class tensor.  theta comes from seed
-    0, then 1, ..., so the cached d never depends on a caller's seed.  A
-    theta that separates too few joint eigenspaces fails the certificate,
-    and so does a partition whose blocks are not all normal and commuting,
-    such as half of A:5's 5-cycles in place of their class: that half is
-    not closed under inverses, and its block is not normal.  After
-    CENTRAL_TRIES seeds that raises NoConvergence and nothing is cached.
-    Blocks are formed one l at a time, k (n/m)^2 entries each.
+    unity of Z/m: no character and no class tensor.  Its certificate reads
+    none either: k rows, integral degrees with sum of squares n,
+    orthogonal columns, and the rows' agreement with a second central
+    element theta' on the same W, which the second walk also carries.
+    `residual` is the largest relative deviation measured, and
+    CHARACTER_CERTIFY bounds it.  v and theta come from seed 0, then 1, ...,
+    so the cached value never depends on a caller's seed.  A partition that
+    is not the class partition, such as half of A:5's 5-cycles in place of
+    their class, fails the certificate on every seed: after
+    CHARACTER_SEEDS seeds that raises NoConvergence and nothing is cached.
     """
     if ct.spectrum is None:
-        object.__setattr__(ct, "spectrum", _diagonalise_class_blocks(ct))
+        object.__setattr__(ct, "spectrum", _build_class_characters(ct))
     return ct.spectrum
 
 
-def _diagonalise_class_blocks(ct: ClassTable) -> tuple[np.ndarray, float]:
-    """`central_spectrum` of ct, built and certified."""
-    q = ct.group.coset_quotients()
-    r, m = q.shape[1], q.shape[2]
-    k = ct.n_classes
-    phases = _phases(m)
-    # q[i, j, d] in class c adds omega^(ld) to entry (i, j) of block c
-    cells = (ct.class_of[q] * (r * r) + np.arange(r * r).reshape(r, r, 1)).ravel()
-    bound = CENTRAL_ULPS * r * _ULP * ct.sizes
-    for seed in range(CENTRAL_TRIES):
+def _class_walks(ct: ClassTable, u: np.ndarray):
+    """Yield (lo, out) with out[i, c, l, j] = (B_l(C_c) u[:, l, j])[lo + i], over blocks of reps.
+
+    For v(x^i t_r) = omega^(li) u[r, l] over `cyclic_cosets`, the walk
+    (Mv)(g) = sum over s in C of v(g s) is omega^(li) (B_l(C) u)[r], and
+    (B_l(C) u)[r] = sum over s in C of omega^(ld) u[r', l] where
+    t_r s = x^d t_r' sits at `coset_positions` r' m + d.  So with
+    P[l, r' m + d] = omega^(ld) u[r', l], row r of every class sum gathers P
+    at the positions of the left translate t_r G, read in class order, and
+    sums each class's run.  A block of reps holds its translates, their
+    positions and one gather of them, at most WALK_BLOCK entries each.
+    """
+    group = ct.group
+    cosets = group.cyclic_cosets()
+    positions = group.coset_positions()
+    order = np.concatenate(ct.classes)
+    starts = np.cumsum(ct.sizes) - ct.sizes
+    phases = _phases(cosets.shape[1])
+    step = max(1, WALK_BLOCK // group.n)
+    for lo in range(0, cosets.shape[0], step):
+        at = positions.take(group.left_translates(cosets[lo : lo + step, 0]).take(order, axis=1))
+        out = np.empty((at.shape[0], ct.n_classes) + u.shape[1:], dtype=complex)
+        for l, j in np.ndindex(*u.shape[1:]):
+            p = (u[:, l, j, None] * phases[:, l]).ravel()
+            out[:, :, l, j] = np.add.reduceat(p.take(at), starts, axis=1)
+        yield lo, out
+
+
+def _build_class_characters(ct: ClassTable) -> ClassCharacters:
+    """`class_characters` of ct, built and certified."""
+    group, k = ct.group, ct.n_classes
+    sizes = ct.sizes.astype(np.float64)
+    if k == 1:
+        return ClassCharacters(np.ones((1, 1), dtype=complex), np.ones(1, dtype=np.int64), 0.0)
+    r, m = group.cyclic_cosets().shape
+    for seed in range(CHARACTER_SEEDS):
         rng = np.random.default_rng(seed)
-        theta = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-        d = np.empty((k, m // 2 + 1, r), dtype=complex)
-        residual = 0.0
-        for l in range(m // 2 + 1):
-            w = np.tile(phases[:, l], r * r)
-            size = k * r * r
-            blocks = np.bincount(cells, w.real, size) + 1j * np.bincount(cells, w.imag, size)
-            blocks = blocks.reshape(k, r, r)
-            if l == 0:
-                blocks -= (ct.sizes / r)[:, None, None]  # w0 = 1_C - |C|/n
-            a = np.tensordot(theta, blocks, axes=1)
-            u = np.linalg.eigh(a + a.conj().T)[1]
-            bu = blocks @ u
-            d[:, l] = (u.conj() * bu).sum(axis=1)
-            err = np.abs(bu - u * d[:, l, None, :]).max(axis=(1, 2))
-            residual = max(residual, float(err.max()))
-            if (err > bound).any():
-                break
-        else:
-            return d, residual
+        v = rng.standard_normal((r, m // 2 + 1, 1)) + 1j * rng.standard_normal((r, m // 2 + 1, 1))
+        v[:, 0] -= v[:, 0].mean()
+        w = np.empty((r, k, m // 2 + 1), dtype=complex)
+        for lo, out in _class_walks(ct, v):
+            w[lo : lo + len(out)] = out[..., 0]
+        theta = rng.standard_normal((k, 2)) + 1j * rng.standard_normal((k, 2))
+        gw, gz = np.zeros((k, k), dtype=complex), np.zeros((2, k, k), dtype=complex)
+        for lo, out in _class_walks(ct, np.einsum("rcl,cj->rlj", w, theta)):
+            block = w[lo : lo + len(out)]
+            gw += np.einsum("ral,rbl->ab", block.conj(), block)
+            gz += np.einsum("ral,rblj->jab", block.conj(), out)
+        found = _solve_class_characters(gw, gz, theta, sizes)
+        if found.residual <= CHARACTER_CERTIFY:
+            return found
     raise NoConvergence(
-        f"{ct.group.label}: no generic element of {CENTRAL_TRIES} diagonalised every class "
-        f"block; the last left {residual:.3e}, over the bound {CENTRAL_ULPS} (n/m) |C| ulp"
+        f"{group.label}: no seed of {CHARACTER_SEEDS} gave certified class characters; "
+        f"the last left {found.residual:.3e}, over {CHARACTER_CERTIFY:.0e}"
     )
 
 
-def lambda_route(s: NormalSubset) -> str:
-    """The route of `lambda_direct` for S: "central", "dense" or "lanczos"."""
-    if s.group.n > DENSE_CAP:
-        return "lanczos"
-    r, m = s.group.cyclic_cosets().shape
-    cost = s.ct.n_classes * (m // 2 + 1) * r**3
-    return "central" if cost <= CENTRAL_BUDGET else "dense"
+def _solve_class_characters(gw, gz, theta, sizes) -> ClassCharacters:
+    """The rows from W^H W and W^H Z of two thetas, with the certificate's residual.
+
+    The residual is the largest of: the rows' count off k; the residual of
+    the second theta's eigenpairs over sum |theta'_c| |C_c|; the degrees'
+    distance from integers; |sum of squared degrees / n - 1|; and the
+    entries of X^H X - diag(n / |C|) scaled by sqrt(|C_a| |C_b|) / n, X
+    the characters chi(g_c) = omega_chi(C_c) chi(1) / |C_c| (column
+    orthogonality).
+    """
+    k, n = len(sizes), float(sizes.sum())
+    scale = 1.0 / np.sqrt(np.diag(gw).real)
+    e, vec = np.linalg.eigh(gw * np.outer(scale, scale))
+    keep = e > RANK_CUT * e[-1]
+    q = scale[:, None] * vec[:, keep] / np.sqrt(e[keep])
+    y = np.linalg.eig(q.conj().T @ gz[0] @ q)[1]
+    coef = (q @ y).conj().T @ gw
+    omega = coef / coef[:, :1]
+    # the rows must diagonalise the second central element with the eigenvalues they predict
+    second = q.conj().T @ gz[1] @ q @ y - y * (omega @ theta[:, 1])
+    agree = np.linalg.norm(second, axis=0) / np.linalg.norm(y, axis=0) / (np.abs(theta[:, 1]) @ sizes)
+    # each row's distance to the nearest row, conjugated; one row at a time holds k' k entries
+    gap = np.array([(np.abs(row.conj() - omega) / sizes).max(axis=1).min() for row in omega])
+    rows = np.concatenate([sizes[None].astype(complex), omega, omega[gap > CHARACTER_CERTIFY].conj()])
+    degrees = np.sqrt(n / (np.abs(rows) ** 2 / sizes).sum(axis=1))
+    whole = np.rint(degrees)
+    chi = rows * whole[:, None] / sizes
+    cols = np.abs(chi.conj().T @ chi - np.diag(n / sizes)) * np.sqrt(np.outer(sizes, sizes)) / n
+    # np.max, unlike max, keeps a nan, which then fails the bound
+    residual = np.max(np.abs([
+        len(rows) - k, agree.max(), np.abs(degrees - whole).max(), (whole**2).sum() / n - 1, cols.max()
+    ]))
+    return ClassCharacters(rows, whole.astype(np.int64), float(residual))
 
 
 def lambda_direct(s: NormalSubset, tol: Tolerances, seed: int = 0, return_info: bool = False):
-    """Second singular value of the walk matrix M of Cay(G, S).
+    """Second singular value of the walk matrix M of Cay(G, S), from the elements.
 
-    When n <= DENSE_CAP, the class blocks' joint eigenvalues
-    (`central_spectrum`) while their cost stays under CENTRAL_BUDGET, else
-    the blocked dense solve of `deflated_lambda`.  Above the cap, Arnoldi on
-    the coset blocks of M0 (`_lanczos_lambda`), on the complement G-S,
-    again a union of classes, when |S| > n/2: |S| M(S) + |G-S| M(G-S) = J,
-    so off the all-ones vector M0(S) = -(|G-S| / |S|) M0(G-S), and S = G
-    gives 0 with no table.  Every route reads only element products, the
-    roots of unity of Z/m and, on the central route, the class partition.
-    With `return_info`, the tuple (lambda, Krylov steps, residual): the
-    final Ritz residual on the Krylov route, the largest certificate entry
-    of `central_spectrum` on the central one (0 steps), and 0, 0.0 on the
-    dense solve.
+    M is central in the group algebra, so it acts on the chi-isotypic part
+    as omega_chi(S) / |S|, and lambda = max over nontrivial chi of
+    |sum over classes c in S of omega_chi(C_c)| / |S|, with the central
+    characters of `class_characters`, built once per class table at every
+    order up to the cap.  `tol` and `seed` are not read: the build
+    certifies itself under a fixed bound and fixed seeds.  With
+    `return_info`, the tuple (lambda, residual of the certificate).
     """
     if s.size == 0:
         raise EmptySubset("connection set is empty")
-    n = s.group.n
-    route = lambda_route(s)
-    if route == "central":
-        d, residual = central_spectrum(s.ct)
-        lam, steps = float(np.abs(d[list(s.class_indices)].sum(axis=0)).max()) / s.size, 0
-    elif route == "dense":
-        lam, steps, residual = deflated_lambda(s.group, s.mask / s.size), 0, 0.0
-    elif 2 * s.size <= n:
-        lam, steps, residual = _lanczos_lambda(s, seed, tol)
-    else:
-        rest = NormalSubset.from_classes(s.ct, set(range(s.ct.n_classes)) - set(s.class_indices))
-        lam, steps, residual = _lanczos_lambda(rest, seed, tol) if rest.size else (0.0, 0, 0.0)
-        ratio = rest.size / s.size
-        lam, residual = ratio * lam, ratio * residual
-    return (lam, steps, residual) if return_info else lam
-
-
-def _coset_table(s: NormalSubset) -> np.ndarray:
-    """T[s, r] = pos[t_r s] over `coset_positions`, shape (|S|, n/m), int32.
-
-    t_r s = x^d t_r' sits at r' m + d.  One blocked `mul` of the n/m coset
-    representatives against S.
-    """
-    group = s.group
-    reps = group.cyclic_cosets()[:, 0]
-    return group.coset_positions().take(group.mul(reps, s.indices[:, None]))
-
-
-def _coset_walk(u: np.ndarray, table: np.ndarray, phases: np.ndarray) -> np.ndarray:
-    """One walk step on every block l <= m/2 at once, u of shape (n/m, m//2 + 1).
-
-    With v(x^i t_r) = omega^(li) u[r, l], (Mv)(x^i t_r) = omega^(li) (B_l u)[r],
-    where (B_l u)[r] = mean over s of omega^(ld) u[r', l] and t_r s = x^d t_r'.
-    So P[r' m + d, l] = u[r', l] omega^(ld), and each s adds the rows T[s] of P.
-    """
-    p = (u[:, None, :] * phases).reshape(-1, u.shape[1])
-    acc = np.zeros_like(u)
-    for t in table:
-        acc += p.take(t, axis=0)  # per-row take beats one fancy index or a scatter
-    return acc / len(table)
-
-
-def _lanczos_lambda(s: NormalSubset, seed: int, tol: Tolerances) -> tuple[float, int, float]:
-    """(lambda, steps, residual) of Arnoldi on the coset blocks of M0, fully reorthogonalised.
-
-    The DFT over the cosets x^i t_r of <x> splits M0 unitarily into blocks
-    B_l, l < m, with B_(m-l) = conj(B_l); the walk is on their direct sum
-    for l <= m/2 (`_coset_walk`), with the all-ones vector, the constant of
-    block 0, deflated.  S is a union of classes, so M is central in the
-    group algebra: M0 is normal and acts as one scalar chi(S) / (chi(1) |S|)
-    on each chi-isotypic component.  So is the direct sum, whose
-    eigenvalues are among those of M0 and which has every modulus of them.
-    Its singular values are the moduli of its eigenvalues, and off the
-    all-ones vector the Krylov space of any start has dimension at most
-    k - 1 for k classes.  lambda is max |theta| over the Ritz values of the
-    complex Hessenberg matrix, with no square root.  The top Ritz residual
-    |h_(j+1,j) y[last]| bounds theta's distance to an eigenvalue
-    (Bauer-Fike, condition 1 for a normal operator).  Stop once it is at
-    most max(tol.lanczos_tol |theta|, |S| ulp), or at h_(j+1,j) = 0: M is
-    doubly stochastic, so one walk of a unit vector errs by about |S| ulp
-    in norm.  More than k steps contradicts the Krylov bound and raises
-    `NoConvergence`.
-    """
-    k = s.ct.n_classes
-    table = _coset_table(s)
-    phases = _phases(s.group.cyclic_cosets().shape[1])
-    floor = s.size * _ULP
-
-    rng = np.random.default_rng(seed)
-    shape = (table.shape[1], phases.shape[1])
-    v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    v[:, 0] -= v[:, 0].mean()
-    v /= np.linalg.norm(v)
-    basis = np.empty((k,) + shape, dtype=complex)
-    hess = np.zeros((k + 1, k), dtype=complex)
-    for j in range(k):
-        basis[j] = v
-        w = _coset_walk(v, table, phases)
-        w[:, 0] -= w[:, 0].mean()  # deflate the all-ones direction
-        q = basis[: j + 1]
-        # full reorthogonalisation, twice (Parlett ch. 6)
-        for _ in range(2):
-            c = np.tensordot(q.conj(), w, axes=2)
-            hess[: j + 1, j] += c
-            w -= np.tensordot(c, q, axes=1)
-        hess[j + 1, j] = beta = np.linalg.norm(w)
-        theta, y = np.linalg.eig(hess[: j + 1, : j + 1])
-        top = int(np.argmax(np.abs(theta)))
-        lam = float(abs(theta[top]))
-        residual = float(beta * abs(y[-1, top]))
-        if residual <= max(tol.lanczos_tol * lam, floor) or beta == 0.0:
-            return lam, j + 1, residual
-        v = w / beta
-    raise NoConvergence(f"Arnoldi did not stop within k = {k} steps, the Krylov dimension bound")
+    chars = class_characters(s.ct)
+    sums = chars.omega[1:, list(s.class_indices)].sum(axis=1)
+    lam = float(np.abs(sums).max(initial=0.0)) / s.size
+    return (lam, chars.residual) if return_info else lam
 
 
 def arc_count(s: NormalSubset, a: SubsetLike, b: SubsetLike) -> int:
@@ -423,7 +388,8 @@ def mixing_discrepancies(
     a_rows = np.array([subset_mask(a) for a, _ in pairs], dtype=bool).reshape(-1, n)
     b_rows = np.array([subset_mask(b) for _, b in pairs], dtype=bool).reshape(-1, n)
     arcs = (convolve_rows(group, a_rows, s.mask) * b_rows).sum(axis=1)
-    _recounted(f"{group.label} arcs", pairs, arcs, lambda a, b: arc_count(s, a, b))
+    sample = {t: pairs[t] for t in _spread(len(pairs))}
+    _recounted(f"{group.label} arcs", sample, arcs, lambda a, b: arc_count(s, a, b))
     return [
         _mixing_bound(n, s.size, lam, int(a.sum()), int(b.sum()), int(e))
         for a, b, e in zip(a_rows, b_rows, arcs)
@@ -452,13 +418,11 @@ class SpectralReport:
     lambda_direct: float
     lambda_char: float
     char_eigenvalues: tuple[complex, ...]
-    # the route of `lambda_direct`: "central", "dense" or "lanczos"
+    # the route of `lambda_direct`: "central", the characters of `class_characters`
     method: str
     # the tolerances the report was made under; `agree` reads lambda_agree
     tol: Tolerances
-    # Lanczos steps and final Ritz residual; on the central route 0 and the
-    # certificate residual, on the dense solve 0 and 0.0
-    steps: int = 0
+    # the certificate residual of `class_characters`
     residual: float = 0.0
 
     def agree(self) -> bool:
@@ -475,7 +439,7 @@ def spectral_report(
     tol: Tolerances = DEFAULT,
 ) -> SpectralReport:
     """lambda by both routes for S, a union of classes of `ct` in `group`."""
-    lam_dir, steps, residual = lambda_direct(s, tol, seed=seed, return_info=True)
+    lam_dir, residual = lambda_direct(s, tol, seed=seed, return_info=True)
     if not 0.0 <= lam_dir <= 1.0 + tol.slack:
         raise NoConvergence(f"lambda {lam_dir} outside [0, 1]")
     return SpectralReport(
@@ -486,8 +450,7 @@ def spectral_report(
         lambda_direct=lam_dir,
         lambda_char=lambda_normal(tab, s, tol),
         char_eigenvalues=tuple(complex(v) for v in eigenvalues_normal(tab, s, tol)),
-        method=lambda_route(s),
-        steps=steps,
+        method="central",
         residual=residual,
         tol=tol,
     )

@@ -184,14 +184,13 @@ def random_normal_subset(
     ct: ClassTable, rng: np.random.Generator, include_identity_class: bool = True
 ) -> NormalSubset:
     """A uniformly random nonempty union of classes; EmptySubset when no class is in play."""
-    pool = list(range(ct.n_classes)) if include_identity_class else list(
-        range(1, ct.n_classes)
-    )
-    if not pool:
+    pool = np.arange(0 if include_identity_class else 1, ct.n_classes)
+    if not pool.size:
         raise EmptySubset(f"{ct.group.label} has no nonidentity class to draw")
     while True:
-        pick = [i for i in pool if rng.integers(2)]
-        if pick:
+        # one draw of every bit reads the same values as one draw per class
+        pick = pool[rng.integers(2, size=pool.size) == 1]
+        if pick.size:
             return NormalSubset.from_classes(ct, pick)
 
 

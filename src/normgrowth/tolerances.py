@@ -29,7 +29,7 @@ class Tolerances:
     # eigenvalues closer than this trigger a retry with fresh coefficients
     eigen_collision: float = 1e-6
 
-    # agreement between the character route and the dense eigensolve
+    # agreement between the character route and the element route
     lambda_agree: float = 1e-6
     # the trivial character must give eigenvalue 1 within this
     lambda_one: float = 1e-10
@@ -44,11 +44,6 @@ class Tolerances:
     pab_relative: float = 1e-8
     # distribution weights must sum to one within this
     dist_unit: float = 1e-12
-
-    # the Krylov solve above the dense cap (Arnoldi on M0) stops once the top
-    # Ritz residual is at most this times |top Ritz value|, or at most the
-    # |S| ulp rounding floor of one walk
-    lanczos_tol: float = 1e-10
 
     def by_name(self) -> dict[str, float]:
         """Every tolerance under its CLI name, in field order."""

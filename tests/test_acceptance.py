@@ -10,6 +10,7 @@ import json
 
 import pytest
 
+from normgrowth import acceptance
 from normgrowth.acceptance import CRITERIA
 
 # sha256 of the seed-0 report bodies of the criteria counted by
@@ -56,3 +57,15 @@ def test_kernel_criteria_bodies_are_pinned(number):
     func = {num: f for num, _, f in CRITERIA}[number]
     body = json.dumps(func(profile="quick", seed=0).body_dict(), sort_keys=True)
     assert hashlib.sha256(body.encode()).hexdigest() == KERNEL_BODIES[number]
+
+
+def test_mixing_criterion_draws_its_pairs_once_per_group(monkeypatch):
+    """Criterion 13 tries every class on the same seeded pairs, drawn once per group."""
+    calls = []
+    inner = acceptance.random_subset
+    monkeypatch.setattr(acceptance, "random_subset", lambda *a, **k: calls.append(1) or inner(*a, **k))
+    doc = acceptance.criterion_13(profile="quick", seed=0, pairs=5)
+    assert len(calls) == 2 * 5 * len(acceptance.MIXING_GROUPS)
+    assert len(doc.results) == 5 * sum(
+        acceptance.get_context(spec).classes.n_classes for spec in acceptance.MIXING_GROUPS
+    )

@@ -47,23 +47,17 @@ def test_lambda_both_routes(capsys):
     assert "agree" in out.lower() or "lambda" in out.lower()
 
 
-def test_lambda_reports_lanczos_steps_only_on_that_route(tmp_path, capsys, monkeypatch):
+def test_lambda_reports_lanczos_steps_only_on_that_route(tmp_path, capsys):
+    """One route, one line: the certificate residual of the class characters, printed and kept."""
     out = tmp_path / "lambda.json"
     argv = ["lambda", "--group", "A:5", "--subset", "class:1", "--out", str(out)]
     assert main(argv) == 0
-    assert "lanczos: " not in capsys.readouterr().out
     meta = json.loads(out.read_text())["meta"]
+    residual_lines = [line for line in capsys.readouterr().out.splitlines() if "residual" in line]
+    assert residual_lines == [f"central: certificate residual {meta['central_residual']:.3e}"]
     assert meta["method"] == "central"
     assert not any(key.startswith("lanczos") for key in meta)
-    assert 0.0 <= meta["central_residual"] <= 1e-12
-    monkeypatch.setattr(spectral, "DENSE_CAP", 1)
-    assert main(argv) == 0
-    assert "lanczos: " in capsys.readouterr().out
-    meta = json.loads(out.read_text())["meta"]
-    assert meta["method"] == "lanczos"
-    assert "central_residual" not in meta
-    assert 1 <= meta["lanczos_steps"] <= 4
-    assert 0.0 <= meta["lanczos_residual"] <= 1e-10
+    assert 0.0 <= meta["central_residual"] <= spectral.CHARACTER_CERTIFY
 
 
 def test_chartable_verify_export_import(tmp_path, capsys):
@@ -229,7 +223,7 @@ def test_header_records_the_tolerances_in_effect(tmp_path):
     assert main(argv) == 0
     header = json.loads(out.read_text())["header"]
     assert header["tolerances"] == DEFAULT.by_name()
-    assert len(header["tolerances"]) == 12
+    assert len(header["tolerances"]) == 11
     assert main(argv + ["--tolerance", "slack=0.5"]) == 0
     doc = json.loads(out.read_text())
     assert doc["header"]["tolerances"] == {**DEFAULT.by_name(), "slack": 0.5}
@@ -243,8 +237,6 @@ OVERRIDE_CASES = {
     "dichotomy": (["growth", "--check", "dichotomy", "--group", "A:5"], "slack=-1e6", {"dichotomy"}),
     "2step": (["growth", "--check", "2step", "--trials", "1", "--group", "A:5"], "slack=-1e6", {"2step"}),
     "asymp": (["growth", "--check", "asymp", "--trials", "2", "--group", "A:5"], "strict-slack=-1e6", {"asymp"}),
-    # on the Lanczos route one step gives the Rayleigh quotient, not lambda
-    "lambda-lanczos": (["lambda", "--subset", "class:1", "--group", "A:5"], "lanczos-tol=1e300", {"lambda"}),
     # the recovery gives up on every recombination, so there is no table
     "chartable": (["chartable", "--verify", "--group", "A:5"], "eigen-collision=1e9", "DegenerateSpectrum"),
     "orthogonality": (["chartable", "--verify", "--group", "A:5"], "orthogonality=-1", "OrthogonalityError"),
@@ -267,10 +259,8 @@ def test_every_tolerance_has_an_override_case():
 
 
 @pytest.mark.parametrize("case", list(OVERRIDE_CASES))
-def test_tolerance_override_reaches_check(tmp_path, capsys, monkeypatch, a5, case):
+def test_tolerance_override_reaches_check(tmp_path, capsys, a5, case):
     argv, override, fails = OVERRIDE_CASES[case]
-    if override.startswith("lanczos-tol="):
-        monkeypatch.setattr(spectral, "DENSE_CAP", 1)
     table = tmp_path / "a5-table.json"
     save_table(a5.table, table)
     argv = [str(table) if a == "{table}" else a for a in argv]

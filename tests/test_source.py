@@ -168,27 +168,38 @@ CHARACTER_NAMES = {
 }
 
 
-@pytest.mark.parametrize("name", ["lambda_direct", "deflated_lambda", "central_spectrum"])
+@pytest.mark.parametrize("name", ["lambda_direct", "deflated_lambda", "class_characters"])
 def test_element_lambda_never_reads_the_characters(name):
     """The element route to lambda is checked against the character route.
 
     So nothing it reaches may use the character table or the class tensor;
-    the central route's one class-side input is the partition.  The
-    cyclic-subgroup blocks of every route come from left translates along
-    the elements' spanning tree, and Arnoldi's coset table from `mul`, with
-    no right translate table.
+    the build's one class-side input is the partition.  The cyclic-subgroup
+    blocks come from left translates along the elements' spanning tree, with
+    no right translate table.  The per-set routes
+    that the build replaced are gone.
     """
     reached = _reached_functions("spectral.py", name)
-    if name == "lambda_direct":
-        assert ("spectral.py", "central_spectrum") in reached
-        assert ("spectral.py", "deflated_lambda") in reached
-        assert ("spectral.py", "_lanczos_lambda") in reached
-        assert ("permgroup.py", "FiniteGroup.mul") in reached
+    if name != "deflated_lambda":
+        assert ("spectral.py", "_build_class_characters") in reached
+        assert ("spectral.py", "_class_walks") in reached
+        assert ("permgroup.py", "FiniteGroup.coset_positions") in reached
         assert ("permgroup.py", "FiniteGroup.right_translates") not in reached
     assert ("permgroup.py", "FiniteGroup.cyclic_cosets") in reached
     assert ("permgroup.py", "FiniteGroup.left_translates") in reached
     assert ("permgroup.py", "FiniteGroup._tree_walk") in reached
     assert not _naming(reached, CHARACTER_NAMES)
+    deleted = {
+        "central_spectrum", "_diagonalise_class_blocks", "lambda_route", "_lanczos_lambda",
+        "_coset_table", "_coset_walk", "CENTRAL_BUDGET", "CENTRAL_TRIES", "CENTRAL_ULPS",
+        "lanczos_tol",
+    }
+    names = {
+        getattr(node, field, None)
+        for tree in TREES.values()
+        for node in ast.walk(tree)
+        for field in ("name", "id", "attr", "target")
+    }
+    assert not names & deleted
 
 
 def test_convolve_rows_never_reads_the_characters():

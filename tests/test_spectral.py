@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import run_child
+from conftest import PRINT_PEAK_KB, run_child
 
 from normgrowth import spectral
 from normgrowth.chartable import character_ratio, compute_character_table
@@ -65,27 +65,16 @@ def test_eigenvalues_need_nonempty(a5):
         eigenvalues_normal(a5.table, NormalSubset.from_classes(a5.classes, []), DEFAULT)
 
 
-def test_lambda_direct_extremes(a5, s5, psl27, psl211, monkeypatch):
-    # the dense solve, then the Krylov route: S = G is its empty complement,
-    # no walk at all, and S = {1} settles in one step
-    for cap, ident_steps in ((spectral.DENSE_CAP, 0), (1, 1)):
-        monkeypatch.setattr(spectral, "DENSE_CAP", cap)
-        for ctx in (a5, s5, psl27, psl211):
-            ct = ctx.classes
-            # S = G mixes in one step: lambda is 0, not the square root of rounding noise
-            full = NormalSubset.from_classes(ct, range(ct.n_classes))
-            lam, took, _ = lambda_direct(full, DEFAULT, return_info=True)
-            assert lam <= DEFAULT.slack
-            assert took == 0
-            if cap == 1:
-                # walked itself, S = G leaves only rounding noise, below the |S| ulp floor
-                lam, took, _ = spectral._lanczos_lambda(full, 0, DEFAULT)
-                assert lam <= DEFAULT.slack
-                assert took == 1
-            ident = NormalSubset.from_classes(ct, [0])
-            lam, took, _ = lambda_direct(ident, DEFAULT, return_info=True)
-            assert lam == pytest.approx(1.0, abs=1e-12)
-            assert took == ident_steps
+def test_lambda_direct_extremes(a5, s5, psl27, psl211):
+    """S = G mixes in one step and S = {1} never mixes: lambda 0 and 1 from the class characters."""
+    for ctx in (a5, s5, psl27, psl211):
+        ct = ctx.classes
+        full = NormalSubset.from_classes(ct, range(ct.n_classes))
+        lam, residual = lambda_direct(full, DEFAULT, return_info=True)
+        assert lam <= DEFAULT.slack
+        assert residual == ct.spectrum.residual <= spectral.CHARACTER_CERTIFY
+        ident = NormalSubset.from_classes(ct, [0])
+        assert lambda_direct(ident, DEFAULT) == pytest.approx(1.0, abs=1e-12)
 
 
 def _dense_oracle(group, weights):
@@ -157,17 +146,16 @@ def central_tables(name):
 
 @pytest.mark.parametrize("name", list(CENTRAL_GROUPS))
 def test_central_route_agrees_on_every_union(name):
-    """The joint eigenvalues give the blocked solve's and the characters' lambda.
+    """The class characters give the blocked solve's and the characters' lambda.
 
     Every union of classes, to 1e-12.  S:5's largest element order is 6, so
     its transpositions' walk is bipartite: lambda = 1 from the sign
-    character alone, in the Nyquist block l = m/2.
+    character alone, whose isotypic part lies in the Nyquist block l = m/2.
     """
     group, ct, tab = central_tables(name)
     for s in enumerate_normal_subsets(ct):
-        lam, steps, residual = lambda_direct(s, DEFAULT, return_info=True)
-        assert spectral.lambda_route(s) == "central" and steps == 0
-        assert residual == ct.spectrum[1]
+        lam, residual = lambda_direct(s, DEFAULT, return_info=True)
+        assert residual == ct.spectrum.residual <= spectral.CHARACTER_CERTIFY
         assert abs(lam - deflated_lambda(group, s.mask / s.size)) <= 1e-12
         assert abs(lam - lambda_normal(tab, s, DEFAULT)) <= 1e-12
     full = NormalSubset.from_classes(ct, range(ct.n_classes))
@@ -176,40 +164,34 @@ def test_central_route_agrees_on_every_union(name):
         ident = NormalSubset.from_classes(ct, [0])
         assert lambda_direct(ident, DEFAULT) == pytest.approx(1.0, abs=1e-12)
     if name == "S:5":
-        m = group.cyclic_cosets().shape[1]
+        assert group.cyclic_cosets().shape[1] == 6
         (swaps,) = [c for c in range(ct.n_classes) if ct.sizes[c] == 10 and ct.rep_orders[c] == 2]
         lam = lambda_direct(NormalSubset.from_classes(ct, [swaps]), DEFAULT)
         assert lam == pytest.approx(1.0, abs=1e-12)
-        # |d| reaches |C| only in block m/2; the degree-4 characters give |C|/2
-        top = np.abs(ct.spectrum[0][swaps]).max(axis=1)
-        assert m == 6 and top[m // 2] == pytest.approx(10.0, abs=1e-12)
-        assert top[: m // 2].max() <= 5.0 + 1e-12
+        # |omega| reaches |C| on the sign character alone; the degree-4 characters give |C|/2
+        top = np.sort(np.abs(ct.spectrum.omega[1:, swaps]))
+        assert top[-1] == pytest.approx(10.0, abs=1e-12)
+        assert top[-2] <= 5.0 + 1e-12
 
 
 @pytest.mark.parametrize("name", list(CENTRAL_GROUPS))
 def test_central_spectrum_is_the_character_table(name):
-    """The element side's joint eigenvalues are the central characters, with multiplicity chi(1)^2.
+    """The class characters are the certified table's central characters, with its degrees.
 
-    A column d[:, l, i] must be |C_c| chi(g_c) / chi(1), less |C_c| for the
-    deflated trivial character.  Block m - l is conj(B_l), where each
-    column becomes that of the complex conjugate character, so counting
-    every column of 0 < l < m/2 once more, conjugated, covers all m blocks.
+    Row chi must be |C_c| chi(g_c) / chi(1), one row per character.  C6's
+    cyclic subgroup is the whole group, so its single coset gives blocks
+    l <= 3 of dimension one: the characters of l = 4, 5 are seen only
+    through their conjugates and come in as conjugate rows.
     """
     group, ct, tab = central_tables(name)
-    d, _ = spectral.central_spectrum(ct)
-    m = group.cyclic_cosets().shape[1]
-    omega = ct.sizes * tab.values / tab.degrees[:, None]
-    omega[0] -= ct.sizes
-    counts = np.zeros(tab.n_classes, dtype=int)
-    for l in range(m // 2 + 1):
-        cols = d[:, l].T
-        if 0 < l < m - l:
-            cols = np.concatenate([cols, cols.conj()])
-        dist = np.abs(cols[:, None, :] - omega[None]).max(axis=2)
-        near = dist.argmin(axis=1)
-        assert dist[np.arange(len(cols)), near].max() <= 1e-9
-        np.add.at(counts, near, 1)
-    assert np.array_equal(counts, np.rint(tab.degrees).astype(int) ** 2)
+    chars = spectral.class_characters(ct)
+    want = ct.sizes * tab.values / tab.degrees[:, None]
+    dist = (np.abs(chars.omega[:, None] - want[None]) / ct.sizes).max(axis=2)
+    match = dist.argmin(axis=1)
+    assert sorted(match.tolist()) == list(range(ct.n_classes))
+    assert dist[np.arange(ct.n_classes), match].max() <= 1e-12
+    assert np.array_equal(chars.degrees, np.rint(tab.degrees[match]))
+    assert chars.residual <= spectral.CHARACTER_CERTIFY
 
 
 def _split_class(ct, c):
@@ -223,31 +205,32 @@ def _split_class(ct, c):
     return dataclasses.replace(ct, class_of=class_of, classes=classes, sizes=sizes)
 
 
-def test_split_class_fails_the_certificate(a5):
-    """Half of A:5's 12 five-cycles is not closed under inverses.
+# (group, class, its size) of each cut partition: half of A:5's twelve
+# 5-cycles, which is not closed under inverses; half of its fifteen
+# involutions, which is; and half of PSL2:7's 56 elements of order 3
+SPLIT_CASES = (("A:5", 1, 12), ("A:5", 3, 15), ("PSL2:7", 5, 56))
 
-    Its block is not normal, so no unitary diagonalises it and the
-    certificate raises on every seed; nothing is cached.  Half of the 15
-    involutions is its own inverse and commutes with every class sum and
-    with the other half, so the blocks stay normal and commuting: the
-    certificate holds, and so does lambda of every union of the cut
-    partition.
+
+def test_split_class_fails_the_certificate():
+    """A cut partition's block sums are not all central, so its rows are not characters.
+
+    The certificate fails on every seed, the build raises NoConvergence, and
+    nothing is cached.  Half of the involutions passed the certificate of
+    the joint diagonalisation that the build replaced; its degrees are not
+    integers.
     """
-    ct = a5.classes
-    spectral.central_spectrum(ct)
-    assert ct.sizes[1] == 12 and ct.rep_orders[1] == 5
-    bad = _split_class(ct, 1)
-    # the copy does not inherit the original's cached spectrum
-    assert ct.spectrum is not None and bad.spectrum is None
-    with pytest.raises(NoConvergence):
-        spectral.central_spectrum(bad)
-    assert bad.spectrum is None
-    with pytest.raises(NoConvergence):
-        lambda_direct(NormalSubset.from_classes(bad, [2]), DEFAULT)
-    assert ct.sizes[3] == 15 and ct.rep_orders[3] == 2
-    halves = _split_class(ct, 3)
-    for s in enumerate_normal_subsets(halves):
-        assert abs(lambda_direct(s, DEFAULT) - deflated_lambda(a5.group, s.mask / s.size)) <= 1e-12
+    for spec, c, size in SPLIT_CASES:
+        ct = get_context(spec).classes
+        spectral.class_characters(ct)
+        assert ct.sizes[c] == size
+        bad = _split_class(ct, c)
+        # the copy does not inherit the original's cached characters
+        assert ct.spectrum is not None and bad.spectrum is None
+        with pytest.raises(NoConvergence):
+            spectral.class_characters(bad)
+        assert bad.spectrum is None
+        with pytest.raises(NoConvergence):
+            lambda_direct(NormalSubset.from_classes(bad, [2]), DEFAULT)
 
 
 def test_split_class_raises_under_python_O():
@@ -259,35 +242,43 @@ def test_split_class_raises_under_python_O():
         "from normgrowth.context import parse_group_spec\n"
         "from normgrowth.errors import NoConvergence\n"
         "from normgrowth.permgroup import compute_classes\n"
-        "ct = compute_classes(parse_group_spec('A:5'))\n"
-        "five = ct.classes[1]\n"
-        "class_of = ct.class_of.copy()\n"
-        "class_of[five[:6]] = ct.n_classes\n"
-        "classes = (ct.classes[0], five[6:]) + ct.classes[2:] + (five[:6],)\n"
-        "sizes = np.array([part.size for part in classes])\n"
-        "bad = dataclasses.replace(ct, class_of=class_of, classes=classes, sizes=sizes)\n"
-        "try:\n"
-        "    print('returned', spectral.central_spectrum(bad)[1])\n"
-        "except NoConvergence:\n"
-        "    print('NoConvergence', __debug__, bad.spectrum is None)\n"
+        f"for spec, c, _ in {SPLIT_CASES!r}:\n"
+        "    ct = compute_classes(parse_group_spec(spec))\n"
+        "    members = ct.classes[c]\n"
+        "    cut = members.size // 2\n"
+        "    class_of = ct.class_of.copy()\n"
+        "    class_of[members[:cut]] = ct.n_classes\n"
+        "    classes = ct.classes[:c] + (members[cut:],) + ct.classes[c + 1 :] + (members[:cut],)\n"
+        "    sizes = np.array([part.size for part in classes])\n"
+        "    bad = dataclasses.replace(ct, class_of=class_of, classes=classes, sizes=sizes)\n"
+        "    try:\n"
+        "        print('returned', spectral.class_characters(bad).residual)\n"
+        "    except NoConvergence:\n"
+        "        print('NoConvergence', __debug__, bad.spectrum is None)\n"
     )
-    assert run_child(script, "-O").split() == ["NoConvergence", "False", "True"]
+    assert run_child(script, "-O").split() == ["NoConvergence", "False", "True"] * len(SPLIT_CASES)
 
 
-def test_central_route_yields_to_the_blocked_solve_past_its_budget(psl27, s5, monkeypatch):
-    """With no budget, lambda_direct solves each set's blocks and builds no joint eigenvalues."""
-    cases = [(ctx, s) for ctx in (psl27, s5) for s in enumerate_normal_subsets(ctx.classes)]
-    central = [lambda_direct(s, DEFAULT) for _, s in cases]
-    monkeypatch.setattr(spectral, "CENTRAL_BUDGET", 0)
-    monkeypatch.setattr(spectral, "central_spectrum", _no_central)
-    for (ctx, s), want in zip(cases, central):
-        assert spectral.lambda_route(s) == "dense"
-        assert lambda_direct(s, DEFAULT, return_info=True)[1:] == (0, 0.0)
-        assert abs(lambda_direct(s, DEFAULT) - want) <= 1e-12
+def test_central_elements_that_do_not_fit_the_rows_fail_the_certificate(monkeypatch):
+    """The certificate checks the rows against both central elements of the second walk.
 
-
-def _no_central(*_):
-    raise AssertionError("the central route ran past its budget")
+    From A:5's two walks: with W^H Z of the first theta swapped for W^H W,
+    as if theta were the identity's class sum alone, there is one
+    eigenvalue, any basis diagonalises it, and the rows read off that basis
+    are not characters.  With the rows left alone but theta' changed after
+    its walk, the rows predict eigenvalues that the second element does not
+    have: only that term of the certificate moves.
+    """
+    ct = compute_classes(parse_group_spec("A:5"))
+    seen = []
+    solve = spectral._solve_class_characters
+    monkeypatch.setattr(spectral, "_solve_class_characters", lambda *args: seen.append(args) or solve(*args))
+    spectral.class_characters(ct)
+    gw, gz, theta, sizes = seen[0]
+    assert solve(gw, gz, theta, sizes).residual <= spectral.CHARACTER_CERTIFY
+    assert solve(gw, np.stack([gw, gz[1]]), theta, sizes).residual > 1e-3
+    other = np.stack([theta[:, 0], np.roll(theta[:, 1], 1)], axis=1)
+    assert solve(gw, gz, other, sizes).residual > 1e-3
 
 
 def test_central_spectrum_ignores_the_callers_seed(monkeypatch):
@@ -297,10 +288,8 @@ def test_central_spectrum_ignores_the_callers_seed(monkeypatch):
     """
     group = parse_group_spec("PSL2:11")
     built = []
-    build = spectral._diagonalise_class_blocks
-    monkeypatch.setattr(
-        spectral, "_diagonalise_class_blocks", lambda ct: built.append(1) or build(ct)
-    )
+    build = spectral._build_class_characters
+    monkeypatch.setattr(spectral, "_build_class_characters", lambda ct: built.append(1) or build(ct))
     kept = []
     for seeds in ((0, 3), (3, 0)):
         ct = compute_classes(group)
@@ -310,77 +299,8 @@ def test_central_spectrum_ignores_the_callers_seed(monkeypatch):
         assert lams[0] == lams[1]
         kept.append(ct.spectrum)
     assert len(built) == 2
-    (d0, r0), (d3, r3) = kept
-    assert d0.tobytes() == d3.tobytes() and r0 == r3
-
-
-def test_lanczos_matches_dense(psl27, s5, monkeypatch):
-    """S:5's x has even order 6, so the Krylov route walks the real block l = m/2."""
-    subsets = [
-        NormalSubset.from_classes(ctx.classes, [c])
-        for ctx in (psl27, s5)
-        for c in range(1, ctx.classes.n_classes)
-    ]
-    dense = [lambda_direct(s, DEFAULT) for s in subsets]
-    monkeypatch.setattr(spectral, "DENSE_CAP", 1)
-    for s, want in zip(subsets, dense):
-        assert abs(lambda_direct(s, DEFAULT) - want) <= 1e-12
-
-
-@pytest.mark.parametrize("fixture", ["a5", "psl27", "s5"])
-def test_krylov_route_agrees_with_characters_on_every_union(fixture, request, monkeypatch):
-    """Unions of more than n/2 elements go through their complement.
-
-    A:5 and PSL2:7 have an odd largest element order m; S:5's m = 6 adds
-    the block l = m/2, where the sign character of S:5 lives.
-    """
-    ctx = request.getfixturevalue(fixture)
-    assert ctx.group.cyclic_cosets().shape[1] % 2 == (fixture != "s5")
-    monkeypatch.setattr(spectral, "DENSE_CAP", 1)
-    for s in enumerate_normal_subsets(ctx.classes):
-        lam, steps, _ = lambda_direct(s, DEFAULT, return_info=True)
-        assert abs(lam - lambda_normal(ctx.table, s, DEFAULT)) <= 1e-12
-        assert steps <= ctx.classes.n_classes - 1
-
-
-def _no_translates(*_):
-    raise AssertionError("the Krylov route built a translate table")
-
-
-def test_large_unions_walk_the_smaller_complement(monkeypatch):
-    """On A:8 no coset table has more than n/2 rows of S; S = G builds none."""
-    ctx = get_context("A:8")
-    ct, n = ctx.classes, ctx.n
-    asked = []
-    build = spectral._coset_table
-    monkeypatch.setattr(spectral, "_coset_table", lambda s: asked.append(s.size) or build(s))
-    monkeypatch.setattr(ctx.group, "right_translates", _no_translates)
-    # the commutator word's image is all of A8
-    full = parse_subset_expr("word:xyXY", ct)
-    assert full.size == n
-    assert lambda_direct(full, DEFAULT, return_info=True) == (0.0, 0, 0.0)
-    assert asked == []
-    every = set(range(ct.n_classes))
-    for drop in ((0,), (1,), (0, 2), (13,)):
-        s = NormalSubset.from_classes(ct, every - set(drop))
-        assert 2 * s.size > n
-        assert abs(lambda_direct(s, DEFAULT) - lambda_normal(ctx.table, s, DEFAULT)) <= 1e-12
-    assert asked and max(asked) <= n // 2
-
-
-def test_lanczos_step_cap_raises(a5, monkeypatch):
-    """A stop rule that never holds runs into the cap: exactly k walks, then an error."""
-    s = NormalSubset.from_classes(a5.classes, [1])
-    monkeypatch.setattr(spectral, "DENSE_CAP", 1)
-    # a negative tolerance and a negative rounding floor: no residual is small enough
-    monkeypatch.setattr(spectral, "_ULP", -1.0)
-    steps = []
-    inner = spectral._coset_walk
-    monkeypatch.setattr(spectral, "_coset_walk", lambda *a: steps.append(1) or inner(*a))
-    with pytest.raises(NoConvergence):
-        lambda_direct(s, Tolerances(lanczos_tol=-1.0))
-    # one walk, M v, per Krylov step
-    assert len(steps) == a5.classes.n_classes
+    first, second = kept
+    assert first.omega.tobytes() == second.omega.tobytes() and first.residual == second.residual
 
 
 def test_walk_matrix_stochastic_and_normal(a5):
@@ -442,29 +362,16 @@ def test_vertex_expansion_bound(a5):
         assert nb <= g.n
 
 
-def test_spectral_report(psl27, monkeypatch):
+def test_spectral_report(psl27):
     s = NormalSubset.from_classes(psl27.classes, [1])
     rep = spectral_report(
         psl27.group, psl27.classes, psl27.table, s, "class:1"
     )
     assert rep.method == "central"
-    assert rep.steps == 0
-    # n/m = 24 on PSL2:7
-    bound = spectral.CENTRAL_ULPS * 24 * spectral._ULP * max(psl27.classes.sizes)
-    assert 0.0 <= rep.residual <= bound
+    assert rep.residual == psl27.classes.spectrum.residual
+    assert 0.0 <= rep.residual <= spectral.CHARACTER_CERTIFY
     assert rep.agree()
     assert len(rep.char_eigenvalues) == psl27.classes.n_classes
-    monkeypatch.setattr(spectral, "CENTRAL_BUDGET", 0)
-    rep = spectral_report(psl27.group, psl27.classes, psl27.table, s, "class:1")
-    assert rep.method == "dense"
-    assert (rep.steps, rep.residual) == (0, 0.0)
-    assert rep.agree()
-    monkeypatch.setattr(spectral, "DENSE_CAP", 1)
-    rep = spectral_report(psl27.group, psl27.classes, psl27.table, s, "class:1")
-    assert rep.method == "lanczos"
-    assert 1 <= rep.steps <= psl27.classes.n_classes - 1
-    assert 0.0 <= rep.residual <= max(DEFAULT.lanczos_tol * rep.lambda_direct, s.size * spectral._ULP)
-    assert rep.agree()
 
 
 def kernel_rows(n, rng):
@@ -527,13 +434,11 @@ def _zero_first_max(out):
     return out
 
 
-# float.hex of the Krylov-route lambda (Arnoldi on the coset blocks of M0) at
-# seed 0, and of the power-iteration lambda that an earlier route gave, which
-# stopped once successive Rayleigh quotients moved by 1e-9.  The Arnoldi
-# route on the |S| x n translate table gave 0x1.3b13b13b13b12p-2 for class 1
-# and 0x1.5555555555550p-4 for class 11; the character values are
-# 0x1.3b13b13b13b16p-2 (4/13) and 0x1.555555555554dp-4 (1/12).
-PSL33_LANCZOS_LAMBDA = {1: "0x1.3b13b13b13b10p-2", 11: "0x1.5555555555559p-4"}
+# float.hex of lambda from the class characters of PSL3:3 at its fixed seeds,
+# and of the power-iteration lambda that an earlier route gave, which
+# stopped once successive Rayleigh quotients moved by 1e-9.  The character
+# values are 0x1.3b13b13b13b16p-2 (4/13) and 0x1.555555555554dp-4 (1/12).
+PSL33_CHARACTER_LAMBDA = {1: "0x1.3b13b13b13b27p-2", 11: "0x1.5555555555516p-4"}
 PSL33_POWER_LAMBDA = {1: "0x1.3b13b1267512ep-2", 11: "0x1.5555554a080fbp-4"}
 
 
@@ -542,73 +447,76 @@ def psl33():
     return get_context("PSL3:3")
 
 
-def test_lanczos_lambda_pinned_and_resolves_few_rows(psl33, monkeypatch):
-    # a fresh group, so the spanning tree and the cosets are built inside the count
+def _no_translates(*_):
+    raise AssertionError("the build formed a right translate table")
+
+
+def test_class_characters_pinned_and_resolve_few_rows(psl33, monkeypatch):
+    """The build walks left translates and resolves no image row of its own.
+
+    On a fresh group the only rows resolved are the m - 1 powers of x that
+    `cyclic_cosets` forms with `mul`.
+    """
     group = parse_group_spec("PSL3:3")
     ct = compute_classes(group)
     rows = []
     inner = group.index_of
     monkeypatch.setattr(group, "index_of", lambda r: rows.append(len(np.atleast_2d(r))) or inner(r))
     monkeypatch.setattr(group, "right_translates", _no_translates)
-    tables, walked = [], set()
-    build = spectral._coset_table
-    monkeypatch.setattr(spectral, "_coset_table", lambda s: tables.append(build(s)) or tables[-1])
-    walk = spectral._coset_walk
-    monkeypatch.setattr(spectral, "_coset_walk", lambda u, t, p: walked.add(id(t)) or walk(u, t, p))
-    k, n = len(group.generators), group.n
-    for c, want in PSL33_LANCZOS_LAMBDA.items():
+    for c, want in PSL33_CHARACTER_LAMBDA.items():
         s = NormalSubset.from_classes(ct, [c])
-        del rows[:], tables[:]
-        walked.clear()
         assert float.hex(lambda_direct(s, DEFAULT, seed=0)) == want
-        # one |S| x (n/m) coset table, and every walk reads it: no |S| x n table
-        m = group.cyclic_cosets().shape[1]
-        assert [t.shape for t in tables] == [(s.size, n // m)]
-        assert walked == {id(tables[0])}
         # no farther from the character route than the power-iteration pin
         char = lambda_normal(
             psl33.table, NormalSubset.from_classes(psl33.classes, [c]), DEFAULT
         )
         old = float.fromhex(PSL33_POWER_LAMBDA[c])
         assert abs(float.fromhex(want) - char) <= abs(old - char)
-        # the generator tables, the inverses, the m powers of x and the
-        # coset table's |S| n/m products (44 928 for class 1, where one
-        # |S| x n table through `mul` would resolve 584 064)
-        assert sum(rows) <= (k + 1) * n + m + s.size * (n // m)
+    assert sum(rows) == group.cyclic_cosets().shape[1] - 1
 
 
-def test_lanczos_agrees_with_characters_above_the_cap(psl33):
-    """Every nonidentity class of PSL3:3 and A:8, within the Krylov bound of k - 1 steps.
+def test_class_characters_agree_above_the_cap(psl33):
+    """Every class of PSL3:3 and A:8, and A:8's unions of more than n/2 elements.
 
-    Both groups have non-real classes, whose Ritz values are complex.
+    Both groups have non-real classes, whose central characters are complex.
     """
     for ctx in (psl33, get_context("A:8")):
         ct = ctx.classes
         assert ct.group.n > spectral.DENSE_CAP
         assert not ct.is_real.all()
-        for c in range(1, ct.n_classes):
+        for c in range(ct.n_classes):
             s = NormalSubset.from_classes(ct, [c])
-            lam, steps, _ = lambda_direct(s, DEFAULT, seed=0, return_info=True)
-            assert abs(lam - lambda_normal(ctx.table, s, DEFAULT)) <= 1e-12
-            assert steps <= ct.n_classes - 1
+            assert abs(lambda_direct(s, DEFAULT) - lambda_normal(ctx.table, s, DEFAULT)) <= 1e-12
+        every = set(range(ct.n_classes))
+        for drop in ((0,), (1,), (0, 2), (ct.n_classes - 1,)):
+            s = NormalSubset.from_classes(ct, every - set(drop))
+            assert 2 * s.size > ctx.n
+            assert abs(lambda_direct(s, DEFAULT) - lambda_normal(ctx.table, s, DEFAULT)) <= 1e-12
+        assert ct.spectrum.residual <= spectral.CHARACTER_CERTIFY
 
 
-def test_lanczos_memory_stays_at_the_coset_table():
-    """lambda of A:8's class of 3 360 peaks well under one |S| x n table.
+# the A:8 build's peak above the resident set it starts from, in MB; 9.2 MB
+# measured.  It holds W, k (n/m) (m//2 + 1) complex entries (2.4 MB), the
+# two start vectors of the second walk (0.3 MB) and one block of
+# `_class_walks` (about 2 MB at WALK_BLOCK), besides the pages LAPACK and
+# the allocator keep; one (n/m) x n table of translates would be 108 MB of
+# int32
+BUILD_PEAK_MB = 16
 
-    The coset table is |S| x n/m = 3 360 x 1 344 int32, 18 MB, and the walk
-    holds n x (m//2 + 1) complex entries, 2.6 MB.  Under `tracemalloc` the
-    coset route peaks at 70 MB; Arnoldi over the |S| x n table of
-    `right_translates`, which it replaced, peaked at 262 MB.
-    """
-    ctx = get_context("A:8")
-    s = NormalSubset.from_classes(ctx.classes, [13])
-    assert s.size == 3360
-    tracemalloc.start()
-    try:
-        lam = lambda_direct(s, DEFAULT)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert abs(lam - lambda_normal(ctx.table, s, DEFAULT)) <= 1e-12
-    assert peak <= 128 * 2**20
+
+def test_class_characters_memory_in_a_child():
+    """The A:8 build, in a fresh interpreter: its high-water mark over its starting resident set."""
+    script = (
+        "from normgrowth import spectral\n"
+        "from normgrowth.context import parse_group_spec\n"
+        "from normgrowth.permgroup import compute_classes\n"
+        "ct = compute_classes(parse_group_spec('A:8'))\n"
+        "ct.group.coset_positions()\n"
+        "with open('/proc/self/status') as fh:\n"
+        "    print(next(line.split()[1] for line in fh if line.startswith('VmRSS:')))\n"
+        "print(spectral.class_characters(ct).residual)\n"
+        + PRINT_PEAK_KB
+    )
+    start_kb, residual, peak_kb = run_child(script).split()
+    assert float(residual) <= spectral.CHARACTER_CERTIFY
+    assert (int(peak_kb) - int(start_kb)) / 1024 <= BUILD_PEAK_MB

@@ -190,6 +190,22 @@ def test_random_normal_subset(a5):
     assert random_normal_subset(a5.classes, rng).class_indices == t.class_indices
 
 
+def test_random_normal_subset_draws_as_one_call_per_class(a5, psl27):
+    """One draw of every bit reads the values, and leaves the state, of one draw per class."""
+    for ctx in (a5, psl27):
+        for identity in (True, False):
+            for seed in range(20):
+                rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+                pool = range(0 if identity else 1, ctx.classes.n_classes)
+                for _ in range(20):
+                    got = random_normal_subset(ctx.classes, rng, include_identity_class=identity)
+                    pick = []
+                    while not pick:
+                        pick = [i for i in pool if ref.integers(2)]
+                    assert got.class_indices == tuple(pick)
+                assert rng.bit_generator.state == ref.bit_generator.state
+
+
 def test_random_subset_reproducible():
     rng = np.random.default_rng(7)
     a = random_subset(100, rng)
