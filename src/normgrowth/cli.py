@@ -9,9 +9,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 
 from . import __version__
-from .acceptance import acceptance_document, run_acceptance
+from .acceptance import CHECKS, Options, check_names, run_acceptance
 from .chartable import (
     compute_character_table,
     load_table,
@@ -19,18 +20,7 @@ from .chartable import (
     verify_orthogonality,
 )
 from .context import PROFILES, get_context, parse_group_spec
-from .distributions import sweep_bnp_star, sweep_bnp_two_step, sweep_wlambda
 from .errors import NormGrowthError, ParseError, SchemaError
-from .growth import (
-    gluck_report,
-    pyber_report,
-    square_growth_survey,
-    sweep_2step,
-    sweep_asymp,
-    sweep_dichotomy,
-    sweep_gowers2,
-    word_growth_report,
-)
 from .permgroup import DEFAULT_ORDER_CAP, compute_classes, real_census
 from .reports import CheckResult, ReportDocument, write_report
 from .spectral import DENSE_CAP, spectral_report
@@ -38,27 +28,6 @@ from .subsets import parse_subset_expr
 from .tolerances import DEFAULT
 
 OUT_ENV = "NORMGROWTH_OUT"
-
-# command -> check -> (context, parsed args) -> report; without --trials,
-# a randomized sweep runs its own default count
-CHECKS = {
-    "growth": {
-        "2step": lambda c, a: sweep_2step(c, trials=a.trials, seed=a.seed),
-        "gowers2": lambda c, a: sweep_gowers2(c, unions=not a.classes_only),
-        "asymp": lambda c, a: sweep_asymp(c, trials=a.trials, seed=a.seed),
-        "dichotomy": lambda c, a: sweep_dichotomy(c),
-        "survey": lambda c, a: square_growth_survey(c),
-        "pyber": lambda c, a: pyber_report(c),
-        "words": lambda c, a: word_growth_report(c, *a.words),
-        "gluck": lambda c, a: gluck_report(c),
-    },
-    "dist": {
-        "bnp": lambda c, a: sweep_bnp_star(c, trials=a.trials, seed=a.seed),
-        "bnp2step": lambda c, a: sweep_bnp_two_step(c, trials=a.trials, seed=a.seed),
-        "wlambda": lambda c, a: sweep_wlambda(c, trials=a.trials, seed=a.seed),
-    },
-}
-
 
 def _int_at_least(low: int):
     """An argparse type for integers >= low; anything else is a usage error."""
@@ -109,7 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chartable", parents=[grouped], help="character-table operations")
     action = p.add_mutually_exclusive_group()
-    action.add_argument("--verify", action="store_true", help="recompute and certify")
     action.add_argument("--export", metavar="PATH", help="compute and save as JSON")
     action.add_argument(
         "--import", dest="import_path", metavar="PATH", help="load and certify"
@@ -126,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--check",
         required=True,
-        choices=list(CHECKS["growth"]),
+        choices=check_names("growth"),
         help=f"above order {DENSE_CAP}, 2step counts one product set per (A, B): "
         "about 4 ms a record on PSL3:3 on a 2-core VM, so its default 100 trials take "
         "about 27 min there",
@@ -135,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--words",
         nargs=2,
-        default=("xx", "xyXY"),
+        default=Options.words,
         metavar=("W1", "W2"),
         help="the two words for --check words",
     )
@@ -149,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--check",
         required=True,
-        choices=list(CHECKS["dist"]),
+        choices=check_names("dist"),
         help=f"above order {DENSE_CAP}, bnp convolves by translates, and a dense random "
         "distribution has full support, so each product sums n translates of n entries: "
         "2 trials took 6.7 s on A:8 on a 2-core VM, so the default 1000 take about an hour",
@@ -240,14 +208,12 @@ def cmd_group(args) -> int:
 
 
 def cmd_chartable(args) -> int:
-    ctx_needed = not args.import_path
-    if ctx_needed:
-        group = parse_group_spec(args.group, order_cap=args.order_cap)
-        ct = compute_classes(group)
-        tab = compute_character_table(group, ct, args.tol, seed=args.seed)
     if args.import_path:
         tab = load_table(args.import_path, args.tol)
         print(f"loaded table for {tab.label}: order {tab.n}, {tab.n_classes} characters")
+    else:
+        group = parse_group_spec(args.group, order_cap=args.order_cap)
+        tab = compute_character_table(group, compute_classes(group), args.tol, seed=args.seed)
     if args.export:
         save_table(tab, args.export)
         print(f"wrote {args.export}")
@@ -300,7 +266,9 @@ def cmd_lambda(args) -> int:
 
 def cmd_check(args) -> int:
     ctx = get_context(args.group, order_cap=args.order_cap, seed=args.seed, tol=args.tol)
-    doc = CHECKS[args.command][args.check](ctx, args)
+    # a flag the command does not take keeps its default
+    options = {f.name: getattr(args, f.name) for f in fields(Options) if hasattr(args, f.name)}
+    doc = CHECKS[args.check].run(ctx, Options(**options))
     return _emit(doc, args, _stem(args.command, args.check, args.group))
 
 
@@ -308,7 +276,14 @@ def cmd_acceptance(args) -> int:
     outcomes = run_acceptance(profile=args.profile, seed=args.seed, tol=args.tol)
     for oc in outcomes:
         print(oc.line())
-    doc = acceptance_document(outcomes, args.profile)
+    doc = ReportDocument(title=f"acceptance ({args.profile})")
+    doc.add([
+        CheckResult.bound(
+            f"criterion-{oc.number}", "(suite)", 0, oc.title, oc.doc.tally().failed, 0
+        )
+        for oc in outcomes
+    ])
+    doc.meta["profile"] = args.profile
     code = _emit(doc, args, _stem("acceptance", args.profile))
     print(f"acceptance ({args.profile}): {doc.tally().verdict}")
     return code

@@ -8,12 +8,24 @@ import pytest
 
 from conftest import PRINT_PEAK_KB, run_child
 
-from normgrowth import __version__, cli, permgroup, reports, spectral
+from normgrowth import __version__, acceptance, cli, permgroup, reports, spectral
+from normgrowth.acceptance import (
+    CHECKS,
+    check_names,
+    determinism_report,
+    mixing_report,
+    real_brute_force_report,
+    specchi_eq_report,
+    specchi_ineq_report,
+    table_cert_report,
+    wlambda_indicator_report,
+)
 from normgrowth.chartable import save_table
 from normgrowth.cli import main
-from normgrowth.context import get_context
+from normgrowth.context import PROFILE_QUICK, get_context
 from normgrowth.distributions import sweep_bnp_star, sweep_bnp_two_step, sweep_wlambda
 from normgrowth.growth import (
+    frobenius_oracle_report,
     gluck_report,
     pyber_report,
     square_growth_survey,
@@ -61,7 +73,7 @@ def test_lambda_reports_lanczos_steps_only_on_that_route(tmp_path, capsys):
 
 
 def test_chartable_verify_export_import(tmp_path, capsys):
-    assert main(["chartable", "--group", "A:5", "--verify"]) == 0
+    assert main(["chartable", "--group", "A:5"]) == 0
     path = tmp_path / "a5.json"
     assert main(["chartable", "--group", "A:5", "--export", str(path)]) == 0
     assert path.exists()
@@ -158,7 +170,17 @@ CHECK_DEFAULTS = {
     ("dist", "bnp"): lambda c: sweep_bnp_star(c, trials=1000, seed=0),
     ("dist", "bnp2step"): lambda c: sweep_bnp_two_step(c, trials=500, seed=0),
     ("dist", "wlambda"): lambda c: sweep_wlambda(c, trials=100, seed=0),
+    ("growth", "specchi-eq"): lambda c: specchi_eq_report(c, seed=0),
+    ("growth", "specchi-ineq"): lambda c: specchi_ineq_report(c, trials=200, seed=0),
+    ("growth", "frobenius-oracle"): lambda c: frobenius_oracle_report(c),
+    ("growth", "table-cert"): lambda c: table_cert_report(c),
+    ("dist", "wlambda-indicator"): lambda c: wlambda_indicator_report(c),
+    ("growth", "real-brute-force"): lambda c: real_brute_force_report(c),
+    ("growth", "mixing"): lambda c: mixing_report(c, trials=500, seed=0),
+    ("growth", "determinism"): lambda c: determinism_report(c, seed=0),
 }
+# the checks that need a group of Lie type, so A:5 exits 1 with NotLieType
+LIE_TYPE_CHECKS = ("gluck", "real-coprime")
 
 
 def _written_body(argv, out, want) -> None:
@@ -188,10 +210,45 @@ def test_gluck_through_the_table(tmp_path, capsys, psl27):
 
 
 def test_check_names_and_order():
-    assert list(cli.CHECKS["growth"]) == [
-        "2step", "gowers2", "asymp", "dichotomy", "survey", "pyber", "words", "gluck"
+    """The registry's first eleven entries are the CLI's sweeps, in order, under their commands.
+
+    Every entry is reachable from the CLI, and each is pinned to its
+    default above or runs on a group of Lie type.
+    """
+    growth = ["2step", "gowers2", "asymp", "dichotomy", "survey", "pyber", "words", "gluck"]
+    dist = ["bnp", "bnp2step", "wlambda"]
+    assert list(CHECKS)[:11] == growth + dist
+    assert check_names("growth")[:8] == growth
+    assert check_names("dist")[:3] == dist
+    assert set(check_names("growth") + check_names("dist")) == set(CHECKS)
+    assert {key[1] for key in CHECK_DEFAULTS} | set(LIE_TYPE_CHECKS) == set(CHECKS)
+
+
+def _first_gate_step(name):
+    """The criterion and group of the first gate step that runs `name`, on A:5 when one does."""
+    steps = [
+        (row, spec)
+        for row in acceptance.ROWS
+        for check, step_spec, _ in row.steps
+        if check == name
+        for spec in (PROFILE_QUICK if step_spec == acceptance.PROFILE else (step_spec,))
     ]
-    assert list(cli.CHECKS["dist"]) == ["bnp", "bnp2step", "wlambda"]
+    return next(((row, spec) for row, spec in steps if spec == "A:5"), steps[0])
+
+
+@pytest.mark.parametrize("name", list(CHECKS)[11:])
+def test_gate_steps_are_the_cli_checks(tmp_path, capsys, name):
+    """`<command> --check NAME --group G` writes the body of NAME's step on G inside the gate."""
+    row, spec = _first_gate_step(name)
+    steps = acceptance.run_steps(row, seed=0)
+    (want,) = [rep for check, ctx, rep in steps if check == name and ctx is get_context(spec)]
+    argv = [CHECKS[name].command, "--check", name, "--group", spec]
+    _written_body(argv, tmp_path / "report.json", want)
+
+
+def test_real_coprime_wrong_group_exits_1(capsys):
+    assert main(["growth", "--group", "A:5", "--check", "real-coprime"]) == 1
+    assert "NotLieType" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["growth", "dist"])
@@ -238,18 +295,21 @@ OVERRIDE_CASES = {
     "2step": (["growth", "--check", "2step", "--trials", "1", "--group", "A:5"], "slack=-1e6", {"2step"}),
     "asymp": (["growth", "--check", "asymp", "--trials", "2", "--group", "A:5"], "strict-slack=-1e6", {"asymp"}),
     # the recovery gives up on every recombination, so there is no table
-    "chartable": (["chartable", "--verify", "--group", "A:5"], "eigen-collision=1e9", "DegenerateSpectrum"),
-    "orthogonality": (["chartable", "--verify", "--group", "A:5"], "orthogonality=-1", "OrthogonalityError"),
-    "degree-integrality": (
-        ["chartable", "--verify", "--group", "A:5"], "degree-integrality=-1", "NonIntegralDegree"
-    ),
+    "chartable": (["chartable", "--group", "A:5"], "eigen-collision=1e9", "DegenerateSpectrum"),
+    "orthogonality": (["chartable", "--group", "A:5"], "orthogonality=-1", "OrthogonalityError"),
+    "degree-integrality": (["chartable", "--group", "A:5"], "degree-integrality=-1", "NonIntegralDegree"),
     "table-accept": (["chartable", "--import", "{table}", "--group", "A:5"], "table-accept=-1", "OrthogonalityError"),
     "lambda-agree": (["lambda", "--subset", "class:1", "--group", "A:5"], "lambda-agree=-1", {"lambda"}),
     "lambda-one": (["lambda", "--subset", "class:1", "--group", "A:5"], "lambda-one=-1", "NotNormal"),
     "dist-unit": (["dist", "--check", "bnp", "--trials", "1", "--group", "A:5"], "dist-unit=-1", "InvalidWeights"),
-    # read only by the acceptance criteria 10 and 6
-    "wlambda-agree": (["acceptance", "--profile", "quick"], "wlambda-agree=-1", {"criterion-10"}),
-    "pab-relative": (["acceptance", "--profile", "quick"], "pab-relative=-1", {"criterion-6"}),
+    "wlambda-agree": (
+        ["dist", "--check", "wlambda-indicator", "--group", "A:5"], "wlambda-agree=-1", {"wlambda-indicator"}
+    ),
+    "pab-relative": (
+        ["growth", "--check", "frobenius-oracle", "--group", "A:5"], "pab-relative=-1", {"frobenius-oracle"}
+    ),
+    # an override reaches the gate's criteria as well
+    "acceptance": (["acceptance", "--profile", "quick"], "wlambda-agree=-1", {"criterion-10"}),
 }
 
 

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 import normgrowth
+from normgrowth import acceptance
 
 SOURCES = sorted(Path(normgrowth.__file__).parent.glob("*.py"))
 TREES = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
@@ -393,3 +394,60 @@ def test_report_floats_are_formatted_in_one_place():
     assert float_reprs(tree) and float_reprs(tree) == float_reprs(helper)
     names = {getattr(node, field, None) for node in ast.walk(tree) for field in ("name", "id", "attr")}
     assert not names & {"_json_floats", "csv_chunks", "writerows", "_FEW_RECORDS", "_shared", "_per_record"}
+
+
+def _report_functions() -> dict:
+    """name -> (module, parameters) of every public function that returns a ReportDocument."""
+    return {
+        node.name: (mod, [a.arg for a in node.args.posonlyargs + node.args.args])
+        for mod, tree in TREES.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and not node.name.startswith("_")
+        and node.returns is not None
+        and ast.unparse(node.returns) == "ReportDocument"
+    }
+
+
+def test_one_registry_runs_every_check():
+    """`acceptance.CHECKS` is the one table of checks, for the CLI and the gate alike.
+
+    Each public function that returns a report takes one `ctx` first and is
+    run by exactly one registry entry, and each entry runs exactly one of
+    them.  Every step of a criterion names a registry entry or one of the
+    gate's expected values.  No other module imports a check or names one
+    outside a function body, so no second table can grow beside it.
+    """
+    checks = _report_functions()
+    assert len(checks) == 20
+    assert all(params[:1] == ["ctx"] for _, params in checks.values())
+    table = next(
+        node.value
+        for node in TREES["acceptance.py"].body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["CHECKS"]
+    )
+    runs = [
+        {node.func.id for node in ast.walk(entry) if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+        & set(checks)
+        for entry in table.values
+    ]
+    assert all(len(called) == 1 for called in runs)
+    assert sorted(name for called in runs for name in called) == sorted(checks)
+    assert [key.value for key in table.keys] == list(acceptance.CHECKS)
+    steps = {check for row in acceptance.ROWS for check, _, _ in row.steps}
+    assert steps <= set(acceptance.CHECKS) | set(acceptance.EXPECTED)
+    assert not set(acceptance.CHECKS) & set(acceptance.EXPECTED)
+    elsewhere = []
+    for mod, tree in TREES.items():
+        if mod in ("acceptance.py", "__init__.py"):
+            continue
+        for stmt in tree.body:
+            if isinstance(stmt, ast.ImportFrom):
+                elsewhere += [f"{mod}:{stmt.lineno}" for alias in stmt.names if alias.name in checks]
+            elif not isinstance(stmt, (ast.FunctionDef, ast.ClassDef, ast.Import)):
+                elsewhere += [
+                    f"{mod}:{node.lineno}"
+                    for node in ast.walk(stmt)
+                    if isinstance(node, ast.Name) and node.id in checks
+                ]
+    assert not elsewhere
