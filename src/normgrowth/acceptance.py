@@ -223,32 +223,38 @@ class Options:
 
 
 class Check(NamedTuple):
+    """A check's CLI command, its run, and the `Options` fields the run reads.
+
+    `reads` leaves out `seed`: every context reads it, for its table recovery.
+    """
+
     command: str
     run: Callable[[GroupContext, Options], ReportDocument]
+    reads: tuple = ()
 
 
 # each run looks its check up on this module when called, so a rebinding of
 # a check here reaches the CLI and the gate alike
 CHECKS = {
-    "2step": Check("growth", lambda c, o: sweep_2step(c, trials=o.trials, seed=o.seed)),
-    "gowers2": Check("growth", lambda c, o: sweep_gowers2(c, unions=not o.classes_only)),
-    "asymp": Check("growth", lambda c, o: sweep_asymp(c, trials=o.trials, seed=o.seed)),
+    "2step": Check("growth", lambda c, o: sweep_2step(c, trials=o.trials, seed=o.seed), ("trials",)),
+    "gowers2": Check("growth", lambda c, o: sweep_gowers2(c, unions=not o.classes_only), ("classes_only",)),
+    "asymp": Check("growth", lambda c, o: sweep_asymp(c, trials=o.trials, seed=o.seed), ("trials",)),
     "dichotomy": Check("growth", lambda c, o: sweep_dichotomy(c)),
     "survey": Check("growth", lambda c, o: square_growth_survey(c)),
     "pyber": Check("growth", lambda c, o: pyber_report(c)),
-    "words": Check("growth", lambda c, o: word_growth_report(c, *o.words)),
+    "words": Check("growth", lambda c, o: word_growth_report(c, *o.words), ("words",)),
     "gluck": Check("growth", lambda c, o: gluck_report(c)),
-    "bnp": Check("dist", lambda c, o: sweep_bnp_star(c, trials=o.trials, seed=o.seed)),
-    "bnp2step": Check("dist", lambda c, o: sweep_bnp_two_step(c, trials=o.trials, seed=o.seed)),
-    "wlambda": Check("dist", lambda c, o: sweep_wlambda(c, trials=o.trials, seed=o.seed)),
+    "bnp": Check("dist", lambda c, o: sweep_bnp_star(c, trials=o.trials, seed=o.seed), ("trials",)),
+    "bnp2step": Check("dist", lambda c, o: sweep_bnp_two_step(c, trials=o.trials, seed=o.seed), ("trials",)),
+    "wlambda": Check("dist", lambda c, o: sweep_wlambda(c, trials=o.trials, seed=o.seed), ("trials",)),
     "specchi-eq": Check("growth", lambda c, o: specchi_eq_report(c, seed=o.seed)),
-    "specchi-ineq": Check("growth", lambda c, o: specchi_ineq_report(c, trials=o.trials, seed=o.seed)),
+    "specchi-ineq": Check("growth", lambda c, o: specchi_ineq_report(c, trials=o.trials, seed=o.seed), ("trials",)),
     "frobenius-oracle": Check("growth", lambda c, o: frobenius_oracle_report(c)),
     "table-cert": Check("growth", lambda c, o: table_cert_report(c)),
     "wlambda-indicator": Check("dist", lambda c, o: wlambda_indicator_report(c)),
     "real-coprime": Check("growth", lambda c, o: real_coprime_report(c)),
     "real-brute-force": Check("growth", lambda c, o: real_brute_force_report(c)),
-    "mixing": Check("growth", lambda c, o: mixing_report(c, trials=o.trials, seed=o.seed)),
+    "mixing": Check("growth", lambda c, o: mixing_report(c, trials=o.trials, seed=o.seed), ("trials",)),
     "determinism": Check("growth", lambda c, o: determinism_report(c, seed=o.seed)),
 }
 

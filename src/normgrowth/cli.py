@@ -120,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=check_names("dist"),
         help=f"above order {DENSE_CAP}, bnp convolves by translates, and a dense random "
         "distribution has full support, so each product sums n translates of n entries: "
-        "2 trials took 6.7 s on A:8 on a 2-core VM, so the default 1000 take about an hour",
+        "2 trials took 6.6 s on A:8 on a 2-core VM, so the default 1000 take about an hour",
     )
     p.add_argument("--trials", type=_int_at_least(1), help="trial count")
 
@@ -265,10 +265,16 @@ def cmd_lambda(args) -> int:
 
 
 def cmd_check(args) -> int:
-    ctx = get_context(args.group, order_cap=args.order_cap, seed=args.seed, tol=args.tol)
+    check = CHECKS[args.check]
     # a flag the command does not take keeps its default
     options = {f.name: getattr(args, f.name) for f in fields(Options) if hasattr(args, f.name)}
-    doc = CHECKS[args.check].run(ctx, Options(**options))
+    settings = Options(**{k: tuple(v) if isinstance(v, list) else v for k, v in options.items()})
+    for f in fields(Options):
+        if f.name not in check.reads + ("seed",) and getattr(settings, f.name) != f.default:
+            flag = "--" + f.name.replace("_", "-")
+            raise ParseError(f"--check {args.check} does not read {flag}")
+    ctx = get_context(args.group, order_cap=args.order_cap, seed=args.seed, tol=args.tol)
+    doc = check.run(ctx, settings)
     return _emit(doc, args, _stem(args.command, args.check, args.group))
 
 

@@ -87,9 +87,10 @@ def product_sizes(group: FiniteGroup, fixed: SubsetLike, rows: np.ndarray) -> np
 
     Up to `spectral.DENSE_CAP`, one `convolve_rows` call: (F R)^-1 =
     R^-1 F^-1, whose size is the number of positive entries per row of the
-    inverted rows against the inverted F.  Above the cap that call would walk
-    an n-wide translate per element of the smaller support, so each row is
-    `product_set(F, R)` instead, which stops once the product covers G.
+    inverted rows against the inverted F.  Above the cap, `_recounted_sizes`
+    recounts a sample with `convolve_rows`, so the sizes come from the other
+    route, one `product_set(F, R)` per row, which also stops once the
+    product covers G.
     """
     rows = np.asarray(rows, dtype=bool)
     if group.n <= spectral.DENSE_CAP:

@@ -8,6 +8,8 @@ points: a direct-address table when it fits, a sorted key search otherwise.
 Whole-group translates go through `left_translates` and `right_translates`,
 which gather along the BFS spanning tree that `closure` records, from the
 generator tables its certificate looked up, and resolve no image row.
+Asked for some columns only, they walk only those columns' ancestors in
+the tree, not all of G.
 """
 
 from __future__ import annotations
@@ -324,43 +326,81 @@ class FiniteGroup:
         """out[i, x] = w[i, cols[x]] (w[i, x] when cols is None), int32.
 
         w[i, 0] = seeds[i] and w[i, t] = steps[offset[t] + w[i, parent[t]]]
-        over the elements t, layer by layer.  One gather per layer fills a
-        block of rows; blocks keep every temporary under _CHUNK_ROWS entries.
+        over the elements t, layer by layer.  Given fewer than n `cols`, only
+        their ancestors in the tree are walked: one upward pass over the layers
+        marks them, and each layer's gather runs over its marked elements,
+        addressed by their positions among the marked.  When the ancestors
+        are all of G, the walk is the whole tree's.  One gather per layer
+        fills a block of rows; blocks keep every walked temporary under
+        _CHUNK_ROWS entries.
         """
         tree = self._tree
-        seeds = np.asarray(seeds).ravel()
-        if seeds.size and not (0 <= seeds.min() and seeds.max() < self.n):
-            raise IndexError(f"element index out of range for {self.label}")
-        out = np.empty((seeds.size, self.n), dtype=np.int32)
-        block = max(1, _CHUNK_ROWS // self.n)
+        seeds = self._checked(seeds)
+        at = None if cols is None else self._checked(cols)
+        parent, offset, bounds = tree.parent, tree.offset, tree.bounds
+        # n columns or more are read as if they were all of G
+        nodes = None if at is None or at.size >= self.n else self._ancestors(at)
+        if nodes is not None and nodes.size < self.n:
+            pos = np.zeros(self.n, dtype=np.intp)
+            pos[nodes] = np.arange(nodes.size)
+            parent, offset, at = pos[tree.parent[nodes]], tree.offset[nodes], pos[at]
+            bounds = np.searchsorted(nodes, tree.bounds).tolist()
+        width = bounds[-1]
+        out = np.empty((seeds.size, self.n if at is None else at.size), dtype=np.int32)
+        block = max(1, _CHUNK_ROWS // width)
         for top in range(0, seeds.size, block):
-            w = out[top : top + block] if cols is None else np.empty_like(out[top : top + block])
-            w[:, 0] = seeds[top : top + block]
-            for lo, hi in zip(tree.bounds[:-1], tree.bounds[1:]):
-                w[:, lo:hi] = steps.take(tree.offset[lo:hi] + w[:, tree.parent[lo:hi]])
-            if cols is not None:
-                out[top : top + block] = w[:, cols]
+            chunk = seeds[top : top + block]
+            w = out[top : top + block] if at is None else np.empty((chunk.size, width), np.int32)
+            w[:, 0] = chunk
+            for lo, hi in zip(bounds[:-1], bounds[1:]):
+                w[:, lo:hi] = steps.take(offset[lo:hi] + w[:, parent[lo:hi]])
+            if at is not None:
+                out[top : top + block] = w[:, at]
         return out
 
-    def left_translates(self, a) -> np.ndarray:
-        """out[i, x] = index of a_i * x, shape (len(a), n), int32.
+    def _ancestors(self, cols: np.ndarray) -> np.ndarray:
+        """The tree positions of `cols` and of all their ancestors, 0 included, ascending.
 
-        a_i x_t = (a_i x_parent) g, so each layer is one gather from the
-        generator tables; no image row is resolved.
+        parent[t] < t, so one pass over the layers, last first, marks each
+        layer's parents before their own layer is read.
         """
-        return self._tree_walk(a, self._tree.right, None)
+        tree = self._tree
+        keep = np.zeros(self.n, dtype=bool)
+        keep[cols] = keep[0] = True
+        for lo, hi in zip(tree.bounds[-2::-1], tree.bounds[:0:-1]):
+            keep[tree.parent[lo:hi][keep[lo:hi]]] = True
+        return np.flatnonzero(keep)
 
-    def right_translates(self, f) -> np.ndarray:
-        """out[i, x] = index of x * f_i, shape (len(f), n), int32.
+    def _checked(self, idx) -> np.ndarray:
+        """`idx` as a flat index array; an entry outside 0..n-1 raises IndexError."""
+        idx = np.asarray(idx, dtype=np.intp).ravel()
+        if idx.size and not (0 <= idx.min() and idx.max() < self.n):
+            raise IndexError(f"element index out of range for {self.label}")
+        return idx
 
-        x_t^-1 f_i = g^-1 (x_parent^-1 f_i) fills the tree, and
-        x f_i is read at x^-1; no image row is resolved.  The table of
+    def left_translates(self, a, cols=None) -> np.ndarray:
+        """out[i, x] = index of a_i * x (of a_i * cols[x]), int32.
+
+        Shape (len(a), n), or (len(a), len(cols)) given `cols`, whose
+        ancestors alone are walked.  a_i x_t = (a_i x_parent) g, so each
+        layer is one gather from the generator tables; no image row is
+        resolved.
+        """
+        return self._tree_walk(a, self._tree.right, cols)
+
+    def right_translates(self, f, cols=None) -> np.ndarray:
+        """out[i, x] = index of x * f_i (of cols[x] * f_i), int32.
+
+        Shape (len(f), n), or (len(f), len(cols)) given `cols`.
+        x_t^-1 f_i = g^-1 (x_parent^-1 f_i) fills the tree, and x f_i is
+        read at x^-1, so the walk keeps the ancestors of the inverses of
+        `cols`; no image row is resolved.  The table of
         g^-1 y = (y^-1 g)^-1 is formed from `right` on first use and cached.
         """
         inv = self.inverse_of
         if self._left_inv is None:
             self._left_inv = inv[self._tree.right.reshape(-1, self.n)[:, inv]].ravel()
-        return self._tree_walk(f, self._left_inv, inv)
+        return self._tree_walk(f, self._left_inv, inv if cols is None else inv[self._checked(cols)])
 
     def division_table(self) -> np.ndarray:
         """dt[g, h] = index of g^-1 * h.  Cached; quadratic memory."""

@@ -251,6 +251,41 @@ def test_real_coprime_wrong_group_exits_1(capsys):
     assert "NotLieType" in capsys.readouterr().err
 
 
+# the checks whose report depends on a trial count
+TRIAL_CHECKS = {"2step", "asymp", "bnp", "bnp2step", "wlambda", "specchi-ineq", "mixing"}
+
+
+@pytest.mark.parametrize("name", list(CHECKS))
+def test_trials_is_refused_by_the_checks_that_take_no_count(tmp_path, capsys, name):
+    """`--trials` runs a check that reads a trial count and exits 2 on any other."""
+    out = tmp_path / "report.json"
+    argv = [CHECKS[name].command, "--check", name, "--group", "A:5", "--trials", "1", "--out", str(out)]
+    if name in TRIAL_CHECKS:
+        assert main(argv) == 0 and out.exists()
+        return
+    assert main(argv) == 2
+    assert f"--check {name} does not read --trials" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, reader",
+    [(["--classes-only"], "gowers2"), (["--words", "xx", "xyx"], "words")],
+    ids=["classes-only", "words"],
+)
+def test_growth_flags_are_refused_by_the_checks_that_ignore_them(tmp_path, capsys, flags, reader):
+    """Each growth check but the one that reads the flag exits 2 naming it; default values pass."""
+    for name in check_names("growth"):
+        if name == reader:
+            continue
+        out = tmp_path / f"{name}.json"
+        assert main(["growth", "--check", name, "--group", "A:5", *flags, "--out", str(out)]) == 2
+        assert f"--check {name} does not read {flags[0]}" in capsys.readouterr().err
+        assert not out.exists()
+    out = tmp_path / "default-words.json"
+    assert main(["growth", "--check", "dichotomy", "--group", "A:5", "--words", "xx", "xyXY", "--out", str(out)]) == 0
+
+
 @pytest.mark.parametrize("command", ["growth", "dist"])
 def test_unknown_check_exits_2(tmp_path, capsys, command):
     out = tmp_path / "report.json"

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from normgrowth import spectral
+from normgrowth.context import get_context
 from normgrowth.chartable import min_nontrivial_degree
 from normgrowth.distributions import (
     Distribution,
@@ -21,7 +22,7 @@ from normgrowth.distributions import (
 )
 from normgrowth.errors import CapExceeded, InvalidWeights
 from normgrowth.growth import pair_count, product_set
-from normgrowth.subsets import NormalSubset, Subset
+from normgrowth.subsets import NormalSubset, Subset, random_subset
 from normgrowth.tolerances import DEFAULT, Tolerances
 
 
@@ -186,3 +187,21 @@ def test_bnp_two_step(a5):
     full = Subset.full(g.n)
     rec = check_bnp_two_step(full, full)
     assert rec.passed and rec.lhs == g.n
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_sparse_bnp_pairs_above_the_cap_pass(seed):
+    """Seeded sparse pairs on PSL3:3, 0.5-3 % support each, convolved on the translate route.
+
+    The draws of the benchmark's large-order bnp step: every record passes
+    and nothing escapes the column-restricted walk.
+    """
+    ctx = get_context("PSL3:3")
+    assert ctx.n > spectral.DENSE_CAP
+    rng = np.random.default_rng(seed)
+    m = min_nontrivial_degree(ctx.table)
+    for t in range(8):
+        x = from_subset(random_subset(ctx.n, rng, density=rng.uniform(0.005, 0.03)))
+        y = from_subset(random_subset(ctx.n, rng, density=rng.uniform(0.005, 0.03)))
+        rec = check_bnp_star(ctx.group, m, x, y, inputs=f"pair={t};seed={seed}")
+        assert rec.passed, rec

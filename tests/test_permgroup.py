@@ -302,6 +302,62 @@ def test_translates_match_mul(name):
         g.left_translates([g.n])
 
 
+def _column_sets(n: int, rng) -> dict:
+    """Columns a restricted translate is asked for: every shape the kernel must take."""
+    picked = rng.choice(n, size=max(1, n // 50), replace=False)
+    return {
+        "random": np.sort(picked),
+        "unsorted": picked,
+        "duplicated": np.concatenate([picked, picked[::-1], picked[:3]]),
+        "empty": picked[:0],
+        "identity": np.array([0]),
+        "all": rng.permutation(n),
+        # fewer than n columns whose ancestors are all of G
+        "all-but-identity": np.arange(n - 1, 0, -1),
+        "last-layer": np.array([n - 1, 0, n - 1]),
+    }
+
+
+@pytest.mark.parametrize("spec", PROFILE_FULL + ("A:8",))
+def test_translates_by_column_are_columns_of_the_full_translates(spec):
+    """`left_translates(a, cols)` and `right_translates(f, cols)` are columns of the full ones.
+
+    Seeds are drawn at random with the identity among them; out-of-range
+    columns raise instead of wrapping through the position map.
+    """
+    g = parse_group_spec(spec)
+    rng = np.random.default_rng(11)
+    seeds = np.concatenate([[0], rng.integers(0, g.n, size=5)])
+    left, right = g.left_translates(seeds), g.right_translates(seeds)
+    for name, cols in _column_sets(g.n, rng).items():
+        for got, full in ((g.left_translates(seeds, cols), left), (g.right_translates(seeds, cols), right)):
+            assert got.dtype == np.int32, name
+            assert np.array_equal(got, full[:, cols]), name
+    assert g.left_translates(seeds[:0], [1, 2]).shape == (0, 2)
+    for bad in ([-1], [g.n], [0, g.n + 3]):
+        with pytest.raises(IndexError):
+            g.left_translates(seeds, bad)
+        with pytest.raises(IndexError):
+            g.right_translates(seeds, bad)
+
+
+@pytest.mark.parametrize("spec", ("A:5", "PSL2:7", "PSL3:3"))
+def test_ancestors_are_the_parent_closure(spec):
+    """The walked elements: the columns, the root, their ancestors and nothing else."""
+    g = parse_group_spec(spec)
+    parent = g._tree.parent.tolist()
+    rng = np.random.default_rng(5)
+    for cols in _column_sets(g.n, rng).values():
+        want = {0}
+        for t in cols.tolist():
+            while t not in want:
+                want.add(t)
+                t = parent[t]
+        got = g._ancestors(cols)
+        assert got.tolist() == sorted(want)
+        assert set(parent[t] for t in got.tolist()) <= set(got.tolist())
+
+
 @pytest.mark.parametrize("name", sorted(TRANSLATE_GROUPS))
 def test_conjugation_maps_match_mul(name):
     """Each map x -> g x g^-1, read from the translates, is the `mul` form."""

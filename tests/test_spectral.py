@@ -408,6 +408,64 @@ def test_convolve_rows_counts_products_and_arcs(spec, route, monkeypatch):
     assert arcs.tolist() == [arc_count(s, r, b) for r in rows]
 
 
+def _full_walk_convolution(g, rows, weights):
+    """The translate routes of `convolve_rows` on whole-group translates: the bitwise reference.
+
+    Each h sums its terms in the same order, g (or f) ascending, zero terms
+    included.
+    """
+    n = g.n
+    support = np.flatnonzero(weights)
+    if rows.ndim == 1 and np.count_nonzero(rows) <= support.size:
+        out = np.zeros(n)
+        nonzero = np.flatnonzero(rows)
+        for lo in range(0, nonzero.size, 64):
+            for x, left in zip(nonzero[lo : lo + 64], g.left_translates(nonzero[lo : lo + 64])):
+                out[left] += rows[x] * weights
+        return out
+    block = rows.reshape(-1, n)
+    out = np.zeros_like(block)
+    for lo in range(0, support.size, 64):
+        for f, right in zip(support[lo : lo + 64], g.right_translates(support[lo : lo + 64])):
+            out[:, right] += weights[f] * block
+    return out.reshape(rows.shape)
+
+
+def _weighted(n, density, rng):
+    """Signed random weights on a random support of about `density` n elements."""
+    return np.where(rng.random(n) < density, rng.standard_normal(n), 0.0)
+
+
+# (rows' density, weights' density); the stack holds a sparse, a denser and a zero row
+CONVOLUTION_DENSITIES = {
+    "sparse-sparse": (0.02, 0.03),
+    "sparse-dense": (0.02, 0.6),
+    "dense-sparse": (0.6, 0.02),
+    "dense-dense": (0.6, 0.7),
+    "stack": (None, 0.05),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONVOLUTION_DENSITIES))
+@pytest.mark.parametrize("spec", ["A:5", "PSL2:7", "PSL3:3"])
+def test_convolve_rows_translates_match_the_full_walk_bitwise(spec, case, monkeypatch):
+    """Above the cap, the column-restricted translates give the full walk's floats, bit for bit."""
+    g = get_context(spec).group
+    n = g.n
+    if n <= spectral.DENSE_CAP:
+        monkeypatch.setattr(spectral, "DENSE_CAP", n - 1)
+    rng = np.random.default_rng(23)
+    row_density, weight_density = CONVOLUTION_DENSITIES[case]
+    if row_density is None:
+        rows = np.stack([_weighted(n, 0.02, rng), _weighted(n, 0.2, rng), np.zeros(n)])
+    else:
+        rows = _weighted(n, row_density, rng)
+    weights = _weighted(n, weight_density, rng)
+    weights[rng.integers(n)] = 0.5  # no empty support on the smallest groups
+    got = convolve_rows(g, rows, weights)
+    assert got.tobytes() == _full_walk_convolution(g, rows, weights).tobytes()
+
+
 def test_mixing_batch_recounts_on_the_elements(a5, monkeypatch):
     g, tab = a5.group, a5.table
     s = NormalSubset.from_classes(a5.classes, [2])
