@@ -120,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=check_names("dist"),
         help=f"above order {DENSE_CAP}, bnp convolves by translates, and a dense random "
         "distribution has full support, so each product sums n translates of n entries: "
-        "2 trials took 6.6 s on A:8 on a 2-core VM, so the default 1000 take about an hour",
+        "2 trials took 5.9 s on A:8 on a 2-core VM, so the default 1000 take about an hour",
     )
     p.add_argument("--trials", type=_int_at_least(1), help="trial count")
 

@@ -326,8 +326,8 @@ class FiniteGroup:
         """out[i, x] = w[i, cols[x]] (w[i, x] when cols is None), int32.
 
         w[i, 0] = seeds[i] and w[i, t] = steps[offset[t] + w[i, parent[t]]]
-        over the elements t, layer by layer.  Given fewer than n `cols`, only
-        their ancestors in the tree are walked: one upward pass over the layers
+        over the elements t, layer by layer.  Given `cols`, only their
+        ancestors in the tree are walked: one upward pass over the layers
         marks them, and each layer's gather runs over its marked elements,
         addressed by their positions among the marked.  When the ancestors
         are all of G, the walk is the whole tree's.  One gather per layer
@@ -338,8 +338,7 @@ class FiniteGroup:
         seeds = self._checked(seeds)
         at = None if cols is None else self._checked(cols)
         parent, offset, bounds = tree.parent, tree.offset, tree.bounds
-        # n columns or more are read as if they were all of G
-        nodes = None if at is None or at.size >= self.n else self._ancestors(at)
+        nodes = None if at is None else self._ancestors(at)
         if nodes is not None and nodes.size < self.n:
             pos = np.zeros(self.n, dtype=np.intp)
             pos[nodes] = np.arange(nodes.size)

@@ -86,8 +86,9 @@ def convolve_rows(group: FiniteGroup, rows: np.ndarray, weights: np.ndarray) -> 
     it; otherwise the rows' right translates by the support of w are
     summed.  The translates come from the group's spanning-tree kernel,
     which walks only the tree ancestors of the columns asked for: the
-    left route asks for supp(w) when it is at most half of G, the right
-    route for the union support of the rows.  Each h still sums its
+    left route asks for supp(w), the right route for the union support of
+    the rows, and a support that is all of G asks for no columns, so the
+    whole walk runs with no gather or copy (`_asked`).  Each h still sums its
     nonzero terms in the same order, so only zero terms are left out and
     the floats are those of whole-group translates.  Translates and rows
     go in blocks that keep every temporary under _CHUNK_ROWS entries.
@@ -104,10 +105,7 @@ def convolve_rows(group: FiniteGroup, rows: np.ndarray, weights: np.ndarray) -> 
     if rows.ndim == 1 and np.count_nonzero(rows) <= support.size:
         out = np.zeros(n)
         nonzero = np.flatnonzero(rows)
-        # each asked-for column costs a gather; past half of G that outweighs
-        # the walk and additions it saves (slower at 90 % on PSL3:3 and A:8)
-        cols = support if 2 * support.size <= n else None
-        terms = weights if cols is None else weights[cols]
+        cols, terms = _asked(support, weights)
         for lo in range(0, nonzero.size, step):
             gs = nonzero[lo : lo + step]
             for g, left in zip(gs, group.left_translates(gs, cols)):
@@ -116,15 +114,24 @@ def convolve_rows(group: FiniteGroup, rows: np.ndarray, weights: np.ndarray) -> 
         return out
     block = rows.reshape(-1, n)
     out = np.zeros_like(block)
-    used = np.flatnonzero(block.any(axis=0))
-    terms = block[:, used]
+    cols, terms = _asked(np.flatnonzero(block.any(axis=0)), block)
     for lo in range(0, support.size, step):
         fs = support[lo : lo + step]
-        for f, right in zip(fs, group.right_translates(fs, used)):
+        for f, right in zip(fs, group.right_translates(fs, cols)):
             # g -> g*f moves the rows' weight at g onto g*f
             for top in range(0, block.shape[0], step):
                 out[top : top + step, right] += weights[f] * terms[top : top + step]
     return out.reshape(rows.shape)
+
+
+def _asked(support: np.ndarray, values: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
+    """The columns a translate route asks for, and `values` at them (last axis).
+
+    A support that is all of G asks for none: `values` itself, unsliced.
+    """
+    if support.size == values.shape[-1]:
+        return None, values
+    return support, values[..., support]
 
 
 def _spread(count: int) -> list[int]:

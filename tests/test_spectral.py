@@ -436,13 +436,16 @@ def _weighted(n, density, rng):
     return np.where(rng.random(n) < density, rng.standard_normal(n), 0.0)
 
 
-# (rows' density, weights' density); the stack holds a sparse, a denser and a zero row
+# (rows' density, a tuple of them for a stack, and w's density); the cases
+# named "full" add from a support that is all of G, which asks for no columns
 CONVOLUTION_DENSITIES = {
     "sparse-sparse": (0.02, 0.03),
     "sparse-dense": (0.02, 0.6),
+    "sparse-full": (0.02, 1.0),
     "dense-sparse": (0.6, 0.02),
     "dense-dense": (0.6, 0.7),
-    "stack": (None, 0.05),
+    "stack": ((0.02, 0.2, 0.0), 0.05),
+    "stack-full": ((0.3, 1.0), 0.05),
 }
 
 
@@ -454,15 +457,20 @@ def test_convolve_rows_translates_match_the_full_walk_bitwise(spec, case, monkey
     n = g.n
     if n <= spectral.DENSE_CAP:
         monkeypatch.setattr(spectral, "DENSE_CAP", n - 1)
+    asked = []
+    for name in ("left_translates", "right_translates"):
+        real = getattr(g, name)
+        monkeypatch.setattr(g, name, lambda a, cols=None, real=real: asked.append(cols) or real(a, cols))
     rng = np.random.default_rng(23)
     row_density, weight_density = CONVOLUTION_DENSITIES[case]
-    if row_density is None:
-        rows = np.stack([_weighted(n, 0.02, rng), _weighted(n, 0.2, rng), np.zeros(n)])
+    if isinstance(row_density, tuple):
+        rows = np.stack([_weighted(n, d, rng) for d in row_density])
     else:
         rows = _weighted(n, row_density, rng)
     weights = _weighted(n, weight_density, rng)
     weights[rng.integers(n)] = 0.5  # no empty support on the smallest groups
     got = convolve_rows(g, rows, weights)
+    assert asked and all((cols is None) == ("full" in case) for cols in asked)
     assert got.tobytes() == _full_walk_convolution(g, rows, weights).tobytes()
 
 
