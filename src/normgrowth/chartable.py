@@ -16,6 +16,7 @@ from typing import Iterable, Union
 import numpy as np
 
 from .errors import (
+    CapExceeded,
     DegenerateSpectrum,
     EmptySubset,
     NonIntegralDegree,
@@ -28,6 +29,8 @@ from .tolerances import Tolerances
 
 # random recombinations tried before the recovery gives up
 MAX_RETRIES = 20
+# int64 entries of the class tensor (128 MB): 256 classes, as in an abelian group of order 256
+_TENSOR_ENTRIES = 1 << 24
 
 
 def class_mult_tensor(group: FiniteGroup, ct: ClassTable) -> np.ndarray:
@@ -35,15 +38,23 @@ def class_mult_tensor(group: FiniteGroup, ct: ClassTable) -> np.ndarray:
 
     Returns the (k, k, k) int64 array
     a[i, j, k] = #{(x, y) in C_i x C_j : x*y = rep(C_k)}.
-    For each class k we walk x over the whole group, form
-    y = x^-1 * rep(C_k), and increment a[class_of(x), class_of(y), k];
-    then x*y = rep(C_k) by construction.
+    For each class k we walk x over the whole group, read
+    y = x^-1 * rep(C_k) from `FiniteGroup.division_columns`, and increment
+    a[class_of(x), class_of(y), k]; then x*y = rep(C_k) by construction.
+    The products are resolved from their base images, with neither `mul`
+    nor the spanning tree.  A tensor of more than _TENSOR_ENTRIES entries
+    raises CapExceeded before anything is allocated.
     """
     k = ct.n_classes
+    if k ** 3 > _TENSOR_ENTRIES:
+        raise CapExceeded(
+            f"{group.label}: {k} classes need a class tensor of {k}^3 entries, "
+            f"over the budget of {_TENSOR_ENTRIES}"
+        )
+    y = group.division_columns(ct.reps)
     a = np.zeros((k, k, k), dtype=np.int64)
     for kk in range(k):
-        y = group.mul(group.inverse_of, ct.reps[kk])
-        pairs = ct.class_of * k + ct.class_of[y]
+        pairs = ct.class_of * k + ct.class_of[y[kk]]
         a[:, :, kk] = np.bincount(pairs, minlength=k * k).reshape(k, k)
     return a
 

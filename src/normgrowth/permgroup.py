@@ -5,6 +5,9 @@ BFS discovery order, identity first.  All downstream modules address elements
 by their row index.  Arbitrary products go through `FiniteGroup.mul`, which
 resolves image rows back to indices through their images on a small base of
 points: a direct-address table when it fits, a sorted key search otherwise.
+`closure` builds that base index once, right after its BFS, and its
+certificate and `FiniteGroup.division_columns` (every x^-1 * c, for the
+class tensor) read products' base images straight off the image rows.
 Whole-group translates go through `left_translates` and `right_translates`,
 which gather along the BFS spanning tree that `closure` records, from the
 generator tables its certificate looked up, and resolve no image row.
@@ -161,13 +164,72 @@ class _SpanningTree(NamedTuple):
     right: np.ndarray              # (k n,) int32: right[j n + x] = x * g_j
 
 
+class _BaseIndex(NamedTuple):
+    """Element indices by their images on a base, points whose pointwise stabilizer is trivial.
+
+    The key of a row is its base images read as digits in radix `degree`,
+    looked up in a direct-address table when degree^|base| <= _TABLE_ENTRIES;
+    otherwise the byte keys of the base images are searched in sorted order.
+    """
+
+    base: tuple[int, ...]
+    radix: Optional[np.ndarray]    # (|base|,) int32 digit weights; None on the sorted keys
+    table: Optional[np.ndarray]    # (degree^|base|,) int32: index of each key, -1 for none
+    keys: Optional[np.ndarray]     # the elements' byte keys, sorted; None on the table
+    order: Optional[np.ndarray]    # (n,) int32: the element of each sorted key
+
+    def find(self, planes: np.ndarray) -> np.ndarray:
+        """Indices of the elements whose image of base point i is planes[i]; -1 where none is.
+
+        `planes` has shape (|base|, ...), and the result has the shape that
+        follows.  A table key is summed one plane at a time.
+        """
+        if self.table is not None:
+            key = np.zeros(planes.shape[1:], dtype=np.int32)
+            for plane, weight in zip(planes, self.radix.tolist()):
+                key += plane * weight
+            return self.table.take(key)
+        query = _void_keys(np.moveaxis(planes, 0, -1).reshape(-1, len(self.base)))
+        pos = np.minimum(np.searchsorted(self.keys, query), self.keys.size - 1)
+        return np.where(self.keys[pos] == query, self.order[pos], -1).reshape(planes.shape[1:])
+
+
+def _base_index(perms: np.ndarray) -> _BaseIndex:
+    """The base index of the distinct image rows `perms`.
+
+    Each base point is the first point moved by a row that fixes every
+    earlier one, so no two rows share their base images once the rows
+    form a group; until the certificate has shown that, a lookup may find
+    the wrong row.
+    """
+    n, degree = perms.shape
+    base: list[int] = []
+    stab = np.ones(n, dtype=bool)
+    while stab.sum() > 1:
+        moved = (perms[stab] != np.arange(degree)).any(axis=0)
+        pt = int(np.flatnonzero(moved)[0])
+        base.append(pt)
+        stab &= perms[:, pt] == pt
+    cols = perms[:, base]
+    size = degree ** len(base)
+    if size <= _TABLE_ENTRIES:
+        radix = (degree ** np.arange(len(base))).astype(np.int32)
+        table = np.full(size, -1, dtype=np.int32)
+        table[cols @ radix] = np.arange(n)
+        return _BaseIndex(tuple(base), radix, table, None, None)
+    keys = _void_keys(cols)
+    order = np.argsort(keys, kind="stable").astype(np.int32)
+    return _BaseIndex(tuple(base), None, None, keys[order], order)
+
+
 class FiniteGroup:
     """A fully enumerated permutation group addressed by element index.
 
     Element 0 is always the identity.  `perms[i]` is the image row of element
     i; products of known elements are resolved back to indices through their
     images on a base of points whose pointwise stabilizer is trivial.  Built
-    by `closure` alone, which hands over the spanning tree it certified; the
+    by `closure` alone, which hands over the base index its certificate
+    looked products up in and the spanning tree it certified; the
     generators are read off the identity's row of its right table.
     """
 
@@ -176,6 +238,7 @@ class FiniteGroup:
         perms: np.ndarray,
         label: str,
         tree: _SpanningTree,
+        index: _BaseIndex,
         characteristic: Optional[int] = None,
         field_order: Optional[int] = None,
         simple: bool = False,
@@ -189,7 +252,8 @@ class FiniteGroup:
         self.characteristic = characteristic
         self.field_order = field_order
         self.simple = simple
-        self._build_index()
+        self._index = index
+        self.base = index.base
         self._inverse: Optional[np.ndarray] = None
         self._gen_conj: Optional[list[np.ndarray]] = None
         self._division_table: Optional[np.ndarray] = None
@@ -200,43 +264,19 @@ class FiniteGroup:
 
     # -- index machinery ---------------------------------------------------
 
-    def _build_index(self) -> None:
-        base: list[int] = []
-        stab = np.ones(self.n, dtype=bool)
-        while stab.sum() > 1:
-            moved = (self.perms[stab] != np.arange(self.degree)).any(axis=0)
-            pt = int(np.flatnonzero(moved)[0])
-            base.append(pt)
-            stab &= self.perms[:, pt] == pt
-        self.base = tuple(base)
-        size = self.degree ** len(base)
-        if size <= _TABLE_ENTRIES:
-            # key = base images read as digits in radix `degree`
-            self._radix = (self.degree ** np.arange(len(base))).astype(np.int32)
-            self._table = np.full(size, -1, dtype=np.int32)
-            self._table[self.perms[:, self.base] @ self._radix] = np.arange(self.n)
-            return
-        self._table = None
-        keys = _void_keys(self.perms[:, self.base])
-        self._key_order = np.argsort(keys, kind="stable").astype(np.int32)
-        self._keys = keys[self._key_order]
-
     def index_of(self, rows: np.ndarray) -> np.ndarray:
         """Map image rows (m, degree) of known elements back to indices."""
         rows = np.asarray(rows)
         if rows.ndim == 1:
             rows = rows[None, :]
-        cols = rows[:, self.base]
-        if self._table is not None:
-            idx = self._table.take(cols @ self._radix)
-            if (idx < 0).any():
-                raise KeyError("row is not an element of the group")
-            return idx
-        query = _void_keys(cols)
-        pos = np.minimum(np.searchsorted(self._keys, query), self.n - 1)
-        if not (self._keys[pos] == query).all():
+        return self._resolve(rows[:, self.base].T)
+
+    def _resolve(self, planes: np.ndarray) -> np.ndarray:
+        """`_BaseIndex.find` of the base-image planes, which must all be elements (KeyError)."""
+        idx = self._index.find(planes)
+        if (idx < 0).any():
             raise KeyError("row is not an element of the group")
-        return self._key_order[pos]
+        return idx
 
     # -- element arithmetic -------------------------------------------------
 
@@ -280,6 +320,27 @@ class FiniteGroup:
                 out[...] = self.index_of(flat.take(starts + self.perms.take(pb, axis=0)))
             prod = it.operands[2]
         return int(prod) if prod.ndim == 0 else prod
+
+    def division_columns(self, cols) -> np.ndarray:
+        """out[i, x] = index of x^-1 * cols[i], int32: `division_table()[:, cols].T` at any order.
+
+        (x^-1 c)(b) = x^-1(c(b)), so the base images of x^-1 c are the row of
+        x^-1 read at c's base images: one gather of the inverse rows, in
+        blocks of elements that keep every temporary under _CHUNK_ROWS
+        entries, resolved through the base index.  No product row is
+        formed.  An index outside 0..n-1 raises IndexError.
+        """
+        cols = self._checked(cols)
+        # points[j, i] = cols[i](base[j])
+        points = self.perms[cols][:, self.base].T
+        inverse = self.inverse_of
+        out = np.empty((cols.size, self.n), dtype=np.int32)
+        block = max(1, _CHUNK_ROWS // (self.degree + points.size))
+        for lo in range(0, self.n, block):
+            # inv_cols[p, x] = x^-1(p) over this block of elements x
+            inv_cols = self.perms.take(inverse[lo : lo + block], axis=0).T.copy()
+            out[:, lo : lo + block] = self._resolve(inv_cols[points])
+        return out
 
     def inv(self, a: int) -> int:
         return int(self.inverse_of[a])
@@ -486,16 +547,18 @@ def closure(
     are keyed in blocks of _CHUNK_ROWS entries without forming them.  The
     next layer is the first occurrence, frontier-major and generator-minor,
     of each key not seen before; only those rows are formed.  Keys can
-    collide, so before returning, every element times every generator is
-    looked up by key and compared in full with the row found.  Distinct keys
-    mean distinct rows, and a set that holds the identity and is closed under
-    the generators is the whole group; a product that matches no row raises
-    KeyCollision.  A group of order above `cap` raises CapExceeded.
+    collide, so before returning, the base index of the rows is built and
+    every element times every generator is looked up in it by its base
+    images, x[g_j[base]], and compared in full with the row found.  Distinct
+    keys mean distinct rows, and a set that holds the identity and is closed
+    under the generators is the whole group; a product that the index does
+    not find, or that differs from the row it finds, raises KeyCollision.
+    A group of order above `cap` raises CapExceeded.
 
     The BFS records each element's parent and generator slot as it meets
     it, and the certificate's lookups are the table of every x * g_j, so
-    the group gets its spanning tree (`_SpanningTree`) without a second
-    search.
+    the group gets its spanning tree (`_SpanningTree`) and its base index
+    (`_BaseIndex`) without a second search.
     """
     if not generators:
         generators = []
@@ -513,10 +576,10 @@ def closure(
     block = max(1, _CHUNK_ROWS // max(1, k * degree))
 
     frontier = np.arange(degree, dtype=np.int32)[None, :]
-    layers, layer_keys = [frontier], [frontier.astype(np.uint64) @ consts]
+    layers = [frontier]
     # x_t = x_parent[t] * g_slot[t]; the root is its own parent
     parents, slots, bounds = [np.zeros(1, np.intp)], [np.zeros(1, np.intp)], [1]
-    seen = layer_keys[0]
+    seen = frontier.astype(np.uint64) @ consts
     total = 1
     while len(frontier):
         key_parts, pos_parts = [], []
@@ -537,31 +600,33 @@ def closure(
         slots.append(slot)
         frontier = np.take_along_axis(frontier[row], gens[slot], axis=1)
         layers.append(frontier)
-        layer_keys.append(new_keys[order])
         seen = np.insert(seen, np.searchsorted(seen, new_keys), new_keys)
         total += len(row)
         bounds.append(total)
 
     perms = np.concatenate(layers)
-    keys = np.concatenate(layer_keys)
-    key_order = np.argsort(keys)
-    right = np.empty((total, k), dtype=np.int32)
+    index = _base_index(perms)
+    # (x g_j)(b) = x(g_j(b)): plane i of the products' base images reads x at g_j(base[i])
+    at = gens[:, index.base].T
+    right = np.empty((k, total), dtype=np.int32)
     for start in range(0, total, block):
         rows = perms[start:start + block]
-        found = key_order[np.minimum(np.searchsorted(seen, rows.astype(np.uint64) @ step), total - 1)]
-        if not (perms[found] == rows[:, gens]).all():
+        # the block's columns, copied contiguous so that each plane is one row gather
+        found = index.find(rows.T.copy()[at])
+        if (found < 0).any() or not (perms[found.T] == rows[:, gens]).all():
             raise KeyCollision(f"{label}: a product matches no enumerated row")
-        right[start:start + block] = found
+        right[:, start:start + block] = found
     tree = _SpanningTree(
         parent=np.concatenate(parents).astype(np.int32),
         offset=(np.concatenate(slots) * total).astype(np.int32),
         bounds=bounds[:-1],  # the last layer is empty
-        right=right.T.ravel(),
+        right=right.ravel(),
     )
     return FiniteGroup(
         perms,
         label=label,
         tree=tree,
+        index=index,
         characteristic=characteristic,
         field_order=field_order,
         simple=simple,

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from normgrowth import chartable, context
 from normgrowth.chartable import (
     character_ratio,
     class_mult_tensor,
@@ -16,15 +17,17 @@ from normgrowth.chartable import (
     save_table,
     verify_orthogonality,
 )
-from normgrowth.context import PROFILES, get_context
+from normgrowth.context import PROFILE_FULL, PROFILES, get_context, parse_group_spec
 from normgrowth.tolerances import DEFAULT
 from normgrowth.errors import (
+    CapExceeded,
     EmptySubset,
     OnlyTrivial,
     OrthogonalityError,
     SchemaError,
 )
 from normgrowth.permgroup import (
+    FiniteGroup,
     Permutation,
     build_alternating,
     build_symmetric,
@@ -67,6 +70,62 @@ def test_tensor_matches_brute_force(builder, m):
     g = builder(m)
     ct = compute_classes(g)
     assert (class_mult_tensor(g, ct) == brute_tensor(g, ct)).all()
+
+
+def mul_loop_tensor(group, ct):
+    """The class tensor as `class_mult_tensor` counted it by `mul`: one product row per x and class."""
+    k = ct.n_classes
+    a = np.zeros((k, k, k), dtype=np.int64)
+    for kk in range(k):
+        y = group.mul(group.inverse_of, ct.reps[kk])
+        pairs = ct.class_of * k + ct.class_of[y]
+        a[:, :, kk] = np.bincount(pairs, minlength=k * k).reshape(k, k)
+    return a
+
+
+@pytest.mark.parametrize("spec", PROFILE_FULL + ("S:6", "A:8"))
+def test_tensor_matches_the_mul_loop(spec):
+    """The tensor read off base images is the `mul` loop's, bit for bit and int64."""
+    g = parse_group_spec(spec)
+    ct = compute_classes(g)
+    got, want = class_mult_tensor(g, ct), mul_loop_tensor(g, ct)
+    assert got.dtype == want.dtype == np.int64
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_tensor_budget_is_checked_before_any_count(monkeypatch):
+    """k^3 past `_TENSOR_ENTRIES` raises CapExceeded before a product is resolved.
+
+    A:5 has 5 classes, so a budget of 125 entries admits its tensor and one
+    of 124 does not.  C2^9, an abelian group of order 512, has 512 classes
+    and would need 512^3 int64 entries (1 GB) under the real budget.
+    """
+    a5 = build_alternating(5)
+    ct = compute_classes(a5)
+    monkeypatch.setattr(chartable, "_TENSOR_ENTRIES", 5 ** 3)
+    assert class_mult_tensor(a5, ct).shape == (5, 5, 5)
+    monkeypatch.setattr(chartable, "_TENSOR_ENTRIES", 5 ** 3 - 1)
+    monkeypatch.setattr(FiniteGroup, "division_columns", lambda *a: pytest.fail("counted"))
+    with pytest.raises(CapExceeded, match="5 classes"):
+        class_mult_tensor(a5, ct)
+    monkeypatch.undo()
+    c2_9 = closure([Permutation.from_cycles([(2 * i, 2 * i + 1)], 18) for i in range(9)])
+    ct = compute_classes(c2_9)
+    assert ct.n_classes == c2_9.n == 512
+    monkeypatch.setattr(FiniteGroup, "division_columns", lambda *a: pytest.fail("counted"))
+    with pytest.raises(CapExceeded, match="512 classes"):
+        class_mult_tensor(c2_9, ct)
+
+
+def test_cold_contexts_call_no_mul(monkeypatch):
+    """Closure, classes, tensor and table of PSL3:3 and A:8 resolve no product through `mul`."""
+    calls = []
+    mul = FiniteGroup.mul
+    monkeypatch.setattr(FiniteGroup, "mul", lambda self, a, b: calls.append(1) or mul(self, a, b))
+    monkeypatch.setattr(context, "_CACHE", {})
+    for spec in ("PSL3:3", "A:8"):
+        assert get_context(spec).classes.tensor is not None
+    assert calls == []
 
 
 def test_tensor_identity_slice(a5):

@@ -53,6 +53,16 @@ def test_group_refuses_order_above_cap(capsys, monkeypatch):
     assert calls == []
 
 
+def test_chartable_refuses_a_class_tensor_past_its_budget(tmp_path, capsys):
+    """C2^9 from nine disjoint transpositions: 512 classes, so no 512^3 tensor, but `group` runs."""
+    path = tmp_path / "c2-9.txt"
+    path.write_text("".join(f"({2 * i} {2 * i + 1})\n" for i in range(9)), encoding="utf-8")
+    assert main(["chartable", "--group", str(path)]) == 1
+    assert "CapExceeded" in capsys.readouterr().err
+    assert main(["group", "--group", str(path)]) == 0
+    assert "order 512, 512 classes" in capsys.readouterr().out
+
+
 def test_lambda_both_routes(capsys):
     assert main(["lambda", "--group", "A:5", "--subset", "all-nonid"]) == 0
     out = capsys.readouterr().out

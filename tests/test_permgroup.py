@@ -12,6 +12,7 @@ from conftest import PRINT_PEAK_KB, run_child
 
 from normgrowth import permgroup
 from normgrowth.context import PROFILE_FULL, parse_group_spec
+from normgrowth.spectral import DENSE_CAP
 from normgrowth.errors import (
     CapExceeded,
     EmptyWord,
@@ -285,11 +286,16 @@ TRANSLATE_GROUPS = {
 }
 
 
+def _group(spec):
+    """A group of `TRANSLATE_GROUPS`, or else one named by its spec."""
+    return TRANSLATE_GROUPS[spec]() if spec in TRANSLATE_GROUPS else parse_group_spec(spec)
+
+
 @pytest.mark.parametrize("name", sorted(TRANSLATE_GROUPS))
 def test_translates_match_mul(name):
     g = TRANSLATE_GROUPS[name]()
     if name == "sorted":
-        assert g._table is None
+        assert g._index.table is None
     rng = np.random.default_rng(7)
     idx = rng.integers(0, g.n, size=min(g.n, 20))
     all_idx = np.arange(g.n)
@@ -339,6 +345,32 @@ def test_translates_by_column_are_columns_of_the_full_translates(spec):
             g.left_translates(seeds, bad)
         with pytest.raises(IndexError):
             g.right_translates(seeds, bad)
+
+
+@pytest.mark.parametrize("spec", PROFILE_FULL + ("S:6", "A:8", "sorted", "trivial"))
+def test_division_columns_are_columns_of_the_division_table(spec):
+    """`division_columns(cols)[i, x]` is x^-1 * cols[i]: the table's columns below the cap, `mul` above."""
+    g = _group(spec)
+    rng = np.random.default_rng(13)
+    picked = rng.choice(g.n, size=min(g.n, 40), replace=False)
+    cases = {
+        "random": picked,
+        "duplicated": np.concatenate([picked[:5], picked[:5][::-1]]),
+        "empty": picked[:0],
+        "identity": np.array([0]),
+        "last": np.array([g.n - 1, 0, g.n - 1]),
+    }
+    for name, cols in cases.items():
+        got = g.division_columns(cols)
+        if g.n <= DENSE_CAP:
+            want = g.division_table()[:, cols].T
+        else:
+            want = g.mul(g.inverse_of[None, :], cols[:, None])
+        assert got.dtype == np.int32 and got.shape == (cols.size, g.n), name
+        assert np.array_equal(got, want), name
+    for bad in ([-1], [g.n], [0, g.n + 3]):
+        with pytest.raises(IndexError):
+            g.division_columns(bad)
 
 
 @pytest.mark.parametrize("spec", ("A:5", "PSL2:7", "PSL3:3"))
@@ -440,6 +472,68 @@ def test_colliding_keys_raise_under_python_O():
         "    print('KeyCollision', __debug__)\n"
     )
     assert run_child(script, "-O").split() == ["KeyCollision", "False"]
+
+
+@pytest.mark.parametrize("keys", sorted(COLLIDING_KEYS))
+@pytest.mark.parametrize("spec", sorted(name for name in TRANSLATE_GROUPS if ":" in name))
+def test_colliding_keys_never_return_a_group_from_the_sorted_keys(monkeypatch, keys, spec):
+    """The same on the base index's sorted-key fallback.
+
+    A one-entry table budget admits only the table of an empty base, which
+    a lone identity row has, so every other row set takes the fallback.
+    """
+    monkeypatch.setattr(permgroup, "_TABLE_ENTRIES", 1)
+    monkeypatch.setattr(permgroup, "_key_constants", COLLIDING_KEYS[keys])
+    with pytest.raises(KeyCollision):
+        parse_group_spec(spec)
+
+
+def test_colliding_keys_raise_under_python_O_on_the_sorted_keys():
+    """The sorted-key fallback's certificate is a typed error under -O too."""
+    script = (
+        "import numpy as np\n"
+        "from normgrowth import permgroup\n"
+        "from normgrowth.context import parse_group_spec\n"
+        "from normgrowth.errors import KeyCollision\n"
+        "permgroup._TABLE_ENTRIES = 1\n"
+        f"permgroup._key_constants = lambda d: np.full(d, {_STEP}, dtype=np.uint64)\n"
+        "try:\n"
+        "    print('returned', parse_group_spec('PSL3:2').n)\n"
+        "except KeyCollision:\n"
+        "    print('KeyCollision', __debug__)\n"
+    )
+    assert run_child(script, "-O").split() == ["KeyCollision", "False"]
+
+
+def _without_the_last_element(base_index):
+    """`base_index`, changed so that its index cannot find the last row it was given."""
+
+    def build(perms):
+        index = base_index(perms)
+        last = perms.shape[0] - 1
+        if index.table is not None:
+            return index._replace(table=np.where(index.table == last, -1, index.table))
+        keep = index.order != last
+        return index._replace(keys=index.keys[keep], order=index.order[keep])
+
+    return build
+
+
+@pytest.mark.parametrize("lookup", ["table", "sorted"])
+@pytest.mark.parametrize("spec", ["A:5", "PSL2:7", "PSL3:2"])
+def test_a_product_missing_from_the_index_raises(monkeypatch, lookup, spec):
+    """A miss is KeyCollision: never KeyError, and never index -1 read as the last row.
+
+    The last element is its tree parent times a generator, so the
+    certificate looks it up, and the last row would match it in full.
+    """
+    g = _group(spec)
+    gens = [g.permutation(i) for i in g.generators]
+    if lookup == "sorted":
+        monkeypatch.setattr(permgroup, "_TABLE_ENTRIES", 1)
+    monkeypatch.setattr(permgroup, "_base_index", _without_the_last_element(permgroup._base_index))
+    with pytest.raises(KeyCollision):
+        closure(gens, cap=g.n)
 
 
 # peak RSS of a child building PSL3:4 (n = 20 160, degree 21, 12 generators):

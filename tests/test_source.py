@@ -300,6 +300,22 @@ def test_one_count_on_the_class_tensor():
     assert ("growth.py", "product_set") not in reached
 
 
+def test_class_tensor_and_its_recount_stay_on_separate_kernels():
+    """The tensor, its recount and the element lambda routes each resolve products their own way.
+
+    `class_mult_tensor` reads x^-1 * r off base images (`division_columns`),
+    with neither `mul` nor the spanning tree that `class_characters` and
+    `convolve_rows` walk.  The recount in `class_pair_counts`, `pair_count`
+    and `_classes_met`, multiplies with `mul`.
+    """
+    tensor = _reached_functions("chartable.py", "class_mult_tensor")
+    assert ("permgroup.py", "FiniteGroup.division_columns") in tensor
+    assert ("permgroup.py", "FiniteGroup._tree_walk") not in tensor
+    assert ("permgroup.py", "FiniteGroup.mul") not in tensor
+    for name in ("pair_count", "_classes_met"):
+        assert ("permgroup.py", "FiniteGroup.mul") in _reached_functions("growth.py", name)
+
+
 @pytest.mark.parametrize("name", TENSOR_ROUTED)
 def test_tensor_routed_checks_count_through_the_recount(name):
     reached = _reached_functions("growth.py", name)
